@@ -5,7 +5,7 @@ simulator computes; this package pins down *how fast* the host computes
 it.  It measures three things:
 
 * simulated-instructions-per-second per kernel, for the reference
-  interpreter and the fast launch engines,
+  interpreter and the compiled (superblock) launch engine,
 * end-to-end launch makespan (wall clock per full benchmark run),
 * service job throughput and latency percentiles.
 
@@ -20,10 +20,8 @@ See ``docs/benchmarking.md`` for the workflow.
 
 from .baselines import (
     REGRESSION_THRESHOLD,
-    SUPERBLOCK_FLOOR,
     Regression,
     check_cpi,
-    check_invariants,
     compare_reports,
     load_baseline,
     write_baseline,
@@ -43,9 +41,8 @@ from .simulator import (
 __all__ = [
     "BENCH_KERNELS", "DSE_BASELINE_FILE", "Measurement",
     "REGRESSION_THRESHOLD", "Regression", "SERVICE_BASELINE_FILE",
-    "SIMULATOR_BASELINE_FILE", "SMOKE_KERNELS", "SUPERBLOCK_FLOOR",
-    "bench_dse",
+    "SIMULATOR_BASELINE_FILE", "SMOKE_KERNELS", "bench_dse",
     "bench_kernel", "bench_preemption", "bench_service", "bench_simulator",
-    "check_cpi", "check_invariants", "compare_reports", "cpi_table",
+    "check_cpi", "compare_reports", "cpi_table",
     "load_baseline", "measure", "percentile", "write_baseline",
 ]

@@ -7,9 +7,9 @@ beyond :data:`REGRESSION_THRESHOLD` in the bad direction.
 
 Two metric classes:
 
-* **machine-independent** ratios (``speedup_vs_reference``,
+* **machine-independent** ratios (``speedup_superblock_vs_reference``,
   ``cache_hit_rate``): comparable across hosts, enforced everywhere.
-* **absolute** wall-clock metrics (``wall_*``, ``inst_per_s``,
+* **absolute** wall-clock metrics (``wall_*``, ``inst_per_s_superblock``,
   ``jobs_per_second``, ``latency_*``): only meaningful against a
   baseline recorded on the same class of machine, so they are
   *report-only* unless the caller opts into strict mode (CI does, on
@@ -28,22 +28,17 @@ REGRESSION_THRESHOLD = 0.20
 
 #: metric name -> (higher_is_better, machine_independent)
 _METRICS = {
-    "speedup_vs_reference": (True, True),
     "speedup_superblock_vs_reference": (True, True),
     "cache_hit_rate": (True, True),
     "warm_board_rate": (True, True),
     "store_hit_rate": (True, True),
-    "inst_per_s": (True, False),
     "inst_per_s_superblock": (True, False),
-    "speedup_fused_vs_unfused": (True, False),
     "jobs_per_second": (True, False),
     "points_per_second": (True, False),
     "resume_speedup": (True, False),
     "short_latency_speedup": (True, False),
     "wall_reference_s": (False, False),
-    "wall_fast_s": (False, False),
     "wall_superblock_s": (False, False),
-    "wall_superblock_unfused_s": (False, False),
     "latency_p50_s": (False, False),
     "latency_p95_s": (False, False),
 }
@@ -53,7 +48,7 @@ _METRICS = {
 class Regression:
     """One metric that moved beyond threshold in the bad direction."""
 
-    path: str           # e.g. "kernels.matrix_mul_i32.speedup_vs_reference"
+    path: str           # e.g. "kernels.cnn_i32.wall_superblock_s"
     baseline: float
     current: float
     change: float       # signed fractional change, bad direction positive
@@ -108,56 +103,6 @@ def compare_reports(baseline, current, threshold=REGRESSION_THRESHOLD):
     _walk("", baseline, current, threshold, out)
     out.sort(key=lambda r: r.change, reverse=True)
     return out
-
-
-#: The superblock engine may give back at most this fraction of the
-#: fast engine's speedup on any kernel.  Block compilation exists to be
-#: *at least* as fast as plain fast dispatch on straight-line code; a
-#: kernel where it falls further behind (as bitonic_sort once did, from
-#: closure-dispatched VALU ops inside fused blocks) is a compiled-path
-#: regression even when every baseline ratio still passes.
-SUPERBLOCK_FLOOR = 0.95
-
-
-def check_invariants(payload):
-    """Self-consistency checks on one simulator payload, no baseline.
-
-    Returns a list of problem strings (empty when healthy).  Checked
-    per kernel: ``speedup_superblock_vs_reference >=
-    SUPERBLOCK_FLOOR * speedup_vs_reference``.  The reference time
-    cancels out of that ratio, so it is evaluated as ``wall_fast /
-    wall_superblock >= SUPERBLOCK_FLOOR`` on the *best-of-N* wall
-    times when the full sample records are present (best-of is far
-    more robust to host contention spikes than the median the speedup
-    fields are computed from), falling back to the median-based
-    speedup fields for older or hand-built payloads.
-    """
-    problems = []
-    for name, entry in sorted((payload or {}).get("kernels", {}).items()):
-        if not isinstance(entry, dict):
-            continue
-        try:
-            fast_best = float(entry["wall_fast"]["best_s"])
-            superblock_best = float(entry["wall_superblock"]["best_s"])
-            ratio = fast_best / superblock_best
-            detail = "best-of wall_fast {:.4g}s / wall_superblock {:.4g}s"\
-                .format(fast_best, superblock_best)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            try:
-                fast = float(entry["speedup_vs_reference"])
-                superblock = float(entry["speedup_superblock_vs_reference"])
-                ratio = superblock / fast
-                detail = ("speedup_superblock_vs_reference {:.3f} / "
-                          "speedup_vs_reference {:.3f}".format(
-                              superblock, fast))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
-                continue
-        if ratio < SUPERBLOCK_FLOOR:
-            problems.append(
-                "kernels.{}: superblock holds {:.3f} of the fast "
-                "engine's speedup, floor is {:.2f} ({})"
-                .format(name, ratio, SUPERBLOCK_FLOOR, detail))
-    return problems
 
 
 def check_cpi(baseline, current):

@@ -2,24 +2,18 @@
 
 Each kernel is run end to end (prepare -> preload -> execute) through
 the :mod:`repro.exec` layer -- warm-board leasing included, exactly
-like production callers -- once per engine:
+like production callers -- once per serial engine:
 
 * ``reference``  -- the original interpreter loop,
-* ``fast``       -- the prepared-plan serial engine,
-* ``superblock`` -- the fast loop with fused straight-line ALU runs
-  (the ``auto`` default engine),
-* ``parallel``   -- the measure-then-schedule engine on a multi-CU
-  board (skipped for single-CU benchmarking).
+* ``superblock`` -- the compiled loop (prepared plans plus fused
+  straight-line ALU runs; the ``auto`` default engine).
 
-Reported per kernel: simulated instructions, simulated seconds
+The ``parallel`` engine needs a multi-CU board and is not benchmarked
+here.  Reported per kernel: simulated instructions, simulated seconds
 (deterministic -- a change here is a model change, not a perf
 regression), wall-clock medians per engine, simulated-instructions-
-per-second on the fast and superblock engines, the
-``speedup_vs_reference`` / ``speedup_superblock_vs_reference``
-machine-independent ratios CI enforces, and the report-only
-``speedup_fused_vs_unfused`` ratio (the superblock engine with
-closed-form block timing vs. the same engine stepping the per-step
-table).
+per-second on the superblock engine, and the machine-independent
+``speedup_superblock_vs_reference`` ratio CI enforces.
 
 The payload also carries the ``cpi`` table: deterministic
 cycles-per-instruction for each :data:`repro.kernels.cpi.CPI_SUITE`
@@ -97,11 +91,9 @@ def bench_kernel(name, repeat=3, warmup=1):
         raise ReproError("unknown benchmark kernel {!r}; available: {}"
                          .format(name, ", ".join(sorted(KERNELS))))
 
-    # One verified run up front per timed engine: a benchmark of wrong
-    # outputs is meaningless.  Also records the deterministic
-    # simulation metrics.
-    result = _run_once(name, "fast", verify=True)
-    _run_once(name, "superblock", verify=True)
+    # One verified run up front: a benchmark of wrong outputs is
+    # meaningless.  Also records the deterministic simulation metrics.
+    result = _run_once(name, "superblock", verify=True)
     instructions = result.instructions
     sim_seconds = result.seconds
 
@@ -117,19 +109,8 @@ def bench_kernel(name, repeat=3, warmup=1):
         return run
 
     reference = measure(batched("reference"), repeat=repeat, warmup=warmup)
-    fast = measure(batched("fast"), repeat=repeat, warmup=warmup)
     superblock = measure(batched("superblock"), repeat=repeat, warmup=warmup)
-    # Same engine, closed-form block timing swapped for the per-step
-    # table walk: isolates what fusion itself buys (report-only).
-    from ..cu.timing import set_timing_fusion
-
-    previous = set_timing_fusion(False)
-    try:
-        unfused = measure(batched("superblock"), repeat=repeat,
-                          warmup=warmup)
-    finally:
-        set_timing_fusion(previous)
-    for m in (reference, fast, superblock, unfused):
+    for m in (reference, superblock):
         m.samples = [s / inner for s in m.samples]
         m.warmup_samples = [s / inner for s in m.warmup_samples]
     return {
@@ -137,22 +118,14 @@ def bench_kernel(name, repeat=3, warmup=1):
         "instructions": instructions,
         "sim_seconds": sim_seconds,
         "wall_reference": reference.to_dict(),
-        "wall_fast": fast.to_dict(),
         "wall_superblock": superblock.to_dict(),
         "wall_reference_s": reference.median,
-        "wall_fast_s": fast.median,
         "wall_superblock_s": superblock.median,
-        "inst_per_s": instructions / fast.median if fast.median else 0.0,
         "inst_per_s_superblock": (instructions / superblock.median
                                   if superblock.median else 0.0),
-        "speedup_vs_reference": (reference.median / fast.median
-                                 if fast.median else 0.0),
         "speedup_superblock_vs_reference": (
             reference.median / superblock.median
             if superblock.median else 0.0),
-        "wall_superblock_unfused_s": unfused.median,
-        "speedup_fused_vs_unfused": (unfused.median / superblock.median
-                                     if superblock.median else 0.0),
     }
 
 
@@ -188,7 +161,7 @@ def bench_simulator(kernels=None, repeat=3, warmup=1, log=None):
         log("bench {} ...".format(name))
         entries[name] = bench_kernel(name, repeat=repeat, warmup=warmup)
     payload = {
-        "schema": 4,
+        "schema": 5,
         "repeat": repeat,
         "kernels": entries,
         "cpi": cpi_table(log=log),
@@ -203,43 +176,30 @@ def bench_simulator(kernels=None, repeat=3, warmup=1, log=None):
 
 def _totals(entries):
     total_ref = sum(e["wall_reference_s"] for e in entries.values())
-    total_fast = sum(e["wall_fast_s"] for e in entries.values())
+    total_sb = sum(e["wall_superblock_s"] for e in entries.values())
     total_inst = sum(e["instructions"] for e in entries.values())
-    totals = {
+    return {
         "instructions": total_inst,
         "wall_reference_s": total_ref,
-        "wall_fast_s": total_fast,
-        "inst_per_s": total_inst / total_fast if total_fast else 0.0,
-        "speedup_vs_reference": (total_ref / total_fast
-                                 if total_fast else 0.0),
+        "wall_superblock_s": total_sb,
+        "inst_per_s_superblock": total_inst / total_sb if total_sb else 0.0,
+        "speedup_superblock_vs_reference": (total_ref / total_sb
+                                            if total_sb else 0.0),
     }
-    if all("wall_superblock_s" in e for e in entries.values()):
-        total_sb = sum(e["wall_superblock_s"] for e in entries.values())
-        totals["wall_superblock_s"] = total_sb
-        totals["inst_per_s_superblock"] = (total_inst / total_sb
-                                           if total_sb else 0.0)
-        totals["speedup_superblock_vs_reference"] = (
-            total_ref / total_sb if total_sb else 0.0)
-    return totals
 
 
 def render_simulator(payload):
     """Human-readable table for one ``bench_simulator`` payload."""
-    fmt = "{:<24} {:>12} {:>9} {:>9} {:>9} {:>12} {:>8} {:>8}"
-    row = ("{:<24} {:>12} {:>9.3f} {:>9.3f} {:>9} {:>12.3e} {:>7.2f}x"
-           " {:>8}")
-    lines = [fmt.format("kernel", "sim inst", "ref s", "fast s", "sb s",
-                        "inst/s", "speedup", "sb spd")]
+    fmt = "{:<24} {:>12} {:>9} {:>9} {:>12} {:>8}"
+    row = "{:<24} {:>12} {:>9.3f} {:>9.3f} {:>12.3e} {:>7.2f}x"
+    lines = [fmt.format("kernel", "sim inst", "ref s", "sb s", "inst/s",
+                        "speedup")]
 
     def _row(name, entry):
-        sb_s = entry.get("wall_superblock_s")
-        sb_spd = entry.get("speedup_superblock_vs_reference")
         return row.format(
             name, entry["instructions"], entry["wall_reference_s"],
-            entry["wall_fast_s"],
-            "{:.3f}".format(sb_s) if sb_s is not None else "-",
-            entry["inst_per_s"], entry["speedup_vs_reference"],
-            "{:.2f}x".format(sb_spd) if sb_spd is not None else "-")
+            entry["wall_superblock_s"], entry["inst_per_s_superblock"],
+            entry["speedup_superblock_vs_reference"])
 
     for name, entry in payload["kernels"].items():
         lines.append(_row(name, entry))

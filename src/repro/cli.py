@@ -249,12 +249,10 @@ def _resolve_oracles(spec):
 
     if spec in (None, "all"):
         return None
-    if spec == "fast":
-        return ("fast-vs-reference",)
     if spec in ORACLE_NAMES:
         return (spec,)
     raise ReproError(
-        "unknown oracle {!r}; expected 'all', 'fast' or one of: {}".format(
+        "unknown oracle {!r}; expected 'all' or one of: {}".format(
             spec, ", ".join(ORACLE_NAMES)))
 
 
@@ -294,7 +292,6 @@ def cmd_bench(args):
         bench_service,
         bench_simulator,
         check_cpi,
-        check_invariants,
         compare_reports,
         load_baseline,
         write_baseline,
@@ -318,18 +315,8 @@ def cmd_bench(args):
     dse_path = os.path.join(args.out, DSE_BASELINE_FILE)
 
     regressions = []
-    invariant_problems = []
     cpi_problems = []
     if args.check:
-        # Baseline-free self-consistency first: the superblock engine
-        # must hold >= SUPERBLOCK_FLOOR of the fast engine's speedup
-        # on every kernel, whatever the checked-in baseline says.
-        # Subset runs (--smoke, --kernels) skip this like they skip
-        # totals: single-kernel quick runs are too noisy to gate on.
-        if "totals" in simulator:
-            invariant_problems = check_invariants(simulator)
-        else:
-            log("subset run; skipping bench invariant checks")
         for path, payload in ((sim_path, simulator), (svc_path, service),
                               (dse_path, dse)):
             if payload is None:
@@ -369,11 +356,6 @@ def cmd_bench(args):
     for path in wrote:
         log("baseline written: {}".format(path))
 
-    if invariant_problems:
-        print("\n{} bench invariant violation(s):".format(
-            len(invariant_problems)))
-        for problem in invariant_problems:
-            print("  {}".format(problem))
     if cpi_problems:
         print("\n{} CPI table mismatch(es):".format(len(cpi_problems)))
         for problem in cpi_problems:
@@ -389,7 +371,7 @@ def cmd_bench(args):
         if regressions and not enforced:
             log("absolute-metric regressions are report-only "
                 "(machine-dependent)")
-    if (invariant_problems or cpi_problems) and not args.report_only:
+    if cpi_problems and not args.report_only:
         return 1
     return 0
 
@@ -561,8 +543,7 @@ def build_parser():
     p.add_argument("--replay", metavar="CASE.s", default=None,
                    help="re-run one corpus file instead of fuzzing")
     p.add_argument("--oracle", default=None,
-                   help="restrict the oracle matrix: 'all' (default), "
-                        "'fast' (the fast-vs-reference engine oracle) "
+                   help="restrict the oracle matrix: 'all' (default) "
                         "or any single oracle name")
     p.set_defaults(func=cmd_fuzz)
 

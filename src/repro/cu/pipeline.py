@@ -27,7 +27,7 @@ from . import lsu, operations
 from .prepared import get_prepared
 from .timing import (KIND_ALU, KIND_ENDPGM, KIND_MEMORY, KIND_WAITCNT,
                      DEFAULT_TIMING, UnitPool, acquire_slot,
-                     get_timing_table, step_advance, timing_fusion_enabled)
+                     get_timing_table, step_advance)
 
 _WAITCNT_VM_MASK = 0xF
 _WAITCNT_LGKM_SHIFT = 8
@@ -164,20 +164,19 @@ class ComputeUnit:
 
     # ------------------------------------------------------------------
 
-    def run_workgroup(self, workgroup, start_time=0.0, fast=None):
+    def run_workgroup(self, workgroup, start_time=0.0, compiled=None):
         """Execute one workgroup's wavefronts to completion.
 
         Returns ``(end_time, CuRunStats)``.  The wavefronts must already
         be register-initialised by the ultra-threaded dispatcher.
 
-        ``fast`` selects the prepared-plan issue loop (``True``), the
-        superblock-compiled variant of it (``"superblock"``), the
-        reference interpreter (``False``), or picks automatically
-        (``None``: superblock whenever no observer is attached).  The
-        fast loops produce bit-identical state, stats and cycle counts
-        -- the ``fast-vs-reference`` and ``superblock`` oracles enforce
-        this -- but emit no observation events, so an attached observer
-        always forces the reference path.
+        ``compiled`` selects the compiled issue loop (``True``) or the
+        reference interpreter (``False``); ``None`` picks the compiled
+        loop whenever no observer is attached.  The compiled loop
+        produces bit-identical state, stats and cycle counts -- the
+        ``superblock`` oracle enforces this -- but emits no observation
+        events, so an attached observer always forces the reference
+        path.
         """
         wavefronts = [wf for wf in workgroup.wavefronts if not wf.done]
         if len(wavefronts) > self.max_wavefronts:
@@ -186,20 +185,19 @@ class ComputeUnit:
                     len(wavefronts), self.max_wavefronts
                 )
             )
-        if fast is None:
-            fast = "superblock" if self.obs is None else False
-        if fast and self.obs is None and wavefronts:
+        if compiled is None:
+            compiled = self.obs is None
+        if compiled and self.obs is None and wavefronts:
             program = wavefronts[0].program
             if all(wf.program is program for wf in wavefronts):
-                return self._run_fast(workgroup, start_time, wavefronts,
-                                      superblock=fast == "superblock")
+                return self._run_compiled(workgroup, start_time, wavefronts)
         return self._run_reference(workgroup, start_time, wavefronts)
 
     def _run_reference(self, workgroup, start_time, wavefronts):
         stats = CuRunStats(wavefronts=len(wavefronts))
         obs = self.obs
         # Static cost columns, one table per distinct program (the
-        # reference loop, unlike the fast loops, allows mixed-program
+        # reference loop, unlike the compiled loop, allows mixed-program
         # wavefronts).  The rows are exactly frontend_cost /
         # unit_occupancy per instruction, so timing is unchanged.
         tables = {}
@@ -374,25 +372,25 @@ class ComputeUnit:
                       ("instructions", stats.instructions))))
         return end_time, stats
 
-    def _run_fast(self, workgroup, start_time, wavefronts, superblock=False):
-        """Prepared-plan issue loop: the reference loop minus all the
+    def _run_compiled(self, workgroup, start_time, wavefronts):
+        """Compiled issue loop: the reference loop minus all the
         per-issue reclassification, operand decoding and event guards.
 
         Every timing decision is computed with the same arithmetic on
         the same values as :meth:`_run_reference`; divergence in any
         bit of final state, stats or cycles is a bug (and is what the
-        ``fast-vs-reference`` oracle hunts for).
+        ``superblock`` oracle hunts for).
 
-        With ``superblock=True``, straight-line ALU runs compiled by
-        :mod:`repro.cu.superblock` execute fused -- one closed-form
-        timing advance from the block's static cost table (or the
-        per-step ``step_advance`` fallback when fusion is disabled or
-        a used pool has several instances) plus one batched semantics
-        call -- only when the picked wavefront is the sole schedulable
-        candidate (so no interleaving decision is skipped) and the
-        whole block fits the instruction budget (so budget errors raise
-        at the exact per-instruction point).  Blocks are disabled
-        entirely on restricted (trimmed) architectures.
+        Straight-line ALU runs compiled by :mod:`repro.cu.superblock`
+        execute fused -- one ``step_advance`` over the block's static
+        cost rows plus one batched semantics call -- when the picked
+        wavefront is the sole schedulable candidate (so no
+        interleaving decision is skipped) and the whole block fits the
+        instruction budget (so budget errors raise at the exact
+        per-instruction point).  Every other instruction issues from
+        its prepared plan.  Blocks are disabled entirely when the
+        architecture lacks an instruction of the program, so a
+        scratched instruction raises at its exact issue slot.
         """
         prepared = get_prepared(wavefronts[0].program, self.timing)
         bad = prepared.restrictions(self)
@@ -419,7 +417,7 @@ class ComputeUnit:
         blocks = None
         sb_counts = {}
         sb_pending = {}  # wavefront -> first unflushed block offset
-        if superblock and bad is None:
+        if bad is None:
             blocks = prepared.superblocks(self.num_simd, self.num_simf)
         if blocks is not None:
             busy_salu = pools[FunctionalUnit.SALU].busy_until
@@ -429,7 +427,6 @@ class ComputeUnit:
             simd_multi = len(busy_simd) > 1
             simf_multi = len(busy_simf) > 1
             busy_lists = (busy_salu, busy_branch, busy_simd, busy_simf)
-            fuse = timing_fusion_enabled()
             _gang_acq = acquire_slot
 
         live = list(wavefronts)
@@ -467,15 +464,8 @@ class ComputeUnit:
                     # cursor once per pick.
                     ready = wf.ready_at
                     start = ready if ready > decode_free else decode_free
-                    fused = blk.fused
-                    if fuse and fused is not None:
-                        # Closed-form timing from the block's static
-                        # cost table -- bit-identical to the per-step
-                        # recurrence (see FusedBlockTiming).
-                        fe_done, done = fused.advance(start, busy_lists)
-                    else:
-                        fe_done, done = step_advance(blk.steps, start,
-                                                     busy_lists)
+                    fe_done, done = step_advance(blk.steps, start,
+                                                 busy_lists)
                     blk.sem_all(wf)
                     decode_free = fe_done
                     wf.pc = blk.end_pc

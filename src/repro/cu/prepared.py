@@ -25,9 +25,10 @@ identical* to ``operations.execute`` / ``lsu.execute_memory`` on the
 same instruction -- same register/memory effects, same exceptions at
 the same point.  Any operand shape the specializers cannot prove they
 reproduce falls back to a closure over the generic dispatcher, so the
-fast path is never wrong, merely (rarely) not fast.  The
-``fast-vs-reference`` oracle in :mod:`repro.verify` enforces the
-contract bit-for-bit over the fuzz corpus.
+compiled path is never wrong, merely (rarely) not fast.  The
+``superblock`` oracle in :mod:`repro.verify` enforces the contract
+bit-for-bit over the fuzz corpus for every instruction the compiled
+loop issues outside a superblock.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .wavefront import MASK32, MASK64
 
 
 class InstPlan:
-    """Per-instruction precomputation consumed by the fast issue loop.
+    """Per-instruction precomputation consumed by the compiled issue loop.
 
     Kind, front-end cost and static occupancy are read straight out of
     the program's :class:`~repro.cu.timing.TimingTable` row (built from
@@ -741,9 +742,8 @@ class PreparedProgram:
         Returns ``{address: (Superblock, offset)}`` (every in-block
         address, offset 0 being the head) or ``None`` when the program
         has no fusable run.  Compiled lazily per
-        ``(num_simd, num_simf)`` shape (pool-instance counts are baked
-        into the generated timing arithmetic) and cached on the
-        prepared program, so the content-hash LRU that shares prepared
+        ``(num_simd, num_simf)`` shape and cached on the prepared
+        program, so the content-hash LRU that shares prepared
         programs across launches and service jobs shares the compiled
         superblocks too.
         """
@@ -761,7 +761,7 @@ class PreparedProgram:
         """Addresses whose instructions fail ``cu._check_supported``.
 
         Returns ``None`` when every instruction is admissible (the
-        common case -- the fast loop then skips the check entirely), or
+        common case -- the compiled loop then skips the check entirely), or
         a frozenset of byte addresses that must go through the full
         check (and raise) at issue time.
         """

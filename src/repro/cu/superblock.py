@@ -1,6 +1,6 @@
 """Superblock compiler: fused executors for straight-line ALU runs.
 
-The prepared-plan fast loop (:meth:`ComputeUnit._run_fast`) still pays
+The prepared-plan issue loop (:meth:`ComputeUnit._run_compiled`) pays
 per-instruction Python dispatch -- a scheduler pick, a dict lookup, a
 closure call -- for every issue.  For ALU-dense kernels that dispatch
 is the dominant cost; the actual NumPy work per VALU op is a few
@@ -18,13 +18,9 @@ halves that the engine recombines:
   are provably reproducible (scalar ALU as pure Python ints, VALU
   through the same ``VBIN/VUN/VTRI`` cores and the same masked
   ``np.copyto`` write) and a direct closure call otherwise;
-* **timing** -- the block's static ``steps`` rows, advanced either in
-  closed form (``fused``, a
-  :class:`~repro.cu.timing.FusedBlockTiming` -- O(pools) per block)
-  or step by step (:func:`~repro.cu.timing.step_advance`, the
-  fallback when a used pool has several instances or fusion is
-  disabled).  Block timing is data-independent, so the two halves
-  commute.
+* **timing** -- the block's static ``steps`` rows, advanced step by
+  step by :func:`~repro.cu.timing.step_advance`.  Block timing is
+  data-independent, so the two halves commute.
 
 Block-formation rules (also documented in ``docs/execution.md``):
 
@@ -44,11 +40,10 @@ wavefront is the *sole schedulable candidate*, no other wavefront can
 interleave; within the block nothing changes liveness, barrier state
 or EXEC, so the per-instruction issue chain collapses to
 ``start_{i+1} = done_i`` -- one ``sem_all`` call replays the register
-effects while the block's static timing advances in closed form
-(``fused``) or per step (``steps``), bit-identically (see
-:class:`repro.cu.timing.FusedBlockTiming` for the exactness
-argument).  When *several* candidates all sit at block
-heads, the fast loop enters a **gang**: it replays the scheduler's
+effects while :func:`~repro.cu.timing.step_advance` walks the
+block's static ``steps`` with the reference's per-instruction
+arithmetic.  When *several* candidates all sit at block
+heads, the compiled loop enters a **gang**: it replays the scheduler's
 per-instruction picks (same rotation cursor, same strict-less-than
 earliest-ready comparison) over each block's static cost triples
 (``steps``) -- block timing is data-independent, so no register state
@@ -62,7 +57,7 @@ reference state exactly.  In both regimes the arithmetic runs on the
 same values as the reference loop (including unit-pool residue left
 by other wavefronts), making cycles, stats and register state
 bit-identical -- the ``superblock`` oracle in :mod:`repro.verify`
-enforces this against both the fast and reference engines.
+enforces this against the reference engine.
 
 One deliberate asymmetry: instructions whose executor could raise
 (64-bit scalar operands at the top of the SGPR file) are excluded
@@ -83,7 +78,7 @@ from ..isa import registers as regs
 from ..isa.formats import Format
 from . import operations, vector
 from .prepared import _BRANCH_TAKEN, _inline_constant, KIND_ALU
-from .timing import UNIT_POOL_ID, FusedBlockTiming
+from .timing import UNIT_POOL_ID
 from .wavefront import FULL_EXEC, MASK32, MASK64
 
 #: Minimum run length worth fusing: a one-instruction block would just
@@ -103,21 +98,18 @@ class Superblock:
     (pool ids from :data:`repro.cu.timing.UNIT_POOL_ID`: 0 SALU,
     1 BRANCH, 2 SIMD, 3 SIMF) consumed by both
     :func:`~repro.cu.timing.step_advance` and the gang timing loop;
-    ``fused`` is the closed-form
-    :class:`~repro.cu.timing.FusedBlockTiming` over those steps, or
-    ``None`` when a used pool has several instances; ``addrs[k]`` is
-    the address of instruction ``k`` (``addrs[count]`` is ``end_pc``);
+    ``addrs[k]`` is the address of instruction ``k`` (``addrs[count]``
+    is ``end_pc``);
     ``cum_busy`` maps each functional unit to its cumulative occupancy
     prefix sums for partial-progress accounting.
     """
 
     __slots__ = ("head", "end_pc", "count", "indices", "last_occ",
-                 "busy_totals", "sem_all", "sem", "steps", "fused",
-                 "addrs", "cum_busy", "source")
+                 "busy_totals", "sem_all", "sem", "steps", "addrs",
+                 "cum_busy", "source")
 
     def __init__(self, head, end_pc, count, indices, last_occ,
-                 busy_totals, sem_all, sem, steps, fused, addrs, cum_busy,
-                 source):
+                 busy_totals, sem_all, sem, steps, addrs, cum_busy, source):
         self.head = head
         self.end_pc = end_pc
         self.count = count
@@ -127,7 +119,6 @@ class Superblock:
         self.sem_all = sem_all
         self.sem = sem
         self.steps = steps
-        self.fused = fused
         self.addrs = addrs
         self.cum_busy = cum_busy
         self.source = source
@@ -502,12 +493,12 @@ _SCALAR_FMTS = (Format.SOP2, Format.SOPK, Format.SOP1, Format.SOPC,
                 Format.SOPP)
 _VECTOR_FMTS = (Format.VOP1, Format.VOP2, Format.VOPC, Format.VOP3)
 
-def _compile_block(run, num_simd, num_simf):
+def _compile_block(run):
     """Emit, compile and wrap one run into a :class:`Superblock`.
 
     The generated source is semantics-only (timing advances through
-    the block's static ``steps`` / ``fused`` structures, shared with
-    the engine); ``_superblock_sem_all`` replays the whole block and
+    the block's static ``steps`` rows, shared with the engine);
+    ``_superblock_sem_all`` replays the whole block and
     ``_superblock_sem`` the gang's ``[k0, k1)`` sub-range.
     """
     ns = {
@@ -578,7 +569,6 @@ def _compile_block(run, num_simd, num_simf):
                 running += plan.occupancy
             cum.append(running)
         cum_busy.append((unit, tuple(cum)))
-    steps = tuple(steps)
     return Superblock(
         head=head,
         end_pc=last.address + last.pc_step,
@@ -589,8 +579,7 @@ def _compile_block(run, num_simd, num_simf):
                                  key=lambda kv: kv[0].value)),
         sem_all=ns["_superblock_sem_all"],
         sem=ns["_superblock_sem"],
-        steps=steps,
-        fused=FusedBlockTiming.build(steps, (1, 1, num_simd, num_simf)),
+        steps=tuple(steps),
         addrs=tuple(plan.address for plan in run)
         + (last.address + last.pc_step,),
         cum_busy=tuple(cum_busy),
@@ -622,7 +611,7 @@ def build_superblocks(prepared, num_simd, num_simf):
     dump_dir = os.environ.get(_DUMP_ENV)
     blocks = {}
     for run in _partition(prepared.plans):
-        block = _compile_block(run, num_simd, num_simf)
+        block = _compile_block(run)
         for k in range(block.count):
             blocks[block.addrs[k]] = (block, k)
         if dump_dir:

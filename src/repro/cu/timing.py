@@ -34,18 +34,14 @@ Beyond the per-instruction pricing functions, this module is the
 * :class:`UnitPool` / :func:`acquire_slot` -- the one occupancy-pool
   scheduler primitive (previously duplicated between the pipeline and
   the superblock compiler);
-* :func:`step_advance` / :class:`FusedBlockTiming` -- per-step and
-  closed-form advancement of ``(t, busy)`` over a superblock's static
-  step rows.  The closed form is bit-exact (see the class docstring)
-  and is what makes the sole-candidate superblock path O(pools)
-  instead of O(instructions) in Python arithmetic.
+* :func:`step_advance` -- advancement of ``(t, busy)`` over a
+  superblock's static step rows, the block timing of every
+  sole-candidate superblock issue.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -351,41 +347,19 @@ def clear_timing_table_cache():
 
 
 # ---------------------------------------------------------------------------
-# Fused block timing.
+# Block timing.
 # ---------------------------------------------------------------------------
-
-#: Environment knob for the fused closed-form advance: ``0`` disables
-#: it (every superblock falls back to :func:`step_advance`), anything
-#: else leaves it on.  The bench harness toggles it per measurement via
-#: :func:`set_timing_fusion` for the fused-vs-unfused metric.
-FUSION_ENV = "REPRO_TIMING_FUSION"
-
-_fusion_enabled = os.environ.get(FUSION_ENV, "1") != "0"
-
-
-def timing_fusion_enabled():
-    """Whether sole-candidate superblocks use the closed-form advance."""
-    return _fusion_enabled
-
-
-def set_timing_fusion(enabled):
-    """Toggle timing fusion; returns the previous setting."""
-    global _fusion_enabled
-    previous = _fusion_enabled
-    _fusion_enabled = bool(enabled)
-    return previous
-
 
 def step_advance(steps, start, busy_lists):
     """Advance ``(fe_done, t)`` over static step rows, one per step.
 
     ``steps`` holds ``(frontend_cost, occupancy, pool_id)`` rows;
     ``busy_lists`` the four ALU-pool ``busy_until`` lists indexed by
-    pool id.  This is the per-instruction issue arithmetic of the fast
-    loop verbatim (single-instance inline, multi-instance through
-    :func:`acquire_slot`) -- the fallback when a block is ineligible
-    for the closed form, and the ground truth the property tests hold
-    :meth:`FusedBlockTiming.advance` to.
+    pool id.  This is the per-instruction ALU issue arithmetic of the
+    compiled loop verbatim (single-instance inline, multi-instance
+    through :func:`acquire_slot`), so a sole-candidate block issue
+    prices exactly like the reference's instruction-by-instruction
+    walk.
     """
     t = start
     fd = start
@@ -399,105 +373,3 @@ def step_advance(steps, start, busy_lists):
         else:
             t = acquire_slot(busy, fd, occ)
     return fd, t
-
-
-class FusedBlockTiming:
-    """Closed-form ``(t, busy)`` advance over one superblock's steps.
-
-    Per step the sole-candidate recurrence is::
-
-        fd_i      = t_{i-1} + fe_i
-        t_i       = max(fd_i, busy[p_i]) + occ_i
-        busy[p_i] = t_i
-
-    Within a straight-line block only the **first** use of each pool
-    can stall on residue left by other wavefronts: after step ``j``
-    uses pool ``p``, ``busy[p] = t_j <= t_{i-1} <= fd_i`` for every
-    later step ``i`` (``t`` is non-decreasing and front-end costs are
-    non-negative), so the max resolves to ``fd_i``.  With the prefix
-    sums ``S_k = sum_{j<k}(fe_j + occ_j)`` and, per pool ``p`` first
-    used at step ``i_p``, ``A_p = S_{i_p} + fe_{i_p}``, induction gives
-
-        t_k = S_{k+1} + max(start, max_{p: i_p <= k}(busy0[p] - A_p))
-
-    so the whole block needs one running max over at most four pool
-    residues instead of per-instruction arithmetic.  The final
-    ``fe_done``, ``t`` and each pool's ``busy_until`` come from the
-    same expression evaluated at the right steps.
-
-    Bit-exactness: every board-timeline value is a multiple of the CU
-    clock granularity (0.25 cycles at the 1:4 memory clock ratio) far
-    below 2**50, so adding the integer prefix sums to such doubles and
-    subtracting ``A_p`` are exact float operations, and ``max`` is
-    always exact -- the reassociated closed form therefore produces
-    the *identical* doubles the sequential recurrence produces, which
-    the superblock/fuzz oracles and the Hypothesis property tests
-    enforce.
-
-    Eligibility: exact only when every pool the block uses has a
-    single instance (multi-instance ``acquire_slot`` picks the
-    earliest-free instance per step, which is stateful); ``build``
-    returns ``None`` otherwise and the engine falls back to
-    :func:`step_advance`.
-    """
-
-    __slots__ = ("order", "total", "fe_tail", "tail_pools", "updates")
-
-    def __init__(self, order, total, fe_tail, tail_pools, updates):
-        #: ``(pool_id, A_p)`` per used pool, in first-use order.
-        self.order = order
-        #: ``S_n``: the block's total front-end + occupancy sum.
-        self.total = total
-        #: ``S_{n-1} + fe_{n-1}``: fe_done's static component.
-        self.fe_tail = fe_tail
-        #: Number of pools first used before the last step.
-        self.tail_pools = tail_pools
-        #: ``(pool_id, S_{j_p+1}, m_p)`` per used pool: the static
-        #: component of its final busy time and the number of pools
-        #: first used by its last-use step ``j_p``.
-        self.updates = updates
-
-    @staticmethod
-    def build(steps, pool_counts):
-        """Compile steps into a fused advance, or None if ineligible.
-
-        ``pool_counts`` maps pool id -> instance count for the four
-        ALU pools (index 0..3).
-        """
-        first, last = {}, {}
-        prefix = [0]
-        for k, (fe, occ, pid) in enumerate(steps):
-            if pool_counts[pid] != 1:
-                return None
-            first.setdefault(pid, k)
-            last[pid] = k
-            prefix.append(prefix[-1] + fe + occ)
-        n = len(steps)
-        order = sorted(first, key=first.get)
-        firsts = sorted(first.values())
-        return FusedBlockTiming(
-            order=tuple((pid, prefix[first[pid]] + steps[first[pid]][0])
-                        for pid in order),
-            total=prefix[n],
-            fe_tail=prefix[n - 1] + steps[n - 1][0],
-            tail_pools=bisect_right(firsts, n - 2),
-            updates=tuple((pid, prefix[last[pid] + 1],
-                           bisect_right(firsts, last[pid]))
-                          for pid in order),
-        )
-
-    def advance(self, start, busy_lists):
-        """One fused block issue; returns ``(fe_done, t)``.
-
-        Mutates ``busy_lists`` exactly like :func:`step_advance`.
-        """
-        r = start
-        rs = [start]
-        for pid, offset in self.order:
-            d = busy_lists[pid][0] - offset
-            if d > r:
-                r = d
-            rs.append(r)
-        for pid, static_busy, m in self.updates:
-            busy_lists[pid][0] = static_busy + rs[m]
-        return self.fe_tail + rs[self.tail_pools], self.total + rs[-1]

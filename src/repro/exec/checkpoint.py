@@ -149,6 +149,10 @@ def _program_from_dict(data):
     )
 
 
+#: Engines a paused launch frame can name.
+_FRAME_ENGINES = ("reference", "superblock")
+
+
 def _frame_to_dict(frame):
     return {
         "program": _program_to_dict(frame.program),
@@ -171,8 +175,14 @@ def _frame_to_dict(frame):
 
 def _frame_from_dict(data):
     from ..soc.dispatcher import LaunchGeometry
-    from ..soc.gpu import LaunchFrame
+    from ..soc.gpu import LaunchFrame, unknown_engine_message
 
+    # Only the serial engines pause (a sliced parallel launch runs on
+    # superblock), so a frame naming anything else -- including the
+    # removed ``fast`` engine -- cannot be resumed faithfully.
+    if data["engine"] not in _FRAME_ENGINES:
+        raise CheckpointError("checkpoint frame: {}".format(
+            unknown_engine_message(data["engine"], _FRAME_ENGINES)))
     return LaunchFrame(
         program=_program_from_dict(data["program"]),
         geometry=LaunchGeometry(tuple(data["global_size"]),
@@ -360,6 +370,10 @@ class BoardCheckpoint(SerializableMixin):
 
         self.verify()
         payload = self.payload
+        # Decoded before the board is touched: a frame that fails
+        # validation leaves the board as it was.
+        frame = (None if payload["frame"] is None
+                 else _frame_from_dict(payload["frame"]))
         gpu = board.gpu
         image = np.frombuffer(_unb64(payload["memory"]), dtype=np.uint8)
         if image.size != gpu.memory.global_mem.size:
@@ -389,8 +403,7 @@ class BoardCheckpoint(SerializableMixin):
                 name=entry["name"], offset=entry["offset"],
                 nbytes=entry["nbytes"], dtype=np.dtype(entry["dtype"]))
         board.heap._cursor = heap["cursor"]
-        gpu.paused = (None if payload["frame"] is None
-                      else _frame_from_dict(payload["frame"]))
+        gpu.paused = frame
         return board
 
 

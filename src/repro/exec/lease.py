@@ -3,8 +3,8 @@
 Building a board is the expensive part of a run -- the CU model, the
 memory system and the prefetch mirrors are all constructed eagerly --
 while :meth:`SoftGpu.reset` returns an existing board to its power-on
-state for a fraction of that cost (the fast-vs-reference and
-warm-lease oracles in :mod:`repro.verify.oracles` pin the claim that a
+state for a fraction of that cost (the warm-lease and checkpoint
+oracles in :mod:`repro.verify.oracles` pin the claim that a
 reset board is bit-identical to a fresh one).  This module makes that
 reuse a first-class facility instead of a service-worker private:
 every execution path that goes through :class:`repro.exec.Executor`

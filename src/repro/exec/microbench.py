@@ -53,5 +53,5 @@ def run_microbench(source, prime=None, lds=0, memory_image=None):
     if prime:
         prime(wf)
     wg.add_wavefront(wf)
-    cu.run_workgroup(wg, fast=False)
+    cu.run_workgroup(wg, compiled=False)
     return wf, memory

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core.config import ArchConfig
 from ..errors import LaunchError
-from ..soc.gpu import ENGINES, HEAP_BASE
+from ..soc.gpu import ENGINES, HEAP_BASE, unknown_engine_message
 from .lease import DEFAULT_GLOBAL_MEM
 
 #: The one engine-selection registry: every surface that accepts an
@@ -54,9 +54,7 @@ def validate_engine(engine, none_ok=True, error=LaunchError):
         raise error("an engine name is required (one of {})".format(
             ", ".join(ENGINE_NAMES)))
     if engine not in ENGINE_NAMES:
-        raise error(
-            "unknown launch engine {!r} (expected one of {})".format(
-                engine, ", ".join(ENGINE_NAMES)))
+        raise error(unknown_engine_message(engine, ENGINE_NAMES))
     return engine
 
 

@@ -163,7 +163,7 @@ class ArtifactCache:
     # -- prepared programs ---------------------------------------------------
 
     def prepared(self, program, timing=None):
-        """Decode-and-specialize ``program`` for the fast launch engines.
+        """Decode-and-specialize ``program`` for the compiled launch engines.
 
         Backed by the simulator's global prepared-program cache (keyed
         by ``binary_key`` x timing parameters), so warming a kernel

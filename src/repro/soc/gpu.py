@@ -47,30 +47,44 @@ HEAP_BASE = 0x1000
 PRELOAD_MB_CYCLES_PER_WORD = 2.0
 
 
-#: Launch execution engines.  All four produce bit-identical memory,
-#: registers, stats and cycle counts (the ``fast-vs-reference`` and
-#: ``superblock`` oracles enforce it); they differ only in wall-clock
-#: speed and observability:
+#: Launch execution engines.  All three produce bit-identical memory,
+#: registers, stats and cycle counts (the ``superblock`` oracle
+#: enforces it); they differ only in wall-clock speed and
+#: observability:
 #:
 #: ``reference``   the original serial interpreter loop; the only
 #:                 engine that emits observation events (per-issue
 #:                 stall attribution), with frontend/occupancy costs
 #:                 read from the shared per-program TimingTable.
-#: ``fast``        serial dispatch with the prepared-plan issue loop.
-#: ``superblock``  the fast loop with straight-line ALU runs fused
-#:                 into compiled superblocks (repro.cu.superblock):
-#:                 batched semantics plus closed-form block timing
-#:                 from the static cost table (repro.cu.timing);
-#:                 the fastest serial engine and the ``auto`` default.
+#: ``superblock``  the compiled serial loop: prepared per-instruction
+#:                 plans, with straight-line ALU runs fused into
+#:                 compiled superblocks (repro.cu.superblock) whose
+#:                 timing advances by step_advance over the static
+#:                 cost table (repro.cu.timing).  The ``auto``
+#:                 default on single-CU boards.
 #: ``parallel``    measure-then-schedule: workgroups execute
 #:                 round-robin on per-CU threads at local time zero
-#:                 (each consuming superblocks), then the
+#:                 (each on the compiled loop), then the
 #:                 dispatcher-overlap timing model is replayed
 #:                 serially with the measured durations.  Exact only
 #:                 while every global access hits the prefetch memory
 #:                 (intrinsic, start-time-independent durations); a
-#:                 relay access triggers rollback to the fast engine.
-ENGINES = ("reference", "fast", "superblock", "parallel")
+#:                 relay access triggers rollback to ``superblock``.
+ENGINES = ("reference", "superblock", "parallel")
+
+
+def unknown_engine_message(engine, choices=ENGINES):
+    """The error text for an engine name outside ``choices``.
+
+    The removed ``fast`` engine gets a message naming its replacement
+    rather than an alias: it fails loudly instead of silently running
+    something else.
+    """
+    if engine == "fast":
+        return ("launch engine 'fast' was removed; use 'superblock', "
+                "the compiled engine it was folded into")
+    return "unknown launch engine {!r} (expected one of {})".format(
+        engine, ", ".join(choices))
 
 
 def _capture_registers(workgroup, registers):
@@ -291,8 +305,7 @@ class Gpu:
                 return "parallel"
             return "superblock"
         if engine not in ENGINES:
-            raise LaunchError("unknown launch engine {!r} (expected one of {})"
-                              .format(engine, ", ".join(ENGINES)))
+            raise LaunchError(unknown_engine_message(engine))
         if engine != "reference" and self.obs is not None:
             # Only the reference loop emits observation events; an
             # attached observer silently wins over the engine request.
@@ -310,7 +323,7 @@ class Gpu:
                     cu.rebase_occupancy()
                     self.memory.rebase_port(cu.cu_index)
                     end, wg_stats = cu.run_workgroup(wg, start_time=0.0,
-                                                     fast="superblock")
+                                                     compiled=True)
                     results[slot] = (end, wg_stats, wg)
         except Exception as exc:  # re-raised (ordered) by the serial rerun
             errors[cu.cu_index] = exc
@@ -406,7 +419,7 @@ class Gpu:
         :class:`LaunchFrame` in :attr:`paused` for
         :meth:`resume_launch` (or a checkpoint).  Slicing forces the
         serial engines -- a ``parallel`` resolution falls back to
-        ``fast``, which is bit-identical anyway.
+        ``superblock``, which is bit-identical anyway.
         """
         geometry = LaunchGeometry.of(global_size, local_size)
         if geometry.work_items_per_group > 64 * 40:
@@ -438,10 +451,10 @@ class Gpu:
         engine = self._resolve_engine(engine)
         if engine == "parallel" and max_slice_instructions is not None:
             # The parallel engine runs workgroups concurrently at local
-            # time zero -- there is no serial point to slice at.  Fast
-            # is bit-identical (the fast-vs-reference oracle), so a
-            # sliced launch silently uses it.
-            engine = "fast"
+            # time zero -- there is no serial point to slice at.  The
+            # superblock engine is bit-identical (the superblock
+            # oracle), so a sliced launch silently uses it.
+            engine = "superblock"
         dispatch_cost = self._mb_to_cu(
             self.dispatcher.dispatch_cost_mb_cycles(geometry))
         registers = {} if collect_registers else None
@@ -450,7 +463,7 @@ class Gpu:
             parallel_result = self._launch_parallel(
                 program, geometry, group_ids, dispatch_cost, registers)
             if parallel_result is None:
-                engine = "fast"
+                engine = "superblock"
             else:
                 end_time, stats = parallel_result
                 frame = LaunchFrame(
@@ -472,8 +485,7 @@ class Gpu:
 
     def _run_frame(self, frame, budget=None):
         """Run a serial launch frame until done or the slice expires."""
-        fast = ("superblock" if frame.engine == "superblock"
-                else frame.engine == "fast")
+        compiled = frame.engine == "superblock"
         slice_base = frame.stats.instructions
         while frame.pending:
             gid = frame.pending[0]
@@ -490,7 +502,7 @@ class Gpu:
             frame.disp_free = ready
             start = max(frame.cu_free[cu_idx], ready)
             end, wg_stats = self.cus[cu_idx].run_workgroup(
-                wg, start_time=start, fast=fast)
+                wg, start_time=start, compiled=compiled)
             frame.cu_free[cu_idx] = end
             frame.stats.merge(wg_stats)
             frame.end_time = max(frame.end_time, end)

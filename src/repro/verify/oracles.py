@@ -22,17 +22,15 @@ bit of disagreement in final state is a simulator bug:
                    matches memory and registers.
 ``prefetch-off``   the DCD configuration (no prefetch memory) matches
                    memory and registers.
-``fast-vs-reference``  the ``fast`` launch engine (prepared-plan issue
-                   loop) and, on multi-CU boards, the ``parallel``
-                   engine (measure-then-schedule) match the reference
-                   interpreter bit-for-bit: memory, registers,
-                   instruction count **and cycle count**.
-``superblock``     the ``superblock`` launch engine (fused
+``superblock``     the compiled launch engines match the reference
+                   interpreter bit-for-bit -- memory, registers,
+                   instruction count **and cycle count**: the
+                   ``superblock`` engine (prepared plans plus fused
                    straight-line ALU runs, :mod:`repro.cu.superblock`)
-                   matches the reference interpreter bit-for-bit --
-                   memory, registers, instruction count **and cycle
-                   count** -- on single-CU boards and, serially, on
-                   multi-CU boards.
+                   on the baseline board, on the architecture trimmed
+                   for the case and, serially, on multi-CU boards;
+                   and the ``parallel`` engine (measure-then-schedule)
+                   on multi-CU boards.
 ``warm-lease``     a warm board re-leased from the
                    :class:`~repro.exec.BoardPool` (after ``reset()``)
                    reproduces the cold-board run bit-for-bit: memory,
@@ -86,8 +84,8 @@ FUZZ_MEM_SIZE = 1 << 20
 FUZZ_MAX_INSTRUCTIONS = 50_000
 
 ORACLE_NAMES = ("roundtrip", "invariants", "observer-detached", "trimmed",
-                "multi-cu", "prefetch-off", "fast-vs-reference",
-                "superblock", "warm-lease", "checkpoint", "vector")
+                "multi-cu", "prefetch-off", "superblock", "warm-lease",
+                "checkpoint", "vector")
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def _run_sliced(case, arch, budget, hop_cap=10_000):
     request = ExecutionRequest(
         workload=_case_workload(case),
         arch=arch,
-        engine="fast",
+        engine="superblock",
         global_mem_size=FUZZ_MEM_SIZE,
         max_instructions=FUZZ_MAX_INSTRUCTIONS,
         verify=False,
@@ -353,7 +351,7 @@ def check_case(case, multi_cus=2, oracles=None):
     # The zero-cost-observation claim: detaching every observer must
     # not change a single cycle, byte or instruction.  Pinned to the
     # reference engine so this oracle isolates observation cost; the
-    # fast engines have their own oracle below.
+    # compiled engines have their own oracle below.
     if want("observer-detached"):
         unobserved = run_case(case, baseline, label="baseline-unobserved",
                               observed=False, engine="reference")
@@ -361,16 +359,20 @@ def check_case(case, multi_cus=2, oracles=None):
                  cycles=True, registers=False)
 
     configs = []
-    if want("trimmed"):
+    trimmed = None
+    if want("trimmed") or want("superblock"):
         try:
             trimmed = TrimmingTool().trim(case.program).config
-            configs.append(("trimmed", trimmed, True))
         except ReproError as exc:
-            failures.append(OracleFailure("trimmed",
-                                          "trim failed: {!r}".format(exc)))
+            for oracle in ("trimmed", "superblock"):
+                if want(oracle):
+                    failures.append(OracleFailure(
+                        oracle, "trim failed: {!r}".format(exc)))
+    if want("trimmed") and trimmed is not None:
+        configs.append(("trimmed", trimmed, True))
     mc_config = baseline.with_parallelism(num_cus=multi_cus) \
         if multi_cus and multi_cus > 1 else None
-    mc_snap = None
+    reference_runs = {"baseline": ref}  # config label -> observed run
     if want("multi-cu") and mc_config is not None:
         configs.append(("multi-cu", mc_config, False))
     if want("prefetch-off"):
@@ -382,69 +384,40 @@ def check_case(case, multi_cus=2, oracles=None):
         except ReproError as exc:
             failures.append(OracleFailure(oracle, "run died: {!r}".format(exc)))
             continue
-        if oracle == "multi-cu":
-            mc_snap = snap
+        reference_runs[oracle] = snap
         _compare(oracle, ref, snap, failures, cycles=cycles)
 
-    # The launch-engine equivalence claim: the prepared-plan fast
-    # engine (single CU vs the reference run) and the measure-then-
-    # schedule parallel engine (multi CU vs the observed multi-CU run)
-    # must be bit-identical INCLUDING cycle counts and registers.
-    if want("fast-vs-reference"):
-        try:
-            fast = run_case(case, baseline, label="baseline-fast",
-                            observed=False, engine="fast",
-                            collect_registers=True)
-            _compare("fast-vs-reference", ref, fast, failures,
-                     cycles=True, registers=True)
-        except ReproError as exc:
-            failures.append(OracleFailure(
-                "fast-vs-reference", "fast run died: {!r}".format(exc)))
-        if mc_config is not None:
-            try:
-                if mc_snap is None:
-                    mc_snap = run_case(case, mc_config, label="multi-cu",
-                                       observed=True)
-                par = run_case(case, mc_config, label="multi-cu-parallel",
-                               observed=False, engine="parallel",
-                               collect_registers=True)
-                _compare("fast-vs-reference", mc_snap, par, failures,
-                         cycles=True, registers=True)
-            except ReproError as exc:
-                failures.append(OracleFailure(
-                    "fast-vs-reference",
-                    "parallel run died: {!r}".format(exc)))
-
-    # The superblock-engine equivalence claim: fusing straight-line
-    # ALU runs into compiled superblocks (deferred-semantics flushes
-    # included) must not change a single byte, register, instruction
-    # or cycle -- against the reference on one CU, and against the
-    # observed multi-CU run when the board has several.
+    # The compiled-engine equivalence claim: prepared plans, fused
+    # straight-line ALU runs (deferred-semantics flushes included) and
+    # the measure-then-schedule parallel engine must not change a
+    # single byte, register, instruction or cycle against the observed
+    # reference run on the same board -- the baseline, the
+    # architecture trimmed for the case, and a multi-CU board.
     if want("superblock"):
-        try:
-            sb = run_case(case, baseline, label="baseline-superblock",
-                          observed=False, engine="superblock",
-                          collect_registers=True)
-            _compare("superblock", ref, sb, failures,
-                     cycles=True, registers=True)
-        except ReproError as exc:
-            failures.append(OracleFailure(
-                "superblock", "superblock run died: {!r}".format(exc)))
+        boards = [("baseline", baseline, ("superblock",))]
+        if trimmed is not None:
+            boards.append(("trimmed", trimmed, ("superblock",)))
         if mc_config is not None:
+            boards.append(("multi-cu", mc_config, ("superblock", "parallel")))
+        for name, arch, engines in boards:
             try:
-                if mc_snap is None:
-                    mc_snap = run_case(case, mc_config, label="multi-cu",
-                                       observed=True)
-                mc_sb = run_case(case, mc_config,
-                                 label="multi-cu-superblock",
-                                 observed=False, engine="superblock",
-                                 collect_registers=True)
-                _compare("superblock", mc_snap, mc_sb, failures,
-                         cycles=True, registers=True)
+                expected = reference_runs.get(name) or run_case(
+                    case, arch, label=name, observed=True)
             except ReproError as exc:
                 failures.append(OracleFailure(
                     "superblock",
-                    "multi-cu superblock run died: {!r}".format(exc)))
+                    "{} reference run died: {!r}".format(name, exc)))
+                continue
+            for engine in engines:
+                label = "{}-{}".format(name, engine)
+                try:
+                    snap = run_case(case, arch, label=label, observed=False,
+                                    engine=engine, collect_registers=True)
+                    _compare("superblock", expected, snap, failures,
+                             cycles=True, registers=True)
+                except ReproError as exc:
+                    failures.append(OracleFailure(
+                        "superblock", "{} run died: {!r}".format(label, exc)))
 
     # The warm-lease claim: a board re-leased from the pool (after
     # reset()) reproduces the cold-board run bit-for-bit.  A private
@@ -467,13 +440,6 @@ def check_case(case, multi_cus=2, oracles=None):
             failures.append(OracleFailure(
                 "warm-lease", "run died: {!r}".format(exc)))
 
-    # The checkpoint/restore claim: preempt at a randomized (seed-
-    # derived) slice budget, ship every PREEMPTED envelope through a
-    # JSON round trip, resume each slice on a brand-new board in a
-    # brand-new pool -- and the final state must be bit-identical to
-    # the straight-through reference run, cycles included.  (Cases
-    # whose budget exceeds the run simply never preempt; the oracle
-    # then degenerates to another fast-vs-reference check.)
     # The lane-vectorization equivalence claim: every VALU opcode's
     # NumPy array semantics (:mod:`repro.cu.vector`) must match a
     # per-lane scalar golden model -- python-int arithmetic for the
@@ -493,6 +459,13 @@ def check_case(case, multi_cus=2, oracles=None):
             failures.append(OracleFailure(
                 "vector", "lanewise run died: {!r}".format(exc)))
 
+    # The checkpoint/restore claim: preempt at a randomized (seed-
+    # derived) slice budget, ship every PREEMPTED envelope through a
+    # JSON round trip, resume each slice on a brand-new board in a
+    # brand-new pool -- and the final state must be bit-identical to
+    # the straight-through reference run, cycles included.  (Cases
+    # whose budget exceeds the run simply never preempt; the oracle
+    # then degenerates to a superblock-vs-reference check.)
     if want("checkpoint"):
         import random
 

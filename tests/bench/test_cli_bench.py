@@ -26,9 +26,10 @@ class TestBenchCommand:
         assert main(["bench", *FAST, "--json", "--out", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         sim = payload["simulator"]
-        assert sim["kernels"]["prefix_sum"]["speedup_vs_reference"] > 0
-        assert sim["kernels"]["prefix_sum"]["inst_per_s"] > 0
-        assert sim["kernels"]["prefix_sum"]["wall_fast_s"] > 0
+        entry = sim["kernels"]["prefix_sum"]
+        assert entry["speedup_superblock_vs_reference"] > 0
+        assert entry["inst_per_s_superblock"] > 0
+        assert entry["wall_superblock_s"] > 0
         assert payload["service"]["jobs_per_second"] > 0
         assert 0 <= payload["service"]["cache_hit_rate"] <= 1
         sim_file = tmp_path / SIMULATOR_BASELINE_FILE
@@ -38,7 +39,7 @@ class TestBenchCommand:
 
     def test_check_fails_on_enforced_regression(self, tmp_path, capsys):
         baseline = {"kernels": {"prefix_sum":
-                                {"speedup_vs_reference": 1000.0}}}
+                                {"speedup_superblock_vs_reference": 1000.0}}}
         (tmp_path / SIMULATOR_BASELINE_FILE).write_text(
             json.dumps(baseline))
         assert main(["bench", *FAST, "--skip-service", "--check",
@@ -48,7 +49,7 @@ class TestBenchCommand:
 
     def test_report_only_exits_zero(self, tmp_path, capsys):
         baseline = {"kernels": {"prefix_sum":
-                                {"speedup_vs_reference": 1000.0}}}
+                                {"speedup_superblock_vs_reference": 1000.0}}}
         (tmp_path / SIMULATOR_BASELINE_FILE).write_text(
             json.dumps(baseline))
         assert main(["bench", *FAST, "--skip-service", "--check",
@@ -63,7 +64,7 @@ class TestBenchCommand:
     def test_wall_regressions_are_report_only(self, tmp_path, capsys):
         # An absurdly fast wall-clock baseline trips only the
         # machine-dependent metrics, which never fail the build.
-        baseline = {"kernels": {"prefix_sum": {"wall_fast_s": 1e-9}}}
+        baseline = {"kernels": {"prefix_sum": {"wall_superblock_s": 1e-9}}}
         (tmp_path / SIMULATOR_BASELINE_FILE).write_text(
             json.dumps(baseline))
         assert main(["bench", *FAST, "--skip-service", "--check",

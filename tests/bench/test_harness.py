@@ -4,8 +4,6 @@ import pytest
 
 from repro.bench import (
     REGRESSION_THRESHOLD,
-    SUPERBLOCK_FLOOR,
-    check_invariants,
     compare_reports,
     load_baseline,
     measure,
@@ -71,24 +69,24 @@ class TestMeasure:
 
 class TestCompareReports:
     def test_no_regression_within_threshold(self):
-        baseline = {"kernels": {"k": {"speedup_vs_reference": 2.0}}}
-        current = {"kernels": {"k": {"speedup_vs_reference": 1.7}}}
+        baseline = {"kernels": {"k": {"speedup_superblock_vs_reference": 2.0}}}
+        current = {"kernels": {"k": {"speedup_superblock_vs_reference": 1.7}}}
         assert compare_reports(baseline, current) == []
 
     def test_ratio_regression_is_enforced(self):
-        baseline = {"kernels": {"k": {"speedup_vs_reference": 2.0}}}
-        current = {"kernels": {"k": {"speedup_vs_reference": 1.0}}}
+        baseline = {"kernels": {"k": {"speedup_superblock_vs_reference": 2.0}}}
+        current = {"kernels": {"k": {"speedup_superblock_vs_reference": 1.0}}}
         regressions = compare_reports(baseline, current)
         assert len(regressions) == 1
         r = regressions[0]
-        assert r.path == "kernels.k.speedup_vs_reference"
+        assert r.path == "kernels.k.speedup_superblock_vs_reference"
         assert r.enforced
         assert r.change == pytest.approx(0.5)
         assert "ENFORCED" in str(r)
 
     def test_wall_regression_is_report_only(self):
-        baseline = {"kernels": {"k": {"wall_fast_s": 1.0}}}
-        current = {"kernels": {"k": {"wall_fast_s": 2.0}}}
+        baseline = {"kernels": {"k": {"wall_superblock_s": 1.0}}}
+        current = {"kernels": {"k": {"wall_superblock_s": 2.0}}}
         regressions = compare_reports(baseline, current)
         assert len(regressions) == 1
         assert not regressions[0].enforced
@@ -101,16 +99,16 @@ class TestCompareReports:
         assert compare_reports(baseline, current) == []
 
     def test_improvement_not_reported(self):
-        baseline = {"kernels": {"k": {"speedup_vs_reference": 1.0}}}
-        current = {"kernels": {"k": {"speedup_vs_reference": 3.0}}}
+        baseline = {"kernels": {"k": {"speedup_superblock_vs_reference": 1.0}}}
+        current = {"kernels": {"k": {"speedup_superblock_vs_reference": 3.0}}}
         assert compare_reports(baseline, current) == []
 
     def test_missing_keys_tolerated(self):
         # A kernel added since the baseline was recorded is skipped.
-        baseline = {"kernels": {"old": {"speedup_vs_reference": 2.0},
-                                "gone": {"speedup_vs_reference": 2.0}}}
-        current = {"kernels": {"old": {"speedup_vs_reference": 1.9},
-                               "new": {"speedup_vs_reference": 0.1}}}
+        baseline = {"kernels": {"old": {"speedup_superblock_vs_reference": 2.0},
+                                "gone": {"speedup_superblock_vs_reference": 2.0}}}
+        current = {"kernels": {"old": {"speedup_superblock_vs_reference": 1.9},
+                               "new": {"speedup_superblock_vs_reference": 0.1}}}
         assert compare_reports(baseline, current) == []
 
     def test_custom_threshold(self):
@@ -120,13 +118,14 @@ class TestCompareReports:
         assert len(compare_reports(baseline, current, threshold=0.05)) == 1
 
     def test_worst_first_ordering(self):
-        baseline = {"a": {"speedup_vs_reference": 2.0},
-                    "b": {"speedup_vs_reference": 2.0}}
-        current = {"a": {"speedup_vs_reference": 1.5},
-                   "b": {"speedup_vs_reference": 0.5}}
+        baseline = {"a": {"speedup_superblock_vs_reference": 2.0},
+                    "b": {"speedup_superblock_vs_reference": 2.0}}
+        current = {"a": {"speedup_superblock_vs_reference": 1.5},
+                   "b": {"speedup_superblock_vs_reference": 0.5}}
         regressions = compare_reports(baseline, current)
         assert [r.path for r in regressions] == \
-            ["b.speedup_vs_reference", "a.speedup_vs_reference"]
+            ["b.speedup_superblock_vs_reference",
+             "a.speedup_superblock_vs_reference"]
 
     def test_zero_and_non_numeric_baselines_skipped(self):
         baseline = {"cache_hit_rate": 0.0, "jobs_per_second": "n/a"}
@@ -137,65 +136,10 @@ class TestCompareReports:
         assert REGRESSION_THRESHOLD == 0.20
 
 
-class TestCheckInvariants:
-    def test_healthy_payload_is_clean(self):
-        payload = {"kernels": {"k": {"speedup_vs_reference": 2.0,
-                                     "speedup_superblock_vs_reference": 1.95}}}
-        assert check_invariants(payload) == []
-
-    def test_superblock_below_floor_flagged(self):
-        payload = {"kernels": {"k": {"speedup_vs_reference": 2.0,
-                                     "speedup_superblock_vs_reference": 1.5}}}
-        problems = check_invariants(payload)
-        assert len(problems) == 1
-        assert "kernels.k" in problems[0]
-        assert "0.750" in problems[0]
-
-    def test_best_of_samples_preferred_over_median(self):
-        # Median says the superblock engine lost 25%; best-of says a
-        # contention spike hit one superblock sample.  Best-of wins.
-        payload = {"kernels": {"k": {
-            "speedup_vs_reference": 2.0,
-            "speedup_superblock_vs_reference": 1.5,
-            "wall_fast": {"best_s": 1.0},
-            "wall_superblock": {"best_s": 1.01}}}}
-        assert check_invariants(payload) == []
-
-    def test_best_of_samples_below_floor_flagged(self):
-        payload = {"kernels": {"k": {
-            "wall_fast": {"best_s": 1.0},
-            "wall_superblock": {"best_s": 1.5}}}}
-        problems = check_invariants(payload)
-        assert len(problems) == 1
-        assert "best-of" in problems[0]
-
-    def test_floor_is_inclusive(self):
-        payload = {"kernels": {"k": {
-            "speedup_vs_reference": 2.0,
-            "speedup_superblock_vs_reference": SUPERBLOCK_FLOOR * 2.0}}}
-        assert check_invariants(payload) == []
-
-    def test_missing_metrics_tolerated(self):
-        # Smoke payloads and hand-edited baselines may omit metrics.
-        assert check_invariants({"kernels": {"k": {}}}) == []
-        assert check_invariants({"kernels": {}}) == []
-        assert check_invariants({}) == []
-        assert check_invariants(None) == []
-
-    def test_checked_in_baseline_passes(self):
-        import os
-
-        root = os.path.join(os.path.dirname(__file__), "..", "..")
-        baseline = load_baseline(os.path.join(root, "BENCH_simulator.json"))
-        if baseline is None:
-            pytest.skip("no checked-in simulator baseline")
-        assert check_invariants(baseline) == []
-
-
 class TestBaselineFiles:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "BENCH_simulator.json")
-        payload = {"schema": 1, "kernels": {"k": {"inst_per_s": 1e6}}}
+        payload = {"schema": 1, "kernels": {"k": {"inst_per_s_superblock": 1e6}}}
         write_baseline(path, payload)
         assert load_baseline(path) == payload
 

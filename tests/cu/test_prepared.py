@@ -1,4 +1,4 @@
-"""The decoded/prepared-program caches and the fast issue loop."""
+"""The decoded/prepared-program caches and the compiled issue loop."""
 
 import numpy as np
 import pytest
@@ -117,11 +117,11 @@ class TestPreparedCache:
 class TestWarmVsCold:
     def test_cache_hit_produces_identical_run_stats(self):
         source = ADD.format(imm=13)
-        cold_dev = _device("fast")
+        cold_dev = _device("superblock")
         cold_res, cold_data = _run_add(cold_dev, assemble(source))
         assert prepared_cache_stats()["misses"] >= 1
 
-        warm_dev = _device("fast")
+        warm_dev = _device("superblock")
         warm_res, warm_data = _run_add(warm_dev, assemble(source))
         assert prepared_cache_stats()["hits"] >= 1
 
@@ -131,17 +131,17 @@ class TestWarmVsCold:
         assert cold_res.stats.per_unit == warm_res.stats.per_unit
         assert cold_res.stats.per_name == warm_res.stats.per_name
 
-    def test_fast_engine_matches_reference_exactly(self):
+    def test_compiled_engine_matches_reference_exactly(self):
         source = ADD.format(imm=21)
         ref_res, ref_data = _run_add(_device("reference"), assemble(source))
-        fast_res, fast_data = _run_add(_device("fast"), assemble(source))
-        assert np.array_equal(ref_data, fast_data)
-        assert ref_res.cu_cycles == fast_res.cu_cycles
-        assert ref_res.stats.instructions == fast_res.stats.instructions
-        assert ref_res.stats.per_unit == fast_res.stats.per_unit
-        assert ref_res.stats.per_name == fast_res.stats.per_name
+        sb_res, sb_data = _run_add(_device("superblock"), assemble(source))
+        assert np.array_equal(ref_data, sb_data)
+        assert ref_res.cu_cycles == sb_res.cu_cycles
+        assert ref_res.stats.instructions == sb_res.stats.instructions
+        assert ref_res.stats.per_unit == sb_res.stats.per_unit
+        assert ref_res.stats.per_name == sb_res.stats.per_name
         assert ref_res.engine == "reference"
-        assert fast_res.engine == "fast"
+        assert sb_res.engine == "superblock"
 
 
 COLLIDE = """
@@ -195,20 +195,18 @@ class TestDuplicateStoreAddresses:
 
     def test_aligned_dword_collisions_match_reference(self):
         ref_res, ref_data = _run_collide("reference", "buffer_store_dword")
-        for engine in ("fast", "superblock"):
-            res, data = _run_collide(engine, "buffer_store_dword")
-            assert np.array_equal(ref_data, data), engine
-            assert res.cu_cycles == ref_res.cu_cycles
+        res, data = _run_collide("superblock", "buffer_store_dword")
+        assert np.array_equal(ref_data, data)
+        assert res.cu_cycles == ref_res.cu_cycles
         # Lanes 8k+i all write slot i; the winner is the last one (56+i),
         # which stored 1 + gid = 57+i.
         assert ref_data[:8].tolist() == [57 + i for i in range(8)]
 
     def test_byte_collisions_match_reference(self):
         ref_res, ref_data = _run_collide("reference", "buffer_store_byte")
-        for engine in ("fast", "superblock"):
-            res, data = _run_collide(engine, "buffer_store_byte")
-            assert np.array_equal(ref_data, data), engine
-            assert res.cu_cycles == ref_res.cu_cycles
+        res, data = _run_collide("superblock", "buffer_store_byte")
+        assert np.array_equal(ref_data, data)
+        assert res.cu_cycles == ref_res.cu_cycles
 
 
 class TestEdgeAddressParity:
@@ -218,7 +216,7 @@ class TestEdgeAddressParity:
         from repro.errors import SimulationError
 
         messages = {}
-        for engine in ("reference", "fast", "superblock"):
+        for engine in ("reference", "superblock"):
             device = _device(engine)
             inp = device.upload("inp", np.arange(64, dtype=np.uint32))
             out = device.alloc("out", 4 * 64)
@@ -227,7 +225,6 @@ class TestEdgeAddressParity:
                 device.run(assemble(OOB_STORE.format(offset=0x7F000000)),
                            (64,), (64,), args=[inp, out])
             messages[engine] = str(exc.value)
-        assert messages["reference"] == messages["fast"]
         assert messages["reference"] == messages["superblock"]
 
 
@@ -242,6 +239,6 @@ class TestFallbacks:
         clear_prepared_cache()
         source = ADD.format(imm=5)
         ref_res, ref_data = _run_add(_device("reference"), assemble(source))
-        fast_res, fast_data = _run_add(_device("fast"), assemble(source))
-        assert np.array_equal(ref_data, fast_data)
-        assert ref_res.cu_cycles == fast_res.cu_cycles
+        sb_res, sb_data = _run_add(_device("superblock"), assemble(source))
+        assert np.array_equal(ref_data, sb_data)
+        assert ref_res.cu_cycles == sb_res.cu_cycles

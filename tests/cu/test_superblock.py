@@ -203,10 +203,10 @@ class TestEngineExactness:
 
     def test_budget_raise_parity_mid_block(self):
         # A budget that expires inside a superblock must raise at the
-        # same issue slot, with the same message, as the fast loop.
+        # same issue slot, with the same message, as the reference loop.
         program = assemble(LOOPY)
         messages = {}
-        for engine in ("fast", "superblock"):
+        for engine in ("reference", "superblock"):
             device = SoftGpu(ArchConfig.baseline())
             device.gpu.cus[0].max_instructions = 37
             inp = device.upload("inp", np.arange(192, dtype=np.uint32))
@@ -216,7 +216,7 @@ class TestEngineExactness:
                 device.run(program, (192,), (192,), args=[inp, out],
                            engine=engine)
             messages[engine] = str(exc.value)
-        assert messages["fast"] == messages["superblock"]
+        assert messages["reference"] == messages["superblock"]
 
     def test_checkpoint_at_workgroup_granularity(self):
         program = assemble(LOOPY)

@@ -1,9 +1,14 @@
-"""The compiled timing layer: tables, cache, LSU transaction pricing."""
+"""The compiled timing layer: tables, cache, LSU transaction pricing,
+block stepping."""
 
+import glob
+import os
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asm import assemble
 from repro.cu.lsu import make_buffer_descriptor
@@ -27,6 +32,7 @@ from repro.cu.timing import (
     frontend_cost,
     get_timing_table,
     lookup_timing_table,
+    step_advance,
     timing_table_cache_stats,
     unit_occupancy,
 )
@@ -157,7 +163,7 @@ class TestTableCache:
         assert not hit_a and not hit_b
 
 
-def _run_lsu(source, fast, init=None):
+def _run_lsu(source, compiled, init=None):
     program = assemble(source)
     memory = MemorySystem(params=DCD_PM_TIMING)
     memory.preload_all(0, 1 << 16)
@@ -169,7 +175,7 @@ def _run_lsu(source, fast, init=None):
     if init is not None:
         init(wf)
     wg.add_wavefront(wf)
-    end, stats = cu.run_workgroup(wg, fast=fast)
+    end, stats = cu.run_workgroup(wg, compiled=compiled)
     return end, stats, cu.pools[FunctionalUnit.LSU]
 
 
@@ -178,10 +184,10 @@ class TestLsuDynamicPricing:
     SMRD dwordx2/x4 and multi-dword MUBUF accesses occupy the LSU one
     base period per transaction, on every engine."""
 
-    ENGINES = (False, True, "superblock")
+    ENGINES = (False, True)  # reference, compiled
 
-    @pytest.mark.parametrize("fast", ENGINES)
-    def test_smrd_width_prices_lsu_occupancy(self, fast):
+    @pytest.mark.parametrize("compiled", ENGINES)
+    def test_smrd_width_prices_lsu_occupancy(self, compiled):
         base = DEFAULT_TIMING.lsu_cycles
         cases = (
             ("s_load_dword s20, s[2:3], 0", 1),
@@ -189,11 +195,11 @@ class TestLsuDynamicPricing:
             ("s_load_dwordx4 s[20:23], s[2:3], 0", 4),
         )
         for line, transactions in cases:
-            _, _, lsu = _run_lsu(line + "\n  s_endpgm", fast)
+            _, _, lsu = _run_lsu(line + "\n  s_endpgm", compiled)
             assert lsu.busy_cycles == base * transactions, line
 
-    @pytest.mark.parametrize("fast", ENGINES)
-    def test_mubuf_multi_dword_prices_lsu_occupancy(self, fast):
+    @pytest.mark.parametrize("compiled", ENGINES)
+    def test_mubuf_multi_dword_prices_lsu_occupancy(self, compiled):
         base = DEFAULT_TIMING.lsu_cycles
 
         def init(wf):
@@ -201,13 +207,15 @@ class TestLsuDynamicPricing:
 
         for fmt, transactions in (("x", 1), ("xy", 2)):
             line = "tbuffer_load_format_{} v2, v1, s[4:7], 0 offen".format(fmt)
-            _, _, lsu = _run_lsu(line + "\n  s_endpgm", fast, init=init)
+            _, _, lsu = _run_lsu(line + "\n  s_endpgm", compiled,
+                                 init=init)
             assert lsu.busy_cycles == base * transactions, fmt
 
     def test_engines_agree_on_end_time(self):
         source = "s_load_dwordx4 s[20:23], s[2:3], 0\n  s_endpgm"
-        results = [_run_lsu(source, fast)[0] for fast in self.ENGINES]
-        assert results[0] == results[1] == results[2]
+        results = [_run_lsu(source, compiled)[0]
+                   for compiled in self.ENGINES]
+        assert results[0] == results[1]
 
 
 class TestUnitPool:
@@ -231,3 +239,69 @@ class TestUnitPool:
         pool = UnitPool(0)
         with pytest.raises(SimulationError):
             pool.acquire(0.0, 1)
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "verify",
+                      "corpus")
+
+
+class TestTableRowsMatchCorpus:
+    @pytest.mark.parametrize("path", sorted(
+        glob.glob(os.path.join(CORPUS, "*.s"))),
+        ids=lambda p: os.path.basename(p))
+    def test_corpus_program_rows(self, path):
+        with open(path) as handle:
+            program = assemble(handle.read())
+        table = get_timing_table(program)
+        assert len(table) == len(program.instructions)
+        for i, inst in enumerate(program.instructions):
+            assert table.fe_costs[i] == frontend_cost(inst, DEFAULT_TIMING)
+            kind = table.kinds[i]
+            if kind == KIND_ALU:
+                assert table.occupancies[i] == \
+                    unit_occupancy(inst, DEFAULT_TIMING)
+            elif kind == KIND_MEMORY:
+                assert inst.spec.is_memory
+                assert table.occupancies[i] == DEFAULT_TIMING.lsu_cycles
+            else:
+                assert inst.spec.name in ("s_endpgm", "s_barrier",
+                                          "s_waitcnt")
+                assert table.occupancies[i] == 0
+
+
+#: Board times are multiples of the 0.25-cycle CU clock granularity.
+quarter_times = st.integers(min_value=0, max_value=4000).map(
+    lambda i: i / 4.0)
+
+
+@st.composite
+def block_cases(draw):
+    """(frontend, occupancy, pool) rows like the superblock compiler
+    emits, over 1-3 instances per ALU pool with arbitrary residue."""
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 16), st.integers(0, 3)),
+        min_size=1, max_size=40))
+    busy = [[draw(quarter_times) for _ in range(draw(st.integers(1, 3)))]
+            for _ in range(4)]
+    return steps, busy, draw(quarter_times)
+
+
+class TestStepAdvance:
+    @given(case=block_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unit_pool_issue_chain(self, case):
+        """A block issue is the reference's per-instruction chain:
+        front end, then :meth:`UnitPool.acquire` on the step's pool."""
+        steps, busy, start = case
+        pools = []
+        for rows in busy:
+            pool = UnitPool(len(rows))
+            pool.busy_until = list(rows)
+            pools.append(pool)
+        t = fe_done = start
+        for fe, occ, pid in steps:
+            fe_done = t + fe
+            t = pools[pid].acquire(fe_done, occ)
+        lists = [list(rows) for rows in busy]
+        assert step_advance(steps, start, lists) == (fe_done, t)
+        assert lists == [pool.busy_until for pool in pools]

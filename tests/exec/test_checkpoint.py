@@ -21,6 +21,7 @@ from repro.errors import CheckpointError, LaunchError
 from repro.exec import (STATUS_DONE, STATUS_PREEMPTED, BoardCheckpoint,
                         BoardPool, ExecutionRequest, Executor,
                         PreemptedResult)
+from repro.exec.checkpoint import _digest_payload
 
 MEM = 1 << 20
 
@@ -28,7 +29,7 @@ MEM = 1 << 20
 def _request(**overrides):
     base = dict(benchmark="matrix_add_i32", params={"n": 64},
                 verify=False, digests=True, capture_memory=True,
-                engine="fast", global_mem_size=MEM)
+                engine="superblock", global_mem_size=MEM)
     base.update(overrides)
     return ExecutionRequest(**base)
 
@@ -104,6 +105,22 @@ class TestSerialization:
         with pytest.raises(CheckpointError, match="version"):
             BoardCheckpoint.from_dict(wire)
 
+    @pytest.mark.parametrize("engine", ["fast", "bogus"])
+    def test_unresumable_frame_engine_raises(self, engine):
+        # A digest-valid envelope whose paused frame names an engine
+        # that cannot resume it must be refused at restore, not run on
+        # the reference loop under the bogus name.
+        result = _fresh().execute(_request(max_slice_instructions=64))
+        wire = json.loads(json.dumps(result.preempted.to_dict()))
+        payload = wire["checkpoint"]
+        payload["frame"]["engine"] = engine
+        del payload["digest"]
+        payload["digest"] = _digest_payload(payload)
+        envelope = PreemptedResult.from_dict(wire)
+        with pytest.raises(CheckpointError, match=repr(engine)):
+            _fresh().execute(ExecutionRequest(
+                checkpoint=envelope.checkpoint, verify=False))
+
 
 class TestPreemptResume:
     def test_preempted_result_reports_progress(self):
@@ -113,7 +130,7 @@ class TestPreemptResume:
         assert env.kernel
         assert 0 < env.groups_executed < env.groups_total
         assert env.instructions >= 64
-        assert env.engine == "fast"
+        assert env.engine == "superblock"
         assert result.digests == {}
 
     def test_resume_completes_bit_identical(self):
@@ -137,15 +154,15 @@ class TestPreemptResume:
         assert final.cu_cycles == ref.cu_cycles
         assert final.memory_image == ref.memory_image
 
-    def test_parallel_engine_degrades_to_fast_when_sliced(self):
+    def test_parallel_engine_degrades_to_superblock_when_sliced(self):
         arch = ArchConfig.baseline().with_parallelism(num_cus=2)
         result = _fresh().execute(_request(engine="parallel", arch=arch,
                                            max_slice_instructions=64))
         assert result.status == STATUS_PREEMPTED
-        assert result.preempted.engine == "fast"
+        assert result.preempted.engine == "superblock"
         ref = _fresh().execute(_request(engine="parallel", arch=arch))
         final, _ = _resume_until_done(result, slice_instructions=64)
-        # fast and parallel are bit-identical (fast-vs-reference
+        # superblock and parallel are bit-identical (superblock
         # oracle), so the sliced-run state must still match.
         assert final.memory_image == ref.memory_image
         assert final.instructions == ref.instructions

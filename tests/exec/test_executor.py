@@ -54,7 +54,8 @@ class TestEngineRegistry:
         from repro.soc.gpu import ENGINES
 
         assert ENGINE_NAMES == ("auto",) + ENGINES
-        assert "fast" in ENGINE_NAMES and "parallel" in ENGINE_NAMES
+        assert "superblock" in ENGINE_NAMES and "parallel" in ENGINE_NAMES
+        assert "fast" not in ENGINE_NAMES
 
     def test_service_uses_the_same_registry(self):
         from repro.exec import ENGINE_NAMES
@@ -66,8 +67,12 @@ class TestEngineRegistry:
         from repro.errors import AdmissionError
         from repro.exec import validate_engine
 
-        assert validate_engine("fast") == "fast"
+        assert validate_engine("superblock") == "superblock"
         assert validate_engine(None) is None
+        with pytest.raises(LaunchError, match="'fast' was removed.*superblock"):
+            validate_engine("fast")
+        with pytest.raises(AdmissionError, match="superblock"):
+            validate_engine("fast", error=AdmissionError)
         with pytest.raises(LaunchError, match="warp"):
             validate_engine("warp")
         with pytest.raises(AdmissionError, match="required"):
@@ -83,7 +88,7 @@ class TestEnvelope:
         assert result.cu_cycles > 0
         assert result.warm_board is False
         assert result.board_key
-        assert result.engine in ("reference", "fast", "superblock", "parallel")
+        assert result.engine in ("reference", "superblock", "parallel")
         assert len(result.launches) >= 1
         assert result.digests  # verified outputs were digested
         assert result.label.startswith("matrix_add_i32@")
@@ -93,9 +98,11 @@ class TestEnvelope:
         request = ExecutionRequest(benchmark="matrix_add_i32",
                                    params={"n": 16}, engine="reference")
         assert executor.execute(request).engine == "reference"
-        fast = ExecutionRequest(benchmark="matrix_add_i32",
-                                params={"n": 16}, engine="fast")
-        assert executor.execute(fast).engine == "fast"
+        compiled = ExecutionRequest(benchmark="matrix_add_i32",
+                                    params={"n": 16}, engine="superblock")
+        assert executor.execute(compiled).engine == "superblock"
+        with pytest.raises(LaunchError, match="superblock"):
+            ExecutionRequest(benchmark="matrix_add_i32", engine="fast")
 
     def test_profile_attaches_counters(self):
         result = Executor().execute(ExecutionRequest(

@@ -85,7 +85,7 @@ class TestBoardPool:
         arch = ArchConfig.baseline()
         with pool.lease(arch) as lease:
             lease.board.max_groups = 3
-            lease.board.gpu.default_engine = "fast"
+            lease.board.gpu.default_engine = "superblock"
         with pool.lease(arch) as lease:
             assert lease.board.max_groups is None
             assert lease.board.gpu.default_engine is None
@@ -101,7 +101,7 @@ class TestWarmBitIdentical:
         def snap(executor, name):
             result = executor.execute(ExecutionRequest(
                 workload=BenchmarkWorkload(name=name, params={"n": 16}),
-                engine="fast",
+                engine="superblock",
                 capture_memory=True,
                 collect_registers=True,
                 digests=True,

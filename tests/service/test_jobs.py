@@ -30,6 +30,8 @@ class TestJob:
     def test_bad_engine_rejected(self):
         with pytest.raises(AdmissionError, match="launch engine"):
             Job("x", engine="turbo")
+        with pytest.raises(AdmissionError, match="'fast' was removed.*superblock"):
+            Job("x", engine="fast")
 
     def test_bad_memory_size_rejected(self):
         with pytest.raises(AdmissionError, match="global_mem_size"):
@@ -67,9 +69,9 @@ class TestLoadJobs:
 
     def test_engine_and_memory_fields_accepted(self):
         (job,) = load_jobs([{"benchmark": "matrix_add_i32",
-                             "engine": "fast",
+                             "engine": "superblock",
                              "global_mem_size": 1 << 25}])
-        assert job.engine == "fast"
+        assert job.engine == "superblock"
         assert job.global_mem_size == 1 << 25
 
     def test_slice_instructions_field_accepted(self):
@@ -108,8 +110,8 @@ class TestSuiteJobs:
         assert jobs[0].config == "multicore"
 
     def test_engine_pins_the_suite(self):
-        jobs = suite_jobs(names={"kmeans_f32"}, engine="fast")
-        assert all(j.engine == "fast" for j in jobs)
+        jobs = suite_jobs(names={"kmeans_f32"}, engine="superblock")
+        assert all(j.engine == "superblock" for j in jobs)
 
     def test_verifying_suite_never_samples_workgroups(self):
         """Sampling leaves part of the output unwritten, so it is only

@@ -249,15 +249,15 @@ class TestEnginePlumbing:
     def test_job_engine_reaches_the_launch(self):
         jobs = [Job("matrix_add_i32", {"n": 32}, config="baseline",
                     engine=engine)
-                for engine in ("reference", "fast")]
+                for engine in ("reference", "superblock")]
         with KernelService(workers=1, mode="thread") as svc:
-            ref_res, fast_res = svc.run(jobs, timeout=300)
+            ref_res, sb_res = svc.run(jobs, timeout=300)
         assert ref_res.engine == "reference"
-        assert fast_res.engine == "fast"
+        assert sb_res.engine == "superblock"
         assert ref_res.to_dict()["engine"] == "reference"
         # Engine choice never changes simulated results.
-        assert ref_res.metrics.seconds == fast_res.metrics.seconds
-        assert ref_res.digests == fast_res.digests
+        assert ref_res.metrics.seconds == sb_res.metrics.seconds
+        assert ref_res.digests == sb_res.digests
 
     def test_engine_validated_at_admission(self):
         with pytest.raises(AdmissionError, match="launch engine"):
@@ -268,7 +268,7 @@ class TestEnginePlumbing:
         the engine is per-lease, not part of the board key."""
         jobs = [Job("matrix_add_i32", {"n": 32}, config="baseline",
                     engine=engine)
-                for engine in ("reference", "fast", "reference")]
+                for engine in ("reference", "superblock", "reference")]
         with KernelService(workers=1, mode="thread") as svc:
             results = svc.run(jobs, timeout=300)
         assert [r.warm_board for r in results] == [False, True, True]

@@ -65,7 +65,8 @@ class TestEngineResolution:
         gpu = Gpu(ArchConfig.baseline())
         setup_copy(gpu)
         gpu.attach(Observer())
-        result = gpu.launch(assemble(COPY), (512,), (64,), engine="fast")
+        result = gpu.launch(assemble(COPY), (512,), (64,),
+                            engine="superblock")
         assert result.engine == "reference"
 
     def test_default_engine_attribute(self):
@@ -75,11 +76,17 @@ class TestEngineResolution:
         assert gpu.launch(assemble(COPY), (512,), (64,)).engine == "reference"
 
     def test_engines_constant(self):
-        assert ENGINES == ("reference", "fast", "superblock", "parallel")
+        assert ENGINES == ("reference", "superblock", "parallel")
+
+    def test_removed_fast_engine_names_superblock(self):
+        gpu = Gpu(ArchConfig.baseline())
+        setup_copy(gpu)
+        with pytest.raises(LaunchError, match="'fast' was removed.*superblock"):
+            gpu.launch(assemble(COPY), (512,), (64,), engine="fast")
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", ["fast", "superblock", "parallel"])
+    @pytest.mark.parametrize("engine", ["superblock", "parallel"])
     def test_bit_identical_to_reference(self, engine):
         arch = ArchConfig.baseline().with_parallelism(num_cus=2)
         _, ref, ref_out = launch_copy(arch, engine="reference")
@@ -104,7 +111,8 @@ class TestEngineEquivalence:
 
     def test_register_capture_matches_across_engines(self):
         arch = ArchConfig.baseline().with_parallelism(num_cus=2)
-        _, ref, _ = launch_copy(arch, engine="fast", collect_registers=True)
+        _, ref, _ = launch_copy(arch, engine="superblock",
+                                collect_registers=True)
         _, par, _ = launch_copy(arch, engine="parallel",
                                 collect_registers=True)
         assert ref.registers is not None and par.registers is not None
@@ -114,14 +122,14 @@ class TestEngineEquivalence:
 
 
 class TestParallelFallback:
-    def test_relay_traffic_rolls_back_to_fast(self):
+    def test_relay_traffic_rolls_back_to_superblock(self):
         """On a board whose accesses miss the prefetch memory, the
         parallel engine must roll back and the serial rerun must
         produce the reference result."""
         arch = ArchConfig.dcd().with_parallelism(num_cus=2)
         _, ref, ref_out = launch_copy(arch, engine="reference")
         gpu, res, out = launch_copy(arch, engine="parallel")
-        assert res.engine == "fast"  # rolled back, re-ran serially
+        assert res.engine == "superblock"  # rolled back, re-ran serially
         assert np.array_equal(ref_out, out)
         assert res.cu_cycles == ref.cu_cycles
         assert res.stats.instructions == ref.stats.instructions

@@ -1,9 +1,9 @@
 ; verify-case seed=9001 local=128 groups=2 inp=64
 ; hand-minimised engine-equivalence reproducer: two wavefronts exchange
 ; LDS neighbours across barriers, then diverge so one wavefront runs a
-; region with exec=0 -- the fast engine's barrier release, lgkmcnt
+; region with exec=0 -- the compiled engine's barrier release, lgkmcnt
 ; waitcnt bookkeeping and saveexec handling must match the reference
-; interpreter bit-for-bit (fast-vs-reference oracle, cycles included).
+; interpreter bit-for-bit (superblock oracle, cycles included).
 .kernel fuzz_s9001
 .arg inp buffer
 .arg out buffer

@@ -1,9 +1,9 @@
 ; verify-case seed=9002 local=16 groups=3 inp=64
 ; hand-minimised engine-equivalence reproducer: a counted scalar loop
 ; carrying a vcc chain through v_addc_u32 plus a dead branch-skip
-; region -- the fast engine's branch-target plans, carry propagation
+; region -- the compiled engine's branch-target plans, carry propagation
 ; and loop re-issue of the same prepared plans must match the
-; reference interpreter bit-for-bit (fast-vs-reference oracle).
+; reference interpreter bit-for-bit (superblock oracle).
 .kernel fuzz_s9002
 .arg inp buffer
 .arg out buffer

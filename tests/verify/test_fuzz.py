@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _resolve_oracles, main
+from repro.errors import ReproError
 from repro.verify import FuzzCampaign, run_corpus_file
 from repro.verify import fuzz as fuzz_mod
 from repro.verify.oracles import OracleFailure
@@ -72,6 +73,12 @@ class TestCli:
     def test_replay_corpus_file(self, capsys):
         assert main(["fuzz", "--replay", CORPUS_FILES[0]]) == 0
         assert "all oracles passed" in capsys.readouterr().out
+
+    def test_removed_fast_oracle_rejected(self, capsys):
+        with pytest.raises(ReproError, match="unknown oracle 'fast'"):
+            _resolve_oracles("fast")
+        assert main(["fuzz", "--oracle", "fast", "--iterations", "1"]) == 2
+        assert "unknown oracle" in capsys.readouterr().err
 
     def test_replay_rejects_non_corpus_file(self, tmp_path):
         bogus = tmp_path / "x.s"

@@ -43,9 +43,8 @@ class TestCheckCase:
     def test_oracle_names_are_stable(self):
         assert ORACLE_NAMES == ("roundtrip", "invariants",
                                 "observer-detached", "trimmed", "multi-cu",
-                                "prefetch-off", "fast-vs-reference",
-                                "superblock", "warm-lease", "checkpoint",
-                                "vector")
+                                "prefetch-off", "superblock", "warm-lease",
+                                "checkpoint", "vector")
 
     def test_warm_lease_oracle_runs_warm(self):
         """The warm-lease subset alone passes, and really leases warm:
