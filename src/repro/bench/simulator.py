@@ -2,14 +2,13 @@
 
 Each kernel is run end to end (prepare -> preload -> execute) through
 the :mod:`repro.exec` layer -- warm-board leasing included, exactly
-like production callers -- once per serial engine:
+like production callers -- once per engine:
 
 * ``reference``  -- the original interpreter loop,
 * ``superblock`` -- the compiled loop (prepared plans plus fused
   straight-line ALU runs; the ``auto`` default engine).
 
-The ``parallel`` engine needs a multi-CU board and is not benchmarked
-here.  Reported per kernel: simulated instructions, simulated seconds
+Reported per kernel: simulated instructions, simulated seconds
 (deterministic -- a change here is a model change, not a perf
 regression), wall-clock medians per engine, simulated-instructions-
 per-second on the superblock engine, and the machine-independent

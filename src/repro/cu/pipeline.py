@@ -118,17 +118,6 @@ class ComputeUnit:
         for pool in self.pools.values():
             pool.reset()
 
-    def rebase_occupancy(self):
-        """Zero absolute busy times but keep cumulative ``busy_cycles``.
-
-        Used by the parallel launch engine, which runs each workgroup
-        at local time 0 and re-times the launch afterwards: occupancy
-        must not leak between workgroups, while the cumulative
-        utilisation counters keep accounting across the launch.
-        """
-        for pool in self.pools.values():
-            pool.busy_until = [0.0] * len(pool.busy_until)
-
     # ------------------------------------------------------------------
 
     def _check_supported(self, inst):
@@ -418,7 +407,7 @@ class ComputeUnit:
         sb_counts = {}
         sb_pending = {}  # wavefront -> first unflushed block offset
         if bad is None:
-            blocks = prepared.superblocks(self.num_simd, self.num_simf)
+            blocks = prepared.superblocks()
         if blocks is not None:
             busy_salu = pools[FunctionalUnit.SALU].busy_until
             busy_branch = pools[FunctionalUnit.BRANCH].busy_until

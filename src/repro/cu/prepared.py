@@ -38,6 +38,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..errors import DecodingError, TrimmedInstructionError
 from ..isa import registers as regs
 from ..isa.formats import Format
 from ..mem.global_memory import _BYTE_OFFSETS, dedup_keep_last
@@ -127,7 +128,7 @@ def _inline_constant(code):
         return None
     try:
         return regs.inline_value(code) & MASK32
-    except Exception:
+    except DecodingError:
         return None
 
 
@@ -690,21 +691,18 @@ def _build_exec(inst):
     """
     fmt = inst.fmt
     fn = None
-    try:
-        if fmt is Format.SOP2:
-            fn = _build_sop2(inst)
-        elif fmt is Format.SOPK:
-            fn = _build_sopk(inst)
-        elif fmt is Format.SOP1:
-            fn = _build_sop1(inst)
-        elif fmt is Format.SOPC:
-            fn = _build_sopc(inst)
-        elif fmt is Format.SOPP:
-            fn = _build_sopp(inst)
-        elif fmt in (Format.VOP1, Format.VOP2, Format.VOPC, Format.VOP3):
-            fn = _build_vector(inst)
-    except Exception:
-        fn = None
+    if fmt is Format.SOP2:
+        fn = _build_sop2(inst)
+    elif fmt is Format.SOPK:
+        fn = _build_sopk(inst)
+    elif fmt is Format.SOP1:
+        fn = _build_sop1(inst)
+    elif fmt is Format.SOPC:
+        fn = _build_sopc(inst)
+    elif fmt is Format.SOPP:
+        fn = _build_sopp(inst)
+    elif fmt in (Format.VOP1, Format.VOP2, Format.VOPC, Format.VOP3):
+        fn = _build_vector(inst)
     if fn is None:
         return (lambda wf: operations.execute(wf, inst)), False
     return fn, True
@@ -733,29 +731,27 @@ class PreparedProgram:
                       for i, inst in enumerate(program.instructions)]
         self.by_address = {plan.address: plan for plan in self.plans}
         self._restrictions = {}
-        self._superblocks = {}
+        self._superblocks = None
         self._sb_lock = threading.Lock()
 
-    def superblocks(self, num_simd, num_simf):
-        """Compiled superblocks for this program on a given CU shape.
+    def superblocks(self):
+        """Compiled superblocks for this program.
 
         Returns ``{address: (Superblock, offset)}`` (every in-block
         address, offset 0 being the head) or ``None`` when the program
-        has no fusable run.  Compiled lazily per
-        ``(num_simd, num_simf)`` shape and cached on the prepared
-        program, so the content-hash LRU that shares prepared
-        programs across launches and service jobs shares the compiled
+        has no fusable run.  Nothing in a block depends on the CU
+        shape (pool widths are read at run time), so the blocks are
+        compiled once, lazily, and cached on the prepared program: the
+        content-hash LRU that shares prepared programs across
+        launches, CU shapes and service jobs shares the compiled
         superblocks too.
         """
         from .superblock import build_superblocks
 
-        key = (num_simd, num_simf)
         with self._sb_lock:
-            blocks = self._superblocks.get(key)
-            if blocks is None:
-                blocks = build_superblocks(self, num_simd, num_simf)
-                self._superblocks[key] = blocks
-        return blocks or None
+            if self._superblocks is None:
+                self._superblocks = build_superblocks(self)
+        return self._superblocks or None
 
     def restrictions(self, cu):
         """Addresses whose instructions fail ``cu._check_supported``.
@@ -772,7 +768,7 @@ class PreparedProgram:
             for plan in self.plans:
                 try:
                     cu._check_supported(plan.inst)
-                except Exception:
+                except TrimmedInstructionError:
                     bad.add(plan.address)
             cached = frozenset(bad) if bad else False
             self._restrictions[key] = cached

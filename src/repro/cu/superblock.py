@@ -518,14 +518,11 @@ def _compile_block(run):
         occ = plan.occupancy
         busy_totals[plan.unit] = busy_totals.get(plan.unit, 0) + occ
         steps.append((plan.fe_cost, occ, UNIT_POOL_ID[plan.unit]))
-        try:
-            if plan.inst.fmt in _SCALAR_FMTS:
-                sem = _emit_salu(plan, k, ns, uses)
-            elif plan.inst.fmt in _VECTOR_FMTS:
-                sem = _emit_vector(plan, k, ns, uses)
-            else:
-                sem = None
-        except Exception:
+        if plan.inst.fmt in _SCALAR_FMTS:
+            sem = _emit_salu(plan, k, ns, uses)
+        elif plan.inst.fmt in _VECTOR_FMTS:
+            sem = _emit_vector(plan, k, ns, uses)
+        else:
             sem = None
         if sem is None:
             ns["_f%d" % k] = plan.exec_fn
@@ -587,26 +584,24 @@ def _compile_block(run):
     )
 
 
-def _dump(prepared, block, num_simd, num_simf, dump_dir):
+def _dump(prepared, block, dump_dir):
     name = getattr(prepared.program, "name", None) or "program"
     safe = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
-    path = os.path.join(
-        dump_dir, "%s_0x%x_simd%dx%d.py" % (safe, block.head,
-                                            num_simd, num_simf))
+    path = os.path.join(dump_dir, "%s_0x%x.py" % (safe, block.head))
     with open(path, "w") as fh:
         fh.write("# superblock head=0x%x count=%d end_pc=0x%x\n%s"
                  % (block.head, block.count, block.end_pc, block.source))
 
 
-def build_superblocks(prepared, num_simd, num_simf):
+def build_superblocks(prepared):
     """Compile every fusable run of a prepared program.
 
     Returns ``{address: (Superblock, offset)}`` covering *every*
     instruction address inside a block -- the head at offset 0 plus
     each interior position, so a gang can pick up a wavefront mid-run
     (after a partial flush) exactly where it stopped.  Possibly empty.
-    Called once per (program, CU shape) by
-    :meth:`PreparedProgram.superblocks`, which caches the result.
+    Called once per program by :meth:`PreparedProgram.superblocks`,
+    which caches the result.
     """
     dump_dir = os.environ.get(_DUMP_ENV)
     blocks = {}
@@ -615,5 +610,5 @@ def build_superblocks(prepared, num_simd, num_simf):
         for k in range(block.count):
             blocks[block.addrs[k]] = (block, k)
         if dump_dir:
-            _dump(prepared, block, num_simd, num_simf, dump_dir)
+            _dump(prepared, block, dump_dir)
     return blocks

@@ -16,8 +16,7 @@ over the canonical encoding is checked before any restore -- a
 corrupted or tampered checkpoint raises
 :class:`~repro.errors.CheckpointError` instead of silently computing
 garbage.  The raw capture/restore mechanics live in
-:mod:`repro.soc.state`, the same mechanism the parallel launch
-engine's rollback uses; this module adds the wire format.
+:mod:`repro.soc.state`; this module adds the wire format.
 
 The public API is :meth:`repro.exec.BoardLease.checkpoint` /
 :meth:`~repro.exec.BoardLease.restore`; the
@@ -46,7 +45,7 @@ STATUS_DONE = "done"
 STATUS_PREEMPTED = "preempted"
 
 #: Wire-format version; bumped on incompatible payload changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _b64(raw):
@@ -149,10 +148,6 @@ def _program_from_dict(data):
     )
 
 
-#: Engines a paused launch frame can name.
-_FRAME_ENGINES = ("reference", "superblock")
-
-
 def _frame_to_dict(frame):
     return {
         "program": _program_to_dict(frame.program),
@@ -175,14 +170,13 @@ def _frame_to_dict(frame):
 
 def _frame_from_dict(data):
     from ..soc.dispatcher import LaunchGeometry
-    from ..soc.gpu import LaunchFrame, unknown_engine_message
+    from ..soc.gpu import ENGINES, LaunchFrame, unknown_engine_message
 
-    # Only the serial engines pause (a sliced parallel launch runs on
-    # superblock), so a frame naming anything else -- including the
-    # removed ``fast`` engine -- cannot be resumed faithfully.
-    if data["engine"] not in _FRAME_ENGINES:
+    # A frame naming an engine outside ENGINES -- a removed one
+    # included -- cannot be resumed faithfully.
+    if data["engine"] not in ENGINES:
         raise CheckpointError("checkpoint frame: {}".format(
-            unknown_engine_message(data["engine"], _FRAME_ENGINES)))
+            unknown_engine_message(data["engine"])))
     return LaunchFrame(
         program=_program_from_dict(data["program"]),
         geometry=LaunchGeometry(tuple(data["global_size"]),
@@ -280,7 +274,6 @@ class BoardCheckpoint(SerializableMixin):
                            in state["microblaze"]["phases"]],
             },
             "prefetch": {
-                "covered": state["prefetch"]["covered"],
                 "ranges": [[[start, end] for start, end in ranges]
                            for ranges in state["prefetch"]["ranges"]],
             },
@@ -391,7 +384,6 @@ class BoardCheckpoint(SerializableMixin):
                            in payload["microblaze"]["phases"]],
             },
             "prefetch": {
-                "covered": payload["prefetch"]["covered"],
                 "ranges": [[(start, end) for start, end in ranges]
                            for ranges in payload["prefetch"]["ranges"]],
             },

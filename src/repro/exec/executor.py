@@ -53,8 +53,8 @@ class ExecutionResult(SerializableMixin):
     instructions: int
     cu_cycles: float
     #: Provenance: the engine the last launch actually used (after
-    #: auto-resolution and any parallel-engine rollback), and whether
-    #: the board came warm out of the pool.
+    #: auto-resolution), and whether the board came warm out of the
+    #: pool.
     engine: Optional[str]
     warm_board: bool
     board_key: str

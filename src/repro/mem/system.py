@@ -20,8 +20,6 @@ depends on the architecture generation.
 
 from __future__ import annotations
 
-import threading
-
 from ..obs.events import MemAccess
 from .global_memory import GlobalMemory
 from .params import MemoryTimingParams
@@ -75,23 +73,13 @@ class MemorySystem:
         # backends may miss to something other than the relay.
         self.stats = {"relay_accesses": 0, "prefetch_hits": 0,
                       "prefetch_misses": 0, "lds_accesses": 0}
-        #: Set by the parallel launch engine while per-CU executor
-        #: threads are running: the shared counters then increment
-        #: under a lock so no update is lost.
-        self.concurrent = False
-        self._stats_lock = threading.Lock()
         #: Observation slot (see repro.obs): ``None`` or the board's hub.
         self.obs = None
 
     def _note(self, *keys):
         stats = self.stats
-        if self.concurrent:
-            with self._stats_lock:
-                for key in keys:
-                    stats[key] += 1
-        else:
-            for key in keys:
-                stats[key] += 1
+        for key in keys:
+            stats[key] += 1
 
     # -- preload (MicroBlaze command, Section 2.1.4) -------------------------
 
@@ -170,18 +158,6 @@ class MemorySystem:
                 cycle=now, cu_index=cu_index, space="lds",
                 kind="lds", hit=None, completed=done))
         return done
-
-    def rebase_port(self, cu_index):
-        """Zero one CU port's occupancy, keeping its request counter.
-
-        Companion of ``ComputeUnit.rebase_occupancy`` for the parallel
-        launch engine: the port's ``busy_until`` is an absolute time
-        that must not leak between workgroups re-timed from local
-        zero.  Exact because the port's initiation interval never
-        exceeds the hit latency, so its occupancy ends at or before
-        the workgroup's own end time.
-        """
-        self._prefetch_ports[cu_index].busy_until = 0.0
 
     def reset_timing(self):
         """Clear channel occupancy and counters between kernel launches."""

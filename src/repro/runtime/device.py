@@ -99,10 +99,9 @@ class SoftGpu:
         self.heap.reset()
         for prefetch in mem.prefetch:
             prefetch.clear()
-        self.gpu.prefetch_covered = False
         if self.arch.has_prefetch:
             # Re-mirror the constant-buffer region, as at construction.
-            self.gpu.prefetch_covered = mem.preload_all(0, HEAP_BASE)
+            mem.preload_all(0, HEAP_BASE)
         self.reset_timeline()
         return self
 

@@ -21,10 +21,7 @@ everything.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..core.config import ArchConfig
 from ..cu.pipeline import ComputeUnit, CuRunStats
@@ -35,7 +32,6 @@ from ..obs.observer import ObserverHub
 from .clocks import DUAL_DOMAIN, SINGLE_DOMAIN
 from .dispatcher import Dispatcher, LaunchGeometry
 from .microblaze import MicroBlaze
-from .state import restore_timing, timing_state
 
 #: Fixed memory map of the board image.
 CB0_BASE = 0x100
@@ -47,10 +43,11 @@ HEAP_BASE = 0x1000
 PRELOAD_MB_CYCLES_PER_WORD = 2.0
 
 
-#: Launch execution engines.  All three produce bit-identical memory,
+#: Launch execution engines.  Both produce bit-identical memory,
 #: registers, stats and cycle counts (the ``superblock`` oracle
 #: enforces it); they differ only in wall-clock speed and
-#: observability:
+#: observability.  Multi-CU launches run serially on either engine,
+#: one workgroup at a time on the earliest-free CU:
 #:
 #: ``reference``   the original serial interpreter loop; the only
 #:                 engine that emits observation events (per-issue
@@ -61,28 +58,27 @@ PRELOAD_MB_CYCLES_PER_WORD = 2.0
 #:                 compiled superblocks (repro.cu.superblock) whose
 #:                 timing advances by step_advance over the static
 #:                 cost table (repro.cu.timing).  The ``auto``
-#:                 default on single-CU boards.
-#: ``parallel``    measure-then-schedule: workgroups execute
-#:                 round-robin on per-CU threads at local time zero
-#:                 (each on the compiled loop), then the
-#:                 dispatcher-overlap timing model is replayed
-#:                 serially with the measured durations.  Exact only
-#:                 while every global access hits the prefetch memory
-#:                 (intrinsic, start-time-independent durations); a
-#:                 relay access triggers rollback to ``superblock``.
-ENGINES = ("reference", "superblock", "parallel")
+#:                 default whenever no observer is attached.
+ENGINES = ("reference", "superblock")
+
+#: Engines that no longer exist, each with how ``superblock`` replaces it.
+REMOVED_ENGINES = {
+    "fast": "the compiled engine it was folded into",
+    "parallel": "the serial compiled engine, which was faster on "
+                "every multi-CU board",
+}
 
 
 def unknown_engine_message(engine, choices=ENGINES):
     """The error text for an engine name outside ``choices``.
 
-    The removed ``fast`` engine gets a message naming its replacement
-    rather than an alias: it fails loudly instead of silently running
-    something else.
+    A removed engine gets a message naming its replacement rather than
+    an alias: it fails loudly instead of silently running something
+    else.
     """
-    if engine == "fast":
-        return ("launch engine 'fast' was removed; use 'superblock', "
-                "the compiled engine it was folded into")
+    if engine in REMOVED_ENGINES:
+        return "launch engine {!r} was removed; use 'superblock', {}".format(
+            engine, REMOVED_ENGINES[engine])
     return "unknown launch engine {!r} (expected one of {})".format(
         engine, ", ".join(choices))
 
@@ -201,19 +197,14 @@ class Gpu:
         self.obs = None
         #: Default launch engine when ``launch`` gets none: ``None`` /
         #: ``"auto"`` picks per launch (reference when observed,
-        #: parallel on covered multi-CU boards, superblock otherwise).
+        #: superblock otherwise).
         self.default_engine = None
-        #: True while every preload so far fit the prefetch buffers --
-        #: the precondition for the parallel engine's exact re-timing.
-        #: Advisory only: the engine still verifies at run time that no
-        #: access fell through to the relay, and rolls back otherwise.
-        self.prefetch_covered = False
         # The host templates always mirror the small constant-buffer
         # region (launch geometry + kernel arguments) into the prefetch
         # memory right after writing it -- scalar loads of kernel
         # arguments would otherwise serialise on the MicroBlaze relay.
         if self.arch.has_prefetch:
-            self.prefetch_covered = self.memory.preload_all(0, HEAP_BASE)
+            self.memory.preload_all(0, HEAP_BASE)
 
     # -- observation --------------------------------------------------------
 
@@ -282,7 +273,6 @@ class Gpu:
             return False
         started = self.now
         covered = self.memory.preload_all(start, nbytes)
-        self.prefetch_covered = self.prefetch_covered and covered
         mb = PRELOAD_MB_CYCLES_PER_WORD * (nbytes / 4.0)
         self.microblaze.charge_cycles("preload", mb)
         self.now += self._mb_to_cu(mb)
@@ -299,11 +289,7 @@ class Gpu:
         if engine in (None, "auto"):
             engine = self.default_engine
         if engine in (None, "auto"):
-            if self.obs is not None:
-                return "reference"
-            if len(self.cus) > 1 and self.prefetch_covered:
-                return "parallel"
-            return "superblock"
+            return "reference" if self.obs is not None else "superblock"
         if engine not in ENGINES:
             raise LaunchError(unknown_engine_message(engine))
         if engine != "reference" and self.obs is not None:
@@ -311,90 +297,6 @@ class Gpu:
             # attached observer silently wins over the engine request.
             return "reference"
         return engine
-
-    def _parallel_worker(self, cu, jobs, program, geometry, results, errors,
-                         err_settings):
-        try:
-            # Inherit the launching thread's FP-error policy (callers
-            # wrap launches in np.errstate to silence kernel NaN noise).
-            with np.errstate(**err_settings):
-                for slot, gid in jobs:
-                    wg = self.dispatcher.build_workgroup(program, geometry, gid)
-                    cu.rebase_occupancy()
-                    self.memory.rebase_port(cu.cu_index)
-                    end, wg_stats = cu.run_workgroup(wg, start_time=0.0,
-                                                     compiled=True)
-                    results[slot] = (end, wg_stats, wg)
-        except Exception as exc:  # re-raised (ordered) by the serial rerun
-            errors[cu.cu_index] = exc
-
-    def _launch_parallel(self, program, geometry, group_ids, dispatch_cost,
-                         registers):
-        """Measure-then-schedule launch across per-CU executor threads.
-
-        Phase A runs every workgroup functionally at local time zero
-        (durations are intrinsic when all global accesses hit the
-        prefetch memory -- timing is translation-invariant, so the
-        measured duration equals what the serial engine would see at
-        any start time).  Phase B replays the dispatcher-overlap
-        arithmetic serially with the measured durations.
-
-        Returns ``(end_time, stats)`` -- or ``None`` after rolling all
-        functional and timing state back, when a workgroup broke the
-        premises (touched the MicroBlaze relay, raised): the caller
-        then re-runs serially, which also reproduces the reference
-        error ordering.
-        """
-        num_cus = len(self.cus)
-        jobs = [[] for _ in range(num_cus)]
-        for slot, gid in enumerate(group_ids):
-            jobs[slot % num_cus].append((slot, gid))
-        results = [None] * len(group_ids)
-        errors = [None] * num_cus
-        mem_image = self.memory.global_mem.snapshot()
-        timing_snap = timing_state(self)
-        relay_before = self.memory.relay.requests
-        err_settings = np.geterr()
-        self.memory.concurrent = True
-        try:
-            threads = []
-            for cu, cu_jobs in zip(self.cus, jobs):
-                if not cu_jobs:
-                    continue
-                thread = threading.Thread(
-                    target=self._parallel_worker,
-                    args=(cu, cu_jobs, program, geometry, results, errors,
-                          err_settings),
-                    name="repro-cu{}".format(cu.cu_index))
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
-        finally:
-            self.memory.concurrent = False
-        anomaly = (any(error is not None for error in errors)
-                   or any(result is None for result in results)
-                   or self.memory.relay.requests != relay_before)
-        if anomaly:
-            self.memory.global_mem.restore(mem_image)
-            restore_timing(self, timing_snap)
-            return None
-        cu_free = [self.now] * num_cus
-        disp_free = self.now
-        stats = CuRunStats()
-        end_time = self.now
-        for duration, wg_stats, wg in results:
-            cu_idx = min(range(num_cus), key=cu_free.__getitem__)
-            ready = disp_free + dispatch_cost
-            disp_free = ready
-            start = max(cu_free[cu_idx], ready)
-            end = start + duration
-            cu_free[cu_idx] = end
-            stats.merge(wg_stats)
-            end_time = max(end_time, end)
-            if registers is not None:
-                _capture_registers(wg, registers)
-        return end_time, stats
 
     def launch(self, program, global_size, local_size, max_groups=None,
                engine=None, collect_registers=False,
@@ -407,19 +309,20 @@ class Gpu:
         callers only do this inside timing sweeps.
 
         ``engine`` picks one of :data:`ENGINES` (``None``/``"auto"``
-        resolves per board state); the engine actually used is recorded
-        on the result.  ``collect_registers`` captures every
-        wavefront's final architectural state on the result (any
-        engine), in the same format the verify recorder uses.
+        resolves to ``reference`` when an observer is attached and to
+        ``superblock`` otherwise); every engine runs the launch
+        serially, one workgroup at a time on the earliest-free CU.  The
+        engine actually used is recorded on the result.
+        ``collect_registers`` captures every wavefront's final
+        architectural state on the result (any engine), in the same
+        format the verify recorder uses.
 
         ``max_slice_instructions`` turns the launch into a time slice:
         once that many instructions retire the launch yields at the
         next workgroup boundary by raising
         :class:`~repro.errors.LaunchPreempted`, leaving its
         :class:`LaunchFrame` in :attr:`paused` for
-        :meth:`resume_launch` (or a checkpoint).  Slicing forces the
-        serial engines -- a ``parallel`` resolution falls back to
-        ``superblock``, which is bit-identical anyway.
+        :meth:`resume_launch` (or a checkpoint).
         """
         geometry = LaunchGeometry.of(global_size, local_size)
         if geometry.work_items_per_group > 64 * 40:
@@ -448,39 +351,16 @@ class Gpu:
             group_ids = [group_ids[i] for i in picks]
             sampled = True
 
-        engine = self._resolve_engine(engine)
-        if engine == "parallel" and max_slice_instructions is not None:
-            # The parallel engine runs workgroups concurrently at local
-            # time zero -- there is no serial point to slice at.  The
-            # superblock engine is bit-identical (the superblock
-            # oracle), so a sliced launch silently uses it.
-            engine = "superblock"
         dispatch_cost = self._mb_to_cu(
             self.dispatcher.dispatch_cost_mb_cycles(geometry))
-        registers = {} if collect_registers else None
-
-        if engine == "parallel":
-            parallel_result = self._launch_parallel(
-                program, geometry, group_ids, dispatch_cost, registers)
-            if parallel_result is None:
-                engine = "superblock"
-            else:
-                end_time, stats = parallel_result
-                frame = LaunchFrame(
-                    program=program, geometry=geometry, engine=engine,
-                    pending=[], dispatch_cost=dispatch_cost,
-                    total_groups=total, sampled=sampled,
-                    cu_free=[], disp_free=self.now, end_time=end_time,
-                    stats=stats, executed_groups=len(group_ids),
-                    registers=registers)
-                return self._finish_launch(frame)
-
         frame = LaunchFrame(
-            program=program, geometry=geometry, engine=engine,
+            program=program, geometry=geometry,
+            engine=self._resolve_engine(engine),
             pending=group_ids, dispatch_cost=dispatch_cost,
             total_groups=total, sampled=sampled,
             cu_free=[self.now] * len(self.cus), disp_free=self.now,
-            end_time=self.now, stats=CuRunStats(), registers=registers)
+            end_time=self.now, stats=CuRunStats(),
+            registers={} if collect_registers else None)
         return self._run_frame(frame, max_slice_instructions)
 
     def _run_frame(self, frame, budget=None):

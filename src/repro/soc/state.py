@@ -1,14 +1,11 @@
 """Board-state capture and restore: the one snapshot mechanism.
 
-Everything that rewinds or revives a board goes through this module --
-the parallel launch engine's rollback (:meth:`Gpu._launch_parallel`
-re-runs serially after an anomaly) and the public checkpoint/restore
-API (:class:`repro.exec.checkpoint.BoardCheckpoint`) are the same
-capture code with different lifetimes:
+Everything that revives a board goes through this module: the
+public checkpoint/restore API
+(:class:`repro.exec.checkpoint.BoardCheckpoint`) is its only user.
 
-* :func:`timing_state` / :func:`restore_timing` -- the cheap snapshot:
-  channel occupancy, memory counters and functional-unit pool state.
-  Taken before every parallel launch.
+* :func:`timing_state` / :func:`restore_timing` -- channel occupancy,
+  memory counters and functional-unit pool state.
 * :func:`board_state` / :func:`restore_board_state` -- the full
   board: global-memory image, prefetch residency, timeline, MicroBlaze
   accounting, on top of the timing state.  What a serializable
@@ -64,7 +61,6 @@ def board_state(gpu):
             "phases": list(gpu.microblaze.phases),
         },
         "prefetch": {
-            "covered": gpu.prefetch_covered,
             "ranges": [list(buf._ranges) for buf in mem.prefetch],
         },
     }
@@ -80,7 +76,6 @@ def restore_board_state(gpu, state):
     gpu.total_instructions = state["total_instructions"]
     gpu.microblaze.cycles = state["microblaze"]["cycles"]
     gpu.microblaze.phases = list(state["microblaze"]["phases"])
-    gpu.prefetch_covered = state["prefetch"]["covered"]
     for buf, ranges in zip(mem.prefetch, state["prefetch"]["ranges"]):
         buf.clear()
         for start, end in ranges:

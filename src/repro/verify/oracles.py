@@ -22,15 +22,13 @@ bit of disagreement in final state is a simulator bug:
                    matches memory and registers.
 ``prefetch-off``   the DCD configuration (no prefetch memory) matches
                    memory and registers.
-``superblock``     the compiled launch engines match the reference
+``superblock``     the compiled ``superblock`` engine (prepared plans
+                   plus fused straight-line ALU runs,
+                   :mod:`repro.cu.superblock`) matches the reference
                    interpreter bit-for-bit -- memory, registers,
-                   instruction count **and cycle count**: the
-                   ``superblock`` engine (prepared plans plus fused
-                   straight-line ALU runs, :mod:`repro.cu.superblock`)
-                   on the baseline board, on the architecture trimmed
-                   for the case and, serially, on multi-CU boards;
-                   and the ``parallel`` engine (measure-then-schedule)
-                   on multi-CU boards.
+                   instruction count **and cycle count** -- on the
+                   baseline board, on the architecture trimmed for the
+                   case and on a multi-CU board.
 ``warm-lease``     a warm board re-leased from the
                    :class:`~repro.exec.BoardPool` (after ``reset()``)
                    reproduces the cold-board run bit-for-bit: memory,
@@ -387,19 +385,20 @@ def check_case(case, multi_cus=2, oracles=None):
         reference_runs[oracle] = snap
         _compare(oracle, ref, snap, failures, cycles=cycles)
 
-    # The compiled-engine equivalence claim: prepared plans, fused
-    # straight-line ALU runs (deferred-semantics flushes included) and
-    # the measure-then-schedule parallel engine must not change a
-    # single byte, register, instruction or cycle against the observed
-    # reference run on the same board -- the baseline, the
-    # architecture trimmed for the case, and a multi-CU board.
+    # The compiled-engine equivalence claim: prepared plans and fused
+    # straight-line ALU runs (deferred-semantics flushes included) must
+    # not change a single byte, register, instruction or cycle against
+    # the observed reference run on the same board -- the baseline, the
+    # architecture trimmed for the case, and a multi-CU board (run
+    # serially, one workgroup at a time, like every launch).
     if want("superblock"):
-        boards = [("baseline", baseline, ("superblock",))]
+        boards = [("baseline", baseline)]
         if trimmed is not None:
-            boards.append(("trimmed", trimmed, ("superblock",)))
+            boards.append(("trimmed", trimmed))
         if mc_config is not None:
-            boards.append(("multi-cu", mc_config, ("superblock", "parallel")))
-        for name, arch, engines in boards:
+            boards.append(("multi-cu", mc_config))
+        for name, arch in boards:
+            label = "{}-superblock".format(name)
             try:
                 expected = reference_runs.get(name) or run_case(
                     case, arch, label=name, observed=True)
@@ -408,16 +407,14 @@ def check_case(case, multi_cus=2, oracles=None):
                     "superblock",
                     "{} reference run died: {!r}".format(name, exc)))
                 continue
-            for engine in engines:
-                label = "{}-{}".format(name, engine)
-                try:
-                    snap = run_case(case, arch, label=label, observed=False,
-                                    engine=engine, collect_registers=True)
-                    _compare("superblock", expected, snap, failures,
-                             cycles=True, registers=True)
-                except ReproError as exc:
-                    failures.append(OracleFailure(
-                        "superblock", "{} run died: {!r}".format(label, exc)))
+            try:
+                snap = run_case(case, arch, label=label, observed=False,
+                                engine="superblock", collect_registers=True)
+                _compare("superblock", expected, snap, failures,
+                         cycles=True, registers=True)
+            except ReproError as exc:
+                failures.append(OracleFailure(
+                    "superblock", "{} run died: {!r}".format(label, exc)))
 
     # The warm-lease claim: a board re-leased from the pool (after
     # reset()) reproduces the cold-board run bit-for-bit.  A private

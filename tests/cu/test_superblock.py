@@ -6,8 +6,8 @@ import pytest
 from repro.asm import assemble
 from repro.core.config import ArchConfig
 from repro.cu import superblock
-from repro.cu.prepared import clear_prepared_cache, get_prepared, \
-    lookup_prepared
+from repro.cu.prepared import PreparedProgram, clear_prepared_cache, \
+    get_prepared, lookup_prepared
 from repro.cu.superblock import MIN_BLOCK, build_superblocks
 from repro.errors import LaunchPreempted, SimulationError
 from repro.runtime.device import SoftGpu
@@ -104,9 +104,9 @@ _BREAKERS = ("s_waitcnt", "s_barrier", "s_endpgm", "s_cbranch_scc1",
              "s_and_saveexec_b64", "s_mov_b64")
 
 
-def _blocks(source, num_simd=1, num_simf=1):
+def _blocks(source):
     ps = get_prepared(assemble(source))
-    return ps, build_superblocks(ps, num_simd, num_simf)
+    return ps, build_superblocks(ps)
 
 
 def _head_counts(blocks):
@@ -140,7 +140,7 @@ class TestBlockFormation:
     def test_min_block_floor(self):
         assert MIN_BLOCK == 2
         ps = get_prepared(assemble(TINY))
-        assert ps.superblocks(1, 1) is None
+        assert ps.superblocks() is None
 
     def test_every_in_block_address_mapped(self):
         ps, blocks = _blocks(LOOPY)
@@ -160,19 +160,36 @@ class TestCompilationCache:
         pa, _ = lookup_prepared(assemble(LOOPY))
         pb, hit = lookup_prepared(assemble(LOOPY + "\n; cosmetic\n"))
         assert pa is pb and hit
-        assert pa.superblocks(1, 1) is pb.superblocks(1, 1)
+        assert pa.superblocks() is pb.superblocks()
 
-    def test_blocks_cached_per_cu_shape(self):
-        ps = get_prepared(assemble(LOOPY))
-        a, b = ps.superblocks(1, 1), ps.superblocks(2, 1)
-        assert a is not b
-        assert _head_counts(a) == _head_counts(b)
-        assert ps.superblocks(1, 1) is a
+    def test_blocks_shared_across_cu_shapes(self, monkeypatch):
+        # Nothing in a block depends on the CU shape, so CUs of
+        # different shapes running one program get the same blocks.
+        seen = []
+        original = PreparedProgram.superblocks
+
+        def spy(self):
+            blocks = original(self)
+            seen.append((self, blocks))
+            return blocks
+
+        monkeypatch.setattr(PreparedProgram, "superblocks", spy)
+        program = assemble(LOOPY)
+        shapes = set()
+        for arch in (ArchConfig.baseline(), ArchConfig.baseline()
+                     .with_parallelism(num_simd=3, num_simf=2)):
+            _, _, device = _run(program, "superblock", arch=arch)
+            cu = device.gpu.cus[0]
+            shapes.add((cu.num_simd, cu.num_simf))
+        assert shapes == {(1, 1), (3, 2)}
+        assert len({id(ps) for ps, _ in seen}) == 1
+        assert seen[0][1] is not None
+        assert all(blocks is seen[0][1] for _, blocks in seen)
 
     def test_dump_knob_writes_sources(self, tmp_path, monkeypatch):
         monkeypatch.setenv(superblock._DUMP_ENV, str(tmp_path))
         ps = get_prepared(assemble(SPLITS))
-        blocks = build_superblocks(ps, 1, 1)
+        blocks = build_superblocks(ps)
         files = sorted(tmp_path.glob("*.py"))
         assert len(files) == len(_head_counts(blocks))
         text = files[0].read_text()
@@ -180,8 +197,8 @@ class TestCompilationCache:
         assert "def _superblock_sem(" in text
 
 
-def _run(program, engine, n=384, local=192, **kwargs):
-    device = SoftGpu(ArchConfig.baseline())
+def _run(program, engine, n=384, local=192, arch=None, **kwargs):
+    device = SoftGpu(arch or ArchConfig.baseline())
     inp = device.upload("inp", np.arange(n, dtype=np.uint32) * 7 + 1)
     out = device.alloc("out", 4 * n)
     device.preload_all()

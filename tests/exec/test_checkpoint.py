@@ -99,13 +99,15 @@ class TestSerialization:
             BoardCheckpoint.from_dict(wire)
 
     def test_wrong_version_raises(self):
+        # 1 is the format that still carried ``prefetch.covered``.
         result = _fresh().execute(_request(max_slice_instructions=64))
-        wire = result.preempted.checkpoint.to_dict()
-        wire["version"] = 999
-        with pytest.raises(CheckpointError, match="version"):
-            BoardCheckpoint.from_dict(wire)
+        for version in (999, 1):
+            wire = result.preempted.checkpoint.to_dict()
+            wire["version"] = version
+            with pytest.raises(CheckpointError, match="version"):
+                BoardCheckpoint.from_dict(wire)
 
-    @pytest.mark.parametrize("engine", ["fast", "bogus"])
+    @pytest.mark.parametrize("engine", ["fast", "parallel", "bogus"])
     def test_unresumable_frame_engine_raises(self, engine):
         # A digest-valid envelope whose paused frame names an engine
         # that cannot resume it must be refused at restore, not run on
@@ -154,18 +156,17 @@ class TestPreemptResume:
         assert final.cu_cycles == ref.cu_cycles
         assert final.memory_image == ref.memory_image
 
-    def test_parallel_engine_degrades_to_superblock_when_sliced(self):
+    def test_multi_cu_sliced_resume_bit_identical(self):
         arch = ArchConfig.baseline().with_parallelism(num_cus=2)
-        result = _fresh().execute(_request(engine="parallel", arch=arch,
+        result = _fresh().execute(_request(arch=arch,
                                            max_slice_instructions=64))
         assert result.status == STATUS_PREEMPTED
         assert result.preempted.engine == "superblock"
-        ref = _fresh().execute(_request(engine="parallel", arch=arch))
+        ref = _fresh().execute(_request(arch=arch))
         final, _ = _resume_until_done(result, slice_instructions=64)
-        # superblock and parallel are bit-identical (superblock
-        # oracle), so the sliced-run state must still match.
         assert final.memory_image == ref.memory_image
         assert final.instructions == ref.instructions
+        assert final.cu_cycles == ref.cu_cycles
 
 
 class TestCrossBoardRestore:

@@ -54,8 +54,9 @@ class TestEngineRegistry:
         from repro.soc.gpu import ENGINES
 
         assert ENGINE_NAMES == ("auto",) + ENGINES
-        assert "superblock" in ENGINE_NAMES and "parallel" in ENGINE_NAMES
+        assert "superblock" in ENGINE_NAMES
         assert "fast" not in ENGINE_NAMES
+        assert "parallel" not in ENGINE_NAMES
 
     def test_service_uses_the_same_registry(self):
         from repro.exec import ENGINE_NAMES
@@ -69,10 +70,13 @@ class TestEngineRegistry:
 
         assert validate_engine("superblock") == "superblock"
         assert validate_engine(None) is None
-        with pytest.raises(LaunchError, match="'fast' was removed.*superblock"):
-            validate_engine("fast")
-        with pytest.raises(AdmissionError, match="superblock"):
-            validate_engine("fast", error=AdmissionError)
+        for removed in ("fast", "parallel"):
+            with pytest.raises(LaunchError,
+                               match="'{}' was removed.*superblock".format(
+                                   removed)):
+                validate_engine(removed)
+            with pytest.raises(AdmissionError, match="superblock"):
+                validate_engine(removed, error=AdmissionError)
         with pytest.raises(LaunchError, match="warp"):
             validate_engine("warp")
         with pytest.raises(AdmissionError, match="required"):
@@ -88,7 +92,7 @@ class TestEnvelope:
         assert result.cu_cycles > 0
         assert result.warm_board is False
         assert result.board_key
-        assert result.engine in ("reference", "superblock", "parallel")
+        assert result.engine in ("reference", "superblock")
         assert len(result.launches) >= 1
         assert result.digests  # verified outputs were digested
         assert result.label.startswith("matrix_add_i32@")
@@ -101,8 +105,9 @@ class TestEnvelope:
         compiled = ExecutionRequest(benchmark="matrix_add_i32",
                                     params={"n": 16}, engine="superblock")
         assert executor.execute(compiled).engine == "superblock"
-        with pytest.raises(LaunchError, match="superblock"):
-            ExecutionRequest(benchmark="matrix_add_i32", engine="fast")
+        for removed in ("fast", "parallel"):
+            with pytest.raises(LaunchError, match="superblock"):
+                ExecutionRequest(benchmark="matrix_add_i32", engine=removed)
 
     def test_profile_attaches_counters(self):
         result = Executor().execute(ExecutionRequest(

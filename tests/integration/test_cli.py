@@ -128,6 +128,16 @@ class TestValidateAndRun:
                 entry["instructions"] / entry["energy_joules"])
         assert payload["configs"]["baseline"]["speedup_vs_baseline"] == 1.0
 
+    @pytest.mark.parametrize("engine", ["fast", "parallel"])
+    @pytest.mark.parametrize("command", [["run", "matrix_add_i32"],
+                                         ["serve"]])
+    def test_removed_engine_rejected(self, command, engine, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--engine", engine])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert repr(engine) in err and "superblock" in err
+
 
 class TestProfile:
     def test_table_output(self, capsys):

@@ -30,8 +30,11 @@ class TestJob:
     def test_bad_engine_rejected(self):
         with pytest.raises(AdmissionError, match="launch engine"):
             Job("x", engine="turbo")
-        with pytest.raises(AdmissionError, match="'fast' was removed.*superblock"):
-            Job("x", engine="fast")
+        for removed in ("fast", "parallel"):
+            with pytest.raises(AdmissionError,
+                               match="'{}' was removed.*superblock".format(
+                                   removed)):
+                Job("x", engine=removed)
 
     def test_bad_memory_size_rejected(self):
         with pytest.raises(AdmissionError, match="global_mem_size"):

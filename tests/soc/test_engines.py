@@ -1,4 +1,4 @@
-"""Launch engines: resolution, equivalence, sampling, fallback."""
+"""Launch engines: resolution, multi-CU equivalence, sampling."""
 
 import numpy as np
 import pytest
@@ -56,10 +56,10 @@ class TestEngineResolution:
         _, result, _ = launch_copy(ArchConfig.baseline())
         assert result.engine == "superblock"
 
-    def test_auto_is_parallel_on_covered_multi_cu(self):
+    def test_auto_is_superblock_on_multi_cu(self):
         _, result, _ = launch_copy(
             ArchConfig.baseline().with_parallelism(num_cus=2))
-        assert result.engine == "parallel"
+        assert result.engine == "superblock"
 
     def test_observer_forces_reference(self):
         gpu = Gpu(ArchConfig.baseline())
@@ -76,65 +76,54 @@ class TestEngineResolution:
         assert gpu.launch(assemble(COPY), (512,), (64,)).engine == "reference"
 
     def test_engines_constant(self):
-        assert ENGINES == ("reference", "superblock", "parallel")
+        assert ENGINES == ("reference", "superblock")
 
-    def test_removed_fast_engine_names_superblock(self):
+    @pytest.mark.parametrize("engine", ["fast", "parallel"])
+    def test_removed_engine_names_superblock(self, engine):
         gpu = Gpu(ArchConfig.baseline())
         setup_copy(gpu)
-        with pytest.raises(LaunchError, match="'fast' was removed.*superblock"):
-            gpu.launch(assemble(COPY), (512,), (64,), engine="fast")
+        with pytest.raises(LaunchError,
+                           match="'{}' was removed.*superblock".format(engine)):
+            gpu.launch(assemble(COPY), (512,), (64,), engine=engine)
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", ["superblock", "parallel"])
-    def test_bit_identical_to_reference(self, engine):
+    """Multi-CU launches run serially on either engine; the compiled
+    one must match the reference bit for bit."""
+
+    def test_bit_identical_to_reference(self):
         arch = ArchConfig.baseline().with_parallelism(num_cus=2)
         _, ref, ref_out = launch_copy(arch, engine="reference")
-        _, res, out = launch_copy(arch, engine=engine)
-        assert res.engine == engine
+        _, res, out = launch_copy(arch, engine="superblock")
+        assert res.engine == "superblock"
         assert np.array_equal(ref_out, out)
         assert res.cu_cycles == ref.cu_cycles
         assert res.stats.instructions == ref.stats.instructions
 
-    def test_parallel_merged_stats_equal_reference_sum(self):
-        """The parallel engine's merged stats must equal the serial
-        merge of per-workgroup stats -- same totals, same breakdowns."""
+    def test_merged_stats_equal_reference(self):
+        """Per-workgroup stats merged across CUs must equal the
+        reference merge -- same totals, same breakdowns."""
         arch = ArchConfig.baseline().with_parallelism(num_cus=3)
-        _, ref, _ = launch_copy(arch, engine="reference")
-        _, par, _ = launch_copy(arch, engine="parallel")
-        assert par.stats.cycles == ref.stats.cycles
-        assert par.stats.instructions == ref.stats.instructions
-        assert par.stats.per_unit == ref.stats.per_unit
-        assert par.stats.per_name == ref.stats.per_name
-        assert par.stats.wavefronts == ref.stats.wavefronts
-        assert par.stats.memory_accesses == ref.stats.memory_accesses
+        ref_gpu, ref, _ = launch_copy(arch, engine="reference")
+        gpu, res, _ = launch_copy(arch, engine="superblock")
+        assert res.stats.cycles == ref.stats.cycles
+        assert res.stats.instructions == ref.stats.instructions
+        assert res.stats.per_unit == ref.stats.per_unit
+        assert res.stats.per_name == ref.stats.per_name
+        assert res.stats.wavefronts == ref.stats.wavefronts
+        assert res.stats.memory_accesses == ref.stats.memory_accesses
+        assert gpu.memory.stats == ref_gpu.memory.stats
 
     def test_register_capture_matches_across_engines(self):
         arch = ArchConfig.baseline().with_parallelism(num_cus=2)
-        _, ref, _ = launch_copy(arch, engine="superblock",
+        _, ref, _ = launch_copy(arch, engine="reference",
                                 collect_registers=True)
-        _, par, _ = launch_copy(arch, engine="parallel",
+        _, res, _ = launch_copy(arch, engine="superblock",
                                 collect_registers=True)
-        assert ref.registers is not None and par.registers is not None
-        assert set(ref.registers) == set(par.registers)
+        assert ref.registers is not None and res.registers is not None
+        assert set(ref.registers) == set(res.registers)
         for key in ref.registers:
-            assert ref.registers[key] == par.registers[key]
-
-
-class TestParallelFallback:
-    def test_relay_traffic_rolls_back_to_superblock(self):
-        """On a board whose accesses miss the prefetch memory, the
-        parallel engine must roll back and the serial rerun must
-        produce the reference result."""
-        arch = ArchConfig.dcd().with_parallelism(num_cus=2)
-        _, ref, ref_out = launch_copy(arch, engine="reference")
-        gpu, res, out = launch_copy(arch, engine="parallel")
-        assert res.engine == "superblock"  # rolled back, re-ran serially
-        assert np.array_equal(ref_out, out)
-        assert res.cu_cycles == ref.cu_cycles
-        assert res.stats.instructions == ref.stats.instructions
-        assert gpu.memory.stats == launch_copy(arch, engine="reference")[0] \
-            .memory.stats
+            assert ref.registers[key] == res.registers[key]
 
 
 class TestSamplingSelection:
