@@ -28,8 +28,7 @@ from . import vector
 from .wavefront import MASK32, MASK64
 
 # The wavefront-wide vector cores live in repro.cu.vector; the names
-# below are this module's historical spellings, kept because the
-# prepared-plan closures and superblock codegen resolve them here.
+# below are this module's local spellings of them.
 VBIN_IMPL = vector.VBIN_IMPL
 VUN_IMPL = vector.VUN_IMPL
 VTRI_IMPL = vector.VTRI_IMPL

@@ -26,8 +26,8 @@ from ..obs.events import InstructionIssue, Span, Stall, WavefrontStep
 from . import lsu, operations
 from .prepared import get_prepared
 from .timing import (KIND_ALU, KIND_ENDPGM, KIND_MEMORY, KIND_WAITCNT,
-                     DEFAULT_TIMING, UnitPool, acquire_slot,
-                     get_timing_table, step_advance)
+                     DEFAULT_TIMING, UnitPool, get_timing_table,
+                     step_advance)
 
 _WAITCNT_VM_MASK = 0xF
 _WAITCNT_LGKM_SHIFT = 8
@@ -370,16 +370,20 @@ class ComputeUnit:
         bit of final state, stats or cycles is a bug (and is what the
         ``superblock`` oracle hunts for).
 
-        Straight-line ALU runs compiled by :mod:`repro.cu.superblock`
-        execute fused -- one ``step_advance`` over the block's static
-        cost rows plus one batched semantics call -- when the picked
-        wavefront is the sole schedulable candidate (so no
-        interleaving decision is skipped) and the whole block fits the
-        instruction budget (so budget errors raise at the exact
-        per-instruction point).  Every other instruction issues from
-        its prepared plan.  Blocks are disabled entirely when the
-        architecture lacks an instruction of the program, so a
-        scratched instruction raises at its exact issue slot.
+        Each issue takes one of two paths.  A wavefront at the head of
+        a superblock (:mod:`repro.cu.superblock`) runs the whole block
+        as one fused call -- one ``step_advance`` over the block's
+        static cost rows plus its ``sem_all`` -- when it is the sole
+        schedulable candidate (so no interleaving decision is skipped;
+        nothing inside a block changes liveness, barrier state or EXEC)
+        and the whole block fits the instruction budget (so budget
+        errors raise at the exact per-instruction point).  Every other
+        instruction -- block members included, when several wavefronts
+        compete or entry is mid-block -- issues from its prepared plan,
+        so each effect lands at its own issue slot as in the reference.
+        Blocks are disabled entirely when the architecture lacks an
+        instruction of the program, so a scratched instruction raises
+        at its exact issue slot.
         """
         prepared = get_prepared(wavefronts[0].program, self.timing)
         bad = prepared.restrictions(self)
@@ -403,20 +407,12 @@ class ComputeUnit:
         lsu_base = self.timing.lsu_cycles
         endpgm_cycles = self.timing.endpgm_cycles
 
-        blocks = None
+        blocks = prepared.superblocks() if bad is None else None
         sb_counts = {}
-        sb_pending = {}  # wavefront -> first unflushed block offset
-        if bad is None:
-            blocks = prepared.superblocks()
         if blocks is not None:
-            busy_salu = pools[FunctionalUnit.SALU].busy_until
-            busy_branch = pools[FunctionalUnit.BRANCH].busy_until
-            busy_simd = pools[FunctionalUnit.SIMD].busy_until
-            busy_simf = pools[FunctionalUnit.SIMF].busy_until
-            simd_multi = len(busy_simd) > 1
-            simf_multi = len(busy_simf) > 1
-            busy_lists = (busy_salu, busy_branch, busy_simd, busy_simf)
-            _gang_acq = acquire_slot
+            busy_lists = tuple(pools[unit].busy_until for unit in (
+                FunctionalUnit.SALU, FunctionalUnit.BRANCH,
+                FunctionalUnit.SIMD, FunctionalUnit.SIMF))
 
         live = list(wavefronts)
         while live:
@@ -441,101 +437,27 @@ class ComputeUnit:
             rr += 1
             wf = best
 
-            if blocks is not None and (entry := blocks.get(wf.pc)) is not None:
-                blk = entry[0]
-                if n == 1 and entry[1] == 0 \
-                        and issued + blk.count <= max_instructions:
-                    # Sole schedulable candidate: no other wavefront
-                    # can interleave, and a fused ALU run cannot change
-                    # that (no barrier/endpgm/EXEC writes inside a
-                    # block), so the whole run executes as one call.
-                    # The reference would advance the round-robin
-                    # cursor once per pick.
-                    ready = wf.ready_at
-                    start = ready if ready > decode_free else decode_free
-                    fe_done, done = step_advance(blk.steps, start,
-                                                 busy_lists)
-                    blk.sem_all(wf)
-                    decode_free = fe_done
-                    wf.pc = blk.end_pc
-                    wf.instructions_executed += blk.count
-                    issued += blk.count
-                    rr += blk.count - 1
-                    wf.ready_at = done
-                    if done > finish_time:
-                        finish_time = done
-                    wf.stall_cause = ("fu-busy"
-                                      if done - blk.last_occ > fe_done
-                                      else "operand-dep")
-                    sb_counts[blk.head] = sb_counts.get(blk.head, 0) + 1
-                    continue
-                # Deferred-semantics step: issue this block instruction
-                # from its precompiled (frontend, occupancy, pool) cost
-                # triple -- block timing is data-independent -- and
-                # postpone its register effects to the block-end flush
-                # through the range-guarded ``sem`` function.  Exact:
-                # the timing arithmetic below is the per-instruction
-                # ALU path verbatim; a wavefront's own flush always
-                # precedes its next non-block instruction (program
-                # order), and ALU instructions of distinct wavefronts
-                # touch disjoint state, so interleaved picks commute
-                # with the deferred flush (see repro.cu.superblock).
-                # On an aborting exception (budget, memory fault in
-                # another wavefront) pending effects stay unflushed;
-                # every abort path discards board state and compares
-                # error messages only, and the faulting instruction's
-                # own wavefront is always fully flushed, so the raise
-                # point and message match the reference exactly.
-                issued += 1
-                if issued > max_instructions:
-                    raise SimulationError(
-                        "instruction budget exceeded (kernel stuck in a loop?)"
-                    )
-                k = entry[1]
-                fe, occ, pid = blk.steps[k]
+            if n == 1 and blocks is not None \
+                    and (blk := blocks.get(wf.pc)) is not None \
+                    and issued + blk.count <= max_instructions:
+                # The reference would advance the round-robin cursor
+                # once per pick.
                 ready = wf.ready_at
                 start = ready if ready > decode_free else decode_free
-                fe_done = start + fe
+                fe_done, done = step_advance(blk.steps, start, busy_lists)
+                blk.sem_all(wf)
                 decode_free = fe_done
-                if pid == 2:
-                    if simd_multi:
-                        done = _gang_acq(busy_simd, fe_done, occ)
-                    else:
-                        b = busy_simd[0]
-                        done = (fe_done if fe_done > b else b) + occ
-                        busy_simd[0] = done
-                elif pid == 0:
-                    b = busy_salu[0]
-                    done = (fe_done if fe_done > b else b) + occ
-                    busy_salu[0] = done
-                elif pid == 3:
-                    if simf_multi:
-                        done = _gang_acq(busy_simf, fe_done, occ)
-                    else:
-                        b = busy_simf[0]
-                        done = (fe_done if fe_done > b else b) + occ
-                        busy_simf[0] = done
-                else:
-                    b = busy_branch[0]
-                    done = (fe_done if fe_done > b else b) + occ
-                    busy_branch[0] = done
-                k += 1
-                wf.pc = blk.addrs[k]
-                wf.instructions_executed += 1
+                wf.pc = blk.end_pc
+                wf.instructions_executed += blk.count
+                issued += blk.count
+                rr += blk.count - 1
                 wf.ready_at = done
                 if done > finish_time:
                     finish_time = done
-                wf.stall_cause = ("fu-busy" if done - occ > fe_done
+                wf.stall_cause = ("fu-busy"
+                                  if done - blk.last_occ > fe_done
                                   else "operand-dep")
-                k0 = sb_pending.setdefault(wf, k - 1)
-                if k == blk.count:
-                    del sb_pending[wf]
-                    blk.sem(wf, k0, k)
-                    idxs = blk.indices
-                    for i in range(k0, k):
-                        counts[idxs[i]] += 1
-                    for unit, cum in blk.cum_busy:
-                        pools[unit].busy_cycles += cum[k] - cum[k0]
+                sb_counts[blk] = sb_counts.get(blk, 0) + 1
                 continue
 
             plan = by_address.get(wf.pc)
@@ -624,11 +546,10 @@ class ComputeUnit:
                 if workgroup.arrive_at_barrier():
                     self._release(workgroup, barrier_waiters)
 
-        for head, times in sb_counts.items():
+        for blk, times in sb_counts.items():
             # Fold block executions into the per-plan issue counts and
             # the pool utilisation counters (integer occupancies, so
             # the deferred sum is exact regardless of order).
-            blk = blocks[head][0]
             for index in blk.indices:
                 counts[index] += times
             for unit, total in blk.busy_totals:

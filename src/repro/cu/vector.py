@@ -13,8 +13,8 @@ Three layers live here:
 
 * **Array cores** (``VBIN_IMPL`` / ``VUN_IMPL`` / ``VTRI_IMPL`` /
   ``VCMP_IMPL``) plus the packed-mask and carry-chain helpers — these
-  are what :mod:`repro.cu.operations`, the prepared-plan closures and
-  the superblock codegen execute.
+  are what :mod:`repro.cu.operations` and the code emitted by
+  :mod:`repro.cu.superblock` execute.
 * **A per-lane scalar interpreter** (:func:`execute_lanewise`) that
   re-implements every vectorized opcode with Python-int / NumPy-scalar
   arithmetic, one lane at a time, writing only EXEC-enabled lanes.  It
@@ -29,7 +29,7 @@ Three layers live here:
 Why the helpers avoid 64-bit widening: ``a + b`` on uint32 wraps, and
 the carry-out is recoverable as ``result < a`` (with a carry-in, the
 two increments cannot both wrap, so OR-ing the two comparisons is the
-exact 33-bit carry).  That keeps the hot closures on 32-bit arrays.
+exact 33-bit carry).  That keeps the hot executors on 32-bit arrays.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ def run_microbench(source, prime=None, lds=0, memory_image=None):
     before execution; ``memory_image`` seeds global-memory words.
 
     Always runs the reference interpreter: validation must observe the
-    live operations tables, not plan closures bound at prepare time.
+    live operations tables, not plan executors compiled at prepare time.
     """
     text = (".vgprs 8\n" + (".lds {}\n".format(lds) if lds else "")
             + source + "\n  s_endpgm")

@@ -30,7 +30,9 @@ boundary.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+import threading
+from concurrent.futures import (BrokenExecutor, Future, ProcessPoolExecutor,
+                                ThreadPoolExecutor)
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -165,6 +167,7 @@ class WorkerPool:
         # and a pool-private executor keeps warm-board state from
         # leaking between services (tests build many).
         self._exec = Executor() if mode != "process" else None
+        self._lock = threading.Lock()
         if mode == "process":
             self._executor = ProcessPoolExecutor(max_workers=workers)
         elif mode == "thread":
@@ -176,7 +179,18 @@ class WorkerPool:
     def submit(self, payload: JobPayload) -> Future:
         """Dispatch one payload; returns a future of the result dict."""
         if self.mode == "process":
-            return self._executor.submit(_execute_in_process, payload)
+            with self._lock:
+                try:
+                    return self._executor.submit(_execute_in_process, payload)
+                except BrokenExecutor:
+                    # A worker process died (killed, out of memory): the
+                    # executor stays broken for good, so replace it --
+                    # with cold boards -- instead of failing every later
+                    # job.  Its in-flight jobs already failed.
+                    self._executor.shutdown(wait=False)
+                    self._executor = ProcessPoolExecutor(
+                        max_workers=self.workers)
+                    return self._executor.submit(_execute_in_process, payload)
         if self.mode == "thread":
             return self._executor.submit(_run_payload, self._exec, payload)
         future = Future()

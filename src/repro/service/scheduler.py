@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import BrokenExecutor
 from functools import partial
 
 from ..core.config import ArchConfig
@@ -227,7 +228,16 @@ class KernelService:
                 ticket.job.timeout_s, self._on_timeout, args=(ticket,))
             ticket.timer.daemon = True
             ticket.timer.start()
-        future = self.pool.submit(payload)
+        try:
+            future = self.pool.submit(payload)
+        except Exception as exc:  # never let a submit error kill dispatch
+            self._settle(ticket, JobResult(
+                ticket.job_id, ticket.job, JobStatus.FAILED,
+                error="{}: {}".format(type(exc).__name__, exc),
+                attempts=ticket.attempts,
+                preemptions=ticket.preemptions,
+                latency_s=self._latency(ticket)))
+            return
         ticket.future = future
         future.add_done_callback(partial(self._on_done, ticket))
 
@@ -251,6 +261,11 @@ class KernelService:
             if ticket.settled:
                 return
         exc = future.exception()
+        if isinstance(exc, BrokenExecutor):
+            # The worker process died mid-job; the pool replaces it on
+            # the next submit.
+            exc = ServiceError("worker process died while running job "
+                               "{}: {}".format(ticket.job_id, exc))
         if exc is not None:
             outcome = {"ok": False, "error": str(exc),
                        "error_type": type(exc).__name__}

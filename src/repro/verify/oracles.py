@@ -385,12 +385,12 @@ def check_case(case, multi_cus=2, oracles=None):
         reference_runs[oracle] = snap
         _compare(oracle, ref, snap, failures, cycles=cycles)
 
-    # The compiled-engine equivalence claim: prepared plans and fused
-    # straight-line ALU runs (deferred-semantics flushes included) must
-    # not change a single byte, register, instruction or cycle against
-    # the observed reference run on the same board -- the baseline, the
-    # architecture trimmed for the case, and a multi-CU board (run
-    # serially, one workgroup at a time, like every launch).
+    # The compiled-engine equivalence claim: emitted plan executors and
+    # fused straight-line ALU runs must not change a single byte,
+    # register, instruction or cycle against the observed reference run
+    # on the same board -- the baseline, the architecture trimmed for
+    # the case, and a multi-CU board (run serially, one workgroup at a
+    # time, like every launch).
     if want("superblock"):
         boards = [("baseline", baseline)]
         if trimmed is not None:

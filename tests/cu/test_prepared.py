@@ -5,7 +5,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core.config import ArchConfig
-from repro.cu import prepared
+from repro.cu import superblock
 from repro.cu.prepared import (
     clear_prepared_cache,
     get_prepared,
@@ -14,6 +14,7 @@ from repro.cu.prepared import (
     prepared_cache_stats,
     set_prepared_cache_capacity,
 )
+from repro.isa.formats import Format
 from repro.runtime.device import SoftGpu
 
 ADD = """
@@ -233,10 +234,10 @@ class TestNoSilentFallbacks:
         """A specializer crash is a bug: it must fail loudly instead of
         degrading to the generic dispatcher closure.  "Cannot
         specialize" is an explicit ``None`` return, not an exception."""
-        def boom(inst):
+        def boom(inst, k, ns, uses):
             raise RuntimeError("specializer bug")
 
-        monkeypatch.setattr(prepared, "_build_vector", boom)
+        monkeypatch.setitem(superblock._EMITTERS, Format.VOP2, boom)
         clear_prepared_cache()
         source = ADD.format(imm=5)
         with pytest.raises(RuntimeError, match="specializer bug"):

@@ -1,16 +1,21 @@
 """Superblock formation, compilation caching and engine exactness."""
 
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from repro.asm import assemble
 from repro.core.config import ArchConfig
-from repro.cu import superblock
-from repro.cu.prepared import PreparedProgram, clear_prepared_cache, \
-    get_prepared, lookup_prepared
-from repro.cu.superblock import MIN_BLOCK, build_superblocks
+from repro.cu.prepared import KIND_ALU, PreparedProgram, \
+    clear_prepared_cache, get_prepared, lookup_prepared
+from repro.cu.superblock import MIN_BLOCK
+from repro.cu.wavefront import Wavefront
 from repro.errors import LaunchPreempted, SimulationError
 from repro.runtime.device import SoftGpu
+
+from .test_vector_conformance import EXEC_MASKS
 
 
 @pytest.fixture(autouse=True)
@@ -72,8 +77,8 @@ TINY = """
   s_endpgm
 """
 
-# A runnable multi-wavefront kernel whose loop body is a superblock,
-# so wavefronts phase-stagger through blocks (the deferred-flush path).
+# A runnable multi-wavefront kernel whose loop body is a superblock;
+# while several wavefronts compete, block members issue from plans.
 LOOPY = """
 .kernel loopy
 .arg inp buffer
@@ -106,19 +111,19 @@ _BREAKERS = ("s_waitcnt", "s_barrier", "s_endpgm", "s_cbranch_scc1",
 
 def _blocks(source):
     ps = get_prepared(assemble(source))
-    return ps, build_superblocks(ps)
+    return ps, ps.superblocks() or {}
 
 
 def _head_counts(blocks):
-    return {blk.head: blk.count for blk, off in blocks.values() if off == 0}
+    return {blk.head: blk.count for blk in blocks.values()}
 
 
 class TestBlockFormation:
     def test_waitcnt_and_barrier_split_runs(self):
         ps, blocks = _blocks(SPLITS)
         assert sorted(_head_counts(blocks).values()) == [2, 2, 3]
-        for blk, _ in blocks.values():
-            names = {ps.by_address[a].name for a in blk.addrs[:-1]}
+        for blk in blocks.values():
+            names = {ps.plans[i].name for i in blk.indices}
             assert not names.intersection(_BREAKERS)
 
     def test_branch_target_splits_a_run(self):
@@ -135,24 +140,30 @@ class TestBlockFormation:
         assert sorted(_head_counts(blocks).values()) == [2, 3]
         excluded = {p.address for p in ps.plans
                     if p.name in ("s_and_saveexec_b64", "s_mov_b64")}
-        assert not excluded.intersection(blocks)
+        members = {ps.plans[i].address
+                   for blk in blocks.values() for i in blk.indices}
+        assert not excluded.intersection(members)
 
     def test_min_block_floor(self):
         assert MIN_BLOCK == 2
         ps = get_prepared(assemble(TINY))
         assert ps.superblocks() is None
 
-    def test_every_in_block_address_mapped(self):
+    def test_block_table_maps_heads_only(self):
         ps, blocks = _blocks(LOOPY)
         assert blocks
-        for blk, off in set(blocks.values()):
-            assert blocks[blk.addrs[off]] == (blk, off)
-            assert blk.addrs[blk.count] == blk.end_pc
+        for head, blk in blocks.items():
+            assert head == blk.head == ps.plans[blk.indices[0]].address
+            last = ps.plans[blk.indices[-1]]
+            assert blk.end_pc == last.address + last.pc_step
+            assert blk.indices == tuple(range(blk.indices[0],
+                                              blk.indices[0] + blk.count))
             assert len(blk.steps) == blk.count
-            assert len(blk.addrs) == blk.count + 1
-            for unit, cum in blk.cum_busy:
-                assert len(cum) == blk.count + 1
-                assert cum[blk.count] == dict(blk.busy_totals)[unit]
+            totals = {}
+            for i in blk.indices:
+                plan = ps.plans[i]
+                totals[plan.unit] = totals.get(plan.unit, 0) + plan.occupancy
+            assert dict(blk.busy_totals) == totals
 
 
 class TestCompilationCache:
@@ -186,15 +197,16 @@ class TestCompilationCache:
         assert seen[0][1] is not None
         assert all(blocks is seen[0][1] for _, blocks in seen)
 
-    def test_dump_knob_writes_sources(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(superblock._DUMP_ENV, str(tmp_path))
+    def test_module_source_kept_on_prepared(self):
+        # One generated module per program: an executor per ALU plan
+        # and a function per block, kept on the prepared program.
         ps = get_prepared(assemble(SPLITS))
-        blocks = build_superblocks(ps)
-        files = sorted(tmp_path.glob("*.py"))
-        assert len(files) == len(_head_counts(blocks))
-        text = files[0].read_text()
-        assert "def _superblock_sem_all(" in text
-        assert "def _superblock_sem(" in text
+        alu = [p for p in ps.plans if p.kind == KIND_ALU]
+        for plan in alu:
+            assert "def _plan%d(wf):" % plan.index in ps.source
+        for blk in ps.superblocks().values():
+            assert "def _block%d(wf):" % blk.indices[0] in ps.source
+        assert ps.source.count("def ") == len(alu) + len(ps.superblocks())
 
 
 def _run(program, engine, n=384, local=192, arch=None, **kwargs):
@@ -208,7 +220,7 @@ def _run(program, engine, n=384, local=192, arch=None, **kwargs):
 
 
 class TestEngineExactness:
-    def test_multi_wavefront_deferred_flush_bit_identical(self):
+    def test_multi_wavefront_plan_issue_bit_identical(self):
         program = assemble(LOOPY)
         ref, ref_out, _ = _run(program, "reference")
         sb, sb_out, _ = _run(program, "superblock")
@@ -259,3 +271,78 @@ class TestEngineExactness:
         assert np.array_equal(device.read(out), ref_out)
         assert result.cu_cycles == ref.cu_cycles
         assert result.stats.instructions == ref.stats.instructions
+
+
+def _suite_programs():
+    from repro.kernels import APPSDK_SUITE, EVALUATION_SUITE
+    programs = {}
+    for cls in list(EVALUATION_SUITE) + list(APPSDK_SUITE):
+        for program in cls().programs():
+            programs[program.content_key()] = program
+    return list(programs.values())
+
+
+CORPUS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), "..", "verify", "corpus", "*.s")))
+
+
+def _random_wavefront(program, rng, exec_mask):
+    wf = Wavefront(0, program)
+    wf.sgprs[:] = rng.integers(0, 1 << 32, wf.sgprs.shape, dtype=np.uint32)
+    wf.vgprs[:] = rng.integers(0, 1 << 32, wf.vgprs.shape, dtype=np.uint32)
+    wf.vcc = int(rng.integers(0, 1 << 63)) << 1 | int(rng.integers(0, 2))
+    wf.scc = int(rng.integers(0, 2))
+    wf.m0 = int(rng.integers(0, 1 << 32))
+    wf.exec_mask = exec_mask
+    return wf
+
+
+def _arch_state(wf):
+    return (wf.sgprs.tobytes(), wf.vgprs.tobytes(), wf.vcc, wf.scc,
+            wf.exec_mask, wf.m0, wf.pc)
+
+
+class TestBlockEqualsPlans:
+    """A block function is its plans' lines under one shared prelude:
+    running it must equal running the member plans' executors in
+    order, from any register state."""
+
+    @pytest.mark.parametrize("mask_id,exec_mask", EXEC_MASKS,
+                             ids=[m[0] for m in EXEC_MASKS])
+    def test_suite_and_corpus_blocks(self, mask_id, exec_mask):
+        programs = _suite_programs() + [assemble(open(path).read())
+                                        for path in CORPUS]
+        rng = np.random.default_rng(17)
+        checked = 0
+        for program in programs:
+            ps = get_prepared(program)
+            for blk in (ps.superblocks() or {}).values():
+                seed = int(rng.integers(0, 1 << 31))
+                fused = _random_wavefront(
+                    program, np.random.default_rng(seed), exec_mask)
+                stepped = _random_wavefront(
+                    program, np.random.default_rng(seed), exec_mask)
+                with np.errstate(all="ignore"):
+                    blk.sem_all(fused)
+                    for index in blk.indices:
+                        ps.plans[index].exec_fn(stepped)
+                assert _arch_state(fused) == _arch_state(stepped), (
+                    "{}: block at 0x{:x} diverges from its plans [{}]"
+                    .format(program.name, blk.head, mask_id))
+                checked += 1
+        assert checked > 200
+
+
+class TestSpecializationCoverage:
+    def test_every_suite_alu_plan_is_emitted(self):
+        # Tripwire: no benchmark ALU instruction falls back to the
+        # generic dispatcher.
+        total, generic = 0, []
+        for program in _suite_programs():
+            for plan in get_prepared(program).plans:
+                if plan.kind == KIND_ALU:
+                    total += 1
+                    if not plan.specialized:
+                        generic.append((program.name, plan.name))
+        assert total > 1000
+        assert generic == []

@@ -3,7 +3,7 @@
 Every opcode in ``repro.cu.vector.VECTOR_OPS`` is executed three ways
 on wavefronts packed with edge-value operands -- the per-lane golden
 model (``execute_lanewise``, the scalar interpreter), the array VALU
-path (``operations.execute``) and the prepared-plan specialized
+path (``operations.execute``) and the prepared plan's emitted
 executor -- under full, empty, alternating and single-lane EXEC
 masks.  All three must agree bit-for-bit on every VGPR, VCC, SCC and
 EXEC, and inactive destination lanes must keep their sentinel.
@@ -157,9 +157,10 @@ def test_registry_covers_every_encoding():
 
 
 def test_every_registry_line_assembles_specialized():
-    """Every registry template assembles and gets a specialized
-    (non-fallback) prepared executor -- the fast engine never silently
-    drops back to the generic dispatcher for a vectorized opcode."""
+    """Every registry template assembles and gets an emitted
+    (non-fallback) prepared executor -- the compiled engine never
+    silently drops back to the generic dispatcher for a vectorized
+    opcode."""
     for name in sorted(VECTOR_OPS):
         plan = get_prepared(_program_for(name)).plans[0]
         assert plan.exec_fn is not None, name

@@ -115,6 +115,28 @@ class TestProcessPool:
         import os
         assert os.getpid() not in workers
 
+    def test_killed_worker_fails_its_job_and_the_next_job_completes(self):
+        import os
+        import signal
+        import time
+
+        with KernelService(workers=1, mode="process") as svc:
+            doomed = svc.submit(Job("matrix_mul_i32", {"n": 64},
+                                    config="baseline"))
+            deadline = time.monotonic() + 60
+            while not svc.pool._executor._processes:
+                assert time.monotonic() < deadline, "worker never started"
+                time.sleep(0.005)
+            for pid in list(svc.pool._executor._processes):
+                os.kill(pid, signal.SIGKILL)
+            failed = svc.result(doomed, timeout=60)
+            assert failed.status is JobStatus.FAILED
+            assert failed.error.startswith("ServiceError: worker process died")
+            after = svc.submit(Job("matrix_add_i32", {"n": 32},
+                                   config="trimmed"))
+            result = svc.result(after, timeout=120)
+        assert result.status is JobStatus.DONE, result.error
+
 
 class TestAdmission:
     def test_unknown_benchmark_rejected(self):

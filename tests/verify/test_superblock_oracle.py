@@ -51,26 +51,20 @@ class TestEngineEquivalenceOnCorpus:
 
 class TestOracleCatchesDivergence:
     def test_wrong_block_semantics_detected(self, monkeypatch):
-        """Corrupt the compiled blocks (both execution regimes) and
-        check the oracle reports it (the gate actually gates)."""
-        real_compile = superblock._compile_block
+        """Corrupt the compiled block functions and check the oracle
+        reports it (the gate actually gates)."""
+        real_build = superblock.build_superblocks
 
-        def skewed(run):
-            blk = real_compile(run)
-            real_sem_all, real_sem = blk.sem_all, blk.sem
+        def skewed(ps):
+            blocks, source = real_build(ps)
+            for blk in blocks.values():
+                def wrong(wf, _real=blk.sem_all):
+                    _real(wf)
+                    wf.scc = (wf.scc or 0) ^ 1
+                blk.sem_all = wrong
+            return blocks, source
 
-            def wrong_sem_all(wf):
-                real_sem_all(wf)
-                wf.scc = (wf.scc or 0) ^ 1
-
-            def wrong_sem(wf, k0, k1):
-                real_sem(wf, k0, k1)
-                wf.scc = (wf.scc or 0) ^ 1
-
-            blk.sem_all, blk.sem = wrong_sem_all, wrong_sem
-            return blk
-
-        monkeypatch.setattr(superblock, "_compile_block", skewed)
+        monkeypatch.setattr(prepared, "build_superblocks", skewed)
         case = generate_case(0)
         failures = check_case(case, oracles=("superblock",))
         assert failures, "oracle missed an injected superblock bug"
@@ -78,24 +72,24 @@ class TestOracleCatchesDivergence:
 
     def test_wrong_plan_semantics_detected(self, monkeypatch):
         """Corrupt one per-instruction plan executor -- code the
-        superblock engine runs for every instruction outside a block --
-        and check the oracle reports it."""
-        real_build = prepared._build_vector
+        superblock engine runs for every instruction outside a fused
+        block -- and check the oracle reports it."""
+        real_build = superblock.build_superblocks
 
-        def skewed(inst):
-            fn = real_build(inst)
-            if fn is None or inst.spec.name != "v_mul_i32_i24":
-                return fn
+        def skewed(ps):
+            built = real_build(ps)
+            for plan in ps.plans:
+                if plan.name == "v_mul_i32_i24":
+                    def wrong(wf, _real=plan.exec_fn):
+                        _real(wf)
+                        # Corrupt one architectural bit after the real
+                        # op; no later instruction writes SCC, so the
+                        # flip survives to the final register snapshot.
+                        wf.scc = (wf.scc or 0) ^ 1
+                    plan.exec_fn = wrong
+            return built
 
-            def wrong(wf):
-                fn(wf)
-                # Corrupt one architectural bit after the real op; no
-                # later instruction writes SCC, so the flip survives to
-                # the final register snapshot.
-                wf.scc = (wf.scc or 0) ^ 1
-            return wrong
-
-        monkeypatch.setattr(prepared, "_build_vector", skewed)
+        monkeypatch.setattr(prepared, "build_superblocks", skewed)
         # Seed 2's case issues its one v_mul_i32_i24 alone between an
         # s_waitcnt and a branch -- too short a run for a block, so it
         # executes through its plan.
