@@ -5,7 +5,7 @@ simulator computes; this package pins down *how fast* the host computes
 it.  It measures three things:
 
 * simulated-instructions-per-second per kernel, for the reference
-  interpreter and the compiled (superblock) launch engine,
+  interpreter (timed observed) and the compiled (superblock) loop,
 * end-to-end launch makespan (wall clock per full benchmark run),
 * service job throughput and latency percentiles.
 

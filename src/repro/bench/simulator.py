@@ -2,16 +2,18 @@
 
 Each kernel is run end to end (prepare -> preload -> execute) through
 the :mod:`repro.exec` layer -- warm-board leasing included, exactly
-like production callers -- once per engine:
+like production callers -- once per CU issue loop:
 
-* ``reference``  -- the original interpreter loop,
+* ``reference``  -- the interpreter loop, which a launch runs whenever
+  an observer is attached; timed with a no-op
+  :class:`~repro.obs.Observer` attached, as every observed run is,
 * ``superblock`` -- the compiled loop (prepared plans plus fused
-  straight-line ALU runs; the ``auto`` default engine).
+  straight-line ALU runs) that every unobserved run takes.
 
 Reported per kernel: simulated instructions, simulated seconds
 (deterministic -- a change here is a model change, not a perf
-regression), wall-clock medians per engine, simulated-instructions-
-per-second on the superblock engine, and the machine-independent
+regression), wall-clock medians per loop, simulated-instructions-
+per-second on the superblock loop, and the machine-independent
 ``speedup_superblock_vs_reference`` ratio CI enforces.
 
 The payload also carries the ``cpi`` table: deterministic
@@ -25,6 +27,7 @@ from __future__ import annotations
 from ..core.config import ArchConfig
 from ..errors import ReproError
 from ..exec import ExecutionRequest, Executor
+from ..obs import Observer
 from .harness import measure
 
 #: Baseline file at the repo root (see docs/benchmarking.md).
@@ -50,7 +53,7 @@ SMOKE_KERNELS = ("scan_large_arrays", "prefix_sum")
 
 #: Benchmark problem sizes where they differ from the kernel's test
 #: default.  The headline matrix multiply runs at n=32 so the simulated
-#: work (not per-launch board setup, which both engines pay equally)
+#: work (not per-launch board setup, which both loops pay equally)
 #: dominates the wall clock being compared.
 BENCH_PARAMS = {
     "matrix_mul_i32": {"n": 32},
@@ -62,26 +65,30 @@ BENCH_PARAMS = {
 _BENCH_EXECUTOR = Executor()
 
 
-def _run_once(name, engine, verify=False):
-    """One full benchmark run through the exec layer; returns the result."""
+def _run_once(name, observed, verify=False):
+    """One full benchmark run through the exec layer; returns the result.
+
+    ``observed`` attaches a no-op observer, which runs the reference
+    loop; otherwise the run takes the compiled loop.
+    """
     return _BENCH_EXECUTOR.execute(ExecutionRequest(
         benchmark=name,
         params=BENCH_PARAMS.get(name, {}),
         arch=ArchConfig.baseline(),
-        engine=engine,
+        observers=(Observer(),) if observed else (),
         verify=verify,
     ))
 
 
 #: Minimum wall-clock per timed sample.  Kernels cheaper than this are
-#: batched (several full runs per sample, identical for both engines,
+#: batched (several full runs per sample, identical for both loops,
 #: samples normalised back to per-run) so the speedup ratio is not
 #: dominated by scheduler noise on millisecond runs.
 TARGET_SAMPLE_S = 0.05
 
 
 def bench_kernel(name, repeat=3, warmup=1):
-    """Benchmark one kernel across engines; returns a metrics dict."""
+    """Benchmark one kernel on both loops; returns a metrics dict."""
     import time
 
     from ..kernels import KERNELS
@@ -92,23 +99,23 @@ def bench_kernel(name, repeat=3, warmup=1):
 
     # One verified run up front: a benchmark of wrong outputs is
     # meaningless.  Also records the deterministic simulation metrics.
-    result = _run_once(name, "superblock", verify=True)
+    result = _run_once(name, observed=False, verify=True)
     instructions = result.instructions
     sim_seconds = result.seconds
 
     started = time.perf_counter()
-    _run_once(name, "reference")
+    _run_once(name, observed=True)
     probe = time.perf_counter() - started
     inner = max(1, min(25, int(round(TARGET_SAMPLE_S / max(probe, 1e-6)))))
 
-    def batched(engine):
+    def batched(observed):
         def run():
             for _ in range(inner):
-                _run_once(name, engine)
+                _run_once(name, observed)
         return run
 
-    reference = measure(batched("reference"), repeat=repeat, warmup=warmup)
-    superblock = measure(batched("superblock"), repeat=repeat, warmup=warmup)
+    reference = measure(batched(True), repeat=repeat, warmup=warmup)
+    superblock = measure(batched(False), repeat=repeat, warmup=warmup)
     for m in (reference, superblock):
         m.samples = [s / inner for s in m.samples]
         m.warmup_samples = [s / inner for s in m.warmup_samples]
@@ -132,7 +139,7 @@ def cpi_table(log=None):
     """Deterministic cycles-per-instruction per CPI microbenchmark.
 
     Each :data:`repro.kernels.cpi.CPI_SUITE` kernel runs once,
-    verified, on the superblock engine; the ratio of simulated CU
+    verified, on the superblock loop; the ratio of simulated CU
     cycles to executed instructions is exact and machine-independent,
     so the baseline comparison is equality, not a threshold.
     """
@@ -142,7 +149,7 @@ def cpi_table(log=None):
     table = {}
     for cls in CPI_SUITE:
         log("cpi {} ...".format(cls.name))
-        result = _run_once(cls.name, "superblock", verify=True)
+        result = _run_once(cls.name, observed=False, verify=True)
         table[cls.name] = {
             "instructions": result.instructions,
             "cu_cycles": result.cu_cycles,

@@ -45,7 +45,6 @@ from .core.histogram import InstructionMix
 from .core.parallelize import plan as plan_parallelism
 from .core.trimmer import TrimmingTool
 from .errors import ReproError
-from .exec import ENGINE_NAMES
 from .fpga.synthesis import Synthesizer
 from .obs.serialize import dump_json
 
@@ -191,12 +190,11 @@ def cmd_run(args):
         # pays the decode/prepare caches), then --repeat timed runs;
         # the median is reported.  Simulated metrics come from the
         # final run (they are deterministic across runs).
-        flow.run(arch, verify=not args.no_verify, engine=args.engine)
+        flow.run(arch, verify=not args.no_verify)
         samples = []
         for _ in range(args.repeat):
             started = time.perf_counter()
-            results[label] = flow.run(arch, verify=not args.no_verify,
-                                      engine=args.engine)
+            results[label] = flow.run(arch, verify=not args.no_verify)
             samples.append(time.perf_counter() - started)
         walls[label] = sorted(samples)[len(samples) // 2]
     reference = results[wanted[0]]
@@ -382,8 +380,7 @@ def cmd_serve(args):
     if args.jobs:
         jobs = load_jobs(args.jobs)
     else:
-        jobs = suite_jobs(config=args.config, verify=not args.no_verify,
-                          engine=args.engine)
+        jobs = suite_jobs(config=args.config, verify=not args.no_verify)
     with KernelService(workers=args.workers, mode=args.mode,
                        queue_depth=args.queue_depth) as service:
         service.submit_many(jobs)
@@ -495,9 +492,6 @@ def build_parser():
                    choices=("original", "dcd", "baseline", "trimmed",
                             "multicore", "multithread"))
     p.add_argument("--max-groups", type=int, default=None)
-    p.add_argument("--engine", default="auto", choices=ENGINE_NAMES,
-                   help="launch engine for every config (default auto: "
-                        "resolves per board)")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--json", action="store_true",
                    help="emit RunMetrics (incl. energy_joules, edp, ipj) "
@@ -555,7 +549,7 @@ def build_parser():
     p.add_argument("--smoke", action="store_true",
                    help="only the two fastest kernels (the CI smoke set)")
     p.add_argument("--repeat", type=int, default=3,
-                   help="timed runs per kernel/engine after one "
+                   help="timed runs per kernel and loop after one "
                         "excluded warm-up (default 3)")
     p.add_argument("--skip-service", action="store_true",
                    help="skip the service throughput benchmark")
@@ -594,9 +588,6 @@ def build_parser():
                    choices=("original", "dcd", "baseline", "trimmed",
                             "multicore", "multithread"),
                    help="architecture for the default suite jobs")
-    p.add_argument("--engine", default="auto", choices=ENGINE_NAMES,
-                   help="launch engine for the default suite jobs "
-                        "(default auto)")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_serve)

@@ -70,8 +70,7 @@ class ScratchFlow:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, arch=None, verify=True, max_groups=None,
-            engine=None) -> RunMetrics:
+    def run(self, arch=None, verify=True, max_groups=None) -> RunMetrics:
         """Execute the benchmark on ``arch`` and measure it.
 
         ``arch=None`` runs the (trimmed, single-CU) architecture.  The
@@ -79,16 +78,12 @@ class ScratchFlow:
         for the energy metrics.  Execution goes through the shared
         :mod:`repro.exec` layer, so repeated runs of one configuration
         (CLI ``--repeat``, the Figure 7 sweeps) reuse warm boards.
-        ``engine`` pins a launch engine (one of
-        :data:`repro.exec.ENGINE_NAMES`; default auto-resolves per
-        board).
         """
         arch = arch or self.trim().config
         report = self.synthesizer.synthesize(arch)
         request = ExecutionRequest(
             workload=BenchmarkWorkload(instance=self.benchmark),
             arch=arch,
-            engine=engine,
             verify=verify,
             max_groups=(max_groups if max_groups is not None
                         else self.max_groups),

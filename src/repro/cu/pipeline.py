@@ -159,13 +159,15 @@ class ComputeUnit:
         Returns ``(end_time, CuRunStats)``.  The wavefronts must already
         be register-initialised by the ultra-threaded dispatcher.
 
-        ``compiled`` selects the compiled issue loop (``True``) or the
-        reference interpreter (``False``); ``None`` picks the compiled
-        loop whenever no observer is attached.  The compiled loop
-        produces bit-identical state, stats and cycle counts -- the
-        ``superblock`` oracle enforces this -- but emits no observation
-        events, so an attached observer always forces the reference
-        path.
+        ``compiled=None`` runs the compiled issue loop exactly when no
+        observer is attached, the rule a board launch applies per
+        slice (:attr:`repro.soc.gpu.Gpu.issue_loop`); ``False`` forces the
+        reference interpreter, which the per-instruction validation
+        sweep uses to exercise the live operations tables.  The
+        compiled loop produces bit-identical state, stats and cycle
+        counts -- the ``superblock`` oracle enforces this -- but emits
+        no observation events, so an attached observer always gets the
+        reference loop.
         """
         wavefronts = [wf for wf in workgroup.wavefronts if not wf.done]
         if len(wavefronts) > self.max_wavefronts:

@@ -25,12 +25,12 @@ pipeline depth itself only adds a constant epilogue per wavefront and
 is irrelevant to the relative results the paper reports.
 
 Beyond the per-instruction pricing functions, this module is the
-**compiled timing layer** shared by every launch engine:
+**compiled timing layer** shared by both CU issue loops:
 
 * :class:`TimingTable` -- per-program arrays of front-end cost, unit
   occupancy, pool id, kind and scheduler flags, computed once per
-  ``(content_key, CuTimingParams)`` pair and cached in an LRU, so no
-  engine re-derives costs per dynamic instruction;
+  ``(content_key, CuTimingParams)`` pair and cached in an LRU, so
+  neither loop re-derives costs per dynamic instruction;
 * :class:`UnitPool` / :func:`acquire_slot` -- the one occupancy-pool
   scheduler primitive (previously duplicated between the pipeline and
   the superblock compiler);

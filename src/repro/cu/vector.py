@@ -675,13 +675,14 @@ def execute_lanewise(wf, inst):
 
 @contextlib.contextmanager
 def lanewise_execution():
-    """Route all reference-engine vector execution through the golden
+    """Route all reference-loop vector execution through the golden
     per-lane model for the duration of the context.
 
     ``operations.execute`` resolves ``_exec_vector`` through module
     globals at call time, so patching the attribute is enough; the
-    prepared-plan engines bypass it, which is why the ``vector`` fuzz
-    oracle pins ``engine="reference"`` for the lanewise run.
+    compiled loop's plan executors bypass it, which is why the
+    ``vector`` fuzz oracle runs the lanewise case observed (observation
+    puts a launch on the reference loop).
     """
     from . import operations
     saved = operations._exec_vector

@@ -5,7 +5,7 @@ The one way to run a kernel.  Every entry point of the toolchain --
 :class:`~repro.core.flow.ScratchFlow` pipeline, the validation sweep
 -- builds an :class:`ExecutionRequest` and hands it to an
 :class:`Executor`, which leases a warm board from the shared
-:class:`BoardPool`, applies the engine/observation/verify policy, and
+:class:`BoardPool`, applies the observation/verify policy, and
 returns an :class:`ExecutionResult` envelope (outputs, metrics,
 counters, board provenance)::
 
@@ -24,15 +24,14 @@ from .executor import ExecutionResult, Executor, default_executor, execute
 from .lease import (DEFAULT_GLOBAL_MEM, MAX_WARM_BOARDS, BoardLease,
                     BoardPool, board_key, config_key)
 from .microbench import run_microbench
-from .request import (ENGINE_NAMES, BenchmarkWorkload, ExecutionRequest,
-                      ProgramWorkload, WorkloadRun, validate_engine)
+from .request import (BenchmarkWorkload, ExecutionRequest, ProgramWorkload,
+                      WorkloadRun)
 
 __all__ = [
     "ExecutionRequest", "ExecutionResult", "Executor",
     "BenchmarkWorkload", "ProgramWorkload", "WorkloadRun",
     "CheckpointWorkload", "BoardCheckpoint", "PreemptedResult",
     "STATUS_DONE", "STATUS_PREEMPTED",
-    "ENGINE_NAMES", "validate_engine",
     "BoardPool", "BoardLease", "board_key", "config_key",
     "DEFAULT_GLOBAL_MEM", "MAX_WARM_BOARDS",
     "default_executor", "execute", "run_microbench",

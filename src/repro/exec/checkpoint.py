@@ -44,8 +44,9 @@ from ..obs.serialize import SerializableMixin
 STATUS_DONE = "done"
 STATUS_PREEMPTED = "preempted"
 
-#: Wire-format version; bumped on incompatible payload changes.
-CHECKPOINT_VERSION = 2
+#: Wire-format version; bumped on incompatible payload changes
+#: (3: the paused frame no longer names a launch engine).
+CHECKPOINT_VERSION = 3
 
 
 def _b64(raw):
@@ -153,7 +154,6 @@ def _frame_to_dict(frame):
         "program": _program_to_dict(frame.program),
         "global_size": list(frame.geometry.global_size),
         "local_size": list(frame.geometry.local_size),
-        "engine": frame.engine,
         "pending": [list(gid) for gid in frame.pending],
         "dispatch_cost": frame.dispatch_cost,
         "total_groups": frame.total_groups,
@@ -168,20 +168,28 @@ def _frame_to_dict(frame):
     }
 
 
+#: The exact key set of a serialized frame.
+_FRAME_FIELDS = frozenset((
+    "program", "global_size", "local_size", "pending", "dispatch_cost",
+    "total_groups", "sampled", "cu_free", "disp_free", "end_time",
+    "stats", "executed_groups", "registers"))
+
+
 def _frame_from_dict(data):
     from ..soc.dispatcher import LaunchGeometry
-    from ..soc.gpu import ENGINES, LaunchFrame, unknown_engine_message
+    from ..soc.gpu import LaunchFrame
 
-    # A frame naming an engine outside ENGINES -- a removed one
-    # included -- cannot be resumed faithfully.
-    if data["engine"] not in ENGINES:
-        raise CheckpointError("checkpoint frame: {}".format(
-            unknown_engine_message(data["engine"])))
+    # A frame with fields this version does not write (or without ones
+    # it does) cannot be resumed faithfully.
+    if set(data) != _FRAME_FIELDS:
+        raise CheckpointError(
+            "checkpoint frame has unknown fields {} and lacks {}".format(
+                sorted(set(data) - _FRAME_FIELDS),
+                sorted(_FRAME_FIELDS - set(data))))
     return LaunchFrame(
         program=_program_from_dict(data["program"]),
         geometry=LaunchGeometry(tuple(data["global_size"]),
                                 tuple(data["local_size"])),
-        engine=data["engine"],
         pending=[tuple(gid) for gid in data["pending"]],
         dispatch_cost=data["dispatch_cost"],
         total_groups=data["total_groups"],
@@ -415,7 +423,6 @@ class PreemptedResult(SerializableMixin):
     instructions: int        # retired so far in the preempted launch
     groups_executed: int
     groups_total: int
-    engine: str
 
     def to_dict(self):
         return {
@@ -424,7 +431,6 @@ class PreemptedResult(SerializableMixin):
             "instructions": self.instructions,
             "groups_executed": self.groups_executed,
             "groups_total": self.groups_total,
-            "engine": self.engine,
             "checkpoint": self.checkpoint.to_dict(),
         }
 
@@ -437,7 +443,6 @@ class PreemptedResult(SerializableMixin):
             instructions=data["instructions"],
             groups_executed=data["groups_executed"],
             groups_total=data["groups_total"],
-            engine=data["engine"],
         )
 
 

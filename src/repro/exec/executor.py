@@ -9,9 +9,10 @@ through :meth:`Executor.execute`:
    plans and per-program timing tables are cached process-wide under
    the same ``content_key x timing-params`` space, so they survive
    lease churn regardless),
-2. apply the request's launch policy (engine, workgroup sampling),
+2. apply the request's launch policy (workgroup sampling, slicing),
 3. attach the requested observers (profile counters, Chrome trace,
-   caller-supplied),
+   caller-supplied) -- which also puts the launches on the reference
+   loop, the only one that emits observation events,
 4. run the workload,
 5. capture everything the caller may need *while the board is still
    leased* -- metrics, counters, launch records, output digests,
@@ -19,7 +20,7 @@ through :meth:`Executor.execute`:
 6. release the board back to the pool, scrubbed.
 
 The result is an :class:`ExecutionResult`: outputs plus run metrics
-plus board provenance (warm/cold, the engine actually used).
+plus board provenance (warm/cold, the issue loop that ran).
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ class ExecutionResult(SerializableMixin):
     seconds: float
     instructions: int
     cu_cycles: float
-    #: Provenance: the engine the last launch actually used (after
-    #: auto-resolution), and whether the board came warm out of the
-    #: pool.
+    #: Provenance: the issue loop (``reference`` or ``superblock``)
+    #: that ran the last launch slice, and whether the board came warm
+    #: out of the pool.
     engine: Optional[str]
     warm_board: bool
     board_key: str
@@ -176,7 +177,6 @@ class Executor:
                              ) as lease:
             board = lease.board
             board.max_groups = request.max_groups
-            board.gpu.default_engine = request.engine
             board.slice_instructions = request.max_slice_instructions
             if request.checkpoint is not None:
                 lease.restore(request.checkpoint)
@@ -198,7 +198,7 @@ class Executor:
             attached.extend(request.observers)
             for observer in attached:
                 board.attach(observer)
-            paused_frame = None
+            paused_frame = paused_loop = None
             try:
                 if request.numpy_errstate is not None:
                     with np.errstate(all=request.numpy_errstate):
@@ -210,6 +210,7 @@ class Executor:
                 # ``gpu.paused``.  Not an error -- capture a checkpoint
                 # below and hand back a PREEMPTED envelope.
                 paused_frame = board.gpu.paused
+                paused_loop = board.gpu.issue_loop
                 run = WorkloadRun()
             finally:
                 for observer in attached:
@@ -240,7 +241,7 @@ class Executor:
             engine = launches[-1].engine if launches else None
             if paused_frame is not None:
                 status = STATUS_PREEMPTED
-                engine = paused_frame.engine
+                engine = paused_loop
                 preempted = PreemptedResult(
                     checkpoint=lease.checkpoint(),
                     label=label,
@@ -248,7 +249,6 @@ class Executor:
                     instructions=paused_frame.instructions,
                     groups_executed=paused_frame.executed_groups,
                     groups_total=paused_frame.total_groups,
-                    engine=paused_frame.engine,
                 )
             metrics = RunMetrics(
                 label=label,

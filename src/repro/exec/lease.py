@@ -146,7 +146,7 @@ class BoardPool:
 
         The board returns to the pool on exit -- even after an
         exception, since the next checkout resets it anyway -- with
-        its per-lease settings (``max_groups``, default engine,
+        its per-lease settings (``max_groups``, slice budget,
         observers) scrubbed.
         """
         key = board_key(arch, global_mem_size, max_instructions)
@@ -175,7 +175,6 @@ class BoardPool:
         board = handle.board
         board.max_groups = None
         board.slice_instructions = None
-        board.gpu.default_engine = None
         for observer in list(board.observers):
             board.detach(observer)
         with self._lock:

@@ -2,8 +2,9 @@
 
 An :class:`ExecutionRequest` bundles everything that nine call sites
 used to hand-roll separately -- which work to run, on which
-architecture, with which launch engine, workgroup sampling, memory
-size, and observation/verification policy.  The
+architecture, with which workgroup sampling, memory size, and
+observation/verification policy (observation also picks the CU issue
+loop: reference when observed, compiled otherwise).  The
 :class:`~repro.exec.executor.Executor` resolves a request into an
 :class:`~repro.exec.executor.ExecutionResult`.
 
@@ -29,33 +30,8 @@ import numpy as np
 
 from ..core.config import ArchConfig
 from ..errors import LaunchError
-from ..soc.gpu import ENGINES, HEAP_BASE, unknown_engine_message
+from ..soc.gpu import HEAP_BASE
 from .lease import DEFAULT_GLOBAL_MEM
-
-#: The one engine-selection registry: every surface that accepts an
-#: engine name -- :class:`ExecutionRequest.engine`,
-#: :class:`repro.service.Job.engine`, ``repro serve --engine``,
-#: ``repro run --engine`` -- validates against this tuple.  ``auto``
-#: resolves per board (see :meth:`repro.soc.gpu.Gpu._resolve_engine`).
-ENGINE_NAMES = ("auto",) + ENGINES
-
-
-def validate_engine(engine, none_ok=True, error=LaunchError):
-    """Check one engine name against :data:`ENGINE_NAMES`.
-
-    ``None`` is accepted (as ``auto``) unless ``none_ok`` is False;
-    ``error`` picks the exception type so admission-control surfaces
-    can raise :class:`~repro.errors.AdmissionError` instead.  Returns
-    the name unchanged.
-    """
-    if engine is None:
-        if none_ok:
-            return engine
-        raise error("an engine name is required (one of {})".format(
-            ", ".join(ENGINE_NAMES)))
-    if engine not in ENGINE_NAMES:
-        raise error(unknown_engine_message(engine, ENGINE_NAMES))
-    return engine
 
 
 @dataclass
@@ -145,10 +121,11 @@ class ExecutionRequest:
 
     Shorthand: ``ExecutionRequest(benchmark="matrix_add_i32")`` is a
     :class:`BenchmarkWorkload` request; pass ``workload=`` for
-    anything else.  ``engine=None``/``"auto"`` lets the board resolve
-    a launch engine per run; ``report`` supplies a synthesis report
-    for power pricing (the executor synthesises and memoizes one
-    otherwise).
+    anything else.  Any attached observer (``profile``, ``trace``,
+    ``observers``) runs the launches on the reference loop, which alone
+    emits observation events; an unobserved request runs the compiled
+    loop.  ``report`` supplies a synthesis report for power pricing
+    (the executor synthesises and memoizes one otherwise).
     """
 
     benchmark: Optional[str] = None
@@ -159,7 +136,6 @@ class ExecutionRequest:
     #: ``global_mem_size`` and ``max_instructions`` then come from it).
     checkpoint: Optional[object] = None
     arch: Optional[ArchConfig] = None
-    engine: Optional[str] = None
     max_groups: Optional[int] = None
     global_mem_size: int = DEFAULT_GLOBAL_MEM
     verify: bool = True
@@ -185,7 +161,6 @@ class ExecutionRequest:
             raise LaunchError(
                 "an execution request names exactly one of 'benchmark', "
                 "'workload' or 'checkpoint'")
-        validate_engine(self.engine)
         if self.global_mem_size <= HEAP_BASE:
             raise LaunchError(
                 "global_mem_size must exceed the heap base (0x{:x})"

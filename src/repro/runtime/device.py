@@ -141,12 +141,11 @@ class SoftGpu:
                 CB1_BASE, np.asarray(dwords, dtype=np.uint32))
 
     def run(self, program, global_size, local_size, args=(), max_groups=None,
-            engine=None, collect_registers=False,
-            max_slice_instructions=None):
+            collect_registers=False, max_slice_instructions=None):
         """Set arguments and launch; returns the :class:`LaunchResult`.
 
-        ``engine`` selects the launch engine (see
-        :data:`repro.soc.gpu.ENGINES`); ``collect_registers`` captures
+        The launch runs the reference loop when an observer is attached
+        and the compiled loop otherwise; ``collect_registers`` captures
         final wavefront state on the result.
         ``max_slice_instructions`` (default: the board's
         :attr:`slice_instructions`) makes the launch yield at the next
@@ -159,7 +158,7 @@ class SoftGpu:
         budget = (self.slice_instructions if max_slice_instructions is None
                   else max_slice_instructions)
         return self.gpu.launch(program, global_size, local_size,
-                               max_groups=groups, engine=engine,
+                               max_groups=groups,
                                collect_registers=collect_registers,
                                max_slice_instructions=budget)
 

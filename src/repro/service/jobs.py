@@ -23,14 +23,8 @@ from typing import Dict, Optional
 
 from ..core.config import ArchConfig
 from ..errors import AdmissionError
-from ..exec import ENGINE_NAMES, validate_engine
 from ..runtime.metrics import RunMetrics
 from ..soc.gpu import HEAP_BASE
-
-#: Launch engines a job may request; the service shares the one
-#: registry of :mod:`repro.exec` (kept under its historical name for
-#: existing importers).
-ENGINE_SPECS = ENGINE_NAMES
 
 #: Architecture specifications a job may name.  The first three are
 #: fixed generations; the last three are derived per application by
@@ -60,11 +54,13 @@ class Job:
     ``priority`` follows the unix-nice convention: *lower* values are
     scheduled first.  ``timeout_s`` bounds wall-clock execution time in
     the worker; ``retries`` is how many times a failed attempt is
-    re-dispatched before the job is reported FAILED.  ``engine`` pins
-    a launch engine (``auto`` resolves per board); ``global_mem_size``
-    sizes the board's global memory for jobs whose working set exceeds
-    the default (the board content key includes it, so a large-memory
-    job is never handed an undersized warm board).
+    re-dispatched before the job is reported FAILED.  ``profile``
+    attaches counters, so the job runs on the reference loop (the only
+    one that emits observation events); every other job runs the
+    compiled loop.  ``global_mem_size`` sizes the board's global
+    memory for jobs whose working set exceeds the default (the board
+    content key includes it, so a large-memory job is never handed an
+    undersized warm board).
 
     ``arch`` is the sweep fan-out hook: an explicit
     :class:`~repro.core.config.ArchConfig` that bypasses the named
@@ -84,7 +80,6 @@ class Job:
     retries: int = 0
     tag: str = ""
     profile: bool = False             # attach PerfCounters in the worker
-    engine: str = "auto"              # launch engine (see ENGINE_NAMES)
     global_mem_size: Optional[int] = None  # board global-memory bytes
     #: Preemption budget: the job yields a checkpoint and returns to
     #: the queue every time a launch retires this many instructions,
@@ -103,7 +98,6 @@ class Job:
             raise AdmissionError("negative retry budget")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise AdmissionError("timeout_s must be positive")
-        validate_engine(self.engine, none_ok=False, error=AdmissionError)
         if self.global_mem_size is not None \
                 and self.global_mem_size <= HEAP_BASE:
             raise AdmissionError(
@@ -144,7 +138,7 @@ class JobResult:
     latency_s: float = 0.0
     worker: Optional[int] = None      # worker pid (process mode)
     warm_board: bool = False          # reused a pooled SoftGpu
-    engine: Optional[str] = None      # launch engine actually used
+    engine: Optional[str] = None      # issue loop of the last slice
     digests: Dict[str, str] = field(default_factory=dict)
     counters: Optional[Dict[str, object]] = None  # PerfCounters.to_dict()
 
@@ -188,7 +182,9 @@ def load_jobs(source):
 
     ``repeat`` expands one entry into N identical jobs (the repeated-
     submission pattern the artifact cache accelerates).  A bare list is
-    accepted in place of the wrapping object.
+    accepted in place of the wrapping object.  An unknown field, or a
+    field of the wrong JSON type, raises :class:`AdmissionError` naming
+    the entry index and the field.
     """
     try:
         if isinstance(source, str):
@@ -214,16 +210,15 @@ def load_jobs(source):
                 "job entry {} must be an object with a 'benchmark' key"
                 .format(i))
         entry = dict(entry)
-        repeat = int(entry.pop("repeat", 1))
-        if repeat < 1:
-            raise AdmissionError("job entry {}: repeat must be >= 1".format(i))
-        unknown = set(entry) - {
-            "benchmark", "params", "config", "priority", "max_groups",
-            "verify", "timeout_s", "retries", "tag", "profile",
-            "engine", "global_mem_size", "arch", "slice_instructions"}
+        unknown = set(entry) - set(_ENTRY_FIELDS)
         if unknown:
             raise AdmissionError(
                 "job entry {}: unknown fields {}".format(i, sorted(unknown)))
+        for name, value in entry.items():
+            _check_field_type(i, name, value)
+        repeat = entry.pop("repeat", 1)
+        if repeat < 1:
+            raise AdmissionError("job entry {}: repeat must be >= 1".format(i))
         if isinstance(entry.get("arch"), dict):
             try:
                 entry["arch"] = ArchConfig.from_dict(entry["arch"])
@@ -235,15 +230,53 @@ def load_jobs(source):
     return jobs
 
 
-def suite_jobs(config="trimmed", verify=True, names=None, engine="auto"):
+#: The fields a job-file entry may carry, each with the JSON types it
+#: accepts (``None`` is JSON null).  ``repeat`` is the file format's
+#: own; the rest are :class:`Job` fields.
+_ENTRY_FIELDS = {
+    "benchmark": (str,),
+    "params": (dict,),
+    "config": (str,),
+    "arch": (dict, None),
+    "priority": (int,),
+    "max_groups": (int, None),
+    "verify": (bool,),
+    "timeout_s": (int, float, None),
+    "retries": (int,),
+    "tag": (str,),
+    "profile": (bool,),
+    "global_mem_size": (int, None),
+    "slice_instructions": (int, None),
+    "repeat": (int,),
+}
+
+
+def _check_field_type(index, name, value):
+    accepted = _ENTRY_FIELDS[name]
+    if value is None:
+        ok = None in accepted
+    elif isinstance(value, bool):
+        # JSON true/false are not numbers, although Python bools are ints.
+        ok = bool in accepted
+    else:
+        ok = isinstance(value, tuple(t for t in accepted if t is not None))
+    if not ok:
+        raise AdmissionError(
+            "job entry {}: field {!r} must be {}, got {!r}".format(
+                index, name,
+                " or ".join("null" if t is None else t.__name__
+                            for t in accepted),
+                value))
+
+
+def suite_jobs(config="trimmed", verify=True, names=None):
     """Jobs for the paper's standard evaluation suite (Section 4).
 
     One job per benchmark of ``EVAL_CONFIGS`` at the standard scaled
     sizes -- the default workload of ``python -m repro serve``.
     Verifying runs execute every workgroup (sampling would leave the
     unexecuted part of the output unfilled); timing-only runs keep the
-    suite's workgroup-sampling caps.  ``engine`` pins a launch engine
-    for the whole suite (``auto`` resolves per board).
+    suite's workgroup-sampling caps.
     """
     from ..kernels.suite import EVAL_CONFIGS
 
@@ -253,5 +286,5 @@ def suite_jobs(config="trimmed", verify=True, names=None, engine="auto"):
             continue
         jobs.append(Job(benchmark=name, params=dict(params), config=config,
                         max_groups=None if verify else max_groups,
-                        verify=verify, engine=engine))
+                        verify=verify))
     return jobs

@@ -56,7 +56,6 @@ class JobPayload:
     max_groups: Optional[int] = None
     verify: bool = True
     profile: bool = False
-    engine: str = "auto"
     global_mem_size: Optional[int] = None
     #: Preemption budget (instructions per slice), if the job is sliced.
     slice_instructions: Optional[int] = None
@@ -70,7 +69,6 @@ class JobPayload:
             envelope = PreemptedResult.from_dict(self.resume)
             return ExecutionRequest(
                 checkpoint=envelope.checkpoint,
-                engine=self.engine,
                 verify=False,
                 profile=self.profile,
                 digests=True,
@@ -83,7 +81,6 @@ class JobPayload:
             benchmark=self.benchmark,
             params=dict(self.params),
             arch=self.arch,
-            engine=self.engine,
             max_groups=self.max_groups,
             verify=self.verify,
             profile=self.profile,

@@ -218,7 +218,6 @@ class KernelService:
             max_groups=ticket.job.max_groups,
             verify=ticket.job.verify,
             profile=ticket.job.profile,
-            engine=ticket.job.engine,
             global_mem_size=ticket.job.global_mem_size,
             slice_instructions=ticket.job.slice_instructions,
             resume=ticket.resume_envelope,
@@ -257,6 +256,10 @@ class KernelService:
                          latency_s=self._latency(ticket))
 
     def _on_done(self, ticket, future):
+        if future.cancelled():
+            # Only the timeout cancels a job's future, and it settles
+            # the ticket itself.
+            return
         with ticket.lock:
             if ticket.settled:
                 return
@@ -336,8 +339,9 @@ class KernelService:
         with ticket.lock:
             if ticket.settled:
                 return
-        if ticket.future is not None:
-            ticket.future.cancel()
+        future = ticket.future
+        if future is not None:
+            future.cancel()
         self._settle(ticket, JobResult(
             ticket.job_id, ticket.job, JobStatus.TIMEOUT,
             error=str(JobTimeoutError(ticket.job_id, ticket.job.timeout_s)),
@@ -350,6 +354,11 @@ class KernelService:
                 return
             ticket.settled = True
             ticket.result = result
+        # The service keeps every ticket for result(): drop what only
+        # an unsettled job needs -- a sliced job's last checkpoint
+        # (a whole memory image) and the worker future.
+        ticket.resume_envelope = None
+        ticket.future = None
         if ticket.timer is not None:
             ticket.timer.cancel()
         if ticket.slot_held:

@@ -43,49 +43,23 @@ HEAP_BASE = 0x1000
 PRELOAD_MB_CYCLES_PER_WORD = 2.0
 
 
-#: Launch execution engines.  Both produce bit-identical memory,
-#: registers, stats and cycle counts (the ``superblock`` oracle
-#: enforces it); they differ only in wall-clock speed and
-#: observability.  Multi-CU launches run serially on either engine,
-#: one workgroup at a time on the earliest-free CU:
-#:
-#: ``reference``   the original serial interpreter loop; the only
-#:                 engine that emits observation events (per-issue
-#:                 stall attribution), with frontend/occupancy costs
-#:                 read from the shared per-program TimingTable.
-#: ``superblock``  the compiled serial loop: prepared per-instruction
-#:                 plans, with straight-line ALU runs fused into
-#:                 compiled superblocks (repro.cu.superblock) whose
-#:                 timing advances by step_advance over the static
-#:                 cost table (repro.cu.timing).  The ``auto``
-#:                 default whenever no observer is attached.
-ENGINES = ("reference", "superblock")
-
-#: Engines that no longer exist, each with how ``superblock`` replaces it.
-REMOVED_ENGINES = {
-    "fast": "the compiled engine it was folded into",
-    "parallel": "the serial compiled engine, which was faster on "
-                "every multi-CU board",
-}
-
-
-def unknown_engine_message(engine, choices=ENGINES):
-    """The error text for an engine name outside ``choices``.
-
-    A removed engine gets a message naming its replacement rather than
-    an alias: it fails loudly instead of silently running something
-    else.
-    """
-    if engine in REMOVED_ENGINES:
-        return "launch engine {!r} was removed; use 'superblock', {}".format(
-            engine, REMOVED_ENGINES[engine])
-    return "unknown launch engine {!r} (expected one of {})".format(
-        engine, ", ".join(choices))
+#: The two CU issue loops a launch slice can run, named on
+#: :attr:`LaunchResult.engine`.  Observation picks the loop: only the
+#: reference interpreter emits observation events (per-issue stall
+#: attribution), so a slice runs it exactly when an observer is
+#: attached, and the compiled superblock loop (prepared plans with
+#: straight-line ALU runs fused into generated blocks,
+#: repro.cu.superblock) otherwise.  Both produce bit-identical memory,
+#: registers, stats and cycle counts -- the ``superblock`` oracle
+#: enforces it -- and both run a multi-CU launch serially, one
+#: workgroup at a time on the earliest-free CU.
+REFERENCE = "reference"
+SUPERBLOCK = "superblock"
 
 
 def _capture_registers(workgroup, registers):
-    """Record final architectural state, keyed like the verify
-    recorder's ``(group_id, wf_id)`` snapshots."""
+    """Record each wavefront's final architectural state under
+    ``(group_id, wf_id)``."""
     for wf in workgroup.wavefronts:
         registers[(workgroup.group_id, wf.wf_id)] = {
             "sgprs": wf.sgprs.tobytes(),
@@ -106,7 +80,9 @@ class LaunchResult:
     executed_groups: int
     stats: CuRunStats
     sampled: bool = False
-    engine: str = "reference"
+    #: The issue loop that ran the launch's final slice (every slice
+    #: of an unsliced launch): :data:`REFERENCE` or :data:`SUPERBLOCK`.
+    engine: str = REFERENCE
     registers: object = None  # (group_id, wf_id) -> state, if collected
 
     @property
@@ -133,7 +109,6 @@ class LaunchFrame:
 
     program: object
     geometry: LaunchGeometry
-    engine: str
     pending: list            # group ids not yet dispatched
     dispatch_cost: float     # CU-domain cycles per workgroup dispatch
     total_groups: int
@@ -195,10 +170,6 @@ class Gpu:
         #: all event construction.
         self.hub = ObserverHub()
         self.obs = None
-        #: Default launch engine when ``launch`` gets none: ``None`` /
-        #: ``"auto"`` picks per launch (reference when observed,
-        #: superblock otherwise).
-        self.default_engine = None
         # The host templates always mirror the small constant-buffer
         # region (launch geometry + kernel arguments) into the prefetch
         # memory right after writing it -- scalar loads of kernel
@@ -222,6 +193,12 @@ class Gpu:
     @property
     def observers(self):
         return tuple(self.hub.observers)
+
+    @property
+    def issue_loop(self):
+        """The loop the next launch slice runs: :data:`REFERENCE` when
+        an observer is attached, :data:`SUPERBLOCK` otherwise."""
+        return REFERENCE if self.obs is not None else SUPERBLOCK
 
     def _sync_obs(self):
         hub = self.hub if len(self.hub) else None
@@ -285,22 +262,8 @@ class Gpu:
 
     # -- kernel launch ---------------------------------------------------------
 
-    def _resolve_engine(self, engine):
-        if engine in (None, "auto"):
-            engine = self.default_engine
-        if engine in (None, "auto"):
-            return "reference" if self.obs is not None else "superblock"
-        if engine not in ENGINES:
-            raise LaunchError(unknown_engine_message(engine))
-        if engine != "reference" and self.obs is not None:
-            # Only the reference loop emits observation events; an
-            # attached observer silently wins over the engine request.
-            return "reference"
-        return engine
-
     def launch(self, program, global_size, local_size, max_groups=None,
-               engine=None, collect_registers=False,
-               max_slice_instructions=None):
+               collect_registers=False, max_slice_instructions=None):
         """Execute a kernel over an NDRange; returns a :class:`LaunchResult`.
 
         ``max_groups`` enables workgroup sampling: at most that many
@@ -308,14 +271,12 @@ class Gpu:
         ``total/executed``.  Functional output is then partial --
         callers only do this inside timing sweeps.
 
-        ``engine`` picks one of :data:`ENGINES` (``None``/``"auto"``
-        resolves to ``reference`` when an observer is attached and to
-        ``superblock`` otherwise); every engine runs the launch
-        serially, one workgroup at a time on the earliest-free CU.  The
-        engine actually used is recorded on the result.
-        ``collect_registers`` captures every wavefront's final
-        architectural state on the result (any engine), in the same
-        format the verify recorder uses.
+        The launch runs serially, one workgroup at a time on the
+        earliest-free CU, on the reference loop when an observer is
+        attached and the compiled loop otherwise; the loop is recorded
+        on the result.  ``collect_registers`` captures every
+        wavefront's final architectural state on the result (either
+        loop), keyed by ``(group_id, wf_id)``.
 
         ``max_slice_instructions`` turns the launch into a time slice:
         once that many instructions retire the launch yields at the
@@ -355,7 +316,6 @@ class Gpu:
             self.dispatcher.dispatch_cost_mb_cycles(geometry))
         frame = LaunchFrame(
             program=program, geometry=geometry,
-            engine=self._resolve_engine(engine),
             pending=group_ids, dispatch_cost=dispatch_cost,
             total_groups=total, sampled=sampled,
             cu_free=[self.now] * len(self.cus), disp_free=self.now,
@@ -364,8 +324,14 @@ class Gpu:
         return self._run_frame(frame, max_slice_instructions)
 
     def _run_frame(self, frame, budget=None):
-        """Run a serial launch frame until done or the slice expires."""
-        compiled = frame.engine == "superblock"
+        """Run a serial launch frame until done or the slice expires.
+
+        The observer set is read once per slice, so a sliced launch
+        may run its slices on different loops; the result names the
+        loop of the final slice.
+        """
+        loop = self.issue_loop
+        compiled = loop == SUPERBLOCK
         slice_base = frame.stats.instructions
         while frame.pending:
             gid = frame.pending[0]
@@ -398,7 +364,7 @@ class Gpu:
                     executed_groups=frame.executed_groups,
                     total_groups=frame.executed_groups + len(frame.pending),
                     instructions=frame.stats.instructions)
-        return self._finish_launch(frame)
+        return self._finish_launch(frame, loop)
 
     def resume_launch(self, max_slice_instructions=None):
         """Continue the paused launch; returns its :class:`LaunchResult`.
@@ -414,7 +380,7 @@ class Gpu:
         self.paused = None
         return self._run_frame(frame, max_slice_instructions)
 
-    def _finish_launch(self, frame):
+    def _finish_launch(self, frame, loop):
         """Close a completed frame: timeline, span, launch record."""
         elapsed = frame.end_time - self.now
         if frame.sampled and frame.executed_groups:
@@ -434,7 +400,7 @@ class Gpu:
             executed_groups=frame.executed_groups,
             stats=frame.stats,
             sampled=frame.sampled,
-            engine=frame.engine,
+            engine=loop,
             registers=frame.registers,
         )
         self.total_instructions += result.instructions

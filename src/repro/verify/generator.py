@@ -276,7 +276,7 @@ class KernelGenerator:
     def seg_float_special(self):
         """Float traffic seeded with NaN payloads, infs and denormals.
 
-        NaN payloads must propagate bit-exactly through every engine
+        NaN payloads must propagate bit-exactly through both loops
         (the scalar interpreter, the array path and the lanewise
         golden model share numpy's IEEE machinery), and compares on
         NaN operands must produce identical VCC masks.

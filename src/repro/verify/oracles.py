@@ -10,10 +10,6 @@ bit of disagreement in final state is a simulator bug:
 ``invariants``     the :class:`~repro.verify.invariants
                    .InvariantChecker` holds at every executed step of
                    the reference run.
-``observer-detached``  the same run with *no* observer attached ends
-                   with identical memory, instruction count **and
-                   cycle count** -- the paper-level zero-cost-
-                   observation claim, checked bit-for-bit.
 ``trimmed``        running on the architecture trimmed *for this
                    program* (Section 3.2's "trimming does not affect
                    execution") matches memory, registers, instruction
@@ -22,13 +18,15 @@ bit of disagreement in final state is a simulator bug:
                    matches memory and registers.
 ``prefetch-off``   the DCD configuration (no prefetch memory) matches
                    memory and registers.
-``superblock``     the compiled ``superblock`` engine (prepared plans
-                   plus fused straight-line ALU runs,
-                   :mod:`repro.cu.superblock`) matches the reference
-                   interpreter bit-for-bit -- memory, registers,
-                   instruction count **and cycle count** -- on the
-                   baseline board, on the architecture trimmed for the
-                   case and on a multi-CU board.
+``superblock``     the unobserved run -- which takes the compiled
+                   ``superblock`` loop (prepared plans plus fused
+                   straight-line ALU runs, :mod:`repro.cu.superblock`)
+                   -- matches the observed reference interpreter
+                   bit-for-bit: memory, registers, instruction count
+                   **and cycle count**, on the baseline board (the
+                   paper-level zero-cost-observation claim), on the
+                   architecture trimmed for the case and on a multi-CU
+                   board.
 ``warm-lease``     a warm board re-leased from the
                    :class:`~repro.exec.BoardPool` (after ``reset()``)
                    reproduces the cold-board run bit-for-bit: memory,
@@ -81,9 +79,9 @@ FUZZ_MEM_SIZE = 1 << 20
 #: 200M-instruction safety valve would take minutes to trip.
 FUZZ_MAX_INSTRUCTIONS = 50_000
 
-ORACLE_NAMES = ("roundtrip", "invariants", "observer-detached", "trimmed",
-                "multi-cu", "prefetch-off", "superblock", "warm-lease",
-                "checkpoint", "vector")
+ORACLE_NAMES = ("roundtrip", "invariants", "trimmed", "multi-cu",
+                "prefetch-off", "superblock", "warm-lease", "checkpoint",
+                "vector")
 
 
 @dataclass(frozen=True)
@@ -110,59 +108,34 @@ class ExecutionSnapshot:
     memory: bytes                    # full global-memory image
     cycles: float                    # launch makespan (cu_cycles)
     instructions: int
-    registers: Optional[dict] = None  # (group_id, wf_id) -> state dict
+    registers: dict                  # (group_id, wf_id) -> state dict
     warm: Optional[bool] = None       # board provenance (lease pool)
 
 
-class _FinalStateRecorder(Observer):
-    """Captures per-wavefront architectural state at ``s_endpgm``."""
-
-    def __init__(self):
-        self.registers = {}
-
-    def on_step(self, event):
-        if event.name != "s_endpgm":
-            return
-        wf = event.wf
-        wg = wf.workgroup
-        key = (wg.group_id if wg is not None else None, wf.wf_id)
-        self.registers[key] = {
-            "sgprs": wf.sgprs.tobytes(),
-            "vgprs": wf.vgprs.tobytes(),
-            "vcc": wf.vcc,
-            "exec": wf.exec_mask,
-            "scc": wf.scc,
-        }
-
-
 def run_case(case, arch, label="run", observed=True, check_invariants=False,
-             engine=None, collect_registers=False, executor=None):
+             executor=None):
     """Execute ``case`` under ``arch`` and snapshot the final state.
 
-    With ``observed=False`` the board runs with *no* observer attached
-    (the zero-cost path); register state is then captured only when
-    ``collect_registers`` asks the launch engine to record it.
-    ``engine`` forces a launch engine (see
-    :data:`repro.soc.gpu.ENGINES`); the default resolves per board.
-    ``executor`` pins the run to a specific board pool (the warm-lease
-    oracle needs that); the default shares the process-wide pool.
+    ``observed`` attaches observers -- the invariant checker with
+    ``check_invariants``, else a no-op :class:`~repro.obs.Observer` --
+    so the launch runs the reference loop; ``observed=False`` attaches
+    none and runs the compiled loop.  Either way the snapshot carries
+    every wavefront's final registers.  ``executor`` pins the run to a
+    specific board pool (the warm-lease oracle needs that); the
+    default shares the process-wide pool.
     """
-    recorder = None
-    observers = []
+    observers = ()
     if observed:
-        recorder = _FinalStateRecorder()
-        observers.append(recorder)
-        if check_invariants:
-            observers.append(InvariantChecker())
+        observers = ((InvariantChecker(),) if check_invariants
+                     else (Observer(),))
     request = ExecutionRequest(
         workload=_case_workload(case),
         arch=arch,
-        engine=engine,
         global_mem_size=FUZZ_MEM_SIZE,
         max_instructions=FUZZ_MAX_INSTRUCTIONS,
         verify=False,
-        observers=tuple(observers),
-        collect_registers=collect_registers,
+        observers=observers,
+        collect_registers=True,
         capture_memory=True,
         # Generated float ops hit NaN/inf/overflow freely; the
         # simulator's numpy semantics are deterministic either way.
@@ -171,15 +144,10 @@ def run_case(case, arch, label="run", observed=True, check_invariants=False,
     )
     result = (executor or default_executor()).execute(request)
     launch = result.launches[-1]
-    registers = None
-    if recorder is not None:
-        registers = recorder.registers
-    elif launch.registers is not None:
-        registers = launch.registers
     return ExecutionSnapshot(
         label=label, memory=result.memory_image, cycles=launch.cu_cycles,
         instructions=launch.stats.instructions,
-        registers=registers, warm=result.warm_board)
+        registers=launch.registers, warm=result.warm_board)
 
 
 def _case_workload(case):
@@ -205,7 +173,6 @@ def _run_sliced(case, arch, budget, hop_cap=10_000):
     request = ExecutionRequest(
         workload=_case_workload(case),
         arch=arch,
-        engine="superblock",
         global_mem_size=FUZZ_MEM_SIZE,
         max_instructions=FUZZ_MAX_INSTRUCTIONS,
         verify=False,
@@ -275,7 +242,7 @@ def _compare_registers(ref, other):
     return None
 
 
-def _compare(oracle, ref, other, failures, cycles=False, registers=True):
+def _compare(oracle, ref, other, failures, cycles=False):
     if other.memory != ref.memory:
         failures.append(OracleFailure(
             oracle, "final memory differs ({} vs {}): {}".format(
@@ -290,12 +257,11 @@ def _compare(oracle, ref, other, failures, cycles=False, registers=True):
         failures.append(OracleFailure(
             oracle, "cycle counts differ: {} ({}) vs {} ({})".format(
                 ref.cycles, ref.label, other.cycles, other.label)))
-    if registers and ref.registers is not None and other.registers is not None:
-        diff = _compare_registers(ref.registers, other.registers)
-        if diff is not None:
-            failures.append(OracleFailure(
-                oracle, "register state differs ({} vs {}): {}".format(
-                    ref.label, other.label, diff)))
+    diff = _compare_registers(ref.registers, other.registers)
+    if diff is not None:
+        failures.append(OracleFailure(
+            oracle, "register state differs ({} vs {}): {}".format(
+                ref.label, other.label, diff)))
 
 
 def check_case(case, multi_cus=2, oracles=None):
@@ -346,16 +312,6 @@ def check_case(case, multi_cus=2, oracles=None):
                                       "reference run died: {!r}".format(exc)))
         return failures
 
-    # The zero-cost-observation claim: detaching every observer must
-    # not change a single cycle, byte or instruction.  Pinned to the
-    # reference engine so this oracle isolates observation cost; the
-    # compiled engines have their own oracle below.
-    if want("observer-detached"):
-        unobserved = run_case(case, baseline, label="baseline-unobserved",
-                              observed=False, engine="reference")
-        _compare("observer-detached", ref, unobserved, failures,
-                 cycles=True, registers=False)
-
     configs = []
     trimmed = None
     if want("trimmed") or want("superblock"):
@@ -385,12 +341,13 @@ def check_case(case, multi_cus=2, oracles=None):
         reference_runs[oracle] = snap
         _compare(oracle, ref, snap, failures, cycles=cycles)
 
-    # The compiled-engine equivalence claim: emitted plan executors and
-    # fused straight-line ALU runs must not change a single byte,
-    # register, instruction or cycle against the observed reference run
-    # on the same board -- the baseline, the architecture trimmed for
-    # the case, and a multi-CU board (run serially, one workgroup at a
-    # time, like every launch).
+    # The compiled-loop equivalence claim: an unobserved run -- emitted
+    # plan executors and fused straight-line ALU runs -- must not change
+    # a single byte, register, instruction or cycle against the observed
+    # reference run on the same board: the baseline (which makes this
+    # the zero-cost-observation claim too), the architecture trimmed
+    # for the case, and a multi-CU board (run serially, one workgroup
+    # at a time, like every launch).
     if want("superblock"):
         boards = [("baseline", baseline)]
         if trimmed is not None:
@@ -408,10 +365,8 @@ def check_case(case, multi_cus=2, oracles=None):
                     "{} reference run died: {!r}".format(name, exc)))
                 continue
             try:
-                snap = run_case(case, arch, label=label, observed=False,
-                                engine="superblock", collect_registers=True)
-                _compare("superblock", expected, snap, failures,
-                         cycles=True, registers=True)
+                snap = run_case(case, arch, label=label, observed=False)
+                _compare("superblock", expected, snap, failures, cycles=True)
             except ReproError as exc:
                 failures.append(OracleFailure(
                     "superblock", "{} run died: {!r}".format(label, exc)))
@@ -441,17 +396,17 @@ def check_case(case, multi_cus=2, oracles=None):
     # NumPy array semantics (:mod:`repro.cu.vector`) must match a
     # per-lane scalar golden model -- python-int arithmetic for the
     # integer ops, numpy float32 scalar arithmetic for the float ops
-    # (same IEEE machinery, one lane at a time).  The reference engine
-    # re-runs with the VALU dispatcher swapped; memory, registers,
-    # instructions and cycles must all be bit-identical.
+    # (same IEEE machinery, one lane at a time).  The observed run (on
+    # the reference loop) repeats with the VALU dispatcher swapped;
+    # memory, registers, instructions and cycles must all be
+    # bit-identical.
     if want("vector"):
         try:
             with lanewise_execution():
                 lanewise = run_case(case, baseline,
                                     label="baseline-lanewise",
-                                    observed=True, engine="reference")
-            _compare("vector", ref, lanewise, failures,
-                     cycles=True, registers=True)
+                                    observed=True)
+            _compare("vector", ref, lanewise, failures, cycles=True)
         except ReproError as exc:
             failures.append(OracleFailure(
                 "vector", "lanewise run died: {!r}".format(exc)))
@@ -470,8 +425,7 @@ def check_case(case, multi_cus=2, oracles=None):
         budget = rng.randint(1, max(1, ref.instructions // 2))
         try:
             sliced, _hops = _run_sliced(case, baseline, budget)
-            _compare("checkpoint", ref, sliced, failures,
-                     cycles=True, registers=True)
+            _compare("checkpoint", ref, sliced, failures, cycles=True)
         except ReproError as exc:
             failures.append(OracleFailure(
                 "checkpoint",

@@ -15,6 +15,7 @@ from repro.cu.prepared import (
     set_prepared_cache_capacity,
 )
 from repro.isa.formats import Format
+from repro.obs import Observer
 from repro.runtime.device import SoftGpu
 
 ADD = """
@@ -46,9 +47,12 @@ def _fresh_cache():
     clear_prepared_cache()
 
 
-def _device(engine):
+def _device(loop):
+    """A board whose launches run the named issue loop: observed for
+    the reference loop, unobserved for the compiled one."""
     device = SoftGpu(ArchConfig.baseline())
-    device.gpu.default_engine = engine
+    if loop == "reference":
+        device.attach(Observer())
     return device
 
 
@@ -179,8 +183,8 @@ OOB_STORE = """
 """
 
 
-def _run_collide(engine, op):
-    device = _device(engine)
+def _run_collide(loop, op):
+    device = _device(loop)
     n = 64
     inp = device.upload("inp", np.arange(n, dtype=np.uint32))
     out = device.alloc("out", 4 * n)
@@ -217,15 +221,15 @@ class TestEdgeAddressParity:
         from repro.errors import SimulationError
 
         messages = {}
-        for engine in ("reference", "superblock"):
-            device = _device(engine)
+        for loop in ("reference", "superblock"):
+            device = _device(loop)
             inp = device.upload("inp", np.arange(64, dtype=np.uint32))
             out = device.alloc("out", 4 * 64)
             device.preload_all()
             with pytest.raises(SimulationError) as exc:
                 device.run(assemble(OOB_STORE.format(offset=0x7F000000)),
                            (64,), (64,), args=[inp, out])
-            messages[engine] = str(exc.value)
+            messages[loop] = str(exc.value)
         assert messages["reference"] == messages["superblock"]
 
 

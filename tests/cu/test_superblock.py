@@ -13,6 +13,7 @@ from repro.cu.prepared import KIND_ALU, PreparedProgram, \
 from repro.cu.superblock import MIN_BLOCK
 from repro.cu.wavefront import Wavefront
 from repro.errors import LaunchPreempted, SimulationError
+from repro.obs import Observer
 from repro.runtime.device import SoftGpu
 
 from .test_vector_conformance import EXEC_MASKS
@@ -209,13 +210,16 @@ class TestCompilationCache:
         assert ps.source.count("def ") == len(alu) + len(ps.superblocks())
 
 
-def _run(program, engine, n=384, local=192, arch=None, **kwargs):
+def _run(program, loop, n=384, local=192, arch=None, **kwargs):
+    """Run ``program`` on the named issue loop: observed for the
+    reference loop, unobserved for the compiled one."""
     device = SoftGpu(arch or ArchConfig.baseline())
+    if loop == "reference":
+        device.attach(Observer())
     inp = device.upload("inp", np.arange(n, dtype=np.uint32) * 7 + 1)
     out = device.alloc("out", 4 * n)
     device.preload_all()
-    result = device.run(program, (n,), (local,), args=[inp, out],
-                        engine=engine, **kwargs)
+    result = device.run(program, (n,), (local,), args=[inp, out], **kwargs)
     return result, device.read(out), device
 
 
@@ -224,6 +228,7 @@ class TestEngineExactness:
         program = assemble(LOOPY)
         ref, ref_out, _ = _run(program, "reference")
         sb, sb_out, _ = _run(program, "superblock")
+        assert ref.engine == "reference"
         assert sb.engine == "superblock"
         assert np.array_equal(ref_out, sb_out)
         assert sb.cu_cycles == ref.cu_cycles
@@ -235,16 +240,17 @@ class TestEngineExactness:
         # same issue slot, with the same message, as the reference loop.
         program = assemble(LOOPY)
         messages = {}
-        for engine in ("reference", "superblock"):
+        for loop in ("reference", "superblock"):
             device = SoftGpu(ArchConfig.baseline())
+            if loop == "reference":
+                device.attach(Observer())
             device.gpu.cus[0].max_instructions = 37
             inp = device.upload("inp", np.arange(192, dtype=np.uint32))
             out = device.alloc("out", 4 * 192)
             device.preload_all()
             with pytest.raises(SimulationError) as exc:
-                device.run(program, (192,), (192,), args=[inp, out],
-                           engine=engine)
-            messages[engine] = str(exc.value)
+                device.run(program, (192,), (192,), args=[inp, out])
+            messages[loop] = str(exc.value)
         assert messages["reference"] == messages["superblock"]
 
     def test_checkpoint_at_workgroup_granularity(self):
@@ -257,7 +263,6 @@ class TestEngineExactness:
         hops = 0
         try:
             result = device.run(program, (384,), (192,), args=[inp, out],
-                                engine="superblock",
                                 max_slice_instructions=100)
         except LaunchPreempted:
             while True:

@@ -29,7 +29,7 @@ MEM = 1 << 20
 def _request(**overrides):
     base = dict(benchmark="matrix_add_i32", params={"n": 64},
                 verify=False, digests=True, capture_memory=True,
-                engine="superblock", global_mem_size=MEM)
+                global_mem_size=MEM)
     base.update(overrides)
     return ExecutionRequest(**base)
 
@@ -99,9 +99,10 @@ class TestSerialization:
             BoardCheckpoint.from_dict(wire)
 
     def test_wrong_version_raises(self):
-        # 1 is the format that still carried ``prefetch.covered``.
+        # 1 still carried ``prefetch.covered``; 2 named a launch engine
+        # in the paused frame.
         result = _fresh().execute(_request(max_slice_instructions=64))
-        for version in (999, 1):
+        for version in (999, 1, 2):
             wire = result.preempted.checkpoint.to_dict()
             wire["version"] = version
             with pytest.raises(CheckpointError, match="version"):
@@ -109,9 +110,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("engine", ["fast", "parallel", "bogus"])
     def test_unresumable_frame_engine_raises(self, engine):
-        # A digest-valid envelope whose paused frame names an engine
-        # that cannot resume it must be refused at restore, not run on
-        # the reference loop under the bogus name.
+        # A digest-valid envelope whose paused frame still names an
+        # engine, whatever its value, carries a field this version does
+        # not write: refused at restore rather than silently ignored.
         result = _fresh().execute(_request(max_slice_instructions=64))
         wire = json.loads(json.dumps(result.preempted.to_dict()))
         payload = wire["checkpoint"]
@@ -119,7 +120,7 @@ class TestSerialization:
         del payload["digest"]
         payload["digest"] = _digest_payload(payload)
         envelope = PreemptedResult.from_dict(wire)
-        with pytest.raises(CheckpointError, match=repr(engine)):
+        with pytest.raises(CheckpointError, match="unknown fields.*'engine'"):
             _fresh().execute(ExecutionRequest(
                 checkpoint=envelope.checkpoint, verify=False))
 
@@ -132,7 +133,7 @@ class TestPreemptResume:
         assert env.kernel
         assert 0 < env.groups_executed < env.groups_total
         assert env.instructions >= 64
-        assert env.engine == "superblock"
+        assert result.engine == "superblock"
         assert result.digests == {}
 
     def test_resume_completes_bit_identical(self):
@@ -161,7 +162,7 @@ class TestPreemptResume:
         result = _fresh().execute(_request(arch=arch,
                                            max_slice_instructions=64))
         assert result.status == STATUS_PREEMPTED
-        assert result.preempted.engine == "superblock"
+        assert result.engine == "superblock"
         ref = _fresh().execute(_request(arch=arch))
         final, _ = _resume_until_done(result, slice_instructions=64)
         assert final.memory_image == ref.memory_image

@@ -34,8 +34,9 @@ class TestRequestValidation:
                 workload=BenchmarkWorkload(name="matrix_add_i32"))
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(LaunchError):
-            ExecutionRequest(benchmark="matrix_add_i32", engine="warp")
+        # Observation picks the loop; a request has no engine input.
+        with pytest.raises(TypeError, match="engine"):
+            ExecutionRequest(benchmark="matrix_add_i32", engine="reference")
 
     def test_undersized_memory_rejected(self):
         with pytest.raises(LaunchError):
@@ -47,40 +48,24 @@ class TestRequestValidation:
 
 
 class TestEngineRegistry:
-    """One registry for every engine-accepting surface."""
+    """The engine-name registry is gone from every surface."""
 
     def test_names(self):
-        from repro.exec import ENGINE_NAMES
-        from repro.soc.gpu import ENGINES
+        import repro.exec
+        import repro.exec.request
+        import repro.service.jobs
 
-        assert ENGINE_NAMES == ("auto",) + ENGINES
-        assert "superblock" in ENGINE_NAMES
-        assert "fast" not in ENGINE_NAMES
-        assert "parallel" not in ENGINE_NAMES
+        for module in (repro.exec, repro.exec.request, repro.service.jobs):
+            for name in ("ENGINE_NAMES", "ENGINE_SPECS", "validate_engine"):
+                assert not hasattr(module, name), (module.__name__, name)
 
     def test_service_uses_the_same_registry(self):
-        from repro.exec import ENGINE_NAMES
-        from repro.service.jobs import ENGINE_SPECS
+        # Both surfaces drop the field: the service job mirrors the
+        # request, so neither carries an engine to forward.
+        from repro.service.jobs import Job
 
-        assert ENGINE_SPECS is ENGINE_NAMES
-
-    def test_validate_engine(self):
-        from repro.errors import AdmissionError
-        from repro.exec import validate_engine
-
-        assert validate_engine("superblock") == "superblock"
-        assert validate_engine(None) is None
-        for removed in ("fast", "parallel"):
-            with pytest.raises(LaunchError,
-                               match="'{}' was removed.*superblock".format(
-                                   removed)):
-                validate_engine(removed)
-            with pytest.raises(AdmissionError, match="superblock"):
-                validate_engine(removed, error=AdmissionError)
-        with pytest.raises(LaunchError, match="warp"):
-            validate_engine("warp")
-        with pytest.raises(AdmissionError, match="required"):
-            validate_engine(None, none_ok=False, error=AdmissionError)
+        assert "engine" not in ExecutionRequest.__dataclass_fields__
+        assert "engine" not in Job.__dataclass_fields__
 
 
 class TestEnvelope:
@@ -98,23 +83,23 @@ class TestEnvelope:
         assert result.label.startswith("matrix_add_i32@")
 
     def test_engine_pinning_and_provenance(self):
+        from repro.obs import Observer
+
         executor = Executor()
-        request = ExecutionRequest(benchmark="matrix_add_i32",
-                                   params={"n": 16}, engine="reference")
-        assert executor.execute(request).engine == "reference"
-        compiled = ExecutionRequest(benchmark="matrix_add_i32",
-                                    params={"n": 16}, engine="superblock")
-        assert executor.execute(compiled).engine == "superblock"
-        for removed in ("fast", "parallel"):
-            with pytest.raises(LaunchError, match="superblock"):
-                ExecutionRequest(benchmark="matrix_add_i32", engine=removed)
+        observed = ExecutionRequest(benchmark="matrix_add_i32",
+                                    params={"n": 16},
+                                    observers=(Observer(),))
+        assert executor.execute(observed).engine == "reference"
+        unobserved = ExecutionRequest(benchmark="matrix_add_i32",
+                                      params={"n": 16})
+        assert executor.execute(unobserved).engine == "superblock"
 
     def test_profile_attaches_counters(self):
         result = Executor().execute(ExecutionRequest(
             benchmark="matrix_add_i32", params={"n": 16}, profile=True))
         assert result.counters is not None
         assert result.counters.counters.get("cycles.total") > 0
-        # Observed runs resolve to the reference engine.
+        # Observed runs take the reference loop.
         assert result.engine == "reference"
 
     def test_trace_records_events(self):

@@ -5,6 +5,7 @@ import numpy as np
 from repro.core.config import ArchConfig
 from repro.exec import (BoardPool, ExecutionRequest, Executor, board_key,
                         config_key)
+from repro.obs import Observer
 
 
 class TestBoardKey:
@@ -85,11 +86,14 @@ class TestBoardPool:
         arch = ArchConfig.baseline()
         with pool.lease(arch) as lease:
             lease.board.max_groups = 3
-            lease.board.gpu.default_engine = "superblock"
+            lease.board.slice_instructions = 10
+            lease.board.attach(Observer())
         with pool.lease(arch) as lease:
             assert lease.board.max_groups is None
-            assert lease.board.gpu.default_engine is None
+            assert lease.board.slice_instructions is None
             assert not lease.board.observers
+            # No observer left behind: the next launch is compiled.
+            assert lease.board.gpu.issue_loop == "superblock"
 
 
 class TestWarmBitIdentical:
@@ -101,7 +105,6 @@ class TestWarmBitIdentical:
         def snap(executor, name):
             result = executor.execute(ExecutionRequest(
                 workload=BenchmarkWorkload(name=name, params={"n": 16}),
-                engine="superblock",
                 capture_memory=True,
                 collect_registers=True,
                 digests=True,

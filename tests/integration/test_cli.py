@@ -112,6 +112,22 @@ class TestValidateAndRun:
         assert main(["run", "no_such_bench"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,field", [
+        ({"benchmark": "matrix_add_i32", "retries": "x"}, "retries"),
+        ({"benchmark": "matrix_add_i32", "engine": "superblock"}, "engine"),
+    ])
+    def test_serve_wrong_field_exits_2(self, tmp_path, capsys, entry, field):
+        jobs = tmp_path / "bad.json"
+        jobs.write_text(json.dumps({"jobs": [entry]}))
+        assert main(["serve", "--mode", "inline", "--jobs",
+                     str(jobs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: job entry 0")
+        assert repr(field) in lines[0]
+
     def test_run_json_metrics(self, capsys):
         assert main(["run", "matrix_add_i32", "--configs", "baseline",
                      "trimmed", "--json"]) == 0
@@ -132,11 +148,12 @@ class TestValidateAndRun:
     @pytest.mark.parametrize("command", [["run", "matrix_add_i32"],
                                          ["serve"]])
     def test_removed_engine_rejected(self, command, engine, capsys):
+        # Observation picks the issue loop: neither command has an
+        # --engine flag any more, so any value is a usage error.
         with pytest.raises(SystemExit) as exc:
             main(command + ["--engine", engine])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert repr(engine) in err and "superblock" in err
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 class TestProfile:
@@ -179,6 +196,22 @@ class TestProfile:
         assert main(["profile", "no_such_bench"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,field", [
+        ({"benchmark": "matrix_add_i32", "retries": "x"}, "retries"),
+        ({"benchmark": "matrix_add_i32", "engine": "superblock"}, "engine"),
+    ])
+    def test_serve_wrong_field_exits_2(self, tmp_path, capsys, entry, field):
+        jobs = tmp_path / "bad.json"
+        jobs.write_text(json.dumps({"jobs": [entry]}))
+        assert main(["serve", "--mode", "inline", "--jobs",
+                     str(jobs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: job entry 0")
+        assert repr(field) in lines[0]
+
 
 class TestServe:
     def test_serve_jobs_file(self, tmp_path, capsys):
@@ -203,3 +236,19 @@ class TestServe:
         assert main(["serve", "--mode", "inline", "--jobs",
                      str(jobs)]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry,field", [
+        ({"benchmark": "matrix_add_i32", "retries": "x"}, "retries"),
+        ({"benchmark": "matrix_add_i32", "engine": "superblock"}, "engine"),
+    ])
+    def test_serve_wrong_field_exits_2(self, tmp_path, capsys, entry, field):
+        jobs = tmp_path / "bad.json"
+        jobs.write_text(json.dumps({"jobs": [entry]}))
+        assert main(["serve", "--mode", "inline", "--jobs",
+                     str(jobs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: job entry 0")
+        assert repr(field) in lines[0]

@@ -8,10 +8,9 @@ from repro.kernels.cpi import CPI_SUITE
 from repro.runtime.device import SoftGpu
 
 
-def _launch(cls, engine, **params):
+def _launch(cls, **params):
     bench = cls(**params)
     device = SoftGpu(ArchConfig.baseline())
-    device.gpu.default_engine = engine
     bench.run_on(device, verify=True)
     return device.gpu.launches[-1]
 
@@ -30,7 +29,7 @@ class TestSuiteRegistration:
 class TestKernelsVerify:
     @pytest.mark.parametrize("cls", CPI_SUITE, ids=lambda c: c.name)
     def test_verifies_and_iterates(self, cls):
-        result = _launch(cls, "superblock")
+        result = _launch(cls)
         # The unrolled payload dominates the dynamic instruction count.
         bench = cls()
         payload = bench.unroll * bench.iters
@@ -38,8 +37,8 @@ class TestKernelsVerify:
 
     @pytest.mark.parametrize("cls", CPI_SUITE, ids=lambda c: c.name)
     def test_iters_parameter_scales_work(self, cls):
-        small = _launch(cls, "superblock", iters=8)
-        large = _launch(cls, "superblock", iters=16)
+        small = _launch(cls, iters=8)
+        large = _launch(cls, iters=16)
         assert large.instructions > small.instructions
         assert large.cu_cycles > small.cu_cycles
 

@@ -14,7 +14,7 @@ class TestJob:
         assert job.config == "trimmed"
         assert job.priority == 0
         assert job.verify
-        assert job.engine == "auto"
+        assert not job.profile
         assert job.global_mem_size is None
 
     def test_unknown_config_rejected(self):
@@ -28,13 +28,14 @@ class TestJob:
             Job("x", timeout_s=0)
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(AdmissionError, match="launch engine"):
-            Job("x", engine="turbo")
-        for removed in ("fast", "parallel"):
+        # Observation picks the issue loop; a job has no engine field,
+        # so a job file naming one is refused like any unknown field.
+        with pytest.raises(TypeError, match="engine"):
+            Job("x", engine="superblock")
+        for value in ("auto", "reference", "superblock", "fast"):
             with pytest.raises(AdmissionError,
-                               match="'{}' was removed.*superblock".format(
-                                   removed)):
-                Job("x", engine=removed)
+                               match="entry 0: unknown fields.*'engine'"):
+                load_jobs([{"benchmark": "x", "engine": value}])
 
     def test_bad_memory_size_rejected(self):
         with pytest.raises(AdmissionError, match="global_mem_size"):
@@ -70,11 +71,9 @@ class TestLoadJobs:
         jobs = load_jobs([{"benchmark": "matrix_add_i32"}])
         assert len(jobs) == 1
 
-    def test_engine_and_memory_fields_accepted(self):
+    def test_memory_field_accepted(self):
         (job,) = load_jobs([{"benchmark": "matrix_add_i32",
-                             "engine": "superblock",
                              "global_mem_size": 1 << 25}])
-        assert job.engine == "superblock"
         assert job.global_mem_size == 1 << 25
 
     def test_slice_instructions_field_accepted(self):
@@ -94,6 +93,36 @@ class TestLoadJobs:
         with pytest.raises(AdmissionError):
             load_jobs({"jobs": "all of them"})
 
+    @pytest.mark.parametrize("field,value", [
+        ("retries", "x"),
+        ("timeout_s", "a"),
+        ("slice_instructions", [1]),
+        ("repeat", "x"),
+        ("repeat", 2.5),
+        ("priority", None),
+        ("max_groups", True),
+        ("verify", 1),
+        ("params", [1, 2]),
+        ("config", 3),
+        ("benchmark", 7),
+        ("arch", "baseline"),
+        ("global_mem_size", 1e6),
+    ])
+    def test_wrong_field_type_rejected(self, field, value):
+        entry = {"benchmark": "matrix_add_i32", field: value}
+        with pytest.raises(AdmissionError,
+                           match="entry 1: field '{}' must be".format(field)):
+            load_jobs([{"benchmark": "matrix_add_i32"}, entry])
+
+    @pytest.mark.parametrize("field,value", [
+        ("timeout_s", 5), ("timeout_s", 0.5), ("timeout_s", None),
+        ("max_groups", None), ("slice_instructions", None),
+        ("priority", -3), ("repeat", 2),
+    ])
+    def test_field_types_accepted(self, field, value):
+        jobs = load_jobs([{"benchmark": "matrix_add_i32", field: value}])
+        assert len(jobs) == (value if field == "repeat" else 1)
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "garbled.json"
         path.write_text("not json{{")
@@ -111,10 +140,6 @@ class TestSuiteJobs:
         jobs = suite_jobs(names={"kmeans_f32"}, config="multicore")
         assert len(jobs) == 1
         assert jobs[0].config == "multicore"
-
-    def test_engine_pins_the_suite(self):
-        jobs = suite_jobs(names={"kmeans_f32"}, engine="superblock")
-        assert all(j.engine == "superblock" for j in jobs)
 
     def test_verifying_suite_never_samples_workgroups(self):
         """Sampling leaves part of the output unwritten, so it is only

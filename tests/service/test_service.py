@@ -213,6 +213,25 @@ class TestFailurePolicy:
         assert result.status is JobStatus.TIMEOUT
         assert "timeout" in result.error
 
+    def test_timeout_of_a_queued_job_logs_no_error(self, caplog):
+        """A job timing out while queued behind a long one is cancelled
+        and settles TIMEOUT; the cancelled future's completion callback
+        must not raise (concurrent.futures would log it as an ERROR)."""
+        import logging
+
+        long_job = Job("matrix_mul_i32", {"n": 64}, config="baseline")
+        short_job = Job("matrix_add_i32", {"n": 16}, config="baseline",
+                        timeout_s=0.05)
+        with caplog.at_level(logging.ERROR):
+            with KernelService(workers=1, mode="thread",
+                               max_inflight=2) as svc:
+                long_res, short_res = svc.run([long_job, short_job],
+                                              timeout=300)
+        assert long_res.ok
+        assert short_res.status is JobStatus.TIMEOUT
+        assert [r for r in caplog.records
+                if r.levelno >= logging.ERROR] == []
+
     def test_verify_failure_fails_job(self, monkeypatch):
         """A wrong-output job must fail loudly, not return garbage."""
         real_reference = KERNELS["matrix_add_i32"].reference
@@ -268,32 +287,43 @@ class TestPoolUnit:
 
 
 class TestEnginePlumbing:
+    """Observation, not a job field, picks the issue loop: a profiled
+    job runs the reference loop, every other job the compiled one."""
+
     def test_job_engine_reaches_the_launch(self):
         jobs = [Job("matrix_add_i32", {"n": 32}, config="baseline",
-                    engine=engine)
-                for engine in ("reference", "superblock")]
+                    profile=profile)
+                for profile in (True, False)]
         with KernelService(workers=1, mode="thread") as svc:
             ref_res, sb_res = svc.run(jobs, timeout=300)
         assert ref_res.engine == "reference"
         assert sb_res.engine == "superblock"
         assert ref_res.to_dict()["engine"] == "reference"
-        # Engine choice never changes simulated results.
+        # The loop never changes simulated results.
         assert ref_res.metrics.seconds == sb_res.metrics.seconds
         assert ref_res.digests == sb_res.digests
 
     def test_engine_validated_at_admission(self):
-        with pytest.raises(AdmissionError, match="launch engine"):
-            Job("matrix_add_i32", engine="warp")
+        from repro.service import load_jobs
+
+        with pytest.raises(TypeError, match="engine"):
+            Job("matrix_add_i32", engine="superblock")
+        with pytest.raises(AdmissionError,
+                           match="entry 0: unknown fields.*'engine'"):
+            load_jobs([{"benchmark": "matrix_add_i32",
+                        "engine": "superblock"}])
 
     def test_engines_share_one_warm_board(self):
-        """Pinning different engines must not fragment the board pool:
-        the engine is per-lease, not part of the board key."""
+        """Observed and unobserved jobs must not fragment the board
+        pool: observers are per-lease, not part of the board key."""
         jobs = [Job("matrix_add_i32", {"n": 32}, config="baseline",
-                    engine=engine)
-                for engine in ("reference", "superblock", "reference")]
+                    profile=profile)
+                for profile in (True, False, True)]
         with KernelService(workers=1, mode="thread") as svc:
             results = svc.run(jobs, timeout=300)
         assert [r.warm_board for r in results] == [False, True, True]
+        assert [r.engine for r in results] == [
+            "reference", "superblock", "reference"]
 
 
 class TestPreemption:
@@ -348,6 +378,39 @@ class TestPreemption:
             long_res = svc.result(long_id, timeout=300)
         assert short_res.ok and long_res.ok
         assert long_res.preemptions >= 1
+
+    def test_settled_tickets_drop_the_checkpoint(self, monkeypatch):
+        """The service keeps every ticket, so a settled one must not
+        keep its last checkpoint (a whole memory image) or its worker
+        future -- whether the job finished or failed mid-slicing."""
+        from repro.service import pool as pool_mod
+
+        def job():
+            return Job("matrix_add_i32", {"n": 256}, config="baseline",
+                       verify=False, slice_instructions=4000,
+                       global_mem_size=1 << 20)
+
+        real_run = pool_mod._run_payload
+
+        def fail_resumes(executor, payload):
+            if payload.resume is not None:
+                return {"ok": False, "job_id": payload.job_id,
+                        "error": "resume refused", "error_type": "Error"}
+            return real_run(executor, payload)
+
+        with KernelService(workers=1, mode="thread") as svc:
+            done_id = svc.submit(job())
+            done = svc.result(done_id, timeout=300)
+            monkeypatch.setattr(pool_mod, "_run_payload", fail_resumes)
+            failed_id = svc.submit(job())
+            failed = svc.result(failed_id, timeout=300)
+            tickets = [svc._tickets[done_id], svc._tickets[failed_id]]
+        assert done.status is JobStatus.DONE and done.preemptions >= 1
+        assert failed.status is JobStatus.FAILED
+        assert failed.preemptions == 1
+        for ticket in tickets:
+            assert ticket.resume_envelope is None
+            assert ticket.future is None
 
     def test_multi_kernel_application_rejected(self):
         """A checkpoint resumes a launch, not host choreography, so

@@ -1,13 +1,14 @@
-"""Launch engines: resolution, multi-CU equivalence, sampling."""
+"""The issue loop follows observation: reference iff an observer is
+attached, on single- and multi-CU boards; sampling."""
 
 import numpy as np
 import pytest
 
 from repro.asm import assemble
 from repro.core.config import ArchConfig
-from repro.errors import LaunchError
+from repro.errors import LaunchPreempted
 from repro.obs import Observer
-from repro.soc.gpu import CB1_BASE, ENGINES, HEAP_BASE, Gpu
+from repro.soc.gpu import CB1_BASE, HEAP_BASE, Gpu
 
 COPY = """
 .kernel copy
@@ -26,6 +27,9 @@ COPY = """
   s_endpgm
 """
 
+SINGLE = ArchConfig.baseline()
+MULTI = ArchConfig.baseline().with_parallelism(num_cus=2)
+
 
 def setup_copy(gpu, n=512):
     data = np.arange(n, dtype=np.uint32) * 3 + 1
@@ -36,65 +40,77 @@ def setup_copy(gpu, n=512):
     return data
 
 
-def launch_copy(arch, engine=None, n=512, **kwargs):
+def launch_copy(arch, observed=False, n=512, **kwargs):
     gpu = Gpu(arch)
     setup_copy(gpu, n)
-    result = gpu.launch(assemble(COPY), (n,), (64,), engine=engine, **kwargs)
+    if observed:
+        gpu.attach(Observer())
+    result = gpu.launch(assemble(COPY), (n,), (64,), **kwargs)
     out = gpu.memory.global_mem.read_block(HEAP_BASE + 4 * n, 4 * n,
                                            np.uint32)
     return gpu, result, out
 
 
+def read_out(gpu, n=512):
+    return gpu.memory.global_mem.read_block(HEAP_BASE + 4 * n, 4 * n,
+                                            np.uint32)
+
+
 class TestEngineResolution:
     def test_unknown_engine_rejected(self):
-        gpu = Gpu(ArchConfig.baseline())
+        # The loop is not an input: the keyword no longer exists.
+        gpu = Gpu(SINGLE)
         setup_copy(gpu)
-        with pytest.raises(LaunchError, match="unknown launch engine"):
-            gpu.launch(assemble(COPY), (512,), (64,), engine="warp9")
+        with pytest.raises(TypeError, match="engine"):
+            gpu.launch(assemble(COPY), (512,), (64,), engine="reference")
 
     def test_auto_is_superblock_on_single_cu(self):
-        _, result, _ = launch_copy(ArchConfig.baseline())
+        _, result, _ = launch_copy(SINGLE)
         assert result.engine == "superblock"
 
     def test_auto_is_superblock_on_multi_cu(self):
-        _, result, _ = launch_copy(
-            ArchConfig.baseline().with_parallelism(num_cus=2))
+        _, result, _ = launch_copy(MULTI)
         assert result.engine == "superblock"
 
     def test_observer_forces_reference(self):
-        gpu = Gpu(ArchConfig.baseline())
-        setup_copy(gpu)
-        gpu.attach(Observer())
-        result = gpu.launch(assemble(COPY), (512,), (64,),
-                            engine="superblock")
+        _, result, _ = launch_copy(SINGLE, observed=True)
+        assert result.engine == "reference"
+
+    def test_observer_forces_reference_on_multi_cu(self):
+        _, result, _ = launch_copy(MULTI, observed=True)
         assert result.engine == "reference"
 
     def test_default_engine_attribute(self):
-        gpu = Gpu(ArchConfig.baseline())
+        # The board has no default-engine knob; the observer set is
+        # re-read on every launch.
+        gpu = Gpu(SINGLE)
+        assert not hasattr(gpu, "default_engine")
+        program = assemble(COPY)
         setup_copy(gpu)
-        gpu.default_engine = "reference"
-        assert gpu.launch(assemble(COPY), (512,), (64,)).engine == "reference"
+        observer = gpu.attach(Observer())
+        assert gpu.issue_loop == "reference"
+        assert gpu.launch(program, (512,), (64,)).engine == "reference"
+        gpu.detach(observer)
+        assert gpu.issue_loop == "superblock"
+        assert gpu.launch(program, (512,), (64,)).engine == "superblock"
 
     def test_engines_constant(self):
-        assert ENGINES == ("reference", "superblock")
+        # The engine registry and its resolver are gone from the board.
+        import repro.soc.gpu as gpu_mod
 
-    @pytest.mark.parametrize("engine", ["fast", "parallel"])
-    def test_removed_engine_names_superblock(self, engine):
-        gpu = Gpu(ArchConfig.baseline())
-        setup_copy(gpu)
-        with pytest.raises(LaunchError,
-                           match="'{}' was removed.*superblock".format(engine)):
-            gpu.launch(assemble(COPY), (512,), (64,), engine=engine)
+        for name in ("ENGINES", "REMOVED_ENGINES", "unknown_engine_message"):
+            assert not hasattr(gpu_mod, name)
+        assert not hasattr(Gpu, "_resolve_engine")
 
 
 class TestEngineEquivalence:
-    """Multi-CU launches run serially on either engine; the compiled
+    """Multi-CU launches run serially on either loop; the compiled
     one must match the reference bit for bit."""
 
     def test_bit_identical_to_reference(self):
-        arch = ArchConfig.baseline().with_parallelism(num_cus=2)
-        _, ref, ref_out = launch_copy(arch, engine="reference")
-        _, res, out = launch_copy(arch, engine="superblock")
+        _, ref, ref_out = launch_copy(MULTI, observed=True)
+        _, res, out = launch_copy(MULTI)
+        assert ref.engine == "reference"
         assert res.engine == "superblock"
         assert np.array_equal(ref_out, out)
         assert res.cu_cycles == ref.cu_cycles
@@ -104,8 +120,8 @@ class TestEngineEquivalence:
         """Per-workgroup stats merged across CUs must equal the
         reference merge -- same totals, same breakdowns."""
         arch = ArchConfig.baseline().with_parallelism(num_cus=3)
-        ref_gpu, ref, _ = launch_copy(arch, engine="reference")
-        gpu, res, _ = launch_copy(arch, engine="superblock")
+        ref_gpu, ref, _ = launch_copy(arch, observed=True)
+        gpu, res, _ = launch_copy(arch)
         assert res.stats.cycles == ref.stats.cycles
         assert res.stats.instructions == ref.stats.instructions
         assert res.stats.per_unit == ref.stats.per_unit
@@ -115,15 +131,64 @@ class TestEngineEquivalence:
         assert gpu.memory.stats == ref_gpu.memory.stats
 
     def test_register_capture_matches_across_engines(self):
-        arch = ArchConfig.baseline().with_parallelism(num_cus=2)
-        _, ref, _ = launch_copy(arch, engine="reference",
+        _, ref, _ = launch_copy(MULTI, observed=True,
                                 collect_registers=True)
-        _, res, _ = launch_copy(arch, engine="superblock",
-                                collect_registers=True)
+        _, res, _ = launch_copy(MULTI, collect_registers=True)
         assert ref.registers is not None and res.registers is not None
         assert set(ref.registers) == set(res.registers)
         for key in ref.registers:
             assert ref.registers[key] == res.registers[key]
+
+
+class TestSlicesFollowObservation:
+    """Observation is read per slice: a sliced launch whose slices
+    differ in observation still matches the straight run bit for bit,
+    and the result names the loop of the final slice."""
+
+    @staticmethod
+    def _sliced(arch, observe_slices):
+        gpu = Gpu(arch)
+        setup_copy(gpu)
+        program = assemble(COPY)
+        observer = Observer()
+        slices = iter(observe_slices)
+
+        def observe(on):
+            if on and observer not in gpu.observers:
+                gpu.attach(observer)
+            elif not on and observer in gpu.observers:
+                gpu.detach(observer)
+
+        observe(next(slices))
+        try:
+            return gpu, gpu.launch(program, (512,), (64,),
+                                   collect_registers=True,
+                                   max_slice_instructions=13)
+        except LaunchPreempted:
+            pass
+        while True:
+            observe(next(slices))
+            try:
+                return gpu, gpu.resume_launch(max_slice_instructions=13)
+            except LaunchPreempted:
+                continue
+
+    @pytest.mark.parametrize("arch", [SINGLE, MULTI], ids=["1cu", "2cu"])
+    @pytest.mark.parametrize("first", [True, False],
+                             ids=["observed-first", "unobserved-first"])
+    def test_alternating_slices_match_straight_run(self, arch, first):
+        _, straight, straight_out = launch_copy(arch, collect_registers=True)
+        pattern = [first, not first] * 8
+        gpu, sliced = self._sliced(arch, pattern)
+        assert np.array_equal(read_out(gpu), straight_out)
+        assert sliced.cu_cycles == straight.cu_cycles
+        assert sliced.stats.instructions == straight.stats.instructions
+        assert sliced.stats.per_name == straight.stats.per_name
+        assert sliced.registers == straight.registers
+        # 8 workgroups of 13 instructions, one per slice: the final
+        # (eighth) slice had the opposite observation of the first.
+        assert sliced.executed_groups == 8
+        assert sliced.engine == ("superblock" if first else "reference")
 
 
 class TestSamplingSelection:

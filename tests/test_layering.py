@@ -2,7 +2,7 @@
 
 Every toolchain subsystem must go through :mod:`repro.exec` (an
 ``ExecutionRequest`` resolved by an ``Executor``) instead of building
-boards privately -- that is what makes warm-board leasing, engine
+boards privately -- that is what makes warm-board leasing, observation
 policy and observer hygiene uniform across entry points.  This test
 walks the AST of every module under ``src/repro`` and fails on any
 direct ``SoftGpu(...)`` or ``Gpu(...)`` construction outside the two

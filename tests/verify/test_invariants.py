@@ -78,7 +78,7 @@ class TestAttachedToDevice:
     def test_fuzz_case_runs_clean(self):
         case = generate_case(3)
         snap = run_case(case, ArchConfig.baseline(), check_invariants=True)
-        assert snap.registers  # recorder saw every wavefront finish
+        assert snap.registers  # every wavefront's final state captured
 
     def test_unmasked_vgpr_write_caught_end_to_end(self, monkeypatch):
         # Corrupt the simulator: VGPR writes ignore the lane mask.  A

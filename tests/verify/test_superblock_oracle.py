@@ -1,4 +1,5 @@
-"""The superblock engine-equivalence oracle."""
+"""The superblock oracle: unobserved (compiled) runs match observed
+(reference) runs bit for bit."""
 
 import glob
 import os
@@ -72,7 +73,7 @@ class TestOracleCatchesDivergence:
 
     def test_wrong_plan_semantics_detected(self, monkeypatch):
         """Corrupt one per-instruction plan executor -- code the
-        superblock engine runs for every instruction outside a fused
+        compiled loop runs for every instruction outside a fused
         block -- and check the oracle reports it."""
         real_build = superblock.build_superblocks
 
@@ -97,3 +98,21 @@ class TestOracleCatchesDivergence:
         failures = check_case(case, oracles=("superblock",))
         assert failures, "oracle missed an injected plan bug"
         assert all(f.oracle == "superblock" for f in failures)
+
+    def test_observation_cost_detected(self, monkeypatch):
+        """The zero-cost-observation claim (folded into this oracle's
+        baseline leg): if observing a run changed its cycle count, the
+        oracle must report it."""
+        from repro.cu.pipeline import ComputeUnit
+
+        real = ComputeUnit._run_reference
+
+        def slower(self, workgroup, start_time, wavefronts):
+            end, stats = real(self, workgroup, start_time, wavefronts)
+            return end + 1.0, stats
+
+        monkeypatch.setattr(ComputeUnit, "_run_reference", slower)
+        failures = check_case(generate_case(3), oracles=("superblock",))
+        assert any(f.oracle == "superblock" and "cycle counts differ" in
+                   f.detail and "baseline-superblock" in f.detail
+                   for f in failures)
