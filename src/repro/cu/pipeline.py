@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from ..errors import SimulationError, TrimmedInstructionError
 from ..isa.categories import FunctionalUnit
 from ..isa.registers import MAX_WAVEFRONTS
-from ..obs.events import InstructionIssue, Span, Stall, WavefrontStep
+from ..obs.events import (STALL_CAUSES, InstructionIssue, Span, Stall,
+                          WavefrontStep)
 from . import lsu, operations
 from .prepared import get_prepared
 from .timing import (KIND_ALU, KIND_ENDPGM, KIND_MEMORY, KIND_WAITCNT,
@@ -34,6 +35,13 @@ _WAITCNT_LGKM_SHIFT = 8
 _WAITCNT_LGKM_MASK = 0x1F
 
 
+#: The ways an instruction can issue, keys of
+#: :attr:`CuRunStats.issue_paths`: inside a fused superblock call,
+#: from its prepared plan (both on the compiled loop), or on the
+#: reference interpreter.
+ISSUE_PATHS = ("fused", "plan", "reference")
+
+
 @dataclass
 class CuRunStats:
     """Cycle and instruction accounting for one workgroup execution.
@@ -42,6 +50,25 @@ class CuRunStats:
     stats object (one kernel launch) therefore holds the *sum* of
     per-workgroup busy cycles, which exceeds the launch makespan when
     workgroups overlap across compute units.
+
+    Both issue loops fill every field -- they are free-running
+    aggregates, like the FPGA's activity registers, and the
+    :class:`~repro.obs.counters.PerfCounters` taxonomy is built from
+    them without observing the run:
+
+    * ``active_cycles`` -- front-end busy cycles (each issue's
+      front-end cost);
+    * ``stalls`` -- front-end idle cycles by cause (the
+      :data:`~repro.obs.events.STALL_CAUSES`, ``drain`` being the tail
+      after a workgroup's last issue); causes that never idled are
+      absent, so ``active_cycles + sum(stalls)`` equals ``cycles``;
+    * ``workgroups`` / ``peak_wavefronts`` -- workgroups executed and
+      the largest one's wavefront count;
+    * ``cu_cycles`` / ``cu_workgroups`` -- ``cycles`` and
+      ``workgroups`` keyed by compute-unit index;
+    * ``issue_paths`` -- instructions per :data:`ISSUE_PATHS` entry
+      (zero counts absent).  Unlike every other field it depends on
+      the loop that ran, not only on the simulated machine.
     """
 
     cycles: float = 0.0
@@ -50,16 +77,46 @@ class CuRunStats:
     per_name: dict = field(default_factory=dict)
     memory_accesses: int = 0
     wavefronts: int = 0
+    active_cycles: int = 0
+    stalls: dict = field(default_factory=dict)
+    workgroups: int = 0
+    peak_wavefronts: int = 0
+    cu_cycles: dict = field(default_factory=dict)
+    cu_workgroups: dict = field(default_factory=dict)
+    issue_paths: dict = field(default_factory=dict)
 
     def merge(self, other):
         self.cycles += other.cycles
         self.instructions += other.instructions
         self.memory_accesses += other.memory_accesses
         self.wavefronts += other.wavefronts
-        for key, value in other.per_unit.items():
-            self.per_unit[key] = self.per_unit.get(key, 0) + value
-        for key, value in other.per_name.items():
-            self.per_name[key] = self.per_name.get(key, 0) + value
+        self.active_cycles += other.active_cycles
+        self.workgroups += other.workgroups
+        if other.peak_wavefronts > self.peak_wavefronts:
+            self.peak_wavefronts = other.peak_wavefronts
+        for mine, theirs in ((self.per_unit, other.per_unit),
+                             (self.per_name, other.per_name),
+                             (self.stalls, other.stalls),
+                             (self.cu_cycles, other.cu_cycles),
+                             (self.cu_workgroups, other.cu_workgroups),
+                             (self.issue_paths, other.issue_paths)):
+            for key, value in theirs.items():
+                mine[key] = mine.get(key, 0) + value
+
+    def _close(self, cu_index, wavefronts, start_time, decode_free,
+               end_time, stalls):
+        """Fill the per-workgroup fields at the end of one run."""
+        if end_time > decode_free:
+            # Tail after the last issue: outstanding memory plus the
+            # endpgm epilogue draining the pipe.
+            stalls["drain"] = stalls.get("drain", 0) + (end_time - decode_free)
+        self.cycles = end_time - start_time
+        self.stalls = {cause: idle for cause, idle in stalls.items() if idle}
+        self.wavefronts = wavefronts
+        self.workgroups = 1
+        self.peak_wavefronts = wavefronts
+        self.cu_cycles = {cu_index: self.cycles}
+        self.cu_workgroups = {cu_index: 1}
 
 
 class ComputeUnit:
@@ -164,10 +221,10 @@ class ComputeUnit:
         slice (:attr:`repro.soc.gpu.Gpu.issue_loop`); ``False`` forces the
         reference interpreter, which the per-instruction validation
         sweep uses to exercise the live operations tables.  The
-        compiled loop produces bit-identical state, stats and cycle
-        counts -- the ``superblock`` oracle enforces this -- but emits
-        no observation events, so an attached observer always gets the
-        reference loop.
+        compiled loop produces bit-identical state, cycle counts and
+        stats (``issue_paths`` aside) -- the ``superblock`` and
+        ``counters`` oracles enforce this -- but emits no observation
+        events, so an attached observer always gets the reference loop.
         """
         wavefronts = [wf for wf in workgroup.wavefronts if not wf.done]
         if len(wavefronts) > self.max_wavefronts:
@@ -185,7 +242,9 @@ class ComputeUnit:
         return self._run_reference(workgroup, start_time, wavefronts)
 
     def _run_reference(self, workgroup, start_time, wavefronts):
-        stats = CuRunStats(wavefronts=len(wavefronts))
+        stats = CuRunStats()
+        stalls = {}
+        active = 0
         obs = self.obs
         # Static cost columns, one table per distinct program (the
         # reference loop, unlike the compiled loop, allows mixed-program
@@ -234,15 +293,19 @@ class ComputeUnit:
                 )
             start = max(wf.ready_at, decode_free)
             fe_cost = table.fe_costs[index]
-            if obs is not None:
+            active += fe_cost
+            if start > decode_free:
                 # The issue slot idled for (start - decode_free) cycles
                 # waiting on this wavefront; attribute the gap to
                 # whatever last deferred its ready time.
-                if start > decode_free:
+                cause = wf.stall_cause
+                stalls[cause] = stalls.get(cause, 0) + (start - decode_free)
+                if obs is not None:
                     obs.emit_stall(Stall(
                         cycle=decode_free, cu_index=self.cu_index,
-                        wf_id=wf.wf_id, cause=wf.stall_cause,
+                        wf_id=wf.wf_id, cause=cause,
                         cycles=start - decode_free))
+            if obs is not None:
                 obs.emit_issue(InstructionIssue(
                     cycle=start, cu_index=self.cu_index, wf_id=wf.wf_id,
                     address=inst.address, name=inst.spec.name,
@@ -286,10 +349,9 @@ class ComputeUnit:
             if name == "s_waitcnt":
                 wf.ready_at = self._waitcnt_target(
                     wf, inst.fields["simm16"], fe_done)
-                # The cause string must track every deferral even with
-                # no observer attached: a profiler attached *between*
-                # launches on a warm board would otherwise attribute
-                # the first observed gap to a stale cause.
+                # The cause string must track every deferral, observed
+                # or not: the stall aggregates attribute the wavefront's
+                # next issue gap to it.
                 wf.stall_cause = ("memory" if wf.ready_at > fe_done
                                   else "operand-dep")
                 if obs is not None:
@@ -346,11 +408,13 @@ class ComputeUnit:
                     cycle=fe_done, cu_index=self.cu_index, wf=wf, inst=inst))
 
         end_time = max(finish_time, decode_free)
-        stats.cycles = end_time - start_time
+        stats.active_cycles = active
+        if issued:
+            stats.issue_paths = {"reference": issued}
+        stats._close(self.cu_index, len(wavefronts), start_time,
+                     decode_free, end_time, stalls)
         if obs is not None:
             if end_time > decode_free:
-                # Tail after the last issue: outstanding memory plus
-                # the endpgm epilogue draining the pipe.
                 obs.emit_stall(Stall(
                     cycle=decode_free, cu_index=self.cu_index, wf_id=-1,
                     cause="drain", cycles=end_time - decode_free))
@@ -360,7 +424,7 @@ class ComputeUnit:
                                             workgroup.group_id)),
                 start=start_time, end=end_time, cu_index=self.cu_index,
                 meta=(("wavefronts", len(wavefronts)),
-                      ("instructions", stats.instructions))))
+                      ("instructions", issued))))
         return end_time, stats
 
     def _run_compiled(self, workgroup, start_time, wavefronts):
@@ -390,7 +454,8 @@ class ComputeUnit:
         prepared = get_prepared(wavefronts[0].program, self.timing)
         bad = prepared.restrictions(self)
         by_address = prepared.by_address
-        stats = CuRunStats(wavefronts=len(wavefronts))
+        stats = CuRunStats()
+        stalls = dict.fromkeys(STALL_CAUSES, 0)
         for wf in wavefronts:
             wf.ready_at = start_time
             wf.stall_cause = "operand-dep"
@@ -438,15 +503,25 @@ class ComputeUnit:
                     best, best_key = wf, key
             rr += 1
             wf = best
+            ready = wf.ready_at
+            if ready > decode_free:
+                # Attribute the idle issue slot to whatever deferred
+                # this wavefront; operand-dep, the common cause, is
+                # summed as the remainder after the loop.
+                cause = wf.stall_cause
+                if cause != "operand-dep":
+                    stalls[cause] += ready - decode_free
+                start = ready
+            else:
+                start = decode_free
 
             if n == 1 and blocks is not None \
                     and (blk := blocks.get(wf.pc)) is not None \
                     and issued + blk.count <= max_instructions:
                 # The reference would advance the round-robin cursor
                 # once per pick.
-                ready = wf.ready_at
-                start = ready if ready > decode_free else decode_free
-                fe_done, done = step_advance(blk.steps, start, busy_lists)
+                fe_done, done, contended = step_advance(
+                    blk.steps, start, busy_lists)
                 blk.sem_all(wf)
                 decode_free = fe_done
                 wf.pc = blk.end_pc
@@ -456,9 +531,16 @@ class ComputeUnit:
                 wf.ready_at = done
                 if done > finish_time:
                     finish_time = done
-                wf.stall_cause = ("fu-busy"
-                                  if done - blk.last_occ > fe_done
-                                  else "operand-dep")
+                if done - blk.last_occ > fe_done:
+                    wf.stall_cause = "fu-busy"
+                    # The last step's wait idles the next pick, which
+                    # attributes it.
+                    contended -= done - fe_done
+                else:
+                    wf.stall_cause = "operand-dep"
+                # The block's internal decode gaps that waited on a busy
+                # unit; the rest are operand-dep (the remainder).
+                stalls["fu-busy"] += contended
                 sb_counts[blk] = sb_counts.get(blk, 0) + 1
                 continue
 
@@ -475,8 +557,6 @@ class ComputeUnit:
                 raise SimulationError(
                     "instruction budget exceeded (kernel stuck in a loop?)"
                 )
-            ready = wf.ready_at
-            start = ready if ready > decode_free else decode_free
             fe_done = start + plan.fe_cost
             decode_free = fe_done
             wf.pc += plan.pc_step
@@ -548,25 +628,40 @@ class ComputeUnit:
                 if workgroup.arrive_at_barrier():
                     self._release(workgroup, barrier_waiters)
 
+        fused = 0
         for blk, times in sb_counts.items():
             # Fold block executions into the per-plan issue counts and
             # the pool utilisation counters (integer occupancies, so
             # the deferred sum is exact regardless of order).
+            fused += blk.count * times
             for index in blk.indices:
                 counts[index] += times
             for unit, total in blk.busy_totals:
                 pools[unit].busy_cycles += total * times
 
         end_time = max(finish_time, decode_free)
-        stats.cycles = end_time - start_time
         stats.instructions = issued
         stats.memory_accesses = memory_accesses
         per_unit = stats.per_unit
         per_name = stats.per_name
+        active = 0
         for plan, count in zip(prepared.plans, counts):
             if count:
                 per_unit[plan.unit_name] = per_unit.get(plan.unit_name, 0) + count
                 per_name[plan.name] = per_name.get(plan.name, 0) + count
+                active += count * plan.fe_cost
+        stats.active_cycles = active
+        # Every front-end cycle up to the last issue is busy or idle by
+        # exactly one cause; operand-dep owns what no other cause
+        # claimed (exact: board times are quarter-cycle multiples).
+        stalls["operand-dep"] = (decode_free - start_time - active
+                                 - sum(stalls.values()))
+        if fused:
+            stats.issue_paths["fused"] = fused
+        if issued > fused:
+            stats.issue_paths["plan"] = issued - fused
+        stats._close(cu_index, len(wavefronts), start_time, decode_free,
+                     end_time, stalls)
         return end_time, stats
 
     def _release(self, workgroup, barrier_waiters):

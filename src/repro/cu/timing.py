@@ -360,16 +360,30 @@ def step_advance(steps, start, busy_lists):
     through :func:`acquire_slot`), so a sole-candidate block issue
     prices exactly like the reference's instruction-by-instruction
     walk.
+
+    Returns ``(fe_done, t, contended)``.  ``contended`` sums ``t - fd``
+    over the steps whose unit instance was still busy at their
+    front-end completion, the last step included: the wait the
+    reference attributes to ``fu-busy`` before the wavefront's next
+    issue.  Only the contended branch accumulates, so an uncontended
+    block pays nothing for it.
     """
     t = start
     fd = start
+    contended = 0.0
     for fe, occ, pid in steps:
         fd = t + fe
         busy = busy_lists[pid]
         if len(busy) == 1:
             b = busy[0]
-            t = (fd if fd > b else b) + occ
+            if b > fd:
+                t = b + occ
+                contended += t - fd
+            else:
+                t = fd + occ
             busy[0] = t
         else:
             t = acquire_slot(busy, fd, occ)
-    return fd, t
+            if t - occ > fd:
+                contended += t - fd
+    return fd, t, contended

@@ -45,8 +45,9 @@ STATUS_DONE = "done"
 STATUS_PREEMPTED = "preempted"
 
 #: Wire-format version; bumped on incompatible payload changes
-#: (3: the paused frame no longer names a launch engine).
-CHECKPOINT_VERSION = 3
+#: (3: the paused frame no longer names a launch engine; 4: frame
+#: stats carry the stall/occupancy/issue-path aggregates).
+CHECKPOINT_VERSION = 4
 
 
 def _b64(raw):
@@ -77,6 +78,14 @@ def _stats_to_dict(stats):
         "per_name": dict(sorted(stats.per_name.items())),
         "memory_accesses": stats.memory_accesses,
         "wavefronts": stats.wavefronts,
+        "active_cycles": stats.active_cycles,
+        "stalls": dict(sorted(stats.stalls.items())),
+        "workgroups": stats.workgroups,
+        "peak_wavefronts": stats.peak_wavefronts,
+        # JSON object keys are strings; CU indices stay ints as rows.
+        "per_cu": [[cu, stats.cu_cycles[cu], stats.cu_workgroups[cu]]
+                   for cu in sorted(stats.cu_cycles)],
+        "issue_paths": dict(sorted(stats.issue_paths.items())),
     }
 
 
@@ -90,6 +99,13 @@ def _stats_from_dict(data):
         per_name=dict(data["per_name"]),
         memory_accesses=data["memory_accesses"],
         wavefronts=data["wavefronts"],
+        active_cycles=data["active_cycles"],
+        stalls=dict(data["stalls"]),
+        workgroups=data["workgroups"],
+        peak_wavefronts=data["peak_wavefronts"],
+        cu_cycles={cu: cycles for cu, cycles, _ in data["per_cu"]},
+        cu_workgroups={cu: groups for cu, _, groups in data["per_cu"]},
+        issue_paths=dict(data["issue_paths"]),
     )
 
 

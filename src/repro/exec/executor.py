@@ -10,13 +10,16 @@ through :meth:`Executor.execute`:
    the same ``content_key x timing-params`` space, so they survive
    lease churn regardless),
 2. apply the request's launch policy (workgroup sampling, slicing),
-3. attach the requested observers (profile counters, Chrome trace,
-   caller-supplied) -- which also puts the launches on the reference
-   loop, the only one that emits observation events,
+3. open the board's activity window and attach the requested event
+   observers (Chrome trace, caller-supplied) -- any attached observer
+   puts the launches on the reference loop, the only one that emits
+   observation events.  ``profile`` attaches nothing: its counters are
+   built from the window's run aggregates, so a profiled run stays on
+   the compiled loop,
 4. run the workload,
 5. capture everything the caller may need *while the board is still
-   leased* -- metrics, counters, launch records, output digests,
-   optionally the full memory image -- and
+   leased* -- metrics, counters, issue paths, launch records, output
+   digests, optionally the full memory image -- and
 6. release the board back to the pool, scrubbed.
 
 The result is an :class:`ExecutionResult`: outputs plus run metrics
@@ -34,6 +37,7 @@ import numpy as np
 
 from ..errors import LaunchPreempted
 from ..fpga.synthesis import Synthesizer
+from ..obs.counters import PerfCounters
 from ..obs.serialize import SerializableMixin
 from ..runtime.metrics import RunMetrics
 from .checkpoint import STATUS_DONE, STATUS_PREEMPTED, PreemptedResult
@@ -61,6 +65,9 @@ class ExecutionResult(SerializableMixin):
     board_key: str
     launches: Tuple[object, ...] = ()
     counters: Optional[object] = None      # PerfCounters, when profiled
+    #: Instructions the request issued per path (``fused``, ``plan``,
+    #: ``reference``; :data:`repro.cu.pipeline.ISSUE_PATHS`).
+    issue_paths: Dict[str, int] = field(default_factory=dict)
     trace: Optional[object] = None         # ChromeTrace, when traced
     digests: Dict[str, str] = field(default_factory=dict)
     memory_image: Optional[bytes] = None
@@ -82,6 +89,7 @@ class ExecutionResult(SerializableMixin):
             "metrics": self.metrics.to_dict(),
             "cu_cycles": self.cu_cycles,
             "engine": self.engine,
+            "issue_paths": dict(self.issue_paths),
             "warm_board": self.warm_board,
             "digests": dict(self.digests),
             "status": self.status,
@@ -181,13 +189,10 @@ class Executor:
             if request.checkpoint is not None:
                 lease.restore(request.checkpoint)
 
+            # The window the counters cover: exactly the span an attached
+            # observer would see (after the restore, around the run).
+            activity = board.gpu.open_activity()
             attached = []
-            counters = None
-            if request.profile:
-                from ..obs.counters import PerfCounters
-
-                counters = PerfCounters()
-                attached.append(counters)
             trace = None
             if request.trace:
                 from ..obs.chrome_trace import ChromeTrace
@@ -215,6 +220,10 @@ class Executor:
             finally:
                 for observer in attached:
                     board.detach(observer)
+            counters = None
+            if request.profile:
+                counters = PerfCounters(board.gpu.activity_counters())
+            issue_paths = activity.issue_paths()
 
             digests = {
                 name: hashlib.sha256(
@@ -269,6 +278,7 @@ class Executor:
                 board_key=lease.key,
                 launches=launches,
                 counters=counters,
+                issue_paths=issue_paths,
                 trace=trace,
                 digests=digests,
                 memory_image=memory_image,

@@ -3,8 +3,9 @@
 An :class:`ExecutionRequest` bundles everything that nine call sites
 used to hand-roll separately -- which work to run, on which
 architecture, with which workgroup sampling, memory size, and
-observation/verification policy (observation also picks the CU issue
-loop: reference when observed, compiled otherwise).  The
+observation/verification policy (an attached observer also picks the
+CU issue loop: reference when observed, compiled otherwise; profiling
+attaches none).  The
 :class:`~repro.exec.executor.Executor` resolves a request into an
 :class:`~repro.exec.executor.ExecutionResult`.
 
@@ -121,11 +122,14 @@ class ExecutionRequest:
 
     Shorthand: ``ExecutionRequest(benchmark="matrix_add_i32")`` is a
     :class:`BenchmarkWorkload` request; pass ``workload=`` for
-    anything else.  Any attached observer (``profile``, ``trace``,
-    ``observers``) runs the launches on the reference loop, which alone
-    emits observation events; an unobserved request runs the compiled
-    loop.  ``report`` supplies a synthesis report for power pricing
-    (the executor synthesises and memoizes one otherwise).
+    anything else.  ``profile`` builds the result's performance
+    counters from the run's aggregates and attaches no observer, so a
+    profiled request runs the compiled loop like an unprofiled one.
+    Any attached observer (``trace``, ``observers``) runs the launches
+    on the reference loop, which alone emits observation events; the
+    counters come out identical there.  ``report`` supplies a synthesis
+    report for power pricing (the executor synthesises and memoizes one
+    otherwise).
     """
 
     benchmark: Optional[str] = None

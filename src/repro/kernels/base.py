@@ -13,6 +13,7 @@ standard implementations", Section 4).
 from __future__ import annotations
 
 import functools
+import numbers
 from typing import Dict, List
 
 import numpy as np
@@ -52,6 +53,39 @@ def arg_loads(first_sgpr, count):
     return "\n".join(lines)
 
 
+def _type_error(default, value):
+    """Why ``value`` cannot stand in for a parameter whose default is
+    ``default``, or None when it can.
+
+    The default's type is the parameter's type: an ``int`` takes any
+    integral number but never a ``bool``, a ``float`` any real number
+    (bools excluded), a tuple a list or tuple whose items take the
+    default's first item's type, and a ``None`` default anything.
+    """
+    if default is None:
+        return None
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, numbers.Integral):
+        ok = (isinstance(value, numbers.Integral)
+              and not isinstance(value, bool))
+    elif isinstance(default, numbers.Real):
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    elif isinstance(default, (tuple, list)):
+        ok = isinstance(value, (tuple, list))
+        if ok and default:
+            for item in value:
+                reason = _type_error(default[0], item)
+                if reason is not None:
+                    return "items " + reason
+    else:
+        ok = isinstance(value, type(default))
+    if ok:
+        return None
+    return "must be {}, got {} {!r}".format(
+        type(default).__name__, type(value).__name__, value)
+
+
 class Benchmark:
     """One benchmark application.
 
@@ -75,6 +109,11 @@ class Benchmark:
         if unknown:
             raise SimulationError(
                 "{}: unknown parameters {}".format(self.name, sorted(unknown)))
+        for key in sorted(params):
+            reason = _type_error(merged[key], params[key])
+            if reason is not None:
+                raise SimulationError("{}: parameter {!r} {}".format(
+                    self.name, key, reason))
         merged.update(params)
         self.params = merged
         for key, value in merged.items():

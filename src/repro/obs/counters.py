@@ -36,6 +36,16 @@ every workgroup, ``cycles.active`` plus the sum of every
 each workgroup execution is attributed exactly once.  Likewise
 ``mem.global.hits + mem.global.misses`` equals the total number of
 global-memory transactions issued to the memory system.
+
+Two sources fill the same taxonomy.  :class:`PerfCounters` attached as
+an observer counts the event stream, which only the reference issue
+loop emits; :func:`aggregate_counters` builds it from the run
+aggregates both loops keep anyway (:class:`~repro.cu.pipeline
+.CuRunStats`, the board's span intervals and memory counters), which
+is how ``profile=True`` counts on the compiled loop.  The ``counters``
+fuzz oracle holds the two equal, exactly: board times are multiples of
+a quarter cycle far below 2**50, so every sum is exact in any order,
+and the only differences (span lengths) use the same ``end - start``.
 """
 
 from __future__ import annotations
@@ -126,17 +136,61 @@ class CounterSet(SerializableMixin):
         return "CounterSet({} counters)".format(len(self._values))
 
 
+def aggregate_counters(stats, spans, memory):
+    """The counter taxonomy from run aggregates, with no observer.
+
+    ``stats`` is a merged :class:`~repro.cu.pipeline.CuRunStats` of
+    every workgroup run in the window, ``spans`` the window's
+    ``(kind, start, end)`` kernel / host-phase / preload intervals in
+    emission order, and ``memory`` the window's increments of the
+    memory system's ``prefetch_hits`` / ``prefetch_misses`` /
+    ``lds_accesses``.  Returns the :class:`CounterSet` an attached
+    :class:`PerfCounters` would hold -- the same keys (a counter the
+    event stream never touches is absent, not zero) and the same
+    values.
+    """
+    c = CounterSet()
+    if stats.instructions:
+        c.add("issue.total", stats.instructions)
+        for unit, count in stats.per_unit.items():
+            c.add("issue.unit." + unit, count)
+        c.add("cycles.active", stats.active_cycles)
+    for cause, cycles in stats.stalls.items():
+        c.add("stall." + cause, cycles)
+    if stats.workgroups:
+        c.add("cycles.total", stats.cycles)
+        c.add("occupancy.wavefronts", stats.wavefronts)
+        c.add("occupancy.workgroups", stats.workgroups)
+        if stats.peak_wavefronts:
+            c.add("occupancy.peak_wavefronts", stats.peak_wavefronts)
+        for cu_index, cycles in stats.cu_cycles.items():
+            c.add("cu.{}.cycles".format(cu_index), cycles)
+            c.add("cu.{}.workgroups".format(cu_index),
+                  stats.cu_workgroups[cu_index])
+    for path, key in (("mem.global.hits", "prefetch_hits"),
+                      ("mem.global.misses", "prefetch_misses"),
+                      ("mem.lds.accesses", "lds_accesses")):
+        if memory.get(key):
+            c.add(path, memory[key])
+    for kind, start, end in spans:
+        c.add("span.{}.count".format(kind))
+        c.add("span.{}.cycles".format(kind), end - start)
+    return c
+
+
 class PerfCounters(Observer):
     """The standard counter-collecting observer.
 
     Attach to a device, run, detach; ``counters`` then holds the full
     taxonomy and :meth:`derived` the ratios (prefetch hit rate, IPC,
     stall fractions) computed *from* the counters -- never recorded
-    separately, so they cannot drift from the raw numbers.
+    separately, so they cannot drift from the raw numbers.  Passing a
+    filled ``counters`` set (from :func:`aggregate_counters`) gives the
+    same view of an unobserved run.
     """
 
-    def __init__(self):
-        self.counters = CounterSet()
+    def __init__(self, counters=None):
+        self.counters = counters if counters is not None else CounterSet()
 
     # -- event hooks -------------------------------------------------------
 

@@ -1,11 +1,14 @@
-"""The ``repro profile`` engine: one observed run, fully accounted.
+"""The ``repro profile`` engine: one profiled run, fully accounted.
 
 Runs a benchmark from the suite on one architecture configuration
-with the standard observers attached -- :class:`PerfCounters` always,
-:class:`ChromeTrace` when a trace is requested -- and packages the
-result behind the repo-wide serialization convention, so
-``repro profile <kernel> --json`` emits the same shape of payload as
-``run --json`` and ``serve --json``.
+with ``profile=True`` -- the :class:`PerfCounters` taxonomy built from
+the run's aggregates, so the run stays on the compiled issue loop --
+plus a :class:`ChromeTrace` observer when a trace is requested (which
+puts the run on the reference loop; the counters come out identical).
+The result is packaged behind the repo-wide serialization convention,
+so ``repro profile <kernel> --json`` emits the same shape of payload
+as ``run --json`` and ``serve --json``, plus the ``engine`` that ran
+and the instructions per ``issue_paths`` entry.
 """
 
 from __future__ import annotations
@@ -67,12 +70,22 @@ class ProfileResult(SerializableMixin):
     def counters(self):
         return self.perf.counters
 
+    @property
+    def engine(self):
+        return self.result.engine
+
+    @property
+    def issue_paths(self):
+        return self.result.issue_paths
+
     def to_dict(self):
         return {
             "benchmark": self.benchmark,
             "config": self.config,
+            "engine": self.engine,
             "metrics": self.metrics.to_dict(),
             "counters": self.perf.to_dict(),
+            "issue_paths": dict(self.issue_paths),
             "memory_stats": dict(self.result.memory_stats),
         }
 
@@ -115,6 +128,12 @@ class ProfileResult(SerializableMixin):
                 unit, count,
                 count / c.get("issue.total") if c.get("issue.total") else 0))
         lines.append("")
+        lines.append("issue paths ({} loop)".format(self.engine))
+        for path, count in self.issue_paths.items():
+            lines.append("  {:<26} {:>14}  {:>6.1%}".format(
+                path, count,
+                count / c.get("issue.total") if c.get("issue.total") else 0))
+        lines.append("")
         lines.append("memory")
         lines.append("  {:<26} {:>14}".format("prefetch hits",
                                               c.get("mem.global.hits")))
@@ -142,10 +161,11 @@ class ProfileResult(SerializableMixin):
 def profile_kernel(benchmark_name, params=None, config="baseline",
                    max_groups=None, verify=True, trace=False,
                    trace_instructions=True):
-    """Run one benchmark under full observation; returns ProfileResult.
+    """Run one benchmark with full accounting; returns ProfileResult.
 
     ``trace=True`` additionally records a Chrome trace (see
-    :meth:`ProfileResult.trace` / :meth:`ChromeTrace.write`).
+    :meth:`ProfileResult.trace` / :meth:`ChromeTrace.write`), which
+    runs the reference loop.
     """
     from ..exec import BenchmarkWorkload, ExecutionRequest, execute
     from ..kernels import KERNELS

@@ -55,9 +55,8 @@ class Job:
     scheduled first.  ``timeout_s`` bounds wall-clock execution time in
     the worker; ``retries`` is how many times a failed attempt is
     re-dispatched before the job is reported FAILED.  ``profile``
-    attaches counters, so the job runs on the reference loop (the only
-    one that emits observation events); every other job runs the
-    compiled loop.  ``global_mem_size`` sizes the board's global
+    returns the run's performance counters, built from its aggregates
+    on the compiled loop like every other job.  ``global_mem_size`` sizes the board's global
     memory for jobs whose working set exceeds the default (the board
     content key includes it, so a large-memory job is never handed an
     undersized warm board).
@@ -79,7 +78,7 @@ class Job:
     timeout_s: Optional[float] = None
     retries: int = 0
     tag: str = ""
-    profile: bool = False             # attach PerfCounters in the worker
+    profile: bool = False             # return PerfCounters from the worker
     global_mem_size: Optional[int] = None  # board global-memory bytes
     #: Preemption budget: the job yields a checkpoint and returns to
     #: the queue every time a launch retires this many instructions,

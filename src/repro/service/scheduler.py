@@ -31,7 +31,8 @@ from functools import partial
 from ..core.config import ArchConfig
 from ..core.parallelize import plan as plan_parallelism
 from ..core.trimmer import TrimmingTool
-from ..errors import AdmissionError, JobTimeoutError, ServiceError
+from ..errors import (AdmissionError, JobTimeoutError, ServiceError,
+                      SimulationError)
 from ..fpga.synthesis import Synthesizer
 from ..runtime.metrics import RunMetrics
 from .cache import ArtifactCache, config_key
@@ -110,7 +111,12 @@ class KernelService:
         if job.benchmark not in KERNELS:
             raise AdmissionError(
                 "unknown benchmark {!r}".format(job.benchmark))
-        bench = KERNELS[job.benchmark](**job.params)
+        try:
+            bench = KERNELS[job.benchmark](**job.params)
+        except SimulationError as exc:
+            # Unknown or wrong-typed parameters: refused here, not in
+            # the worker.
+            raise AdmissionError(str(exc)) from exc
 
         # Warm the prepared-program cache at admission: the worker's
         # launches then skip decode + plan construction for every

@@ -21,12 +21,13 @@ everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.config import ArchConfig
-from ..cu.pipeline import ComputeUnit, CuRunStats
+from ..cu.pipeline import ISSUE_PATHS, ComputeUnit, CuRunStats
 from ..errors import LaunchError, LaunchPreempted
 from ..mem.system import MemorySystem
+from ..obs.counters import aggregate_counters
 from ..obs.events import Span
 from ..obs.observer import ObserverHub
 from .clocks import DUAL_DOMAIN, SINGLE_DOMAIN
@@ -45,14 +46,16 @@ PRELOAD_MB_CYCLES_PER_WORD = 2.0
 
 #: The two CU issue loops a launch slice can run, named on
 #: :attr:`LaunchResult.engine`.  Observation picks the loop: only the
-#: reference interpreter emits observation events (per-issue stall
-#: attribution), so a slice runs it exactly when an observer is
-#: attached, and the compiled superblock loop (prepared plans with
-#: straight-line ALU runs fused into generated blocks,
-#: repro.cu.superblock) otherwise.  Both produce bit-identical memory,
-#: registers, stats and cycle counts -- the ``superblock`` oracle
-#: enforces it -- and both run a multi-CU launch serially, one
-#: workgroup at a time on the earliest-free CU.
+#: reference interpreter emits observation events, so a slice runs it
+#: exactly when an observer is attached, and the compiled superblock
+#: loop (prepared plans with straight-line ALU runs fused into
+#: generated blocks, repro.cu.superblock) otherwise.  Profiling
+#: attaches no observer: both loops fill the same run aggregates
+#: (:class:`BoardActivity`), which the performance counters are built
+#: from.  Both produce bit-identical memory, registers, stats and
+#: cycle counts -- the ``superblock`` oracle enforces it, the
+#: ``counters`` oracle the counters -- and both run a multi-CU launch
+#: serially, one workgroup at a time on the earliest-free CU.
 REFERENCE = "reference"
 SUPERBLOCK = "superblock"
 
@@ -68,6 +71,43 @@ def _capture_registers(workgroup, registers):
             "exec": wf.exec_mask,
             "scc": wf.scc,
         }
+
+
+@dataclass
+class BoardActivity:
+    """The board's run aggregates over one window.
+
+    Free-running, like the FPGA's activity registers: every launch
+    slice and host operation records here whether or not an observer
+    is attached, and :meth:`Gpu.activity_counters` turns the window
+    into the :class:`~repro.obs.counters.PerfCounters` taxonomy.
+
+    ``runs`` holds one :class:`CuRunStats` per launch slice run in the
+    window (its workgroups merged); ``spans`` one ``(kind, start,
+    end)`` interval per completed kernel launch, host phase and
+    prefetch preload -- exactly the spans an attached observer would
+    receive; ``memory`` is the memory system's counters when the
+    window opened.
+    """
+
+    memory: dict
+    runs: list = field(default_factory=list)
+    spans: list = field(default_factory=list)
+
+    def stats(self):
+        """Every workgroup run in the window, merged."""
+        total = CuRunStats()
+        for run in self.runs:
+            total.merge(run)
+        return total
+
+    def issue_paths(self):
+        """Instructions issued in the window per issue path."""
+        paths = dict.fromkeys(ISSUE_PATHS, 0)
+        for run in self.runs:
+            for path, count in run.issue_paths.items():
+                paths[path] += count
+        return paths
 
 
 @dataclass
@@ -170,6 +210,9 @@ class Gpu:
         #: all event construction.
         self.hub = ObserverHub()
         self.obs = None
+        # The activity window (BoardActivity): since construction, the
+        # last reset_timeline or the last open_activity.
+        self.open_activity()
         # The host templates always mirror the small constant-buffer
         # region (launch geometry + kernel arguments) into the prefetch
         # memory right after writing it -- scalar loads of kernel
@@ -200,6 +243,22 @@ class Gpu:
         an observer is attached, :data:`SUPERBLOCK` otherwise."""
         return REFERENCE if self.obs is not None else SUPERBLOCK
 
+    def open_activity(self):
+        """Start a new :class:`BoardActivity` window; returns it."""
+        self.activity = BoardActivity(memory=dict(self.memory.stats))
+        return self.activity
+
+    def activity_counters(self):
+        """The current activity window as a
+        :class:`~repro.obs.counters.CounterSet` -- equal to what a
+        :class:`~repro.obs.counters.PerfCounters` observer attached for
+        the same window counts, on either issue loop."""
+        activity = self.activity
+        current = self.memory.stats
+        memory = {key: current[key] - before
+                  for key, before in activity.memory.items()}
+        return aggregate_counters(activity.stats(), activity.spans, memory)
+
     def _sync_obs(self):
         hub = self.hub if len(self.hub) else None
         self.obs = hub
@@ -225,6 +284,7 @@ class Gpu:
         self.memory.reset_timing()
         for cu in self.cus:
             cu.reset_occupancy()
+        self.open_activity()
 
     # -- host-side operations -------------------------------------------------
 
@@ -233,6 +293,7 @@ class Gpu:
         started = self.now
         mb = self.microblaze.run_phase(name, alu_ops, fp_ops, mem_touches)
         self.now += self._mb_to_cu(mb)
+        self.activity.spans.append(("host_phase", started, self.now))
         if self.obs is not None:
             self.obs.emit_span(Span(
                 kind="host_phase", name=name, start=started, end=self.now,
@@ -253,6 +314,7 @@ class Gpu:
         mb = PRELOAD_MB_CYCLES_PER_WORD * (nbytes / 4.0)
         self.microblaze.charge_cycles("preload", mb)
         self.now += self._mb_to_cu(mb)
+        self.activity.spans.append(("preload", started, self.now))
         if self.obs is not None:
             self.obs.emit_span(Span(
                 kind="preload", name="preload:0x{:x}+{}".format(start, nbytes),
@@ -332,7 +394,7 @@ class Gpu:
         """
         loop = self.issue_loop
         compiled = loop == SUPERBLOCK
-        slice_base = frame.stats.instructions
+        ran = CuRunStats()  # this slice's workgroups
         while frame.pending:
             gid = frame.pending[0]
             wg = self.dispatcher.build_workgroup(frame.program,
@@ -350,21 +412,37 @@ class Gpu:
             end, wg_stats = self.cus[cu_idx].run_workgroup(
                 wg, start_time=start, compiled=compiled)
             frame.cu_free[cu_idx] = end
-            frame.stats.merge(wg_stats)
+            ran.merge(wg_stats)
             frame.end_time = max(frame.end_time, end)
             frame.pending.pop(0)
             frame.executed_groups += 1
             if frame.registers is not None:
                 _capture_registers(wg, frame.registers)
             if (budget is not None and frame.pending
-                    and frame.stats.instructions - slice_base >= budget):
+                    and ran.instructions >= budget):
+                self._retire_slice(frame, ran)
                 self.paused = frame
                 raise LaunchPreempted(
                     frame.program.name,
                     executed_groups=frame.executed_groups,
                     total_groups=frame.executed_groups + len(frame.pending),
                     instructions=frame.stats.instructions)
+        self._retire_slice(frame, ran)
         return self._finish_launch(frame, loop)
+
+    def _retire_slice(self, frame, ran):
+        """Record a slice's merged workgroup stats in the activity
+        window and fold them into its launch frame."""
+        self.activity.runs.append(ran)
+        if frame.stats.workgroups:
+            # A resumed launch: a new object, so the window that holds
+            # an earlier slice never sees this one.
+            total = CuRunStats()
+            total.merge(frame.stats)
+            total.merge(ran)
+            frame.stats = total
+        else:
+            frame.stats = ran
 
     def resume_launch(self, max_slice_instructions=None):
         """Continue the paused launch; returns its :class:`LaunchResult`.
@@ -385,6 +463,7 @@ class Gpu:
         elapsed = frame.end_time - self.now
         if frame.sampled and frame.executed_groups:
             elapsed *= frame.total_groups / float(frame.executed_groups)
+        self.activity.spans.append(("kernel", self.now, self.now + elapsed))
         if self.obs is not None:
             self.obs.emit_span(Span(
                 kind="kernel", name=frame.program.name,

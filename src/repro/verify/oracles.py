@@ -43,6 +43,14 @@ bit of disagreement in final state is a simulator bug:
                    per-lane scalar golden model matches bit-for-bit:
                    memory, registers, instruction count **and cycle
                    count** -- the lane-vectorization equivalence claim.
+``counters``       the performance counters of a ``profile=True`` run
+                   -- built from run aggregates on the compiled loop,
+                   with no observer attached -- equal the counters an
+                   attached :class:`~repro.obs.PerfCounters` observer
+                   collects on the reference loop, exactly (every key
+                   and value), as do the reference run's own
+                   aggregates; on the baseline board, the architecture
+                   trimmed for the case and a multi-CU board.
 =================  ====================================================
 
 ``run_case`` executes one configuration and captures an
@@ -65,7 +73,8 @@ from ..errors import ReproError
 from ..cu.vector import lanewise_execution
 from ..exec import (STATUS_PREEMPTED, BoardPool, ExecutionRequest, Executor,
                     PreemptedResult, ProgramWorkload, default_executor)
-from ..obs import Observer
+from ..obs import Observer, PerfCounters
+from ..soc.gpu import SUPERBLOCK
 from .invariants import InvariantChecker, InvariantViolation
 
 #: Global-memory size used for fuzz boards -- small enough that whole-
@@ -81,7 +90,7 @@ FUZZ_MAX_INSTRUCTIONS = 50_000
 
 ORACLE_NAMES = ("roundtrip", "invariants", "trimmed", "multi-cu",
                 "prefetch-off", "superblock", "warm-lease", "checkpoint",
-                "vector")
+                "vector", "counters")
 
 
 @dataclass(frozen=True)
@@ -148,6 +157,35 @@ def run_case(case, arch, label="run", observed=True, check_invariants=False,
         label=label, memory=result.memory_image, cycles=launch.cu_cycles,
         instructions=launch.stats.instructions,
         registers=launch.registers, warm=result.warm_board)
+
+
+def _profiled(case, arch, observer=None):
+    """One ``profile=True`` run of ``case``; with ``observer`` also
+    attached (which puts it on the reference loop)."""
+    return default_executor().execute(ExecutionRequest(
+        workload=_case_workload(case),
+        arch=arch,
+        global_mem_size=FUZZ_MEM_SIZE,
+        max_instructions=FUZZ_MAX_INSTRUCTIONS,
+        verify=False,
+        profile=True,
+        observers=(observer,) if observer is not None else (),
+        numpy_errstate="ignore",
+        label="profiled",
+    ))
+
+
+def _counter_diff(expected, got, limit=4):
+    """The first differing counters of two :class:`CounterSet` objects,
+    or None when they are equal."""
+    if got == expected:
+        return None
+    want, have = dict(expected.items()), dict(got.items())
+    diffs = ["{}: {} vs {}".format(path, want.get(path, "absent"),
+                                   have.get(path, "absent"))
+             for path in sorted(set(want) | set(have))
+             if want.get(path, None) != have.get(path, None)]
+    return "; ".join(diffs[:limit])
 
 
 def _case_workload(case):
@@ -314,11 +352,11 @@ def check_case(case, multi_cus=2, oracles=None):
 
     configs = []
     trimmed = None
-    if want("trimmed") or want("superblock"):
+    if want("trimmed") or want("superblock") or want("counters"):
         try:
             trimmed = TrimmingTool().trim(case.program).config
         except ReproError as exc:
-            for oracle in ("trimmed", "superblock"):
+            for oracle in ("trimmed", "superblock", "counters"):
                 if want(oracle):
                     failures.append(OracleFailure(
                         oracle, "trim failed: {!r}".format(exc)))
@@ -370,6 +408,40 @@ def check_case(case, multi_cus=2, oracles=None):
             except ReproError as exc:
                 failures.append(OracleFailure(
                     "superblock", "{} run died: {!r}".format(label, exc)))
+
+    # The aggregate-counters claim: profiling on the compiled loop, with
+    # no observer, counts exactly what the event-driven PerfCounters
+    # observer counts on the reference loop -- and the reference loop's
+    # own aggregates agree with its events.  Compared as whole counter
+    # sets (every key and value), never approximately.
+    if want("counters"):
+        boards = [("baseline", baseline)]
+        if trimmed is not None:
+            boards.append(("trimmed", trimmed))
+        if mc_config is not None:
+            boards.append(("multi-cu", mc_config))
+        for name, arch in boards:
+            perf = PerfCounters()
+            try:
+                compiled = _profiled(case, arch)
+                reference = _profiled(case, arch, observer=perf)
+            except ReproError as exc:
+                failures.append(OracleFailure(
+                    "counters", "{} profiled run died: {!r}".format(
+                        name, exc)))
+                continue
+            if compiled.engine != SUPERBLOCK:
+                failures.append(OracleFailure(
+                    "counters", "{} profiled run took the {} loop".format(
+                        name, compiled.engine)))
+            for source, result in (("compiled", compiled),
+                                   ("reference", reference)):
+                diff = _counter_diff(perf.counters, result.counters.counters)
+                if diff is not None:
+                    failures.append(OracleFailure(
+                        "counters",
+                        "{} {} aggregates differ from the observer's "
+                        "counters: {}".format(name, source, diff)))
 
     # The warm-lease claim: a board re-leased from the pool (after
     # reset()) reproduces the cold-board run bit-for-bit.  A private

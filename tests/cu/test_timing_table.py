@@ -299,9 +299,63 @@ class TestStepAdvance:
             pool.busy_until = list(rows)
             pools.append(pool)
         t = fe_done = start
+        contended = 0.0
         for fe, occ, pid in steps:
             fe_done = t + fe
             t = pools[pid].acquire(fe_done, occ)
+            # The reference pipeline's fu-busy test for the wait
+            # before the wavefront's next issue.
+            if t - occ > fe_done:
+                contended += t - fe_done
         lists = [list(rows) for rows in busy]
-        assert step_advance(steps, start, lists) == (fe_done, t)
+        assert step_advance(steps, start, lists) == (fe_done, t, contended)
         assert lists == [pool.busy_until for pool in pools]
+
+    def test_stall_split_on_multi_instance_pools(self, monkeypatch):
+        """The fused path's fu-busy branch on a CU with two SIMD and two
+        SIMF instances.  Both SIMD instances are still occupied (by
+        work outside this wavefront) when a sole wavefront issues a
+        block, so ``acquire_slot`` waits; the block's gaps must split
+        between ``fu-busy`` and ``operand-dep`` exactly as the
+        reference loop attributes them one issue at a time."""
+        from repro.core.config import ArchConfig
+        from repro.cu import pipeline
+
+        arch = ArchConfig.baseline().with_parallelism(num_simd=2, num_simf=2)
+        program = assemble("""
+          v_mul_lo_i32 v1, v0, v0
+          v_add_i32 v2, vcc, v1, v0
+          v_mul_f32 v3, v0, v0
+          v_add_i32 v4, vcc, v2, v1
+          v_mul_lo_i32 v5, v4, v2
+          s_endpgm
+        """)
+        waits = []
+
+        def recording(steps, start, busy_lists):
+            out = step_advance(steps, start, busy_lists)
+            waits.append(out[2])
+            return out
+
+        monkeypatch.setattr(pipeline, "step_advance", recording)
+
+        def run(compiled):
+            cu = ComputeUnit(MemorySystem(), num_simd=arch.num_simd,
+                             num_simf=arch.num_simf)
+            cu.pools[FunctionalUnit.SIMD].busy_until[:] = [40.0, 57.5]
+            cu.pools[FunctionalUnit.SIMF].busy_until[:] = [70.0, 90.25]
+            wg = Workgroup((0, 0, 0), program, (64, 1, 1))
+            wg.add_wavefront(Wavefront(0, program))
+            return cu.run_workgroup(wg, start_time=0.0, compiled=compiled)
+
+        end, stats = run(compiled=True)
+        assert stats.issue_paths == {"fused": 5, "plan": 1}
+        assert len(waits) == 1 and waits[0] > 0
+        ref_end, ref_stats = run(compiled=False)
+        assert ref_stats.issue_paths == {"reference": 6}
+        assert end == ref_end
+        assert stats.stalls == ref_stats.stalls
+        assert stats.stalls["fu-busy"] > 0
+        assert stats.stalls["operand-dep"] > 0
+        assert stats.active_cycles + sum(stats.stalls.values()) \
+            == stats.cycles

@@ -13,6 +13,7 @@ The checkpoint contract this file pins down:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -100,9 +101,9 @@ class TestSerialization:
 
     def test_wrong_version_raises(self):
         # 1 still carried ``prefetch.covered``; 2 named a launch engine
-        # in the paused frame.
+        # in the paused frame; 3 lacked the frame's stall aggregates.
         result = _fresh().execute(_request(max_slice_instructions=64))
-        for version in (999, 1, 2):
+        for version in (999, 1, 2, 3):
             wire = result.preempted.checkpoint.to_dict()
             wire["version"] = version
             with pytest.raises(CheckpointError, match="version"):
@@ -168,6 +169,50 @@ class TestPreemptResume:
         assert final.memory_image == ref.memory_image
         assert final.instructions == ref.instructions
         assert final.cu_cycles == ref.cu_cycles
+
+
+    def test_profiled_slices_count_their_own_work(self):
+        """Each request of a sliced, checkpoint-resumed profiled run
+        counts exactly the slices it ran -- what an observer attached
+        to that request counted -- and the resumed launch's stats
+        (carried through every checkpoint) match the straight run."""
+        from repro.obs import PerfCounters
+
+        def chain(observed):
+            perfs, results = [], []
+            request = _request(profile=True, max_slice_instructions=300)
+            while request is not None:
+                perf = PerfCounters()
+                if observed:
+                    request = replace(request, observers=(perf,))
+                result = _fresh().execute(request)
+                perfs.append(perf)
+                results.append(result)
+                request = None
+                if result.status == STATUS_PREEMPTED:
+                    envelope = PreemptedResult.from_dict(json.loads(
+                        json.dumps(result.preempted.to_dict())))
+                    request = ExecutionRequest(
+                        checkpoint=envelope.checkpoint, verify=False,
+                        profile=True, max_slice_instructions=300)
+            return results, perfs
+
+        compiled, _ = chain(observed=False)
+        reference, perfs = chain(observed=True)
+        assert len(compiled) == len(reference) >= 3
+        for result, ref, perf in zip(compiled, reference, perfs):
+            assert result.engine == "superblock"
+            assert ref.engine == "reference"
+            assert result.counters.counters == perf.counters
+            assert ref.counters.counters == perf.counters
+        straight = _fresh().execute(_request(profile=True))
+        assert sum(r.counters.counters.get("issue.total")
+                   for r in compiled) == straight.instructions
+        # Only the final request saw the kernel finish.
+        assert [r.counters.counters.get("span.kernel.count")
+                for r in compiled] == [0] * (len(compiled) - 1) + [1]
+        assert compiled[-1].launches[-1].stats \
+            == straight.launches[-1].stats
 
 
 class TestCrossBoardRestore:

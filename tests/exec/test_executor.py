@@ -95,12 +95,45 @@ class TestEnvelope:
         assert executor.execute(unobserved).engine == "superblock"
 
     def test_profile_attaches_counters(self):
-        result = Executor().execute(ExecutionRequest(
+        from repro.obs import STALL_CAUSES, PerfCounters
+
+        executor = Executor()
+        result = executor.execute(ExecutionRequest(
             benchmark="matrix_add_i32", params={"n": 16}, profile=True))
-        assert result.counters is not None
-        assert result.counters.counters.get("cycles.total") > 0
-        # Observed runs take the reference loop.
-        assert result.engine == "reference"
+        c = result.counters.counters
+        assert c.get("cycles.total") > 0
+        # Profiling attaches no observer: the counters come from the
+        # run aggregates of the compiled loop ...
+        assert result.engine == "superblock"
+        assert c.get("cycles.active") + sum(
+            c.get("stall." + cause) for cause in STALL_CAUSES) \
+            == c.get("cycles.total")
+        assert c.get("issue.total") == result.instructions
+        # ... and equal what the event-driven observer counts on the
+        # reference loop.
+        perf = PerfCounters()
+        observed = executor.execute(ExecutionRequest(
+            benchmark="matrix_add_i32", params={"n": 16}, profile=True,
+            observers=(perf,)))
+        assert observed.engine == "reference"
+        assert c == perf.counters == observed.counters.counters
+
+    def test_issue_paths_published(self):
+        """The issue-path split is deterministic: pinned on one eval
+        kernel with fused blocks, and all ``reference`` when observed."""
+        from repro.obs import Observer
+
+        request = dict(benchmark="cnn_i32", verify=False)
+        executor = Executor()
+        compiled = executor.execute(ExecutionRequest(**request))
+        assert compiled.issue_paths == {
+            "fused": 1444, "plan": 3644, "reference": 0}
+        assert sum(compiled.issue_paths.values()) == compiled.instructions
+        assert compiled.to_dict()["issue_paths"] == compiled.issue_paths
+        observed = executor.execute(ExecutionRequest(
+            observers=(Observer(),), **request))
+        assert observed.issue_paths == {
+            "fused": 0, "plan": 0, "reference": compiled.instructions}
 
     def test_trace_records_events(self):
         result = Executor().execute(ExecutionRequest(

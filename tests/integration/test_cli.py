@@ -237,6 +237,22 @@ class TestServe:
                      str(jobs)]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["x", True, 2.5])
+    def test_serve_wrong_param_type_exits_2(self, tmp_path, capsys, value):
+        # Rejected at admission, like an unknown parameter name -- not
+        # in the worker as a raw numpy error.
+        jobs = tmp_path / "bad.json"
+        jobs.write_text(json.dumps({"jobs": [
+            {"benchmark": "matrix_add_i32", "params": {"n": value}}]}))
+        assert main(["serve", "--mode", "inline", "--jobs",
+                     str(jobs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert lines == ["error: matrix_add_i32: parameter 'n' must be "
+                         "int, got {} {!r}".format(type(value).__name__,
+                                                   value)]
+
     @pytest.mark.parametrize("entry,field", [
         ({"benchmark": "matrix_add_i32", "retries": "x"}, "retries"),
         ({"benchmark": "matrix_add_i32", "engine": "superblock"}, "engine"),

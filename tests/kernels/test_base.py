@@ -23,6 +23,26 @@ class TestParams:
         with pytest.raises(SimulationError, match="unknown parameters"):
             KERNELS["matrix_add_i32"](bogus=1)
 
+    @pytest.mark.parametrize("name,params,message", [
+        ("matrix_add_i32", {"n": "x"}, "'n' must be int, got str"),
+        ("matrix_add_i32", {"n": True}, "'n' must be int, got bool"),
+        ("matrix_add_i32", {"n": 16.0}, "'n' must be int, got float"),
+        ("black_scholes", {"r": "0.1"}, "'r' must be float, got str"),
+        ("black_scholes", {"sigma": False}, "'sigma' must be float"),
+        ("cnn_i32", {"channels": 4}, "'channels' must be tuple"),
+        ("cnn_i32", {"channels": [1, "4"]}, "'channels' items must be int"),
+    ])
+    def test_wrong_param_type_rejected(self, name, params, message):
+        with pytest.raises(SimulationError, match=message):
+            KERNELS[name](**params)
+
+    def test_param_types_accepted(self):
+        import numpy as np
+
+        assert KERNELS["black_scholes"](r=1).r == 1   # int for a float
+        assert KERNELS["matrix_add_i32"](seed=np.int64(5)).seed == 5
+        assert KERNELS["cnn_i32"](channels=[1, 4]).channels == [1, 4]
+
     def test_describe_lists_params(self):
         text = KERNELS["conv2d_i32"](n=16, k=3).describe()
         assert "conv2d_i32" in text and "k=3" in text

@@ -13,8 +13,10 @@ import pytest
 
 from repro.asm import assemble
 from repro.core.config import ArchConfig
-from repro.kernels import MatrixAddI32, MatrixMulI32
-from repro.obs import STALL_CAUSES, PerfCounters
+from repro.exec import ExecutionRequest, execute
+from repro.kernels import (APPSDK_SUITE, EVALUATION_SUITE, MatrixAddI32,
+                           MatrixMulI32)
+from repro.obs import STALL_CAUSES, PerfCounters, resolve_arch
 from repro.runtime import SoftGpu
 from repro.soc.gpu import Gpu
 
@@ -125,6 +127,72 @@ class TestBenchmarkRuns:
         assert per_cu == pytest.approx(c.get("cycles.total"), rel=1e-12)
         assert c.get("cu.0.workgroups") + c.get("cu.1.workgroups") \
             == c.get("occupancy.workgroups")
+
+
+#: Small instances of the evaluation suite (a second or so in total).
+SMALL = {
+    "kmeans_f32": dict(points=128, clusters=3, iterations=2),
+    "gaussian_elimination_f32": dict(n=8),
+    "matrix_add_i32": dict(n=16), "matrix_add_f32": dict(n=16),
+    "matrix_mul_i32": dict(n=8), "matrix_mul_f32": dict(n=8),
+    "conv2d_i32": dict(n=16, k=3), "conv2d_f32": dict(n=16, k=3),
+    "bitonic_sort_i32": dict(n=128),
+    "matrix_transpose_i32": dict(n=16),
+    "max_pooling_i32": dict(n=16), "median_pooling_i32": dict(n=16),
+    "average_pooling_i32": dict(n=16),
+    "cnn_i32": dict(n=8), "cnn_f32": dict(n=8),
+    "nin_i32": dict(n=8), "nin_f32": dict(n=8), "nin_i8": dict(n=8),
+}
+
+
+class TestAggregateCounters:
+    """``profile=True`` builds the taxonomy from run aggregates on the
+    compiled loop; it must equal the observer's counts exactly."""
+
+    def test_small_sizes_cover_the_suite(self):
+        assert set(SMALL) == {cls.name for cls in EVALUATION_SUITE}
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_profile_equals_profile_with_trace(self, name):
+        request = dict(benchmark=name, params=SMALL[name], profile=True)
+        compiled = execute(ExecutionRequest(**request))
+        perf = PerfCounters()
+        traced = execute(ExecutionRequest(trace=True, observers=(perf,),
+                                          **request))
+        assert (compiled.engine, traced.engine) == ("superblock",
+                                                    "reference")
+        c = compiled.counters.counters
+        assert c == traced.counters.counters == perf.counters
+        assert c.get("cycles.active") + stall_sum(c) == c.get("cycles.total")
+
+    @pytest.mark.parametrize("config", ["trimmed", "multithread"])
+    @pytest.mark.parametrize("cls", APPSDK_SUITE, ids=lambda c: c.name)
+    def test_appsdk_configs_match_the_observer(self, cls, config):
+        bench = cls()
+        arch, _ = resolve_arch(bench, config)
+        request = dict(benchmark=bench.name, arch=arch, verify=False,
+                       profile=True)
+        compiled = execute(ExecutionRequest(**request))
+        perf = PerfCounters()
+        execute(ExecutionRequest(observers=(perf,), **request))
+        assert compiled.engine == "superblock"
+        assert compiled.counters.counters == perf.counters
+
+    def test_board_activity_window(self):
+        """A raw board counts from the last reset; both loops agree."""
+        gpu = Gpu(ArchConfig.baseline().with_parallelism(num_cus=2))
+        program = assemble(MICRO)
+        gpu.launch(program, (256,), (64,))
+        gpu.host_phase("recentre", alu_ops=10)
+        compiled = gpu.activity_counters()
+        assert compiled.get("occupancy.workgroups") == 4
+        assert compiled.get("span.host_phase.count") == 1
+        gpu.reset_timeline()
+        assert len(gpu.activity_counters()) == 0
+        perf = gpu.attach(PerfCounters())
+        gpu.launch(program, (256,), (64,))
+        gpu.host_phase("recentre", alu_ops=10)
+        assert gpu.activity_counters() == perf.counters == compiled
 
 
 class TestCounterSetMechanics:

@@ -1,0 +1,68 @@
+"""The counters oracle: profiled runs count from run aggregates on the
+compiled loop exactly what the event-driven observer counts on the
+reference loop."""
+
+import glob
+import os
+
+import pytest
+
+from repro.cu import pipeline
+from repro.verify.fuzz import run_corpus_file
+from repro.verify.generator import generate_case
+from repro.verify.oracles import ORACLE_NAMES, check_case
+
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+def test_oracle_registered():
+    assert "counters" in ORACLE_NAMES
+
+
+@pytest.mark.parametrize("path", sorted(
+    glob.glob(os.path.join(CORPUS, "*.s"))),
+    ids=lambda p: os.path.basename(p))
+def test_corpus_passes_counters_oracle(path):
+    _, failures = run_corpus_file(path, oracles=("counters",))
+    assert failures == [], "\n".join(str(f) for f in failures)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_generated_cases_pass(seed):
+    failures = check_case(generate_case(seed), oracles=("counters",))
+    assert failures == [], "\n".join(str(f) for f in failures)
+
+
+class TestOracleCatchesDivergence:
+    def test_wrong_block_stall_split_detected(self, monkeypatch):
+        """Misattribute a quarter cycle of every fused block's internal
+        gaps: the compiled counters no longer match the observer's."""
+        real = pipeline.step_advance
+
+        def skewed(steps, start, busy_lists):
+            fe_done, done, contended = real(steps, start, busy_lists)
+            return fe_done, done, contended + 0.25
+
+        monkeypatch.setattr(pipeline, "step_advance", skewed)
+        case = generate_case(1)  # runs fused blocks
+        failures = check_case(case, oracles=("counters",))
+        assert failures, "oracle missed a skewed fused-block stall split"
+        assert all(f.oracle == "counters" for f in failures)
+        assert any("compiled" in f.detail and "stall.fu-busy" in f.detail
+                   for f in failures)
+
+    def test_lost_drain_tail_detected(self, monkeypatch):
+        """Drop the drain tail from the aggregates of both loops: the
+        oracle reports the compiled and the reference side."""
+        real = pipeline.CuRunStats._close
+
+        def no_drain(self, cu_index, wavefronts, start_time, decode_free,
+                     end_time, stalls):
+            real(self, cu_index, wavefronts, start_time, end_time,
+                 end_time, stalls)
+
+        monkeypatch.setattr(pipeline.CuRunStats, "_close", no_drain)
+        failures = check_case(generate_case(0), oracles=("counters",))
+        details = [f.detail for f in failures]
+        assert any("compiled" in d and "stall.drain" in d for d in details)
+        assert any("reference" in d and "stall.drain" in d for d in details)

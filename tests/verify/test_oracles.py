@@ -48,7 +48,8 @@ class TestCheckCase:
     def test_oracle_names_are_stable(self):
         assert ORACLE_NAMES == ("roundtrip", "invariants", "trimmed",
                                 "multi-cu", "prefetch-off", "superblock",
-                                "warm-lease", "checkpoint", "vector")
+                                "warm-lease", "checkpoint", "vector",
+                                "counters")
 
     def test_warm_lease_oracle_runs_warm(self):
         """The warm-lease subset alone passes, and really leases warm:
