@@ -265,12 +265,12 @@ class BoardCheckpoint(SerializableMixin):
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def capture(board, max_instructions=None) -> "BoardCheckpoint":
+    def capture(board) -> "BoardCheckpoint":
         """Snapshot a :class:`~repro.runtime.device.SoftGpu` board.
 
-        ``max_instructions`` is the board's per-CU instruction cap as
-        leased (part of the board content key, so a restore can demand
-        an identically-capped board).
+        Records the board's per-CU instruction cap (part of the board
+        content key, so a restore can demand an identically-capped
+        board).
         """
         from ..soc.state import board_state
 
@@ -280,7 +280,7 @@ class BoardCheckpoint(SerializableMixin):
             "version": CHECKPOINT_VERSION,
             "arch": board.arch.to_dict(),
             "global_mem_size": gpu.memory.global_mem.size,
-            "max_instructions": max_instructions,
+            "max_instructions": board.max_instructions,
             "memory": _b64(np.ascontiguousarray(state["memory"]).tobytes()),
             "heap": {
                 "cursor": board.heap.used,

@@ -5,10 +5,11 @@ sample, a fuzz-oracle configuration, a profiled kernel -- goes
 through :meth:`Executor.execute`:
 
 1. lease a board from the :class:`~repro.exec.lease.BoardPool`
-   (warm if the pool holds one with the same content key; prepared
-   plans and per-program timing tables are cached process-wide under
-   the same ``content_key x timing-params`` space, so they survive
-   lease churn regardless),
+   (warm -- reset, or retargeted to the request's architecture -- if
+   the pool holds an idle board of the same memory size and
+   instruction cap; prepared plans and per-program timing tables are
+   cached process-wide under the ``content_key x timing-params``
+   space, so they survive lease churn regardless),
 2. apply the request's launch policy (workgroup sampling, slicing),
 3. open the board's activity window and attach the requested event
    observers (Chrome trace, caller-supplied) -- any attached observer
@@ -137,8 +138,8 @@ class Executor:
         """Fan a batch of requests out across a thread pool.
 
         Results come back in request order.  The board pool's exclusive
-        checkout makes concurrent leases safe; requests sharing a board
-        key beyond the concurrency level still reuse warm boards.  With
+        checkout makes concurrent leases safe; requests beyond the
+        concurrency level reuse the boards earlier ones released.  With
         ``return_exceptions`` (the :func:`asyncio.gather` idiom), a
         request that raised :class:`~repro.errors.ReproError` yields
         the exception object in its slot instead of aborting the batch

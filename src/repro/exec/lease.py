@@ -1,28 +1,38 @@
 """Warm-board leasing: one pool of live :class:`SoftGpu` instances.
 
-Building a board is the expensive part of a run -- the CU model, the
-memory system and the prefetch mirrors are all constructed eagerly --
-while :meth:`SoftGpu.reset` returns an existing board to its power-on
-state for a fraction of that cost (the warm-lease and checkpoint
-oracles in :mod:`repro.verify.oracles` pin the claim that a
-reset board is bit-identical to a fresh one).  This module makes that
-reuse a first-class facility instead of a service-worker private:
-every execution path that goes through :class:`repro.exec.Executor`
--- CLI repeats, bench sampling, fuzz oracle matrices, the profiler,
-service jobs -- checks boards out of a :class:`BoardPool`.
+Building a board is the expensive part of a run: almost all of it is
+the global-memory image (16 MB by default) and its first-touch page
+faults, while the CU model, memory timing and dispatcher are cheap.
+:meth:`SoftGpu.reset` returns an existing board to its power-on state,
+and :meth:`SoftGpu.retarget` reconfigures it for another architecture
+around the same memory image -- the simulator's partial
+reconfiguration, as the SCRATCH flow re-trims one FPGA per
+application.  The warm-lease and checkpoint oracles in
+:mod:`repro.verify.oracles` pin the claim that a reset or retargeted
+board is bit-identical to a fresh one.  This module makes that reuse a
+first-class facility instead of a service-worker private: every
+execution path that goes through :class:`repro.exec.Executor` -- CLI
+repeats, bench sampling, fuzz oracle matrices, the profiler, service
+jobs -- checks boards out of a :class:`BoardPool`.
 
-Boards are keyed by **content**, not identity: the architecture
-configuration's semantic hash, the global-memory size, and any per-CU
-instruction cap.  A job that needs a large memory can therefore never
-be handed an undersized warm board -- it simply has a different key
-and gets a cold one.
+Two keys, for two jobs:
+
+* the **content key** (:func:`board_key`) is the architecture
+  configuration's semantic hash, the global-memory size and any per-CU
+  instruction cap.  It names a lease and a checkpoint, so a restore
+  refuses a board of another architecture;
+* the **physical key** is only what is costly to build or must never
+  be shared: the global-memory size and the instruction cap.  The pool
+  is keyed by it.  A job that needs a large memory is never handed an
+  undersized warm board, and a capped board never serves an uncapped
+  caller, but a board of any architecture can be retargeted to serve
+  a lease of any other.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -63,13 +73,13 @@ def config_key(config: ArchConfig):
 
 
 def board_key(arch, global_mem_size=DEFAULT_GLOBAL_MEM, max_instructions=None):
-    """Content hash of one board's *physical* identity.
+    """Content hash of one board's identity as a run sees it.
 
-    Everything that is baked in at :class:`SoftGpu` construction time
-    and survives :meth:`SoftGpu.reset` participates: the architecture
-    semantics, the global-memory size, and the per-CU instruction
-    budget (fuzz boards cap it; a capped board must never serve an
-    uncapped caller).
+    The architecture semantics, the global-memory size, and the per-CU
+    instruction budget (fuzz boards cap it).  Leases and checkpoints
+    carry it: a checkpoint restores only onto a lease with the same
+    key.  The pool itself pools by the physical part alone (memory
+    size and cap) and retargets a board to the leased architecture.
     """
     return _sha("board", config_key(arch), str(global_mem_size),
                 str(max_instructions if max_instructions is not None else 0))
@@ -80,16 +90,15 @@ class BoardLease:
     """One checked-out board plus its provenance.
 
     ``warm`` records whether the board was reused from the pool (after
-    :meth:`SoftGpu.reset`) or constructed cold for this lease -- the
-    board-provenance bit every :class:`~repro.exec.ExecutionResult`
-    reports.  ``max_instructions`` is the per-CU cap the board was
-    leased with (part of its content key; checkpoints record it).
+    :meth:`SoftGpu.reset` or :meth:`SoftGpu.retarget`) or constructed
+    cold for this lease -- the board-provenance bit every
+    :class:`~repro.exec.ExecutionResult` reports.  ``key`` is the
+    content key (:func:`board_key`) of the leased architecture.
     """
 
     board: object
     key: str
     warm: bool
-    max_instructions: object = None
 
     def checkpoint(self):
         """Capture this board's state as a serializable, digest-
@@ -98,15 +107,15 @@ class BoardLease:
         mid-launch."""
         from .checkpoint import BoardCheckpoint
 
-        return BoardCheckpoint.capture(self.board,
-                                       max_instructions=self.max_instructions)
+        return BoardCheckpoint.capture(self.board)
 
     def restore(self, cp):
         """Restore a checkpoint onto this leased board.
 
         The checkpoint's board key must equal the lease's -- same
         architecture semantics, memory size and instruction cap -- but
-        the *board* may be any instance with that key (fresh, reset or
+        the *board* may be any instance leased under that key (fresh,
+        reset, retargeted from another architecture or
         evicted-and-rebuilt): checkpoints are board-independent.
         Raises :class:`~repro.errors.CheckpointError` otherwise.
         """
@@ -121,23 +130,52 @@ class BoardLease:
 
 
 class BoardPool:
-    """Bounded LRU pool of warm boards, keyed by :func:`board_key`.
+    """Bounded LRU pool of warm boards, keyed by physical identity.
+
+    A lease takes an idle board of the same physical key (memory size,
+    instruction cap).  It prefers one already configured for the
+    leased architecture, which costs a plain :meth:`SoftGpu.reset`;
+    otherwise it retargets the least-recently-used one
+    (:meth:`SoftGpu.retarget`).  Only when no idle board of that
+    physical key exists is a board built cold.
 
     Thread-safe by exclusive checkout: :meth:`lease` *removes* the
     board from the pool for the duration of the lease, so two threads
-    leasing the same key concurrently simply cost one extra cold
-    build, never a shared board.
+    leasing concurrently simply cost one extra cold build, never a
+    shared board.
     """
 
     def __init__(self, capacity=MAX_WARM_BOARDS):
         self.capacity = capacity
-        self._boards = OrderedDict()
+        self._idle = []  # (physical key, config key, board), LRU first
         self._lock = threading.Lock()
+        #: Lease provenance; ``warm`` includes retargeted leases,
+        #: ``retargets`` counts those.
         self.leases = {"warm": 0, "cold": 0}
+        self.retargets = 0
 
     def __len__(self):
         with self._lock:
-            return len(self._boards)
+            return len(self._idle)
+
+    def _take(self, physical, wanted):
+        """Pop the idle board to lease (caller holds the lock): the
+        least-recently-used board of ``physical`` key configured for
+        ``wanted``, else the least-recently-used of that key.  Returns
+        ``(board, its config key)``, or ``(None, None)``."""
+        chosen = None
+        for index, (phys, ckey, _) in enumerate(self._idle):
+            if phys != physical:
+                continue
+            if ckey == wanted:
+                chosen = index
+                break
+            if chosen is None:
+                chosen = index
+        if chosen is None:
+            return None, None
+        _, ckey, board = self._idle.pop(chosen)
+        return board, ckey
 
     @contextmanager
     def lease(self, arch, global_mem_size=DEFAULT_GLOBAL_MEM,
@@ -145,44 +183,49 @@ class BoardPool:
         """Check a board out; yields a :class:`BoardLease`.
 
         The board returns to the pool on exit -- even after an
-        exception, since the next checkout resets it anyway -- with
-        its per-lease settings (``max_groups``, slice budget,
-        observers) scrubbed.
+        exception, since the next checkout resets or retargets it
+        anyway -- with its per-lease settings (``max_groups``, slice
+        budget, observers) scrubbed.
         """
-        key = board_key(arch, global_mem_size, max_instructions)
+        wanted = config_key(arch)
+        physical = (global_mem_size, max_instructions)
         with self._lock:
-            board = self._boards.pop(key, None)
-        warm = board is not None
-        if warm:
-            board.reset()
-        else:
+            board, current = self._take(physical, wanted)
+            warm = board is not None
+            retarget = warm and current != wanted
+            self.leases["warm" if warm else "cold"] += 1
+            self.retargets += retarget
+        if not warm:
             from ..runtime.device import SoftGpu
 
-            board = SoftGpu(arch, global_mem_size=global_mem_size)
-            if max_instructions is not None:
-                for cu in board.gpu.cus:
-                    cu.max_instructions = max_instructions
-        with self._lock:
-            self.leases["warm" if warm else "cold"] += 1
-        handle = BoardLease(board=board, key=key, warm=warm,
+            board = SoftGpu(arch, global_mem_size=global_mem_size,
                             max_instructions=max_instructions)
+        elif retarget:
+            board.retarget(arch)
+        else:
+            board.reset()
+        handle = BoardLease(board=board,
+                            key=board_key(arch, global_mem_size,
+                                          max_instructions),
+                            warm=warm)
         try:
             yield handle
         finally:
-            self._release(handle)
+            self._release(handle, physical)
 
-    def _release(self, handle):
+    def _release(self, handle, physical):
         board = handle.board
         board.max_groups = None
         board.slice_instructions = None
         for observer in list(board.observers):
             board.detach(observer)
+        entry = (physical, config_key(board.arch), board)
         with self._lock:
-            self._boards[handle.key] = board
-            while len(self._boards) > self.capacity:
-                self._boards.popitem(last=False)
+            self._idle.append(entry)
+            while len(self._idle) > self.capacity:
+                self._idle.pop(0)
 
     def clear(self):
         """Drop every pooled board (tests, shutdown)."""
         with self._lock:
-            self._boards.clear()
+            self._idle.clear()

@@ -55,9 +55,13 @@ class MemorySystem:
     """Shared memory hierarchy for one simulated configuration."""
 
     def __init__(self, params=None, num_cus=1, global_size=1 << 24,
-                 prefetch_brams=928):
+                 prefetch_brams=928, global_mem=None):
         self.params = params or MemoryTimingParams()
-        self.global_mem = GlobalMemory(global_size)
+        #: The functional image; a board retargeted to a new
+        #: configuration passes its existing one in (``global_size`` is
+        #: then ignored), so only the timing side is rebuilt.
+        self.global_mem = (global_mem if global_mem is not None
+                           else GlobalMemory(global_size))
         self.relay = _Channel()  # the MicroBlaze/MIG path: serialised
         per_cu_brams = max(1, prefetch_brams // max(1, num_cus))
         self.prefetch = [PrefetchBuffer(per_cu_brams) for _ in range(num_cus)]

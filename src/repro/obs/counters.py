@@ -55,6 +55,10 @@ from .observer import Observer
 from .serialize import SerializableMixin, flatten, nest
 
 
+#: Counters that record a maximum, not a count.
+PEAK_COUNTERS = frozenset({"occupancy.peak_wavefronts"})
+
+
 class CounterSet(SerializableMixin):
     """A mapping of dotted counter paths to numeric values.
 
@@ -72,9 +76,17 @@ class CounterSet(SerializableMixin):
         self._values[path] = self._values.get(path, 0) + amount
 
     def merge(self, other):
-        """Accumulate another counter set into this one."""
+        """Accumulate another counter set into this one.
+
+        Every counter sums except the high-water marks
+        (:data:`PEAK_COUNTERS`), which take the larger value -- so the
+        merge of two windows' counters is the counters of both.
+        """
         for path, value in other.items():
-            self.add(path, value)
+            if path in PEAK_COUNTERS:
+                self._values[path] = max(self._values.get(path, value), value)
+            else:
+                self.add(path, value)
         return self
 
     # -- access ------------------------------------------------------------

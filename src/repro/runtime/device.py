@@ -29,6 +29,7 @@ import numpy as np
 
 from ..core.config import ArchConfig
 from ..errors import LaunchError, ReproError
+from ..mem.global_memory import GlobalMemory
 from ..soc.gpu import CB1_BASE, CB1_SIZE, HEAP_BASE, Gpu
 from .buffers import Buffer, HeapAllocator
 
@@ -36,14 +37,26 @@ from .buffers import Buffer, HeapAllocator
 class SoftGpu:
     """One simulated board with a host-side runtime."""
 
-    def __init__(self, arch=None, global_mem_size=1 << 24, max_groups=None):
+    def __init__(self, arch=None, global_mem_size=1 << 24, max_groups=None,
+                 max_instructions=None):
         self.arch = arch or ArchConfig.baseline()
-        self.gpu = Gpu(self.arch, global_mem_size=global_mem_size)
+        #: Per-CU instruction cap (``None``: the CU's stock safety
+        #: valve).  Part of the board's physical identity: it survives
+        #: :meth:`reset` and :meth:`retarget`.
+        self.max_instructions = max_instructions
+        self.gpu = self._build_gpu(GlobalMemory(global_mem_size))
         self.heap = HeapAllocator(global_mem_size - HEAP_BASE)
         self.max_groups = max_groups
         #: Default preemption budget for :meth:`run`/:meth:`resume`
         #: (instructions per slice); the executor sets it per lease.
         self.slice_instructions = None
+
+    def _build_gpu(self, global_mem):
+        gpu = Gpu(self.arch, global_mem=global_mem)
+        if self.max_instructions is not None:
+            for cu in gpu.cus:
+                cu.max_instructions = self.max_instructions
+        return gpu
 
     # -- memory ----------------------------------------------------------
 
@@ -103,6 +116,32 @@ class SoftGpu:
             # Re-mirror the constant-buffer region, as at construction.
             mem.preload_all(0, HEAP_BASE)
         self.reset_timeline()
+        return self
+
+    def retarget(self, arch):
+        """Reconfigure the board for ``arch``, keeping its global memory.
+
+        The simulator's partial reconfiguration: the CU design changes
+        while the board and its DDR stay in place.  Builds a fresh
+        :class:`~repro.soc.gpu.Gpu` for ``arch`` -- CUs, unit pools,
+        supported set, memory timing, prefetch buffers, channels,
+        dispatcher and MicroBlaze -- around the existing
+        :class:`~repro.mem.global_memory.GlobalMemory`, cleared by its
+        dirty high-water mark, and resets the heap.  The result is
+        bit-identical to a cold ``SoftGpu(arch)`` of the same memory
+        size and instruction cap (the ``warm-lease`` oracle pins it)
+        without allocating a new memory image.  Attached observers
+        move to the new design; a preempted launch is dropped, as by
+        :meth:`reset`.
+        """
+        global_mem = self.gpu.memory.global_mem
+        global_mem.reset()
+        observers = self.gpu.observers
+        self.arch = arch
+        self.gpu = self._build_gpu(global_mem)
+        for observer in observers:
+            self.gpu.attach(observer)
+        self.heap.reset()
         return self
 
     # -- prefetch (host-template choreography) -----------------------------

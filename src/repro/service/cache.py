@@ -19,8 +19,8 @@ Three key spaces:
   survive cosmetic source changes -- content addressing at the level
   the trimming tool actually consumes.
 * **config key** -- SHA-256 of an :class:`ArchConfig`'s semantic
-  fields; memoizes synthesis reports and names the warm-board slots of
-  the worker pool.
+  fields; memoizes synthesis reports and, with the mode, parallelism
+  plans, and is part of every board lease's content key.
 
 All methods are thread-safe (submissions may arrive from many client
 threads).
@@ -35,8 +35,10 @@ from typing import Dict
 
 from ..asm.assembler import assemble
 from ..core.config import ArchConfig
-# The config-key space is owned by the execution layer (it also names
-# warm boards there); re-exported here for the service's callers.
+from ..core.parallelize import plan as plan_parallelism
+# The config-key space is owned by the execution layer (it is part of
+# every board lease's content key); re-exported here for the service's
+# callers.
 from ..exec.lease import config_key  # noqa: F401
 
 
@@ -121,13 +123,15 @@ class CacheStats:
 
 
 class ArtifactCache:
-    """Memoizes the static flow: assembly, trim plans, synthesis."""
+    """Memoizes the static flow: assembly, trim plans, parallelism
+    plans, synthesis."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._programs = {}    # source key -> Program
         self._trims = {}       # application key -> TrimResult
         self._reports = {}     # config key -> SynthesisReport
+        self._plans = {}       # (config key, mode) -> ArchConfig
         self.stats = CacheStats()
 
     # -- assembler ---------------------------------------------------------
@@ -184,6 +188,27 @@ class ArtifactCache:
             self.stats.record("timing-table", table_hit)
         return prepared
 
+    # -- parallelism planning -----------------------------------------------
+
+    def plan(self, config, mode, synthesizer):
+        """The ``multicore``/``multithread`` configuration grown from a
+        trimmed ``config`` (or the memoized one).
+
+        Planning synthesizes several candidate configurations to find
+        the largest that fits; it depends only on the trimmed
+        configuration and the mode, so every later job of the same
+        application and mode reuses the answer.
+        """
+        key = (config_key(config), mode)
+        with self._lock:
+            arch = self._plans.get(key)
+            self.stats.record("plan", arch is not None)
+        if arch is None:
+            arch = plan_parallelism(config, mode, synthesizer=synthesizer)
+            with self._lock:
+                self._plans[key] = arch
+        return arch
+
     # -- synthesis ---------------------------------------------------------
 
     def synthesize(self, config, synthesizer):
@@ -203,11 +228,12 @@ class ArtifactCache:
     def __len__(self):
         with self._lock:
             return (len(self._programs) + len(self._trims)
-                    + len(self._reports))
+                    + len(self._reports) + len(self._plans))
 
     def clear(self):
         with self._lock:
             self._programs.clear()
             self._trims.clear()
             self._reports.clear()
+            self._plans.clear()
             self.stats = CacheStats()

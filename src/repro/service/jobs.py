@@ -56,10 +56,11 @@ class Job:
     the worker; ``retries`` is how many times a failed attempt is
     re-dispatched before the job is reported FAILED.  ``profile``
     returns the run's performance counters, built from its aggregates
-    on the compiled loop like every other job.  ``global_mem_size`` sizes the board's global
-    memory for jobs whose working set exceeds the default (the board
-    content key includes it, so a large-memory job is never handed an
-    undersized warm board).
+    on the compiled loop like every other job; a time-sliced job's
+    counters cover all of its slices.  ``global_mem_size`` sizes the
+    board's global memory for jobs whose working set exceeds the
+    default (the board pool is keyed by it, so a large-memory job is
+    never handed an undersized warm board).
 
     ``arch`` is the sweep fan-out hook: an explicit
     :class:`~repro.core.config.ArchConfig` that bypasses the named

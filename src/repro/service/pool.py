@@ -3,12 +3,14 @@
 Workers execute jobs through the unified :mod:`repro.exec` layer: each
 worker context owns an :class:`~repro.exec.Executor` whose
 :class:`~repro.exec.BoardPool` keeps **warm boards** -- live
-:class:`SoftGpu` instances keyed by board content (architecture hash,
-global-memory size, instruction cap).  A job arriving for a board the
-worker has built before reuses it (after :meth:`SoftGpu.reset`),
-skipping CU/memory model construction; this is the dynamic-dispatch
-half of the static/dynamic split the soft-GPGPU serving literature
-argues for (the static half lives in :mod:`repro.service.cache`).
+:class:`SoftGpu` instances pooled by physical identity (global-memory
+size, instruction cap).  A job reuses the worker's idle board: after
+:meth:`SoftGpu.reset` when the board already has the job's
+configuration, after :meth:`SoftGpu.retarget` to it otherwise --
+skipping the memory-image allocation either way.  This is the
+dynamic-dispatch half of the static/dynamic split the soft-GPGPU
+serving literature argues for (the static half lives in
+:mod:`repro.service.cache`).
 
 Three execution modes:
 
@@ -93,29 +95,25 @@ def _run_payload(executor: Executor, payload: JobPayload):
     """Execute one payload on ``executor``; returns a picklable dict."""
     try:
         result = executor.execute(payload.to_request())
-        if result.status == STATUS_PREEMPTED:
-            return {
-                "ok": True,
-                "preempted": True,
-                "job_id": payload.job_id,
-                "envelope": result.preempted.to_dict(),
-                "worker": os.getpid(),
-                "warm_board": result.warm_board,
-                "engine": result.engine,
-            }
         out = {
             "ok": True,
             "job_id": payload.job_id,
-            "seconds": result.seconds,
-            "instructions": result.instructions,
-            "cu_cycles": result.cu_cycles,
-            "digests": result.digests,
             "worker": os.getpid(),
             "warm_board": result.warm_board,
             "engine": result.engine,
         }
         if result.counters is not None:
-            out["counters"] = result.counters.to_dict()
+            # This dispatch's slice only (a raw CounterSet); the
+            # scheduler merges every slice of a sliced job.
+            out["counters"] = result.counters.counters.to_dict()
+        if result.status == STATUS_PREEMPTED:
+            out["preempted"] = True
+            out["envelope"] = result.preempted.to_dict()
+            return out
+        out.update(seconds=result.seconds,
+                   instructions=result.instructions,
+                   cu_cycles=result.cu_cycles,
+                   digests=result.digests)
         return out
     except ReproError as exc:
         return {

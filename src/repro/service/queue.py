@@ -9,8 +9,9 @@ expires or the queue is closed.
 Ordering is ``(priority, batch_key, sequence)``: lower priority values
 first (unix-nice convention), then jobs that share a batch key -- the
 admission controller uses the trimmed configuration's content hash --
-so compatible jobs leave the queue adjacently and land on warm boards,
-and FIFO within a batch.
+so compatible jobs leave the queue adjacently and find the board
+already configured for them (a reset, not a retarget), and FIFO
+within a batch.
 """
 
 from __future__ import annotations

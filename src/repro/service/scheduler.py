@@ -9,7 +9,8 @@
          backpressure
     dispatcher thread
       └─ pops jobs in (priority, config-hash) order -- so jobs sharing
-         a trimmed configuration batch onto the same warm boards -- and
+         a trimmed configuration batch onto a board already configured
+         for them -- and
          feeds the worker pool, holding at most ``2 x workers`` jobs in
          flight so the bounded queue is the real waiting room
     completion callbacks
@@ -29,11 +30,11 @@ from concurrent.futures import BrokenExecutor
 from functools import partial
 
 from ..core.config import ArchConfig
-from ..core.parallelize import plan as plan_parallelism
 from ..core.trimmer import TrimmingTool
 from ..errors import (AdmissionError, JobTimeoutError, ServiceError,
                       SimulationError)
 from ..fpga.synthesis import Synthesizer
+from ..obs.counters import CounterSet, PerfCounters
 from ..runtime.metrics import RunMetrics
 from .cache import ArtifactCache, config_key
 from .jobs import Job, JobResult, JobStatus, next_job_id
@@ -62,6 +63,8 @@ class _Ticket:
         #: PreemptedResult.to_dict() of the latest slice; the next
         #: dispatch resumes from its checkpoint instead of restarting.
         self.resume_envelope = None
+        #: A profiled job's counters, merged over its finished slices.
+        self.counters = None
         self.submitted = None
         self.started = None
         self.future = None
@@ -102,9 +105,10 @@ class KernelService:
         """Run (or reuse) the static flow; returns (arch, report, key).
 
         This is where the paper's per-application reuse happens: the
-        trim plan and synthesis report come out of the content-
-        addressed cache, so only the first submission of an application
-        pays for Algorithm 1 and the synthesis model.
+        trim plan, parallelism plan and synthesis report come out of
+        the content-addressed cache, so only the first submission of an
+        application (and mode) pays for Algorithm 1, planning and the
+        synthesis model.
         """
         from ..kernels import KERNELS
 
@@ -150,8 +154,7 @@ class KernelService:
                                datapath_bits=bench.datapath_bits)
         if job.config == "trimmed":
             return trim.config, trim.report, config_key(trim.config)
-        arch = plan_parallelism(trim.config, job.config,
-                                synthesizer=self.synthesizer)
+        arch = self.cache.plan(trim.config, job.config, self.synthesizer)
         report = self.cache.synthesize(arch, self.synthesizer)
         return arch, report, config_key(arch)
 
@@ -213,6 +216,7 @@ class KernelService:
         # consume an attempt (preemption is progress, not failure).
         if ticket.resume_envelope is None:
             ticket.attempts += 1
+            ticket.counters = None
         if ticket.started is None:
             ticket.started = self._clock()
         payload = JobPayload(
@@ -302,6 +306,12 @@ class KernelService:
                 warm_board=outcome.get("warm_board", False)))
             return
 
+        if "counters" in outcome:
+            counters = CounterSet.from_dict(outcome["counters"])
+            if ticket.counters is not None:
+                counters = ticket.counters.merge(counters)
+            ticket.counters = counters
+
         if outcome.get("preempted"):
             # The slice budget expired: the job made progress and comes
             # back as a checkpoint envelope.  Release the in-flight
@@ -338,7 +348,8 @@ class KernelService:
             warm_board=outcome.get("warm_board", False),
             engine=outcome.get("engine"),
             digests=outcome.get("digests", {}),
-            counters=outcome.get("counters")),
+            counters=(None if ticket.counters is None
+                      else PerfCounters(ticket.counters).to_dict())),
             cu_cycles=outcome.get("cu_cycles", 0.0))
 
     def _on_timeout(self, ticket):

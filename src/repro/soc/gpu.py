@@ -169,15 +169,26 @@ class LaunchFrame:
 class Gpu:
     """One simulated board configuration, with a running timeline."""
 
-    def __init__(self, arch=None, global_mem_size=1 << 24, prefetch_brams=928):
+    def __init__(self, arch=None, global_mem_size=1 << 24, prefetch_brams=928,
+                 global_mem=None):
+        """``global_mem`` wraps an existing
+        :class:`~repro.mem.global_memory.GlobalMemory` (its size then
+        overrides ``global_mem_size``): everything else -- CUs, unit
+        pools, memory timing, prefetch, dispatcher, MicroBlaze -- is
+        built for ``arch``.  That is how
+        :meth:`~repro.runtime.device.SoftGpu.retarget` swaps the
+        design while the DDR image stays in place."""
         self.arch = arch or ArchConfig.baseline()
         self.clocks = (DUAL_DOMAIN if self.arch.generation.clock_ratio > 1
                        else SINGLE_DOMAIN)
+        if global_mem is not None:
+            global_mem_size = global_mem.size
         self.memory = MemorySystem(
             params=self.arch.memory_timing,
             num_cus=self.arch.num_cus,
             global_size=global_mem_size,
             prefetch_brams=prefetch_brams,
+            global_mem=global_mem,
         )
         self.cus = [
             ComputeUnit(

@@ -30,7 +30,12 @@ bit of disagreement in final state is a simulator bug:
 ``warm-lease``     a warm board re-leased from the
                    :class:`~repro.exec.BoardPool` (after ``reset()``)
                    reproduces the cold-board run bit-for-bit: memory,
-                   registers, instruction count **and cycle count**.
+                   registers, instruction count **and cycle count**;
+                   so does the same board retargeted
+                   (``retarget()``) to the architecture trimmed for
+                   the case, to a multi-CU board and back to the
+                   baseline, each against a cold board of that
+                   architecture.
 ``checkpoint``     running under a randomized (seed-derived) slice
                    budget -- preempting at workgroup boundaries, JSON
                    round-tripping each ``PREEMPTED`` envelope, and
@@ -352,11 +357,12 @@ def check_case(case, multi_cus=2, oracles=None):
 
     configs = []
     trimmed = None
-    if want("trimmed") or want("superblock") or want("counters"):
+    trim_users = ("trimmed", "superblock", "counters", "warm-lease")
+    if any(want(oracle) for oracle in trim_users):
         try:
             trimmed = TrimmingTool().trim(case.program).config
         except ReproError as exc:
-            for oracle in ("trimmed", "superblock", "counters"):
+            for oracle in trim_users:
                 if want(oracle):
                     failures.append(OracleFailure(
                         oracle, "trim failed: {!r}".format(exc)))
@@ -443,23 +449,47 @@ def check_case(case, multi_cus=2, oracles=None):
                         "{} {} aggregates differ from the observer's "
                         "counters: {}".format(name, source, diff)))
 
-    # The warm-lease claim: a board re-leased from the pool (after
-    # reset()) reproduces the cold-board run bit-for-bit.  A private
-    # executor guarantees the first run is cold and the second leases
-    # the very board the first one dirtied.
+    # The warm-lease claim: a board re-leased from the pool reproduces
+    # a cold board bit-for-bit -- after reset() for the same
+    # architecture, and after retarget() to the architecture trimmed
+    # for the case, to a multi-CU board and back to the baseline.  A
+    # private one-board pool guarantees the first run is cold and every
+    # later lease takes the very board the previous run dirtied.  The
+    # cross-config legs run the compiled loop, each against a cold
+    # board of the same architecture.
     if want("warm-lease"):
-        executor = Executor(pool=BoardPool(capacity=2))
+        executor = Executor(pool=BoardPool(capacity=1))
+        legs = [("baseline", baseline, True)]
+        if trimmed is not None:
+            legs.append(("trimmed", trimmed, False))
+        if mc_config is not None:
+            # Different timing from the rest: a stale design shows.
+            legs.append(("multi-cu", mc_config, False))
+        if len(legs) > 1:
+            legs.append(("baseline", baseline, False))
         try:
             cold = run_case(case, baseline, label="warm-lease-cold",
                             observed=True, executor=executor)
-            warm = run_case(case, baseline, label="warm-lease-warm",
-                            observed=True, executor=executor)
-            if cold.warm or not warm.warm:
+            if cold.warm:
                 failures.append(OracleFailure(
-                    "warm-lease",
-                    "board provenance wrong: cold.warm={} warm.warm={}"
-                    .format(cold.warm, warm.warm)))
-            _compare("warm-lease", cold, warm, failures, cycles=True)
+                    "warm-lease", "first lease of a new pool was warm"))
+            for name, arch, observed in legs:
+                label = "warm-lease-{}-{}".format(
+                    name, "observed" if observed else "compiled")
+                if observed:
+                    expected = cold
+                else:
+                    expected = run_case(
+                        case, arch, label="cold-{}".format(name),
+                        observed=False,
+                        executor=Executor(pool=BoardPool(capacity=1)))
+                warm = run_case(case, arch, label=label,
+                                observed=observed, executor=executor)
+                if not warm.warm:
+                    failures.append(OracleFailure(
+                        "warm-lease", "{} lease was cold".format(label)))
+                _compare("warm-lease", expected, warm, failures,
+                         cycles=True)
         except ReproError as exc:
             failures.append(OracleFailure(
                 "warm-lease", "run died: {!r}".format(exc)))

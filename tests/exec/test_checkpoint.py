@@ -7,8 +7,9 @@ The checkpoint contract this file pins down:
 * Preempt + resume reproduces the run-to-completion final state
   bit-for-bit -- memory, digests, instruction count AND cycle count --
   including when every resume lands on a different board in a
-  different pool (migration), on a fresh-leased reset board, or on a
-  board rebuilt after LRU eviction.
+  different pool (migration), on a fresh-leased reset board, on a
+  board retargeted from another architecture, or on a board rebuilt
+  after LRU eviction.
 * Restore refuses a board whose content key differs.
 """
 
@@ -245,6 +246,38 @@ class TestCrossBoardRestore:
         assert final.warm_board is False
         assert final.cu_cycles == ref.cu_cycles
         assert final.memory_image == ref.memory_image
+
+    def test_resume_on_board_retargeted_elsewhere_is_bit_identical(self):
+        # The pool's only board last ran another architecture: the
+        # resume retargets it back to the checkpoint's (a warm lease).
+        arch = ArchConfig.dcd()
+        ref = _fresh().execute(_request(arch=arch))
+        pool = BoardPool(capacity=1)
+        executor = Executor(pool=pool)
+        sliced = executor.execute(_request(arch=arch,
+                                           max_slice_instructions=100))
+        other = executor.execute(_request(arch=ArchConfig.baseline()))
+        assert other.warm_board is True
+        assert len(pool) == 1
+        final, hops = _resume_until_done(
+            sliced, slice_instructions=None,
+            executor_factory=lambda: executor)
+        assert hops == 1
+        assert final.warm_board is True
+        assert pool.retargets == 2
+        assert final.instructions == ref.instructions
+        assert final.cu_cycles == ref.cu_cycles
+        assert final.memory_image == ref.memory_image
+        for name, digest in ref.digests.items():
+            assert final.digests[name] == digest
+
+    def test_restore_refuses_other_arch_on_same_physical_board(self):
+        result = _fresh().execute(_request(max_slice_instructions=64))
+        cp = result.preempted.checkpoint
+        pool = BoardPool(capacity=1)
+        with pool.lease(ArchConfig.dcd(), global_mem_size=MEM) as lease:
+            with pytest.raises(CheckpointError, match="board key"):
+                lease.restore(cp)
 
     def test_restore_refuses_mismatched_board_key(self):
         result = _fresh().execute(_request(max_slice_instructions=64))

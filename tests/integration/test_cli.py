@@ -112,22 +112,6 @@ class TestValidateAndRun:
         assert main(["run", "no_such_bench"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry,field", [
-        ({"benchmark": "matrix_add_i32", "retries": "x"}, "retries"),
-        ({"benchmark": "matrix_add_i32", "engine": "superblock"}, "engine"),
-    ])
-    def test_serve_wrong_field_exits_2(self, tmp_path, capsys, entry, field):
-        jobs = tmp_path / "bad.json"
-        jobs.write_text(json.dumps({"jobs": [entry]}))
-        assert main(["serve", "--mode", "inline", "--jobs",
-                     str(jobs)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: job entry 0")
-        assert repr(field) in lines[0]
-
     def test_run_json_metrics(self, capsys):
         assert main(["run", "matrix_add_i32", "--configs", "baseline",
                      "trimmed", "--json"]) == 0
@@ -195,22 +179,6 @@ class TestProfile:
     def test_unknown_benchmark(self, capsys):
         assert main(["profile", "no_such_bench"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("entry,field", [
-        ({"benchmark": "matrix_add_i32", "retries": "x"}, "retries"),
-        ({"benchmark": "matrix_add_i32", "engine": "superblock"}, "engine"),
-    ])
-    def test_serve_wrong_field_exits_2(self, tmp_path, capsys, entry, field):
-        jobs = tmp_path / "bad.json"
-        jobs.write_text(json.dumps({"jobs": [entry]}))
-        assert main(["serve", "--mode", "inline", "--jobs",
-                     str(jobs)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: job entry 0")
-        assert repr(field) in lines[0]
 
 
 class TestServe:

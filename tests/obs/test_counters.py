@@ -207,6 +207,18 @@ class TestCounterSetMechanics:
         assert a.total("x") == 13
         assert "y" in a and a["y"] == 5
 
+    def test_merge_takes_max_of_peaks(self):
+        from repro.obs import CounterSet
+
+        a = CounterSet({"occupancy.peak_wavefronts": 4,
+                        "occupancy.wavefronts": 8})
+        a.merge(CounterSet({"occupancy.peak_wavefronts": 2,
+                            "occupancy.wavefronts": 2}))
+        assert a["occupancy.peak_wavefronts"] == 4
+        assert a["occupancy.wavefronts"] == 10
+        b = CounterSet().merge(CounterSet({"occupancy.peak_wavefronts": 3}))
+        assert b["occupancy.peak_wavefronts"] == 3
+
     def test_render_is_sorted_and_aligned(self):
         from repro.obs import CounterSet
 

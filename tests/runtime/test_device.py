@@ -173,6 +173,43 @@ class TestReset:
         assert dev.gpu.memory.prefetch[0].used_bytes < used_after_preload
 
 
+class TestRetarget:
+    def test_retarget_keeps_memory_image_and_rebuilds_design(self):
+        from repro.obs import Observer
+
+        dev = SoftGpu(ArchConfig.baseline(), global_mem_size=1 << 20,
+                      max_instructions=777)
+        image = dev.gpu.memory.global_mem
+        observer = dev.attach(Observer())
+        dev.upload("data", np.arange(64, dtype=np.uint32))
+        dev.host_phase("warm", alu_ops=100)
+        arch = ArchConfig.original().with_parallelism(num_cus=2)
+        assert dev.retarget(arch) is dev
+        assert dev.arch is arch and dev.gpu.arch is arch
+        assert dev.gpu.memory.global_mem is image
+        assert image.dirty_hi == 0
+        assert not image.read_block(0, image.size, np.uint8).any()
+        assert dev.heap.used == 0
+        assert dev.elapsed_seconds == 0 and dev.instructions == 0
+        assert [cu.max_instructions for cu in dev.gpu.cus] == [777, 777]
+        assert dev.observers == (observer,)
+        assert dev.gpu.cus[1].obs is not None
+
+    def test_retargeted_board_matches_cold_board(self):
+        from repro.kernels import KERNELS
+
+        def run(dev):
+            ctx = KERNELS["matrix_add_i32"](n=32).run_on(dev, verify=True)
+            return (dev.elapsed_seconds, dev.instructions,
+                    dev.read(ctx["out"]).tobytes())
+
+        dev = SoftGpu(ArchConfig.baseline())
+        run(dev)
+        for arch in (ArchConfig.dcd(), ArchConfig.original(),
+                     ArchConfig.baseline()):
+            assert run(dev.retarget(arch)) == run(SoftGpu(arch))
+
+
 class TestArguments:
     def test_arg_marshalling(self):
         dev = SoftGpu(ArchConfig.baseline())

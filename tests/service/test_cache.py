@@ -100,6 +100,20 @@ class TestMemoization:
         assert first is second
         assert cache.stats.hits["trim"] == 1
 
+    def test_plan_hits_per_config_and_mode(self):
+        from repro.core.parallelize import plan
+
+        cache = ArtifactCache()
+        synth = Synthesizer()
+        trimmed = TrimmingTool().trim([assemble(KERNEL)]).config
+        first = cache.plan(trimmed, "multithread", synth)
+        assert cache.plan(trimmed, "multithread", synth) is first
+        assert first == plan(trimmed, "multithread", synthesizer=synth)
+        multicore = cache.plan(trimmed, "multicore", synth)
+        assert config_key(multicore) != config_key(first)
+        assert cache.stats.hits["plan"] == 1
+        assert cache.stats.misses["plan"] == 2
+
     def test_synthesize_hits(self):
         cache = ArtifactCache()
         synth = Synthesizer()

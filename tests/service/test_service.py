@@ -102,6 +102,31 @@ class TestCorrectness:
         assert plain_res.metrics.seconds == prof_res.metrics.seconds
 
 
+    def test_sliced_profiled_job_reports_whole_job_counters(self):
+        """A time-sliced profiled job merges every slice's counters:
+        exactly the unsliced job's, peak occupancy included."""
+        base = dict(config="baseline", verify=False, profile=True)
+        whole = Job("matrix_add_i32", {"n": 128}, **base)
+        sliced = Job("matrix_add_i32", {"n": 128},
+                     slice_instructions=400, **base)
+        with KernelService(workers=1, mode="inline") as svc:
+            whole_res, sliced_res = svc.run([whole, sliced], timeout=300)
+        assert sliced_res.preemptions >= 2
+        assert sliced_res.counters["issue"]["total"] == 4352
+        assert sliced_res.counters == whole_res.counters
+        assert sliced_res.metrics.instructions == 4352
+
+    def test_parallelism_plan_memoized_at_admission(self):
+        jobs = [Job("matrix_add_i32", {"n": 32}, config=mode, verify=False)
+                for mode in ("multithread", "multithread", "multicore")]
+        with KernelService(workers=1, mode="inline") as svc:
+            results = svc.run(jobs, timeout=300)
+            stats = svc.cache.stats
+        assert all(r.ok for r in results)
+        assert stats.hits["plan"] == 1
+        assert stats.misses["plan"] == 2
+
+
 class TestProcessPool:
     def test_process_workers_execute_and_reuse_boards(self):
         jobs = [Job("matrix_add_i32", {"n": 32}, config="trimmed")
