@@ -93,7 +93,7 @@ def test_cache_hit_speedup(benchmark, out_dir):
             t0 = time.perf_counter()
             service.submit_many(suite_jobs(verify=False))
             warm_admission = time.perf_counter() - t0
-            second = service.drain(timeout=600)[len(first):]
+            second = service.drain(timeout=600)
             after = service.snapshot()["cache"]
         return first, second, before, after, cold_admission, warm_admission
 

@@ -7,8 +7,8 @@ like production callers -- once per CU issue loop:
 * ``reference``  -- the interpreter loop, which a launch runs whenever
   an observer is attached; timed with a no-op
   :class:`~repro.obs.Observer` attached, as every observed run is,
-* ``superblock`` -- the compiled loop (prepared plans plus fused
-  straight-line ALU runs) that every unobserved run takes.
+* ``superblock`` -- the compiled loop (every instruction issued from
+  its prepared plan) that every unobserved run takes.
 
 Reported per kernel: simulated instructions, simulated seconds
 (deterministic -- a change here is a model change, not a perf

@@ -27,19 +27,11 @@ from ..obs.events import (STALL_CAUSES, InstructionIssue, Span, Stall,
 from . import lsu, operations
 from .prepared import get_prepared
 from .timing import (KIND_ALU, KIND_ENDPGM, KIND_MEMORY, KIND_WAITCNT,
-                     DEFAULT_TIMING, UnitPool, get_timing_table,
-                     step_advance)
+                     DEFAULT_TIMING, UnitPool, get_timing_table)
 
 _WAITCNT_VM_MASK = 0xF
 _WAITCNT_LGKM_SHIFT = 8
 _WAITCNT_LGKM_MASK = 0x1F
-
-
-#: The ways an instruction can issue, keys of
-#: :attr:`CuRunStats.issue_paths`: inside a fused superblock call,
-#: from its prepared plan (both on the compiled loop), or on the
-#: reference interpreter.
-ISSUE_PATHS = ("fused", "plan", "reference")
 
 
 @dataclass
@@ -65,10 +57,7 @@ class CuRunStats:
     * ``workgroups`` / ``peak_wavefronts`` -- workgroups executed and
       the largest one's wavefront count;
     * ``cu_cycles`` / ``cu_workgroups`` -- ``cycles`` and
-      ``workgroups`` keyed by compute-unit index;
-    * ``issue_paths`` -- instructions per :data:`ISSUE_PATHS` entry
-      (zero counts absent).  Unlike every other field it depends on
-      the loop that ran, not only on the simulated machine.
+      ``workgroups`` keyed by compute-unit index.
     """
 
     cycles: float = 0.0
@@ -83,7 +72,6 @@ class CuRunStats:
     peak_wavefronts: int = 0
     cu_cycles: dict = field(default_factory=dict)
     cu_workgroups: dict = field(default_factory=dict)
-    issue_paths: dict = field(default_factory=dict)
 
     def merge(self, other):
         self.cycles += other.cycles
@@ -98,8 +86,7 @@ class CuRunStats:
                              (self.per_name, other.per_name),
                              (self.stalls, other.stalls),
                              (self.cu_cycles, other.cu_cycles),
-                             (self.cu_workgroups, other.cu_workgroups),
-                             (self.issue_paths, other.issue_paths)):
+                             (self.cu_workgroups, other.cu_workgroups)):
             for key, value in theirs.items():
                 mine[key] = mine.get(key, 0) + value
 
@@ -222,9 +209,9 @@ class ComputeUnit:
         reference interpreter, which the per-instruction validation
         sweep uses to exercise the live operations tables.  The
         compiled loop produces bit-identical state, cycle counts and
-        stats (``issue_paths`` aside) -- the ``superblock`` and
-        ``counters`` oracles enforce this -- but emits no observation
-        events, so an attached observer always gets the reference loop.
+        stats -- the ``superblock`` and ``counters`` oracles enforce
+        this -- but emits no observation events, so an attached
+        observer always gets the reference loop.
         """
         wavefronts = [wf for wf in workgroup.wavefronts if not wf.done]
         if len(wavefronts) > self.max_wavefronts:
@@ -409,8 +396,6 @@ class ComputeUnit:
 
         end_time = max(finish_time, decode_free)
         stats.active_cycles = active
-        if issued:
-            stats.issue_paths = {"reference": issued}
         stats._close(self.cu_index, len(wavefronts), start_time,
                      decode_free, end_time, stalls)
         if obs is not None:
@@ -436,20 +421,13 @@ class ComputeUnit:
         bit of final state, stats or cycles is a bug (and is what the
         ``superblock`` oracle hunts for).
 
-        Each issue takes one of two paths.  A wavefront at the head of
-        a superblock (:mod:`repro.cu.superblock`) runs the whole block
-        as one fused call -- one ``step_advance`` over the block's
-        static cost rows plus its ``sem_all`` -- when it is the sole
-        schedulable candidate (so no interleaving decision is skipped;
-        nothing inside a block changes liveness, barrier state or EXEC)
-        and the whole block fits the instruction budget (so budget
-        errors raise at the exact per-instruction point).  Every other
-        instruction -- block members included, when several wavefronts
-        compete or entry is mid-block -- issues from its prepared plan,
-        so each effect lands at its own issue slot as in the reference.
-        Blocks are disabled entirely when the architecture lacks an
-        instruction of the program, so a scratched instruction raises
-        at its exact issue slot.
+        Every instruction issues from its prepared plan
+        (:mod:`repro.cu.prepared`; ALU executors emitted by
+        :mod:`repro.cu.superblock`), so each effect lands at its own
+        issue slot as in the reference.  When the architecture lacks an
+        instruction of the program, that instruction's plan goes
+        through the full support check, so it raises at its exact
+        issue slot.
         """
         prepared = get_prepared(wavefronts[0].program, self.timing)
         bad = prepared.restrictions(self)
@@ -473,13 +451,6 @@ class ComputeUnit:
         lsu_pool = pools[FunctionalUnit.LSU]
         lsu_base = self.timing.lsu_cycles
         endpgm_cycles = self.timing.endpgm_cycles
-
-        blocks = prepared.superblocks() if bad is None else None
-        sb_counts = {}
-        if blocks is not None:
-            busy_lists = tuple(pools[unit].busy_until for unit in (
-                FunctionalUnit.SALU, FunctionalUnit.BRANCH,
-                FunctionalUnit.SIMD, FunctionalUnit.SIMF))
 
         live = list(wavefronts)
         while live:
@@ -514,35 +485,6 @@ class ComputeUnit:
                 start = ready
             else:
                 start = decode_free
-
-            if n == 1 and blocks is not None \
-                    and (blk := blocks.get(wf.pc)) is not None \
-                    and issued + blk.count <= max_instructions:
-                # The reference would advance the round-robin cursor
-                # once per pick.
-                fe_done, done, contended = step_advance(
-                    blk.steps, start, busy_lists)
-                blk.sem_all(wf)
-                decode_free = fe_done
-                wf.pc = blk.end_pc
-                wf.instructions_executed += blk.count
-                issued += blk.count
-                rr += blk.count - 1
-                wf.ready_at = done
-                if done > finish_time:
-                    finish_time = done
-                if done - blk.last_occ > fe_done:
-                    wf.stall_cause = "fu-busy"
-                    # The last step's wait idles the next pick, which
-                    # attributes it.
-                    contended -= done - fe_done
-                else:
-                    wf.stall_cause = "operand-dep"
-                # The block's internal decode gaps that waited on a busy
-                # unit; the rest are operand-dep (the remainder).
-                stalls["fu-busy"] += contended
-                sb_counts[blk] = sb_counts.get(blk, 0) + 1
-                continue
 
             plan = by_address.get(wf.pc)
             if plan is None:
@@ -628,17 +570,6 @@ class ComputeUnit:
                 if workgroup.arrive_at_barrier():
                     self._release(workgroup, barrier_waiters)
 
-        fused = 0
-        for blk, times in sb_counts.items():
-            # Fold block executions into the per-plan issue counts and
-            # the pool utilisation counters (integer occupancies, so
-            # the deferred sum is exact regardless of order).
-            fused += blk.count * times
-            for index in blk.indices:
-                counts[index] += times
-            for unit, total in blk.busy_totals:
-                pools[unit].busy_cycles += total * times
-
         end_time = max(finish_time, decode_free)
         stats.instructions = issued
         stats.memory_accesses = memory_accesses
@@ -656,10 +587,6 @@ class ComputeUnit:
         # claimed (exact: board times are quarter-cycle multiples).
         stalls["operand-dep"] = (decode_free - start_time - active
                                  - sum(stalls.values()))
-        if fused:
-            stats.issue_paths["fused"] = fused
-        if issued > fused:
-            stats.issue_paths["plan"] = issued - fused
         stats._close(cu_index, len(wavefronts), start_time, decode_free,
                      end_time, stalls)
         return end_time, stats

@@ -14,9 +14,8 @@ A :class:`PreparedProgram` hoists all of it to once-per-program cost:
   (rows of the program's :class:`~repro.cu.timing.TimingTable`);
 * every ALU plan's executor is generated by the one ALU specializer,
   :func:`repro.cu.superblock.build_superblocks`, which compiles the
-  plan executors and the program's superblocks as one module (kept on
-  :attr:`PreparedProgram.source` for inspection); memory plans bind the
-  fused SMRD/MUBUF executors below;
+  plan executors as one module (kept on :attr:`PreparedProgram.source`
+  for inspection); memory plans bind the SMRD/MUBUF executors below;
 * plans are looked up by PC through a plain dict, replacing
   ``index_of_address`` + list indexing;
 * prepared programs are memoized in a content-hash-keyed LRU shared
@@ -84,7 +83,7 @@ class InstPlan:
         self.mem_fn = None
         self.inst = inst
         #: True when the ALU executor is emitted (not the generic
-        #: dispatcher) -- only such plans join superblocks.
+        #: dispatcher).
         self.specialized = False
         if self.kind == KIND_MEMORY:
             if inst.fmt is Format.SMRD:
@@ -96,7 +95,7 @@ class InstPlan:
 
 
 # ---------------------------------------------------------------------------
-# Fused memory executors.  Each returns a closure observationally
+# Memory executors.  Each returns a closure observationally
 # identical to the reference LSU, or None to keep the generic one.
 # ---------------------------------------------------------------------------
 
@@ -117,7 +116,7 @@ def _scalar_reader(code, literal):
     return lambda wf: wf.read_scalar(code, literal)
 
 
-_FUSED_BUFFER_OPS = frozenset((
+_SPECIALIZED_BUFFER_OPS = frozenset((
     "buffer_load_dword", "buffer_store_dword",
     "tbuffer_load_format_x", "tbuffer_store_format_x",
     "tbuffer_load_format_xy", "tbuffer_store_format_xy",
@@ -126,7 +125,7 @@ _FUSED_BUFFER_OPS = frozenset((
 
 
 def _build_smrd(inst):
-    """Fused executor for SMRD loads.
+    """Specialized executor for SMRD loads.
 
     The generic path calls ``GlobalMemory.read_u32`` once per dword —
     bounds check, slice, view, int conversion each time.  When the
@@ -167,7 +166,7 @@ def _build_smrd(inst):
 
 
 def _build_buffer(inst):
-    """Fused executor for the common MUBUF/MTBUF accesses.
+    """Specialized executor for the common MUBUF/MTBUF accesses.
 
     The generic path derives the active-lane footprint three times per
     access (records check, functional gather/scatter, prefetch
@@ -184,7 +183,7 @@ def _build_buffer(inst):
 
     f, name = inst.fields, inst.spec.name
     try:
-        if name not in _FUSED_BUFFER_OPS:
+        if name not in _SPECIALIZED_BUFFER_OPS:
             return None
         if f["offen"] and f["idxen"]:
             return None  # the reference raises; keep its exact error
@@ -299,12 +298,12 @@ class PreparedProgram:
 
     Carries the program's :class:`~repro.cu.timing.TimingTable` (the
     static cost columns, shared through its own content-keyed LRU) next
-    to the plans that bind executors to those rows, the program's
-    superblocks, and the generated ALU module's ``source``.
+    to the plans that bind executors to those rows, and the generated
+    ALU module's ``source``.
     """
 
     __slots__ = ("program", "timing", "table", "plans", "by_address",
-                 "source", "_superblocks", "_restrictions")
+                 "source", "_restrictions")
 
     def __init__(self, program, timing):
         self.program = program
@@ -313,19 +312,8 @@ class PreparedProgram:
         self.plans = [InstPlan(inst, i, self.table)
                       for i, inst in enumerate(program.instructions)]
         self.by_address = {plan.address: plan for plan in self.plans}
-        blocks, self.source = build_superblocks(self)
-        self._superblocks = blocks or None
+        self.source = build_superblocks(self)
         self._restrictions = {}
-
-    def superblocks(self):
-        """``{head address: Superblock}``, or ``None`` without a block.
-
-        Nothing in a block depends on the CU shape (pool widths are
-        read at run time), so the content-hash LRU that shares prepared
-        programs across launches, CU shapes and service jobs shares
-        the compiled superblocks too.
-        """
-        return self._superblocks
 
     def restrictions(self, cu):
         """Addresses whose instructions fail ``cu._check_supported``.

@@ -7,40 +7,15 @@ at compile time -- SGPRs as ``s[i]``, VGPR rows as ``v[i]``, inline
 constants and literals as prebuilt values, scalar ALU as pure Python
 ints, VALU through the same :mod:`repro.cu.vector` cores and the same
 masked ``np.copyto`` write as the reference.  One program's lines go
-through one ``compile()``/``exec()`` into one namespace, producing two
-kinds of function:
+through one ``compile()``/``exec()`` into one namespace, producing a
+**plan executor** ``_plan<i>(wf)`` per ALU instruction (``i`` is the
+plan index), bound to ``InstPlan.exec_fn`` -- what the compiled loop
+calls for every ALU issue.
 
-* a **plan executor** ``_plan<i>(wf)`` per ALU instruction, bound to
-  ``InstPlan.exec_fn`` -- what the compiled loop calls for a single
-  issue;
-* a **block function** ``_block<i>(wf)`` per superblock (``i`` is the
-  head's plan index): the same lines of each member plan, in program
-  order, under one shared prelude (``s``/``v``/lane-mask bindings).
-
-Namespace entries are keyed by plan index, so a block's body is its
-plans' lines verbatim.  An instruction whose operand shapes the
-emitter cannot prove it reproduces exactly -- including every case in
-which the reference would raise -- is emitted as a call to the
-generic dispatcher ``operations.execute(wf, inst)``; such plans are
-not *specialized* and never join a block.
-
-Block formation (also documented in ``docs/execution.md``):
-
-* only specialized ``KIND_ALU`` plans;
-* never across branches (taken or not), barriers, ``s_waitcnt``,
-  ``s_endpgm`` or memory operations -- those interact with the
-  scheduler, the barrier set or the memory timing model;
-* never across an instruction that can write EXEC, M0 or an
-  out-of-file scalar destination (``saveexec``, ``sdst`` above the
-  plain SGPR file other than VCC), so EXEC is constant inside a block;
-* a block never spans a branch *target*: control enters at its head.
-
-Runs shorter than :data:`MIN_BLOCK` stay plain plans.  Each block also
-carries its static ``steps`` rows (``(frontend_cost, occupancy,
-pool_id)`` per instruction), advanced by
-:func:`~repro.cu.timing.step_advance` when the loop issues the block
-as one fused call; block timing is data-independent, so the semantics
-call and the timing walk commute.
+An instruction whose operand shapes the emitter cannot prove it
+reproduces exactly -- including every case in which the reference
+would raise -- is emitted as a call to the generic dispatcher
+``operations.execute(wf, inst)``; such plans are not *specialized*.
 """
 
 from __future__ import annotations
@@ -51,38 +26,8 @@ from ..errors import DecodingError
 from ..isa import registers as regs
 from ..isa.formats import Format
 from . import operations, vector
-from .timing import KIND_ALU, UNIT_POOL_ID
+from .timing import KIND_ALU
 from .wavefront import FULL_EXEC, MASK32, MASK64
-
-#: Minimum run length worth fusing: a one-instruction block would just
-#: replace one plan call with another.
-MIN_BLOCK = 2
-
-
-class Superblock:
-    """One compiled straight-line run.
-
-    ``sem_all`` replays the whole block's register effects; ``steps``
-    holds the static ``(frontend_cost, occupancy, pool_id)`` triple per
-    instruction (pool ids from :data:`repro.cu.timing.UNIT_POOL_ID`)
-    consumed by :func:`~repro.cu.timing.step_advance`; ``indices`` are
-    the member plans' indices and ``busy_totals`` the per-unit
-    occupancy sums folded into the pool counters per execution.
-    """
-
-    __slots__ = ("head", "end_pc", "count", "indices", "last_occ",
-                 "busy_totals", "sem_all", "steps")
-
-    def __init__(self, head, end_pc, count, indices, last_occ,
-                 busy_totals, sem_all, steps):
-        self.head = head
-        self.end_pc = end_pc
-        self.count = count
-        self.indices = indices
-        self.last_occ = last_occ
-        self.busy_totals = busy_totals
-        self.sem_all = sem_all
-        self.steps = steps
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +37,8 @@ class Superblock:
 def _wv(row, values, mask):
     """Masked VGPR write -- exactly :meth:`Wavefront.write_vgpr`.
 
-    ``mask is None`` means "EXEC was full at function entry" (EXEC
-    cannot change inside a block), mirroring the full-EXEC fast path of
-    :meth:`Wavefront.write_vgpr`.
+    ``mask is None`` means "EXEC was full at function entry", mirroring
+    the full-EXEC fast path of :meth:`Wavefront.write_vgpr`.
     """
     if mask is None:
         row[...] = np.asarray(values, dtype=np.uint32)
@@ -483,43 +427,6 @@ def _emit(inst, k, ns):
 
 
 # ---------------------------------------------------------------------------
-# Eligibility and partitioning.
-# ---------------------------------------------------------------------------
-
-def _fusable(plan):
-    """Can this plan live inside a superblock?"""
-    if not plan.specialized:  # memory/control plans never are
-        return False
-    name = plan.name
-    if name in _BRANCH_CONDITIONS or "saveexec" in name:
-        return False
-    sdst = plan.inst.fields.get("sdst")
-    # EXEC/M0/VCC_HI (or any special) destinations could perturb
-    # scheduler-visible state.
-    return sdst is None or sdst <= regs.SGPR_LAST or sdst == regs.VCC_LO
-
-
-def _partition(plans):
-    """Maximal fusable runs, split at branch targets."""
-    targets = {plan.address + 4 + 4 * _simm16(plan.inst)
-               for plan in plans if plan.name in _BRANCH_CONDITIONS}
-    runs, current = [], []
-    for plan in plans:
-        if current and plan.address in targets:
-            runs.append(current)
-            current = []
-        if _fusable(plan):
-            current.append(plan)
-        else:
-            if current:
-                runs.append(current)
-            current = []
-    if current:
-        runs.append(current)
-    return [run for run in runs if len(run) >= MIN_BLOCK]
-
-
-# ---------------------------------------------------------------------------
 # Module assembly.
 # ---------------------------------------------------------------------------
 
@@ -529,51 +436,25 @@ def _function(name, uses, lines):
         name, "".join("    %s\n" % line for line in body or ["pass"]))
 
 
-def _superblock(run, sem_all):
-    busy_totals = {}
-    for plan in run:
-        busy_totals[plan.unit] = busy_totals.get(plan.unit, 0) + plan.occupancy
-    last = run[-1]
-    return Superblock(
-        head=run[0].address,
-        end_pc=last.address + last.pc_step,
-        count=len(run),
-        indices=tuple(plan.index for plan in run),
-        last_occ=last.occupancy,
-        busy_totals=tuple(sorted(busy_totals.items(),
-                                 key=lambda kv: kv[0].value)),
-        sem_all=sem_all,
-        steps=tuple((plan.fe_cost, plan.occupancy, UNIT_POOL_ID[plan.unit])
-                    for plan in run),
-    )
-
-
+# Keeps its old name: perfbench/tracing.py times it as cu.superblock_build.
 def build_superblocks(prepared):
-    """Compile every ALU executor and superblock of a prepared program.
+    """Compile every ALU plan executor of a prepared program.
 
-    Emits each ALU plan once, compiles the plan executors and the block
-    functions as one module, binds ``exec_fn``/``specialized`` on every
-    ALU plan, and returns ``({head address: Superblock}, source)``.
-    Called once per program by :class:`PreparedProgram`.
+    Emits each ALU plan once, compiles the executors as one module,
+    binds ``exec_fn``/``specialized`` on every ALU plan, and returns
+    the module ``source``.  Called once per program by
+    :class:`PreparedProgram`.
     """
     ns = dict(_RUNTIME)
-    emitted = {}
     chunks = []
     for plan in prepared.plans:
         if plan.kind == KIND_ALU:
             lines, uses, plan.specialized = _emit(plan.inst, plan.index, ns)
-            emitted[plan.index] = (lines, uses)
             chunks.append(_function("_plan%d" % plan.index, uses, lines))
-    runs = _partition(prepared.plans)
-    for run in runs:
-        uses = set().union(*(emitted[plan.index][1] for plan in run))
-        lines = [line for plan in run for line in emitted[plan.index][0]]
-        chunks.append(_function("_block%d" % run[0].index, uses, lines))
     source = "\n".join(chunks)
     name = getattr(prepared.program, "name", None) or "program"
     exec(compile(source, "<prepared %s>" % name, "exec"), ns)
-    for index in emitted:
-        prepared.plans[index].exec_fn = ns["_plan%d" % index]
-    blocks = {run[0].address: _superblock(run, ns["_block%d" % run[0].index])
-              for run in runs}
-    return blocks, source
+    for plan in prepared.plans:
+        if plan.kind == KIND_ALU:
+            plan.exec_fn = ns["_plan%d" % plan.index]
+    return source

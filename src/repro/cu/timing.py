@@ -27,16 +27,11 @@ is irrelevant to the relative results the paper reports.
 Beyond the per-instruction pricing functions, this module is the
 **compiled timing layer** shared by both CU issue loops:
 
-* :class:`TimingTable` -- per-program arrays of front-end cost, unit
-  occupancy, pool id, kind and scheduler flags, computed once per
-  ``(content_key, CuTimingParams)`` pair and cached in an LRU, so
-  neither loop re-derives costs per dynamic instruction;
-* :class:`UnitPool` / :func:`acquire_slot` -- the one occupancy-pool
-  scheduler primitive (previously duplicated between the pipeline and
-  the superblock compiler);
-* :func:`step_advance` -- advancement of ``(t, busy)`` over a
-  superblock's static step rows, the block timing of every
-  sole-candidate superblock issue.
+* :class:`TimingTable` -- per-program rows of front-end cost, unit
+  occupancy and kind, computed once per ``(content_key,
+  CuTimingParams)`` pair and cached in an LRU, so neither loop
+  re-derives costs per dynamic instruction;
+* :class:`UnitPool` -- the one occupancy-pool scheduler primitive.
 """
 
 from __future__ import annotations
@@ -44,8 +39,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import SimulationError
 from ..isa.categories import FunctionalUnit, OpCategory
@@ -140,38 +133,15 @@ KIND_ENDPGM = 2
 KIND_BARRIER = 3
 KIND_WAITCNT = 4
 
-#: Unit-pool ids used by every compiled timing structure (superblock
-#: ``steps`` rows, :class:`TimingTable` ``pool`` column).
-POOL_SALU = 0
-POOL_BRANCH = 1
-POOL_SIMD = 2
-POOL_SIMF = 3
-POOL_LSU = 4
-
-UNIT_POOL_ID = {
-    FunctionalUnit.SALU: POOL_SALU,
-    FunctionalUnit.BRANCH: POOL_BRANCH,
-    FunctionalUnit.SIMD: POOL_SIMD,
-    FunctionalUnit.SIMF: POOL_SIMF,
-    FunctionalUnit.LSU: POOL_LSU,
-}
-
-#: Scheduler flags in :attr:`TimingTable.flags`.
-FLAG_BRANCH = 1
-FLAG_BARRIER = 2
-FLAG_WAITCNT = 4
-FLAG_ENDPGM = 8
-FLAG_MEMORY = 16
-
 
 class UnitPool:
     """N interchangeable instances of one functional-unit type.
 
     The single occupancy-scheduler primitive of the simulator: the
-    pipeline's pool dict holds these, and every compiled path operates
-    directly on :attr:`busy_until` (through :func:`acquire_slot` or the
-    inlined single-instance arithmetic), folding ``busy_cycles`` in per
-    block.
+    pipeline's pool dict holds these.  The compiled loop inlines the
+    single-instance case on :attr:`busy_until` and adds the occupancy
+    to ``busy_cycles`` itself; multi-instance pools go through
+    :meth:`acquire`.
     """
 
     def __init__(self, count):
@@ -198,88 +168,52 @@ class UnitPool:
         return done
 
 
-def acquire_slot(busy, now, occ):
-    """Multi-instance pool issue on a raw ``busy_until`` list.
-
-    Exactly :meth:`UnitPool.acquire` minus the ``busy_cycles``
-    bookkeeping, which the compiled paths fold in per block (integer
-    occupancies, so the deferred sum is order-independent).
-    """
-    idx = min(range(len(busy)), key=busy.__getitem__)
-    start = busy[idx]
-    if now > start:
-        start = now
-    done = start + occ
-    busy[idx] = done
-    return done
-
-
 # ---------------------------------------------------------------------------
 # Per-program timing tables.
 # ---------------------------------------------------------------------------
 
 class TimingTable:
-    """Static per-program timing columns, one row per instruction.
+    """Static per-program timing rows, one per instruction.
 
-    NumPy arrays are the canonical storage (``frontend``,
-    ``occupancy``, ``pool``, ``kind``, ``flags``); the matching
-    ``fe_costs`` / ``occupancies`` / ``kinds`` tuples hold the same
-    rows as plain Python ints for the hot issue loops, where indexing a
-    tuple is cheaper than unboxing ``np.int32`` (and cannot leak NumPy
-    scalars into cycle arithmetic or JSON payloads).
+    ``fe_costs`` / ``occupancies`` / ``kinds`` are tuples of plain
+    Python ints: the hot issue loops index them directly, and no NumPy
+    scalar can leak into cycle arithmetic or JSON payloads.
 
-    ``occupancy`` is the *static* occupancy: the full unit occupancy
-    for ALU/branch rows and the base (single-transaction) LSU period
-    for memory rows -- the dynamic transaction count multiplies it at
-    issue time, explicitly.  Rows for ``s_endpgm`` / ``s_barrier`` /
-    ``s_waitcnt`` carry occupancy 0: they never touch a unit pool.
+    ``occupancies`` holds the *static* occupancy: the full unit
+    occupancy for ALU/branch rows and the base (single-transaction) LSU
+    period for memory rows -- the dynamic transaction count multiplies
+    it at issue time, explicitly.  Rows for ``s_endpgm`` /
+    ``s_barrier`` / ``s_waitcnt`` carry occupancy 0: they never touch a
+    unit pool.
     """
 
-    __slots__ = ("params", "frontend", "occupancy", "pool", "kind",
-                 "flags", "fe_costs", "occupancies", "kinds")
+    __slots__ = ("params", "fe_costs", "occupancies", "kinds")
 
     def __init__(self, program, params):
         self.params = params
-        instructions = program.instructions
-        n = len(instructions)
-        frontend = np.zeros(n, dtype=np.int32)
-        occupancy = np.zeros(n, dtype=np.int32)
-        pool = np.zeros(n, dtype=np.int8)
-        kind = np.zeros(n, dtype=np.int8)
-        flags = np.zeros(n, dtype=np.uint8)
-        for i, inst in enumerate(instructions):
+        fe_costs, occupancies, kinds = [], [], []
+        for inst in program.instructions:
             sp = inst.spec
-            frontend[i] = frontend_cost(inst, params)
-            pool[i] = UNIT_POOL_ID[sp.unit]
             name = sp.name
+            occupancy = 0
             if name == "s_endpgm":
-                kind[i] = KIND_ENDPGM
-                flags[i] = FLAG_ENDPGM
+                kind = KIND_ENDPGM
             elif name == "s_barrier":
-                kind[i] = KIND_BARRIER
-                flags[i] = FLAG_BARRIER
+                kind = KIND_BARRIER
             elif name == "s_waitcnt":
-                kind[i] = KIND_WAITCNT
-                flags[i] = FLAG_WAITCNT
+                kind = KIND_WAITCNT
             elif sp.is_memory:
-                kind[i] = KIND_MEMORY
-                flags[i] = FLAG_MEMORY
-                occupancy[i] = params.lsu_cycles
+                kind = KIND_MEMORY
+                occupancy = params.lsu_cycles
             else:
-                kind[i] = KIND_ALU
-                occupancy[i] = unit_occupancy(inst, params)
-                if sp.unit is FunctionalUnit.BRANCH:
-                    flags[i] = FLAG_BRANCH
-        for arr in (frontend, occupancy, pool, kind, flags):
-            arr.setflags(write=False)
-        self.frontend = frontend
-        self.occupancy = occupancy
-        self.pool = pool
-        self.kind = kind
-        self.flags = flags
-        self.fe_costs = tuple(int(c) for c in frontend)
-        self.occupancies = tuple(int(c) for c in occupancy)
-        self.kinds = tuple(int(c) for c in kind)
+                kind = KIND_ALU
+                occupancy = unit_occupancy(inst, params)
+            fe_costs.append(frontend_cost(inst, params))
+            occupancies.append(occupancy)
+            kinds.append(kind)
+        self.fe_costs = tuple(fe_costs)
+        self.occupancies = tuple(occupancies)
+        self.kinds = tuple(kinds)
 
     def __len__(self):
         return len(self.fe_costs)
@@ -344,46 +278,3 @@ def clear_timing_table_cache():
         _tables.clear()
         _table_hits = 0
         _table_misses = 0
-
-
-# ---------------------------------------------------------------------------
-# Block timing.
-# ---------------------------------------------------------------------------
-
-def step_advance(steps, start, busy_lists):
-    """Advance ``(fe_done, t)`` over static step rows, one per step.
-
-    ``steps`` holds ``(frontend_cost, occupancy, pool_id)`` rows;
-    ``busy_lists`` the four ALU-pool ``busy_until`` lists indexed by
-    pool id.  This is the per-instruction ALU issue arithmetic of the
-    compiled loop verbatim (single-instance inline, multi-instance
-    through :func:`acquire_slot`), so a sole-candidate block issue
-    prices exactly like the reference's instruction-by-instruction
-    walk.
-
-    Returns ``(fe_done, t, contended)``.  ``contended`` sums ``t - fd``
-    over the steps whose unit instance was still busy at their
-    front-end completion, the last step included: the wait the
-    reference attributes to ``fu-busy`` before the wavefront's next
-    issue.  Only the contended branch accumulates, so an uncontended
-    block pays nothing for it.
-    """
-    t = start
-    fd = start
-    contended = 0.0
-    for fe, occ, pid in steps:
-        fd = t + fe
-        busy = busy_lists[pid]
-        if len(busy) == 1:
-            b = busy[0]
-            if b > fd:
-                t = b + occ
-                contended += t - fd
-            else:
-                t = fd + occ
-            busy[0] = t
-        else:
-            t = acquire_slot(busy, fd, occ)
-            if t - occ > fd:
-                contended += t - fd
-    return fd, t, contended

@@ -46,8 +46,9 @@ STATUS_PREEMPTED = "preempted"
 
 #: Wire-format version; bumped on incompatible payload changes
 #: (3: the paused frame no longer names a launch engine; 4: frame
-#: stats carry the stall/occupancy/issue-path aggregates).
-CHECKPOINT_VERSION = 4
+#: stats carry the stall/occupancy/issue-path aggregates; 5: frame
+#: stats drop the issue-path split).
+CHECKPOINT_VERSION = 5
 
 
 def _b64(raw):
@@ -85,7 +86,6 @@ def _stats_to_dict(stats):
         # JSON object keys are strings; CU indices stay ints as rows.
         "per_cu": [[cu, stats.cu_cycles[cu], stats.cu_workgroups[cu]]
                    for cu in sorted(stats.cu_cycles)],
-        "issue_paths": dict(sorted(stats.issue_paths.items())),
     }
 
 
@@ -105,7 +105,6 @@ def _stats_from_dict(data):
         peak_wavefronts=data["peak_wavefronts"],
         cu_cycles={cu: cycles for cu, cycles, _ in data["per_cu"]},
         cu_workgroups={cu: groups for cu, _, groups in data["per_cu"]},
-        issue_paths=dict(data["issue_paths"]),
     )
 
 

@@ -66,9 +66,6 @@ class ExecutionResult(SerializableMixin):
     board_key: str
     launches: Tuple[object, ...] = ()
     counters: Optional[object] = None      # PerfCounters, when profiled
-    #: Instructions the request issued per path (``fused``, ``plan``,
-    #: ``reference``; :data:`repro.cu.pipeline.ISSUE_PATHS`).
-    issue_paths: Dict[str, int] = field(default_factory=dict)
     trace: Optional[object] = None         # ChromeTrace, when traced
     digests: Dict[str, str] = field(default_factory=dict)
     memory_image: Optional[bytes] = None
@@ -90,7 +87,6 @@ class ExecutionResult(SerializableMixin):
             "metrics": self.metrics.to_dict(),
             "cu_cycles": self.cu_cycles,
             "engine": self.engine,
-            "issue_paths": dict(self.issue_paths),
             "warm_board": self.warm_board,
             "digests": dict(self.digests),
             "status": self.status,
@@ -192,7 +188,7 @@ class Executor:
 
             # The window the counters cover: exactly the span an attached
             # observer would see (after the restore, around the run).
-            activity = board.gpu.open_activity()
+            board.gpu.open_activity()
             attached = []
             trace = None
             if request.trace:
@@ -224,7 +220,6 @@ class Executor:
             counters = None
             if request.profile:
                 counters = PerfCounters(board.gpu.activity_counters())
-            issue_paths = activity.issue_paths()
 
             digests = {
                 name: hashlib.sha256(
@@ -279,7 +274,6 @@ class Executor:
                 board_key=lease.key,
                 launches=launches,
                 counters=counters,
-                issue_paths=issue_paths,
                 trace=trace,
                 digests=digests,
                 memory_image=memory_image,

@@ -7,8 +7,7 @@ plus a :class:`ChromeTrace` observer when a trace is requested (which
 puts the run on the reference loop; the counters come out identical).
 The result is packaged behind the repo-wide serialization convention,
 so ``repro profile <kernel> --json`` emits the same shape of payload
-as ``run --json`` and ``serve --json``, plus the ``engine`` that ran
-and the instructions per ``issue_paths`` entry.
+as ``run --json`` and ``serve --json``, plus the ``engine`` that ran.
 """
 
 from __future__ import annotations
@@ -74,10 +73,6 @@ class ProfileResult(SerializableMixin):
     def engine(self):
         return self.result.engine
 
-    @property
-    def issue_paths(self):
-        return self.result.issue_paths
-
     def to_dict(self):
         return {
             "benchmark": self.benchmark,
@@ -85,7 +80,6 @@ class ProfileResult(SerializableMixin):
             "engine": self.engine,
             "metrics": self.metrics.to_dict(),
             "counters": self.perf.to_dict(),
-            "issue_paths": dict(self.issue_paths),
             "memory_stats": dict(self.result.memory_stats),
         }
 
@@ -104,6 +98,7 @@ class ProfileResult(SerializableMixin):
                                      self.metrics.instructions),
             "  {:<26} {:>14.1f}".format("board cycles (timeline)",
                                         self.result.cu_cycles),
+            "  {:<26} {:>14}".format("issue loop", str(self.engine)),
             "",
             "cycle attribution ({:.1f} workgroup-execution cycles)"
             .format(total),
@@ -126,12 +121,6 @@ class ProfileResult(SerializableMixin):
                                   key=lambda kv: -kv[1]):
             lines.append("  {:<26} {:>14}  {:>6.1%}".format(
                 unit, count,
-                count / c.get("issue.total") if c.get("issue.total") else 0))
-        lines.append("")
-        lines.append("issue paths ({} loop)".format(self.engine))
-        for path, count in self.issue_paths.items():
-            lines.append("  {:<26} {:>14}  {:>6.1%}".format(
-                path, count,
                 count / c.get("issue.total") if c.get("issue.total") else 0))
         lines.append("")
         lines.append("memory")

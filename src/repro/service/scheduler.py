@@ -90,8 +90,8 @@ class KernelService:
         self.queue = BoundedJobQueue(queue_depth)
         self.pool = WorkerPool(workers, mode)
         self._clock = clock
+        #: Uncollected tickets by job id, in submission order.
         self._tickets = {}
-        self._order = []
         self._lock = threading.Lock()
         self._inflight = threading.Semaphore(max_inflight or 2 * workers)
         self._closed = False
@@ -177,14 +177,12 @@ class KernelService:
         ticket.submitted = self._clock()
         with self._lock:
             self._tickets[job_id] = ticket
-            self._order.append(job_id)
         try:
             self.queue.put(ticket, priority=job.priority, batch_key=key,
                            block=block, timeout=timeout)
         except AdmissionError:
             with self._lock:
                 del self._tickets[job_id]
-                self._order.remove(job_id)
             self.stats.record_rejection()
             raise
         self.stats.record_submit()
@@ -371,7 +369,7 @@ class KernelService:
                 return
             ticket.settled = True
             ticket.result = result
-        # The service keeps every ticket for result(): drop what only
+        # The ticket stays until result() collects it: drop what only
         # an unsettled job needs -- a sliced job's last checkpoint
         # (a whole memory image) and the worker future.
         ticket.resume_envelope = None
@@ -387,26 +385,36 @@ class KernelService:
     # -- results -----------------------------------------------------------
 
     def result(self, job_id, timeout=None) -> JobResult:
-        """Block until one job settles; returns its JobResult."""
+        """Block until one job settles; returns its JobResult.
+
+        Collecting a result releases the job's ticket: a later call
+        with the same id raises ``ServiceError`` like an unknown id.
+        """
         with self._lock:
             ticket = self._tickets.get(job_id)
         if ticket is None:
             raise ServiceError("unknown job id {}".format(job_id))
+        return self._collect(ticket, timeout)
+
+    def _collect(self, ticket, timeout):
         if not ticket.done.wait(timeout=timeout):
-            raise JobTimeoutError(job_id, timeout)
+            raise JobTimeoutError(ticket.job_id, timeout)
+        with self._lock:
+            self._tickets.pop(ticket.job_id, None)
         return ticket.result
 
     def drain(self, timeout=None):
-        """Wait for every admitted job; results in submission order."""
+        """Wait for every job not yet collected; results in submission
+        order."""
         deadline = None if timeout is None else self._clock() + timeout
         results = []
         with self._lock:
-            order = list(self._order)
-        for job_id in order:
+            tickets = list(self._tickets.values())
+        for ticket in tickets:
             remaining = None
             if deadline is not None:
                 remaining = max(0.0, deadline - self._clock())
-            results.append(self.result(job_id, timeout=remaining))
+            results.append(self._collect(ticket, remaining))
         return results
 
     def run(self, jobs, timeout=None):

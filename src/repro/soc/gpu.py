@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.config import ArchConfig
-from ..cu.pipeline import ISSUE_PATHS, ComputeUnit, CuRunStats
+from ..cu.pipeline import ComputeUnit, CuRunStats
 from ..errors import LaunchError, LaunchPreempted
 from ..mem.system import MemorySystem
 from ..obs.counters import aggregate_counters
@@ -48,8 +48,8 @@ PRELOAD_MB_CYCLES_PER_WORD = 2.0
 #: :attr:`LaunchResult.engine`.  Observation picks the loop: only the
 #: reference interpreter emits observation events, so a slice runs it
 #: exactly when an observer is attached, and the compiled superblock
-#: loop (prepared plans with straight-line ALU runs fused into
-#: generated blocks, repro.cu.superblock) otherwise.  Profiling
+#: loop (every instruction issued from its prepared plan, ALU
+#: executors generated by repro.cu.superblock) otherwise.  Profiling
 #: attaches no observer: both loops fill the same run aggregates
 #: (:class:`BoardActivity`), which the performance counters are built
 #: from.  Both produce bit-identical memory, registers, stats and
@@ -100,14 +100,6 @@ class BoardActivity:
         for run in self.runs:
             total.merge(run)
         return total
-
-    def issue_paths(self):
-        """Instructions issued in the window per issue path."""
-        paths = dict.fromkeys(ISSUE_PATHS, 0)
-        for run in self.runs:
-            for path, count in run.issue_paths.items():
-                paths[path] += count
-        return paths
 
 
 @dataclass

@@ -19,10 +19,11 @@ bit of disagreement in final state is a simulator bug:
 ``prefetch-off``   the DCD configuration (no prefetch memory) matches
                    memory and registers.
 ``superblock``     the unobserved run -- which takes the compiled
-                   ``superblock`` loop (prepared plans plus fused
-                   straight-line ALU runs, :mod:`repro.cu.superblock`)
-                   -- matches the observed reference interpreter
-                   bit-for-bit: memory, registers, instruction count
+                   ``superblock`` loop (every instruction from its
+                   prepared plan, ALU executors emitted by
+                   :mod:`repro.cu.superblock`) -- matches the
+                   observed reference interpreter bit-for-bit:
+                   memory, registers, instruction count
                    **and cycle count**, on the baseline board (the
                    paper-level zero-cost-observation claim), on the
                    architecture trimmed for the case and on a multi-CU
@@ -385,8 +386,8 @@ def check_case(case, multi_cus=2, oracles=None):
         reference_runs[oracle] = snap
         _compare(oracle, ref, snap, failures, cycles=cycles)
 
-    # The compiled-loop equivalence claim: an unobserved run -- emitted
-    # plan executors and fused straight-line ALU runs -- must not change
+    # The compiled-loop equivalence claim: an unobserved run -- every
+    # instruction from its prepared plan -- must not change
     # a single byte, register, instruction or cycle against the observed
     # reference run on the same board: the baseline (which makes this
     # the zero-cost-observation claim too), the architecture trimmed

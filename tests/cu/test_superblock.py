@@ -1,22 +1,14 @@
-"""Superblock formation, compilation caching and engine exactness."""
-
-import glob
-import os
+"""The ALU emitter's module, compilation caching and engine exactness."""
 
 import numpy as np
 import pytest
 
 from repro.asm import assemble
 from repro.core.config import ArchConfig
-from repro.cu.prepared import KIND_ALU, PreparedProgram, \
-    clear_prepared_cache, get_prepared, lookup_prepared
-from repro.cu.superblock import MIN_BLOCK
-from repro.cu.wavefront import Wavefront
+from repro.cu.prepared import KIND_ALU, clear_prepared_cache, get_prepared
 from repro.errors import LaunchPreempted, SimulationError
 from repro.obs import Observer
 from repro.runtime.device import SoftGpu
-
-from .test_vector_conformance import EXEC_MASKS
 
 
 @pytest.fixture(autouse=True)
@@ -26,7 +18,7 @@ def _fresh_cache():
     clear_prepared_cache()
 
 
-# A block-breaker sampler: waitcnt and barrier split runs.
+# ALU plans around waitcnt and barrier, which have no executor.
 SPLITS = """
 .kernel splits
   s_mov_b32 s22, 1
@@ -41,45 +33,7 @@ SPLITS = """
   s_endpgm
 """
 
-# A branch target lands in the middle of an otherwise fusable run.
-MIDTARGET = """
-.kernel midtarget
-  s_movk_i32 s36, 2
-  s_mov_b32 s22, 1
-  s_mov_b32 s23, 2
-L1:
-  s_mov_b32 s24, 3
-  s_mov_b32 s25, 4
-  s_sub_i32 s36, s36, 1
-  s_cmp_gt_i32 s36, 0
-  s_cbranch_scc1 L1
-  s_endpgm
-"""
-
-# EXEC writers (saveexec, s_mov_b64 exec) split runs.
-EXECW = """
-.kernel execw
-  v_mov_b32 v5, 1
-  v_mov_b32 v6, 2
-  v_cmp_eq_u32 vcc, v5, v6
-  s_and_saveexec_b64 s[30:31], vcc
-  v_mov_b32 v7, 3
-  v_mov_b32 v8, 4
-  s_mov_b64 exec, s[30:31]
-  s_endpgm
-"""
-
-# One fusable instruction between breakers: below MIN_BLOCK.
-TINY = """
-.kernel tiny
-  s_waitcnt lgkmcnt(0)
-  s_mov_b32 s22, 1
-  s_waitcnt lgkmcnt(0)
-  s_endpgm
-"""
-
-# A runnable multi-wavefront kernel whose loop body is a superblock;
-# while several wavefronts compete, block members issue from plans.
+# A runnable multi-wavefront kernel with a straight-line ALU loop body.
 LOOPY = """
 .kernel loopy
 .arg inp buffer
@@ -106,120 +60,29 @@ L0:
   s_endpgm
 """
 
-_BREAKERS = ("s_waitcnt", "s_barrier", "s_endpgm", "s_cbranch_scc1",
-             "s_and_saveexec_b64", "s_mov_b64")
-
-
-def _blocks(source):
-    ps = get_prepared(assemble(source))
-    return ps, ps.superblocks() or {}
-
-
-def _head_counts(blocks):
-    return {blk.head: blk.count for blk in blocks.values()}
-
-
-class TestBlockFormation:
-    def test_waitcnt_and_barrier_split_runs(self):
-        ps, blocks = _blocks(SPLITS)
-        assert sorted(_head_counts(blocks).values()) == [2, 2, 3]
-        for blk in blocks.values():
-            names = {ps.plans[i].name for i in blk.indices}
-            assert not names.intersection(_BREAKERS)
-
-    def test_branch_target_splits_a_run(self):
-        ps, blocks = _blocks(MIDTARGET)
-        target = next(p.address for p in ps.plans
-                      if p.name == "s_mov_b32"
-                      and p.inst.fields["ssrc0"] == 131)  # constant 3
-        counts = _head_counts(blocks)
-        assert sorted(counts.values()) == [3, 4]
-        assert counts[target] == 4  # the run restarts at the target
-
-    def test_exec_writers_excluded(self):
-        ps, blocks = _blocks(EXECW)
-        assert sorted(_head_counts(blocks).values()) == [2, 3]
-        excluded = {p.address for p in ps.plans
-                    if p.name in ("s_and_saveexec_b64", "s_mov_b64")}
-        members = {ps.plans[i].address
-                   for blk in blocks.values() for i in blk.indices}
-        assert not excluded.intersection(members)
-
-    def test_min_block_floor(self):
-        assert MIN_BLOCK == 2
-        ps = get_prepared(assemble(TINY))
-        assert ps.superblocks() is None
-
-    def test_block_table_maps_heads_only(self):
-        ps, blocks = _blocks(LOOPY)
-        assert blocks
-        for head, blk in blocks.items():
-            assert head == blk.head == ps.plans[blk.indices[0]].address
-            last = ps.plans[blk.indices[-1]]
-            assert blk.end_pc == last.address + last.pc_step
-            assert blk.indices == tuple(range(blk.indices[0],
-                                              blk.indices[0] + blk.count))
-            assert len(blk.steps) == blk.count
-            totals = {}
-            for i in blk.indices:
-                plan = ps.plans[i]
-                totals[plan.unit] = totals.get(plan.unit, 0) + plan.occupancy
-            assert dict(blk.busy_totals) == totals
-
 
 class TestCompilationCache:
-    def test_lru_shares_blocks_across_identical_binaries(self):
-        pa, _ = lookup_prepared(assemble(LOOPY))
-        pb, hit = lookup_prepared(assemble(LOOPY + "\n; cosmetic\n"))
-        assert pa is pb and hit
-        assert pa.superblocks() is pb.superblocks()
-
-    def test_blocks_shared_across_cu_shapes(self, monkeypatch):
-        # Nothing in a block depends on the CU shape, so CUs of
-        # different shapes running one program get the same blocks.
-        seen = []
-        original = PreparedProgram.superblocks
-
-        def spy(self):
-            blocks = original(self)
-            seen.append((self, blocks))
-            return blocks
-
-        monkeypatch.setattr(PreparedProgram, "superblocks", spy)
-        program = assemble(LOOPY)
-        shapes = set()
-        for arch in (ArchConfig.baseline(), ArchConfig.baseline()
-                     .with_parallelism(num_simd=3, num_simf=2)):
-            _, _, device = _run(program, "superblock", arch=arch)
-            cu = device.gpu.cus[0]
-            shapes.add((cu.num_simd, cu.num_simf))
-        assert shapes == {(1, 1), (3, 2)}
-        assert len({id(ps) for ps, _ in seen}) == 1
-        assert seen[0][1] is not None
-        assert all(blocks is seen[0][1] for _, blocks in seen)
-
     def test_module_source_kept_on_prepared(self):
-        # One generated module per program: an executor per ALU plan
-        # and a function per block, kept on the prepared program.
+        # One generated module per program, an executor per ALU plan,
+        # kept on the prepared program.
         ps = get_prepared(assemble(SPLITS))
         alu = [p for p in ps.plans if p.kind == KIND_ALU]
         for plan in alu:
             assert "def _plan%d(wf):" % plan.index in ps.source
-        for blk in ps.superblocks().values():
-            assert "def _block%d(wf):" % blk.indices[0] in ps.source
-        assert ps.source.count("def ") == len(alu) + len(ps.superblocks())
+            assert plan.exec_fn.__name__ == "_plan%d" % plan.index
+        assert ps.source.count("def ") == len(alu)
 
 
-def _run(program, loop, n=384, local=192, arch=None, **kwargs):
+def _run(program, loop, n=384, local=192):
     """Run ``program`` on the named issue loop: observed for the
     reference loop, unobserved for the compiled one."""
-    device = SoftGpu(arch or ArchConfig.baseline())
+    device = SoftGpu(ArchConfig.baseline())
     if loop == "reference":
         device.attach(Observer())
     inp = device.upload("inp", np.arange(n, dtype=np.uint32) * 7 + 1)
     out = device.alloc("out", 4 * n)
     device.preload_all()
-    result = device.run(program, (n,), (local,), args=[inp, out], **kwargs)
+    result = device.run(program, (n,), (local,), args=[inp, out])
     return result, device.read(out), device
 
 
@@ -236,8 +99,9 @@ class TestEngineExactness:
         assert sb.stats.per_unit == ref.stats.per_unit
 
     def test_budget_raise_parity_mid_block(self):
-        # A budget that expires inside a superblock must raise at the
-        # same issue slot, with the same message, as the reference loop.
+        # A budget that expires inside the straight-line loop body must
+        # raise at the same issue slot, with the same message, as the
+        # reference loop.
         program = assemble(LOOPY)
         messages = {}
         for loop in ("reference", "superblock"):
@@ -285,57 +149,6 @@ def _suite_programs():
         for program in cls().programs():
             programs[program.content_key()] = program
     return list(programs.values())
-
-
-CORPUS = sorted(glob.glob(os.path.join(
-    os.path.dirname(__file__), "..", "verify", "corpus", "*.s")))
-
-
-def _random_wavefront(program, rng, exec_mask):
-    wf = Wavefront(0, program)
-    wf.sgprs[:] = rng.integers(0, 1 << 32, wf.sgprs.shape, dtype=np.uint32)
-    wf.vgprs[:] = rng.integers(0, 1 << 32, wf.vgprs.shape, dtype=np.uint32)
-    wf.vcc = int(rng.integers(0, 1 << 63)) << 1 | int(rng.integers(0, 2))
-    wf.scc = int(rng.integers(0, 2))
-    wf.m0 = int(rng.integers(0, 1 << 32))
-    wf.exec_mask = exec_mask
-    return wf
-
-
-def _arch_state(wf):
-    return (wf.sgprs.tobytes(), wf.vgprs.tobytes(), wf.vcc, wf.scc,
-            wf.exec_mask, wf.m0, wf.pc)
-
-
-class TestBlockEqualsPlans:
-    """A block function is its plans' lines under one shared prelude:
-    running it must equal running the member plans' executors in
-    order, from any register state."""
-
-    @pytest.mark.parametrize("mask_id,exec_mask", EXEC_MASKS,
-                             ids=[m[0] for m in EXEC_MASKS])
-    def test_suite_and_corpus_blocks(self, mask_id, exec_mask):
-        programs = _suite_programs() + [assemble(open(path).read())
-                                        for path in CORPUS]
-        rng = np.random.default_rng(17)
-        checked = 0
-        for program in programs:
-            ps = get_prepared(program)
-            for blk in (ps.superblocks() or {}).values():
-                seed = int(rng.integers(0, 1 << 31))
-                fused = _random_wavefront(
-                    program, np.random.default_rng(seed), exec_mask)
-                stepped = _random_wavefront(
-                    program, np.random.default_rng(seed), exec_mask)
-                with np.errstate(all="ignore"):
-                    blk.sem_all(fused)
-                    for index in blk.indices:
-                        ps.plans[index].exec_fn(stepped)
-                assert _arch_state(fused) == _arch_state(stepped), (
-                    "{}: block at 0x{:x} diverges from its plans [{}]"
-                    .format(program.name, blk.head, mask_id))
-                checked += 1
-        assert checked > 200
 
 
 class TestSpecializationCoverage:

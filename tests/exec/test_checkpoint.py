@@ -102,9 +102,10 @@ class TestSerialization:
 
     def test_wrong_version_raises(self):
         # 1 still carried ``prefetch.covered``; 2 named a launch engine
-        # in the paused frame; 3 lacked the frame's stall aggregates.
+        # in the paused frame; 3 lacked the frame's stall aggregates; 4
+        # carried the frame's issue-path split.
         result = _fresh().execute(_request(max_slice_instructions=64))
-        for version in (999, 1, 2, 3):
+        for version in (999, 1, 2, 3, 4):
             wire = result.preempted.checkpoint.to_dict()
             wire["version"] = version
             with pytest.raises(CheckpointError, match="version"):

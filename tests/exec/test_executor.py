@@ -118,23 +118,6 @@ class TestEnvelope:
         assert observed.engine == "reference"
         assert c == perf.counters == observed.counters.counters
 
-    def test_issue_paths_published(self):
-        """The issue-path split is deterministic: pinned on one eval
-        kernel with fused blocks, and all ``reference`` when observed."""
-        from repro.obs import Observer
-
-        request = dict(benchmark="cnn_i32", verify=False)
-        executor = Executor()
-        compiled = executor.execute(ExecutionRequest(**request))
-        assert compiled.issue_paths == {
-            "fused": 1444, "plan": 3644, "reference": 0}
-        assert sum(compiled.issue_paths.values()) == compiled.instructions
-        assert compiled.to_dict()["issue_paths"] == compiled.issue_paths
-        observed = executor.execute(ExecutionRequest(
-            observers=(Observer(),), **request))
-        assert observed.issue_paths == {
-            "fused": 0, "plan": 0, "reference": compiled.instructions}
-
     def test_trace_records_events(self):
         result = Executor().execute(ExecutionRequest(
             benchmark="matrix_add_i32", params={"n": 16}, trace=True))

@@ -192,6 +192,27 @@ class TestAdmission:
             with pytest.raises(ServiceError, match="unknown job"):
                 svc.result(10**9)
 
+    def test_collected_tickets_are_released(self):
+        """A long-lived service keeps no ticket for a collected job."""
+        job = Job("matrix_add_i32", {"n": 16}, config="baseline",
+                  verify=False)
+        with KernelService(workers=1, mode="inline") as svc:
+            for _ in range(50):
+                job_id = svc.submit(job)
+                assert svc.result(job_id).ok
+            assert len(svc._tickets) == 0
+            with pytest.raises(ServiceError, match="unknown job id"):
+                svc.result(job_id)
+
+    def test_drain_returns_uncollected_jobs(self):
+        job = Job("matrix_add_i32", {"n": 16}, config="baseline",
+                  verify=False)
+        with KernelService(workers=1, mode="inline") as svc:
+            ids = [svc.submit(job) for _ in range(3)]
+            assert svc.result(ids[1]).ok
+            assert [r.job_id for r in svc.drain()] == [ids[0], ids[2]]
+            assert svc.drain() == []
+
     def test_priority_orders_dispatch(self):
         """With one worker, lower priority values run first."""
         with KernelService(workers=1, mode="thread",
@@ -415,9 +436,10 @@ class TestPreemption:
         assert long_res.preemptions >= 1
 
     def test_settled_tickets_drop_the_checkpoint(self, monkeypatch):
-        """The service keeps every ticket, so a settled one must not
-        keep its last checkpoint (a whole memory image) or its worker
-        future -- whether the job finished or failed mid-slicing."""
+        """A settled ticket stays until its result is collected, so it
+        must not keep its last checkpoint (a whole memory image) or its
+        worker future -- whether the job finished or failed
+        mid-slicing."""
         from repro.service import pool as pool_mod
 
         def job():
@@ -435,11 +457,12 @@ class TestPreemption:
 
         with KernelService(workers=1, mode="thread") as svc:
             done_id = svc.submit(job())
+            tickets = [svc._tickets[done_id]]
             done = svc.result(done_id, timeout=300)
             monkeypatch.setattr(pool_mod, "_run_payload", fail_resumes)
             failed_id = svc.submit(job())
+            tickets.append(svc._tickets[failed_id])
             failed = svc.result(failed_id, timeout=300)
-            tickets = [svc._tickets[done_id], svc._tickets[failed_id]]
         assert done.status is JobStatus.DONE and done.preemptions >= 1
         assert failed.status is JobStatus.FAILED
         assert failed.preemptions == 1

@@ -34,19 +34,24 @@ def test_generated_cases_pass(seed):
 
 
 class TestOracleCatchesDivergence:
-    def test_wrong_block_stall_split_detected(self, monkeypatch):
-        """Misattribute a quarter cycle of every fused block's internal
-        gaps: the compiled counters no longer match the observer's."""
-        real = pipeline.step_advance
+    def test_wrong_compiled_stall_split_detected(self, monkeypatch):
+        """Move a quarter cycle of the compiled loop's operand-dep idle
+        time to fu-busy: the cycle total still adds up, but the
+        compiled counters no longer match the observer's."""
+        real = pipeline.ComputeUnit._run_compiled
 
-        def skewed(steps, start, busy_lists):
-            fe_done, done, contended = real(steps, start, busy_lists)
-            return fe_done, done, contended + 0.25
+        def skewed(self, workgroup, start_time, wavefronts):
+            end_time, stats = real(self, workgroup, start_time, wavefronts)
+            stalls = stats.stalls
+            if stalls.get("operand-dep", 0) >= 0.25:
+                stalls["operand-dep"] -= 0.25
+                stalls["fu-busy"] = stalls.get("fu-busy", 0) + 0.25
+            return end_time, stats
 
-        monkeypatch.setattr(pipeline, "step_advance", skewed)
-        case = generate_case(1)  # runs fused blocks
+        monkeypatch.setattr(pipeline.ComputeUnit, "_run_compiled", skewed)
+        case = generate_case(1)
         failures = check_case(case, oracles=("counters",))
-        assert failures, "oracle missed a skewed fused-block stall split"
+        assert failures, "oracle missed a skewed compiled stall split"
         assert all(f.oracle == "counters" for f in failures)
         assert any("compiled" in f.detail and "stall.fu-busy" in f.detail
                    for f in failures)
