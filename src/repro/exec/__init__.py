@@ -19,7 +19,7 @@ lease semantics.
 """
 
 from .checkpoint import (STATUS_DONE, STATUS_PREEMPTED, BoardCheckpoint,
-                         CheckpointWorkload, PreemptedResult)
+                         PreemptedResult)
 from .executor import ExecutionResult, Executor, default_executor, execute
 from .lease import (DEFAULT_GLOBAL_MEM, MAX_WARM_BOARDS, BoardLease,
                     BoardPool, board_key, config_key)
@@ -30,7 +30,7 @@ from .request import (BenchmarkWorkload, ExecutionRequest, ProgramWorkload,
 __all__ = [
     "ExecutionRequest", "ExecutionResult", "Executor",
     "BenchmarkWorkload", "ProgramWorkload", "WorkloadRun",
-    "CheckpointWorkload", "BoardCheckpoint", "PreemptedResult",
+    "BoardCheckpoint", "PreemptedResult",
     "STATUS_DONE", "STATUS_PREEMPTED",
     "BoardPool", "BoardLease", "board_key", "config_key",
     "DEFAULT_GLOBAL_MEM", "MAX_WARM_BOARDS",

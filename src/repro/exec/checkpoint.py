@@ -22,7 +22,9 @@ The public API is :meth:`repro.exec.BoardLease.checkpoint` /
 :meth:`~repro.exec.BoardLease.restore`; the
 :class:`~repro.exec.Executor` drives both when a request carries
 ``max_slice_instructions`` (producing a ``PREEMPTED`` result with a
-:class:`PreemptedResult` envelope) or ``checkpoint=`` (resuming one).
+:class:`PreemptedResult` envelope) or ``checkpoint=`` next to the
+workload it was taken from (resuming one, after
+:meth:`BoardCheckpoint.check_heap` on the workload's host setup).
 """
 
 from __future__ import annotations
@@ -243,6 +245,11 @@ def _timing_from_dict(data):
     )
 
 
+def _heap_map(heap):
+    return [{"name": buf.name, "offset": buf.offset, "nbytes": buf.nbytes,
+             "dtype": np.dtype(buf.dtype).str} for buf in heap]
+
+
 # -- the checkpoint ----------------------------------------------------------
 
 
@@ -283,10 +290,7 @@ class BoardCheckpoint(SerializableMixin):
             "memory": _b64(np.ascontiguousarray(state["memory"]).tobytes()),
             "heap": {
                 "cursor": board.heap.used,
-                "buffers": [{"name": buf.name, "offset": buf.offset,
-                             "nbytes": buf.nbytes,
-                             "dtype": np.dtype(buf.dtype).str}
-                            for buf in board.heap],
+                "buffers": _heap_map(board.heap),
             },
             "timing": _timing_to_dict(state["timing"]),
             "now": state["now"],
@@ -371,6 +375,18 @@ class BoardCheckpoint(SerializableMixin):
                          self.max_instructions)
 
     # -- restore -----------------------------------------------------------
+
+    def check_heap(self, heap):
+        """Raise :class:`CheckpointError` unless ``heap`` -- what a
+        resuming workload's host setup just allocated -- has this
+        checkpoint's buffers (name, offset, size, dtype), in order."""
+        expected = self.payload["heap"]["buffers"]
+        actual = _heap_map(heap)
+        if actual != expected:
+            raise CheckpointError(
+                "checkpoint was not taken from this workload: its heap "
+                "holds {} but the workload allocated {}".format(
+                    expected, actual))
 
     def apply(self, board):
         """Restore this checkpoint onto a (reset or fresh) board.
@@ -459,33 +475,3 @@ class PreemptedResult(SerializableMixin):
             groups_executed=data["groups_executed"],
             groups_total=data["groups_total"],
         )
-
-
-@dataclass(frozen=True)
-class CheckpointWorkload:
-    """Resume a restored board's paused launch (or just its state).
-
-    The :class:`~repro.exec.Executor` restores the checkpoint onto the
-    leased board before calling :meth:`run`; running means continuing
-    the paused frame until completion or the next slice boundary.
-    Digest-eligible outputs are every heap buffer -- the original
-    workload's output names are not known here, and digesting the
-    whole heap subsumes them.
-    """
-
-    checkpoint: BoardCheckpoint
-
-    def describe(self):
-        frame = self.checkpoint.payload["frame"]
-        name = frame["program"]["name"] if frame else "idle"
-        return "resume:{}".format(name)
-
-    def run(self, board, request):
-        from .request import WorkloadRun
-
-        outputs = {}
-        if board.gpu.paused is not None:
-            board.resume()
-        if request.digests:
-            outputs = {buf.name: buf for buf in board.heap}
-        return WorkloadRun(ctx=None, outputs=outputs)

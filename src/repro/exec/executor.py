@@ -17,10 +17,11 @@ through :meth:`Executor.execute`:
    observation events.  ``profile`` attaches nothing: its counters are
    built from the window's run aggregates, so a profiled run stays on
    the compiled loop,
-4. run the workload,
+4. run the workload -- with a ``checkpoint=`` resume point, its
+   ``resume`` callable restores and continues the paused launch,
 5. capture everything the caller may need *while the board is still
-   leased* -- metrics, counters, issue paths, launch records, output
-   digests, optionally the full memory image -- and
+   leased* -- metrics, counters, launch records, output digests,
+   optionally the full memory image -- and
 6. release the board back to the pool, scrubbed.
 
 The result is an :class:`ExecutionResult`: outputs plus run metrics
@@ -183,11 +184,19 @@ class Executor:
             board = lease.board
             board.max_groups = request.max_groups
             board.slice_instructions = request.max_slice_instructions
+            resume = None
             if request.checkpoint is not None:
-                lease.restore(request.checkpoint)
+                def resume(cp=request.checkpoint):
+                    # Called where the workload would launch: its host
+                    # setup must have laid out the checkpoint's heap.
+                    cp.check_heap(board.heap)
+                    lease.restore(cp)
+                    board.gpu.open_activity()
+                    return board.resume()
 
             # The window the counters cover: exactly the span an attached
-            # observer would see (after the restore, around the run).
+            # observer would see (around the run; a resume reopens it
+            # after the restore).
             board.gpu.open_activity()
             attached = []
             trace = None
@@ -204,9 +213,9 @@ class Executor:
             try:
                 if request.numpy_errstate is not None:
                     with np.errstate(all=request.numpy_errstate):
-                        run = workload.run(board, request)
+                        run = workload.run(board, request, resume=resume)
                 else:
-                    run = workload.run(board, request)
+                    run = workload.run(board, request, resume=resume)
             except LaunchPreempted:
                 # Slice budget hit: the launch parked itself as
                 # ``gpu.paused``.  Not an error -- capture a checkpoint

@@ -9,7 +9,7 @@ attaches none).  The
 :class:`~repro.exec.executor.Executor` resolves a request into an
 :class:`~repro.exec.executor.ExecutionResult`.
 
-Three workload shapes cover every caller:
+Two workload shapes cover every caller:
 
 * :class:`BenchmarkWorkload` -- an application from the kernel
   registry (by name + constructor params, which keeps the request
@@ -18,8 +18,12 @@ Three workload shapes cover every caller:
 * :class:`ProgramWorkload` -- one raw assembled kernel plus its
   NDRange and input/output buffers; the shape the fuzz oracles and
   host templates use.
-* ``checkpoint=`` -- a :class:`~repro.exec.checkpoint.BoardCheckpoint`
-  to restore and resume; the shape a preempted run comes back as.
+
+A preempted run comes back as its own workload plus ``checkpoint=``,
+the :class:`~repro.exec.checkpoint.BoardCheckpoint` to resume from:
+the workload runs its host setup as usual, calls the executor's
+``resume`` in place of its launch, and is verified and digested like a
+straight run.
 """
 
 from __future__ import annotations
@@ -68,9 +72,9 @@ class BenchmarkWorkload:
             return self.instance.name
         return self.name or "?"
 
-    def run(self, board, request):
+    def run(self, board, request, resume=None):
         bench = self.resolve()
-        ctx = bench.run_on(board, verify=request.verify)
+        ctx = bench.run_on(board, verify=request.verify, resume=resume)
         outputs = {}
         if request.digests:
             outputs = {name: ctx[name] for name in bench.reference(ctx)}
@@ -93,12 +97,11 @@ class ProgramWorkload:
     inputs: Tuple[Tuple[str, object], ...] = ()
     #: (buffer name, byte size) pairs allocated before launch.
     outputs: Tuple[Tuple[str, int], ...] = ()
-    preload: bool = True
 
     def describe(self):
         return self.program.name
 
-    def run(self, board, request):
+    def run(self, board, request, resume=None):
         args, outputs = [], {}
         for name, array in self.inputs:
             args.append(board.upload(name, np.ascontiguousarray(array)))
@@ -106,11 +109,13 @@ class ProgramWorkload:
             buf = board.alloc(name, nbytes)
             outputs[name] = buf
             args.append(buf)
-        if self.preload:
+        if resume is not None:
+            resume()
+        else:
             board.preload_all()
-        board.run(self.program, self.global_size, self.local_size,
-                  args=args,
-                  collect_registers=request.collect_registers)
+            board.run(self.program, self.global_size, self.local_size,
+                      args=args,
+                      collect_registers=request.collect_registers)
         if not request.digests:
             outputs = {}
         return WorkloadRun(ctx=None, outputs=outputs)
@@ -135,9 +140,10 @@ class ExecutionRequest:
     benchmark: Optional[str] = None
     params: Mapping[str, object] = field(default_factory=dict)
     workload: Optional[object] = None
-    #: Resume source: a :class:`~repro.exec.checkpoint.BoardCheckpoint`
-    #: (counts as the request's one workload; ``arch``,
-    #: ``global_mem_size`` and ``max_instructions`` then come from it).
+    #: Resume point: a :class:`~repro.exec.checkpoint.BoardCheckpoint`
+    #: of this same workload, taken when an earlier slice preempted.
+    #: ``arch``, ``global_mem_size`` and ``max_instructions`` then come
+    #: from it.
     checkpoint: Optional[object] = None
     arch: Optional[ArchConfig] = None
     max_groups: Optional[int] = None
@@ -159,12 +165,10 @@ class ExecutionRequest:
     label: str = ""
 
     def __post_init__(self):
-        sources = sum(source is not None for source in
-                      (self.benchmark, self.workload, self.checkpoint))
-        if sources != 1:
+        if (self.benchmark is None) == (self.workload is None):
             raise LaunchError(
-                "an execution request names exactly one of 'benchmark', "
-                "'workload' or 'checkpoint'")
+                "an execution request names exactly one of 'benchmark' "
+                "or 'workload' (a 'checkpoint' resumes one of them)")
         if self.global_mem_size <= HEAP_BASE:
             raise LaunchError(
                 "global_mem_size must exceed the heap base (0x{:x})"
@@ -174,10 +178,6 @@ class ExecutionRequest:
             raise LaunchError("max_slice_instructions must be >= 1")
 
     def resolve_workload(self):
-        if self.checkpoint is not None:
-            from .checkpoint import CheckpointWorkload
-
-            return CheckpointWorkload(self.checkpoint)
         if self.workload is not None:
             return self.workload
         return BenchmarkWorkload(name=self.benchmark,

@@ -139,11 +139,15 @@ class Benchmark:
 
     # -- drivers ---------------------------------------------------------------
 
-    def run_on(self, device, verify=True):
-        """prepare -> preload -> execute (-> verify); returns the context."""
+    def run_on(self, device, verify=True, resume=None):
+        """prepare -> preload -> execute (-> verify); returns the context.
+        ``resume()``, when given, stands in for preload + execute."""
         ctx = self.prepare(device)
-        device.preload_all()
-        self.execute(device, ctx)
+        if resume is not None:
+            resume()
+        else:
+            device.preload_all()
+            self.execute(device, ctx)
         if verify:
             self.verify(device, ctx)
         return ctx

@@ -47,8 +47,9 @@ class SoftGpu:
         self.gpu = self._build_gpu(GlobalMemory(global_mem_size))
         self.heap = HeapAllocator(global_mem_size - HEAP_BASE)
         self.max_groups = max_groups
-        #: Default preemption budget for :meth:`run`/:meth:`resume`
-        #: (instructions per slice); the executor sets it per lease.
+        #: Preemption budget of :meth:`run`/:meth:`resume`
+        #: (instructions per slice, ``None``: never yield); the
+        #: executor sets it per lease.
         self.slice_instructions = None
 
     def _build_gpu(self, global_mem):
@@ -180,38 +181,33 @@ class SoftGpu:
                 CB1_BASE, np.asarray(dwords, dtype=np.uint32))
 
     def run(self, program, global_size, local_size, args=(), max_groups=None,
-            collect_registers=False, max_slice_instructions=None):
+            collect_registers=False):
         """Set arguments and launch; returns the :class:`LaunchResult`.
 
         The launch runs the reference loop when an observer is attached
         and the compiled loop otherwise; ``collect_registers`` captures
-        final wavefront state on the result.
-        ``max_slice_instructions`` (default: the board's
-        :attr:`slice_instructions`) makes the launch yield at the next
-        workgroup boundary after that many instructions by raising
+        final wavefront state on the result.  A board
+        :attr:`slice_instructions` budget makes the launch yield at the
+        next workgroup boundary after that many instructions by raising
         :class:`~repro.errors.LaunchPreempted`; continue with
         :meth:`resume` or checkpoint the board.
         """
         self.set_args(list(args))
         groups = self.max_groups if max_groups is None else max_groups
-        budget = (self.slice_instructions if max_slice_instructions is None
-                  else max_slice_instructions)
         return self.gpu.launch(program, global_size, local_size,
                                max_groups=groups,
                                collect_registers=collect_registers,
-                               max_slice_instructions=budget)
+                               max_slice_instructions=self.slice_instructions)
 
-    def resume(self, max_slice_instructions=None):
+    def resume(self):
         """Continue a preempted launch; returns its LaunchResult.
 
         Works on the board that was preempted or on any board a
         checkpoint of it was restored onto.  May preempt again under
-        the slice budget (default: the board's
-        :attr:`slice_instructions`).
+        the board's :attr:`slice_instructions` budget.
         """
-        budget = (self.slice_instructions if max_slice_instructions is None
-                  else max_slice_instructions)
-        return self.gpu.resume_launch(max_slice_instructions=budget)
+        return self.gpu.resume_launch(
+            max_slice_instructions=self.slice_instructions)
 
     # -- host phases --------------------------------------------------------
 

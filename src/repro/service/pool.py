@@ -62,23 +62,17 @@ class JobPayload:
     #: Preemption budget (instructions per slice), if the job is sliced.
     slice_instructions: Optional[int] = None
     #: A ``PreemptedResult.to_dict()`` envelope when this dispatch
-    #: resumes an earlier slice; the request then restores the carried
-    #: checkpoint instead of starting the benchmark over.
+    #: resumes an earlier slice; the request then continues from the
+    #: carried checkpoint instead of launching the benchmark over.
     resume: Optional[Dict[str, object]] = None
 
     def to_request(self) -> ExecutionRequest:
-        if self.resume is not None:
-            envelope = PreemptedResult.from_dict(self.resume)
-            return ExecutionRequest(
-                checkpoint=envelope.checkpoint,
-                verify=False,
-                profile=self.profile,
-                digests=True,
-                max_slice_instructions=self.slice_instructions,
-                label=envelope.label)
         kwargs = {}
         if self.global_mem_size is not None:
             kwargs["global_mem_size"] = self.global_mem_size
+        if self.resume is not None:
+            kwargs["checkpoint"] = PreemptedResult.from_dict(
+                self.resume).checkpoint
         return ExecutionRequest(
             benchmark=self.benchmark,
             params=dict(self.params),

@@ -43,7 +43,8 @@ bit of disagreement in final state is a simulator bug:
                    resuming every slice on a **fresh board in a fresh
                    pool** (cross-board migration) -- matches the
                    run-to-completion bit-for-bit: memory, registers,
-                   instruction count **and cycle count**.
+                   instruction count, **cycle count** and output
+                   digests (same buffer names, same hashes).
 ``vector``         the reference run with the NumPy array VALU
                    semantics (:mod:`repro.cu.vector`) swapped for a
                    per-lane scalar golden model matches bit-for-bit:
@@ -61,13 +62,14 @@ bit of disagreement in final state is a simulator bug:
 
 ``run_case`` executes one configuration and captures an
 :class:`ExecutionSnapshot`; ``check_case`` runs the whole matrix and
-returns a (possibly empty) list of :class:`OracleFailure`.
+returns a (possibly empty) list of :class:`OracleFailure`.  Every
+comparison also checks the output digests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -125,6 +127,8 @@ class ExecutionSnapshot:
     instructions: int
     registers: dict                  # (group_id, wf_id) -> state dict
     warm: Optional[bool] = None       # board provenance (lease pool)
+    #: Output buffer name -> SHA-256, as the execution result reports.
+    digests: Dict[str, str] = field(default_factory=dict)
 
 
 def run_case(case, arch, label="run", observed=True, check_invariants=False,
@@ -152,17 +156,22 @@ def run_case(case, arch, label="run", observed=True, check_invariants=False,
         observers=observers,
         collect_registers=True,
         capture_memory=True,
+        digests=True,
         # Generated float ops hit NaN/inf/overflow freely; the
         # simulator's numpy semantics are deterministic either way.
         numpy_errstate="ignore",
         label=label,
     )
-    result = (executor or default_executor()).execute(request)
+    return _snapshot(label, (executor or default_executor()).execute(request))
+
+
+def _snapshot(label, result):
     launch = result.launches[-1]
     return ExecutionSnapshot(
         label=label, memory=result.memory_image, cycles=launch.cu_cycles,
         instructions=launch.stats.instructions,
-        registers=launch.registers, warm=result.warm_board)
+        registers=launch.registers, warm=result.warm_board,
+        digests=result.digests)
 
 
 def _profiled(case, arch, observer=None):
@@ -222,6 +231,7 @@ def _run_sliced(case, arch, budget, hop_cap=10_000):
         verify=False,
         collect_registers=True,
         capture_memory=True,
+        digests=True,
         numpy_errstate="ignore",
         max_slice_instructions=budget,
         label="checkpoint-slice",
@@ -239,20 +249,10 @@ def _run_sliced(case, arch, budget, hop_cap=10_000):
         # a digest mismatch raising CheckpointError).
         envelope = PreemptedResult.from_dict(
             json.loads(json.dumps(result.preempted.to_dict())))
-        result = fresh_executor().execute(ExecutionRequest(
-            checkpoint=envelope.checkpoint,
-            verify=False,
-            capture_memory=True,
-            numpy_errstate="ignore",
-            max_slice_instructions=budget,
-            label="checkpoint-resume",
-        ))
-    launch = result.launches[-1]
-    snapshot = ExecutionSnapshot(
-        label="checkpoint-sliced", memory=result.memory_image,
-        cycles=launch.cu_cycles, instructions=launch.stats.instructions,
-        registers=launch.registers, warm=result.warm_board)
-    return snapshot, hops
+        result = fresh_executor().execute(replace(
+            request, checkpoint=envelope.checkpoint,
+            label="checkpoint-resume"))
+    return _snapshot("checkpoint-sliced", result), hops
 
 
 def _first_memory_diff(a, b):
@@ -301,6 +301,11 @@ def _compare(oracle, ref, other, failures, cycles=False):
         failures.append(OracleFailure(
             oracle, "cycle counts differ: {} ({}) vs {} ({})".format(
                 ref.cycles, ref.label, other.cycles, other.label)))
+    if other.digests != ref.digests:
+        failures.append(OracleFailure(
+            oracle, "output digests differ ({} vs {}): {}".format(
+                ref.label, other.label, sorted(
+                    set(ref.digests.items()) ^ set(other.digests.items())))))
     diff = _compare_registers(ref.registers, other.registers)
     if diff is not None:
         failures.append(OracleFailure(

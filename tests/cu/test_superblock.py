@@ -124,15 +124,15 @@ class TestEngineExactness:
         inp = device.upload("inp", np.arange(384, dtype=np.uint32) * 7 + 1)
         out = device.alloc("out", 4 * 384)
         device.preload_all()
+        device.slice_instructions = 100
         hops = 0
         try:
-            result = device.run(program, (384,), (192,), args=[inp, out],
-                                max_slice_instructions=100)
+            result = device.run(program, (384,), (192,), args=[inp, out])
         except LaunchPreempted:
             while True:
                 hops += 1
                 try:
-                    result = device.resume(max_slice_instructions=100)
+                    result = device.resume()
                     break
                 except LaunchPreempted:
                     continue

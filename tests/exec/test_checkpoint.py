@@ -50,18 +50,21 @@ def _resume_until_done(result, slice_instructions=None, executor_factory=_fresh,
         if wire_trip:
             envelope = PreemptedResult.from_dict(
                 json.loads(json.dumps(envelope.to_dict())))
-        result = executor_factory().execute(ExecutionRequest(
-            checkpoint=envelope.checkpoint, verify=False, digests=True,
-            capture_memory=True, max_slice_instructions=slice_instructions))
+        # A resume names the run's own workload plus its resume point.
+        result = executor_factory().execute(replace(
+            result.request, checkpoint=envelope.checkpoint,
+            max_slice_instructions=slice_instructions))
     return result, hops
 
 
 class TestRequestShape:
-    def test_checkpoint_is_an_exclusive_source(self):
+    def test_checkpoint_alone_is_not_a_workload(self):
         ref = _fresh().execute(_request(max_slice_instructions=64))
-        with pytest.raises(LaunchError):
+        with pytest.raises(LaunchError, match="exactly one"):
+            ExecutionRequest(checkpoint=ref.preempted.checkpoint)
+        with pytest.raises(LaunchError, match="exactly one"):
             ExecutionRequest(benchmark="matrix_add_i32",
-                             checkpoint=ref.preempted.checkpoint)
+                             workload=object())
 
     def test_slice_budget_must_be_positive(self):
         with pytest.raises(LaunchError):
@@ -124,8 +127,7 @@ class TestSerialization:
         payload["digest"] = _digest_payload(payload)
         envelope = PreemptedResult.from_dict(wire)
         with pytest.raises(CheckpointError, match="unknown fields.*'engine'"):
-            _fresh().execute(ExecutionRequest(
-                checkpoint=envelope.checkpoint, verify=False))
+            _fresh().execute(_request(checkpoint=envelope.checkpoint))
 
 
 class TestPreemptResume:
@@ -194,9 +196,9 @@ class TestPreemptResume:
                 if result.status == STATUS_PREEMPTED:
                     envelope = PreemptedResult.from_dict(json.loads(
                         json.dumps(result.preempted.to_dict())))
-                    request = ExecutionRequest(
-                        checkpoint=envelope.checkpoint, verify=False,
-                        profile=True, max_slice_instructions=300)
+                    request = _request(
+                        checkpoint=envelope.checkpoint, profile=True,
+                        max_slice_instructions=300)
             return results, perfs
 
         compiled, _ = chain(observed=False)
@@ -271,6 +273,20 @@ class TestCrossBoardRestore:
         assert final.memory_image == ref.memory_image
         for name, digest in ref.digests.items():
             assert final.digests[name] == digest
+
+    def test_resume_refuses_another_workloads_checkpoint(self, monkeypatch):
+        # An n=64 checkpoint resumed as n=128: the host setup lays out
+        # other buffers, so the resume stops before any instruction.
+        from repro.soc.gpu import Gpu
+
+        result = _fresh().execute(_request(max_slice_instructions=64))
+        issued = []
+        for name in ("launch", "resume_launch"):
+            monkeypatch.setattr(Gpu, name, lambda *a, **k: issued.append(a))
+        with pytest.raises(CheckpointError, match="not taken from this"):
+            _fresh().execute(_request(params={"n": 128},
+                                      checkpoint=result.preempted.checkpoint))
+        assert issued == []
 
     def test_restore_refuses_other_arch_on_same_physical_board(self):
         result = _fresh().execute(_request(max_slice_instructions=64))

@@ -386,7 +386,10 @@ class TestPreemption:
     def test_sliced_job_matches_plain_run(self):
         """A time-sliced job yields at slice boundaries, resumes from
         its checkpoint, and still produces the unsliced result --
-        identical simulated time, instruction count and digests."""
+        every result field but identity and slicing, digests included
+        (same output names, same hashes)."""
+        from dataclasses import fields
+
         plain = Job("matrix_add_i32", {"n": 128}, config="baseline",
                     verify=False)
         sliced = Job("matrix_add_i32", {"n": 128}, config="baseline",
@@ -397,15 +400,58 @@ class TestPreemption:
         assert plain_res.ok and sliced_res.ok
         assert plain_res.preemptions == 0
         assert sliced_res.preemptions >= 1
-        assert sliced_res.metrics.seconds == plain_res.metrics.seconds
-        assert sliced_res.metrics.instructions \
-            == plain_res.metrics.instructions
-        # Sliced runs digest every heap buffer (a superset of the
-        # benchmark's declared outputs).
-        for name, digest in plain_res.digests.items():
-            assert sliced_res.digests[name] == digest
+        assert sliced_res.digests == plain_res.digests
+        # Only identity, slicing itself and dispatch provenance differ.
+        unsliced = ("job_id", "job", "preemptions", "latency_s", "worker",
+                    "warm_board")
+        for f in fields(plain_res):
+            if f.name not in unsliced:
+                assert getattr(sliced_res, f.name) \
+                    == getattr(plain_res, f.name), f.name
         assert snap["preemptions"] == sliced_res.preemptions
         assert "preemptions" in sliced_res.to_dict()
+
+    def test_sliced_job_is_verified_once(self, monkeypatch):
+        """A sliced job with ``verify=True`` checks its outputs against
+        the benchmark reference exactly once -- on the slice that
+        finishes the launch."""
+        bench_cls = KERNELS["matrix_add_i32"]
+        real_verify = bench_cls.verify
+        calls = []
+
+        def counting_verify(self, device, ctx):
+            calls.append(self.name)
+            return real_verify(self, device, ctx)
+
+        monkeypatch.setattr(bench_cls, "verify", counting_verify)
+        with KernelService(workers=1, mode="inline") as svc:
+            (result,) = svc.run(
+                [Job("matrix_add_i32", {"n": 128}, config="baseline",
+                     verify=True, slice_instructions=400)], timeout=300)
+        assert result.ok and result.preemptions >= 1
+        assert calls == ["matrix_add_i32"]
+
+    def test_sliced_job_with_wrong_output_fails(self, monkeypatch):
+        """A wrong output fails a sliced job exactly as it fails the
+        straight one, with the same mismatch error."""
+        real_reference = KERNELS["matrix_add_i32"].reference
+
+        def bad_reference(self, ctx):
+            return {k: v + 1 for k, v in real_reference(self, ctx).items()}
+
+        monkeypatch.setattr(KERNELS["matrix_add_i32"], "reference",
+                            bad_reference)
+        job = dict(benchmark="matrix_add_i32", params={"n": 128},
+                   config="baseline", verify=True)
+        with KernelService(workers=1, mode="inline") as svc:
+            plain_res, sliced_res = svc.run(
+                [Job(**job), Job(slice_instructions=400, **job)],
+                timeout=300)
+        assert plain_res.status is JobStatus.FAILED
+        assert sliced_res.status is JobStatus.FAILED
+        assert sliced_res.preemptions >= 1
+        assert "mismatch" in plain_res.error
+        assert sliced_res.error == plain_res.error
 
     def test_preemption_is_not_a_retry(self):
         """Slices are progress, not failures: a job preempted many

@@ -112,6 +112,29 @@ class TestCheckCase:
         failures = check_case(case, oracles=("checkpoint",))
         assert any(f.oracle == "checkpoint" for f in failures)
 
+    def test_checkpoint_oracle_detects_extra_digest(self, monkeypatch):
+        """Teeth check: a resumed slice that digests a buffer the
+        straight run does not (here the whole heap, input included)
+        fails the checkpoint oracle even though memory agrees."""
+        from repro.exec import ProgramWorkload
+
+        case = generate_case(0)
+        if case.groups < 2:
+            pytest.skip("single-workgroup case never preempts")
+        real_run = ProgramWorkload.run
+
+        def whole_heap(self, board, request, resume=None):
+            run = real_run(self, board, request, resume=resume)
+            if resume is not None:
+                run.outputs = {buf.name: buf for buf in board.heap}
+            return run
+
+        monkeypatch.setattr(ProgramWorkload, "run", whole_heap)
+        failures = check_case(case, oracles=("checkpoint",))
+        assert [f.oracle for f in failures] == ["checkpoint"]
+        assert "output digests differ" in failures[0].detail
+        assert "'inp'" in failures[0].detail
+
     def test_detects_config_divergence(self, monkeypatch):
         """Sanity that the matrix has teeth: substitute an architecture
         with different timing for the 'trimmed' config and the cycle
