@@ -30,6 +30,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..isa.formats import Format
+from ..isa.registers import NUM_SGPRS
 from ..mem.global_memory import dedup_keep_last
 
 
@@ -48,9 +49,9 @@ class AccessInfo:
     addrs: object = None  # scalar int, or (64,) lane addresses
     lane_mask: object = None
     transactions: int = 1
-    #: Optional ``(active_lanes, lo_addr, hi_addr)`` precomputed by a
-    #: prepared executor so the timing query can skip re-deriving the
-    #: active-lane footprint (see ``MemorySystem.access_time``).
+    #: A vector access's ``(active_lanes, lo_addr, hi_addr)`` footprint,
+    #: derived once by ``_exec_buffer`` and handed to the timing query
+    #: (``MemorySystem.access_time``) so it need not re-derive it.
     span: object = None
 
 
@@ -60,29 +61,21 @@ def _descriptor(wf, first_reg):
     return base, size
 
 
-def _check_records(addrs, lane_mask, base, size, name):
-    if size == 0:
-        return
-    active = np.flatnonzero(lane_mask)
-    if active.size == 0:
-        return
-    hi = int(np.asarray(addrs)[active].max())
-    if hi >= base + size:
-        raise SimulationError(
-            "{}: access at 0x{:x} beyond buffer records [0x{:x}, 0x{:x})".format(
-                name, hi, base, base + size
-            )
-        )
-
-
 # ---------------------------------------------------------------------------
 # SMRD.
 # ---------------------------------------------------------------------------
 
+_SMRD_DWORDS = {
+    "s_load_dword": 1, "s_load_dwordx2": 2, "s_load_dwordx4": 4,
+    "s_buffer_load_dword": 1, "s_buffer_load_dwordx2": 2,
+    "s_buffer_load_dwordx4": 4,
+}
+
+
 def _exec_smrd(wf, inst, memory):
     f = inst.fields
     name = inst.spec.name
-    count = {"dword": 1, "dwordx2": 2, "dwordx4": 4}[name.rsplit("_", 1)[-1]]
+    count = _SMRD_DWORDS[name]
     base_reg = f["sbase"] << 1
     if "buffer" in name:
         base, _size = _descriptor(wf, base_reg)
@@ -92,8 +85,17 @@ def _exec_smrd(wf, inst, memory):
         addr = base + 4 * f["offset"]
     else:
         addr = base + wf.read_scalar(f["offset"])
-    for i in range(count):
-        wf.write_scalar(f["sdst"] + i, memory.global_mem.read_u32(addr + 4 * i))
+    gm = memory.global_mem
+    sdst = f["sdst"]
+    end = addr + 4 * count
+    if 0 <= addr and end <= gm.size and sdst + count <= NUM_SGPRS:
+        # The whole window is in range: one slice into the SGPR file.
+        wf.sgprs[sdst:sdst + count] = gm._bytes[addr:end].view(np.uint32)
+    else:
+        # Dword by dword, so a window straddling the end of memory or
+        # of the SGPR file writes its leading dwords, then raises.
+        for i in range(count):
+            wf.write_scalar(sdst + i, gm.read_u32(addr + 4 * i))
     # One transaction per dword, like _exec_buffer: s_load_dwordx4 moves
     # four times the data of s_load_dword and must be priced (and
     # counted by the profiler) accordingly.
@@ -109,12 +111,19 @@ _BUFFER_DWORDS = {
     "buffer_load_dword": 1, "buffer_store_dword": 1,
     "tbuffer_load_format_x": 1, "tbuffer_store_format_x": 1,
     "tbuffer_load_format_xy": 2, "tbuffer_store_format_xy": 2,
+    "buffer_load_ubyte": 1, "buffer_load_sbyte": 1, "buffer_store_byte": 1,
 }
 
 _BYTE_OPS = {"buffer_load_ubyte", "buffer_load_sbyte", "buffer_store_byte"}
 
 
 def _exec_buffer(wf, inst, memory):
+    """One buffer access; the active-lane footprint is derived once.
+
+    The footprint ``(active lanes, lo, hi)`` serves the records check,
+    the in-range test and -- as ``AccessInfo.span`` -- the timing
+    query's prefetch coverage test.
+    """
     f = inst.fields
     name = inst.spec.name
     base, size = _descriptor(wf, f["srsrc"] << 2)
@@ -125,35 +134,71 @@ def _exec_buffer(wf, inst, memory):
     if f["offen"] and f["idxen"]:
         raise SimulationError("offen+idxen addressing is not supported")
     if f["offen"]:
-        addrs = wf.read_vgpr(f["vaddr"]).astype(np.int64) + offset
+        addrs = wf.vgprs[f["vaddr"]].astype(np.int64)
+        addrs += offset
     elif f["idxen"]:
-        stride = 4
-        addrs = wf.read_vgpr(f["vaddr"]).astype(np.int64) * stride + offset
+        addrs = wf.vgprs[f["vaddr"]].astype(np.int64) * 4 + offset
     else:
         addrs = np.full(64, offset, dtype=np.int64)
-    _check_records(addrs, lane_mask, base, size, name)
 
     is_write = "store" in name
+    dwords = _BUFFER_DWORDS[name]
+    active = wf.active_lanes()
+    n_active = active.size
+    if n_active == 0:
+        # No lane moves data: a masked write of nothing is a no-op.
+        return AccessInfo(space="global", counter="vm", is_write=is_write,
+                          addrs=addrs, lane_mask=lane_mask,
+                          transactions=dwords, span=(0, 0, 0))
+    sel = addrs[active]
+    lo, hi = int(sel.min()), int(sel.max())
+    if size != 0 and hi >= base + size:
+        raise SimulationError(
+            "{}: access at 0x{:x} beyond buffer records [0x{:x}, 0x{:x})"
+            .format(name, hi, base, base + size))
+
     gm = memory.global_mem
+    vdata = f["vdata"]
     if name in _BYTE_OPS:
         if is_write:
-            gm.scatter_u8(addrs, wf.read_vgpr(f["vdata"]), lane_mask)
+            gm.scatter_u8(addrs, wf.vgprs[vdata], lane_mask)
         else:
             signed = name == "buffer_load_sbyte"
-            wf.write_vgpr(f["vdata"], gm.gather_u8(addrs, lane_mask, signed),
+            wf.write_vgpr(vdata, gm.gather_u8(addrs, lane_mask, signed),
                           lane_mask)
+    elif lo >= 0 and hi + 4 * dwords <= gm.size and not (sel & 3).any():
+        # Aligned and in range for every dword: move them through one
+        # uint32 view of the store.
+        words = gm._bytes.view(np.uint32)
+        word_idx = sel >> 2
+        if is_write:
+            # Colliding lane addresses resolve last-active-lane-wins;
+            # raw fancy assignment leaves that unspecified.
+            for i in range(dwords):
+                idx, vals = dedup_keep_last(word_idx + i,
+                                            wf.vgprs[vdata + i][active])
+                words[idx] = vals
+            if hi + 4 * dwords > gm.dirty_hi:
+                gm.dirty_hi = hi + 4 * dwords
+        else:
+            for i in range(dwords):
+                out = np.zeros(64, dtype=np.uint32)
+                out[active] = words[word_idx + i]
+                wf.write_vgpr(vdata + i, out, lane_mask)
     else:
-        dwords = _BUFFER_DWORDS[name]
+        # Unaligned, or not provably in range: dword by dword, so each
+        # dword range-checks before it moves and a later one can raise
+        # after an earlier one landed.
         for i in range(dwords):
             lane_addrs = addrs + 4 * i
             if is_write:
-                gm.scatter_u32(lane_addrs, wf.read_vgpr(f["vdata"] + i), lane_mask)
+                gm.scatter_u32(lane_addrs, wf.vgprs[vdata + i], lane_mask)
             else:
-                wf.write_vgpr(f["vdata"] + i, gm.gather_u32(lane_addrs, lane_mask),
+                wf.write_vgpr(vdata + i, gm.gather_u32(lane_addrs, lane_mask),
                               lane_mask)
     return AccessInfo(space="global", counter="vm", is_write=is_write,
-                      addrs=addrs, lane_mask=lane_mask,
-                      transactions=_BUFFER_DWORDS.get(name, 1))
+                      addrs=addrs, lane_mask=lane_mask, transactions=dwords,
+                      span=(n_active, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +295,19 @@ def _exec_ds(wf, inst, memory):
     raise SimulationError("unhandled DS op {}".format(name))
 
 
+#: Format -> executor, shared by ``execute_memory`` (the reference loop)
+#: and every prepared memory plan (the compiled loop).
+EXECUTORS = {
+    Format.SMRD: _exec_smrd,
+    Format.MUBUF: _exec_buffer,
+    Format.MTBUF: _exec_buffer,
+    Format.DS: _exec_ds,
+}
+
+
 def execute_memory(wf, inst, memory):
     """Execute a memory instruction; returns its :class:`AccessInfo`."""
-    if inst.fmt is Format.SMRD:
-        return _exec_smrd(wf, inst, memory)
-    if inst.fmt in (Format.MUBUF, Format.MTBUF):
-        return _exec_buffer(wf, inst, memory)
-    if inst.fmt is Format.DS:
-        return _exec_ds(wf, inst, memory)
-    raise SimulationError("{} is not a memory instruction".format(inst.name))
+    executor = EXECUTORS.get(inst.fmt)
+    if executor is None:
+        raise SimulationError("{} is not a memory instruction".format(inst.name))
+    return executor(wf, inst, memory)

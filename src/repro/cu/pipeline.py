@@ -363,7 +363,8 @@ class ComputeUnit:
                         lsu_done, cu_index=self.cu_index)
                 elif info.addrs is not None and info.lane_mask is not None:
                     complete = self.memory.access_time(
-                        self.cu_index, lsu_done, info.addrs, info.lane_mask)
+                        self.cu_index, lsu_done, info.addrs, info.lane_mask,
+                        info.span)
                 else:
                     complete = self.memory.scalar_access_time(
                         self.cu_index, lsu_done, info.addrs)

@@ -33,7 +33,7 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -449,7 +449,6 @@ class PreemptedResult(SerializableMixin):
     """
 
     checkpoint: BoardCheckpoint
-    label: str
     kernel: str
     instructions: int        # retired so far in the preempted launch
     groups_executed: int
@@ -457,7 +456,6 @@ class PreemptedResult(SerializableMixin):
 
     def to_dict(self):
         return {
-            "label": self.label,
             "kernel": self.kernel,
             "instructions": self.instructions,
             "groups_executed": self.groups_executed,
@@ -469,7 +467,6 @@ class PreemptedResult(SerializableMixin):
     def from_dict(cls, data) -> "PreemptedResult":
         return cls(
             checkpoint=BoardCheckpoint.from_dict(data["checkpoint"]),
-            label=data["label"],
             kernel=data["kernel"],
             instructions=data["instructions"],
             groups_executed=data["groups_executed"],

@@ -258,7 +258,6 @@ class Executor:
                 engine = paused_loop
                 preempted = PreemptedResult(
                     checkpoint=lease.checkpoint(),
-                    label=label,
                     kernel=paused_frame.program.name,
                     instructions=paused_frame.instructions,
                     groups_executed=paused_frame.executed_groups,

@@ -104,23 +104,19 @@ class MemorySystem:
 
     # -- timing ---------------------------------------------------------------
 
-    def access_time(self, cu_index, now, addrs, mask, span=None):
+    def access_time(self, cu_index, now, addrs, mask, span):
         """Completion time of a vector global access starting at ``now``.
 
-        ``span`` is an optional precomputed ``(active, lo, hi)`` lane
-        footprint: the coverage test then reduces to one range check,
-        falling back to the full per-lane scan only for discontiguous
-        residency.  Timing is identical with or without it.
+        ``span`` is the access's ``(active, lo, hi)`` lane footprint
+        (``AccessInfo.span``): the coverage test reduces to one range
+        check, falling back to the per-lane scan only for discontiguous
+        residency.
         """
-        if span is not None:
-            active, lo, hi = span
-            covered = self.params.prefetch_enabled and (
-                active == 0
-                or self.prefetch[cu_index].covers_range(lo, hi)
-                or self.prefetch[cu_index].covers_all(addrs, mask))
-        else:
-            covered = self.params.prefetch_enabled and \
-                self.prefetch[cu_index].covers_all(addrs, mask)
+        active, lo, hi = span
+        covered = self.params.prefetch_enabled and (
+            active == 0
+            or self.prefetch[cu_index].covers_range(lo, hi)
+            or self.prefetch[cu_index].covers_all(addrs, mask))
         if covered:
             self._note("prefetch_hits")
             done = self._prefetch_ports[cu_index].issue(

@@ -180,22 +180,23 @@ class SoftGpu:
             self.gpu.memory.global_mem.write_block(
                 CB1_BASE, np.asarray(dwords, dtype=np.uint32))
 
-    def run(self, program, global_size, local_size, args=(), max_groups=None,
+    def run(self, program, global_size, local_size, args=(),
             collect_registers=False):
         """Set arguments and launch; returns the :class:`LaunchResult`.
 
         The launch runs the reference loop when an observer is attached
         and the compiled loop otherwise; ``collect_registers`` captures
-        final wavefront state on the result.  A board
+        final wavefront state on the result.  The board's
+        :attr:`max_groups` caps the workgroups executed (workgroup
+        sampling, ``None``: all of them).  A board
         :attr:`slice_instructions` budget makes the launch yield at the
         next workgroup boundary after that many instructions by raising
         :class:`~repro.errors.LaunchPreempted`; continue with
         :meth:`resume` or checkpoint the board.
         """
         self.set_args(list(args))
-        groups = self.max_groups if max_groups is None else max_groups
         return self.gpu.launch(program, global_size, local_size,
-                               max_groups=groups,
+                               max_groups=self.max_groups,
                                collect_registers=collect_registers,
                                max_slice_instructions=self.slice_instructions)
 
