@@ -1,19 +1,19 @@
 """Baseline files + regression comparison for ``repro bench --check``.
 
 A *baseline* is the JSON payload of a previous ``repro bench --json``
-run, checked into the repo root.  :func:`compare_reports` walks the
-current payload against it metric by metric and reports every movement
-beyond :data:`REGRESSION_THRESHOLD` in the bad direction.
+run, checked into the repo root.  Two comparisons:
 
-Two metric classes:
-
-* **machine-independent** ratios (``speedup_superblock_vs_reference``,
-  ``cache_hit_rate``): comparable across hosts, enforced everywhere.
-* **absolute** wall-clock metrics (``wall_*``, ``inst_per_s_superblock``,
-  ``jobs_per_second``, ``latency_*``): only meaningful against a
-  baseline recorded on the same class of machine, so they are
-  *report-only* unless the caller opts into strict mode (CI does, on
-  main, where baseline and run share the runner type).
+* :func:`check_exact` -- the simulator payload's ``kernels`` and
+  ``cpi`` tables are simulated values, compared field by field with
+  equality.  Any difference fails the check.
+* :func:`compare_reports` -- the service and DSE payloads, metric by
+  metric, reporting every movement beyond :data:`REGRESSION_THRESHOLD`
+  in the bad direction.  Machine-independent ratios
+  (``cache_hit_rate``, ``warm_board_rate``, ``store_hit_rate``) are
+  enforced everywhere; absolute wall-clock metrics
+  (``jobs_per_second``, ``latency_*``, ...) are only meaningful
+  against a baseline recorded on the same class of machine, so they
+  are *report-only*.
 """
 
 from __future__ import annotations
@@ -28,17 +28,13 @@ REGRESSION_THRESHOLD = 0.20
 
 #: metric name -> (higher_is_better, machine_independent)
 _METRICS = {
-    "speedup_superblock_vs_reference": (True, True),
     "cache_hit_rate": (True, True),
     "warm_board_rate": (True, True),
     "store_hit_rate": (True, True),
-    "inst_per_s_superblock": (True, False),
     "jobs_per_second": (True, False),
     "points_per_second": (True, False),
     "resume_speedup": (True, False),
     "short_latency_speedup": (True, False),
-    "wall_reference_s": (False, False),
-    "wall_superblock_s": (False, False),
     "latency_p50_s": (False, False),
     "latency_p95_s": (False, False),
 }
@@ -48,7 +44,7 @@ _METRICS = {
 class Regression:
     """One metric that moved beyond threshold in the bad direction."""
 
-    path: str           # e.g. "kernels.cnn_i32.wall_superblock_s"
+    path: str           # e.g. "preemption.latency_p95_s"
     baseline: float
     current: float
     change: float       # signed fractional change, bad direction positive
@@ -105,32 +101,37 @@ def compare_reports(baseline, current, threshold=REGRESSION_THRESHOLD):
     return out
 
 
-def check_cpi(baseline, current):
-    """Exact comparison of the per-class CPI tables.
+#: The simulated fields of a ``BENCH_simulator`` payload, per table.
+_EXACT_FIELDS = {
+    "kernels": ("instructions", "sim_seconds"),
+    "cpi": ("instructions", "cu_cycles", "cpi"),
+}
 
-    CPI values are simulated, not measured, so any difference at all
-    is a timing-model change: either an intended one (refresh the
-    baseline) or a regression.  Compared exactly, no threshold.  Only
-    classes present in both payloads are checked, so adding a CPI
-    kernel does not fail against an older baseline; a missing table on
-    either side is skipped entirely (pre-schema-4 baselines).
+
+def check_exact(baseline, current):
+    """Every simulated field on which ``current`` differs from ``baseline``.
+
+    The ``kernels`` and ``cpi`` tables hold simulated values, so any
+    difference at all is a model change: either an intended one
+    (refresh the baseline) or a regression.  Compared exactly, no
+    threshold; a row or field present on one side only is a
+    difference too.
     """
     problems = []
-    base_table = (baseline or {}).get("cpi")
-    cur_table = (current or {}).get("cpi")
-    if not isinstance(base_table, dict) or not isinstance(cur_table, dict):
-        return problems
-    for name, base_entry in sorted(base_table.items()):
-        cur_entry = cur_table.get(name)
-        if not isinstance(base_entry, dict) or not isinstance(cur_entry, dict):
-            continue
-        for field in ("instructions", "cu_cycles", "cpi"):
-            if field in base_entry and field in cur_entry \
-                    and base_entry[field] != cur_entry[field]:
-                problems.append(
-                    "cpi.{}.{}: {!r} -> {!r} (timing model changed; "
-                    "CPI table is compared exactly)".format(
-                        name, field, base_entry[field], cur_entry[field]))
+    for table, fields in _EXACT_FIELDS.items():
+        base_rows = baseline.get(table) or {}
+        cur_rows = current.get(table) or {}
+        for name in sorted(set(base_rows) | set(cur_rows)):
+            base_row = base_rows.get(name) or {}
+            cur_row = cur_rows.get(name) or {}
+            for field in fields:
+                base_value = base_row.get(field)
+                cur_value = cur_row.get(field)
+                if base_value != cur_value:
+                    problems.append("{}.{}.{}: {} -> {}".format(
+                        table, name, field,
+                        "missing" if base_value is None else repr(base_value),
+                        "missing" if cur_value is None else repr(cur_value)))
     return problems
 
 

@@ -1,19 +1,8 @@
-"""Timing primitives: warm-up-excluded wall-clock measurement.
-
-Every number the bench harness reports comes through
-:func:`measure`, which runs a callable ``warmup`` times unrecorded
-(JIT-free Python still has cold caches: the decode memo, the prepared-
-program cache, numpy's first-touch allocations) and then ``repeat``
-recorded times.  The *median* is the headline statistic -- robust to a
-single noisy neighbour -- with best/worst retained for context.
-"""
+"""Latency statistics shared by the service benchmark and perfbench."""
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
-from typing import List
 
 
 def percentile(values, p):
@@ -30,49 +19,3 @@ def percentile(values, p):
         return ordered[lo]
     frac = rank - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
-@dataclass
-class Measurement:
-    """Wall-clock samples of one benchmarked callable."""
-
-    samples: List[float]          # recorded runs, seconds, in run order
-    warmup_samples: List[float]   # excluded warm-up runs, for reference
-
-    @property
-    def median(self):
-        return percentile(self.samples, 50)
-
-    @property
-    def best(self):
-        return min(self.samples)
-
-    @property
-    def worst(self):
-        return max(self.samples)
-
-    def to_dict(self):
-        return {
-            "median_s": self.median,
-            "best_s": self.best,
-            "worst_s": self.worst,
-            "samples_s": list(self.samples),
-            "warmup_s": list(self.warmup_samples),
-        }
-
-
-def measure(fn, repeat=3, warmup=1):
-    """Time ``fn()`` ``repeat`` times after ``warmup`` excluded runs."""
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    warmup_samples = []
-    for _ in range(max(0, warmup)):
-        started = time.perf_counter()
-        fn()
-        warmup_samples.append(time.perf_counter() - started)
-    samples = []
-    for _ in range(repeat):
-        started = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - started)
-    return Measurement(samples=samples, warmup_samples=warmup_samples)

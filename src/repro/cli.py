@@ -285,11 +285,10 @@ def cmd_bench(args):
         REGRESSION_THRESHOLD,
         SERVICE_BASELINE_FILE,
         SIMULATOR_BASELINE_FILE,
-        SMOKE_KERNELS,
         bench_dse,
         bench_service,
         bench_simulator,
-        check_cpi,
+        check_exact,
         compare_reports,
         load_baseline,
         write_baseline,
@@ -299,8 +298,7 @@ def cmd_bench(args):
     from .bench.simulator import render_simulator
 
     log = lambda message: print(message, file=sys.stderr)  # noqa: E731
-    kernels = args.kernels or (SMOKE_KERNELS if args.smoke else None)
-    simulator = bench_simulator(kernels=kernels, repeat=args.repeat, log=log)
+    simulator = bench_simulator(log=log)
     service = None
     if not args.skip_service:
         service = bench_service(log=log)
@@ -313,7 +311,7 @@ def cmd_bench(args):
     dse_path = os.path.join(args.out, DSE_BASELINE_FILE)
 
     regressions = []
-    cpi_problems = []
+    mismatches = []
     if args.check:
         for path, payload in ((sim_path, simulator), (svc_path, service),
                               (dse_path, dse)):
@@ -322,12 +320,10 @@ def cmd_bench(args):
             baseline = load_baseline(path)
             if baseline is None:
                 log("no baseline at {}; skipping check".format(path))
-                continue
-            regressions.extend(compare_reports(baseline, payload))
-            if payload is simulator:
-                # The CPI table is deterministic (simulated cycles),
-                # so it is compared exactly -- even on subset runs.
-                cpi_problems = check_cpi(baseline, simulator)
+            elif payload is simulator:
+                mismatches = check_exact(baseline, simulator)
+            else:
+                regressions.extend(compare_reports(baseline, payload))
 
     wrote = []
     if args.json or args.update:
@@ -354,22 +350,21 @@ def cmd_bench(args):
     for path in wrote:
         log("baseline written: {}".format(path))
 
-    if cpi_problems:
-        print("\n{} CPI table mismatch(es):".format(len(cpi_problems)))
-        for problem in cpi_problems:
-            print("  {}".format(problem))
+    if mismatches:
+        print("\n{} simulated-table mismatch(es), compared exactly:".format(
+            len(mismatches)))
+        for mismatch in mismatches:
+            print("  {}".format(mismatch))
+    enforced = [r for r in regressions if r.enforced]
     if regressions:
         print("\n{} regression(s) beyond {:.0%}:".format(
             len(regressions), REGRESSION_THRESHOLD))
         for regression in regressions:
             print("  {}".format(regression))
-        enforced = [r for r in regressions if r.enforced]
-        if enforced and not args.report_only:
-            return 1
-        if regressions and not enforced:
+        if not enforced:
             log("absolute-metric regressions are report-only "
                 "(machine-dependent)")
-    if cpi_problems and not args.report_only:
+    if mismatches or (enforced and not args.report_only):
         return 1
     return 0
 
@@ -542,15 +537,9 @@ def build_parser():
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("bench",
-                       help="wall-clock performance benchmarks with "
-                            "regression checking (docs/benchmarking.md)")
-    p.add_argument("--kernels", nargs="*", default=None,
-                   help="kernel subset (default: the standard bench set)")
-    p.add_argument("--smoke", action="store_true",
-                   help="only the two fastest kernels (the CI smoke set)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="timed runs per kernel and loop after one "
-                        "excluded warm-up (default 3)")
+                       help="exact simulated tables plus service and DSE "
+                            "benchmarks, with baseline checking "
+                            "(docs/benchmarking.md)")
     p.add_argument("--skip-service", action="store_true",
                    help="skip the service throughput benchmark")
     p.add_argument("--skip-dse", action="store_true",
@@ -562,9 +551,12 @@ def build_parser():
                    help="rewrite the BENCH_*.json baseline files")
     p.add_argument("--check", action="store_true",
                    help="compare against the checked-in baselines; "
-                        "exit 1 on an enforced regression")
+                        "exit 1 on a simulated-table mismatch or an "
+                        "enforced regression")
     p.add_argument("--report-only", action="store_true",
-                   help="with --check: print regressions but exit 0")
+                   help="with --check: print threshold regressions but "
+                        "exit 0 on them (a simulated-table mismatch "
+                        "still exits 1)")
     p.add_argument("--out", default=".", metavar="DIR",
                    help="directory of the baseline files (default: .)")
     p.set_defaults(func=cmd_bench)

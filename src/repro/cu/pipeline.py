@@ -197,21 +197,20 @@ class ComputeUnit:
 
     # ------------------------------------------------------------------
 
-    def run_workgroup(self, workgroup, start_time=0.0, compiled=None):
+    def run_workgroup(self, workgroup, start_time=0.0):
         """Execute one workgroup's wavefronts to completion.
 
         Returns ``(end_time, CuRunStats)``.  The wavefronts must already
-        be register-initialised by the ultra-threaded dispatcher.
+        be register-initialised by the ultra-threaded dispatcher, all
+        with one program.
 
-        ``compiled=None`` runs the compiled issue loop exactly when no
-        observer is attached, the rule a board launch applies per
-        slice (:attr:`repro.soc.gpu.Gpu.issue_loop`); ``False`` forces the
-        reference interpreter, which the per-instruction validation
-        sweep uses to exercise the live operations tables.  The
-        compiled loop produces bit-identical state, cycle counts and
-        stats -- the ``superblock`` and ``counters`` oracles enforce
-        this -- but emits no observation events, so an attached
-        observer always gets the reference loop.
+        Observation picks the issue loop, as it does for a board launch
+        slice (:attr:`repro.soc.gpu.Gpu.issue_loop`): the reference
+        interpreter runs exactly when an observer sits in :attr:`obs`,
+        and the compiled loop otherwise.  The compiled loop produces
+        bit-identical state, cycle counts and stats -- the
+        ``superblock`` and ``counters`` oracles enforce this -- but
+        emits no observation events.
         """
         wavefronts = [wf for wf in workgroup.wavefronts if not wf.done]
         if len(wavefronts) > self.max_wavefronts:
@@ -220,12 +219,12 @@ class ComputeUnit:
                     len(wavefronts), self.max_wavefronts
                 )
             )
-        if compiled is None:
-            compiled = self.obs is None
-        if compiled and self.obs is None and wavefronts:
-            program = wavefronts[0].program
-            if all(wf.program is program for wf in wavefronts):
-                return self._run_compiled(workgroup, start_time, wavefronts)
+        if any(wf.program is not wavefronts[0].program
+               for wf in wavefronts[1:]):
+            raise SimulationError(
+                "workgroup mixes programs; a workgroup runs one kernel")
+        if self.obs is None and wavefronts:
+            return self._run_compiled(workgroup, start_time, wavefronts)
         return self._run_reference(workgroup, start_time, wavefronts)
 
     def _run_reference(self, workgroup, start_time, wavefronts):
@@ -233,17 +232,13 @@ class ComputeUnit:
         stalls = {}
         active = 0
         obs = self.obs
-        # Static cost columns, one table per distinct program (the
-        # reference loop, unlike the compiled loop, allows mixed-program
-        # wavefronts).  The rows are exactly frontend_cost /
-        # unit_occupancy per instruction, so timing is unchanged.
-        tables = {}
+        # Static cost columns of the workgroup's one program: exactly
+        # frontend_cost / unit_occupancy per instruction.
+        table = (get_timing_table(wavefronts[0].program, self.timing)
+                 if wavefronts else None)
         for wf in wavefronts:
             wf.ready_at = start_time
             wf.stall_cause = "operand-dep"
-            if id(wf.program) not in tables:
-                tables[id(wf.program)] = get_timing_table(
-                    wf.program, self.timing)
         decode_free = start_time
         finish_time = start_time
         barrier_waiters = []
@@ -268,7 +263,6 @@ class ComputeUnit:
             rr += 1
             wf = best
 
-            table = tables[id(wf.program)]
             index = wf.program.index_of_address(wf.pc)
             inst = wf.program.instructions[index]
             self._check_supported(inst)

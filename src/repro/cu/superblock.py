@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DecodingError
 from ..isa import registers as regs
 from ..isa.formats import Format
 from . import operations, vector
@@ -95,18 +94,6 @@ _BRANCH_CONDITIONS = {
 }
 
 
-def inline_constant(code):
-    """The inline-constant value of ``code``, or None if it has none."""
-    if code == regs.LITERAL or code in _SPECIAL_SCALARS \
-            or code >= regs.VGPR_BASE \
-            or regs.SGPR_FIRST <= code <= regs.SGPR_LAST:
-        return None
-    try:
-        return regs.inline_value(code) & MASK32
-    except DecodingError:
-        return None
-
-
 def _simm16(inst):
     simm = inst.fields["simm16"]
     return simm - 0x10000 if simm >= 0x8000 else simm
@@ -121,7 +108,7 @@ def _scalar_src(code, literal, uses):
         return None if literal is None else str(literal & MASK32)
     if code in _SPECIAL_SCALARS:
         return "wf.read_scalar(%d)" % code
-    constant = inline_constant(code)
+    constant = regs.INLINE_CONSTANTS.get(code)
     return None if constant is None else str(constant)
 
 
@@ -178,7 +165,7 @@ def _vector_src(code, literal, ns, tag, uses):
         return "_full(64, s[%d], _u32d)" % code
     if code in _SPECIAL_SCALARS:
         return "wf.read_vector(%d)" % code
-    constant = inline_constant(code)
+    constant = regs.INLINE_CONSTANTS.get(code)
     if code == regs.LITERAL and literal is not None:
         constant = literal & MASK32
     if constant is None:

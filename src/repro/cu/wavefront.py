@@ -24,6 +24,7 @@ from ..isa import registers as regs
 MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
 FULL_EXEC = MASK64
+_INLINE_CONSTANTS = regs.INLINE_CONSTANTS
 
 
 class Wavefront:
@@ -107,6 +108,8 @@ class Wavefront:
         """
         if regs.SGPR_FIRST <= code <= regs.SGPR_LAST:
             value = int(self.sgprs[code])
+        elif code in _INLINE_CONSTANTS:
+            value = _INLINE_CONSTANTS[code]
         elif code == regs.VCC_LO:
             value = self.vcc & MASK32
         elif code == regs.VCC_HI:
@@ -128,7 +131,8 @@ class Wavefront:
                 raise SimulationError("literal operand without literal dword")
             value = literal & MASK32
         else:
-            value = regs.inline_value(code) & MASK32
+            # Not a scalar source: raises DecodingError.
+            value = regs.inline_value(code)
         if as_float:
             return struct.unpack("<f", struct.pack("<I", value & MASK32))[0]
         return value

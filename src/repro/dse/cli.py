@@ -18,7 +18,7 @@ from .report import (
     render_markdown,
     write_report,
 )
-from .runner import SWEEP_MODES, SweepRunner, SweepSpec
+from .runner import SweepRunner, SweepSpec
 from .space import PRESETS, preset
 
 
@@ -34,7 +34,6 @@ def cmd_dse_sweep(args):
         verify=args.verify,
         workers=args.workers,
         budget_margin=args.budget_margin,
-        mode=args.mode,
         store_dir=args.store,
     )
     runner = SweepRunner(spec, log=_log)
@@ -103,9 +102,6 @@ def add_dse_parser(sub):
                         "sampling caps)")
     s.add_argument("--workers", type=int, default=4,
                    help="execution fan-out width (default 4)")
-    s.add_argument("--mode", choices=SWEEP_MODES, default="exec",
-                   help="execution backend: the unified exec layer or "
-                        "the kernel service (default exec)")
     s.add_argument("--budget-margin", type=float, default=1.0,
                    help="scale the device's usable capacity used as "
                         "the per-point area budget (default 1.0)")

@@ -11,9 +11,7 @@ whole Figure 3 pipeline:
    resources to pay for the extra CUs/VALUs
    (:class:`~repro.errors.AreaBudgetError` names the point otherwise);
 2. **execute** -- fan the point's kernels out through the unified
-   execution layer (:meth:`Executor.execute_many` on warm boards) or,
-   with ``mode="service"``, as explicit-architecture jobs through a
-   :class:`~repro.service.scheduler.KernelService`;
+   execution layer (:meth:`Executor.execute_many` on warm boards);
 3. **join** -- merge simulated CU cycles with the synthesis report's
    area and the power model's energy into one :class:`PointResult`,
    and persist it in the :class:`~repro.dse.store.ResultStore` so an
@@ -38,10 +36,6 @@ from .pareto import DEFAULT_OBJECTIVES, frontier_flags
 from .space import DesignPoint, DesignSpace
 from .store import ResultStore, evaluation_key
 
-#: Sweep execution backends.
-SWEEP_MODES = ("exec", "service")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Everything one sweep run is parameterised by.
@@ -57,13 +51,9 @@ class SweepSpec:
     verify: bool = False
     workers: int = 4
     budget_margin: float = 1.0
-    mode: str = "exec"
     store_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.mode not in SWEEP_MODES:
-            raise DseError("unknown sweep mode {!r}; expected one of {}"
-                           .format(self.mode, ", ".join(SWEEP_MODES)))
         if not (0.1 <= self.budget_margin <= 2.0):
             raise DseError("budget_margin must be within 0.1..2.0")
         if self.workers < 1:
@@ -306,38 +296,6 @@ class SweepRunner:
             joined.setdefault(point.content_key(), {})[name] = result
         return joined
 
-    def _run_service(self, plan):
-        """Execute the plan as explicit-architecture service jobs."""
-        from ..service.jobs import Job
-        from ..service.scheduler import KernelService
-        from ..soc.clocks import CU_CLOCK_HZ
-
-        jobs, owners = [], []
-        for point, arch, report, benchmarks in plan:
-            for name, params, cap in benchmarks:
-                jobs.append(Job(
-                    benchmark=name, params=params, arch=arch,
-                    config=point.config, verify=self.spec.verify,
-                    max_groups=cap, tag=point.name,
-                    global_mem_size=point.global_mem_size))
-                owners.append((point, name))
-        joined = {}
-        with KernelService(workers=self.spec.workers, mode="thread",
-                           cache=self.cache) as service:
-            results = service.run(jobs)
-        for (point, name), result in zip(owners, results):
-            if result.ok:
-                entry = result.metrics
-                entry = _KernelStats(
-                    cu_cycles=entry.seconds * CU_CLOCK_HZ,
-                    seconds=entry.seconds,
-                    instructions=entry.instructions,
-                    energy_j=entry.energy_joules)
-            else:
-                entry = ReproError(result.error or "job failed")
-            joined.setdefault(point.content_key(), {})[name] = entry
-        return joined
-
     # -- the sweep ---------------------------------------------------------
 
     def evaluate(self, point):
@@ -349,33 +307,20 @@ class SweepRunner:
         """
         arch, report = self.resolve(point)
         benchmarks = self._benchmarks(point)
-        raw = self._run(
+        raw = self._run_exec(
             [(point, arch, report, benchmarks)])[point.content_key()]
         return self._join(point, arch, report, raw)
-
-    def _run(self, plan):
-        if self.spec.mode == "service":
-            return self._run_service(plan)
-        return self._run_exec(plan)
 
     def _join(self, point, arch, report, raw):
         kernels = {}
         for name, result in raw.items():
             if isinstance(result, ReproError):
                 raise result
-            if isinstance(result, _KernelStats):
-                stats = result
-            else:
-                stats = _KernelStats(
-                    cu_cycles=result.cu_cycles,
-                    seconds=result.seconds,
-                    instructions=result.instructions,
-                    energy_j=result.metrics.energy_joules)
             kernels[name] = {
-                "cu_cycles": stats.cu_cycles,
-                "seconds": stats.seconds,
-                "instructions": stats.instructions,
-                "energy_j": stats.energy_j,
+                "cu_cycles": result.cu_cycles,
+                "seconds": result.seconds,
+                "instructions": result.instructions,
+                "energy_j": result.metrics.energy_joules,
             }
         total = report.total
         budget = report.device.usable.scale(self.spec.budget_margin)
@@ -427,7 +372,7 @@ class SweepRunner:
         if plan:
             self.log("evaluating {} point(s) x kernels on {} worker(s), "
                      "{} reused".format(len(plan), spec.workers, reused))
-            raw_by_point = self._run(plan)
+            raw_by_point = self._run_exec(plan)
             for point, arch, report, _ in plan:
                 raw = raw_by_point.get(point.content_key(), {})
                 try:
@@ -451,19 +396,10 @@ class SweepRunner:
             spec={
                 "verify": spec.verify,
                 "budget_margin": spec.budget_margin,
-                "mode": spec.mode,
                 "space_key": spec.space.content_key(),
             },
             results=ordered,
             reused=reused)
-
-
-@dataclass(frozen=True)
-class _KernelStats:
-    cu_cycles: float
-    seconds: float
-    instructions: int
-    energy_j: float
 
 
 def run_sweep(spec, log=None):

@@ -19,6 +19,7 @@ from ..cu.wavefront import Wavefront
 from ..cu.workgroup import Workgroup
 from ..mem.params import DCD_PM_TIMING
 from ..mem.system import MemorySystem
+from ..obs.observer import Observer, ObserverHub
 
 #: Memory size of the microbenchmark board.
 MICROBENCH_MEM_SIZE = 1 << 16
@@ -34,7 +35,8 @@ def run_microbench(source, prime=None, lds=0, memory_image=None):
     before execution; ``memory_image`` seeds global-memory words.
 
     Always runs the reference interpreter: validation must observe the
-    live operations tables, not plan executors compiled at prepare time.
+    live operations tables, not plan executors compiled at prepare time,
+    so the CU carries an observer, as an observed board's CUs do.
     """
     text = (".vgprs 8\n" + (".lds {}\n".format(lds) if lds else "")
             + source + "\n  s_endpgm")
@@ -46,6 +48,8 @@ def run_microbench(source, prime=None, lds=0, memory_image=None):
         for addr, value in memory_image.items():
             memory.global_mem.write_u32(addr, value)
     cu = ComputeUnit(memory)
+    cu.obs = ObserverHub()
+    cu.obs.attach(Observer())
     wg = Workgroup((0, 0, 0), program, (64, 1, 1))
     wf = Wavefront(0, program, workgroup=wg)
     wf.vgprs[0] = np.arange(64, dtype=np.uint32)  # lane ids, like dispatch
@@ -53,5 +57,5 @@ def run_microbench(source, prime=None, lds=0, memory_image=None):
     if prime:
         prime(wf)
     wg.add_wavefront(wf)
-    cu.run_workgroup(wg, compiled=False)
+    cu.run_workgroup(wg)
     return wf, memory

@@ -229,6 +229,14 @@ def inline_value(code, as_float=False):
     raise DecodingError("code {} is not an inline constant".format(code))
 
 
+#: Inline-constant code -> the 32-bit pattern a scalar read of it
+#: returns (integers two's-complement, floats as IEEE-754 bits).
+INLINE_CONSTANTS = {
+    code: inline_value(code) & 0xFFFFFFFF
+    for code in (*range(CONST_ZERO, INT_NEG_LAST + 1), *FLOAT_CONSTS)
+}
+
+
 def operand_name(operand):
     """Render an operand in assembly syntax (used by the disassembler)."""
     if operand.kind == Operand.SGPR:

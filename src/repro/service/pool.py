@@ -54,7 +54,6 @@ class JobPayload:
     benchmark: str
     params: Dict[str, object]
     arch: ArchConfig
-    config_key: str
     max_groups: Optional[int] = None
     verify: bool = True
     profile: bool = False

@@ -222,7 +222,6 @@ class KernelService:
             benchmark=ticket.job.benchmark,
             params=dict(ticket.job.params),
             arch=ticket.arch,
-            config_key=ticket.config_key,
             max_groups=ticket.job.max_groups,
             verify=ticket.job.verify,
             profile=ticket.job.profile,

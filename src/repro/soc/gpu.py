@@ -396,7 +396,6 @@ class Gpu:
         loop of the final slice.
         """
         loop = self.issue_loop
-        compiled = loop == SUPERBLOCK
         ran = CuRunStats()  # this slice's workgroups
         while frame.pending:
             gid = frame.pending[0]
@@ -413,7 +412,7 @@ class Gpu:
             frame.disp_free = ready
             start = max(frame.cu_free[cu_idx], ready)
             end, wg_stats = self.cus[cu_idx].run_workgroup(
-                wg, start_time=start, compiled=compiled)
+                wg, start_time=start)
             frame.cu_free[cu_idx] = end
             ran.merge(wg_stats)
             frame.end_time = max(frame.end_time, end)

@@ -6,7 +6,7 @@ from repro.bench import DSE_BASELINE_FILE, bench_dse, compare_reports
 from repro.bench.dse import render_dse
 from repro.cli import main
 
-FAST = ["--kernels", "prefix_sum", "--repeat", "1", "--skip-service"]
+FAST = ["--skip-service"]
 
 
 class TestBenchDse:

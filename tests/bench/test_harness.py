@@ -1,12 +1,12 @@
-"""Timing primitives and baseline regression comparison."""
+"""Percentiles, baseline files and the regression comparisons."""
 
 import pytest
 
 from repro.bench import (
     REGRESSION_THRESHOLD,
+    check_exact,
     compare_reports,
     load_baseline,
-    measure,
     percentile,
     write_baseline,
 )
@@ -34,59 +34,26 @@ class TestPercentile:
         assert percentile(values, 100) == 9
 
 
-class TestMeasure:
-    def test_warmup_excluded_from_samples(self):
-        calls = []
-        measurement = measure(lambda: calls.append(len(calls)),
-                              repeat=3, warmup=2)
-        assert len(calls) == 5
-        assert len(measurement.samples) == 3
-        assert len(measurement.warmup_samples) == 2
-
-    def test_zero_warmup(self):
-        measurement = measure(lambda: None, repeat=2, warmup=0)
-        assert measurement.warmup_samples == []
-        assert len(measurement.samples) == 2
-
-    def test_repeat_must_be_positive(self):
-        with pytest.raises(ValueError):
-            measure(lambda: None, repeat=0)
-
-    def test_median_best_worst(self):
-        measurement = measure(lambda: None, repeat=5)
-        measurement.samples = [0.3, 0.1, 0.2, 0.5, 0.4]
-        assert measurement.median == 0.3
-        assert measurement.best == 0.1
-        assert measurement.worst == 0.5
-
-    def test_to_dict_round_numbers(self):
-        measurement = measure(lambda: None, repeat=2, warmup=1)
-        payload = measurement.to_dict()
-        assert set(payload) == {"median_s", "best_s", "worst_s",
-                                "samples_s", "warmup_s"}
-        assert payload["samples_s"] == measurement.samples
-
-
 class TestCompareReports:
     def test_no_regression_within_threshold(self):
-        baseline = {"kernels": {"k": {"speedup_superblock_vs_reference": 2.0}}}
-        current = {"kernels": {"k": {"speedup_superblock_vs_reference": 1.7}}}
+        baseline = {"service": {"cache_hit_rate": 0.9}}
+        current = {"service": {"cache_hit_rate": 0.8}}
         assert compare_reports(baseline, current) == []
 
     def test_ratio_regression_is_enforced(self):
-        baseline = {"kernels": {"k": {"speedup_superblock_vs_reference": 2.0}}}
-        current = {"kernels": {"k": {"speedup_superblock_vs_reference": 1.0}}}
+        baseline = {"service": {"cache_hit_rate": 0.8}}
+        current = {"service": {"cache_hit_rate": 0.4}}
         regressions = compare_reports(baseline, current)
         assert len(regressions) == 1
         r = regressions[0]
-        assert r.path == "kernels.k.speedup_superblock_vs_reference"
+        assert r.path == "service.cache_hit_rate"
         assert r.enforced
         assert r.change == pytest.approx(0.5)
         assert "ENFORCED" in str(r)
 
     def test_wall_regression_is_report_only(self):
-        baseline = {"kernels": {"k": {"wall_superblock_s": 1.0}}}
-        current = {"kernels": {"k": {"wall_superblock_s": 2.0}}}
+        baseline = {"preemption": {"latency_p95_s": 1.0}}
+        current = {"preemption": {"latency_p95_s": 2.0}}
         regressions = compare_reports(baseline, current)
         assert len(regressions) == 1
         assert not regressions[0].enforced
@@ -99,16 +66,16 @@ class TestCompareReports:
         assert compare_reports(baseline, current) == []
 
     def test_improvement_not_reported(self):
-        baseline = {"kernels": {"k": {"speedup_superblock_vs_reference": 1.0}}}
-        current = {"kernels": {"k": {"speedup_superblock_vs_reference": 3.0}}}
+        baseline = {"service": {"cache_hit_rate": 0.3}}
+        current = {"service": {"cache_hit_rate": 0.9}}
         assert compare_reports(baseline, current) == []
 
     def test_missing_keys_tolerated(self):
-        # A kernel added since the baseline was recorded is skipped.
-        baseline = {"kernels": {"old": {"speedup_superblock_vs_reference": 2.0},
-                                "gone": {"speedup_superblock_vs_reference": 2.0}}}
-        current = {"kernels": {"old": {"speedup_superblock_vs_reference": 1.9},
-                               "new": {"speedup_superblock_vs_reference": 0.1}}}
+        # A section added since the baseline was recorded is skipped.
+        baseline = {"old": {"cache_hit_rate": 0.8},
+                    "gone": {"cache_hit_rate": 0.8}}
+        current = {"old": {"cache_hit_rate": 0.75},
+                   "new": {"cache_hit_rate": 0.01}}
         assert compare_reports(baseline, current) == []
 
     def test_custom_threshold(self):
@@ -118,14 +85,13 @@ class TestCompareReports:
         assert len(compare_reports(baseline, current, threshold=0.05)) == 1
 
     def test_worst_first_ordering(self):
-        baseline = {"a": {"speedup_superblock_vs_reference": 2.0},
-                    "b": {"speedup_superblock_vs_reference": 2.0}}
-        current = {"a": {"speedup_superblock_vs_reference": 1.5},
-                   "b": {"speedup_superblock_vs_reference": 0.5}}
+        baseline = {"a": {"cache_hit_rate": 0.8},
+                    "b": {"cache_hit_rate": 0.8}}
+        current = {"a": {"cache_hit_rate": 0.6},
+                   "b": {"cache_hit_rate": 0.2}}
         regressions = compare_reports(baseline, current)
         assert [r.path for r in regressions] == \
-            ["b.speedup_superblock_vs_reference",
-             "a.speedup_superblock_vs_reference"]
+            ["b.cache_hit_rate", "a.cache_hit_rate"]
 
     def test_zero_and_non_numeric_baselines_skipped(self):
         baseline = {"cache_hit_rate": 0.0, "jobs_per_second": "n/a"}
@@ -136,10 +102,54 @@ class TestCompareReports:
         assert REGRESSION_THRESHOLD == 0.20
 
 
+class TestCheckExact:
+    BASELINE = {
+        "schema": 6,
+        "kernels": {"k": {"instructions": 116, "sim_seconds": 9.34e-06}},
+        "cpi": {"c": {"instructions": 618, "cu_cycles": 1333.0,
+                      "cpi": 1333.0 / 618}},
+    }
+
+    def _copy(self):
+        return {table: {name: dict(row) for name, row in rows.items()}
+                if isinstance(rows, dict) else rows
+                for table, rows in self.BASELINE.items()}
+
+    def test_equal_tables_pass(self):
+        assert check_exact(self.BASELINE, self._copy()) == []
+
+    @pytest.mark.parametrize("table, row, field", [
+        ("kernels", "k", "instructions"),
+        ("kernels", "k", "sim_seconds"),
+        ("cpi", "c", "instructions"),
+        ("cpi", "c", "cu_cycles"),
+        ("cpi", "c", "cpi"),
+    ])
+    def test_every_field_compared_exactly(self, table, row, field):
+        current = self._copy()
+        current[table][row][field] *= 1 + 1e-12
+        problems = check_exact(self.BASELINE, current)
+        assert len(problems) == 1
+        assert problems[0].startswith("{}.{}.{}: ".format(table, row, field))
+
+    def test_row_on_one_side_is_a_mismatch(self):
+        current = self._copy()
+        current["kernels"]["extra"] = {"instructions": 1, "sim_seconds": 0.0}
+        del current["cpi"]["c"]
+        problems = check_exact(self.BASELINE, current)
+        assert "kernels.extra.instructions: missing -> 1" in problems
+        assert "cpi.c.cu_cycles: 1333.0 -> missing" in problems
+        assert len(problems) == 5
+
+    def test_table_missing_entirely(self):
+        problems = check_exact({"schema": 5}, self._copy())
+        assert len(problems) == 5
+
+
 class TestBaselineFiles:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "BENCH_simulator.json")
-        payload = {"schema": 1, "kernels": {"k": {"inst_per_s_superblock": 1e6}}}
+        payload = {"schema": 6, "kernels": {"k": {"instructions": 116}}}
         write_baseline(path, payload)
         assert load_baseline(path) == payload
 

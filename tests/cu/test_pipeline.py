@@ -11,6 +11,7 @@ from repro.cu.workgroup import Workgroup
 from repro.errors import SimulationError, TrimmedInstructionError
 from repro.mem.system import MemorySystem
 from repro.mem.params import DCD_PM_TIMING
+from repro.obs.observer import Observer, ObserverHub
 
 
 def run_program(source, num_wavefronts=1, supported=None, num_simd=1,
@@ -168,6 +169,27 @@ class TestBarriers:
             wg.add_wavefront(Wavefront(i, program))
         with pytest.raises(SimulationError, match="wavefronts"):
             cu.run_workgroup(wg)
+
+
+class TestOneProgramPerWorkgroup:
+    """A workgroup runs one kernel: wavefronts with different programs
+    are rejected before any issue, on both loops."""
+
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["compiled", "reference"])
+    def test_mixed_programs_raise(self, observed):
+        first = assemble("s_mov_b32 s0, 1\n  s_endpgm")
+        second = assemble("s_mov_b32 s0, 2\n  s_endpgm")
+        cu = ComputeUnit(MemorySystem())
+        if observed:
+            cu.obs = ObserverHub()
+            cu.obs.attach(Observer())
+        wg = Workgroup((0, 0, 0), first, (128, 1, 1))
+        wg.add_wavefront(Wavefront(0, first))
+        wg.add_wavefront(Wavefront(1, second))
+        with pytest.raises(SimulationError, match="mixes programs"):
+            cu.run_workgroup(wg)
+        assert all(wf.instructions_executed == 0 for wf in wg.wavefronts)
 
 
 class TestTiming:

@@ -31,6 +31,7 @@ from repro.cu.workgroup import Workgroup
 from repro.isa.categories import FunctionalUnit
 from repro.mem.params import DCD_PM_TIMING
 from repro.mem.system import MemorySystem
+from repro.obs.observer import Observer, ObserverHub
 
 MIXED = """
   s_mov_b32 s0, 1
@@ -156,11 +157,20 @@ class TestTableCache:
         assert not hit_a and not hit_b
 
 
+def _select_loop(cu, compiled):
+    """Without ``compiled``, attach a no-op observer to ``cu`` -- how an
+    observed board puts its CUs on the reference loop."""
+    if not compiled:
+        cu.obs = ObserverHub()
+        cu.obs.attach(Observer())
+    return cu
+
+
 def _run_lsu(source, compiled, init=None):
     program = assemble(source)
     memory = MemorySystem(params=DCD_PM_TIMING)
     memory.preload_all(0, 1 << 16)
-    cu = ComputeUnit(memory)
+    cu = _select_loop(ComputeUnit(memory), compiled)
     wg = Workgroup((0, 0, 0), program, (64, 1, 1))
     wf = Wavefront(0, program)
     wf.write_scalar64(2, 0x2000)
@@ -168,7 +178,7 @@ def _run_lsu(source, compiled, init=None):
     if init is not None:
         init(wf)
     wg.add_wavefront(wf)
-    end, stats = cu.run_workgroup(wg, compiled=compiled)
+    end, stats = cu.run_workgroup(wg)
     return end, stats, cu.pools[FunctionalUnit.LSU]
 
 
@@ -285,13 +295,14 @@ class TestStepAdvance:
         """)
 
         def run(compiled):
-            cu = ComputeUnit(MemorySystem(), num_simd=arch.num_simd,
-                             num_simf=arch.num_simf)
+            cu = _select_loop(
+                ComputeUnit(MemorySystem(), num_simd=arch.num_simd,
+                            num_simf=arch.num_simf), compiled)
             cu.pools[FunctionalUnit.SIMD].busy_until[:] = [40.0, 57.5]
             cu.pools[FunctionalUnit.SIMF].busy_until[:] = [70.0, 90.25]
             wg = Workgroup((0, 0, 0), program, (64, 1, 1))
             wg.add_wavefront(Wavefront(0, program))
-            return cu.run_workgroup(wg, start_time=0.0, compiled=compiled)
+            return cu.run_workgroup(wg, start_time=0.0)
 
         end, stats = run(compiled=True)
         ref_end, ref_stats = run(compiled=False)

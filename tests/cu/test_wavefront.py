@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.asm import assemble
 from repro.cu.wavefront import FULL_EXEC, MASK32, Wavefront
-from repro.errors import SimulationError
+from repro.errors import DecodingError, SimulationError
 from repro.isa import registers as regs
 
 
@@ -51,6 +51,46 @@ class TestScalarAccess:
         with pytest.raises(SimulationError):
             wf.read_scalar(regs.LITERAL, literal=None)
         assert wf.read_scalar(regs.LITERAL, literal=99) == 99
+
+    def test_every_source_code(self, wf):
+        """Each code 0-255 reads its SGPR, special register or inline
+        constant; any other code raises the inline-constant
+        DecodingError, message included."""
+        wf.sgprs[:] = np.arange(regs.NUM_SGPRS, dtype=np.uint32) * 0x01010101
+        wf.vcc = 0x1111222233334444
+        wf.exec_mask = 0x5555666677778888
+        wf.m0 = 0x9999
+        wf.scc = 1
+        constants = {
+            128: 0,
+            240: 0x3F000000, 241: 0xBF000000, 242: 0x3F800000,
+            243: 0xBF800000, 244: 0x40000000, 245: 0xC0000000,
+            246: 0x40800000, 247: 0xC0800000,
+        }
+        constants.update({128 + n: n for n in range(1, 65)})
+        constants.update({192 + n: -n & MASK32 for n in range(1, 17)})
+        assert regs.INLINE_CONSTANTS == constants
+        expected = {
+            regs.VCC_LO: 0x33334444, regs.VCC_HI: 0x11112222,
+            regs.M0: 0x9999,
+            regs.EXEC_LO: 0x77778888, regs.EXEC_HI: 0x55556666,
+            regs.VCCZ: 0, regs.EXECZ: 0, regs.SCC: 1,
+            **constants,
+        }
+        expected.update({code: code * 0x01010101
+                         for code in range(regs.NUM_SGPRS)})
+        for code in range(256):
+            if code == regs.LITERAL:
+                with pytest.raises(SimulationError,
+                                   match="literal operand without"):
+                    wf.read_scalar(code)
+            elif code in expected:
+                assert wf.read_scalar(code) == expected[code], code
+            else:
+                with pytest.raises(DecodingError) as info:
+                    wf.read_scalar(code)
+                assert str(info.value) == \
+                    "code {} is not an inline constant".format(code)
 
     @given(value=st.integers(0, (1 << 64) - 1))
     def test_scalar64_roundtrip(self, value):

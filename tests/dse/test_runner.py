@@ -84,22 +84,8 @@ class TestSweep:
         assert bad.name in report.infeasible[0].error
         assert len(report.ok_results) == 1
 
-    def test_service_mode_matches_exec_mode(self):
-        space = _space(DesignPoint(kernels=(ADD,), config="trimmed"))
-        via_exec = SweepRunner(SweepSpec(space=space)).sweep()
-        via_service = SweepRunner(
-            SweepSpec(space=space, mode="service", workers=1)).sweep()
-        a = via_exec.ok_results[0]
-        b = via_service.ok_results[0]
-        assert a.area == b.area
-        assert a.kernels[ADD]["instructions"] == \
-            b.kernels[ADD]["instructions"]
-        assert a.cu_cycles == pytest.approx(b.cu_cycles, rel=1e-9)
-
     def test_spec_validation(self):
         space = _space(DesignPoint(kernels=(ADD,)))
-        with pytest.raises(DseError):
-            SweepSpec(space=space, mode="quantum")
         with pytest.raises(DseError):
             SweepSpec(space=space, workers=0)
         with pytest.raises(DseError):

@@ -331,12 +331,10 @@ class TestPoolUnit:
 
     def test_inline_payload_roundtrip(self):
         from repro.core.config import ArchConfig
-        from repro.service.cache import config_key
-        arch = ArchConfig.baseline()
         with WorkerPool(1, mode="inline") as pool:
             payload = JobPayload(
                 job_id=1, benchmark="matrix_add_i32", params={"n": 32},
-                arch=arch, config_key=config_key(arch))
+                arch=ArchConfig.baseline())
             outcome = pool.submit(payload).result()
         assert outcome["ok"]
         assert outcome["seconds"] > 0
