@@ -101,23 +101,32 @@ def compare_reports(baseline, current, threshold=REGRESSION_THRESHOLD):
     return out
 
 
-#: The simulated fields of a ``BENCH_simulator`` payload, per table.
+#: The exact fields of a ``BENCH_simulator`` payload, per table.
 _EXACT_FIELDS = {
     "kernels": ("instructions", "sim_seconds"),
     "cpi": ("instructions", "cu_cycles", "cpi"),
+    "coverage": ("plans", "alu_emitted", "alu_generic", "memory",
+                 "memory_emitted"),
 }
 
 
 def check_exact(baseline, current):
-    """Every simulated field on which ``current`` differs from ``baseline``.
+    """Every exact field on which ``current`` differs from ``baseline``.
 
     The ``kernels`` and ``cpi`` tables hold simulated values, so any
     difference at all is a model change: either an intended one
-    (refresh the baseline) or a regression.  Compared exactly, no
-    threshold; a row or field present on one side only is a
-    difference too.
+    (refresh the baseline) or a regression.  The ``coverage`` table
+    counts prepared plans by executor kind, so a specializer that
+    silently degrades shows up too.  Compared exactly, no threshold; a
+    row or field present on one side only is a difference too, and a
+    memory plan that is not emitted is one whatever the baseline says.
     """
     problems = []
+    for name, row in sorted((current.get("coverage") or {}).items()):
+        if row.get("memory_emitted") != row.get("memory"):
+            problems.append("coverage.{}: {} of {} memory plans emitted"
+                            .format(name, row.get("memory_emitted"),
+                                    row.get("memory")))
     for table, fields in _EXACT_FIELDS.items():
         base_rows = baseline.get(table) or {}
         cur_rows = current.get(table) or {}

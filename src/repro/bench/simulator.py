@@ -9,7 +9,11 @@ This module records only deterministic numbers:
   unobserved run (the compiled loop) through the :mod:`repro.exec`
   layer gives the simulated ``instructions`` and ``sim_seconds``;
 * ``cpi`` -- cycles-per-instruction for each
-  :data:`repro.kernels.cpi.CPI_SUITE` class.
+  :data:`repro.kernels.cpi.CPI_SUITE` class;
+* ``coverage`` -- for each :data:`BENCH_KERNELS` entry, the static
+  coverage of its programs' prepared plans: how many plans, ALU plans
+  with an emitted or a generic executor, memory plans and emitted
+  memory plans.
 
 Every field is compared *exactly* against the checked-in baseline
 (:func:`repro.bench.baselines.check_exact`) -- a timing-model
@@ -19,7 +23,9 @@ tripwire, not a perf metric (see docs/benchmarking.md).
 from __future__ import annotations
 
 from ..core.config import ArchConfig
+from ..cu.prepared import KIND_ALU, KIND_MEMORY, get_prepared
 from ..exec import ExecutionRequest, Executor
+from ..kernels import KERNELS
 
 #: Baseline file at the repo root (see docs/benchmarking.md).
 SIMULATOR_BASELINE_FILE = "BENCH_simulator.json"
@@ -84,10 +90,27 @@ def cpi_table(log=None):
     return table
 
 
+def plan_coverage(name, params=None):
+    """Static plan coverage of one benchmark's programs."""
+    row = dict.fromkeys(("plans", "alu_emitted", "alu_generic", "memory",
+                         "memory_emitted"), 0)
+    for program in KERNELS[name](**(params or {})).programs():
+        for plan in get_prepared(program).plans:
+            row["plans"] += 1
+            if plan.kind == KIND_ALU:
+                row["alu_emitted" if plan.specialized else "alu_generic"] += 1
+            elif plan.kind == KIND_MEMORY:
+                row["memory"] += 1
+                row["memory_emitted"] += plan.specialized
+    return row
+
+
 def bench_simulator(log=None):
-    """The ``BENCH_simulator`` payload: the exact kernel and CPI tables."""
+    """The ``BENCH_simulator`` payload: the exact kernel, CPI and plan
+    coverage tables."""
     log = log or (lambda message: None)
     kernels = {}
+    coverage = {}
     for name in BENCH_KERNELS:
         log("bench {} ...".format(name))
         result = _run(name, BENCH_PARAMS.get(name))
@@ -95,7 +118,9 @@ def bench_simulator(log=None):
             "instructions": result.instructions,
             "sim_seconds": result.seconds,
         }
-    return {"schema": 6, "kernels": kernels, "cpi": cpi_table(log=log)}
+        coverage[name] = plan_coverage(name, BENCH_PARAMS.get(name))
+    return {"schema": 7, "kernels": kernels, "cpi": cpi_table(log=log),
+            "coverage": coverage}
 
 
 def render_simulator(payload):
@@ -110,4 +135,12 @@ def render_simulator(payload):
     for name, entry in payload["cpi"].items():
         lines.append("{:<24} {:>12} {:>12.1f} {:>8.3f}".format(
             name, entry["instructions"], entry["cu_cycles"], entry["cpi"]))
+    lines.append("")
+    lines.append("{:<24} {:>6} {:>11} {:>11} {:>14}".format(
+        "plan coverage", "plans", "alu emitted", "alu generic",
+        "memory emitted"))
+    for name, row in payload["coverage"].items():
+        lines.append("{:<24} {:>6} {:>11} {:>11} {:>14}".format(
+            name, row["plans"], row["alu_emitted"], row["alu_generic"],
+            "{}/{}".format(row["memory_emitted"], row["memory"])))
     return "\n".join(lines)

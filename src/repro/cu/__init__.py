@@ -1,6 +1,6 @@
 """MIAOW2.0 compute-unit simulator."""
 
-from .lsu import AccessInfo, make_buffer_descriptor
+from .lsu import make_buffer_descriptor
 from .pipeline import ComputeUnit, CuRunStats
 from .timing import DEFAULT_TIMING, CuTimingParams
 from .vector import VECTOR_OPS, VectorOpSpec, execute_lanewise, lanewise_execution
@@ -9,6 +9,6 @@ from .workgroup import Workgroup
 
 __all__ = [
     "ComputeUnit", "CuRunStats", "Wavefront", "Workgroup",
-    "CuTimingParams", "DEFAULT_TIMING", "AccessInfo", "make_buffer_descriptor",
+    "CuTimingParams", "DEFAULT_TIMING", "make_buffer_descriptor",
     "VECTOR_OPS", "VectorOpSpec", "execute_lanewise", "lanewise_execution",
 ]

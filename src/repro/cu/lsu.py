@@ -10,11 +10,35 @@ The LSU performs the address calculation before issuing the access
 * scalar constant data (``s_buffer_load``) through the same global
   path.
 
-Functions return an :class:`AccessInfo` describing the access class and
-footprint; the pipeline uses it to query the memory system for timing.
-Functional data movement completes here, immediately -- the simulator
-is functional-first, and ``s_waitcnt`` ordering is enforced purely in
-the timing domain.
+The semantics live in one place: the **memory emitter**
+(:func:`emit_memory`).  For each memory instruction it writes the
+source of one executor ``fn(wf, gm)`` with every static choice of the
+encoding folded to a constant -- format, load or store, byte or dword,
+dword count, offen/idxen/neither addressing, the ``soffset`` source,
+the immediate offset, the SMRD ``sdst`` window, the DS form and
+offsets.  :func:`repro.cu.superblock.build_superblocks` compiles these
+executors into each prepared program's module (``InstPlan.mem_fn``),
+which both issue loops call; :func:`execute_memory` reaches the same
+code for a lone instruction through a per-instruction memo.  Shapes the
+generated code cannot take on its fast path (unaligned, or not provably
+in range) call the dword-by-dword runtime helpers below, which keep
+the partial effects and raise points of a lane-serial access.
+
+An executor returns a plain tuple for the timing query, whose kind is
+static (:data:`MEM_LDS`, :data:`MEM_VECTOR`, :data:`MEM_SCALAR`):
+
+* vector global -- ``(active, lo, hi, rows, offset)``: the active lane
+  count, the lowest and highest active lane address, and the active
+  lanes' address rows before ``offset``, from which
+  :meth:`~repro.mem.system.MemorySystem.access_time` builds lane
+  addresses only when its coverage test needs the per-lane scan;
+* scalar global -- ``(addr,)``;
+* LDS -- ``()``.
+
+Vector global accesses join ``vmcnt``; LDS and scalar ones
+``lgkmcnt``.  Functional data movement completes at issue -- the
+simulator is functional-first, and ``s_waitcnt`` ordering is enforced
+purely in the timing domain.
 
 Buffer resource descriptors follow a simplified Southern Islands
 layout, produced by :func:`make_buffer_descriptor`: word0 = 32-bit base
@@ -24,14 +48,18 @@ word2 = size in bytes (num_records), word3 = flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import SimulationError
+from ..isa import registers as regs
 from ..isa.formats import Format
-from ..isa.registers import NUM_SGPRS
 from ..mem.global_memory import dedup_keep_last
+from .wavefront import FULL_EXEC
+
+#: Timing query of a memory instruction -- static per instruction.
+MEM_LDS = 0
+MEM_VECTOR = 1
+MEM_SCALAR = 2
 
 
 def make_buffer_descriptor(base, size, flags=0):
@@ -39,31 +67,135 @@ def make_buffer_descriptor(base, size, flags=0):
     return [base & 0xFFFFFFFF, 0, size & 0xFFFFFFFF, flags & 0xFFFFFFFF]
 
 
-@dataclass
-class AccessInfo:
-    """What the pipeline needs to time one memory instruction."""
+# ---------------------------------------------------------------------------
+# Runtime helpers called by the generated executors.
+# ---------------------------------------------------------------------------
 
-    space: str            # "global" | "lds"
-    counter: str          # "vm" | "lgkm" (which s_waitcnt class it joins)
-    is_write: bool
-    addrs: object = None  # scalar int, or (64,) lane addresses
-    lane_mask: object = None
-    transactions: int = 1
-    #: A vector access's ``(active_lanes, lo_addr, hi_addr)`` footprint,
-    #: derived once by ``_exec_buffer`` and handed to the timing query
-    #: (``MemorySystem.access_time``) so it need not re-derive it.
-    span: object = None
+def _smrd_dwords(wf, gm, addr, sdst, count):
+    """Dword by dword, so a window straddling the end of memory or of
+    the SGPR file writes its leading dwords, then raises."""
+    for i in range(count):
+        wf.write_scalar(sdst + i, gm.read_u32(addr + 4 * i))
 
 
-def _descriptor(wf, first_reg):
-    base = int(wf.sgprs[first_reg])
-    size = int(wf.sgprs[first_reg + 2])
-    return base, size
+def _records_error(name, hi, base, size):
+    raise SimulationError(
+        "{}: access at 0x{:x} beyond buffer records [0x{:x}, 0x{:x})"
+        .format(name, hi, base, base + size))
+
+
+def _unsupported_addressing():
+    raise SimulationError("offen+idxen addressing is not supported")
+
+
+def _buffer_dwords(wf, gm, addrs, vdata, dwords, store):
+    """Unaligned, or not provably in range: dword by dword, so each
+    dword range-checks before it moves and a later one can raise after
+    an earlier one landed.  ``addrs`` are the 64 lane addresses."""
+    lane_mask = wf.active_lane_mask()
+    for i in range(dwords):
+        lane_addrs = addrs + 4 * i
+        if store:
+            gm.scatter_u32(lane_addrs, wf.vgprs[vdata + i], lane_mask)
+        else:
+            wf.write_vgpr(vdata + i, gm.gather_u32(lane_addrs, lane_mask),
+                          lane_mask)
+
+
+def _buffer_byte(wf, gm, addrs, vdata, store, signed):
+    """The byte forms: one range check over the active lanes, then the
+    bytes move."""
+    lane_mask = wf.active_lane_mask()
+    if store:
+        gm.scatter_u8(addrs, wf.vgprs[vdata], lane_mask)
+    else:
+        wf.write_vgpr(vdata, gm.gather_u8(addrs, lane_mask, signed),
+                      lane_mask)
+
+
+def _lds_array(wf):
+    wg = wf.workgroup
+    if wg is None or wg.lds is None:
+        raise SimulationError("kernel uses LDS but the workgroup has none "
+                              "(missing .lds directive?)")
+    return wg.lds
+
+
+_NO_LANES = np.empty(0, dtype=np.int64)
+_NO_LANES.setflags(write=False)
+
+
+def _lds_words(lds, rows, offset, name):
+    """Dword indices of an LDS access's active lanes.
+
+    ``rows`` holds the active lanes' address VGPR values; ``offset`` is
+    the instruction's byte offset.  An unaligned lane, then an
+    out-of-range one, raises before anything moves.
+    """
+    if not rows.size:
+        return _NO_LANES
+    if (int(np.bitwise_or.reduce(rows)) | offset) & 3:
+        addrs = rows.astype(np.int64) + offset
+        if (addrs & 3).any():
+            raise SimulationError("{}: unaligned LDS access".format(name))
+        idx = addrs >> 2
+    else:
+        idx = (rows >> 2) + (offset >> 2)
+    if int(np.maximum.reduce(idx)) >= lds.size:
+        raise SimulationError(
+            "{}: LDS access out of range (size {} dwords)".format(
+                name, lds.size))
+    return idx
+
+
+def _lds_write2(lds, idx0, idx1, data0, data1):
+    """``ds_write2_b32``: per lane the hardware writes offset0 then
+    offset1, lanes in order -- interleave the two streams to keep that
+    order for colliding addresses."""
+    pair_idx = np.empty(2 * idx0.size, dtype=np.int64)
+    pair_idx[0::2] = idx0
+    pair_idx[1::2] = idx1
+    pair_vals = np.empty(2 * idx0.size, dtype=np.uint32)
+    pair_vals[0::2] = data0
+    pair_vals[1::2] = data1
+    uniq, vals = dedup_keep_last(pair_idx, pair_vals)
+    lds[uniq] = vals
+
+
+#: The lane-uniform form's address rows: every lane at ``offset``.
+_ZERO_ROW = np.zeros(64, dtype=np.uint32)
+_ZERO_ROW.setflags(write=False)
+
+#: Names the generated executors see (read-only; no state between calls).
+RUNTIME = {
+    "_FE": FULL_EXEC, "_ALL": slice(None), "_u32": np.uint32,
+    "_int8": np.int8, "_int64": np.int64, "_fill": np.full, "_ZROW": _ZERO_ROW,
+    "_mn": np.minimum.reduce, "_mx": np.maximum.reduce,
+    "_bor": np.bitwise_or.reduce, "_dkl": dedup_keep_last,
+    "_addat": np.add.at, "_smrd": _smrd_dwords, "_recs": _records_error,
+    "_noaddr": _unsupported_addressing, "_bdw": _buffer_dwords,
+    "_bbyte": _buffer_byte, "_lds": _lds_array, "_ldsw": _lds_words,
+    "_ldsw2": _lds_write2,
+}
+
+#: ``_a``: the active lanes -- every lane (a slice) under full EXEC.
+_ACTIVE = "_a = _ALL if wf.exec_mask == _FE else wf.active_lanes()"
 
 
 # ---------------------------------------------------------------------------
-# SMRD.
+# The emitter.
 # ---------------------------------------------------------------------------
+
+def _scalar_expr(code):
+    """Expression for ``wf.read_scalar(code)`` (SGPR, inline constant,
+    or the reader itself for special and invalid codes)."""
+    if regs.SGPR_FIRST <= code <= regs.SGPR_LAST:
+        return "int(s[%d])" % code
+    constant = regs.INLINE_CONSTANTS.get(code)
+    if constant is not None:
+        return str(constant)
+    return "wf.read_scalar(%d)" % code
+
 
 _SMRD_DWORDS = {
     "s_load_dword": 1, "s_load_dwordx2": 2, "s_load_dwordx4": 4,
@@ -72,40 +204,32 @@ _SMRD_DWORDS = {
 }
 
 
-def _exec_smrd(wf, inst, memory):
+def _emit_smrd(inst):
     f = inst.fields
-    name = inst.spec.name
-    count = _SMRD_DWORDS[name]
-    base_reg = f["sbase"] << 1
-    if "buffer" in name:
-        base, _size = _descriptor(wf, base_reg)
-    else:
-        base = int(wf.sgprs[base_reg])  # low dword of the 64-bit address
+    count = _SMRD_DWORDS[inst.spec.name]
+    # s_buffer_load's base is the descriptor's word0, s_load's the low
+    # dword of a 64-bit address: the same register either way.
+    base = "int(s[%d])" % (f["sbase"] << 1)
     if f["imm"]:
-        addr = base + 4 * f["offset"]
+        addr = "%s + %d" % (base, 4 * f["offset"])
     else:
-        addr = base + wf.read_scalar(f["offset"])
-    gm = memory.global_mem
-    sdst = f["sdst"]
-    end = addr + 4 * count
-    if 0 <= addr and end <= gm.size and sdst + count <= NUM_SGPRS:
-        # The whole window is in range: one slice into the SGPR file.
-        wf.sgprs[sdst:sdst + count] = gm._bytes[addr:end].view(np.uint32)
+        addr = "%s + %s" % (base, _scalar_expr(f["offset"]))
+    sdst, nbytes = f["sdst"], 4 * count
+    lines = ["s = wf.sgprs", "_p = " + addr]
+    if sdst + count <= regs.NUM_SGPRS:
+        # The whole window in range (addresses are never negative): one
+        # slice into the SGPR file.
+        lines += ["if _p + %d <= gm.size:" % nbytes,
+                  "    s[%d:%d] = gm._bytes[_p:_p + %d].view(_u32)"
+                  % (sdst, sdst + count, nbytes),
+                  "else:",
+                  "    _smrd(wf, gm, _p, %d, %d)" % (sdst, count)]
     else:
-        # Dword by dword, so a window straddling the end of memory or
-        # of the SGPR file writes its leading dwords, then raises.
-        for i in range(count):
-            wf.write_scalar(sdst + i, gm.read_u32(addr + 4 * i))
-    # One transaction per dword, like _exec_buffer: s_load_dwordx4 moves
-    # four times the data of s_load_dword and must be priced (and
-    # counted by the profiler) accordingly.
-    return AccessInfo(space="global", counter="lgkm", is_write=False,
-                      addrs=addr, transactions=count)
+        lines.append("_smrd(wf, gm, _p, %d, %d)" % (sdst, count))
+    # One transaction per dword: s_load_dwordx4 moves four times the
+    # data of s_load_dword and is priced (and counted) accordingly.
+    return lines + ["return (_p,)"], MEM_SCALAR, count, True
 
-
-# ---------------------------------------------------------------------------
-# MUBUF / MTBUF.
-# ---------------------------------------------------------------------------
 
 _BUFFER_DWORDS = {
     "buffer_load_dword": 1, "buffer_store_dword": 1,
@@ -117,197 +241,167 @@ _BUFFER_DWORDS = {
 _BYTE_OPS = {"buffer_load_ubyte", "buffer_load_sbyte", "buffer_store_byte"}
 
 
-def _exec_buffer(wf, inst, memory):
-    """One buffer access; the active-lane footprint is derived once.
-
-    The footprint ``(active lanes, lo, hi)`` serves the records check,
-    the in-range test and -- as ``AccessInfo.span`` -- the timing
-    query's prefetch coverage test.
-    """
+def _emit_buffer(inst):
     f = inst.fields
     name = inst.spec.name
-    base, size = _descriptor(wf, f["srsrc"] << 2)
-    soffset = wf.read_scalar(f["soffset"])
-    lane_mask = wf.active_lane_mask()
-
-    offset = base + soffset + f["offset"]
-    if f["offen"] and f["idxen"]:
-        raise SimulationError("offen+idxen addressing is not supported")
-    if f["offen"]:
-        addrs = wf.vgprs[f["vaddr"]].astype(np.int64)
-        addrs += offset
-    elif f["idxen"]:
-        addrs = wf.vgprs[f["vaddr"]].astype(np.int64) * 4 + offset
-    else:
-        addrs = np.full(64, offset, dtype=np.int64)
-
-    is_write = "store" in name
     dwords = _BUFFER_DWORDS[name]
-    active = wf.active_lanes()
-    n_active = active.size
-    if n_active == 0:
-        # No lane moves data: a masked write of nothing is a no-op.
-        return AccessInfo(space="global", counter="vm", is_write=is_write,
-                          addrs=addrs, lane_mask=lane_mask,
-                          transactions=dwords, span=(0, 0, 0))
-    sel = addrs[active]
-    lo, hi = int(sel.min()), int(sel.max())
-    if size != 0 and hi >= base + size:
-        raise SimulationError(
-            "{}: access at 0x{:x} beyond buffer records [0x{:x}, 0x{:x})"
-            .format(name, hi, base, base + size))
-
-    gm = memory.global_mem
-    vdata = f["vdata"]
-    if name in _BYTE_OPS:
-        if is_write:
-            gm.scatter_u8(addrs, wf.vgprs[vdata], lane_mask)
-        else:
-            signed = name == "buffer_load_sbyte"
-            wf.write_vgpr(vdata, gm.gather_u8(addrs, lane_mask, signed),
-                          lane_mask)
-    elif lo >= 0 and hi + 4 * dwords <= gm.size and not (sel & 3).any():
-        # Aligned and in range for every dword: move them through one
-        # uint32 view of the store.
-        words = gm._bytes.view(np.uint32)
-        word_idx = sel >> 2
-        if is_write:
+    store = "store" in name
+    srsrc, vaddr, vdata = f["srsrc"] << 2, f["vaddr"], f["vdata"]
+    lines = ["s = wf.sgprs",
+             "_b = int(s[%d])" % srsrc,
+             "_z = int(s[%d])" % (srsrc + 2),
+             "_o = _b + %s + %d" % (_scalar_expr(f["soffset"]), f["offset"])]
+    if f["offen"] and f["idxen"]:
+        return lines + ["_noaddr()"], MEM_VECTOR, dwords, False
+    # The active lanes' address rows before ``_o`` (``_r``), and the 64
+    # lane addresses the dword-by-dword path takes (``lanes``).
+    if f["offen"]:
+        rows = "v[%d][_a]" % vaddr
+        if not store and vdata <= vaddr < vdata + dwords:
+            # The load overwrites its own address register; the timing
+            # query still needs the addresses.
+            rows += ".copy()"
+        lanes = "v[%d].astype(_int64) + _o" % vaddr
+    elif f["idxen"]:
+        rows = "v[%d][_a].astype(_int64) * 4" % vaddr
+        lanes = "v[%d].astype(_int64) * 4 + _o" % vaddr
+    else:
+        rows = "_ZROW[_a]"
+        lanes = "_fill(64, _o, _int64)"
+    lines += ["v = wf.vgprs", _ACTIVE, "_r = " + rows,
+              "_n = len(_r)",
+              "if not _n:",
+              "    return (0, 0, 0, None, 0)",
+              # Addresses are sums of unsigned words, never negative.
+              "_lo = int(_mn(_r)) + _o",
+              "_hi = int(_mx(_r)) + _o",
+              "if _z and _hi >= _b + _z:",
+              "    _recs(%r, _hi, _b, _z)" % name]
+    # In range: move the active lanes through a view of the store
+    # indexed by byte address -- ``gm.dwords`` (the dword at every byte,
+    # so unaligned loads need no reassembly) or the bytes themselves.
+    byte = name in _BYTE_OPS
+    end = "_hi + %d" % (4 * dwords if not byte else 1)
+    fast = "%s <= gm.size" % end
+    if store and not byte:
+        # Unaligned dwords of different lanes can overlap, which only
+        # the byte-ordered path resolves lane-serially.
+        fast = "not (int(_bor(_r)) | _o) & 3 and " + fast
+    view = ("gm._bytes.view(_int8)" if name == "buffer_load_sbyte"
+            else "gm._bytes" if byte else "gm.dwords")
+    lines.append("if %s:" % fast)
+    if store:
+        lines.append("    if %s > gm.dirty_hi: gm.dirty_hi = %s" % (end, end))
+    for i in range(dwords):
+        at = "%s[_o + %d:]" % (view, 4 * i) if i else "%s[_o:]" % view
+        if store:
             # Colliding lane addresses resolve last-active-lane-wins;
             # raw fancy assignment leaves that unspecified.
-            for i in range(dwords):
-                idx, vals = dedup_keep_last(word_idx + i,
-                                            wf.vgprs[vdata + i][active])
-                words[idx] = vals
-            if hi + 4 * dwords > gm.dirty_hi:
-                gm.dirty_hi = hi + 4 * dwords
+            lines += ["    _i, _d = _dkl(_r, v[%d][_a])" % (vdata + i),
+                      "    %s[_i] = _d" % at]
         else:
-            for i in range(dwords):
-                out = np.zeros(64, dtype=np.uint32)
-                out[active] = words[word_idx + i]
-                wf.write_vgpr(vdata + i, out, lane_mask)
+            lines.append("    v[%d][_a] = %s[_r]" % (vdata + i, at))
+    lines.append("else:")
+    if byte:
+        lines.append("    _bbyte(wf, gm, %s, %d, %s, %s)" % (
+            lanes, vdata, store, name == "buffer_load_sbyte"))
     else:
-        # Unaligned, or not provably in range: dword by dword, so each
-        # dword range-checks before it moves and a later one can raise
-        # after an earlier one landed.
-        for i in range(dwords):
-            lane_addrs = addrs + 4 * i
-            if is_write:
-                gm.scatter_u32(lane_addrs, wf.vgprs[vdata + i], lane_mask)
-            else:
-                wf.write_vgpr(vdata + i, gm.gather_u32(lane_addrs, lane_mask),
-                              lane_mask)
-    return AccessInfo(space="global", counter="vm", is_write=is_write,
-                      addrs=addrs, lane_mask=lane_mask, transactions=dwords,
-                      span=(n_active, lo, hi))
+        lines.append("    _bdw(wf, gm, %s, %d, %d, %s)"
+                     % (lanes, vdata, dwords, store))
+    return (lines + ["return (_n, _lo, _hi, _r, _o)"], MEM_VECTOR, dwords,
+            True)
 
 
-# ---------------------------------------------------------------------------
-# DS (LDS).
-# ---------------------------------------------------------------------------
-
-def _lds_array(wf):
-    wg = wf.workgroup
-    if wg is None or wg.lds is None:
-        raise SimulationError("kernel uses LDS but the workgroup has none "
-                              "(missing .lds directive?)")
-    return wg.lds
-
-
-def _lds_index(lds, byte_addrs, name):
-    idx = np.asarray(byte_addrs, dtype=np.int64) >> 2
-    if (np.asarray(byte_addrs) & 3).any():
-        raise SimulationError("{}: unaligned LDS access".format(name))
-    if idx.size and (int(idx.max()) >= lds.size or int(idx.min()) < 0):
-        raise SimulationError(
-            "{}: LDS access out of range (size {} dwords)".format(name, lds.size)
-        )
-    return idx
-
-
-def _exec_ds(wf, inst, memory):
+def _emit_ds(inst):
     f = inst.fields
     name = inst.spec.name
-    lds = _lds_array(wf)
-    lane_mask = wf.active_lane_mask()
-    active = np.flatnonzero(lane_mask)
-    vaddr = wf.read_vgpr(f["addr"]).astype(np.int64)
-
+    lines = ["_L = _lds(wf)", "v = wf.vgprs", _ACTIVE,
+             "_r = v[%d][_a]" % f["addr"]]
     if name in ("ds_read_b32", "ds_write_b32", "ds_add_u32"):
-        offset = f["offset0"] | (f["offset1"] << 8)
-        addrs = vaddr + offset
-        if active.size:
-            idx = _lds_index(lds, addrs[active], name)
-        else:
-            idx = np.empty(0, dtype=np.int64)
+        lines.append("_x = _ldsw(_L, _r, %d, %r)"
+                     % (f["offset0"] | (f["offset1"] << 8), name))
         if name == "ds_read_b32":
-            out = np.zeros(64, dtype=np.uint32)
-            if active.size:
-                out[active] = lds[idx]
-            wf.write_vgpr(f["vdst"], out, lane_mask)
+            lines.append("v[%d][_a] = _L[_x]" % f["vdst"])
         elif name == "ds_write_b32":
-            data = wf.read_vgpr(f["data0"])
             # Colliding addresses resolve in lane order, like the banked
             # hardware serialises conflicts: keep each address's last
             # active lane.
-            uniq, vals = dedup_keep_last(idx, data[active])
-            lds[uniq] = vals
-        else:  # ds_add_u32 -- atomic add; uint32 wrap is associative,
-            # so an unordered scatter-add matches lane-serial order.
-            data = wf.read_vgpr(f["data0"])
-            np.add.at(lds, idx, data[active])
-        return AccessInfo(space="lds", counter="lgkm",
-                          is_write=name != "ds_read_b32", addrs=addrs)
-
+            lines += ["_i, _d = _dkl(_x, v[%d][_a])" % f["data0"],
+                      "_L[_i] = _d"]
+        else:
+            # Atomic add: uint32 wrap is associative, so an unordered
+            # scatter-add matches lane-serial order.
+            lines.append("_addat(_L, _x, v[%d][_a])" % f["data0"])
+        return lines + ["return ()"], MEM_LDS, 1, True
     # read2/write2: offset0/offset1 are independent dword-element offsets.
-    off0, off1 = 4 * f["offset0"], 4 * f["offset1"]
-    addrs0, addrs1 = vaddr + off0, vaddr + off1
-    if active.size:
-        idx0 = _lds_index(lds, addrs0[active], name)
-        idx1 = _lds_index(lds, addrs1[active], name)
-    else:
-        idx0 = idx1 = np.empty(0, dtype=np.int64)
+    lines += ["_x = _ldsw(_L, _r, %d, %r)" % (4 * f["offset0"], name),
+              "_y = _ldsw(_L, _r, %d, %r)" % (4 * f["offset1"], name)]
     if name == "ds_read2_b32":
-        out0 = np.zeros(64, dtype=np.uint32)
-        out1 = np.zeros(64, dtype=np.uint32)
-        if active.size:
-            out0[active] = lds[idx0]
-            out1[active] = lds[idx1]
-        wf.write_vgpr(f["vdst"], out0, lane_mask)
-        wf.write_vgpr(f["vdst"] + 1, out1, lane_mask)
-        return AccessInfo(space="lds", counter="lgkm", is_write=False,
-                          addrs=addrs0, transactions=2)
-    if name == "ds_write2_b32":
-        d0 = wf.read_vgpr(f["data0"])
-        d1 = wf.read_vgpr(f["data1"])
-        # Per lane the hardware writes offset0 then offset1, lanes in
-        # order -- interleave the two streams to keep that order for
-        # colliding addresses.
-        pair_idx = np.empty(2 * idx0.size, dtype=np.int64)
-        pair_idx[0::2] = idx0
-        pair_idx[1::2] = idx1
-        pair_vals = np.empty(2 * idx0.size, dtype=np.uint32)
-        pair_vals[0::2] = d0[active]
-        pair_vals[1::2] = d1[active]
-        uniq, vals = dedup_keep_last(pair_idx, pair_vals)
-        lds[uniq] = vals
-        return AccessInfo(space="lds", counter="lgkm", is_write=True,
-                          addrs=addrs0, transactions=2)
-    raise SimulationError("unhandled DS op {}".format(name))
+        lines += ["v[%d][_a] = _L[_x]" % f["vdst"],
+                  "v[%d][_a] = _L[_y]" % (f["vdst"] + 1)]
+    else:  # ds_write2_b32
+        lines.append("_ldsw2(_L, _x, _y, v[%d][_a], v[%d][_a])"
+                     % (f["data0"], f["data1"]))
+    return lines + ["return ()"], MEM_LDS, 2, True
 
 
-#: Format -> executor, shared by ``execute_memory`` (the reference loop)
-#: and every prepared memory plan (the compiled loop).
-EXECUTORS = {
-    Format.SMRD: _exec_smrd,
-    Format.MUBUF: _exec_buffer,
-    Format.MTBUF: _exec_buffer,
-    Format.DS: _exec_ds,
+_EMITTERS = {
+    Format.SMRD: _emit_smrd,
+    Format.MUBUF: _emit_buffer,
+    Format.MTBUF: _emit_buffer,
+    Format.DS: _emit_ds,
 }
 
 
+def emit_memory(inst, fn_name):
+    """Source of the executor ``fn_name(wf, gm)`` of one memory
+    instruction, with the names of :data:`RUNTIME` in scope.
+
+    Returns ``(source, timing, transactions, emitted)``: the timing
+    query (:data:`MEM_LDS`, :data:`MEM_VECTOR` or :data:`MEM_SCALAR`),
+    the static LSU transaction count (one per dword moved), and
+    whether the executor performs the access -- ``False`` only for an
+    encoding every issue of which raises (offen+idxen addressing).
+    """
+    emitter = _EMITTERS.get(inst.fmt)
+    if emitter is None:
+        raise SimulationError(
+            "{} is not a memory instruction".format(inst.name))
+    lines, timing, transactions, emitted = emitter(inst)
+    source = "def %s(wf, gm):\n%s" % (
+        fn_name, "".join("    %s\n" % line for line in lines))
+    return source, timing, transactions, emitted
+
+
+class MemoryForm:
+    """One memory instruction compiled on its own (:func:`memory_form`)."""
+
+    __slots__ = ("fn", "timing", "transactions")
+
+    def __init__(self, inst):
+        source, self.timing, self.transactions, _ = emit_memory(inst, "_mem")
+        ns = dict(RUNTIME)
+        exec(compile(source, "<lsu {}>".format(inst.name), "exec"), ns)
+        self.fn = ns["_mem"]
+
+
+_MEMO_CAPACITY = 4096
+_memo = {}
+
+
+def memory_form(inst):
+    """The :class:`MemoryForm` of one instruction, memoized on its
+    encoding (the executor depends on nothing else)."""
+    key = (inst.spec.name, tuple(sorted(inst.fields.items())))
+    form = _memo.get(key)
+    if form is None:
+        form = MemoryForm(inst)
+        if len(_memo) >= _MEMO_CAPACITY:
+            _memo.clear()
+        _memo[key] = form
+    return form
+
+
 def execute_memory(wf, inst, memory):
-    """Execute a memory instruction; returns its :class:`AccessInfo`."""
-    executor = EXECUTORS.get(inst.fmt)
-    if executor is None:
-        raise SimulationError("{} is not a memory instruction".format(inst.name))
-    return executor(wf, inst, memory)
+    """Execute one memory instruction; returns its access tuple."""
+    return memory_form(inst).fn(wf, memory.global_mem)

@@ -24,10 +24,11 @@ from ..isa.categories import FunctionalUnit
 from ..isa.registers import MAX_WAVEFRONTS
 from ..obs.events import (STALL_CAUSES, InstructionIssue, Span, Stall,
                           WavefrontStep)
-from . import lsu, operations
+from . import operations
+from .lsu import MEM_SCALAR, MEM_VECTOR
 from .prepared import get_prepared
 from .timing import (KIND_ALU, KIND_ENDPGM, KIND_MEMORY, KIND_WAITCNT,
-                     DEFAULT_TIMING, UnitPool, get_timing_table)
+                     DEFAULT_TIMING, POOL_INDEX, POOL_UNITS, UnitPool)
 
 _WAITCNT_VM_MASK = 0xF
 _WAITCNT_LGKM_SHIFT = 8
@@ -136,13 +137,10 @@ class ComputeUnit:
         self.timing = timing
         self.max_wavefronts = max_wavefronts
         self.max_instructions = max_instructions
-        self.pools = {
-            FunctionalUnit.SALU: UnitPool(1),
-            FunctionalUnit.BRANCH: UnitPool(1),
-            FunctionalUnit.SIMD: UnitPool(num_simd),
-            FunctionalUnit.SIMF: UnitPool(num_simf),
-            FunctionalUnit.LSU: UnitPool(1),
-        }
+        #: One :class:`UnitPool` per :data:`POOL_UNITS` entry, in that
+        #: order (plans carry the index; :meth:`pool` looks one up).
+        counts = {FunctionalUnit.SIMD: num_simd, FunctionalUnit.SIMF: num_simf}
+        self.pools = [UnitPool(counts.get(unit, 1)) for unit in POOL_UNITS]
         self.num_simd = num_simd
         self.num_simf = num_simf
         #: Observation slot: ``None`` (the common case -- every hook
@@ -159,8 +157,12 @@ class ComputeUnit:
         absolute cycle numbers, so a reset timeline would otherwise see
         phantom occupancy from the previous run.
         """
-        for pool in self.pools.values():
+        for pool in self.pools:
             pool.reset()
+
+    def pool(self, unit):
+        """The occupancy pool of one :class:`FunctionalUnit`."""
+        return self.pools[POOL_INDEX[unit]]
 
     # ------------------------------------------------------------------
 
@@ -232,10 +234,13 @@ class ComputeUnit:
         stalls = {}
         active = 0
         obs = self.obs
-        # Static cost columns of the workgroup's one program: exactly
-        # frontend_cost / unit_occupancy per instruction.
-        table = (get_timing_table(wavefronts[0].program, self.timing)
-                 if wavefronts else None)
+        # The workgroup's one program, prepared: its timing table holds
+        # exactly frontend_cost / unit_occupancy per instruction, and
+        # its memory plans carry the LSU's executors.
+        prepared = (get_prepared(wavefronts[0].program, self.timing)
+                    if wavefronts else None)
+        table = prepared.table if prepared is not None else None
+        gm = self.memory.global_mem
         for wf in wavefronts:
             wf.ready_at = start_time
             wf.stall_cause = "operand-dep"
@@ -342,27 +347,22 @@ class ComputeUnit:
                 continue
 
             if inst.spec.is_memory:
-                pool = self.pools[FunctionalUnit.LSU]
-                info = lsu.execute_memory(wf, inst, self.memory)
-                # Dynamic LSU pricing: the table row holds the base
-                # (single-transaction) occupancy; coalescing width is
-                # an explicit multiplier, not an attribute stashed on
-                # the instruction.
-                transactions = info.transactions
-                occupancy = table.occupancies[index] * (
-                    transactions if transactions > 1 else 1)
-                lsu_done = pool.acquire(fe_done, occupancy)
-                if info.space == "lds":
-                    complete = self.memory.lds_access_time(
-                        lsu_done, cu_index=self.cu_index)
-                elif info.addrs is not None and info.lane_mask is not None:
-                    complete = self.memory.access_time(
-                        self.cu_index, lsu_done, info.addrs, info.lane_mask,
-                        info.span)
+                # The LSU's executor for this instruction: the memory
+                # plan the compiled loop calls too.  Its occupancy is the
+                # base LSU period times the static transaction count.
+                plan = prepared.plans[index]
+                access = plan.mem_fn(wf, gm)
+                occupancy = plan.occupancy
+                lsu_done = self.pools[plan.pool].acquire(fe_done, occupancy)
+                if plan.mem_timing == MEM_VECTOR:
+                    wf.outstanding_vm.append(self.memory.access_time(
+                        self.cu_index, lsu_done, access))
+                elif plan.mem_timing == MEM_SCALAR:
+                    wf.outstanding_lgkm.append(self.memory.scalar_access_time(
+                        self.cu_index, lsu_done, access[0]))
                 else:
-                    complete = self.memory.scalar_access_time(
-                        self.cu_index, lsu_done, info.addrs)
-                getattr(wf, "outstanding_" + info.counter).append(complete)
+                    wf.outstanding_lgkm.append(self.memory.lds_access_time(
+                        lsu_done, cu_index=self.cu_index))
                 stats.memory_accesses += 1
                 wf.ready_at = lsu_done
                 wf.stall_cause = ("fu-busy"
@@ -375,7 +375,7 @@ class ComputeUnit:
                 continue
 
             # ALU / branch path.
-            pool = self.pools[inst.spec.unit]
+            pool = self.pool(inst.spec.unit)
             occupancy = table.occupancies[index]
             done = pool.acquire(fe_done, occupancy)
             operations.execute(wf, inst)
@@ -441,10 +441,10 @@ class ComputeUnit:
         memory_accesses = 0
         max_instructions = self.max_instructions
         memory = self.memory
+        gm = memory.global_mem
         cu_index = self.cu_index
         pools = self.pools
-        lsu_pool = pools[FunctionalUnit.LSU]
-        lsu_base = self.timing.lsu_cycles
+        lsu_pool = self.pool(FunctionalUnit.LSU)
         endpgm_cycles = self.timing.endpgm_cycles
 
         live = list(wavefronts)
@@ -502,7 +502,7 @@ class ComputeUnit:
 
             kind = plan.kind
             if kind == KIND_ALU:
-                pool = pools[plan.unit]
+                pool = pools[plan.pool]
                 occupancy = plan.occupancy
                 busy = pool.busy_until
                 if len(busy) == 1:
@@ -519,27 +519,23 @@ class ComputeUnit:
                 wf.stall_cause = ("fu-busy" if done - occupancy > fe_done
                                   else "operand-dep")
             elif kind == KIND_MEMORY:
-                info = plan.mem_fn(wf, plan.inst, memory)
-                transactions = info.transactions
-                occupancy = lsu_base * (transactions if transactions > 1 else 1)
+                access = plan.mem_fn(wf, gm)
+                occupancy = plan.occupancy
                 busy = lsu_pool.busy_until
                 free_at = busy[0]
                 lsu_done = (fe_done if fe_done > free_at else free_at) + occupancy
                 busy[0] = lsu_done
                 lsu_pool.busy_cycles += occupancy
-                if info.space == "lds":
-                    complete = memory.lds_access_time(lsu_done, cu_index=cu_index)
-                elif info.addrs is not None and info.lane_mask is not None:
-                    complete = memory.access_time(
-                        cu_index, lsu_done, info.addrs, info.lane_mask,
-                        info.span)
+                timing = plan.mem_timing
+                if timing == MEM_VECTOR:
+                    wf.outstanding_vm.append(
+                        memory.access_time(cu_index, lsu_done, access))
+                elif timing == MEM_SCALAR:
+                    wf.outstanding_lgkm.append(memory.scalar_access_time(
+                        cu_index, lsu_done, access[0]))
                 else:
-                    complete = memory.scalar_access_time(
-                        cu_index, lsu_done, info.addrs)
-                if info.counter == "vm":
-                    wf.outstanding_vm.append(complete)
-                else:
-                    wf.outstanding_lgkm.append(complete)
+                    wf.outstanding_lgkm.append(
+                        memory.lds_access_time(lsu_done, cu_index=cu_index))
                 memory_accesses += 1
                 wf.ready_at = lsu_done
                 wf.stall_cause = ("fu-busy"

@@ -2,22 +2,25 @@
 
 The reference interpreter in :mod:`repro.cu.pipeline` re-classifies
 every instruction at every issue -- dictionary lookups on the mnemonic,
-operand-code decoding in :meth:`Wavefront.read_scalar`, a fresh
-``AccessInfo`` timing query, event-object guards.  None of that work
-depends on anything but the *instruction encoding*, which is immutable
-once a :class:`~repro.asm.program.Program` is decoded.
+operand-code decoding in :meth:`Wavefront.read_scalar`, event-object
+guards.  None of that work depends on anything but the *instruction
+encoding*, which is immutable once a :class:`~repro.asm.program.Program`
+is decoded.
 
 A :class:`PreparedProgram` hoists all of it to once-per-program cost:
 
 * every instruction becomes an :class:`InstPlan` carrying its
-  pre-classified kind and its static front-end cost and unit occupancy
-  (rows of the program's :class:`~repro.cu.timing.TimingTable`);
-* every ALU plan's executor is generated by the one ALU specializer,
-  :func:`repro.cu.superblock.build_superblocks`, which compiles the
-  plan executors as one module (kept on :attr:`PreparedProgram.source`
-  for inspection); memory plans bind the one LSU's executors
-  (:data:`repro.cu.lsu.EXECUTORS`), the same functions the reference
-  interpreter calls;
+  pre-classified kind, its static front-end cost and unit occupancy
+  (rows of the program's :class:`~repro.cu.timing.TimingTable`) and
+  the index of its unit's pool;
+* every executor is generated once, by
+  :func:`repro.cu.superblock.build_superblocks`, into one module per
+  program (kept on :attr:`PreparedProgram.source` for inspection): the
+  ALU specializer writes the ALU plans' executors, the LSU's memory
+  emitter (:func:`repro.cu.lsu.emit_memory`) the memory plans', which
+  also carry their static timing query and transaction count.  Both
+  issue loops call the memory plans' executors -- the LSU has no other
+  copy of its semantics;
 * plans are looked up by PC through a plain dict, replacing
   ``index_of_address`` + list indexing;
 * prepared programs are memoized in a content-hash-keyed LRU shared
@@ -31,9 +34,8 @@ register effects, same exceptions at the same point.  Any shape the
 specializer cannot prove it reproduces runs the generic dispatcher, so
 the compiled path is never wrong, merely (rarely) not fast.  The
 ``superblock`` oracle in :mod:`repro.verify` and the scalar/vector
-conformance matrices enforce the contract bit-for-bit; memory plans
-share the reference's code, and the LSU matrix
-(``tests/cu/test_lsu_conformance.py``) pins that code to a
+conformance matrices enforce the contract bit-for-bit; the LSU matrix
+(``tests/cu/test_lsu_conformance.py``) pins the memory executors to a
 one-address-at-a-time model.
 """
 
@@ -43,34 +45,36 @@ import threading
 from collections import OrderedDict
 
 from ..errors import TrimmedInstructionError
-from . import lsu
 from .superblock import build_superblocks
 from .timing import (KIND_ALU, KIND_BARRIER, KIND_ENDPGM,  # noqa: F401
-                     KIND_MEMORY, KIND_WAITCNT, DEFAULT_TIMING,
+                     KIND_MEMORY, KIND_WAITCNT, DEFAULT_TIMING, POOL_INDEX,
                      get_timing_table)
 
 
 class InstPlan:
-    """Per-instruction precomputation consumed by the compiled issue loop.
+    """Per-instruction precomputation consumed by the issue loops.
 
     Kind, front-end cost and static occupancy are read straight out of
-    the program's :class:`~repro.cu.timing.TimingTable` row; the plan
-    adds what the table cannot hold -- the executors.  ``exec_fn`` is
-    bound by :func:`~repro.cu.superblock.build_superblocks` for ALU
-    plans; ``mem_fn`` is the :mod:`repro.cu.lsu` executor for the
-    instruction's format, the same one ``lsu.execute_memory`` calls.
+    the program's :class:`~repro.cu.timing.TimingTable` row; ``pool``
+    indexes ``ComputeUnit.pools``.  The plan adds what the table cannot
+    hold -- the executors, bound by
+    :func:`~repro.cu.superblock.build_superblocks`: ``exec_fn(wf)`` for
+    ALU plans, ``mem_fn(wf, gm)`` for memory plans.  A memory plan's
+    ``mem_timing`` is its :mod:`~repro.cu.lsu` timing query and its
+    ``occupancy`` the table's base LSU period times its static
+    transaction count.
     """
 
-    __slots__ = ("index", "address", "name", "unit", "unit_name", "kind",
+    __slots__ = ("index", "address", "name", "pool", "unit_name", "kind",
                  "fe_cost", "occupancy", "pc_step", "simm16", "exec_fn",
-                 "mem_fn", "inst", "specialized")
+                 "mem_fn", "mem_timing", "inst", "specialized")
 
     def __init__(self, inst, index, table):
         sp = inst.spec
         self.index = index
         self.address = inst.address
         self.name = sp.name
-        self.unit = sp.unit
+        self.pool = POOL_INDEX[sp.unit]
         self.unit_name = sp.unit.value
         self.kind = table.kinds[index]
         self.fe_cost = table.fe_costs[index]
@@ -79,11 +83,11 @@ class InstPlan:
         self.simm16 = inst.fields["simm16"] if self.kind == KIND_WAITCNT \
             else 0
         self.exec_fn = None
-        self.mem_fn = (lsu.EXECUTORS[inst.fmt] if self.kind == KIND_MEMORY
-                       else None)
+        self.mem_fn = None
+        self.mem_timing = None
         self.inst = inst
-        #: True when the ALU executor is emitted (not the generic
-        #: dispatcher).
+        #: True when the executor is emitted: not the generic ALU
+        #: dispatcher, nor a memory encoding that always raises.
         self.specialized = False
 
 
@@ -97,7 +101,7 @@ class PreparedProgram:
     Carries the program's :class:`~repro.cu.timing.TimingTable` (the
     static cost columns, shared through its own content-keyed LRU) next
     to the plans that bind executors to those rows, and the generated
-    ALU module's ``source``.
+    module's ``source``.
     """
 
     __slots__ = ("program", "timing", "table", "plans", "by_address",

@@ -1,4 +1,4 @@
-"""The ALU specializer: one emitter for every compiled ALU executor.
+"""One emitter pass per program: every compiled executor in one module.
 
 The compiled issue loop (:meth:`ComputeUnit._run_compiled`) never
 re-decodes an instruction.  Every ALU instruction of a prepared program
@@ -6,13 +6,14 @@ is emitted as a few lines of Python source with its operands resolved
 at compile time -- SGPRs as ``s[i]``, VGPR rows as ``v[i]``, inline
 constants and literals as prebuilt values, scalar ALU as pure Python
 ints, VALU through the same :mod:`repro.cu.vector` cores and the same
-masked ``np.copyto`` write as the reference.  One program's lines go
-through one ``compile()``/``exec()`` into one namespace, producing a
-**plan executor** ``_plan<i>(wf)`` per ALU instruction (``i`` is the
-plan index), bound to ``InstPlan.exec_fn`` -- what the compiled loop
-calls for every ALU issue.
+masked ``np.copyto`` write as the reference.  Every memory instruction
+is emitted by the LSU's own emitter (:func:`repro.cu.lsu.emit_memory`).
+One program's executors go through one ``compile()``/``exec()`` into
+one namespace: ``_plan<i>(wf)`` per ALU instruction, bound to
+``InstPlan.exec_fn``, and ``_plan<i>(wf, gm)`` per memory instruction,
+bound to ``InstPlan.mem_fn`` (``i`` is the plan index).
 
-An instruction whose operand shapes the emitter cannot prove it
+An ALU instruction whose operand shapes the emitter cannot prove it
 reproduces exactly -- including every case in which the reference
 would raise -- is emitted as a call to the generic dispatcher
 ``operations.execute(wf, inst)``; such plans are not *specialized*.
@@ -24,8 +25,8 @@ import numpy as np
 
 from ..isa import registers as regs
 from ..isa.formats import Format
-from . import operations, vector
-from .timing import KIND_ALU
+from . import lsu, operations, vector
+from .timing import KIND_ALU, KIND_MEMORY
 from .wavefront import FULL_EXEC, MASK32, MASK64
 
 
@@ -154,15 +155,17 @@ def _scalar64_dst(sdst, uses):
     return None
 
 
-def _vector_src(code, literal, ns, tag, uses):
+def _vector_src(code, literal, ns, tag, uses, scalar=False):
     """Expression for ``wf.read_vector(code, literal)``; constants
-    become prebuilt read-only arrays in the namespace."""
+    become prebuilt read-only arrays in the namespace.  With ``scalar``
+    an SGPR is the ``np.uint32`` itself, which the core broadcasts
+    against the instruction's VGPR row."""
     if code >= regs.VGPR_BASE:
         uses.add("v")
         return "v[%d]" % (code - regs.VGPR_BASE)
     if regs.SGPR_FIRST <= code <= regs.SGPR_LAST:
         uses.add("s")
-        return "_full(64, s[%d], _u32d)" % code
+        return ("s[%d]" if scalar else "_full(64, s[%d], _u32d)") % code
     if code in _SPECIAL_SCALARS:
         return "wf.read_vector(%d)" % code
     constant = regs.INLINE_CONSTANTS.get(code)
@@ -292,10 +295,25 @@ def _emit_vector(inst, k, ns, uses):
     instruction."""
     sp, f, fmt = inst.spec, inst.fields, inst.fmt
     name = sp.name
+    # The one SGPR source of a core that also takes a 64-lane VGPR row
+    # stays a scalar (NumPy broadcasts it), saving an np.full per issue.
+    # One-source cores, v_cndmask and two SGPR sources keep full rows.
+    codes = [f["src0"]]
+    if fmt in (Format.VOP2, Format.VOPC):
+        codes.append(regs.VGPR_BASE)                # vsrc1
+    elif fmt is Format.VOP3 and not (name in vector.VUN_IMPL
+                                     and name not in vector.VBIN_IMPL):
+        codes.append(f["src1"])
+        if sp.num_srcs >= 3 or name == "v_mac_f32":
+            codes.append(f["src2"])
+    scalar = (name != "v_cndmask_b32"
+              and any(code >= regs.VGPR_BASE for code in codes)
+              and sum(regs.SGPR_FIRST <= code <= regs.SGPR_LAST
+                      for code in codes) == 1)
 
     def src(key, tag):
         return _vector_src(f[key], inst.literal, ns, "_k%d%s" % (k, tag),
-                           uses)
+                           uses, scalar)
 
     # Every source the reference dispatcher *reads* (even when the op
     # ignores it) must be readable, or the reference raises where the
@@ -425,23 +443,32 @@ def _function(name, uses, lines):
 
 # Keeps its old name: perfbench/tracing.py times it as cu.superblock_build.
 def build_superblocks(prepared):
-    """Compile every ALU plan executor of a prepared program.
+    """Compile every ALU and memory plan executor of a prepared program.
 
-    Emits each ALU plan once, compiles the executors as one module,
-    binds ``exec_fn``/``specialized`` on every ALU plan, and returns
-    the module ``source``.  Called once per program by
-    :class:`PreparedProgram`.
+    Emits each plan once, compiles the executors as one module, binds
+    ``exec_fn`` (ALU) or ``mem_fn``/``mem_timing`` (memory) and
+    ``specialized`` on every plan, scales each memory plan's occupancy
+    by its transaction count, and returns the module ``source``.
+    Called once per program by :class:`PreparedProgram`.
     """
-    ns = dict(_RUNTIME)
+    ns = {**_RUNTIME, **lsu.RUNTIME}
     chunks = []
     for plan in prepared.plans:
+        fn_name = "_plan%d" % plan.index
         if plan.kind == KIND_ALU:
             lines, uses, plan.specialized = _emit(plan.inst, plan.index, ns)
-            chunks.append(_function("_plan%d" % plan.index, uses, lines))
+            chunks.append(_function(fn_name, uses, lines))
+        elif plan.kind == KIND_MEMORY:
+            source, plan.mem_timing, transactions, plan.specialized = \
+                lsu.emit_memory(plan.inst, fn_name)
+            plan.occupancy *= transactions
+            chunks.append(source)
     source = "\n".join(chunks)
     name = getattr(prepared.program, "name", None) or "program"
     exec(compile(source, "<prepared %s>" % name, "exec"), ns)
     for plan in prepared.plans:
         if plan.kind == KIND_ALU:
             plan.exec_fn = ns["_plan%d" % plan.index]
+        elif plan.kind == KIND_MEMORY:
+            plan.mem_fn = ns["_plan%d" % plan.index]
     return source

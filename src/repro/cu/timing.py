@@ -134,11 +134,19 @@ KIND_BARRIER = 3
 KIND_WAITCNT = 4
 
 
+#: The functional units with an occupancy pool, in pool-list order:
+#: ``ComputeUnit.pools[POOL_INDEX[unit]]`` is ``unit``'s pool, and
+#: prepared plans carry the index (a list lookup, not an Enum hash).
+POOL_UNITS = (FunctionalUnit.SALU, FunctionalUnit.BRANCH,
+              FunctionalUnit.SIMD, FunctionalUnit.SIMF, FunctionalUnit.LSU)
+POOL_INDEX = {unit: index for index, unit in enumerate(POOL_UNITS)}
+
+
 class UnitPool:
     """N interchangeable instances of one functional-unit type.
 
     The single occupancy-scheduler primitive of the simulator: the
-    pipeline's pool dict holds these.  The compiled loop inlines the
+    pipeline's pool list holds these.  The compiled loop inlines the
     single-instance case on :attr:`busy_until` and adds the occupancy
     to ``busy_cycles`` itself; multi-instance pools go through
     :meth:`acquire`.

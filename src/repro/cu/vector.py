@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import operator
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -317,6 +318,8 @@ class VectorOpSpec:
     ``line`` uses a fixed register convention — sources ``v0``/``v1``/
     ``v2``, destination ``v6``, masks through ``vcc`` — so a test can
     assemble any registry entry without knowing its shape.
+    ``sgpr_line`` (two- and three-source entries only) is the same
+    template with ``src0`` read from ``s8``, broadcast to every lane.
     """
 
     name: str
@@ -324,10 +327,13 @@ class VectorOpSpec:
     arity: int          # vector sources consumed
     is_float: bool      # sources are float32 bit patterns
     line: str
+    sgpr_line: Optional[str] = None
 
 
 def _op_spec(name, encoding, arity, line):
-    return VectorOpSpec(name, encoding, arity, name.endswith("_f32"), line)
+    sgpr_line = line.replace(" v0,", " s8,", 1) if arity >= 2 else None
+    return VectorOpSpec(name, encoding, arity, name.endswith("_f32"), line,
+                        sgpr_line)
 
 
 def _build_registry():

@@ -50,6 +50,13 @@ class GlobalMemory:
     def __init__(self, size=1 << 24):
         self.size = int(size)
         self._bytes = np.zeros(self.size, dtype=np.uint8)
+        #: The dword at every byte address -- a uint32 view with a
+        #: one-byte stride, made once: ``dwords[a]`` reads or writes
+        #: bytes ``a..a+3`` exactly as the word accessors do, aligned
+        #: or not.
+        self.dwords = np.ndarray(shape=(max(0, self.size - 3),),
+                                 dtype=np.uint32, buffer=self._bytes,
+                                 strides=(1,))
         #: High-water mark of written bytes: everything at or above
         #: this address is still power-on zero.  Lets :meth:`reset`
         #: clear only the written prefix instead of the whole store

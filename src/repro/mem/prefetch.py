@@ -84,22 +84,17 @@ class PrefetchBuffer:
                 return True
         return False
 
-    def covers_all(self, addrs, mask):
-        """Whether every active lane of a vector access hits the buffer.
+    def covers_all(self, lanes):
+        """Whether every lane address in ``lanes`` hits the buffer.
 
-        MIAOW2.0 services a wavefront's memory instruction as one
-        transaction, so a single miss sends the whole transaction down
-        the MicroBlaze path.
+        ``lanes`` holds the active lanes' addresses of one vector
+        access: MIAOW2.0 services a wavefront's memory instruction as
+        one transaction, so a single miss sends the whole transaction
+        down the MicroBlaze path.
         """
-        import numpy as np
-
-        active = np.flatnonzero(mask)
-        if active.size == 0:
+        if not len(lanes):
             return True
-        lanes = np.asarray(addrs, dtype=np.int64)[active]
-        lo, hi = int(lanes.min()), int(lanes.max())
-        for start, end in self._ranges:
-            if start <= lo and hi < end:
-                return True
+        if self.covers_range(int(lanes.min()), int(lanes.max())):
+            return True
         # Ranges may be discontiguous; fall back to the per-lane check.
         return all(self.covers(int(a)) for a in lanes)

@@ -20,6 +20,8 @@ depends on the architecture generation.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..obs.events import MemAccess
 from .global_memory import GlobalMemory
 from .params import MemoryTimingParams
@@ -104,19 +106,21 @@ class MemorySystem:
 
     # -- timing ---------------------------------------------------------------
 
-    def access_time(self, cu_index, now, addrs, mask, span):
+    def access_time(self, cu_index, now, access):
         """Completion time of a vector global access starting at ``now``.
 
-        ``span`` is the access's ``(active, lo, hi)`` lane footprint
-        (``AccessInfo.span``): the coverage test reduces to one range
-        check, falling back to the per-lane scan only for discontiguous
-        residency.
+        ``access`` is the LSU's ``(active, lo, hi, rows, offset)`` tuple
+        (see :mod:`repro.cu.lsu`): the coverage test reduces to one
+        range check on the ``[lo, hi]`` footprint, and builds the lane
+        addresses ``rows + offset`` only for the per-lane scan over
+        discontiguous residency.
         """
-        active, lo, hi = span
+        active, lo, hi, rows, offset = access
         covered = self.params.prefetch_enabled and (
             active == 0
             or self.prefetch[cu_index].covers_range(lo, hi)
-            or self.prefetch[cu_index].covers_all(addrs, mask))
+            or self.prefetch[cu_index].covers_all(
+                rows.astype(np.int64) + offset))
         if covered:
             self._note("prefetch_hits")
             done = self._prefetch_ports[cu_index].issue(

@@ -18,6 +18,8 @@ captured state stays valid while the board keeps running.
 
 from __future__ import annotations
 
+from ..cu.timing import POOL_UNITS
+
 
 def timing_state(gpu):
     """Capture channel/pool occupancy and memory counters of ``gpu``."""
@@ -27,7 +29,7 @@ def timing_state(gpu):
         [(port.busy_until, port.requests) for port in mem._prefetch_ports],
         dict(mem.stats),
         [{unit: (list(pool.busy_until), pool.busy_cycles)
-          for unit, pool in cu.pools.items()} for cu in gpu.cus],
+          for unit, pool in zip(POOL_UNITS, cu.pools)} for cu in gpu.cus],
     )
 
 
@@ -42,7 +44,7 @@ def restore_timing(gpu, state):
     mem.stats.update(stats)
     for cu, pool_states in zip(gpu.cus, cu_states):
         for unit, (busy, cycles) in pool_states.items():
-            pool = cu.pools[unit]
+            pool = cu.pool(unit)
             pool.busy_until = list(busy)
             pool.busy_cycles = cycles
 

@@ -45,8 +45,9 @@ class TestCheckedInTable:
         assert fresh == baseline
 
     def test_table_covers_the_bench_and_cpi_sets(self, fresh):
-        assert fresh["schema"] == 6
+        assert fresh["schema"] == 7
         assert tuple(fresh["kernels"]) == BENCH_KERNELS
+        assert tuple(fresh["coverage"]) == BENCH_KERNELS
         assert set(BENCH_KERNELS) <= set(KERNELS)
         assert set(fresh["cpi"]) == {cls.name for cls in CPI_SUITE}
 
@@ -54,6 +55,7 @@ class TestCheckedInTable:
         ("cpi", "cu_cycles"),
         ("cpi", "instructions"),
         ("kernels", "instructions"),
+        ("coverage", "alu_generic"),
     ])
     def test_one_unit_skew_trips(self, fresh, table, field):
         baseline = load_baseline(str(CHECKED_IN))
@@ -62,6 +64,12 @@ class TestCheckedInTable:
         problems = check_exact(baseline, fresh)
         assert len(problems) == 1
         assert problems[0].startswith("{}.{}.{}: ".format(table, name, field))
+
+
+    def test_every_memory_plan_is_emitted(self, fresh):
+        for row in fresh["coverage"].values():
+            assert row["memory"] and row["memory_emitted"] == row["memory"]
+            assert row["alu_emitted"] + row["memory"] <= row["plans"]
 
 
 class TestBenchCommand:

@@ -145,6 +145,14 @@ class TestCheckExact:
         problems = check_exact({"schema": 5}, self._copy())
         assert len(problems) == 5
 
+    def test_memory_plan_not_emitted_is_a_mismatch(self):
+        row = {"plans": 9, "alu_emitted": 4, "alu_generic": 0,
+               "memory": 3, "memory_emitted": 2}
+        baseline = dict(self._copy(), coverage={"k": dict(row)})
+        current = dict(self._copy(), coverage={"k": dict(row)})
+        assert check_exact(baseline, current) == [
+            "coverage.k: 2 of 3 memory plans emitted"]
+
 
 class TestBaselineFiles:
     def test_roundtrip(self, tmp_path):

@@ -25,9 +25,12 @@ def make_env(source, lds=0, mem_size=1 << 16):
 
 
 def exec_mem(program, wf, memory, index=0):
+    """Execute one instruction; returns its static :class:`MemoryForm`
+    (timing query, transaction count)."""
     inst = program.instructions[index]
     wf.pc += inst.words * 4
-    return lsu.execute_memory(wf, inst, memory)
+    lsu.execute_memory(wf, inst, memory)
+    return lsu.memory_form(inst)
 
 
 class TestSmrd:
@@ -37,7 +40,7 @@ class TestSmrd:
         memory.global_mem.write_u32(0x2008, 0xCAFE)
         info = exec_mem(program, wf, memory)
         assert wf.read_scalar(20) == 0xCAFE
-        assert info.counter == "lgkm" and not info.is_write
+        assert info.timing == lsu.MEM_SCALAR
 
     def test_s_load_dwordx4(self):
         program, memory, wf = make_env("s_load_dwordx4 s[20:23], s[2:3], 0")
@@ -65,7 +68,7 @@ class TestBuffer:
             0x1000, np.arange(64, dtype=np.uint32) + 500)
         info = exec_mem(program, wf, memory)
         assert (wf.read_vgpr(2) == np.arange(64) + 500).all()
-        assert info.counter == "vm"
+        assert info.timing == lsu.MEM_VECTOR
 
     def test_scatter_respects_exec(self):
         program, memory, wf = make_env(
@@ -136,7 +139,7 @@ class TestLds:
         exec_mem(program, wf, memory, index=0)
         info = exec_mem(program, wf, memory, index=1)
         assert (wf.read_vgpr(2) == np.arange(64) + 7).all()
-        assert info.space == "lds" and info.counter == "lgkm"
+        assert info.timing == lsu.MEM_LDS
 
     def test_ds_add_atomic_accumulates_collisions(self):
         program, memory, wf = make_env("ds_add_u32 v0, v1", lds=64)

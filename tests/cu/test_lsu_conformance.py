@@ -1,21 +1,25 @@
-"""Per-instruction conformance matrix for the global-memory LSU forms.
+"""Per-instruction conformance matrix for the LSU forms.
 
-Every SMRD and MUBUF/MTBUF form the kernels use runs against a model
-built only from ``GlobalMemory``'s one-address accessors
-(``read_u32``/``write_u32``/``read_u8``/``write_u8``): lanes in order,
-each dword range-checked across the active lanes before any lane of it
-moves (all-or-nothing per dword), the last active lane winning on
-colliding stores.  The forms cross offen/idxen/neither addressing with
-edge footprints -- aligned, unaligned, the last valid dword, a dword
-straddling the end of memory, a negative (wrapped) address, an access
-past ``num_records``, colliding lanes -- and the four EXEC masks of the
-vector matrix.
+Every SMRD, MUBUF/MTBUF and DS form the kernels use runs against a
+model built only from one-address accessors -- ``GlobalMemory``'s
+``read_u32``/``write_u32``/``read_u8``/``write_u8`` and one LDS dword
+at a time: lanes in order, each dword range-checked across the active
+lanes before any lane of it moves (all-or-nothing per dword), the last
+active lane winning on colliding stores.  The global forms cross
+offen/idxen/neither addressing with edge footprints -- aligned,
+unaligned, the last valid dword, a dword straddling the end of memory,
+a negative (wrapped) address, an access past ``num_records``, colliding
+lanes.  The DS forms cross their offsets with aligned, unaligned, last
+dword, one dword past the end, out of range, negative (wrapped),
+colliding lanes and a workgroup without LDS.  Every scenario runs
+under the four EXEC masks of the vector matrix.
 
-Both ways an instruction reaches memory are checked: the reference
-loop's ``lsu.execute_memory`` and the executor the prepared plan binds
-(``InstPlan.mem_fn``).  Each must match the model on every register,
-every memory byte, ``dirty_hi``, the ``AccessInfo`` fields and the
-exception type and message.
+Both ways an instruction reaches memory are checked: the lone-
+instruction ``lsu.execute_memory`` and the executor the prepared plan
+binds (``InstPlan.mem_fn``, which both issue loops call).  Each must
+match the model on every register, every memory byte, ``dirty_hi``,
+every LDS dword, the access tuple handed to the timing query, the
+static timing query and occupancy, and the exception type and message.
 
 On PRs a deterministic stride sample of the states runs; exporting
 ``REPRO_CONFORMANCE_FULL=1`` (the main-branch CI job) runs them all.
@@ -29,7 +33,9 @@ import pytest
 from repro.asm import assemble
 from repro.cu import lsu
 from repro.cu.prepared import get_prepared
+from repro.cu.timing import DEFAULT_TIMING
 from repro.cu.wavefront import MASK32, Wavefront
+from repro.cu.workgroup import Workgroup
 from repro.errors import SimulationError
 from repro.mem.system import MemorySystem
 
@@ -77,9 +83,12 @@ SMRD_FORMS = [
 
 _LANES = np.arange(64, dtype=np.int64)
 
-#: (name, descriptor base, num_records, per-lane target addresses,
-#: the one address a lane-uniform form targets).  num_records 0 leaves
-#: the records check off, so the memory bound is what bites.
+#: (name, buffer base, num_records, per-lane target addresses, the one
+#: address a lane-uniform form targets).  The buffer base is where the
+#: descriptor base plus ``soffset`` plus the instruction offset lands,
+#: so a target at or above it needs no wrapped address VGPR.
+#: num_records 0 leaves the records check off, so the memory bound is
+#: what bites.
 SCENARIOS = [
     ("aligned", 0x1000, 0x1000, 0x1000 + 4 * _LANES, 0x1000 + 4 * 63),
     ("unaligned", 0x1001, 0x1000, 0x1001 + 4 * _LANES, 0x1001 + 4 * 63),
@@ -91,31 +100,73 @@ SCENARIOS = [
     ("collide-unaligned", 0x1000, 0x1000, 0x1001 + 2 * _LANES, 0x1001),
 ]
 
-#: (scenario index, EXEC) pairs.  The PR sample keeps full EXEC for
-#: every scenario and rotates one of the other three masks through them.
-STATES = [(scenario, mask)
-          for scenario in range(len(SCENARIOS))
-          for k, (_, mask) in enumerate(EXEC_MASKS)
-          if FULL_GRID or k == 0 or k == 1 + scenario % 3]
+#: LDS bytes of the DS forms' workgroup.
+LDS = 0x200
+
+DS_FORMS = [
+    "ds_read_b32 v2, v1 offset:8",
+    "ds_write_b32 v1, v2 offset:8",
+    "ds_add_u32 v1, v2 offset:8",
+    "ds_read2_b32 v[2:3], v1 offset0:2 offset1:5",
+    "ds_write2_b32 v1, v2, v3 offset0:2 offset1:5",
+    # A read that overwrites its own address register.
+    "ds_read_b32 v1, v1 offset:8",
+]
+
+#: (name, LDS bytes or 0 for none, per-lane target of the first
+#: offset).  read2/write2's second address sits 12 bytes above it.
+DS_SCENARIOS = [
+    ("aligned", LDS, 4 * _LANES),
+    ("unaligned", LDS, 1 + 4 * _LANES),
+    ("last-dword", LDS, LDS - 4 - 4 * (63 - _LANES)),
+    ("one-past-end", LDS, LDS - 4 * (63 - _LANES)),
+    ("out-of-range", LDS, LDS - 0x80 + 4 * _LANES),
+    ("negative", LDS, -0x10 + 4 * _LANES),
+    ("collide", LDS, 4 * (_LANES // 4)),
+    ("no-lds", 0, 4 * _LANES),
+]
+
+
+def _states(scenarios):
+    """(scenario index, EXEC) pairs.  The PR sample keeps full EXEC for
+    every scenario and rotates one of the other three masks through
+    them."""
+    return [(scenario, mask)
+            for scenario in range(len(scenarios))
+            for k, (_, mask) in enumerate(EXEC_MASKS)
+            if FULL_GRID or k == 0 or k == 1 + scenario % 3]
+
+
+STATES = _states(SCENARIOS)
+DS_STATES = _states(DS_SCENARIOS)
 
 _PROGRAMS = {}
 
 
-def _program_for(line):
-    if line not in _PROGRAMS:
-        _PROGRAMS[line] = assemble("  {}\n  s_endpgm".format(line))
-    return _PROGRAMS[line]
+def _program_for(line, lds=0):
+    key = (line, lds)
+    if key not in _PROGRAMS:
+        _PROGRAMS[key] = assemble("{}  {}\n  s_endpgm".format(
+            ".lds {}\n".format(lds) if lds else "", line))
+    return _PROGRAMS[key]
+
+
+def _is_ds(line):
+    return line.startswith("ds_")
 
 
 def _setup(line, state):
     """Fresh (wavefront, memory system) with the state's footprint."""
+    if _is_ds(line):
+        return _setup_ds(line, state)
     scenario, exec_mask = state
     _, base, records, want, uniform = SCENARIOS[scenario]
     program = _program_for(line)
     inst = program.instructions[0]
     wf = Wavefront(0, program)
     wf.sgprs[:] = range(0xC0DE0000, 0xC0DE0000 + len(wf.sgprs))
-    wf.sgprs[4:8] = lsu.make_buffer_descriptor(base, records)
+    desc_base = base - SOFF - INST_OFFSET
+    wf.sgprs[4:8] = lsu.make_buffer_descriptor(desc_base, records)
     for row in range(len(wf.vgprs)):
         wf.vgprs[row] = 0x5A000000 + (row << 16) + _LANES
     f = inst.fields
@@ -130,13 +181,12 @@ def _setup(line, state):
             wf.sgprs[8] = (uniform - base) & MASK32
     else:
         wf.sgprs[8] = SOFF
-        offset = base + SOFF + INST_OFFSET
         if f["offen"]:
-            wf.vgprs[f["vaddr"]] = (want - offset) & MASK32
+            wf.vgprs[f["vaddr"]] = (want - base) & MASK32
         elif f["idxen"]:
-            wf.vgprs[f["vaddr"]] = ((want - offset) // 4) & MASK32
+            wf.vgprs[f["vaddr"]] = ((want - base) // 4) & MASK32
         else:
-            wf.sgprs[8] = (uniform - base - INST_OFFSET) & MASK32
+            wf.sgprs[8] = (uniform - desc_base - INST_OFFSET) & MASK32
     wf.exec_mask = exec_mask
     wf.pc = inst.address + inst.words * 4
     memory = MemorySystem(global_size=MEM)
@@ -144,6 +194,27 @@ def _setup(line, state):
         0, 256, MEM - _ZERO_TAIL, dtype=np.uint8)
     memory.global_mem.write_block(0, pattern)
     return inst, wf, memory
+
+
+def _setup_ds(line, state):
+    scenario, exec_mask = state
+    _, lds, want = DS_SCENARIOS[scenario]
+    program = _program_for(line, lds)
+    inst = program.instructions[0]
+    wf = Wavefront(0, program, workgroup=Workgroup((0, 0, 0), program,
+                                                   (64, 1, 1)))
+    for row in range(len(wf.vgprs)):
+        wf.vgprs[row] = 0x5A000000 + (row << 16) + _LANES
+    f = inst.fields
+    first = (4 * f["offset0"] if "2_b32" in inst.spec.name
+             else f["offset0"] | (f["offset1"] << 8))
+    wf.vgprs[f["addr"]] = (want - first) & MASK32
+    if lds:
+        wf.workgroup.lds[:] = np.random.default_rng(11).integers(
+            0, 1 << 32, lds // 4, dtype=np.uint32)
+    wf.exec_mask = exec_mask
+    wf.pc = inst.address + inst.words * 4
+    return inst, wf, MemorySystem(global_size=MEM)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +231,7 @@ def _model_smrd(wf, inst, gm):
         addr = base + wf.read_scalar(f["offset"])
     for i in range(count):
         wf.write_scalar(f["sdst"] + i, gm.read_u32(addr + 4 * i))
-    return {"space": "global", "counter": "lgkm", "is_write": False,
-            "addrs": addr, "lane_mask": None, "transactions": count,
-            "span": None}
+    return (addr,), lsu.MEM_SCALAR, count
 
 
 def _model_buffer(wf, inst, gm):
@@ -211,14 +280,46 @@ def _model_buffer(wf, inst, gm):
             else:
                 wf.vgprs[vdata + i][lane] = gm.read_u32(addr)
     if lanes:
-        span = (len(lanes), int(addrs[lanes].min()), int(addrs[lanes].max()))
+        access = (len(lanes), int(addrs[lanes].min()),
+                  int(addrs[lanes].max()), addrs[lanes])
     else:
-        span = (0, 0, 0)
-    mask = np.array([wf.exec_mask >> lane & 1 for lane in range(64)],
-                    dtype=bool)
-    return {"space": "global", "counter": "vm", "is_write": store,
-            "addrs": addrs, "lane_mask": mask, "transactions": dwords,
-            "span": span}
+        access = (0, 0, 0, None)
+    return access, lsu.MEM_VECTOR, dwords
+
+
+def _model_ds(wf, inst, lds):
+    """``lds`` is the workgroup's LDS as a list of dwords, or None."""
+    f, name = inst.fields, inst.spec.name
+    if lds is None:
+        raise SimulationError("kernel uses LDS but the workgroup has none "
+                              "(missing .lds directive?)")
+    pair = "2_b32" in name
+    offsets = ([4 * f["offset0"], 4 * f["offset1"]] if pair
+               else [f["offset0"] | (f["offset1"] << 8)])
+    lanes = [lane for lane in range(64) if wf.exec_mask >> lane & 1]
+    vaddr = [int(wf.vgprs[f["addr"]][lane]) for lane in lanes]
+    words = []
+    for offset in offsets:
+        addrs = [a + offset for a in vaddr]
+        if any(a & 3 for a in addrs):
+            raise SimulationError("{}: unaligned LDS access".format(name))
+        if any(a >> 2 >= len(lds) for a in addrs):
+            raise SimulationError(
+                "{}: LDS access out of range (size {} dwords)".format(
+                    name, len(lds)))
+        words.append([a >> 2 for a in addrs])
+    data = [[int(wf.vgprs[f[key]][lane]) for lane in lanes]
+            for key in (("data0", "data1") if pair else ("data0",))]
+    for k, lane in enumerate(lanes):
+        if name.startswith("ds_read"):
+            for i, idx in enumerate(words):
+                wf.vgprs[f["vdst"] + i][lane] = lds[idx[k]]
+        elif name == "ds_add_u32":
+            lds[words[0][k]] = (lds[words[0][k]] + data[0][k]) & MASK32
+        else:  # writes: offset0 then offset1 per lane, lanes in order
+            for i, idx in enumerate(words):
+                lds[idx[k]] = data[i][k]
+    return (), lsu.MEM_LDS, len(offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +329,40 @@ def _model_buffer(wf, inst, gm):
 def _run(line, state, way):
     inst, wf, memory = _setup(line, state)
     gm = memory.global_mem
+    lds = wf.workgroup.lds if wf.workgroup is not None else None
     error = info = None
     try:
         if way == "model":
-            model = _model_smrd if inst.fmt.name == "SMRD" else _model_buffer
-            info = model(wf, inst, _Accessors(gm))
+            if inst.fmt.name == "DS":
+                words = None if lds is None else [int(w) for w in lds]
+                try:
+                    access, timing, transactions = _model_ds(wf, inst, words)
+                finally:
+                    if words is not None:
+                        lds[:] = words
+            else:
+                model = (_model_smrd if inst.fmt.name == "SMRD"
+                         else _model_buffer)
+                access, timing, transactions = model(wf, inst,
+                                                     _Accessors(gm))
+            occupancy = DEFAULT_TIMING.lsu_cycles * transactions
         elif way == "execute_memory":
-            info = _fields(lsu.execute_memory(wf, inst, memory))
+            access = lsu.execute_memory(wf, inst, memory)
+            form = lsu.memory_form(inst)
+            timing = form.timing
+            occupancy = DEFAULT_TIMING.lsu_cycles * form.transactions
         else:
-            plan = get_prepared(_program_for(line)).plans[0]
-            info = _fields(plan.mem_fn(wf, inst, memory))
+            plan = get_prepared(wf.program).plans[0]
+            access = plan.mem_fn(wf, gm)
+            timing, occupancy = plan.mem_timing, plan.occupancy
+        info = {"access": _access(access), "timing": timing,
+                "occupancy": occupancy}
     except Exception as exc:  # the type and message are compared
         error = (type(exc), str(exc))
     return {"sgprs": wf.sgprs.tobytes(), "vgprs": wf.vgprs.tobytes(),
             "exec": wf.exec_mask, "vcc": wf.vcc, "m0": wf.m0, "scc": wf.scc,
             "memory": gm.snapshot().tobytes(), "dirty_hi": gm.dirty_hi,
+            "lds": None if lds is None else lds.tobytes(),
             "error": error}, info
 
 
@@ -266,14 +386,21 @@ class _Accessors:
         self._gm.write_u8(addr, value)
 
 
-def _fields(info):
-    return {"space": info.space, "counter": info.counter,
-            "is_write": info.is_write, "addrs": info.addrs,
-            "lane_mask": info.lane_mask, "transactions": info.transactions,
-            "span": info.span}
+def _access(access):
+    """A vector access tuple with its lane addresses built, as the
+    timing query builds them; other access tuples as they are."""
+    if len(access) == 5:
+        active, lo, hi, rows, offset = access
+        lanes = (np.asarray(rows).astype(np.int64) + offset if active
+                 else None)
+        return (active, lo, hi, lanes)
+    return tuple(access)
 
 
 def _same(got, want):
+    if isinstance(want, tuple) and isinstance(got, tuple):
+        return len(got) == len(want) and all(
+            _same(g, w) for g, w in zip(got, want))
     if isinstance(want, np.ndarray) or isinstance(got, np.ndarray):
         return (got is not None and want is not None
                 and np.array_equal(np.asarray(got), np.asarray(want)))
@@ -283,18 +410,16 @@ def _same(got, want):
 def _check(line, state, way):
     want, want_info = _run(line, state, "model")
     got, got_info = _run(line, state, way)
-    where = "{} {} {}".format(line, SCENARIOS[state[0]][0],
-                              hex(state[1]))
+    scenarios = DS_SCENARIOS if _is_ds(line) else SCENARIOS
+    where = "{} {} {}".format(line, scenarios[state[0]][0], hex(state[1]))
     for key in want:
         assert got[key] == want[key], "{} [{}]: diverges in {}".format(
             where, way, key)
     if want["error"] is not None:
         return
     for key, value in want_info.items():
-        if key == "span" and got_info["span"] is None:
-            continue  # a span is optional; when given it must be exact
         assert _same(got_info[key], value), (
-            "{} [{}]: AccessInfo.{} is {!r}, model {!r}".format(
+            "{} [{}]: {} is {!r}, model {!r}".format(
                 where, way, key, got_info[key], value))
 
 
@@ -305,6 +430,13 @@ WAYS = ("execute_memory", "plan")
 @pytest.mark.parametrize("line", SMRD_FORMS + BUFFER_FORMS)
 def test_conformance(line, way):
     for state in STATES:
+        _check(line, state, way)
+
+
+@pytest.mark.parametrize("way", WAYS)
+@pytest.mark.parametrize("line", DS_FORMS)
+def test_ds_conformance(line, way):
+    for state in DS_STATES:
         _check(line, state, way)
 
 
@@ -334,3 +466,24 @@ def test_forms_cover_every_global_memory_opcode():
         "s_load_dword", "s_load_dwordx2", "s_load_dwordx4",
         "s_buffer_load_dword", "s_buffer_load_dwordx2",
         "s_buffer_load_dwordx4", *_BUFFER_OPS, *_BUFFER_XY}
+
+
+def test_ds_matrix_reaches_every_outcome():
+    """The DS grid raises each LDS error and completes some accesses."""
+    outcomes = set()
+    for line in DS_FORMS:
+        for state in DS_STATES:
+            result, _ = _run(line, state, "model")
+            error = result["error"]
+            outcomes.add("ok" if error is None
+                         else "none" if "has none" in error[1]
+                         else "unaligned" if "unaligned" in error[1]
+                         else "range")
+    assert outcomes == {"ok", "none", "unaligned", "range"}
+
+
+def test_ds_forms_cover_every_lds_opcode():
+    names = {_program_for(line).instructions[0].spec.name
+             for line in DS_FORMS}
+    assert names == {"ds_read_b32", "ds_write_b32", "ds_add_u32",
+                     "ds_read2_b32", "ds_write2_b32"}

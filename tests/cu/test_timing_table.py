@@ -179,7 +179,7 @@ def _run_lsu(source, compiled, init=None):
         init(wf)
     wg.add_wavefront(wf)
     end, stats = cu.run_workgroup(wg)
-    return end, stats, cu.pools[FunctionalUnit.LSU]
+    return end, stats, cu.pool(FunctionalUnit.LSU)
 
 
 class TestLsuDynamicPricing:
@@ -298,8 +298,8 @@ class TestStepAdvance:
             cu = _select_loop(
                 ComputeUnit(MemorySystem(), num_simd=arch.num_simd,
                             num_simf=arch.num_simf), compiled)
-            cu.pools[FunctionalUnit.SIMD].busy_until[:] = [40.0, 57.5]
-            cu.pools[FunctionalUnit.SIMF].busy_until[:] = [70.0, 90.25]
+            cu.pool(FunctionalUnit.SIMD).busy_until[:] = [40.0, 57.5]
+            cu.pool(FunctionalUnit.SIMF).busy_until[:] = [70.0, 90.25]
             wg = Workgroup((0, 0, 0), program, (64, 1, 1))
             wg.add_wavefront(Wavefront(0, program))
             return cu.run_workgroup(wg, start_time=0.0)

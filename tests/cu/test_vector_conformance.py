@@ -6,7 +6,10 @@ model (``execute_lanewise``, the scalar interpreter), the array VALU
 path (``operations.execute``) and the prepared plan's emitted
 executor -- under full, empty, alternating and single-lane EXEC
 masks.  All three must agree bit-for-bit on every VGPR, VCC, SCC and
-EXEC, and inactive destination lanes must keep their sentinel.
+EXEC, and inactive destination lanes must keep their sentinel.  Every
+two- and three-source opcode also runs with ``src0`` read from an SGPR
+(``VectorOpSpec.sgpr_line``), one edge value broadcast to every lane:
+the emitted executor passes that SGPR to the core as a NumPy scalar.
 
 The operand grid is the full cartesian product of the per-type edge
 set, packed 64 combinations per wavefront (lanes are free
@@ -58,22 +61,18 @@ FULL_GRID = os.environ.get("REPRO_CONFORMANCE_FULL") == "1"
 _PROGRAMS = {}
 
 
-def _program_for(name):
-    if name not in _PROGRAMS:
+def _program_for(name, sgpr=False):
+    if (name, sgpr) not in _PROGRAMS:
         spec = VECTOR_OPS[name]
-        _PROGRAMS[name] = assemble("  {}\n  s_endpgm".format(spec.line))
-    return _PROGRAMS[name]
+        _PROGRAMS[name, sgpr] = assemble("  {}\n  s_endpgm".format(
+            spec.sgpr_line if sgpr else spec.line))
+    return _PROGRAMS[name, sgpr]
 
 
-def _operand_chunks(spec):
-    """64-lane operand blocks covering the full edge-value product.
-
-    Each chunk is a list of 64 ``arity``-tuples of uint32 bit
-    patterns; short tails are padded by re-cycling the product with a
-    coprime stride so padding lanes still exercise varied operands.
-    """
-    edges = FLT_EDGES if spec.is_float else INT_EDGES
-    combos = list(itertools.product(edges, repeat=spec.arity))
+def _pack(combos):
+    """64-lane blocks of ``combos``; short tails are padded by
+    re-cycling them with a coprime stride so padding lanes still
+    exercise varied operands."""
     chunks = []
     for base in range(0, len(combos), 64):
         block = list(combos[base:base + 64])
@@ -82,21 +81,40 @@ def _operand_chunks(spec):
             block.append(combos[(base + 7 * pad) % len(combos)])
             pad += 1
         chunks.append(block)
+    return chunks
+
+
+def _operand_chunks(spec, sgpr=False):
+    """64-lane operand blocks covering the full edge-value product.
+
+    Each chunk is a list of 64 ``arity``-tuples of uint32 bit
+    patterns.  With ``sgpr`` (``src0`` read from an SGPR) every lane
+    of a chunk shares one ``src0`` edge value.
+    """
+    edges = FLT_EDGES if spec.is_float else INT_EDGES
+    if sgpr:
+        chunks = [block for first in edges for block in _pack(
+            [(first,) + rest
+             for rest in itertools.product(edges, repeat=spec.arity - 1)])]
+    else:
+        chunks = _pack(list(itertools.product(edges, repeat=spec.arity)))
     if not FULL_GRID and len(chunks) > 4:
         stride = -(-len(chunks) // 4)
         chunks = chunks[::stride]
     return chunks
 
 
-def _run(name, chunk, exec_mask, mode):
+def _run(name, chunk, exec_mask, mode, sgpr=False):
     """Execute one chunk through one path; return the full state."""
     spec = VECTOR_OPS[name]
-    program = _program_for(name)
+    program = _program_for(name, sgpr)
     wf = Wavefront(0, program)
     wf.exec_mask = FULL_EXEC
     for src in range(spec.arity):
         wf.write_vgpr(src, np.array([combo[src] for combo in chunk],
                                     dtype=np.uint32))
+    if sgpr:
+        wf.sgprs[8] = chunk[0][0]
     if spec.encoding != "VOPC":    # VOPC programs allocate no v6
         wf.write_vgpr(6, np.full(64, SENTINEL, dtype=np.uint32))
     wf.vcc = VCC_INIT
@@ -126,9 +144,22 @@ def _state(wf):
                          ids=[m[0] for m in EXEC_MASKS])
 @pytest.mark.parametrize("name", sorted(VECTOR_OPS))
 def test_conformance(name, mask_id, exec_mask):
+    _check(name, mask_id, exec_mask)
+
+
+@pytest.mark.parametrize("mask_id,exec_mask", EXEC_MASKS,
+                         ids=[m[0] for m in EXEC_MASKS])
+@pytest.mark.parametrize("name", sorted(
+    name for name, spec in VECTOR_OPS.items() if spec.sgpr_line))
+def test_sgpr_src0_conformance(name, mask_id, exec_mask):
+    """The same matrix with ``src0`` an SGPR broadcast to every lane."""
+    _check(name, mask_id, exec_mask, sgpr=True)
+
+
+def _check(name, mask_id, exec_mask, sgpr=False):
     spec = VECTOR_OPS[name]
-    for chunk in _operand_chunks(spec):
-        golden = _run(name, chunk, exec_mask, "lanewise")
+    for chunk in _operand_chunks(spec, sgpr):
+        golden = _run(name, chunk, exec_mask, "lanewise", sgpr)
         want = _state(golden)
 
         # Inactive destination lanes keep their sentinel (VOPC writes
@@ -142,7 +173,7 @@ def test_conformance(name, mask_id, exec_mask):
                         .format(name, lane))
 
         for mode in ("array", "prepared"):
-            got = _state(_run(name, chunk, exec_mask, mode))
+            got = _state(_run(name, chunk, exec_mask, mode, sgpr))
             for key in ("vgprs", "vcc", "scc", "exec"):
                 assert got[key] == want[key], (
                     "{} [{}] {}: {} diverges from the golden model"
@@ -162,6 +193,7 @@ def test_every_registry_line_assembles_specialized():
     silently drops back to the generic dispatcher for a vectorized
     opcode."""
     for name in sorted(VECTOR_OPS):
-        plan = get_prepared(_program_for(name)).plans[0]
-        assert plan.exec_fn is not None, name
-        assert plan.specialized, name
+        for sgpr in (False, True) if VECTOR_OPS[name].sgpr_line else (False,):
+            plan = get_prepared(_program_for(name, sgpr)).plans[0]
+            assert plan.exec_fn is not None, name
+            assert plan.specialized, name

@@ -7,12 +7,12 @@ from repro.mem.params import DCD_PM_TIMING, DCD_TIMING, ORIGINAL_TIMING
 from repro.mem.system import MemorySystem
 
 ADDRS = np.arange(64, dtype=np.int64) * 4
-MASK = np.ones(64, dtype=bool)
 
 
-def span(addrs):
-    """The full-EXEC ``(active, lo, hi)`` footprint ``access_time`` takes."""
-    return (addrs.size, int(addrs.min()), int(addrs.max()))
+def access(addrs):
+    """The full-EXEC ``(active, lo, hi, rows, offset)`` tuple
+    ``access_time`` takes."""
+    return (addrs.size, int(addrs.min()), int(addrs.max()), addrs, 0)
 
 
 class TestRelayLatency:
@@ -33,8 +33,8 @@ class TestRelayLatency:
 
     def test_relay_serialises(self):
         system = MemorySystem(params=ORIGINAL_TIMING)
-        t1 = system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))
-        t2 = system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))
+        t1 = system.access_time(0, 0.0, access(ADDRS))
+        t2 = system.access_time(0, 0.0, access(ADDRS))
         assert t2 >= t1 + ORIGINAL_TIMING.relay_cycles
 
 
@@ -42,15 +42,15 @@ class TestPrefetchPath:
     def test_hit_is_fast_and_pipelined(self):
         system = MemorySystem(params=DCD_PM_TIMING)
         assert system.preload(0, 0, 4096)
-        t1 = system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))
-        t2 = system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))
+        t1 = system.access_time(0, 0.0, access(ADDRS))
+        t2 = system.access_time(0, 0.0, access(ADDRS))
         assert t1 == DCD_PM_TIMING.prefetch_hit_cycles
         assert t2 == t1 + DCD_PM_TIMING.prefetch_issue_interval
         assert system.stats["prefetch_hits"] == 2
 
     def test_miss_falls_back_to_relay(self):
         system = MemorySystem(params=DCD_PM_TIMING)
-        t = system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))
+        t = system.access_time(0, 0.0, access(ADDRS))
         assert t == pytest.approx(DCD_PM_TIMING.relay_cycles)
         assert system.stats["relay_accesses"] == 1
         assert system.stats["prefetch_misses"] == 1
@@ -60,9 +60,8 @@ class TestPrefetchPath:
         so hit-rate denominators never undercount (ISSUE bugfix)."""
         system = MemorySystem(params=DCD_PM_TIMING)
         system.preload(0, 0, 256)           # covers ADDRS[:64] exactly
-        system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))  # hit
-        system.access_time(0, 0.0, ADDRS + 4096, MASK,
-                           span(ADDRS + 4096))               # miss
+        system.access_time(0, 0.0, access(ADDRS))            # hit
+        system.access_time(0, 0.0, access(ADDRS + 4096))     # miss
         system.scalar_access_time(0, 0.0, 0x80)              # hit
         system.scalar_access_time(0, 0.0, 0x9000)            # miss
         stats = system.stats
@@ -74,7 +73,7 @@ class TestPrefetchPath:
         """Without prefetch memory, every access is a miss -- the
         counter is not conditional on the prefetch path existing."""
         system = MemorySystem(params=ORIGINAL_TIMING)
-        system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))
+        system.access_time(0, 0.0, access(ADDRS))
         system.scalar_access_time(0, 0.0, 0x100)
         assert system.stats["prefetch_hits"] == 0
         assert system.stats["prefetch_misses"] == 2
@@ -105,19 +104,18 @@ class TestLdsAndReset:
 
     def test_reset_timing_clears_channels_and_stats(self):
         system = MemorySystem(params=ORIGINAL_TIMING)
-        system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))
+        system.access_time(0, 0.0, access(ADDRS))
         system.reset_timing()
         assert system.stats["relay_accesses"] == 0
-        t = system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))
+        t = system.access_time(0, 0.0, access(ADDRS))
         assert t == pytest.approx(ORIGINAL_TIMING.relay_cycles)
 
     def test_reset_timing_clears_every_stat_key(self):
         """reset() must zero new counters too, not just the old ones."""
         system = MemorySystem(params=DCD_PM_TIMING)
         system.preload(0, 0, 256)
-        system.access_time(0, 0.0, ADDRS, MASK, span(ADDRS))
-        system.access_time(0, 0.0, ADDRS + 4096, MASK,
-                           span(ADDRS + 4096))
+        system.access_time(0, 0.0, access(ADDRS))
+        system.access_time(0, 0.0, access(ADDRS + 4096))
         system.lds_access_time(0.0)
         assert all(v > 0 for v in system.stats.values())
         system.reset_timing()
