@@ -2,12 +2,12 @@
 metrics.
 
 How fast the host runs the simulator is perfbench's to measure (its
-``eval_sim`` workload times the compiled loop on the evaluation apps).
+``eval_sim`` workload times the issue loop on the evaluation apps).
 This module records only deterministic numbers:
 
 * ``kernels`` -- for each :data:`BENCH_KERNELS` entry, one verified,
-  unobserved run (the compiled loop) through the :mod:`repro.exec`
-  layer gives the simulated ``instructions`` and ``sim_seconds``;
+  unobserved run through the :mod:`repro.exec` layer gives the
+  simulated ``instructions`` and ``sim_seconds``;
 * ``cpi`` -- cycles-per-instruction for each
   :data:`repro.kernels.cpi.CPI_SUITE` class;
 * ``coverage`` -- for each :data:`BENCH_KERNELS` entry, the static

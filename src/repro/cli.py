@@ -297,6 +297,11 @@ def cmd_bench(args):
     from .bench.service import render_service
     from .bench.simulator import render_simulator
 
+    if not os.path.isdir(args.out):
+        # Checked before any benchmark runs: the baselines are read and
+        # written there only after every benchmark has finished.
+        raise ReproError("bench --out: no such directory: {}".format(
+            args.out))
     log = lambda message: print(message, file=sys.stderr)  # noqa: E731
     simulator = bench_simulator(log=log)
     service = None

@@ -18,11 +18,11 @@ dword count, offen/idxen/neither addressing, the ``soffset`` source,
 the immediate offset, the SMRD ``sdst`` window, the DS form and
 offsets.  :func:`repro.cu.superblock.build_superblocks` compiles these
 executors into each prepared program's module (``InstPlan.mem_fn``),
-which both issue loops call; :func:`execute_memory` reaches the same
-code for a lone instruction through a per-instruction memo.  Shapes the
-generated code cannot take on its fast path (unaligned, or not provably
-in range) call the dword-by-dword runtime helpers below, which keep
-the partial effects and raise points of a lane-serial access.
+which the issue loop calls (and the verify-only spec loop with it).
+Shapes the generated code cannot take on its fast path (unaligned, or
+not provably in range) call the dword-by-dword runtime helpers below,
+which keep the partial effects and raise points of a lane-serial
+access.
 
 An executor returns a plain tuple for the timing query, whose kind is
 static (:data:`MEM_LDS`, :data:`MEM_VECTOR`, :data:`MEM_SCALAR`):
@@ -371,37 +371,3 @@ def emit_memory(inst, fn_name):
     source = "def %s(wf, gm):\n%s" % (
         fn_name, "".join("    %s\n" % line for line in lines))
     return source, timing, transactions, emitted
-
-
-class MemoryForm:
-    """One memory instruction compiled on its own (:func:`memory_form`)."""
-
-    __slots__ = ("fn", "timing", "transactions")
-
-    def __init__(self, inst):
-        source, self.timing, self.transactions, _ = emit_memory(inst, "_mem")
-        ns = dict(RUNTIME)
-        exec(compile(source, "<lsu {}>".format(inst.name), "exec"), ns)
-        self.fn = ns["_mem"]
-
-
-_MEMO_CAPACITY = 4096
-_memo = {}
-
-
-def memory_form(inst):
-    """The :class:`MemoryForm` of one instruction, memoized on its
-    encoding (the executor depends on nothing else)."""
-    key = (inst.spec.name, tuple(sorted(inst.fields.items())))
-    form = _memo.get(key)
-    if form is None:
-        form = MemoryForm(inst)
-        if len(_memo) >= _MEMO_CAPACITY:
-            _memo.clear()
-        _memo[key] = form
-    return form
-
-
-def execute_memory(wf, inst, memory):
-    """Execute one memory instruction; returns its access tuple."""
-    return memory_form(inst).fn(wf, memory.global_mem)

@@ -24,7 +24,6 @@ from ..isa.categories import FunctionalUnit
 from ..isa.registers import MAX_WAVEFRONTS
 from ..obs.events import (STALL_CAUSES, InstructionIssue, Span, Stall,
                           WavefrontStep)
-from . import operations
 from .lsu import MEM_SCALAR, MEM_VECTOR
 from .prepared import get_prepared
 from .timing import (KIND_ALU, KIND_ENDPGM, KIND_MEMORY, KIND_WAITCNT,
@@ -44,8 +43,8 @@ class CuRunStats:
     per-workgroup busy cycles, which exceeds the launch makespan when
     workgroups overlap across compute units.
 
-    Both issue loops fill every field -- they are free-running
-    aggregates, like the FPGA's activity registers, and the
+    The issue loop fills every field, observed or not -- they are
+    free-running aggregates, like the FPGA's activity registers, and the
     :class:`~repro.obs.counters.PerfCounters` taxonomy is built from
     them without observing the run:
 
@@ -206,15 +205,13 @@ class ComputeUnit:
         be register-initialised by the ultra-threaded dispatcher, all
         with one program.
 
-        Observation picks the issue loop, as it does for a board launch
-        slice (:attr:`repro.soc.gpu.Gpu.issue_loop`): the reference
-        interpreter runs exactly when an observer sits in :attr:`obs`,
-        and the compiled loop otherwise.  The compiled loop produces
-        bit-identical state, cycle counts and stats -- the
-        ``superblock`` and ``counters`` oracles enforce this -- but
-        emits no observation events.
+        There is one issue loop, :meth:`_run_compiled`, observed or not;
+        only :func:`repro.verify.spec.spec_execution` swaps it for the
+        spec loop, in differential checks.
         """
         wavefronts = [wf for wf in workgroup.wavefronts if not wf.done]
+        if not wavefronts:
+            raise SimulationError("workgroup has no live wavefronts")
         if len(wavefronts) > self.max_wavefronts:
             raise SimulationError(
                 "workgroup needs {} wavefronts; the CU supports {}".format(
@@ -225,204 +222,23 @@ class ComputeUnit:
                for wf in wavefronts[1:]):
             raise SimulationError(
                 "workgroup mixes programs; a workgroup runs one kernel")
-        if self.obs is None and wavefronts:
-            return self._run_compiled(workgroup, start_time, wavefronts)
-        return self._run_reference(workgroup, start_time, wavefronts)
-
-    def _run_reference(self, workgroup, start_time, wavefronts):
-        stats = CuRunStats()
-        stalls = {}
-        active = 0
-        obs = self.obs
-        # The workgroup's one program, prepared: its timing table holds
-        # exactly frontend_cost / unit_occupancy per instruction, and
-        # its memory plans carry the LSU's executors.
-        prepared = (get_prepared(wavefronts[0].program, self.timing)
-                    if wavefronts else None)
-        table = prepared.table if prepared is not None else None
-        gm = self.memory.global_mem
-        for wf in wavefronts:
-            wf.ready_at = start_time
-            wf.stall_cause = "operand-dep"
-        decode_free = start_time
-        finish_time = start_time
-        barrier_waiters = []
-        issued = 0
-        rr = 0  # round-robin tie-break rotation
-
-        live = list(wavefronts)
-        while live:
-            # -- pick the next wavefront: earliest-ready, round-robin ties
-            candidates = [wf for wf in live if not wf.at_barrier]
-            if not candidates:
-                raise SimulationError(
-                    "barrier deadlock: every live wavefront is waiting"
-                )
-            best, best_key = None, None
-            n = len(candidates)
-            for j in range(n):
-                wf = candidates[(rr + j) % n]
-                key = wf.ready_at
-                if best is None or key < best_key:
-                    best, best_key = wf, key
-            rr += 1
-            wf = best
-
-            index = wf.program.index_of_address(wf.pc)
-            inst = wf.program.instructions[index]
-            self._check_supported(inst)
-
-            issued += 1
-            if issued > self.max_instructions:
-                raise SimulationError(
-                    "instruction budget exceeded (kernel stuck in a loop?)"
-                )
-            start = max(wf.ready_at, decode_free)
-            fe_cost = table.fe_costs[index]
-            active += fe_cost
-            if start > decode_free:
-                # The issue slot idled for (start - decode_free) cycles
-                # waiting on this wavefront; attribute the gap to
-                # whatever last deferred its ready time.
-                cause = wf.stall_cause
-                stalls[cause] = stalls.get(cause, 0) + (start - decode_free)
-                if obs is not None:
-                    obs.emit_stall(Stall(
-                        cycle=decode_free, cu_index=self.cu_index,
-                        wf_id=wf.wf_id, cause=cause,
-                        cycles=start - decode_free))
-            if obs is not None:
-                obs.emit_issue(InstructionIssue(
-                    cycle=start, cu_index=self.cu_index, wf_id=wf.wf_id,
-                    address=inst.address, name=inst.spec.name,
-                    unit=inst.spec.unit.value, frontend_cycles=fe_cost))
-            fe_done = start + fe_cost
-            decode_free = fe_done
-            wf.pc += inst.words * 4
-            wf.instructions_executed += 1
-            stats.instructions += 1
-            unit_name = inst.spec.unit.value
-            stats.per_unit[unit_name] = stats.per_unit.get(unit_name, 0) + 1
-            stats.per_name[inst.spec.name] = stats.per_name.get(inst.spec.name, 0) + 1
-
-            name = inst.spec.name
-            if name == "s_endpgm":
-                wf.done = True
-                end = fe_done + self.timing.endpgm_cycles
-                finish_time = max(finish_time, end,
-                                  *(wf.outstanding_vm or [0.0]),
-                                  *(wf.outstanding_lgkm or [0.0]))
-                live.remove(wf)
-                # A barrier can now be releasable if this wavefront
-                # exited before reaching it.
-                self._try_release_barrier(workgroup, barrier_waiters)
-                if obs is not None:
-                    obs.emit_step(WavefrontStep(
-                        cycle=fe_done, cu_index=self.cu_index, wf=wf,
-                        inst=inst))
-                continue
-            if name == "s_barrier":
-                wf.at_barrier = True
-                wf.ready_at = fe_done
-                barrier_waiters.append(wf)
-                if workgroup.arrive_at_barrier():
-                    self._release(workgroup, barrier_waiters)
-                if obs is not None:
-                    obs.emit_step(WavefrontStep(
-                        cycle=fe_done, cu_index=self.cu_index, wf=wf,
-                        inst=inst))
-                continue
-            if name == "s_waitcnt":
-                wf.ready_at = self._waitcnt_target(
-                    wf, inst.fields["simm16"], fe_done)
-                # The cause string must track every deferral, observed
-                # or not: the stall aggregates attribute the wavefront's
-                # next issue gap to it.
-                wf.stall_cause = ("memory" if wf.ready_at > fe_done
-                                  else "operand-dep")
-                if obs is not None:
-                    obs.emit_step(WavefrontStep(
-                        cycle=fe_done, cu_index=self.cu_index, wf=wf,
-                        inst=inst))
-                continue
-
-            if inst.spec.is_memory:
-                # The LSU's executor for this instruction: the memory
-                # plan the compiled loop calls too.  Its occupancy is the
-                # base LSU period times the static transaction count.
-                plan = prepared.plans[index]
-                access = plan.mem_fn(wf, gm)
-                occupancy = plan.occupancy
-                lsu_done = self.pools[plan.pool].acquire(fe_done, occupancy)
-                if plan.mem_timing == MEM_VECTOR:
-                    wf.outstanding_vm.append(self.memory.access_time(
-                        self.cu_index, lsu_done, access))
-                elif plan.mem_timing == MEM_SCALAR:
-                    wf.outstanding_lgkm.append(self.memory.scalar_access_time(
-                        self.cu_index, lsu_done, access[0]))
-                else:
-                    wf.outstanding_lgkm.append(self.memory.lds_access_time(
-                        lsu_done, cu_index=self.cu_index))
-                stats.memory_accesses += 1
-                wf.ready_at = lsu_done
-                wf.stall_cause = ("fu-busy"
-                                  if lsu_done - occupancy > fe_done
-                                  else "operand-dep")
-                if obs is not None:
-                    obs.emit_step(WavefrontStep(
-                        cycle=fe_done, cu_index=self.cu_index, wf=wf,
-                        inst=inst))
-                continue
-
-            # ALU / branch path.
-            pool = self.pool(inst.spec.unit)
-            occupancy = table.occupancies[index]
-            done = pool.acquire(fe_done, occupancy)
-            operations.execute(wf, inst)
-            wf.ready_at = done
-            finish_time = max(finish_time, done)
-            # Waited on a busy unit instance vs. serialised on the
-            # wavefront's own in-order result.
-            wf.stall_cause = ("fu-busy" if done - occupancy > fe_done
-                              else "operand-dep")
-            if obs is not None:
-                obs.emit_step(WavefrontStep(
-                    cycle=fe_done, cu_index=self.cu_index, wf=wf, inst=inst))
-
-        end_time = max(finish_time, decode_free)
-        stats.active_cycles = active
-        stats._close(self.cu_index, len(wavefronts), start_time,
-                     decode_free, end_time, stalls)
-        if obs is not None:
-            if end_time > decode_free:
-                obs.emit_stall(Stall(
-                    cycle=decode_free, cu_index=self.cu_index, wf_id=-1,
-                    cause="drain", cycles=end_time - decode_free))
-            obs.emit_span(Span(
-                kind="workgroup",
-                name="wg{}".format(",".join(str(g) for g in
-                                            workgroup.group_id)),
-                start=start_time, end=end_time, cu_index=self.cu_index,
-                meta=(("wavefronts", len(wavefronts)),
-                      ("instructions", issued))))
-        return end_time, stats
+        return self._run_compiled(workgroup, start_time, wavefronts)
 
     def _run_compiled(self, workgroup, start_time, wavefronts):
-        """Compiled issue loop: the reference loop minus all the
-        per-issue reclassification, operand decoding and event guards.
+        """The issue loop: every instruction issues from its prepared
+        plan (:mod:`repro.cu.prepared`; executors emitted by
+        :mod:`repro.cu.superblock` and :mod:`repro.cu.lsu`), so each
+        effect lands at its own issue slot.  An instruction the
+        architecture lacks goes through the full support check, so it
+        raises at its exact issue slot.
 
-        Every timing decision is computed with the same arithmetic on
-        the same values as :meth:`_run_reference`; divergence in any
-        bit of final state, stats or cycles is a bug (and is what the
-        ``superblock`` oracle hunts for).
-
-        Every instruction issues from its prepared plan
-        (:mod:`repro.cu.prepared`; ALU executors emitted by
-        :mod:`repro.cu.superblock`), so each effect lands at its own
-        issue slot as in the reference.  When the architecture lacks an
-        instruction of the program, that instruction's plan goes
-        through the full support check, so it raises at its exact
-        issue slot.
+        An observer sees, per issue: the ``Stall`` of the gap before it
+        (if any), the ``InstructionIssue``, the plan's ``MemAccess``
+        events (from the memory system) and the ``WavefrontStep``; per
+        workgroup, the ``drain`` stall and the ``Span``.  The verify
+        spec loop emits the same stream and state with
+        ``operations.execute`` as the ALU semantics (the ``spec``
+        oracle compares them).
         """
         prepared = get_prepared(wavefronts[0].program, self.timing)
         bad = prepared.restrictions(self)
@@ -446,6 +262,7 @@ class ComputeUnit:
         pools = self.pools
         lsu_pool = self.pool(FunctionalUnit.LSU)
         endpgm_cycles = self.timing.endpgm_cycles
+        obs = self.obs
 
         live = list(wavefronts)
         while live:
@@ -494,6 +311,16 @@ class ComputeUnit:
                 raise SimulationError(
                     "instruction budget exceeded (kernel stuck in a loop?)"
                 )
+            if obs is not None:
+                if start > decode_free:
+                    obs.emit_stall(Stall(
+                        cycle=decode_free, cu_index=cu_index,
+                        wf_id=wf.wf_id, cause=wf.stall_cause,
+                        cycles=start - decode_free))
+                obs.emit_issue(InstructionIssue(
+                    cycle=start, cu_index=cu_index, wf_id=wf.wf_id,
+                    address=plan.address, name=plan.name,
+                    unit=plan.unit_name, frontend_cycles=plan.fe_cost))
             fe_done = start + plan.fe_cost
             decode_free = fe_done
             wf.pc += plan.pc_step
@@ -560,6 +387,9 @@ class ComputeUnit:
                 barrier_waiters.append(wf)
                 if workgroup.arrive_at_barrier():
                     self._release(workgroup, barrier_waiters)
+            if obs is not None:
+                obs.emit_step(WavefrontStep(
+                    cycle=fe_done, cu_index=cu_index, wf=wf, inst=plan.inst))
 
         end_time = max(finish_time, decode_free)
         stats.instructions = issued
@@ -580,6 +410,18 @@ class ComputeUnit:
                                  - sum(stalls.values()))
         stats._close(cu_index, len(wavefronts), start_time, decode_free,
                      end_time, stalls)
+        if obs is not None:
+            if end_time > decode_free:
+                obs.emit_stall(Stall(
+                    cycle=decode_free, cu_index=cu_index, wf_id=-1,
+                    cause="drain", cycles=end_time - decode_free))
+            obs.emit_span(Span(
+                kind="workgroup",
+                name="wg{}".format(",".join(str(g) for g in
+                                            workgroup.group_id)),
+                start=start_time, end=end_time, cu_index=cu_index,
+                meta=(("wavefronts", len(wavefronts)),
+                      ("instructions", issued))))
         return end_time, stats
 
     def _release(self, workgroup, barrier_waiters):

@@ -1,9 +1,9 @@
 """Prepared execution plans: the pipeline's trimmed hot path.
 
-The reference interpreter in :mod:`repro.cu.pipeline` re-classifies
-every instruction at every issue -- dictionary lookups on the mnemonic,
-operand-code decoding in :meth:`Wavefront.read_scalar`, event-object
-guards.  None of that work depends on anything but the *instruction
+An interpreting issue loop (like the verify-only spec loop,
+:mod:`repro.verify.spec`) re-classifies every instruction at every
+issue -- dictionary lookups on the mnemonic, operand-code decoding in
+:meth:`Wavefront.read_scalar`.  None of that work depends on anything but the *instruction
 encoding*, which is immutable once a :class:`~repro.asm.program.Program`
 is decoded.
 
@@ -18,9 +18,9 @@ A :class:`PreparedProgram` hoists all of it to once-per-program cost:
   program (kept on :attr:`PreparedProgram.source` for inspection): the
   ALU specializer writes the ALU plans' executors, the LSU's memory
   emitter (:func:`repro.cu.lsu.emit_memory`) the memory plans', which
-  also carry their static timing query and transaction count.  Both
-  issue loops call the memory plans' executors -- the LSU has no other
-  copy of its semantics;
+  also carry their static timing query and transaction count.  The
+  issue loop and the spec loop both call the memory plans' executors
+  -- the LSU has no other copy of its semantics;
 * plans are looked up by PC through a plain dict, replacing
   ``index_of_address`` + list indexing;
 * prepared programs are memoized in a content-hash-keyed LRU shared
@@ -33,7 +33,7 @@ identical* to ``operations.execute`` on the same instruction -- same
 register effects, same exceptions at the same point.  Any shape the
 specializer cannot prove it reproduces runs the generic dispatcher, so
 the compiled path is never wrong, merely (rarely) not fast.  The
-``superblock`` oracle in :mod:`repro.verify` and the scalar/vector
+``spec`` oracle in :mod:`repro.verify` and the scalar/vector
 conformance matrices enforce the contract bit-for-bit; the LSU matrix
 (``tests/cu/test_lsu_conformance.py``) pins the memory executors to a
 one-address-at-a-time model.
@@ -52,7 +52,7 @@ from .timing import (KIND_ALU, KIND_BARRIER, KIND_ENDPGM,  # noqa: F401
 
 
 class InstPlan:
-    """Per-instruction precomputation consumed by the issue loops.
+    """Per-instruction precomputation consumed by the issue loop.
 
     Kind, front-end cost and static occupancy are read straight out of
     the program's :class:`~repro.cu.timing.TimingTable` row; ``pool``
@@ -121,7 +121,7 @@ class PreparedProgram:
         """Addresses whose instructions fail ``cu._check_supported``.
 
         Returns ``None`` when every instruction is admissible (the
-        common case -- the compiled loop then skips the check entirely), or
+        common case -- the issue loop then skips the check entirely), or
         a frozenset of byte addresses that must go through the full
         check (and raise) at issue time.
         """

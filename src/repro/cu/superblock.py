@@ -1,6 +1,6 @@
 """One emitter pass per program: every compiled executor in one module.
 
-The compiled issue loop (:meth:`ComputeUnit._run_compiled`) never
+The issue loop (:meth:`ComputeUnit._run_compiled`) never
 re-decodes an instruction.  Every ALU instruction of a prepared program
 is emitted as a few lines of Python source with its operands resolved
 at compile time -- SGPRs as ``s[i]``, VGPR rows as ``v[i]``, inline

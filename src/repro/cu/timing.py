@@ -25,11 +25,12 @@ pipeline depth itself only adds a constant epilogue per wavefront and
 is irrelevant to the relative results the paper reports.
 
 Beyond the per-instruction pricing functions, this module is the
-**compiled timing layer** shared by both CU issue loops:
+**compiled timing layer** shared by the CU issue loop and the verify
+spec loop:
 
 * :class:`TimingTable` -- per-program rows of front-end cost, unit
   occupancy and kind, computed once per ``(content_key,
-  CuTimingParams)`` pair and cached in an LRU, so neither loop
+  CuTimingParams)`` pair and cached in an LRU, so no loop
   re-derives costs per dynamic instruction;
 * :class:`UnitPool` -- the one occupancy-pool scheduler primitive.
 """
@@ -146,7 +147,7 @@ class UnitPool:
     """N interchangeable instances of one functional-unit type.
 
     The single occupancy-scheduler primitive of the simulator: the
-    pipeline's pool list holds these.  The compiled loop inlines the
+    pipeline's pool list holds these.  The issue loop inlines the
     single-instance case on :attr:`busy_until` and adds the occupancy
     to ``busy_cycles`` itself; multi-instance pools go through
     :meth:`acquire`.

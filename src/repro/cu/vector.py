@@ -681,14 +681,14 @@ def execute_lanewise(wf, inst):
 
 @contextlib.contextmanager
 def lanewise_execution():
-    """Route all reference-loop vector execution through the golden
-    per-lane model for the duration of the context.
+    """Route all ``operations.execute`` vector execution through the
+    golden per-lane model for the duration of the context.
 
     ``operations.execute`` resolves ``_exec_vector`` through module
     globals at call time, so patching the attribute is enough; the
-    compiled loop's plan executors bypass it, which is why the
-    ``vector`` fuzz oracle runs the lanewise case observed (observation
-    puts a launch on the reference loop).
+    issue loop's plan executors bypass it, which is why the ``vector``
+    fuzz oracle runs the lanewise case on the verify spec loop
+    (:func:`repro.verify.spec.spec_execution`).
     """
     from . import operations
     saved = operations._exec_vector

@@ -12,7 +12,7 @@ counters, board provenance)::
     from repro.exec import ExecutionRequest, execute
 
     result = execute(ExecutionRequest(benchmark="matrix_add_i32"))
-    print(result.metrics, result.engine, result.warm_board)
+    print(result.metrics, result.warm_board)
 
 See ``docs/execution.md`` for the request -> result lifecycle and the
 lease semantics.

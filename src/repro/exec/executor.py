@@ -12,11 +12,9 @@ through :meth:`Executor.execute`:
    space, so they survive lease churn regardless),
 2. apply the request's launch policy (workgroup sampling, slicing),
 3. open the board's activity window and attach the requested event
-   observers (Chrome trace, caller-supplied) -- any attached observer
-   puts the launches on the reference loop, the only one that emits
-   observation events.  ``profile`` attaches nothing: its counters are
-   built from the window's run aggregates, so a profiled run stays on
-   the compiled loop,
+   observers (Chrome trace, caller-supplied); they watch the one issue
+   loop every run takes.  ``profile`` attaches nothing: its counters
+   are built from the window's run aggregates,
 4. run the workload -- with a ``checkpoint=`` resume point, its
    ``resume`` callable restores and continues the paused launch,
 5. capture everything the caller may need *while the board is still
@@ -25,7 +23,7 @@ through :meth:`Executor.execute`:
 6. release the board back to the pool, scrubbed.
 
 The result is an :class:`ExecutionResult`: outputs plus run metrics
-plus board provenance (warm/cold, the issue loop that ran).
+plus board provenance (warm or cold).
 """
 
 from __future__ import annotations
@@ -59,10 +57,7 @@ class ExecutionResult(SerializableMixin):
     seconds: float
     instructions: int
     cu_cycles: float
-    #: Provenance: the issue loop (``reference`` or ``superblock``)
-    #: that ran the last launch slice, and whether the board came warm
-    #: out of the pool.
-    engine: Optional[str]
+    #: Provenance: whether the board came warm out of the pool.
     warm_board: bool
     board_key: str
     launches: Tuple[object, ...] = ()
@@ -87,7 +82,6 @@ class ExecutionResult(SerializableMixin):
             "arch": self.arch.describe(),
             "metrics": self.metrics.to_dict(),
             "cu_cycles": self.cu_cycles,
-            "engine": self.engine,
             "warm_board": self.warm_board,
             "digests": dict(self.digests),
             "status": self.status,
@@ -209,7 +203,7 @@ class Executor:
             attached.extend(request.observers)
             for observer in attached:
                 board.attach(observer)
-            paused_frame = paused_loop = None
+            paused_frame = None
             try:
                 if request.numpy_errstate is not None:
                     with np.errstate(all=request.numpy_errstate):
@@ -221,7 +215,6 @@ class Executor:
                 # ``gpu.paused``.  Not an error -- capture a checkpoint
                 # below and hand back a PREEMPTED envelope.
                 paused_frame = board.gpu.paused
-                paused_loop = board.gpu.issue_loop
                 run = WorkloadRun()
             finally:
                 for observer in attached:
@@ -252,10 +245,8 @@ class Executor:
             label = request.label or "{}@{}".format(workload.describe(),
                                                     arch.describe())
             status, preempted = STATUS_DONE, None
-            engine = launches[-1].engine if launches else None
             if paused_frame is not None:
                 status = STATUS_PREEMPTED
-                engine = paused_loop
                 preempted = PreemptedResult(
                     checkpoint=lease.checkpoint(),
                     kernel=paused_frame.program.name,
@@ -277,7 +268,6 @@ class Executor:
                 seconds=board.elapsed_seconds,
                 instructions=board.instructions,
                 cu_cycles=board.elapsed_cu_cycles,
-                engine=engine,
                 warm_board=lease.warm,
                 board_key=lease.key,
                 launches=launches,

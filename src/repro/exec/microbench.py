@@ -19,7 +19,6 @@ from ..cu.wavefront import Wavefront
 from ..cu.workgroup import Workgroup
 from ..mem.params import DCD_PM_TIMING
 from ..mem.system import MemorySystem
-from ..obs.observer import Observer, ObserverHub
 
 #: Memory size of the microbenchmark board.
 MICROBENCH_MEM_SIZE = 1 << 16
@@ -34,9 +33,9 @@ def run_microbench(source, prime=None, lds=0, memory_image=None):
     dispatcher ABI would leave them.  ``prime`` mutates the wavefront
     before execution; ``memory_image`` seeds global-memory words.
 
-    Always runs the reference interpreter: validation must observe the
-    live operations tables, not plan executors compiled at prepare time,
-    so the CU carries an observer, as an observed board's CUs do.
+    Runs the issue loop every launch runs, so the sweep checks the
+    plan executors the prepared program binds -- ALU executors emitted
+    by :mod:`repro.cu.superblock`, memory ones by :mod:`repro.cu.lsu`.
     """
     text = (".vgprs 8\n" + (".lds {}\n".format(lds) if lds else "")
             + source + "\n  s_endpgm")
@@ -48,8 +47,6 @@ def run_microbench(source, prime=None, lds=0, memory_image=None):
         for addr, value in memory_image.items():
             memory.global_mem.write_u32(addr, value)
     cu = ComputeUnit(memory)
-    cu.obs = ObserverHub()
-    cu.obs.attach(Observer())
     wg = Workgroup((0, 0, 0), program, (64, 1, 1))
     wf = Wavefront(0, program, workgroup=wg)
     wf.vgprs[0] = np.arange(64, dtype=np.uint32)  # lane ids, like dispatch

@@ -3,9 +3,8 @@
 An :class:`ExecutionRequest` bundles everything that nine call sites
 used to hand-roll separately -- which work to run, on which
 architecture, with which workgroup sampling, memory size, and
-observation/verification policy (an attached observer also picks the
-CU issue loop: reference when observed, compiled otherwise; profiling
-attaches none).  The
+observation/verification policy (observers watch the one CU issue
+loop; profiling attaches none).  The
 :class:`~repro.exec.executor.Executor` resolves a request into an
 :class:`~repro.exec.executor.ExecutionResult`.
 
@@ -128,11 +127,10 @@ class ExecutionRequest:
     Shorthand: ``ExecutionRequest(benchmark="matrix_add_i32")`` is a
     :class:`BenchmarkWorkload` request; pass ``workload=`` for
     anything else.  ``profile`` builds the result's performance
-    counters from the run's aggregates and attaches no observer, so a
-    profiled request runs the compiled loop like an unprofiled one.
-    Any attached observer (``trace``, ``observers``) runs the launches
-    on the reference loop, which alone emits observation events; the
-    counters come out identical there.  ``report`` supplies a synthesis
+    counters from the run's aggregates and attaches no observer.
+    Attached observers (``trace``, ``observers``) receive the events of
+    the same issue loop every run takes; the counters come out
+    identical with them.  ``report`` supplies a synthesis
     report for power pricing (the executor synthesises and memoizes one
     otherwise).
     """

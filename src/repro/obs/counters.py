@@ -38,11 +38,11 @@ each workgroup execution is attributed exactly once.  Likewise
 global-memory transactions issued to the memory system.
 
 Two sources fill the same taxonomy.  :class:`PerfCounters` attached as
-an observer counts the event stream, which only the reference issue
-loop emits; :func:`aggregate_counters` builds it from the run
-aggregates both loops keep anyway (:class:`~repro.cu.pipeline
-.CuRunStats`, the board's span intervals and memory counters), which
-is how ``profile=True`` counts on the compiled loop.  The ``counters``
+an observer counts the event stream; :func:`aggregate_counters` builds
+it from the run aggregates the issue loop keeps anyway, observed or
+not (:class:`~repro.cu.pipeline.CuRunStats`, the board's span
+intervals and memory counters), which is how ``profile=True`` counts
+without an observer.  The ``counters``
 fuzz oracle holds the two equal, exactly: board times are multiples of
 a quarter cycle far below 2**50, so every sum is exact in any order,
 and the only differences (span lengths) use the same ``end - start``.

@@ -2,12 +2,11 @@
 
 Runs a benchmark from the suite on one architecture configuration
 with ``profile=True`` -- the :class:`PerfCounters` taxonomy built from
-the run's aggregates, so the run stays on the compiled issue loop --
-plus a :class:`ChromeTrace` observer when a trace is requested (which
-puts the run on the reference loop; the counters come out identical).
-The result is packaged behind the repo-wide serialization convention,
-so ``repro profile <kernel> --json`` emits the same shape of payload
-as ``run --json`` and ``serve --json``, plus the ``engine`` that ran.
+the run's aggregates -- plus a :class:`ChromeTrace` observer when a
+trace is requested (the counters come out identical either way).  The
+result is packaged behind the repo-wide serialization convention, so
+``repro profile <kernel> --json`` emits the same shape of payload as
+``run --json`` and ``serve --json``.
 """
 
 from __future__ import annotations
@@ -69,15 +68,10 @@ class ProfileResult(SerializableMixin):
     def counters(self):
         return self.perf.counters
 
-    @property
-    def engine(self):
-        return self.result.engine
-
     def to_dict(self):
         return {
             "benchmark": self.benchmark,
             "config": self.config,
-            "engine": self.engine,
             "metrics": self.metrics.to_dict(),
             "counters": self.perf.to_dict(),
             "memory_stats": dict(self.result.memory_stats),
@@ -98,7 +92,6 @@ class ProfileResult(SerializableMixin):
                                      self.metrics.instructions),
             "  {:<26} {:>14.1f}".format("board cycles (timeline)",
                                         self.result.cu_cycles),
-            "  {:<26} {:>14}".format("issue loop", str(self.engine)),
             "",
             "cycle attribution ({:.1f} workgroup-execution cycles)"
             .format(total),
@@ -153,8 +146,7 @@ def profile_kernel(benchmark_name, params=None, config="baseline",
     """Run one benchmark with full accounting; returns ProfileResult.
 
     ``trace=True`` additionally records a Chrome trace (see
-    :meth:`ProfileResult.trace` / :meth:`ChromeTrace.write`), which
-    runs the reference loop.
+    :meth:`ProfileResult.trace` / :meth:`ChromeTrace.write`).
     """
     from ..exec import BenchmarkWorkload, ExecutionRequest, execute
     from ..kernels import KERNELS

@@ -184,9 +184,9 @@ class SoftGpu:
             collect_registers=False):
         """Set arguments and launch; returns the :class:`LaunchResult`.
 
-        The launch runs the reference loop when an observer is attached
-        and the compiled loop otherwise; ``collect_registers`` captures
-        final wavefront state on the result.  The board's
+        Attached observers receive the launch's events;
+        ``collect_registers`` captures final wavefront state on the
+        result.  The board's
         :attr:`max_groups` caps the workgroups executed (workgroup
         sampling, ``None``: all of them).  A board
         :attr:`slice_instructions` budget makes the launch yield at the

@@ -56,7 +56,7 @@ class Job:
     the worker; ``retries`` is how many times a failed attempt is
     re-dispatched before the job is reported FAILED.  ``profile``
     returns the run's performance counters, built from its aggregates
-    on the compiled loop like every other job; a time-sliced job's
+    without an observer; a time-sliced job's
     counters cover all of its slices.  ``global_mem_size`` sizes the
     board's global memory for jobs whose working set exceeds the
     default (the board pool is keyed by it, so a large-memory job is
@@ -138,7 +138,6 @@ class JobResult:
     latency_s: float = 0.0
     worker: Optional[int] = None      # worker pid (process mode)
     warm_board: bool = False          # reused a pooled SoftGpu
-    engine: Optional[str] = None      # issue loop of the last slice
     digests: Dict[str, str] = field(default_factory=dict)
     counters: Optional[Dict[str, object]] = None  # PerfCounters.to_dict()
 
@@ -158,7 +157,6 @@ class JobResult:
             "latency_s": self.latency_s,
             "worker": self.worker,
             "warm_board": self.warm_board,
-            "engine": self.engine,
             "digests": dict(self.digests),
         }
         if self.metrics is not None:

@@ -93,7 +93,6 @@ def _run_payload(executor: Executor, payload: JobPayload):
             "job_id": payload.job_id,
             "worker": os.getpid(),
             "warm_board": result.warm_board,
-            "engine": result.engine,
         }
         if result.counters is not None:
             # This dispatch's slice only (a raw CounterSet); the

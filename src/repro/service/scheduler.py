@@ -343,7 +343,6 @@ class KernelService:
             latency_s=self._latency(ticket),
             worker=outcome.get("worker"),
             warm_board=outcome.get("warm_board", False),
-            engine=outcome.get("engine"),
             digests=outcome.get("digests", {}),
             counters=(None if ticket.counters is None
                       else PerfCounters(ticket.counters).to_dict())),

@@ -44,22 +44,6 @@ HEAP_BASE = 0x1000
 PRELOAD_MB_CYCLES_PER_WORD = 2.0
 
 
-#: The two CU issue loops a launch slice can run, named on
-#: :attr:`LaunchResult.engine`.  Observation picks the loop: only the
-#: reference interpreter emits observation events, so a slice runs it
-#: exactly when an observer is attached, and the compiled superblock
-#: loop (every instruction issued from its prepared plan, ALU
-#: executors generated by repro.cu.superblock) otherwise.  Profiling
-#: attaches no observer: both loops fill the same run aggregates
-#: (:class:`BoardActivity`), which the performance counters are built
-#: from.  Both produce bit-identical memory, registers, stats and
-#: cycle counts -- the ``superblock`` oracle enforces it, the
-#: ``counters`` oracle the counters -- and both run a multi-CU launch
-#: serially, one workgroup at a time on the earliest-free CU.
-REFERENCE = "reference"
-SUPERBLOCK = "superblock"
-
-
 def _capture_registers(workgroup, registers):
     """Record each wavefront's final architectural state under
     ``(group_id, wf_id)``."""
@@ -112,9 +96,6 @@ class LaunchResult:
     executed_groups: int
     stats: CuRunStats
     sampled: bool = False
-    #: The issue loop that ran the launch's final slice (every slice
-    #: of an unsliced launch): :data:`REFERENCE` or :data:`SUPERBLOCK`.
-    engine: str = REFERENCE
     registers: object = None  # (group_id, wf_id) -> state, if collected
 
     @property
@@ -240,12 +221,6 @@ class Gpu:
     def observers(self):
         return tuple(self.hub.observers)
 
-    @property
-    def issue_loop(self):
-        """The loop the next launch slice runs: :data:`REFERENCE` when
-        an observer is attached, :data:`SUPERBLOCK` otherwise."""
-        return REFERENCE if self.obs is not None else SUPERBLOCK
-
     def open_activity(self):
         """Start a new :class:`BoardActivity` window; returns it."""
         self.activity = BoardActivity(memory=dict(self.memory.stats))
@@ -255,7 +230,7 @@ class Gpu:
         """The current activity window as a
         :class:`~repro.obs.counters.CounterSet` -- equal to what a
         :class:`~repro.obs.counters.PerfCounters` observer attached for
-        the same window counts, on either issue loop."""
+        the same window counts."""
         activity = self.activity
         current = self.memory.stats
         memory = {key: current[key] - before
@@ -337,11 +312,9 @@ class Gpu:
         callers only do this inside timing sweeps.
 
         The launch runs serially, one workgroup at a time on the
-        earliest-free CU, on the reference loop when an observer is
-        attached and the compiled loop otherwise; the loop is recorded
-        on the result.  ``collect_registers`` captures every
-        wavefront's final architectural state on the result (either
-        loop), keyed by ``(group_id, wf_id)``.
+        earliest-free CU.  ``collect_registers`` captures every
+        wavefront's final architectural state on the result, keyed by
+        ``(group_id, wf_id)``.
 
         ``max_slice_instructions`` turns the launch into a time slice:
         once that many instructions retire the launch yields at the
@@ -389,13 +362,7 @@ class Gpu:
         return self._run_frame(frame, max_slice_instructions)
 
     def _run_frame(self, frame, budget=None):
-        """Run a serial launch frame until done or the slice expires.
-
-        The observer set is read once per slice, so a sliced launch
-        may run its slices on different loops; the result names the
-        loop of the final slice.
-        """
-        loop = self.issue_loop
+        """Run a serial launch frame until done or the slice expires."""
         ran = CuRunStats()  # this slice's workgroups
         while frame.pending:
             gid = frame.pending[0]
@@ -430,7 +397,7 @@ class Gpu:
                     total_groups=frame.executed_groups + len(frame.pending),
                     instructions=frame.stats.instructions)
         self._retire_slice(frame, ran)
-        return self._finish_launch(frame, loop)
+        return self._finish_launch(frame)
 
     def _retire_slice(self, frame, ran):
         """Record a slice's merged workgroup stats in the activity
@@ -460,7 +427,7 @@ class Gpu:
         self.paused = None
         return self._run_frame(frame, max_slice_instructions)
 
-    def _finish_launch(self, frame, loop):
+    def _finish_launch(self, frame):
         """Close a completed frame: timeline, span, launch record."""
         elapsed = frame.end_time - self.now
         if frame.sampled and frame.executed_groups:
@@ -481,7 +448,6 @@ class Gpu:
             executed_groups=frame.executed_groups,
             stats=frame.stats,
             sampled=frame.sampled,
-            engine=loop,
             registers=frame.registers,
         )
         self.total_instructions += result.instructions

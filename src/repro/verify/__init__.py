@@ -14,10 +14,14 @@ programs:
 * :mod:`repro.verify.oracles` -- metamorphic/differential oracles that
   run one program under paired configurations which must agree
   bit-for-bit on final memory and per-wavefront register state:
-  trimmed vs untrimmed, 1-CU vs multi-CU, prefetch on vs off, observer
-  attached vs detached (also asserting identical cycle counts --
-  pinning the zero-cost-observation claim), plus an
+  trimmed vs untrimmed, 1-CU vs multi-CU, prefetch on vs off, and the
+  issue loop (observed and unobserved) vs the spec loop (also
+  asserting identical cycles, run stats and event streams -- pinning
+  the zero-cost-observation claim), plus an
   assemble/disassemble/reassemble round trip.
+* :mod:`repro.verify.spec` -- the spec loop: the CU issue loop as a
+  plain interpreter over ``operations.execute``, reached only through
+  :func:`~repro.verify.spec.spec_execution`.
 * :mod:`repro.verify.invariants` -- an architectural-state invariant
   checker (EXEC/VCC confined to ``lane_count`` bits, SCC in {0,1},
   VGPR writes honouring lane masks) attachable as a normal
@@ -32,15 +36,16 @@ programs:
 from .fuzz import FuzzCampaign, FuzzReport, run_corpus_file
 from .generator import FuzzCase, KernelGenerator, generate_case
 from .invariants import InvariantChecker, InvariantViolation
-from .oracles import (ORACLE_NAMES, ExecutionSnapshot, OracleFailure,
-                      check_case, run_case)
+from .oracles import (ORACLE_NAMES, EventRecorder, ExecutionSnapshot,
+                      OracleFailure, check_case, run_case)
 from .shrinker import shrink_case
+from .spec import spec_execution
 
 __all__ = [
     "FuzzCampaign", "FuzzReport", "run_corpus_file",
     "FuzzCase", "KernelGenerator", "generate_case",
     "InvariantChecker", "InvariantViolation",
-    "ORACLE_NAMES", "ExecutionSnapshot", "OracleFailure",
+    "ORACLE_NAMES", "EventRecorder", "ExecutionSnapshot", "OracleFailure",
     "check_case", "run_case",
-    "shrink_case",
+    "shrink_case", "spec_execution",
 ]

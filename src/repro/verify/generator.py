@@ -276,9 +276,10 @@ class KernelGenerator:
     def seg_float_special(self):
         """Float traffic seeded with NaN payloads, infs and denormals.
 
-        NaN payloads must propagate bit-exactly through both loops
-        (the scalar interpreter, the array path and the lanewise
-        golden model share numpy's IEEE machinery), and compares on
+        NaN payloads must propagate bit-exactly through the issue loop
+        and the spec loop (the scalar interpreter, the array path and
+        the lanewise golden model share numpy's IEEE machinery), and
+        compares on
         NaN operands must produce identical VCC masks.
         """
         r = self.rng

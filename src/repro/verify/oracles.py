@@ -9,7 +9,8 @@ bit of disagreement in final state is a simulator bug:
                    identical binary words.
 ``invariants``     the :class:`~repro.verify.invariants
                    .InvariantChecker` holds at every executed step of
-                   the reference run.
+                   the reference run (the spec loop,
+                   :mod:`repro.verify.spec`).
 ``trimmed``        running on the architecture trimmed *for this
                    program* (Section 3.2's "trimming does not affect
                    execution") matches memory, registers, instruction
@@ -18,16 +19,16 @@ bit of disagreement in final state is a simulator bug:
                    matches memory and registers.
 ``prefetch-off``   the DCD configuration (no prefetch memory) matches
                    memory and registers.
-``superblock``     the unobserved run -- which takes the compiled
-                   ``superblock`` loop (every instruction from its
-                   prepared plan, ALU executors emitted by
-                   :mod:`repro.cu.superblock`) -- matches the
-                   observed reference interpreter bit-for-bit:
-                   memory, registers, instruction count
-                   **and cycle count**, on the baseline board (the
-                   paper-level zero-cost-observation claim), on the
-                   architecture trimmed for the case and on a multi-CU
-                   board.
+``spec``           the issue loop (every instruction from its prepared
+                   plan), observed by an :class:`EventRecorder` and
+                   unobserved, matches the spec loop observed by the
+                   same recorder bit-for-bit: memory, registers,
+                   digests, instruction count, **cycle count** and
+                   run stats (per-unit and per-name counts, stalls,
+                   active cycles); the two recorded event streams
+                   are equal too.  On the baseline board (the
+                   zero-cost-observation claim), the architecture
+                   trimmed for the case and a multi-CU board.
 ``warm-lease``     a warm board re-leased from the
                    :class:`~repro.exec.BoardPool` (after ``reset()``)
                    reproduces the cold-board run bit-for-bit: memory,
@@ -45,25 +46,27 @@ bit of disagreement in final state is a simulator bug:
                    run-to-completion bit-for-bit: memory, registers,
                    instruction count, **cycle count** and output
                    digests (same buffer names, same hashes).
-``vector``         the reference run with the NumPy array VALU
+``vector``         the spec-loop run with the NumPy array VALU
                    semantics (:mod:`repro.cu.vector`) swapped for a
                    per-lane scalar golden model matches bit-for-bit:
                    memory, registers, instruction count **and cycle
                    count** -- the lane-vectorization equivalence claim.
 ``counters``       the performance counters of a ``profile=True`` run
-                   -- built from run aggregates on the compiled loop,
-                   with no observer attached -- equal the counters an
-                   attached :class:`~repro.obs.PerfCounters` observer
-                   collects on the reference loop, exactly (every key
-                   and value), as do the reference run's own
-                   aggregates; on the baseline board, the architecture
-                   trimmed for the case and a multi-CU board.
+                   -- built from run aggregates, with no observer
+                   attached -- equal the counters an attached
+                   :class:`~repro.obs.PerfCounters` observer collects
+                   on the spec loop, exactly (every key and value), as
+                   do the spec run's own aggregates; on the baseline
+                   board, the architecture trimmed for the case and a
+                   multi-CU board.
 =================  ====================================================
 
 ``run_case`` executes one configuration and captures an
 :class:`ExecutionSnapshot`; ``check_case`` runs the whole matrix and
-returns a (possibly empty) list of :class:`OracleFailure`.  Every
-comparison also checks the output digests.
+returns a (possibly empty) list of :class:`OracleFailure`.  The
+reference run every oracle compares against is the spec loop's
+(:func:`~repro.verify.spec.spec_execution`).  Every comparison also
+checks the output digests.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ from ..cu.vector import lanewise_execution
 from ..exec import (STATUS_PREEMPTED, BoardPool, ExecutionRequest, Executor,
                     PreemptedResult, ProgramWorkload, default_executor)
 from ..obs import Observer, PerfCounters
-from ..soc.gpu import SUPERBLOCK
 from .invariants import InvariantChecker, InvariantViolation
+from .spec import spec_execution
 
 #: Global-memory size used for fuzz boards -- small enough that whole-
 #: memory bit compares between runs stay cheap.
@@ -97,7 +100,7 @@ FUZZ_MEM_SIZE = 1 << 20
 FUZZ_MAX_INSTRUCTIONS = 50_000
 
 ORACLE_NAMES = ("roundtrip", "invariants", "trimmed", "multi-cu",
-                "prefetch-off", "superblock", "warm-lease", "checkpoint",
+                "prefetch-off", "spec", "warm-lease", "checkpoint",
                 "vector", "counters")
 
 
@@ -117,6 +120,26 @@ class OracleFailure:
         return "[{}] {}".format(self.oracle, self.detail)
 
 
+class EventRecorder(Observer):
+    """Records a run's event stream, each event as a tuple of its type
+    name and fields; a :class:`~repro.obs.events.WavefrontStep` as
+    ``("WavefrontStep", cycle, cu, wf_id, address)`` (its live
+    wavefront and instruction are not values)."""
+
+    def __init__(self):
+        self.events = []
+
+    def _record(self, event):
+        self.events.append((type(event).__name__,) + tuple(
+            vars(event).values()))
+
+    on_issue = on_stall = on_mem_access = on_span = _record
+
+    def on_step(self, event):
+        self.events.append(("WavefrontStep", event.cycle, event.cu_index,
+                            event.wf.wf_id, event.inst.address))
+
+
 @dataclass
 class ExecutionSnapshot:
     """Observable final state of one configuration's run."""
@@ -129,24 +152,27 @@ class ExecutionSnapshot:
     warm: Optional[bool] = None       # board provenance (lease pool)
     #: Output buffer name -> SHA-256, as the execution result reports.
     digests: Dict[str, str] = field(default_factory=dict)
+    stats: object = None             # the launch's CuRunStats
+    events: Optional[list] = None     # EventRecorder stream, if observed
 
 
 def run_case(case, arch, label="run", observed=True, check_invariants=False,
              executor=None):
     """Execute ``case`` under ``arch`` and snapshot the final state.
 
-    ``observed`` attaches observers -- the invariant checker with
-    ``check_invariants``, else a no-op :class:`~repro.obs.Observer` --
-    so the launch runs the reference loop; ``observed=False`` attaches
-    none and runs the compiled loop.  Either way the snapshot carries
-    every wavefront's final registers.  ``executor`` pins the run to a
-    specific board pool (the warm-lease oracle needs that); the
-    default shares the process-wide pool.
+    ``observed`` attaches an :class:`EventRecorder` (whose stream
+    the snapshot carries) and, with ``check_invariants``, the
+    invariant checker; ``observed=False`` attaches none.  Either way
+    the snapshot carries every wavefront's final registers.
+    ``executor`` pins the run to a specific board pool (the warm-lease
+    oracle needs that); the default shares the process-wide pool.
     """
     observers = ()
+    recorder = None
     if observed:
-        observers = ((InvariantChecker(),) if check_invariants
-                     else (Observer(),))
+        recorder = EventRecorder()
+        observers = ((recorder, InvariantChecker()) if check_invariants
+                     else (recorder,))
     request = ExecutionRequest(
         workload=_case_workload(case),
         arch=arch,
@@ -162,7 +188,11 @@ def run_case(case, arch, label="run", observed=True, check_invariants=False,
         numpy_errstate="ignore",
         label=label,
     )
-    return _snapshot(label, (executor or default_executor()).execute(request))
+    snap = _snapshot(label, (executor or default_executor()).execute(
+        request))
+    if recorder is not None:
+        snap.events = recorder.events
+    return snap
 
 
 def _snapshot(label, result):
@@ -171,12 +201,12 @@ def _snapshot(label, result):
         label=label, memory=result.memory_image, cycles=launch.cu_cycles,
         instructions=launch.stats.instructions,
         registers=launch.registers, warm=result.warm_board,
-        digests=result.digests)
+        digests=result.digests, stats=launch.stats)
 
 
 def _profiled(case, arch, observer=None):
     """One ``profile=True`` run of ``case``; with ``observer`` also
-    attached (which puts it on the reference loop)."""
+    attached."""
     return default_executor().execute(ExecutionRequest(
         workload=_case_workload(case),
         arch=arch,
@@ -286,7 +316,19 @@ def _compare_registers(ref, other):
     return None
 
 
-def _compare(oracle, ref, other, failures, cycles=False):
+def _first_event_diff(ref, other):
+    """Where two recorded event streams first differ, or None."""
+    for index, (a, b) in enumerate(zip(ref, other)):
+        if a != b:
+            return "event {}: {} vs {}".format(index, a, b)
+    if len(ref) != len(other):
+        return "{} vs {} events".format(len(ref), len(other))
+    return None
+
+
+def _compare(oracle, ref, other, failures, cycles=False, loops=False):
+    """``loops`` (two loops on one board) also compares the run stats
+    and, when both were recorded, the event streams."""
     if other.memory != ref.memory:
         failures.append(OracleFailure(
             oracle, "final memory differs ({} vs {}): {}".format(
@@ -311,6 +353,20 @@ def _compare(oracle, ref, other, failures, cycles=False):
         failures.append(OracleFailure(
             oracle, "register state differs ({} vs {}): {}".format(
                 ref.label, other.label, diff)))
+    if not loops:
+        return
+    for name in ("per_unit", "per_name", "stalls", "active_cycles"):
+        want, got = getattr(ref.stats, name), getattr(other.stats, name)
+        if want != got:
+            failures.append(OracleFailure(
+                oracle, "run stats {} differ: {} ({}) vs {} ({})".format(
+                    name, want, ref.label, got, other.label)))
+    if ref.events is not None and other.events is not None:
+        diff = _first_event_diff(ref.events, other.events)
+        if diff is not None:
+            failures.append(OracleFailure(
+                oracle, "event streams differ ({} vs {}): {}".format(
+                    ref.label, other.label, diff)))
 
 
 def check_case(case, multi_cus=2, oracles=None):
@@ -318,8 +374,9 @@ def check_case(case, multi_cus=2, oracles=None):
 
     ``oracles`` restricts the matrix to a subset of
     :data:`ORACLE_NAMES` (``None`` runs everything).  The reference run
-    (whose death reports as an ``invariants`` failure) always executes
-    -- every other oracle is a comparison against it.
+    -- the spec loop on the baseline board, whose death reports as an
+    ``invariants`` failure -- always executes: every other oracle is a
+    comparison against it.
     """
     if oracles is not None:
         unknown = set(oracles) - set(ORACLE_NAMES)
@@ -350,9 +407,10 @@ def check_case(case, multi_cus=2, oracles=None):
 
     baseline = ArchConfig.baseline()
     try:
-        ref = run_case(case, baseline, label="baseline+observers",
-                       observed=True,
-                       check_invariants=want("invariants"))
+        with spec_execution():
+            ref = run_case(case, baseline, label="baseline-spec",
+                           observed=True,
+                           check_invariants=want("invariants"))
     except InvariantViolation as exc:
         failures.append(OracleFailure("invariants", str(exc)))
         return failures
@@ -363,7 +421,7 @@ def check_case(case, multi_cus=2, oracles=None):
 
     configs = []
     trimmed = None
-    trim_users = ("trimmed", "superblock", "counters", "warm-lease")
+    trim_users = ("trimmed", "spec", "counters", "warm-lease")
     if any(want(oracle) for oracle in trim_users):
         try:
             trimmed = TrimmingTool().trim(case.program).config
@@ -376,7 +434,7 @@ def check_case(case, multi_cus=2, oracles=None):
         configs.append(("trimmed", trimmed, True))
     mc_config = baseline.with_parallelism(num_cus=multi_cus) \
         if multi_cus and multi_cus > 1 else None
-    reference_runs = {"baseline": ref}  # config label -> observed run
+    observed_runs = {}  # config label -> observed issue-loop run
     if want("multi-cu") and mc_config is not None:
         configs.append(("multi-cu", mc_config, False))
     if want("prefetch-off"):
@@ -388,43 +446,44 @@ def check_case(case, multi_cus=2, oracles=None):
         except ReproError as exc:
             failures.append(OracleFailure(oracle, "run died: {!r}".format(exc)))
             continue
-        reference_runs[oracle] = snap
+        observed_runs[oracle] = snap
         _compare(oracle, ref, snap, failures, cycles=cycles)
 
-    # The compiled-loop equivalence claim: an unobserved run -- every
-    # instruction from its prepared plan -- must not change
-    # a single byte, register, instruction or cycle against the observed
-    # reference run on the same board: the baseline (which makes this
-    # the zero-cost-observation claim too), the architecture trimmed
-    # for the case, and a multi-CU board (run serially, one workgroup
-    # at a time, like every launch).
-    if want("superblock"):
+    # The one-loop claim: the issue loop, observed and unobserved,
+    # must not change a single byte, register, instruction, cycle, run
+    # stat or event against the spec loop on the same board: the
+    # baseline (which makes this the zero-cost-observation claim too),
+    # the architecture trimmed for the case, and a multi-CU board (run
+    # serially, one workgroup at a time, like every launch).
+    if want("spec"):
         boards = [("baseline", baseline)]
         if trimmed is not None:
             boards.append(("trimmed", trimmed))
         if mc_config is not None:
             boards.append(("multi-cu", mc_config))
         for name, arch in boards:
-            label = "{}-superblock".format(name)
             try:
-                expected = reference_runs.get(name) or run_case(
-                    case, arch, label=name, observed=True)
+                expected = ref
+                if name != "baseline":
+                    with spec_execution():
+                        expected = run_case(case, arch,
+                                            label="{}-spec".format(name))
+                runs = [observed_runs.get(name) or run_case(
+                            case, arch, label="{}-observed".format(name)),
+                        run_case(case, arch, label="{}-unobserved".format(
+                            name), observed=False)]
             except ReproError as exc:
                 failures.append(OracleFailure(
-                    "superblock",
-                    "{} reference run died: {!r}".format(name, exc)))
+                    "spec", "{} run died: {!r}".format(name, exc)))
                 continue
-            try:
-                snap = run_case(case, arch, label=label, observed=False)
-                _compare("superblock", expected, snap, failures, cycles=True)
-            except ReproError as exc:
-                failures.append(OracleFailure(
-                    "superblock", "{} run died: {!r}".format(label, exc)))
+            for snap in runs:
+                _compare("spec", expected, snap, failures, cycles=True,
+                         loops=True)
 
-    # The aggregate-counters claim: profiling on the compiled loop, with
-    # no observer, counts exactly what the event-driven PerfCounters
-    # observer counts on the reference loop -- and the reference loop's
-    # own aggregates agree with its events.  Compared as whole counter
+    # The aggregate-counters claim: profiling with no observer counts
+    # exactly what the event-driven PerfCounters observer counts on the
+    # spec loop -- and the spec loop's own aggregates agree with its
+    # events.  Compared as whole counter
     # sets (every key and value), never approximately.
     if want("counters"):
         boards = [("baseline", baseline)]
@@ -436,18 +495,14 @@ def check_case(case, multi_cus=2, oracles=None):
             perf = PerfCounters()
             try:
                 compiled = _profiled(case, arch)
-                reference = _profiled(case, arch, observer=perf)
+                with spec_execution():
+                    spec = _profiled(case, arch, observer=perf)
             except ReproError as exc:
                 failures.append(OracleFailure(
                     "counters", "{} profiled run died: {!r}".format(
                         name, exc)))
                 continue
-            if compiled.engine != SUPERBLOCK:
-                failures.append(OracleFailure(
-                    "counters", "{} profiled run took the {} loop".format(
-                        name, compiled.engine)))
-            for source, result in (("compiled", compiled),
-                                   ("reference", reference)):
+            for source, result in (("compiled", compiled), ("spec", spec)):
                 diff = _counter_diff(perf.counters, result.counters.counters)
                 if diff is not None:
                     failures.append(OracleFailure(
@@ -461,8 +516,8 @@ def check_case(case, multi_cus=2, oracles=None):
     # for the case, to a multi-CU board and back to the baseline.  A
     # private one-board pool guarantees the first run is cold and every
     # later lease takes the very board the previous run dirtied.  The
-    # cross-config legs run the compiled loop, each against a cold
-    # board of the same architecture.
+    # cross-config legs run unobserved, each against a cold board of
+    # the same architecture.
     if want("warm-lease"):
         executor = Executor(pool=BoardPool(capacity=1))
         legs = [("baseline", baseline, True)]
@@ -504,13 +559,13 @@ def check_case(case, multi_cus=2, oracles=None):
     # NumPy array semantics (:mod:`repro.cu.vector`) must match a
     # per-lane scalar golden model -- python-int arithmetic for the
     # integer ops, numpy float32 scalar arithmetic for the float ops
-    # (same IEEE machinery, one lane at a time).  The observed run (on
-    # the reference loop) repeats with the VALU dispatcher swapped;
-    # memory, registers, instructions and cycles must all be
+    # (same IEEE machinery, one lane at a time).  The spec-loop run
+    # repeats with the VALU dispatcher its operations.execute calls
+    # swapped; memory, registers, instructions and cycles must all be
     # bit-identical.
     if want("vector"):
         try:
-            with lanewise_execution():
+            with spec_execution(), lanewise_execution():
                 lanewise = run_case(case, baseline,
                                     label="baseline-lanewise",
                                     observed=True)
@@ -525,7 +580,7 @@ def check_case(case, multi_cus=2, oracles=None):
     # brand-new pool -- and the final state must be bit-identical to
     # the straight-through reference run, cycles included.  (Cases
     # whose budget exceeds the run simply never preempt; the oracle
-    # then degenerates to a superblock-vs-reference check.)
+    # then degenerates to an unobserved-vs-spec check.)
     if want("checkpoint"):
         import random
 

@@ -127,6 +127,21 @@ class TestBenchCommand:
                      "--report-only", "--out", str(tmp_path)]) == 0
         assert "regression" in capsys.readouterr().out
 
+    def test_missing_out_dir_fails_before_any_benchmark(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.bench
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a benchmark ran before --out was checked")
+
+        for name in ("bench_simulator", "bench_service", "bench_dse"):
+            monkeypatch.setattr(repro.bench, name, ran)
+        missing = tmp_path / "missing"
+        assert main(["bench", "--json", "--out", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bench --out: no such directory: {}\n".format(
+            missing)
+
     def test_check_without_baseline_skips(self, tmp_path, capsys):
         assert main(["bench", *SIM_ONLY, "--check",
                      "--out", str(tmp_path)]) == 0

@@ -6,6 +6,8 @@ import pytest
 from repro.asm import assemble
 from repro.cu import lsu
 from repro.cu.lsu import make_buffer_descriptor
+from repro.cu.prepared import get_prepared
+from repro.cu.timing import DEFAULT_TIMING
 from repro.cu.wavefront import Wavefront
 from repro.cu.workgroup import Workgroup
 from repro.errors import SimulationError
@@ -25,12 +27,17 @@ def make_env(source, lds=0, mem_size=1 << 16):
 
 
 def exec_mem(program, wf, memory, index=0):
-    """Execute one instruction; returns its static :class:`MemoryForm`
-    (timing query, transaction count)."""
-    inst = program.instructions[index]
-    wf.pc += inst.words * 4
-    lsu.execute_memory(wf, inst, memory)
-    return lsu.memory_form(inst)
+    """Execute one instruction through its prepared plan's executor;
+    returns the plan (timing query, occupancy)."""
+    plan = get_prepared(program).plans[index]
+    wf.pc += plan.pc_step
+    plan.mem_fn(wf, memory.global_mem)
+    return plan
+
+
+def transactions(plan):
+    """The plan's static LSU transaction count."""
+    return plan.occupancy / DEFAULT_TIMING.lsu_cycles
 
 
 class TestSmrd:
@@ -40,7 +47,7 @@ class TestSmrd:
         memory.global_mem.write_u32(0x2008, 0xCAFE)
         info = exec_mem(program, wf, memory)
         assert wf.read_scalar(20) == 0xCAFE
-        assert info.timing == lsu.MEM_SCALAR
+        assert info.mem_timing == lsu.MEM_SCALAR
 
     def test_s_load_dwordx4(self):
         program, memory, wf = make_env("s_load_dwordx4 s[20:23], s[2:3], 0")
@@ -68,7 +75,7 @@ class TestBuffer:
             0x1000, np.arange(64, dtype=np.uint32) + 500)
         info = exec_mem(program, wf, memory)
         assert (wf.read_vgpr(2) == np.arange(64) + 500).all()
-        assert info.timing == lsu.MEM_VECTOR
+        assert info.mem_timing == lsu.MEM_VECTOR
 
     def test_scatter_respects_exec(self):
         program, memory, wf = make_env(
@@ -88,7 +95,7 @@ class TestBuffer:
         memory.global_mem.write_u32(0x1004, 22)
         info = exec_mem(program, wf, memory)
         assert wf.read_vgpr(2)[0] == 11 and wf.read_vgpr(3)[0] == 22
-        assert info.transactions == 2
+        assert transactions(info) == 2
 
     def test_byte_loads_sign_extension(self):
         program, memory, wf = make_env(
@@ -139,7 +146,7 @@ class TestLds:
         exec_mem(program, wf, memory, index=0)
         info = exec_mem(program, wf, memory, index=1)
         assert (wf.read_vgpr(2) == np.arange(64) + 7).all()
-        assert info.timing == lsu.MEM_LDS
+        assert info.mem_timing == lsu.MEM_LDS
 
     def test_ds_add_atomic_accumulates_collisions(self):
         program, memory, wf = make_env("ds_add_u32 v0, v1", lds=64)
@@ -195,22 +202,22 @@ class TestSmrdTransactions:
         program, memory, wf = make_env("s_load_dword s20, s[2:3], 0")
         wf.write_scalar64(2, 0x2000)
         info = exec_mem(program, wf, memory)
-        assert info.transactions == 1
+        assert transactions(info) == 1
 
     def test_s_load_dwordx2_counts_two(self):
         program, memory, wf = make_env("s_load_dwordx2 s[20:21], s[2:3], 0")
         wf.write_scalar64(2, 0x2000)
         info = exec_mem(program, wf, memory)
-        assert info.transactions == 2
+        assert transactions(info) == 2
 
     def test_s_load_dwordx4_counts_four(self):
         program, memory, wf = make_env("s_load_dwordx4 s[20:23], s[2:3], 0")
         wf.write_scalar64(2, 0x2000)
         info = exec_mem(program, wf, memory)
-        assert info.transactions == 4
+        assert transactions(info) == 4
 
     def test_s_buffer_load_dwordx4_counts_four(self):
         program, memory, wf = make_env(
             "s_buffer_load_dwordx4 s[20:23], s[4:7], 0")
         info = exec_mem(program, wf, memory)
-        assert info.transactions == 4
+        assert transactions(info) == 4

@@ -14,10 +14,10 @@ dword, one dword past the end, out of range, negative (wrapped),
 colliding lanes and a workgroup without LDS.  Every scenario runs
 under the four EXEC masks of the vector matrix.
 
-Both ways an instruction reaches memory are checked: the lone-
-instruction ``lsu.execute_memory`` and the executor the prepared plan
-binds (``InstPlan.mem_fn``, which both issue loops call).  Each must
-match the model on every register, every memory byte, ``dirty_hi``,
+Two prepared executors are checked: the one a one-instruction program
+binds (the instruction prepared alone) and the one the wavefront's own
+program binds (``InstPlan.mem_fn``, which the issue loop calls).  Each
+must match the model on every register, every memory byte, ``dirty_hi``,
 every LDS dword, the access tuple handed to the timing query, the
 static timing query and occupancy, and the exception type and message.
 
@@ -346,13 +346,9 @@ def _run(line, state, way):
                 access, timing, transactions = model(wf, inst,
                                                      _Accessors(gm))
             occupancy = DEFAULT_TIMING.lsu_cycles * transactions
-        elif way == "execute_memory":
-            access = lsu.execute_memory(wf, inst, memory)
-            form = lsu.memory_form(inst)
-            timing = form.timing
-            occupancy = DEFAULT_TIMING.lsu_cycles * form.transactions
         else:
-            plan = get_prepared(wf.program).plans[0]
+            program = (assemble(line) if way == "lone" else wf.program)
+            plan = get_prepared(program).plans[0]
             access = plan.mem_fn(wf, gm)
             timing, occupancy = plan.mem_timing, plan.occupancy
         info = {"access": _access(access), "timing": timing,
@@ -423,7 +419,7 @@ def _check(line, state, way):
                 where, way, key, got_info[key], value))
 
 
-WAYS = ("execute_memory", "plan")
+WAYS = ("lone", "plan")
 
 
 @pytest.mark.parametrize("way", WAYS)

@@ -1,5 +1,7 @@
 """The decoded/prepared-program caches and the compiled issue loop."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from repro.cu.prepared import (
     set_prepared_cache_capacity,
 )
 from repro.isa.formats import Format
-from repro.obs import Observer
 from repro.runtime.device import SoftGpu
+from repro.verify.spec import spec_execution
 
 ADD = """
 .kernel add
@@ -47,13 +49,14 @@ def _fresh_cache():
     clear_prepared_cache()
 
 
-def _device(loop):
-    """A board whose launches run the named issue loop: observed for
-    the reference loop, unobserved for the compiled one."""
-    device = SoftGpu(ArchConfig.baseline())
-    if loop == "reference":
-        device.attach(Observer())
-    return device
+def _device():
+    return SoftGpu(ArchConfig.baseline())
+
+
+def _loop(loop):
+    """Run the named loop inside the context: ``"spec"``, the verify
+    spec loop, or ``"issue"``, the production issue loop."""
+    return spec_execution() if loop == "spec" else contextlib.nullcontext()
 
 
 def _run_add(device, program):
@@ -122,11 +125,11 @@ class TestPreparedCache:
 class TestWarmVsCold:
     def test_cache_hit_produces_identical_run_stats(self):
         source = ADD.format(imm=13)
-        cold_dev = _device("superblock")
+        cold_dev = _device()
         cold_res, cold_data = _run_add(cold_dev, assemble(source))
         assert prepared_cache_stats()["misses"] >= 1
 
-        warm_dev = _device("superblock")
+        warm_dev = _device()
         warm_res, warm_data = _run_add(warm_dev, assemble(source))
         assert prepared_cache_stats()["hits"] >= 1
 
@@ -138,15 +141,15 @@ class TestWarmVsCold:
 
     def test_compiled_engine_matches_reference_exactly(self):
         source = ADD.format(imm=21)
-        ref_res, ref_data = _run_add(_device("reference"), assemble(source))
-        sb_res, sb_data = _run_add(_device("superblock"), assemble(source))
+        with spec_execution():
+            ref_res, ref_data = _run_add(_device(), assemble(source))
+        sb_res, sb_data = _run_add(_device(), assemble(source))
         assert np.array_equal(ref_data, sb_data)
         assert ref_res.cu_cycles == sb_res.cu_cycles
         assert ref_res.stats.instructions == sb_res.stats.instructions
         assert ref_res.stats.per_unit == sb_res.stats.per_unit
         assert ref_res.stats.per_name == sb_res.stats.per_name
-        assert ref_res.engine == "reference"
-        assert sb_res.engine == "superblock"
+        assert ref_res.stats.stalls == sb_res.stats.stalls
 
 
 COLLIDE = """
@@ -184,23 +187,24 @@ OOB_STORE = """
 
 
 def _run_collide(loop, op):
-    device = _device(loop)
+    device = _device()
     n = 64
     inp = device.upload("inp", np.arange(n, dtype=np.uint32))
     out = device.alloc("out", 4 * n)
     device.preload_all()
-    result = device.run(assemble(COLLIDE.format(op=op)), (n,), (n,),
-                        args=[inp, out])
+    with _loop(loop):
+        result = device.run(assemble(COLLIDE.format(op=op)), (n,), (n,),
+                            args=[inp, out])
     return result, device.read(out)
 
 
 class TestDuplicateStoreAddresses:
     """Colliding lane addresses through the fused buffer executor must
-    resolve last-active-lane-wins, exactly like the reference loop."""
+    resolve last-active-lane-wins, exactly like the spec loop."""
 
     def test_aligned_dword_collisions_match_reference(self):
-        ref_res, ref_data = _run_collide("reference", "buffer_store_dword")
-        res, data = _run_collide("superblock", "buffer_store_dword")
+        ref_res, ref_data = _run_collide("spec", "buffer_store_dword")
+        res, data = _run_collide("issue", "buffer_store_dword")
         assert np.array_equal(ref_data, data)
         assert res.cu_cycles == ref_res.cu_cycles
         # Lanes 8k+i all write slot i; the winner is the last one (56+i),
@@ -208,8 +212,8 @@ class TestDuplicateStoreAddresses:
         assert ref_data[:8].tolist() == [57 + i for i in range(8)]
 
     def test_byte_collisions_match_reference(self):
-        ref_res, ref_data = _run_collide("reference", "buffer_store_byte")
-        res, data = _run_collide("superblock", "buffer_store_byte")
+        ref_res, ref_data = _run_collide("spec", "buffer_store_byte")
+        res, data = _run_collide("issue", "buffer_store_byte")
         assert np.array_equal(ref_data, data)
         assert res.cu_cycles == ref_res.cu_cycles
 
@@ -217,20 +221,20 @@ class TestDuplicateStoreAddresses:
 class TestEdgeAddressParity:
     def test_out_of_range_store_raise_parity(self):
         """The fused executor must raise at the same instruction with
-        the same message as the reference LSU."""
+        the same message under the spec loop."""
         from repro.errors import SimulationError
 
         messages = {}
-        for loop in ("reference", "superblock"):
-            device = _device(loop)
+        for loop in ("spec", "issue"):
+            device = _device()
             inp = device.upload("inp", np.arange(64, dtype=np.uint32))
             out = device.alloc("out", 4 * 64)
             device.preload_all()
-            with pytest.raises(SimulationError) as exc:
+            with pytest.raises(SimulationError) as exc, _loop(loop):
                 device.run(assemble(OOB_STORE.format(offset=0x7F000000)),
                            (64,), (64,), args=[inp, out])
             messages[loop] = str(exc.value)
-        assert messages["reference"] == messages["superblock"]
+        assert messages["spec"] == messages["issue"]
 
 
 class TestNoSilentFallbacks:
@@ -245,4 +249,4 @@ class TestNoSilentFallbacks:
         clear_prepared_cache()
         source = ADD.format(imm=5)
         with pytest.raises(RuntimeError, match="specializer bug"):
-            _run_add(_device("superblock"), assemble(source))
+            _run_add(_device(), assemble(source))

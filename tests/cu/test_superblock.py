@@ -1,4 +1,7 @@
-"""The ALU emitter's module, compilation caching and engine exactness."""
+"""The ALU emitter's module, compilation caching and exactness against
+the spec loop."""
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -7,8 +10,8 @@ from repro.asm import assemble
 from repro.core.config import ArchConfig
 from repro.cu.prepared import KIND_ALU, clear_prepared_cache, get_prepared
 from repro.errors import LaunchPreempted, SimulationError
-from repro.obs import Observer
 from repro.runtime.device import SoftGpu
+from repro.verify.spec import spec_execution
 
 
 @pytest.fixture(autouse=True)
@@ -74,25 +77,26 @@ class TestCompilationCache:
 
 
 def _run(program, loop, n=384, local=192):
-    """Run ``program`` on the named issue loop: observed for the
-    reference loop, unobserved for the compiled one."""
+    """Run ``program`` on the named loop: ``"spec"``, the verify spec
+    loop, or ``"issue"``, the production issue loop."""
     device = SoftGpu(ArchConfig.baseline())
-    if loop == "reference":
-        device.attach(Observer())
     inp = device.upload("inp", np.arange(n, dtype=np.uint32) * 7 + 1)
     out = device.alloc("out", 4 * n)
     device.preload_all()
-    result = device.run(program, (n,), (local,), args=[inp, out])
+    with _loop(loop):
+        result = device.run(program, (n,), (local,), args=[inp, out])
     return result, device.read(out), device
+
+
+def _loop(loop):
+    return spec_execution() if loop == "spec" else contextlib.nullcontext()
 
 
 class TestEngineExactness:
     def test_multi_wavefront_plan_issue_bit_identical(self):
         program = assemble(LOOPY)
-        ref, ref_out, _ = _run(program, "reference")
-        sb, sb_out, _ = _run(program, "superblock")
-        assert ref.engine == "reference"
-        assert sb.engine == "superblock"
+        ref, ref_out, _ = _run(program, "spec")
+        sb, sb_out, _ = _run(program, "issue")
         assert np.array_equal(ref_out, sb_out)
         assert sb.cu_cycles == ref.cu_cycles
         assert sb.stats.instructions == ref.stats.instructions
@@ -101,25 +105,23 @@ class TestEngineExactness:
     def test_budget_raise_parity_mid_block(self):
         # A budget that expires inside the straight-line loop body must
         # raise at the same issue slot, with the same message, as the
-        # reference loop.
+        # spec loop.
         program = assemble(LOOPY)
         messages = {}
-        for loop in ("reference", "superblock"):
+        for loop in ("spec", "issue"):
             device = SoftGpu(ArchConfig.baseline())
-            if loop == "reference":
-                device.attach(Observer())
             device.gpu.cus[0].max_instructions = 37
             inp = device.upload("inp", np.arange(192, dtype=np.uint32))
             out = device.alloc("out", 4 * 192)
             device.preload_all()
-            with pytest.raises(SimulationError) as exc:
+            with pytest.raises(SimulationError) as exc, _loop(loop):
                 device.run(program, (192,), (192,), args=[inp, out])
             messages[loop] = str(exc.value)
-        assert messages["reference"] == messages["superblock"]
+        assert messages["spec"] == messages["issue"]
 
     def test_checkpoint_at_workgroup_granularity(self):
         program = assemble(LOOPY)
-        ref, ref_out, _ = _run(program, "superblock")
+        ref, ref_out, _ = _run(program, "issue")
         device = SoftGpu(ArchConfig.baseline())
         inp = device.upload("inp", np.arange(384, dtype=np.uint32) * 7 + 1)
         out = device.alloc("out", 4 * 384)

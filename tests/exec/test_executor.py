@@ -34,7 +34,7 @@ class TestRequestValidation:
                 workload=BenchmarkWorkload(name="matrix_add_i32"))
 
     def test_unknown_engine_rejected(self):
-        # Observation picks the loop; a request has no engine input.
+        # There is one issue loop; a request has no engine input.
         with pytest.raises(TypeError, match="engine"):
             ExecutionRequest(benchmark="matrix_add_i32", engine="reference")
 
@@ -64,8 +64,13 @@ class TestEngineRegistry:
         # request, so neither carries an engine to forward.
         from repro.service.jobs import Job
 
+        from repro.exec import ExecutionResult
+        from repro.service.jobs import JobResult
+
         assert "engine" not in ExecutionRequest.__dataclass_fields__
         assert "engine" not in Job.__dataclass_fields__
+        assert "engine" not in ExecutionResult.__dataclass_fields__
+        assert "engine" not in JobResult.__dataclass_fields__
 
 
 class TestEnvelope:
@@ -77,22 +82,23 @@ class TestEnvelope:
         assert result.cu_cycles > 0
         assert result.warm_board is False
         assert result.board_key
-        assert result.engine in ("reference", "superblock")
+        assert "engine" not in result.to_dict()
         assert len(result.launches) >= 1
         assert result.digests  # verified outputs were digested
         assert result.label.startswith("matrix_add_i32@")
 
-    def test_engine_pinning_and_provenance(self):
+    def test_observation_leaves_the_result_unchanged(self):
         from repro.obs import Observer
 
         executor = Executor()
-        observed = ExecutionRequest(benchmark="matrix_add_i32",
-                                    params={"n": 16},
-                                    observers=(Observer(),))
-        assert executor.execute(observed).engine == "reference"
-        unobserved = ExecutionRequest(benchmark="matrix_add_i32",
-                                      params={"n": 16})
-        assert executor.execute(unobserved).engine == "superblock"
+        observed = executor.execute(ExecutionRequest(
+            benchmark="matrix_add_i32", params={"n": 16}, digests=True,
+            observers=(Observer(),)))
+        unobserved = executor.execute(ExecutionRequest(
+            benchmark="matrix_add_i32", params={"n": 16}, digests=True))
+        assert observed.cu_cycles == unobserved.cu_cycles
+        assert observed.digests == unobserved.digests
+        assert observed.launches[-1].stats == unobserved.launches[-1].stats
 
     def test_profile_attaches_counters(self):
         from repro.obs import STALL_CAUSES, PerfCounters
@@ -103,19 +109,16 @@ class TestEnvelope:
         c = result.counters.counters
         assert c.get("cycles.total") > 0
         # Profiling attaches no observer: the counters come from the
-        # run aggregates of the compiled loop ...
-        assert result.engine == "superblock"
+        # run aggregates ...
         assert c.get("cycles.active") + sum(
             c.get("stall." + cause) for cause in STALL_CAUSES) \
             == c.get("cycles.total")
         assert c.get("issue.total") == result.instructions
-        # ... and equal what the event-driven observer counts on the
-        # reference loop.
+        # ... and equal what the event-driven observer counts.
         perf = PerfCounters()
         observed = executor.execute(ExecutionRequest(
             benchmark="matrix_add_i32", params={"n": 16}, profile=True,
             observers=(perf,)))
-        assert observed.engine == "reference"
         assert c == perf.counters == observed.counters.counters
 
     def test_trace_records_events(self):

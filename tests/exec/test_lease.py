@@ -166,8 +166,9 @@ class TestBoardPool:
             assert lease.board.max_groups is None
             assert lease.board.slice_instructions is None
             assert not lease.board.observers
-            # No observer left behind: the next launch is compiled.
-            assert lease.board.gpu.issue_loop == "superblock"
+            # No observer left behind: the next launch dispatches
+            # nothing.
+            assert lease.board.gpu.obs is None
 
 
 class TestWarmBitIdentical:

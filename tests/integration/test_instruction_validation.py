@@ -51,15 +51,22 @@ def test_family_representatives(name):
 
 
 def test_validator_reports_failures_cleanly(monkeypatch):
-    """A broken semantic must surface as FAIL, not crash the sweep."""
-    from repro.cu import operations
+    """A broken semantic must surface as FAIL, not crash the sweep.
 
-    def broken(a, b):
-        return a  # wrong on purpose
+    The emitter binds the impl when it prepares a program, so the
+    prepared-program cache is cleared around the injected fault: the
+    sweep must run an executor built with it, and later tests must not.
+    """
+    from repro.cu import operations
+    from repro.cu.prepared import clear_prepared_cache
 
     monkeypatch.setitem(operations.VBIN_IMPL, "v_and_b32",
-                        lambda a, b: a)
-    record = validate_instruction("v_and_b32")
+                        lambda a, b: a)  # wrong on purpose
+    clear_prepared_cache()
+    try:
+        record = validate_instruction("v_and_b32")
+    finally:
+        clear_prepared_cache()
     assert not record.passed
     assert "want" in record.detail
 

@@ -96,8 +96,8 @@ class TestCorrectness:
         assert counters["cycles"]["active"] + stall_total \
             == counters["cycles"]["total"]
         assert "counters" in prof_res.to_dict()
-        # Profiled jobs count from run aggregates on the compiled loop.
-        assert prof_res.engine == plain_res.engine == "superblock"
+        # Profiled jobs count from run aggregates; no loop provenance.
+        assert "engine" not in prof_res.to_dict()
         # Profiling one job must not slow or change the other.
         assert plain_res.metrics.seconds == prof_res.metrics.seconds
 
@@ -342,18 +342,18 @@ class TestPoolUnit:
 
 
 class TestEnginePlumbing:
-    """Observation, not a job field, picks the issue loop.  A job
-    attaches no observer -- profiling counts from run aggregates -- so
-    every job, profiled or not, runs the compiled loop."""
+    """There is one issue loop and no engine field: a job attaches no
+    observer -- profiling counts from run aggregates -- and its result
+    names no loop."""
 
-    def test_job_engine_reaches_the_launch(self):
+    def test_profiled_and_plain_jobs_agree(self):
         jobs = [Job("matrix_add_i32", {"n": 32}, config="baseline",
                     profile=profile)
                 for profile in (True, False)]
         with KernelService(workers=1, mode="thread") as svc:
             prof_res, sb_res = svc.run(jobs, timeout=300)
-        assert prof_res.engine == sb_res.engine == "superblock"
-        assert prof_res.to_dict()["engine"] == "superblock"
+        assert "engine" not in prof_res.to_dict()
+        assert "engine" not in sb_res.to_dict()
         # Profiling never changes simulated results.
         assert prof_res.metrics.seconds == sb_res.metrics.seconds
         assert prof_res.digests == sb_res.digests
@@ -377,7 +377,6 @@ class TestEnginePlumbing:
         with KernelService(workers=1, mode="thread") as svc:
             results = svc.run(jobs, timeout=300)
         assert [r.warm_board for r in results] == [False, True, True]
-        assert [r.engine for r in results] == ["superblock"] * 3
 
 
 class TestPreemption:

@@ -1,5 +1,8 @@
-"""The issue loop follows observation: reference iff an observer is
-attached, on single- and multi-CU boards; sampling."""
+"""One issue loop, observed or not, on single- and multi-CU boards: it
+matches the verify spec loop bit for bit, and observation changes
+nothing but the events delivered; sampling."""
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from repro.asm import assemble
 from repro.core.config import ArchConfig
 from repro.errors import LaunchPreempted
 from repro.obs import Observer
-from repro.soc.gpu import CB1_BASE, HEAP_BASE, Gpu
+from repro.soc.gpu import CB1_BASE, HEAP_BASE, Gpu, LaunchResult
+from repro.verify.spec import spec_execution
 
 COPY = """
 .kernel copy
@@ -40,12 +44,14 @@ def setup_copy(gpu, n=512):
     return data
 
 
-def launch_copy(arch, observed=False, n=512, **kwargs):
+def launch_copy(arch, observed=False, n=512, spec=False, **kwargs):
+    """Run COPY on a fresh board; ``spec`` runs the verify spec loop."""
     gpu = Gpu(arch)
     setup_copy(gpu, n)
     if observed:
         gpu.attach(Observer())
-    result = gpu.launch(assemble(COPY), (n,), (64,), **kwargs)
+    with spec_execution() if spec else contextlib.nullcontext():
+        result = gpu.launch(assemble(COPY), (n,), (64,), **kwargs)
     out = gpu.memory.global_mem.read_block(HEAP_BASE + 4 * n, 4 * n,
                                            np.uint32)
     return gpu, result, out
@@ -56,7 +62,7 @@ def read_out(gpu, n=512):
                                             np.uint32)
 
 
-class TestEngineResolution:
+class TestOneLoop:
     def test_unknown_engine_rejected(self):
         # The loop is not an input: the keyword no longer exists.
         gpu = Gpu(SINGLE)
@@ -64,75 +70,72 @@ class TestEngineResolution:
         with pytest.raises(TypeError, match="engine"):
             gpu.launch(assemble(COPY), (512,), (64,), engine="reference")
 
-    def test_auto_is_superblock_on_single_cu(self):
-        _, result, _ = launch_copy(SINGLE)
-        assert result.engine == "superblock"
+    @pytest.mark.parametrize("arch", [SINGLE, MULTI], ids=["1cu", "2cu"])
+    def test_unobserved_launch_dispatches_nothing(self, arch):
+        gpu, _, _ = launch_copy(arch)
+        assert gpu.hub.dispatched == 0
 
-    def test_auto_is_superblock_on_multi_cu(self):
-        _, result, _ = launch_copy(MULTI)
-        assert result.engine == "superblock"
+    @pytest.mark.parametrize("arch", [SINGLE, MULTI], ids=["1cu", "2cu"])
+    def test_observation_changes_only_the_events(self, arch):
+        gpu, observed, observed_out = launch_copy(arch, observed=True)
+        _, plain, plain_out = launch_copy(arch)
+        assert gpu.hub.dispatched > 0
+        assert np.array_equal(observed_out, plain_out)
+        assert observed.cu_cycles == plain.cu_cycles
+        assert observed.stats == plain.stats
 
-    def test_observer_forces_reference(self):
-        _, result, _ = launch_copy(SINGLE, observed=True)
-        assert result.engine == "reference"
-
-    def test_observer_forces_reference_on_multi_cu(self):
-        _, result, _ = launch_copy(MULTI, observed=True)
-        assert result.engine == "reference"
-
-    def test_default_engine_attribute(self):
-        # The board has no default-engine knob; the observer set is
-        # re-read on every launch.
+    def test_attach_and_detach_on_one_board(self):
+        # The board has no loop knob; the observer set is re-read on
+        # every launch and only decides who hears the events.
         gpu = Gpu(SINGLE)
-        assert not hasattr(gpu, "default_engine")
         program = assemble(COPY)
         setup_copy(gpu)
         observer = gpu.attach(Observer())
-        assert gpu.issue_loop == "reference"
-        assert gpu.launch(program, (512,), (64,)).engine == "reference"
+        observed = gpu.launch(program, (512,), (64,))
+        dispatched = gpu.hub.dispatched
+        assert dispatched > 0
         gpu.detach(observer)
-        assert gpu.issue_loop == "superblock"
-        assert gpu.launch(program, (512,), (64,)).engine == "superblock"
+        plain = gpu.launch(program, (512,), (64,))
+        assert gpu.hub.dispatched == dispatched
+        assert plain.stats.instructions == observed.stats.instructions
 
     def test_engines_constant(self):
-        # The engine registry and its resolver are gone from the board.
+        # The engine registry, its resolver and the loop provenance are
+        # gone from the board.
         import repro.soc.gpu as gpu_mod
 
-        for name in ("ENGINES", "REMOVED_ENGINES", "unknown_engine_message"):
+        for name in ("ENGINES", "REMOVED_ENGINES", "unknown_engine_message",
+                     "REFERENCE", "SUPERBLOCK"):
             assert not hasattr(gpu_mod, name)
-        assert not hasattr(Gpu, "_resolve_engine")
+        for name in ("_resolve_engine", "issue_loop", "default_engine"):
+            assert not hasattr(Gpu, name)
+        assert "engine" not in LaunchResult.__dataclass_fields__
 
 
 class TestEngineEquivalence:
-    """Multi-CU launches run serially on either loop; the compiled
-    one must match the reference bit for bit."""
+    """Multi-CU launches run serially; the issue loop, observed or not,
+    must match the spec loop bit for bit."""
 
-    def test_bit_identical_to_reference(self):
-        _, ref, ref_out = launch_copy(MULTI, observed=True)
-        _, res, out = launch_copy(MULTI)
-        assert ref.engine == "reference"
-        assert res.engine == "superblock"
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["unobserved", "observed"])
+    def test_bit_identical_to_reference(self, observed):
+        _, ref, ref_out = launch_copy(MULTI, observed=True, spec=True)
+        _, res, out = launch_copy(MULTI, observed=observed)
         assert np.array_equal(ref_out, out)
         assert res.cu_cycles == ref.cu_cycles
         assert res.stats.instructions == ref.stats.instructions
 
     def test_merged_stats_equal_reference(self):
         """Per-workgroup stats merged across CUs must equal the
-        reference merge -- same totals, same breakdowns."""
+        spec loop's merge -- same totals, same breakdowns."""
         arch = ArchConfig.baseline().with_parallelism(num_cus=3)
-        ref_gpu, ref, _ = launch_copy(arch, observed=True)
+        ref_gpu, ref, _ = launch_copy(arch, spec=True)
         gpu, res, _ = launch_copy(arch)
-        assert res.stats.cycles == ref.stats.cycles
-        assert res.stats.instructions == ref.stats.instructions
-        assert res.stats.per_unit == ref.stats.per_unit
-        assert res.stats.per_name == ref.stats.per_name
-        assert res.stats.wavefronts == ref.stats.wavefronts
-        assert res.stats.memory_accesses == ref.stats.memory_accesses
+        assert res.stats == ref.stats
         assert gpu.memory.stats == ref_gpu.memory.stats
 
     def test_register_capture_matches_across_engines(self):
-        _, ref, _ = launch_copy(MULTI, observed=True,
-                                collect_registers=True)
+        _, ref, _ = launch_copy(MULTI, spec=True, collect_registers=True)
         _, res, _ = launch_copy(MULTI, collect_registers=True)
         assert ref.registers is not None and res.registers is not None
         assert set(ref.registers) == set(res.registers)
@@ -142,8 +145,7 @@ class TestEngineEquivalence:
 
 class TestSlicesFollowObservation:
     """Observation is read per slice: a sliced launch whose slices
-    differ in observation still matches the straight run bit for bit,
-    and the result names the loop of the final slice."""
+    differ in observation still matches the straight run bit for bit."""
 
     @staticmethod
     def _sliced(arch, observe_slices):
@@ -188,7 +190,6 @@ class TestSlicesFollowObservation:
         # 8 workgroups of 13 instructions, one per slice: the final
         # (eighth) slice had the opposite observation of the first.
         assert sliced.executed_groups == 8
-        assert sliced.engine == ("superblock" if first else "reference")
 
 
 class TestSamplingSelection:

@@ -1,6 +1,5 @@
-"""The counters oracle: profiled runs count from run aggregates on the
-compiled loop exactly what the event-driven observer counts on the
-reference loop."""
+"""The counters oracle: profiled runs count from run aggregates exactly
+what the event-driven observer counts on the spec loop."""
 
 import glob
 import os
@@ -58,7 +57,7 @@ class TestOracleCatchesDivergence:
 
     def test_lost_drain_tail_detected(self, monkeypatch):
         """Drop the drain tail from the aggregates of both loops: the
-        oracle reports the compiled and the reference side."""
+        oracle reports the compiled and the spec side."""
         real = pipeline.CuRunStats._close
 
         def no_drain(self, cu_index, wavefronts, start_time, decode_free,
@@ -70,4 +69,4 @@ class TestOracleCatchesDivergence:
         failures = check_case(generate_case(0), oracles=("counters",))
         details = [f.detail for f in failures]
         assert any("compiled" in d and "stall.drain" in d for d in details)
-        assert any("reference" in d and "stall.drain" in d for d in details)
+        assert any("spec" in d and "stall.drain" in d for d in details)

@@ -9,6 +9,7 @@ from repro.cu.workgroup import Workgroup
 from repro.obs.events import WavefrontStep
 from repro.verify import InvariantChecker, InvariantViolation, generate_case
 from repro.verify.oracles import run_case
+from repro.verify.spec import spec_execution
 from repro.core.config import ArchConfig
 
 
@@ -83,7 +84,9 @@ class TestAttachedToDevice:
     def test_unmasked_vgpr_write_caught_end_to_end(self, monkeypatch):
         # Corrupt the simulator: VGPR writes ignore the lane mask.  A
         # partial-wavefront program (local=16, lanes 16-63 dead) must
-        # then trip the lane-masking invariant during a real run.
+        # then trip the lane-masking invariant during a real run on the
+        # spec loop, the invariants oracle's reference, whose ALU
+        # semantics write through Wavefront.write_vgpr.
         case = generate_case(2)
         assert case.local_size == 16
         original = Wavefront.write_vgpr
@@ -93,5 +96,5 @@ class TestAttachedToDevice:
                             lane_mask=np.ones(64, dtype=bool))
 
         monkeypatch.setattr(Wavefront, "write_vgpr", unmasked)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation), spec_execution():
             run_case(case, ArchConfig.baseline(), check_invariants=True)

@@ -20,9 +20,9 @@ class TestRunCase:
         assert len(snap.registers) == expected
 
     def test_unobserved_captures_registers(self):
-        # One register-capture path: the launch records final state on
-        # either loop, so the unobserved (compiled) snapshot carries the
-        # same registers as the observed one.
+        # One register-capture path: the launch records final state
+        # whether observed or not, so the unobserved snapshot carries
+        # the same registers as the observed one.
         case = generate_case(4)
         observed = run_case(case, ArchConfig.baseline())
         unobserved = run_case(case, ArchConfig.baseline(), observed=False)
@@ -47,7 +47,7 @@ class TestCheckCase:
 
     def test_oracle_names_are_stable(self):
         assert ORACLE_NAMES == ("roundtrip", "invariants", "trimmed",
-                                "multi-cu", "prefetch-off", "superblock",
+                                "multi-cu", "prefetch-off", "spec",
                                 "warm-lease", "checkpoint", "vector",
                                 "counters")
 
