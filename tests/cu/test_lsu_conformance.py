@@ -16,7 +16,11 @@ under the four EXEC masks of the vector matrix.
 
 Two prepared executors are checked: the one a one-instruction program
 binds (the instruction prepared alone) and the one the wavefront's own
-program binds (``InstPlan.mem_fn``, which the issue loop calls).  Each
+program binds (``InstPlan.mem_fn``, which the issue loop calls).  Both
+come from the same emitter; the ``lone`` way pins that the executor it
+writes depends on the instruction alone -- not on a following
+``s_endpgm``, nor on the kernel's ``.lds`` directive -- so the matrix
+holds for that form in every kernel, not only in the one it builds.  Each
 must match the model on every register, every memory byte, ``dirty_hi``,
 every LDS dword, the access tuple handed to the timing query, the
 static timing query and occupancy, and the exception type and message.

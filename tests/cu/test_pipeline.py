@@ -1,5 +1,7 @@
 """The CU pipeline: scheduling, waitcnt, barriers, trimming enforcement."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.cu.workgroup import Workgroup
 from repro.errors import SimulationError, TrimmedInstructionError
 from repro.mem.system import MemorySystem
 from repro.mem.params import DCD_PM_TIMING
-from repro.obs.observer import Observer, ObserverHub
+from repro.verify.spec import spec_execution
 
 
 def run_program(source, num_wavefronts=1, supported=None, num_simd=1,
@@ -173,21 +175,19 @@ class TestBarriers:
 
 class TestOneProgramPerWorkgroup:
     """A workgroup runs one kernel: wavefronts with different programs
-    are rejected before any issue, on both loops."""
+    are rejected before any issue, on the issue loop and the spec loop."""
 
-    @pytest.mark.parametrize("observed", [False, True],
-                             ids=["compiled", "reference"])
-    def test_mixed_programs_raise(self, observed):
+    @pytest.mark.parametrize("spec", [False, True],
+                             ids=["compiled", "spec"])
+    def test_mixed_programs_raise(self, spec):
         first = assemble("s_mov_b32 s0, 1\n  s_endpgm")
         second = assemble("s_mov_b32 s0, 2\n  s_endpgm")
         cu = ComputeUnit(MemorySystem())
-        if observed:
-            cu.obs = ObserverHub()
-            cu.obs.attach(Observer())
         wg = Workgroup((0, 0, 0), first, (128, 1, 1))
         wg.add_wavefront(Wavefront(0, first))
         wg.add_wavefront(Wavefront(1, second))
-        with pytest.raises(SimulationError, match="mixes programs"):
+        loop = spec_execution() if spec else contextlib.nullcontext()
+        with loop, pytest.raises(SimulationError, match="mixes programs"):
             cu.run_workgroup(wg)
         assert all(wf.instructions_executed == 0 for wf in wg.wavefronts)
 

@@ -1,6 +1,7 @@
 """The compiled timing layer: tables, cache, LSU transaction pricing,
 multi-instance pool issue."""
 
+import contextlib
 import glob
 import os
 import types
@@ -31,7 +32,7 @@ from repro.cu.workgroup import Workgroup
 from repro.isa.categories import FunctionalUnit
 from repro.mem.params import DCD_PM_TIMING
 from repro.mem.system import MemorySystem
-from repro.obs.observer import Observer, ObserverHub
+from repro.verify.spec import spec_execution
 
 MIXED = """
   s_mov_b32 s0, 1
@@ -157,20 +158,17 @@ class TestTableCache:
         assert not hit_a and not hit_b
 
 
-def _select_loop(cu, compiled):
-    """Without ``compiled``, attach a no-op observer to ``cu`` -- how an
-    observed board puts its CUs on the reference loop."""
-    if not compiled:
-        cu.obs = ObserverHub()
-        cu.obs.attach(Observer())
-    return cu
+def _loop(spec):
+    """The context a workgroup runs in: the verify spec loop with
+    ``spec``, the issue loop without."""
+    return spec_execution() if spec else contextlib.nullcontext()
 
 
-def _run_lsu(source, compiled, init=None):
+def _run_lsu(source, spec, init=None):
     program = assemble(source)
     memory = MemorySystem(params=DCD_PM_TIMING)
     memory.preload_all(0, 1 << 16)
-    cu = _select_loop(ComputeUnit(memory), compiled)
+    cu = ComputeUnit(memory)
     wg = Workgroup((0, 0, 0), program, (64, 1, 1))
     wf = Wavefront(0, program)
     wf.write_scalar64(2, 0x2000)
@@ -178,19 +176,21 @@ def _run_lsu(source, compiled, init=None):
     if init is not None:
         init(wf)
     wg.add_wavefront(wf)
-    end, stats = cu.run_workgroup(wg)
+    with _loop(spec):
+        end, stats = cu.run_workgroup(wg)
     return end, stats, cu.pool(FunctionalUnit.LSU)
 
 
 class TestLsuDynamicPricing:
     """The PR 3 undercharge bug must stay dead under the table path:
     SMRD dwordx2/x4 and multi-dword MUBUF accesses occupy the LSU one
-    base period per transaction, on every engine."""
+    base period per transaction, on the issue loop and the spec loop."""
 
-    ENGINES = (False, True)  # reference, compiled
+    LOOPS = pytest.mark.parametrize("spec", [True, False],
+                                    ids=["spec", "compiled"])
 
-    @pytest.mark.parametrize("compiled", ENGINES)
-    def test_smrd_width_prices_lsu_occupancy(self, compiled):
+    @LOOPS
+    def test_smrd_width_prices_lsu_occupancy(self, spec):
         base = DEFAULT_TIMING.lsu_cycles
         cases = (
             ("s_load_dword s20, s[2:3], 0", 1),
@@ -198,11 +198,11 @@ class TestLsuDynamicPricing:
             ("s_load_dwordx4 s[20:23], s[2:3], 0", 4),
         )
         for line, transactions in cases:
-            _, _, lsu = _run_lsu(line + "\n  s_endpgm", compiled)
+            _, _, lsu = _run_lsu(line + "\n  s_endpgm", spec)
             assert lsu.busy_cycles == base * transactions, line
 
-    @pytest.mark.parametrize("compiled", ENGINES)
-    def test_mubuf_multi_dword_prices_lsu_occupancy(self, compiled):
+    @LOOPS
+    def test_mubuf_multi_dword_prices_lsu_occupancy(self, spec):
         base = DEFAULT_TIMING.lsu_cycles
 
         def init(wf):
@@ -210,15 +210,13 @@ class TestLsuDynamicPricing:
 
         for fmt, transactions in (("x", 1), ("xy", 2)):
             line = "tbuffer_load_format_{} v2, v1, s[4:7], 0 offen".format(fmt)
-            _, _, lsu = _run_lsu(line + "\n  s_endpgm", compiled,
-                                 init=init)
+            _, _, lsu = _run_lsu(line + "\n  s_endpgm", spec, init=init)
             assert lsu.busy_cycles == base * transactions, fmt
 
-    def test_engines_agree_on_end_time(self):
+    def test_loops_agree_on_end_time(self):
         source = "s_load_dwordx4 s[20:23], s[2:3], 0\n  s_endpgm"
-        results = [_run_lsu(source, compiled)[0]
-                   for compiled in self.ENGINES]
-        assert results[0] == results[1]
+        assert _run_lsu(source, spec=False)[0] == \
+            _run_lsu(source, spec=True)[0]
 
 
 class TestUnitPool:
@@ -280,7 +278,7 @@ class TestStepAdvance:
         two SIMF instances.  Both SIMD instances are still occupied (by
         work outside this wavefront) when a sole wavefront issues, so
         :meth:`UnitPool.acquire` waits; the gaps must split between
-        ``fu-busy`` and ``operand-dep`` exactly as the reference loop
+        ``fu-busy`` and ``operand-dep`` exactly as the spec loop
         attributes them."""
         from repro.core.config import ArchConfig
 
@@ -294,20 +292,21 @@ class TestStepAdvance:
           s_endpgm
         """)
 
-        def run(compiled):
-            cu = _select_loop(
-                ComputeUnit(MemorySystem(), num_simd=arch.num_simd,
-                            num_simf=arch.num_simf), compiled)
+        def run(spec):
+            cu = ComputeUnit(MemorySystem(), num_simd=arch.num_simd,
+                             num_simf=arch.num_simf)
             cu.pool(FunctionalUnit.SIMD).busy_until[:] = [40.0, 57.5]
             cu.pool(FunctionalUnit.SIMF).busy_until[:] = [70.0, 90.25]
             wg = Workgroup((0, 0, 0), program, (64, 1, 1))
             wg.add_wavefront(Wavefront(0, program))
-            return cu.run_workgroup(wg, start_time=0.0)
+            with _loop(spec):
+                return cu.run_workgroup(wg, start_time=0.0)
 
-        end, stats = run(compiled=True)
-        ref_end, ref_stats = run(compiled=False)
-        assert end == ref_end
-        assert stats.stalls == ref_stats.stalls
+        end, stats = run(spec=False)
+        spec_end, spec_stats = run(spec=True)
+        assert end == spec_end
+        assert stats.stalls == spec_stats.stalls
+        assert stats.active_cycles == spec_stats.active_cycles
         assert stats.stalls["fu-busy"] > 0
         assert stats.stalls["operand-dep"] > 0
         assert stats.active_cycles + sum(stats.stalls.values()) \

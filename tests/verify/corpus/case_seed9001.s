@@ -1,9 +1,9 @@
 ; verify-case seed=9001 local=128 groups=2 inp=64
-; hand-minimised engine-equivalence reproducer: two wavefronts exchange
+; hand-minimised loop-equivalence reproducer: two wavefronts exchange
 ; LDS neighbours across barriers, then diverge so one wavefront runs a
-; region with exec=0 -- the compiled engine's barrier release, lgkmcnt
-; waitcnt bookkeeping and saveexec handling must match the reference
-; interpreter bit-for-bit (superblock oracle, cycles included).
+; region with exec=0 -- the issue loop's barrier release, lgkmcnt
+; waitcnt bookkeeping and saveexec handling must match the verify
+; spec loop bit-for-bit (spec oracle, cycles included).
 .kernel fuzz_s9001
 .arg inp buffer
 .arg out buffer

@@ -1,9 +1,9 @@
 ; verify-case seed=9002 local=16 groups=3 inp=64
-; hand-minimised engine-equivalence reproducer: a counted scalar loop
+; hand-minimised loop-equivalence reproducer: a counted scalar loop
 ; carrying a vcc chain through v_addc_u32 plus a dead branch-skip
-; region -- the compiled engine's branch-target plans, carry propagation
-; and loop re-issue of the same prepared plans must match the
-; reference interpreter bit-for-bit (superblock oracle).
+; region -- the issue loop's branch-target plans, carry propagation
+; and loop re-issue of the same prepared plans must match the verify
+; spec loop bit-for-bit (spec oracle).
 .kernel fuzz_s9002
 .arg inp buffer
 .arg out buffer
