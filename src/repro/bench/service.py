@@ -111,17 +111,11 @@ def bench_service(benchmarks=None, rounds=4, workers=2, log=None,
                   preemption=True):
     """Run the service workload; returns the ``BENCH_service`` payload.
 
-    Starts from cleared prepared-program and timing-table caches: the
-    service counts hits in those process-global LRUs, so without the
-    reset ``cache_hit_rate`` would depend on what ran earlier in the
-    process.
+    ``cache_hit_rate`` counts the run's own service's artifact cache,
+    so it does not depend on what ran earlier in the process.
     """
-    from ..cu.prepared import clear_prepared_cache
-    from ..cu.timing import clear_timing_table_cache
     from ..service import Job, KernelService
 
-    clear_prepared_cache()
-    clear_timing_table_cache()
     log = log or (lambda message: None)
     benchmarks = tuple(benchmarks or SERVICE_BENCHMARKS)
     jobs = [Job(benchmark=name, config="baseline", verify=False)

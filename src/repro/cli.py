@@ -39,7 +39,7 @@ import sys
 
 from .asm.assembler import assemble
 from .asm.disassembler import disassemble
-from .core.config import ArchConfig
+from .core.config import ARCH_LABELS, FIXED_LABELS, ArchConfig
 from .core.flow import ScratchFlow
 from .core.histogram import InstructionMix
 from .core.parallelize import plan as plan_parallelism
@@ -119,11 +119,7 @@ def cmd_trim(args):
 
 
 def cmd_synth(args):
-    config = {
-        "original": ArchConfig.original,
-        "dcd": ArchConfig.dcd,
-        "baseline": ArchConfig.baseline,
-    }[args.config]()
+    config = ArchConfig.named(args.config)
     if args.cus != 1 or args.int_valus != 1 or args.fp_valus != 1:
         config = config.with_parallelism(num_cus=args.cus,
                                          num_simd=args.int_valus,
@@ -139,20 +135,6 @@ def cmd_characterize(args):
     mix = InstructionMix.from_program(program)
     print(mix.render())
     return 0
-
-
-def _arch_for(flow, label):
-    """Resolve a config label to an ArchConfig via the flow."""
-    fixed = {
-        "original": ArchConfig.original,
-        "dcd": ArchConfig.dcd,
-        "baseline": ArchConfig.baseline,
-    }
-    if label in fixed:
-        return fixed[label]()
-    if label == "trimmed":
-        return flow.trim().config
-    return flow.plan(label)
 
 
 def cmd_run(args):
@@ -185,7 +167,7 @@ def cmd_run(args):
     wanted = args.configs or ["original", "baseline", "trimmed", "multicore"]
     results, walls = {}, {}
     for label in wanted:
-        arch = _arch_for(flow, label)
+        arch = flow.arch(label)
         # One warm-up run, excluded from the reported wall clock (it
         # pays the decode/prepare caches), then --repeat timed runs;
         # the median is reported.  Simulated metrics come from the
@@ -462,7 +444,7 @@ def build_parser():
     p.set_defaults(func=cmd_trim)
 
     p = sub.add_parser("synth", help="synthesise a configuration")
-    p.add_argument("config", choices=("original", "dcd", "baseline"))
+    p.add_argument("config", choices=FIXED_LABELS)
     p.add_argument("--cus", type=int, default=1)
     p.add_argument("--int-valus", type=int, default=1)
     p.add_argument("--fp-valus", type=int, default=1)
@@ -488,9 +470,7 @@ def build_parser():
 
     p = sub.add_parser("run", help="run a built-in benchmark")
     p.add_argument("benchmark")
-    p.add_argument("--configs", nargs="*",
-                   choices=("original", "dcd", "baseline", "trimmed",
-                            "multicore", "multithread"))
+    p.add_argument("--configs", nargs="*", choices=ARCH_LABELS)
     p.add_argument("--max-groups", type=int, default=None)
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--json", action="store_true",
@@ -509,9 +489,7 @@ def build_parser():
                        help="profile a benchmark: stall-attributed "
                             "counters, issue mix, optional Chrome trace")
     p.add_argument("benchmark")
-    p.add_argument("--config", default="baseline",
-                   choices=("original", "dcd", "baseline", "trimmed",
-                            "multicore", "multithread"))
+    p.add_argument("--config", default="baseline", choices=ARCH_LABELS)
     p.add_argument("--max-groups", type=int, default=None)
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--json", action="store_true",
@@ -581,9 +559,7 @@ def build_parser():
                    help="worker execution mode (default process)")
     p.add_argument("--queue-depth", type=int, default=64,
                    help="admission-queue capacity (default 64)")
-    p.add_argument("--config", default="trimmed",
-                   choices=("original", "dcd", "baseline", "trimmed",
-                            "multicore", "multithread"),
+    p.add_argument("--config", default="trimmed", choices=ARCH_LABELS,
                    help="architecture for the default suite jobs")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--json", action="store_true")

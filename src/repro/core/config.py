@@ -40,6 +40,16 @@ MAX_VALUS_PER_CU = 4
 #: the AXI interconnect fan-out stop scaling usefully beyond this.
 MAX_CUS = 8
 
+#: The six architecture labels of the evaluation (Section 4, Figures 6
+#: and 7), in figure order: three fixed generations, then the trimmed
+#: architecture and its two re-investments, which the static flow
+#: derives per application (:meth:`repro.core.flow.ScratchFlow.arch`).
+ARCH_LABELS = ("original", "dcd", "baseline", "trimmed",
+               "multicore", "multithread")
+
+#: The labels :meth:`ArchConfig.named` resolves without an application.
+FIXED_LABELS = ARCH_LABELS[:3]
+
 
 class Generation(enum.Enum):
     """The three fixed-function system generations of Figure 6."""
@@ -181,3 +191,14 @@ class ArchConfig:
     def baseline():
         """DCD + prefetch memory: the paper's Baseline architecture."""
         return ArchConfig(generation=Generation.DCD_PM, label="baseline")
+
+    @staticmethod
+    def named(label):
+        """The fixed generation named ``label``, one of
+        :data:`FIXED_LABELS`; raises :class:`TrimError` for any other
+        label."""
+        if label not in FIXED_LABELS:
+            raise TrimError(
+                "{!r} names no fixed generation; expected one of {}".format(
+                    label, ", ".join(FIXED_LABELS)))
+        return getattr(ArchConfig, label)()

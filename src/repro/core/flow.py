@@ -25,11 +25,12 @@ Example::
 
 from __future__ import annotations
 
+from ..errors import TrimError
 from ..exec import BenchmarkWorkload, ExecutionRequest, execute
 from ..fpga.resources import XC7VX690T
 from ..fpga.synthesis import Synthesizer
 from ..runtime.metrics import RunMetrics
-from .config import ArchConfig
+from .config import ARCH_LABELS, FIXED_LABELS, ArchConfig
 from .parallelize import plan as plan_parallelism
 from .trimmer import TrimmingTool, TrimResult
 
@@ -68,6 +69,27 @@ class ScratchFlow:
                                 synthesizer=self.synthesizer,
                                 device=self.device)
 
+    def arch(self, label) -> ArchConfig:
+        """The architecture one of the six :data:`ARCH_LABELS` names
+        for this application.
+
+        ``baseline`` is the flow's own baseline (the one it trims
+        against), the other fixed generations come from
+        :meth:`ArchConfig.named`, and ``trimmed``, ``multicore`` and
+        ``multithread`` run the trim and re-investment steps.
+        """
+        if label not in ARCH_LABELS:
+            raise TrimError(
+                "unknown architecture label {!r}; expected one of {}".format(
+                    label, ", ".join(ARCH_LABELS)))
+        if label == "baseline":
+            return self.baseline
+        if label in FIXED_LABELS:
+            return ArchConfig.named(label)
+        if label == "trimmed":
+            return self.trim().config
+        return self.plan(label)
+
     # -- execution -------------------------------------------------------------
 
     def run(self, arch=None, verify=True, max_groups=None) -> RunMetrics:
@@ -99,15 +121,9 @@ class ScratchFlow:
         Returns ``{label: RunMetrics}`` for original, dcd, baseline,
         trimmed, and each requested parallelism mode.
         """
-        results = {}
-        results["original"] = self.run(ArchConfig.original(), verify,
-                                       max_groups)
-        results["dcd"] = self.run(ArchConfig.dcd(), verify, max_groups)
-        results["baseline"] = self.run(self.baseline, verify, max_groups)
-        results["trimmed"] = self.run(self.trim().config, verify, max_groups)
-        for mode in modes:
-            results[mode] = self.run(self.plan(mode), verify, max_groups)
-        return results
+        labels = FIXED_LABELS + ("trimmed",) + tuple(modes)
+        return {label: self.run(self.arch(label), verify, max_groups)
+                for label in labels}
 
     @staticmethod
     def for_kernel(benchmark_cls, **params):

@@ -68,17 +68,6 @@ class ExecutionTracer(Observer):
             cycle=event.cycle, cu_index=event.cu_index, wf_id=event.wf_id,
             address=event.address, name=event.name, unit=event.unit))
 
-    def __call__(self, cu, wf, inst, cycle):
-        """Pre-obs tracer protocol (``cu.tracer`` style); kept so old
-        callables and subclasses remain usable as observers."""
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        self.events.append(TraceEvent(
-            cycle=cycle, cu_index=cu.cu_index, wf_id=wf.wf_id,
-            address=inst.address, name=inst.spec.name,
-            unit=inst.spec.unit.value))
-
     def __len__(self):
         return len(self.events)
 

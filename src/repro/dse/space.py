@@ -28,18 +28,13 @@ import json
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from ..core.config import MAX_CUS, MAX_VALUS_PER_CU, ArchConfig
+from ..core.config import (ARCH_LABELS, FIXED_LABELS, MAX_CUS,
+                           MAX_VALUS_PER_CU, ArchConfig)
 from ..errors import DseError
 
 #: Base architecture specs a point may name; ``trimmed`` derives the
 #: application-specific architecture via Algorithm 1 at sweep time.
-BASE_CONFIGS = ("original", "dcd", "baseline", "trimmed")
-
-_FIXED = {
-    "original": ArchConfig.original,
-    "dcd": ArchConfig.dcd,
-    "baseline": ArchConfig.baseline,
-}
+BASE_CONFIGS = FIXED_LABELS + ("trimmed",)
 
 
 def _sha(payload):
@@ -169,7 +164,7 @@ class DesignPoint:
                     .format(self.name))
             base = trimmed_config
         else:
-            base = _FIXED[self.config]()
+            base = ArchConfig.named(self.config)
             if self.datapath_bits is not None:
                 base = replace(base, datapath_bits=self.datapath_bits)
         grow_simf = base.num_simf > 0
@@ -269,11 +264,10 @@ class DesignSpace:
 PAPER_SMOKE_KERNELS = ("matrix_add_i32", "matrix_mul_f32")
 
 #: Point kinds of the full paper grid, in figure order.
-PAPER_POINT_KINDS = ("original", "dcd", "baseline", "trimmed",
-                     "multicore", "multithread")
+PAPER_POINT_KINDS = ARCH_LABELS
 
 #: Point kinds kept by ``--smoke`` (the application-aware half).
-PAPER_SMOKE_KINDS = ("baseline", "trimmed", "multicore", "multithread")
+PAPER_SMOKE_KINDS = ARCH_LABELS[2:]    # baseline onward
 
 
 def _paper_shapes(kernel):
@@ -294,7 +288,7 @@ def _paper_shapes(kernel):
 def paper_point(kernel, kind):
     """One point of the ``paper`` preset grid."""
     multicore_cus, multithread_valus = _paper_shapes(kernel)
-    if kind in ("original", "dcd", "baseline"):
+    if kind in FIXED_LABELS:
         return DesignPoint(kernels=(kernel,), config=kind,
                            tag="fig6:{}".format(kind))
     if kind == "trimmed":

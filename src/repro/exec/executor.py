@@ -197,19 +197,14 @@ class Executor:
             if request.trace:
                 from ..obs.chrome_trace import ChromeTrace
 
-                trace = ChromeTrace(clock_hz=board.gpu.clocks.cu_hz,
-                                    instructions=request.trace_instructions)
+                trace = ChromeTrace(clock_hz=board.gpu.clocks.cu_hz)
                 attached.append(trace)
             attached.extend(request.observers)
             for observer in attached:
                 board.attach(observer)
             paused_frame = None
             try:
-                if request.numpy_errstate is not None:
-                    with np.errstate(all=request.numpy_errstate):
-                        run = workload.run(board, request, resume=resume)
-                else:
-                    run = workload.run(board, request, resume=resume)
+                run = workload.run(board, request, resume=resume)
             except LaunchPreempted:
                 # Slice budget hit: the launch parked itself as
                 # ``gpu.paused``.  Not an error -- capture a checkpoint

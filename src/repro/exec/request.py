@@ -149,7 +149,6 @@ class ExecutionRequest:
     verify: bool = True
     profile: bool = False
     trace: bool = False
-    trace_instructions: bool = True
     observers: Tuple[object, ...] = ()
     collect_registers: bool = False
     capture_memory: bool = False
@@ -158,7 +157,6 @@ class ExecutionRequest:
     #: Preemption budget: yield with a ``PREEMPTED`` result (carrying
     #: a checkpoint) once a launch retires this many instructions.
     max_slice_instructions: Optional[int] = None
-    numpy_errstate: Optional[str] = None
     report: Optional[object] = None
     label: str = ""
 

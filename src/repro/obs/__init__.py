@@ -45,7 +45,7 @@ from .serialize import (SerializableMixin, dump_json, flatten, json_ready,
 # The profiler pulls in the runtime/core layers, which themselves
 # import repro.obs for the event types -- load it lazily so importing
 # any instrumented layer never recurses back through this package.
-_LAZY = {"ProfileResult", "profile_kernel", "resolve_arch"}
+_LAZY = {"ProfileResult", "profile_kernel"}
 
 
 def __getattr__(name):
@@ -62,6 +62,6 @@ __all__ = [
     "ChromeTrace", "validate_chrome_trace",
     "InstructionIssue", "Stall", "MemAccess", "Span", "WavefrontStep",
     "STALL_CAUSES",
-    "ProfileResult", "profile_kernel", "resolve_arch",
+    "ProfileResult", "profile_kernel",
     "SerializableMixin", "dump_json", "json_ready", "nest", "flatten",
 ]

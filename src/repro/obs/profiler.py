@@ -11,33 +11,10 @@ result is packaged behind the repo-wide serialization convention, so
 
 from __future__ import annotations
 
-from ..core.config import ArchConfig
 from ..core.flow import ScratchFlow
 from ..errors import LaunchError
 from .events import STALL_CAUSES
 from .serialize import SerializableMixin
-
-_FIXED_CONFIGS = {
-    "original": ArchConfig.original,
-    "dcd": ArchConfig.dcd,
-    "baseline": ArchConfig.baseline,
-}
-
-
-def resolve_arch(benchmark, config, flow=None):
-    """Resolve a config label the way the CLI and service do.
-
-    Fixed generations come straight from :class:`ArchConfig`; the
-    application-aware labels (``trimmed``, ``multicore``,
-    ``multithread``) run the static flow for ``benchmark``.  Returns
-    ``(arch, synthesizer)`` so callers price power consistently.
-    """
-    flow = flow or ScratchFlow(benchmark)
-    if config in _FIXED_CONFIGS:
-        return _FIXED_CONFIGS[config](), flow.synthesizer
-    if config == "trimmed":
-        return flow.trim().config, flow.synthesizer
-    return flow.plan(config), flow.synthesizer
 
 
 class ProfileResult(SerializableMixin):
@@ -141,8 +118,7 @@ class ProfileResult(SerializableMixin):
 
 
 def profile_kernel(benchmark_name, params=None, config="baseline",
-                   max_groups=None, verify=True, trace=False,
-                   trace_instructions=True):
+                   max_groups=None, verify=True, trace=False):
     """Run one benchmark with full accounting; returns ProfileResult.
 
     ``trace=True`` additionally records a Chrome trace (see
@@ -156,7 +132,8 @@ def profile_kernel(benchmark_name, params=None, config="baseline",
             "unknown benchmark {!r}; available: {}".format(
                 benchmark_name, ", ".join(sorted(KERNELS))))
     bench = KERNELS[benchmark_name](**(params or {}))
-    arch, synthesizer = resolve_arch(bench, config)
+    flow = ScratchFlow(bench)
+    arch = flow.arch(config)
     result = execute(ExecutionRequest(
         workload=BenchmarkWorkload(instance=bench),
         arch=arch,
@@ -164,8 +141,7 @@ def profile_kernel(benchmark_name, params=None, config="baseline",
         verify=verify,
         profile=True,
         trace=trace,
-        trace_instructions=trace_instructions,
-        report=synthesizer.synthesize(arch),
+        report=flow.synthesizer.synthesize(arch),
         label="{}@{}".format(bench.name, arch.describe()),
     ))
     return ProfileResult(benchmark=benchmark_name, config=config,

@@ -28,10 +28,8 @@ from .cache import (
     application_key,
     binary_key,
     config_key,
-    source_key,
 )
 from .jobs import (
-    CONFIG_SPECS,
     Job,
     JobResult,
     JobStatus,
@@ -45,8 +43,8 @@ from .stats import ServiceStats, percentile
 
 __all__ = [
     "ArtifactCache", "CacheStats", "application_key", "binary_key",
-    "config_key", "source_key",
-    "CONFIG_SPECS", "Job", "JobResult", "JobStatus", "load_jobs",
+    "config_key",
+    "Job", "JobResult", "JobStatus", "load_jobs",
     "suite_jobs",
     "JobPayload", "WorkerPool", "BoundedJobQueue",
     "KernelService", "ServiceStats", "percentile",

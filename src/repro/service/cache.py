@@ -6,18 +6,17 @@ happens once per application and is reused across every subsequent
 launch (Algorithm 1; the Section 4.3 reconfiguration study prices
 exactly this reuse).  This module makes that reuse explicit: every
 static artifact is memoized under a content hash, so repeated
-submissions of the same application skip the whole assemble -> trim ->
+submissions of the same application skip the whole trim -> plan ->
 synthesize pipeline.
 
-Three key spaces:
+Two key spaces:
 
-* **source key** -- SHA-256 of the raw assembly text; memoizes the
-  assembler.
 * **binary key** -- SHA-256 of the *assembled* kernel (dwords +
   dispatch metadata).  Whitespace or comment edits re-assemble to the
   same dwords and therefore land on the same binary key, so trim plans
   survive cosmetic source changes -- content addressing at the level
-  the trimming tool actually consumes.
+  the trimming tool actually consumes.  An application's binary keys,
+  with its baseline and datapath width, key its trim plan.
 * **config key** -- SHA-256 of an :class:`ArchConfig`'s semantic
   fields; memoizes synthesis reports and, with the mode, parallelism
   plans, and is part of every board lease's content key.
@@ -28,33 +27,16 @@ threads).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..asm.assembler import assemble
 from ..core.config import ArchConfig
 from ..core.parallelize import plan as plan_parallelism
-# The config-key space is owned by the execution layer (it is part of
-# every board lease's content key); re-exported here for the service's
-# callers.
-from ..exec.lease import config_key  # noqa: F401
-
-
-def _sha(*chunks):
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        if isinstance(chunk, str):
-            chunk = chunk.encode("utf-8")
-        digest.update(chunk)
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
-def source_key(source):
-    """Content hash of raw kernel source text."""
-    return _sha("src", source)
+# The execution layer owns the config-key space (it is part of every
+# board lease's content key) and its hash; ``config_key`` is
+# re-exported here for the service's callers.
+from ..exec.lease import _sha, config_key  # noqa: F401
 
 
 def binary_key(program):
@@ -86,8 +68,6 @@ def application_key(programs, baseline, datapath_bits):
         config_key(baseline),
         str(datapath_bits),
     )
-
-
 
 
 @dataclass
@@ -123,30 +103,15 @@ class CacheStats:
 
 
 class ArtifactCache:
-    """Memoizes the static flow: assembly, trim plans, parallelism
-    plans, synthesis."""
+    """Memoizes the static flow: trim plans, parallelism plans,
+    synthesis."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._programs = {}    # source key -> Program
         self._trims = {}       # application key -> TrimResult
         self._reports = {}     # config key -> SynthesisReport
         self._plans = {}       # (config key, mode) -> ArchConfig
         self.stats = CacheStats()
-
-    # -- assembler ---------------------------------------------------------
-
-    def assemble(self, source):
-        """Assemble ``source``, memoized under its content hash."""
-        key = source_key(source)
-        with self._lock:
-            program = self._programs.get(key)
-            self.stats.record("assemble", program is not None)
-        if program is None:
-            program = assemble(source)
-            with self._lock:
-                self._programs[key] = program
-        return program
 
     # -- trimming tool -----------------------------------------------------
 
@@ -163,30 +128,6 @@ class ArtifactCache:
             with self._lock:
                 self._trims[key] = result
         return result
-
-    # -- prepared programs ---------------------------------------------------
-
-    def prepared(self, program, timing=None):
-        """Decode-and-specialize ``program`` for the compiled issue loop.
-
-        Backed by the simulator's global prepared-program cache (keyed
-        by ``binary_key`` x timing parameters), so warming a kernel
-        here makes every worker's subsequent launch of the same binary
-        skip decode and plan construction entirely.  The per-program
-        timing table shares the same key space and is warmed alongside
-        (plan construction reads its rows).  Records ``prepare`` and
-        ``timing-table`` hits/misses in :attr:`stats`.
-        """
-        from ..cu.prepared import DEFAULT_TIMING, lookup_prepared
-        from ..cu.timing import lookup_timing_table
-
-        timing = timing or DEFAULT_TIMING
-        _, table_hit = lookup_timing_table(program, timing)
-        prepared, hit = lookup_prepared(program, timing)
-        with self._lock:
-            self.stats.record("prepare", hit)
-            self.stats.record("timing-table", table_hit)
-        return prepared
 
     # -- parallelism planning -----------------------------------------------
 
@@ -227,12 +168,10 @@ class ArtifactCache:
 
     def __len__(self):
         with self._lock:
-            return (len(self._programs) + len(self._trims)
-                    + len(self._reports) + len(self._plans))
+            return len(self._trims) + len(self._reports) + len(self._plans)
 
     def clear(self):
         with self._lock:
-            self._programs.clear()
             self._trims.clear()
             self._reports.clear()
             self._plans.clear()

@@ -3,11 +3,12 @@
 A :class:`Job` is one requested kernel-suite execution: it names a
 benchmark application from the registry, its constructor parameters
 (which fix the NDRange and argument buffers), and the architecture the
-caller wants it run on -- either a fixed generation (``original``,
-``dcd``, ``baseline``) or one of the application-aware SCRATCH
-configurations (``trimmed``, ``multicore``, ``multithread``) that the
-admission controller derives per application via the trimming tool and
-memoizes in the artifact cache.
+caller wants it run on as one of the six labels of
+:data:`~repro.core.config.ARCH_LABELS` -- a fixed generation
+(``original``, ``dcd``, ``baseline``) or one of the application-aware
+SCRATCH configurations (``trimmed``, ``multicore``, ``multithread``)
+that the admission controller derives per application via the trimming
+tool and memoizes in the artifact cache.
 
 Jobs are plain data (picklable) so they can cross the process boundary
 into pool workers; results come back as :class:`JobResult`.
@@ -21,17 +22,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.config import ArchConfig
+from ..core.config import ARCH_LABELS
 from ..errors import AdmissionError
 from ..runtime.metrics import RunMetrics
 from ..soc.gpu import HEAP_BASE
-
-#: Architecture specifications a job may name.  The first three are
-#: fixed generations; the last three are derived per application by
-#: the static flow (assemble -> trim -> plan) and therefore hit the
-#: artifact cache.
-CONFIG_SPECS = ("original", "dcd", "baseline", "trimmed",
-                "multicore", "multithread")
 
 _job_counter = itertools.count(1)
 
@@ -60,19 +54,13 @@ class Job:
     counters cover all of its slices.  ``global_mem_size`` sizes the
     board's global memory for jobs whose working set exceeds the
     default (the board pool is keyed by it, so a large-memory job is
-    never handed an undersized warm board).
-
-    ``arch`` is the sweep fan-out hook: an explicit
-    :class:`~repro.core.config.ArchConfig` that bypasses the named
-    ``config`` resolution entirely -- the design-space explorer submits
-    arbitrary grid points this way.  When ``arch`` is set, ``config``
-    is just a display tag (any string is accepted).
+    never handed an undersized warm board).  ``config`` is one of the
+    six :data:`~repro.core.config.ARCH_LABELS`.
     """
 
     benchmark: str
     params: Dict[str, object] = field(default_factory=dict)
     config: str = "trimmed"
-    arch: Optional[ArchConfig] = None
     priority: int = 0
     max_groups: Optional[int] = None
     verify: bool = True
@@ -87,13 +75,10 @@ class Job:
     slice_instructions: Optional[int] = None
 
     def __post_init__(self):
-        if self.arch is not None and not isinstance(self.arch, ArchConfig):
-            raise AdmissionError(
-                "arch must be an ArchConfig, got {!r}".format(self.arch))
-        if self.arch is None and self.config not in CONFIG_SPECS:
+        if self.config not in ARCH_LABELS:
             raise AdmissionError(
                 "unknown config spec {!r}; expected one of {}".format(
-                    self.config, ", ".join(CONFIG_SPECS)))
+                    self.config, ", ".join(ARCH_LABELS)))
         if self.retries < 0:
             raise AdmissionError("negative retry budget")
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -108,13 +93,11 @@ class Job:
             raise AdmissionError("slice_instructions must be >= 1")
 
     def describe(self):
-        target = (self.arch.describe() if self.arch is not None
-                  else self.config)
         return "{}({}) on {}".format(
             self.benchmark,
             ", ".join("{}={}".format(k, v)
                       for k, v in sorted(self.params.items())),
-            target)
+            self.config)
 
 
 def next_job_id():
@@ -217,12 +200,6 @@ def load_jobs(source):
         repeat = entry.pop("repeat", 1)
         if repeat < 1:
             raise AdmissionError("job entry {}: repeat must be >= 1".format(i))
-        if isinstance(entry.get("arch"), dict):
-            try:
-                entry["arch"] = ArchConfig.from_dict(entry["arch"])
-            except (KeyError, ValueError) as exc:
-                raise AdmissionError(
-                    "job entry {}: invalid arch payload ({})".format(i, exc))
         job = Job(**entry)
         jobs.extend([job] * repeat)
     return jobs
@@ -235,7 +212,6 @@ _ENTRY_FIELDS = {
     "benchmark": (str,),
     "params": (dict,),
     "config": (str,),
-    "arch": (dict, None),
     "priority": (int,),
     "max_groups": (int, None),
     "verify": (bool,),

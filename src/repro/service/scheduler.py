@@ -4,7 +4,7 @@
 
     submit(job)
       └─ admission: validate the request, resolve the *static* flow
-         through the content-addressed ArtifactCache (assemble → trim →
+         through the content-addressed ArtifactCache (trim → plan →
          synthesize, memoized per application), then enqueue under
          backpressure
     dispatcher thread
@@ -29,7 +29,7 @@ import time
 from concurrent.futures import BrokenExecutor
 from functools import partial
 
-from ..core.config import ArchConfig
+from ..core.config import FIXED_LABELS, ArchConfig
 from ..core.trimmer import TrimmingTool
 from ..errors import (AdmissionError, JobTimeoutError, ServiceError,
                       SimulationError)
@@ -41,13 +41,6 @@ from .jobs import Job, JobResult, JobStatus, next_job_id
 from .pool import JobPayload, WorkerPool
 from .queue import BoundedJobQueue
 from .stats import ServiceStats
-
-_FIXED_CONFIGS = {
-    "original": ArchConfig.original,
-    "dcd": ArchConfig.dcd,
-    "baseline": ArchConfig.baseline,
-}
-
 
 class _Ticket:
     """Mutable per-job state tracked by the scheduler."""
@@ -122,13 +115,7 @@ class KernelService:
             # the worker.
             raise AdmissionError(str(exc)) from exc
 
-        # Warm the prepared-program cache at admission: the worker's
-        # launches then skip decode + plan construction for every
-        # kernel of this application (repeat submissions hit).
         programs = bench.programs()
-        for program in programs:
-            self.cache.prepared(program)
-
         if job.slice_instructions is not None and len(programs) > 1:
             # A checkpoint resumes the in-flight *launch*; host-side
             # choreography after it (further kernels) is not replayed,
@@ -138,18 +125,12 @@ class KernelService:
                 "application; {} has {} kernels".format(
                     job.benchmark, len(programs)))
 
-        if job.arch is not None:
-            # Sweep fan-out: the caller fixed the architecture (a DSE
-            # grid point); only synthesis is resolved, via the cache.
-            report = self.cache.synthesize(job.arch, self.synthesizer)
-            return job.arch, report, config_key(job.arch)
-
-        if job.config in _FIXED_CONFIGS:
-            arch = _FIXED_CONFIGS[job.config]()
+        if job.config in FIXED_LABELS:
+            arch = ArchConfig.named(job.config)
             report = self.cache.synthesize(arch, self.synthesizer)
             return arch, report, config_key(arch)
 
-        trim = self.cache.trim(bench.programs(), self.tool,
+        trim = self.cache.trim(programs, self.tool,
                                baseline=self.baseline,
                                datapath_bits=bench.datapath_bits)
         if job.config == "trimmed":

@@ -183,16 +183,22 @@ def run_case(case, arch, label="run", observed=True, check_invariants=False,
         collect_registers=True,
         capture_memory=True,
         digests=True,
-        # Generated float ops hit NaN/inf/overflow freely; the
-        # simulator's numpy semantics are deterministic either way.
-        numpy_errstate="ignore",
         label=label,
     )
-    snap = _snapshot(label, (executor or default_executor()).execute(
-        request))
+    snap = _snapshot(label, _execute(executor or default_executor(),
+                                     request))
     if recorder is not None:
         snap.events = recorder.events
     return snap
+
+
+def _execute(executor, request):
+    """``executor.execute(request)`` with numpy's floating-point
+    warnings off: generated float ops hit NaN/inf/overflow freely, and
+    the simulator's numpy semantics are deterministic either way.  The
+    execution runs on this thread, so the error state covers it."""
+    with np.errstate(all="ignore"):
+        return executor.execute(request)
 
 
 def _snapshot(label, result):
@@ -207,7 +213,7 @@ def _snapshot(label, result):
 def _profiled(case, arch, observer=None):
     """One ``profile=True`` run of ``case``; with ``observer`` also
     attached."""
-    return default_executor().execute(ExecutionRequest(
+    return _execute(default_executor(), ExecutionRequest(
         workload=_case_workload(case),
         arch=arch,
         global_mem_size=FUZZ_MEM_SIZE,
@@ -215,7 +221,6 @@ def _profiled(case, arch, observer=None):
         verify=False,
         profile=True,
         observers=(observer,) if observer is not None else (),
-        numpy_errstate="ignore",
         label="profiled",
     ))
 
@@ -262,11 +267,10 @@ def _run_sliced(case, arch, budget, hop_cap=10_000):
         collect_registers=True,
         capture_memory=True,
         digests=True,
-        numpy_errstate="ignore",
         max_slice_instructions=budget,
         label="checkpoint-slice",
     )
-    result = fresh_executor().execute(request)
+    result = _execute(fresh_executor(), request)
     hops = 0
     while result.status == STATUS_PREEMPTED:
         hops += 1
@@ -279,7 +283,7 @@ def _run_sliced(case, arch, budget, hop_cap=10_000):
         # a digest mismatch raising CheckpointError).
         envelope = PreemptedResult.from_dict(
             json.loads(json.dumps(result.preempted.to_dict())))
-        result = fresh_executor().execute(replace(
+        result = _execute(fresh_executor(), replace(
             request, checkpoint=envelope.checkpoint,
             label="checkpoint-resume"))
     return _snapshot("checkpoint-sliced", result), hops

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import ArchConfig, Generation
+from repro.core.config import ARCH_LABELS, FIXED_LABELS, ArchConfig, Generation
 from repro.core.flow import ScratchFlow
 from repro.errors import TrimError
 from repro.kernels import MatrixAddI32, MatrixMulF32
@@ -14,6 +14,17 @@ class TestArchConfig:
         assert ArchConfig.original().generation is Generation.ORIGINAL
         assert ArchConfig.dcd().generation is Generation.DCD
         assert ArchConfig.baseline().generation is Generation.DCD_PM
+
+    @pytest.mark.parametrize("label,generation", zip(FIXED_LABELS, [
+        Generation.ORIGINAL, Generation.DCD, Generation.DCD_PM]))
+    def test_named_fixed_generation(self, label, generation):
+        assert ArchConfig.named(label) == ArchConfig(generation=generation,
+                                                     label=label)
+
+    @pytest.mark.parametrize("label", ["trimmed", "multicore", "dcd+pm", ""])
+    def test_named_rejects_other_labels(self, label):
+        with pytest.raises(TrimError, match="no fixed generation"):
+            ArchConfig.named(label)
 
     def test_memory_timing_derivation(self):
         assert ArchConfig.original().memory_timing == ORIGINAL_TIMING
@@ -68,8 +79,20 @@ class TestScratchFlow:
     def test_evaluate_produces_all_labels(self):
         flow = ScratchFlow(MatrixAddI32(n=16))
         results = flow.evaluate()
-        assert set(results) == {"original", "dcd", "baseline", "trimmed",
-                                "multicore", "multithread"}
+        assert tuple(results) == ARCH_LABELS
+
+    def test_arch_resolves_every_label(self):
+        baseline = ArchConfig.baseline().with_parallelism(num_simd=2)
+        flow = ScratchFlow(MatrixAddI32(n=16), baseline=baseline)
+        assert flow.arch("baseline") is baseline
+        assert flow.arch("original") == ArchConfig.original()
+        assert flow.arch("trimmed") is flow.trim().config
+        assert flow.arch("multicore") == flow.plan("multicore")
+        assert flow.arch("multithread") == flow.plan("multithread")
+
+    def test_arch_rejects_unknown_label(self):
+        with pytest.raises(TrimError, match="unknown architecture label"):
+            ScratchFlow(MatrixAddI32(n=16)).arch("superscalar")
 
     def test_evaluate_orderings(self):
         """The paper's fundamental orderings must hold on any input."""

@@ -13,10 +13,11 @@ import pytest
 
 from repro.asm import assemble
 from repro.core.config import ArchConfig
+from repro.core.flow import ScratchFlow
 from repro.exec import ExecutionRequest, execute
 from repro.kernels import (APPSDK_SUITE, EVALUATION_SUITE, MatrixAddI32,
                            MatrixMulI32)
-from repro.obs import STALL_CAUSES, PerfCounters, resolve_arch
+from repro.obs import STALL_CAUSES, PerfCounters
 from repro.runtime import SoftGpu
 from repro.soc.gpu import Gpu
 
@@ -167,7 +168,7 @@ class TestAggregateCounters:
     @pytest.mark.parametrize("cls", APPSDK_SUITE, ids=lambda c: c.name)
     def test_appsdk_configs_match_the_observer(self, cls, config):
         bench = cls()
-        arch, _ = resolve_arch(bench, config)
+        arch = ScratchFlow(bench).arch(config)
         request = dict(benchmark=bench.name, arch=arch, verify=False,
                        profile=True)
         compiled = execute(ExecutionRequest(**request))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.config import ArchConfig
 from repro.errors import AdmissionError
 from repro.service.jobs import Job, JobStatus, load_jobs, suite_jobs
 
@@ -85,6 +86,14 @@ class TestLoadJobs:
         with pytest.raises(AdmissionError, match="unknown fields"):
             load_jobs([{"benchmark": "x", "gpu_count": 9}])
 
+    def test_arch_field_rejected(self):
+        # An architecture is named by ``config`` alone: a job file
+        # carrying an ``arch`` payload is refused like any unknown field.
+        for value in ("baseline", ArchConfig.baseline().to_dict()):
+            with pytest.raises(AdmissionError,
+                               match=r"entry 0: unknown fields \['arch'\]"):
+                load_jobs([{"benchmark": "matrix_add_i32", "arch": value}])
+
     def test_missing_benchmark_rejected(self):
         with pytest.raises(AdmissionError, match="benchmark"):
             load_jobs([{"params": {}}])
@@ -105,7 +114,6 @@ class TestLoadJobs:
         ("params", [1, 2]),
         ("config", 3),
         ("benchmark", 7),
-        ("arch", "baseline"),
         ("global_mem_size", 1e6),
     ])
     def test_wrong_field_type_rejected(self, field, value):

@@ -1,10 +1,7 @@
-"""The service side of the shared prepared-program cache."""
-
-import pytest
+"""The service's binary key is the prepared-program cache's key."""
 
 from repro.asm import assemble
-from repro.cu.prepared import clear_prepared_cache, get_prepared
-from repro.service.cache import ArtifactCache, binary_key
+from repro.service.cache import binary_key
 
 KERNEL = """
 .kernel warmup
@@ -17,13 +14,6 @@ KERNEL = """
 """
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_prepared_cache()
-    yield
-    clear_prepared_cache()
-
-
 class TestSharedKeySpace:
     def test_binary_key_is_the_content_key(self):
         program = assemble(KERNEL)
@@ -32,22 +22,3 @@ class TestSharedKeySpace:
     def test_cosmetic_edit_shares_key(self):
         assert binary_key(assemble(KERNEL)) == \
             binary_key(assemble(KERNEL + "\n; cosmetic\n"))
-
-
-class TestArtifactCachePrepared:
-    def test_miss_then_hit(self):
-        cache = ArtifactCache()
-        program = assemble(KERNEL)
-        first = cache.prepared(program)
-        second = cache.prepared(assemble(KERNEL))
-        assert first is second
-        assert cache.stats.misses.get("prepare") == 1
-        assert cache.stats.hits.get("prepare") == 1
-
-    def test_warming_feeds_the_simulator_cache(self):
-        # A program warmed through the service cache is the same
-        # object the launch engines pick up.
-        cache = ArtifactCache()
-        program = assemble(KERNEL)
-        warmed = cache.prepared(program)
-        assert get_prepared(program) is warmed

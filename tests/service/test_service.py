@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from repro.core.trimmer import TrimmingTool
+from repro.core.flow import ScratchFlow
 from repro.errors import AdmissionError, ServiceError, SimulationError
 from repro.kernels import KERNELS
 from repro.kernels.base import Benchmark
@@ -29,16 +29,7 @@ SMALL_JOBS = [
 def direct_run(job):
     """Reference execution: the same job without the service."""
     bench = KERNELS[job.benchmark](**job.params)
-    if job.config in ("original", "dcd", "baseline"):
-        from repro.core.config import ArchConfig
-        arch = getattr(ArchConfig, job.config)()
-    else:
-        trim = TrimmingTool().trim(bench.programs(),
-                                   datapath_bits=bench.datapath_bits)
-        arch = trim.config
-        if job.config != "trimmed":
-            from repro.core.parallelize import plan
-            arch = plan(trim.config, job.config)
+    arch = ScratchFlow(bench).arch(job.config)
     device = SoftGpu(arch, max_groups=job.max_groups)
     ctx = bench.run_on(device, verify=True)
     digests = {
