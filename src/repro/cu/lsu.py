@@ -172,6 +172,7 @@ RUNTIME = {
     "_int8": np.int8, "_int64": np.int64, "_fill": np.full, "_ZROW": _ZERO_ROW,
     "_mn": np.minimum.reduce, "_mx": np.maximum.reduce,
     "_bor": np.bitwise_or.reduce, "_dkl": dedup_keep_last,
+    "_cnz": np.count_nonzero,
     "_addat": np.add.at, "_smrd": _smrd_dwords, "_recs": _records_error,
     "_noaddr": _unsupported_addressing, "_bdw": _buffer_dwords,
     "_bbyte": _buffer_byte, "_lds": _lds_array, "_ldsw": _lds_words,
@@ -272,9 +273,17 @@ def _emit_buffer(inst):
               "_n = len(_r)",
               "if not _n:",
               "    return (0, 0, 0, None, 0)",
+              # Strictly increasing lane addresses (the common
+              # base+stride pattern) put the footprint at the ends and
+              # prove a store's lanes distinct.
+              "_u = _n < 2 or not _cnz(_r[1:] <= _r[:-1])",
               # Addresses are sums of unsigned words, never negative.
-              "_lo = int(_mn(_r)) + _o",
-              "_hi = int(_mx(_r)) + _o",
+              "if _u:",
+              "    _lo = int(_r[0]) + _o",
+              "    _hi = int(_r[-1]) + _o",
+              "else:",
+              "    _lo = int(_mn(_r)) + _o",
+              "    _hi = int(_mx(_r)) + _o",
               "if _z and _hi >= _b + _z:",
               "    _recs(%r, _hi, _b, _z)" % name]
     # In range: move the active lanes through a view of the store
@@ -297,8 +306,10 @@ def _emit_buffer(inst):
         if store:
             # Colliding lane addresses resolve last-active-lane-wins;
             # raw fancy assignment leaves that unspecified.
-            lines += ["    _i, _d = _dkl(_r, v[%d][_a])" % (vdata + i),
-                      "    %s[_i] = _d" % at]
+            lines += ["    if _u: %s[_r] = v[%d][_a]" % (at, vdata + i),
+                      "    else:",
+                      "        _i, _d = _dkl(_r, v[%d][_a])" % (vdata + i),
+                      "        %s[_i] = _d" % at]
         else:
             lines.append("    v[%d][_a] = %s[_r]" % (vdata + i, at))
     lines.append("else:")

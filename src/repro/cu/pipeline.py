@@ -34,6 +34,14 @@ _WAITCNT_LGKM_SHIFT = 8
 _WAITCNT_LGKM_MASK = 0x1F
 
 
+def _settle(outstanding, allowed):
+    """Time by which at most ``allowed`` of the ``outstanding``
+    completion times remain in flight (0.0 when already so)."""
+    if len(outstanding) <= allowed:
+        return 0.0
+    return sorted(outstanding)[len(outstanding) - allowed - 1]
+
+
 @dataclass
 class CuRunStats:
     """Cycle and instruction accounting for one workgroup execution.
@@ -180,20 +188,22 @@ class ComputeUnit:
 
     @staticmethod
     def _waitcnt_target(wf, simm16, now):
-        """Earliest time the waitcnt's count conditions are satisfied."""
+        """Earliest time the waitcnt's count conditions are satisfied.
 
-        def settle(outstanding, allowed):
-            if len(outstanding) <= allowed:
-                return 0.0
-            ordered = sorted(outstanding)
-            return ordered[len(outstanding) - allowed - 1]
-
-        vm_allowed = simm16 & _WAITCNT_VM_MASK
-        lgkm_allowed = (simm16 >> _WAITCNT_LGKM_SHIFT) & _WAITCNT_LGKM_MASK
-        ready = max(now, settle(wf.outstanding_vm, vm_allowed),
-                    settle(wf.outstanding_lgkm, lgkm_allowed))
-        wf.outstanding_vm = [t for t in wf.outstanding_vm if t > ready]
-        wf.outstanding_lgkm = [t for t in wf.outstanding_lgkm if t > ready]
+        Drops the operations complete by then from the outstanding
+        lists; an empty list neither delays nor needs filtering.
+        """
+        vm, lgkm = wf.outstanding_vm, wf.outstanding_lgkm
+        ready = now
+        if vm:
+            ready = max(ready, _settle(vm, simm16 & _WAITCNT_VM_MASK))
+        if lgkm:
+            ready = max(ready, _settle(
+                lgkm, (simm16 >> _WAITCNT_LGKM_SHIFT) & _WAITCNT_LGKM_MASK))
+        if vm:
+            wf.outstanding_vm = [t for t in vm if t > ready]
+        if lgkm:
+            wf.outstanding_lgkm = [t for t in lgkm if t > ready]
         return ready
 
     # ------------------------------------------------------------------

@@ -5,8 +5,10 @@ re-decodes an instruction.  Every ALU instruction of a prepared program
 is emitted as a few lines of Python source with its operands resolved
 at compile time -- SGPRs as ``s[i]``, VGPR rows as ``v[i]``, inline
 constants and literals as prebuilt values, scalar ALU as pure Python
-ints, VALU through the same :mod:`repro.cu.vector` cores and the same
-masked ``np.copyto`` write as the reference.  Every memory instruction
+ints, VALU through the same :mod:`repro.cu.vector` cores as the
+reference (or an inline expression where that is cheaper and exact),
+stored straight into the destination row under full EXEC and by a
+masked ``np.copyto`` otherwise.  Every memory instruction
 is emitted by the LSU's own emitter (:func:`repro.cu.lsu.emit_memory`).
 One program's executors go through one ``compile()``/``exec()`` into
 one namespace: ``_plan<i>(wf)`` per ALU instruction, bound to
@@ -31,35 +33,24 @@ from .wavefront import FULL_EXEC, MASK32, MASK64
 
 
 # ---------------------------------------------------------------------------
-# Runtime helpers shared by every generated function.
+# Runtime names shared by every generated function.
 # ---------------------------------------------------------------------------
 
-def _wv(row, values, mask):
-    """Masked VGPR write -- exactly :meth:`Wavefront.write_vgpr`.
-
-    ``mask is None`` means "EXEC was full at function entry", mirroring
-    the full-EXEC fast path of :meth:`Wavefront.write_vgpr`.
-    """
-    if mask is None:
-        row[...] = np.asarray(values, dtype=np.uint32)
-        return
-    np.copyto(row, np.asarray(values, dtype=np.uint32), where=mask)
-
-
 _RUNTIME = {
-    "_wv": _wv, "_full": np.full, "_u32d": np.uint32,
+    "_full": np.full, "_u32d": np.uint32, "_cp": np.copyto,
+    "_pk": np.packbits, "_ifb": int.from_bytes,
     "_s32": operations._s32, "_add32": operations._add_i32,
     "_FE": FULL_EXEC, "_where": np.where, "_g": operations.execute,
     "_fv": vector._fv, "_sv": vector._sv, "_from_f": vector._from_f,
-    "_mfb": vector.mask_from_bools, "_bfm": vector.bools_from_mask,
+    "_bfm": vector.bools_from_mask,
     "_awc": vector.add_with_carry, "_swb": vector.sub_with_borrow,
 }
 
 _PRELUDE = (
     ("s", "s = wf.sgprs"),
     ("v", "v = wf.vgprs"),
-    # None means "all lanes" to both _wv and the mask builders,
-    # skipping the unpack.
+    # None means "all lanes" to the row writes and the mask packing;
+    # otherwise EXEC's lane bools, cached on the wavefront.
     ("lm", "lm = None if wf.exec_mask == _FE else wf.active_lane_mask()"),
 )
 
@@ -168,15 +159,38 @@ def _vector_src(code, literal, ns, tag, uses, scalar=False):
         return ("s[%d]" if scalar else "_full(64, s[%d], _u32d)") % code
     if code in _SPECIAL_SCALARS:
         return "wf.read_vector(%d)" % code
-    constant = regs.INLINE_CONSTANTS.get(code)
-    if code == regs.LITERAL and literal is not None:
-        constant = literal & MASK32
+    constant = _constant(code, literal)
     if constant is None:
         return None
     arr = np.full(64, constant, dtype=np.uint32)
     arr.setflags(write=False)
     ns[tag] = arr
     return tag
+
+
+def _constant(code, literal):
+    """The 32-bit value of an inline-constant or literal source, or
+    None for any other operand code."""
+    if code == regs.LITERAL:
+        return None if literal is None else literal & MASK32
+    return regs.INLINE_CONSTANTS.get(code)
+
+
+def _write_row(vdst, value):
+    """Lines storing ``value`` into VGPR row ``vdst`` under EXEC:
+    straight into the row when every lane is active, a masked copy
+    otherwise.  ``value`` is evaluated in full before the row is
+    written, so it may read the destination row itself."""
+    return ["if lm is None: v[%d] = %s" % (vdst, value),
+            "else: _cp(v[%d], %s, where=lm)" % (vdst, value)]
+
+
+def _packed(bools):
+    """Expression packing per-lane ``bools`` into a 64-bit mask (lane 0
+    = bit 0), inactive lanes zeroed: ``vector.mask_from_bools`` in one
+    expression."""
+    return ('_ifb(_pk((%s) if lm is None else (%s) & lm, bitorder="little")'
+            '.tobytes(), "little")' % (bools, bools))
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +302,32 @@ def _emit_sopp(inst, k, ns, uses):
     return ["if %s: wf.pc = %d" % (cond, target)]
 
 
+#: Shifts whose amount operand may be folded at emit time: name ->
+#: (amount source, expression of (shifted, amount), amount type).  The
+#: other source is the shifted one; the hardware reads the low five
+#: bits of the amount.
+_SHIFTS = {
+    "v_lshlrev_b32": ("src0", "%s << %s", np.uint32),
+    "v_lshrrev_b32": ("src0", "%s >> %s", np.uint32),
+    "v_ashrrev_i32": ("src0", "(_sv(%s) >> %s).view(_u32d)", np.int32),
+    "v_lshl_b32": ("src1", "%s << %s", np.uint32),
+    "v_lshr_b32": ("src1", "%s >> %s", np.uint32),
+    "v_ashr_i32": ("src1", "(_sv(%s) >> %s).view(_u32d)", np.int32),
+}
+
+
 def _emit_vector(inst, k, ns, uses):
     """Every vectorized class in array form -- plain VBIN/VUN/VTRI
     cores, compares, cndmask, mac and the carry chains
-    (:data:`repro.cu.vector.CARRY_OPS`) -- one NumPy expression per
-    instruction."""
+    (:data:`repro.cu.vector.CARRY_OPS`) -- computed in full, then
+    stored by :func:`_write_row`; masks are packed by :func:`_packed`."""
     sp, f, fmt = inst.spec, inst.fields, inst.fmt
     name = sp.name
     # The one SGPR source of a core that also takes a 64-lane VGPR row
-    # stays a scalar (NumPy broadcasts it), saving an np.full per issue.
-    # One-source cores, v_cndmask and two SGPR sources keep full rows.
+    # stays a scalar (NumPy broadcasts it), saving an np.full per issue;
+    # so does v_mov_b32's SGPR source, which the row store broadcasts.
+    # Other one-source cores, v_cndmask and two SGPR sources keep full
+    # rows.
     codes = [f["src0"]]
     if fmt in (Format.VOP2, Format.VOPC):
         codes.append(regs.VGPR_BASE)                # vsrc1
@@ -306,10 +336,11 @@ def _emit_vector(inst, k, ns, uses):
         codes.append(f["src1"])
         if sp.num_srcs >= 3 or name == "v_mac_f32":
             codes.append(f["src2"])
-    scalar = (name != "v_cndmask_b32"
-              and any(code >= regs.VGPR_BASE for code in codes)
-              and sum(regs.SGPR_FIRST <= code <= regs.SGPR_LAST
-                      for code in codes) == 1)
+    scalar = name == "v_mov_b32" or (
+        name != "v_cndmask_b32"
+        and any(code >= regs.VGPR_BASE for code in codes)
+        and sum(regs.SGPR_FIRST <= code <= regs.SGPR_LAST
+                for code in codes) == 1)
 
     def src(key, tag):
         return _vector_src(f[key], inst.literal, ns, "_k%d%s" % (k, tag),
@@ -349,15 +380,19 @@ def _emit_vector(inst, k, ns, uses):
         elif parts[3] == "i32":
             a, b = "_sv(%s)" % a, "_sv(%s)" % b
         ns["_i%d" % k] = cmp_fn
-        return ["_m = _mfb(_i%d(%s, %s), lm)" % (k, a, b)] + dst
+        return (["_c = _i%d(%s, %s)" % (k, a, b), "_m = " + _packed("_c")]
+                + dst)
 
     uses.add("v")  # every other class writes ``vdst``
+    vdst = f["vdst"]
+    if name == "v_mov_b32":
+        return _write_row(vdst, a)
     if b is None:
         impl = vector.VUN_IMPL.get(name)
         if impl is None:
             return None
         ns["_i%d" % k] = impl
-        return ["_wv(v[%d], _i%d(%s), lm)" % (f["vdst"], k, a)]
+        return _write_row(vdst, "_i%d(%s)" % (k, a))
 
     if name in ("v_cndmask_b32", "v_addc_u32", "v_subb_u32"):
         # The VCC-or-SGPR-pair selector / carry-in.
@@ -367,26 +402,43 @@ def _emit_vector(inst, k, ns, uses):
             return None
 
     if name == "v_cndmask_b32":
-        return ["_wv(v[%d], _where(_bfm(%s), %s, %s), lm)"
-                % (f["vdst"], sel, b, a)]
+        return _write_row(vdst, "_where(_bfm(%s), %s, %s)" % (sel, b, a))
 
     if name in vector.CARRY_OPS:
-        if name in ("v_addc_u32", "v_subb_u32"):
-            args = "%s, %s, _bfm(%s)" % (a, b, sel)
-        elif name == "v_subrev_i32":
-            args = "%s, %s" % (b, a)
-        else:
-            args = "%s, %s" % (a, b)
-        core = "_awc" if name in ("v_add_i32", "v_addc_u32") else "_swb"
         dst = _scalar64_dst(sdst, uses)
         if dst is None:
             return None
-        return (["_r, _cb = %s(%s)" % (core, args), "_m = _mfb(_cb, lm)"]
-                + dst + ["_wv(v[%d], _r, lm)" % f["vdst"]])
+        # Each form computes into a fresh ``_r`` and reads its sources
+        # for the carry before anything is written: ``vdst`` may alias
+        # a source.  ``a + b`` wraps iff the sum is below either addend
+        # (the VGPR row when there is one); ``x - y`` borrows iff x < y.
+        if name == "v_add_i32":
+            row = a if a.startswith("v[") and not b.startswith("v[") else b
+            lines = ["_r = %s + %s" % (a, b),
+                     "_m = " + _packed("_r < %s" % row)]
+        elif name in ("v_sub_i32", "v_subrev_i32"):
+            x, y = (a, b) if name == "v_sub_i32" else (b, a)
+            lines = ["_r = %s - %s" % (x, y),
+                     "_m = " + _packed("%s < %s" % (x, y))]
+        else:
+            core = "_awc" if name == "v_addc_u32" else "_swb"
+            lines = ["_r, _c = %s(%s, %s, _bfm(%s))" % (core, a, b, sel),
+                     "_m = " + _packed("_c")]
+        return lines + dst + _write_row(vdst, "_r")
 
     if name == "v_mac_f32":
-        return ["_wv(v[%d], _from_f(_fv(%s) * _fv(%s) + _fv(v[%d])), lm)"
-                % (f["vdst"], a, b, f["vdst"])]
+        return _write_row(vdst, "_from_f(_fv(%s) * _fv(%s) + _fv(v[%d]))"
+                          % (a, b, vdst))
+
+    shift = _SHIFTS.get(name)
+    if shift is not None:
+        amount_src, form, amount_type = shift
+        amount = _constant(f[amount_src], inst.literal) \
+            if amount_src == "src0" or fmt is Format.VOP3 else None
+        if amount is not None:
+            ns["_k%ds" % k] = amount_type(amount & 31)
+            return _write_row(vdst, form % (b if amount_src == "src0" else a,
+                                            "_k%ds" % k))
 
     impl = vector.VBIN_IMPL.get(name)
     if impl is not None:
@@ -404,7 +456,7 @@ def _emit_vector(inst, k, ns, uses):
             args = "%s, %s, %s" % (a, b, c) if c is not None \
                 else "%s, %s" % (a, b)
     ns["_i%d" % k] = impl
-    return ["_wv(v[%d], _i%d(%s), lm)" % (f["vdst"], k, args)]
+    return _write_row(vdst, "_i%d(%s)" % (k, args))
 
 
 _EMITTERS = {

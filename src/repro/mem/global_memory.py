@@ -28,9 +28,11 @@ def dedup_keep_last(indices, values):
     assign: when duplicates exist, each index is kept once with the
     value of its highest-position occurrence.
     """
-    if indices.size < 2 or bool((indices[1:] > indices[:-1]).all()):
+    if indices.size < 2 or not np.count_nonzero(indices[1:] <= indices[:-1]):
         # Strictly increasing (the overwhelmingly common base+stride
         # pattern) cannot contain duplicates -- skip the unique() pass.
+        # Counting the out-of-order pairs costs about half an ``.all()``
+        # reduction.
         return indices, values
     rev = indices[::-1]
     unique, first = np.unique(rev, return_index=True)

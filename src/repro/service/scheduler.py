@@ -45,7 +45,7 @@ from .stats import ServiceStats
 class _Ticket:
     """Mutable per-job state tracked by the scheduler."""
 
-    def __init__(self, job_id, job, arch, report, key):
+    def __init__(self, job_id, job, arch, report, key, submitted):
         self.job_id = job_id
         self.job = job
         self.arch = arch
@@ -58,8 +58,8 @@ class _Ticket:
         self.resume_envelope = None
         #: A profiled job's counters, merged over its finished slices.
         self.counters = None
-        self.submitted = None
-        self.started = None
+        #: Clock reading at ``submit``, before admission.
+        self.submitted = submitted
         self.future = None
         self.timer = None
         self.settled = False
@@ -148,14 +148,16 @@ class KernelService:
         """
         if self._closed:
             raise AdmissionError("service is shut down")
+        # Stamped before admission: a job's latency includes the trim,
+        # plan and synthesis its admission may run.
+        submitted = self._clock()
         try:
             arch, report, key = self._resolve(job)
         except AdmissionError:
             self.stats.record_rejection()
             raise
         job_id = next_job_id()
-        ticket = _Ticket(job_id, job, arch, report, key)
-        ticket.submitted = self._clock()
+        ticket = _Ticket(job_id, job, arch, report, key, submitted)
         with self._lock:
             self._tickets[job_id] = ticket
         try:
@@ -196,8 +198,6 @@ class KernelService:
         if ticket.resume_envelope is None:
             ticket.attempts += 1
             ticket.counters = None
-        if ticket.started is None:
-            ticket.started = self._clock()
         payload = JobPayload(
             job_id=ticket.job_id,
             benchmark=ticket.job.benchmark,
@@ -231,11 +231,10 @@ class KernelService:
     # -- completion --------------------------------------------------------
 
     def _latency(self, ticket):
-        # Submission-to-settle: queue wait counts.  That is the number
-        # a latency SLO is about -- and the one preemptive time
-        # slicing improves for short jobs stuck behind a long run.
-        origin = ticket.submitted or ticket.started
-        return max(0.0, self._clock() - (origin or self._clock()))
+        # Submission-to-settle: admission and queue wait count.  That is
+        # the number a latency SLO is about -- and the one preemptive
+        # time slicing improves for short jobs stuck behind a long run.
+        return max(0.0, self._clock() - ticket.submitted)
 
     def _cancelled(self, ticket):
         return JobResult(ticket.job_id, ticket.job, JobStatus.CANCELLED,

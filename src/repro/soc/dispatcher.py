@@ -37,7 +37,7 @@ from ..cu.regfile import RegisterFileModel
 from ..cu.wavefront import Wavefront
 from ..cu.workgroup import Workgroup
 from ..errors import LaunchError
-from ..isa.registers import WAVEFRONT_SIZE
+from ..isa.registers import NUM_SGPRS, WAVEFRONT_SIZE
 
 #: Scalar-register homes of the three descriptor sets (Section 2.2.2).
 UAV_DESCRIPTOR_REG = 4
@@ -114,6 +114,23 @@ class DispatchCosts:
         return self.per_workgroup_mb_cycles + self.per_wavefront_mb_cycles * wavefronts
 
 
+@dataclass(frozen=True)
+class WorkgroupTemplate:
+    """Register images shared by every workgroup of one launch.
+
+    ``sgprs`` holds the descriptor sets (group-ID SGPRs zero),
+    ``vgprs[w]`` wavefront ``w``'s VGPR file with its local IDs in
+    ``v0``-``v2``, ``exec_masks[w]`` its EXEC, and ``group_dims`` the
+    dimensions whose group ID is written.  The arrays are read-only:
+    :meth:`Dispatcher.build_workgroup` copies them.
+    """
+
+    sgprs: np.ndarray
+    vgprs: np.ndarray
+    exec_masks: tuple
+    group_dims: tuple
+
+
 class Dispatcher:
     """Builds register-initialised workgroups for the compute units."""
 
@@ -135,34 +152,58 @@ class Dispatcher:
         values[CB0_NUM_GROUPS:CB0_NUM_GROUPS + 3] = geometry.num_groups
         self.memory.global_mem.write_block(self.cb0_base, values)
 
-    def build_workgroup(self, program, geometry, group_id):
-        """Create one register-initialised workgroup."""
-        wg = Workgroup(group_id, program, geometry.local_size)
+    def workgroup_template(self, program, geometry):
+        """The register images every workgroup of a launch starts from.
+
+        Validates that the workgroup's wavefronts fit the register
+        files (:meth:`RegisterFileModel.check_workgroup`), then lays
+        out what does not depend on the group ID: the descriptor SGPRs,
+        each wavefront's EXEC and its local-ID rows ``v0``-``v2``.
+        """
         items = geometry.work_items_per_group
         lx, ly, _lz = geometry.local_size
         n_wavefronts = (items + WAVEFRONT_SIZE - 1) // WAVEFRONT_SIZE
         self.regfile.check_workgroup(program, n_wavefronts)
-        for w in range(n_wavefronts):
+        sgprs = np.zeros(NUM_SGPRS, dtype=np.uint32)
+        sgprs[UAV_DESCRIPTOR_REG:UAV_DESCRIPTOR_REG + 4] = self.uav_descriptor
+        sgprs[CB0_DESCRIPTOR_REG:CB0_DESCRIPTOR_REG + 4] = self.cb0_descriptor
+        sgprs[CB1_DESCRIPTOR_REG:CB1_DESCRIPTOR_REG + 4] = self.cb1_descriptor
+        flat = np.arange(n_wavefronts * WAVEFRONT_SIZE, dtype=np.uint32)
+        vgprs = np.zeros((n_wavefronts, max(4, program.vgpr_count),
+                          WAVEFRONT_SIZE), dtype=np.uint32)
+        vgprs[:, 0] = (flat % lx).reshape(n_wavefronts, WAVEFRONT_SIZE)
+        vgprs[:, 1] = ((flat // lx) % ly).reshape(n_wavefronts, WAVEFRONT_SIZE)
+        vgprs[:, 2] = (flat // (lx * ly)).reshape(n_wavefronts, WAVEFRONT_SIZE)
+        # Work-items fill lanes in order, so each wavefront's active
+        # lanes are a prefix.
+        exec_masks = tuple(
+            (1 << min(WAVEFRONT_SIZE, items - w * WAVEFRONT_SIZE)) - 1
+            for w in range(n_wavefronts))
+        num_groups = geometry.num_groups
+        group_dims = tuple(dim for dim in range(3)
+                           if num_groups[dim] > 1 or dim == 0)
+        sgprs.setflags(write=False)
+        vgprs.setflags(write=False)
+        return WorkgroupTemplate(sgprs, vgprs, exec_masks, group_dims)
+
+    def build_workgroup(self, program, geometry, group_id, template=None):
+        """Create one register-initialised workgroup.
+
+        ``template`` is this launch's :meth:`workgroup_template`; each
+        wavefront gets copies of its images plus the group-ID SGPRs.
+        Without one, the template is built for this workgroup alone.
+        """
+        if template is None:
+            template = self.workgroup_template(program, geometry)
+        wg = Workgroup(group_id, program, geometry.local_size)
+        sgprs = template.sgprs.copy()
+        for dim in template.group_dims:
+            sgprs[GROUP_ID_REG + dim] = group_id[dim]
+        for w, exec_mask in enumerate(template.exec_masks):
             wf = Wavefront(wf_id=w, program=program)
-            sg = wf.sgprs
-            sg[UAV_DESCRIPTOR_REG:UAV_DESCRIPTOR_REG + 4] = self.uav_descriptor
-            sg[CB0_DESCRIPTOR_REG:CB0_DESCRIPTOR_REG + 4] = self.cb0_descriptor
-            sg[CB1_DESCRIPTOR_REG:CB1_DESCRIPTOR_REG + 4] = self.cb1_descriptor
-            for dim in range(3):
-                if geometry.num_groups[dim] > 1 or dim == 0:
-                    sg[GROUP_ID_REG + dim] = group_id[dim]
-            flat = np.arange(w * WAVEFRONT_SIZE, (w + 1) * WAVEFRONT_SIZE,
-                             dtype=np.uint32)
-            active = flat < items
-            wf.exec_mask = int(
-                np.bitwise_or.reduce(
-                    np.where(active, np.uint64(1), np.uint64(0))
-                    << np.arange(64, dtype=np.uint64)
-                )
-            )
-            wf.vgprs[0] = flat % lx
-            wf.vgprs[1] = (flat // lx) % ly
-            wf.vgprs[2] = flat // (lx * ly)
+            wf.sgprs[:] = sgprs
+            wf.vgprs[:] = template.vgprs[w]
+            wf.exec_mask = exec_mask
             wg.add_wavefront(wf)
         return wg
 

@@ -132,6 +132,10 @@ class LaunchFrame:
     stats: CuRunStats
     executed_groups: int = 0
     registers: object = None  # {} when collecting, else None
+    #: The launch's :class:`~repro.soc.dispatcher.WorkgroupTemplate`,
+    #: built at the first workgroup.  Not checkpointed: a resumed
+    #: launch rebuilds it.
+    template: object = field(default=None, repr=False, compare=False)
 
     @property
     def instructions(self):
@@ -366,8 +370,11 @@ class Gpu:
         ran = CuRunStats()  # this slice's workgroups
         while frame.pending:
             gid = frame.pending[0]
-            wg = self.dispatcher.build_workgroup(frame.program,
-                                                 frame.geometry, gid)
+            if frame.template is None:
+                frame.template = self.dispatcher.workgroup_template(
+                    frame.program, frame.geometry)
+            wg = self.dispatcher.build_workgroup(
+                frame.program, frame.geometry, gid, frame.template)
             cu_idx = min(range(len(self.cus)),
                          key=frame.cu_free.__getitem__)
             # The ultra-threaded dispatcher prepares the next

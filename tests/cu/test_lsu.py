@@ -87,6 +87,24 @@ class TestBuffer:
         data = memory.global_mem.read_block(0x1000, 16, np.uint32)
         assert list(data) == [9, 9, 0, 0]
 
+    @pytest.mark.parametrize("dwords", [(0, 2, 2, 3), (3, 2, 2, 0)],
+                             ids=["ascending", "descending"])
+    def test_store_collision_in_exact_footprint_last_lane_wins(self, dwords):
+        # Four active lanes span exactly four dwords, yet two of them
+        # collide: a footprint test alone does not prove the addresses
+        # distinct.  Lane 2 is the last active lane to write dword 2.
+        program, memory, wf = make_env(
+            "tbuffer_store_format_x v2, v1, s[4:7], 0 offen")
+        addrs = np.full(64, 4 * 15, dtype=np.uint32)
+        addrs[:4] = [4 * d for d in dwords]
+        wf.write_vgpr(1, addrs)
+        wf.write_vgpr(2, np.arange(64, dtype=np.uint32) + 100)
+        wf.exec_mask = 0b1111
+        exec_mem(program, wf, memory)
+        data = memory.global_mem.read_block(0x1000, 16, np.uint32)
+        assert list(data) == [100 + dwords.index(0), 0, 102,
+                              100 + dwords.index(3)]
+
     def test_format_xy_moves_two_dwords(self):
         program, memory, wf = make_env(
             "tbuffer_load_format_xy v2, v1, s[4:7], 0 offen")

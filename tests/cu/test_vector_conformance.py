@@ -11,6 +11,15 @@ two- and three-source opcode also runs with ``src0`` read from an SGPR
 (``VectorOpSpec.sgpr_line``), one edge value broadcast to every lane:
 the emitted executor passes that SGPR to the core as a NumPy scalar.
 
+Two families of variant rows pin the emitted forms that the template
+lines do not reach.  Every two-source and carry opcode runs with its
+destination aliasing a source (``vdst`` equal to ``src0``, to
+``vsrc1``, and to ``vsrc1`` next to an SGPR ``src0``): the emitted
+executor computes in full before it writes the row.  Every shift runs
+with an inline-constant or literal ``src0`` (and, in the VOP3
+encoding, an inline-constant ``src1``): the emitted executor folds a
+constant shift amount when it compiles.  Both families run on PRs.
+
 The operand grid is the full cartesian product of the per-type edge
 set, packed 64 combinations per wavefront (lanes are free
 parallelism).  On PRs a deterministic stride sample of the chunks
@@ -58,15 +67,35 @@ VCC_INIT = 0xF0F0F0F00F0F0F0F
 
 FULL_GRID = os.environ.get("REPRO_CONFORMANCE_FULL") == "1"
 
+#: Two-source opcodes that write a VGPR: the aliased-destination rows.
+ALIAS_OPS = sorted(name for name, spec in VECTOR_OPS.items()
+                   if spec.arity == 2 and spec.encoding != "VOPC")
+
+#: How an aliased row rewrites the template's ``v6`` destination.
+ALIASES = (("vdst=src0", False, "v0,"),
+           ("vdst=vsrc1", False, "v1,"),
+           ("sgpr-src0,vdst=vsrc1", True, "v1,"))
+
+SHIFTS = ("v_lshlrev_b32", "v_lshrrev_b32", "v_ashrrev_i32",
+          "v_lshl_b32", "v_lshr_b32", "v_ashr_i32")
+
+#: Constant operands of the shift rows: inline constants at both ends
+#: of the integer range and past the five amount bits, then literals.
+INLINE_SHIFT_CONSTANTS = ("0", "1", "5", "31", "32", "64", "-1", "-16")
+LITERAL_SHIFT_CONSTANTS = ("0x12345", "0x8000001f", "0xdeadbeef")
+
 _PROGRAMS = {}
 
 
 def _program_for(name, sgpr=False):
-    if (name, sgpr) not in _PROGRAMS:
-        spec = VECTOR_OPS[name]
-        _PROGRAMS[name, sgpr] = assemble("  {}\n  s_endpgm".format(
-            spec.sgpr_line if sgpr else spec.line))
-    return _PROGRAMS[name, sgpr]
+    spec = VECTOR_OPS[name]
+    return _assembled(spec.sgpr_line if sgpr else spec.line)
+
+
+def _assembled(line):
+    if line not in _PROGRAMS:
+        _PROGRAMS[line] = assemble("  {}\n  s_endpgm".format(line))
+    return _PROGRAMS[line]
 
 
 def _pack(combos):
@@ -104,10 +133,13 @@ def _operand_chunks(spec, sgpr=False):
     return chunks
 
 
-def _run(name, chunk, exec_mask, mode, sgpr=False):
-    """Execute one chunk through one path; return the full state."""
+def _run(name, chunk, exec_mask, mode, sgpr=False, line=None):
+    """Execute one chunk through one path; return the full state.
+
+    ``line`` replaces the opcode's template line (a variant row)."""
     spec = VECTOR_OPS[name]
-    program = _program_for(name, sgpr)
+    program = (_program_for(name, sgpr) if line is None
+               else _assembled(line))
     wf = Wavefront(0, program)
     wf.exec_mask = FULL_EXEC
     for src in range(spec.arity):
@@ -115,7 +147,7 @@ def _run(name, chunk, exec_mask, mode, sgpr=False):
                                     dtype=np.uint32))
     if sgpr:
         wf.sgprs[8] = chunk[0][0]
-    if spec.encoding != "VOPC":    # VOPC programs allocate no v6
+    if len(wf.vgprs) > 6:    # only programs that name v6 allocate it
         wf.write_vgpr(6, np.full(64, SENTINEL, dtype=np.uint32))
     wf.vcc = VCC_INIT
     wf.scc = 1
@@ -156,15 +188,53 @@ def test_sgpr_src0_conformance(name, mask_id, exec_mask):
     _check(name, mask_id, exec_mask, sgpr=True)
 
 
-def _check(name, mask_id, exec_mask, sgpr=False):
+@pytest.mark.parametrize("mask_id,exec_mask", EXEC_MASKS,
+                         ids=[m[0] for m in EXEC_MASKS])
+@pytest.mark.parametrize("alias,sgpr,vdst", ALIASES,
+                         ids=[a[0] for a in ALIASES])
+@pytest.mark.parametrize("name", ALIAS_OPS)
+def test_aliased_destination_conformance(name, alias, sgpr, vdst, mask_id,
+                                         exec_mask):
+    """The destination row is also a source row (the
+    ``v_add_i32 v6, vcc, s20, v6`` shape): every source is read before
+    the row is written."""
+    spec = VECTOR_OPS[name]
+    line = (spec.sgpr_line if sgpr else spec.line).replace("v6,", vdst, 1)
+    _check(name, mask_id, exec_mask, sgpr, line)
+
+
+@pytest.mark.parametrize("mask_id,exec_mask", EXEC_MASKS,
+                         ids=[m[0] for m in EXEC_MASKS])
+@pytest.mark.parametrize("name", SHIFTS)
+def test_constant_src0_shift_conformance(name, mask_id, exec_mask):
+    """Shifts with an inline-constant or literal ``src0`` -- the amount
+    of the ``rev`` forms, which the emitted executor folds, else the
+    shifted value."""
+    for constant in INLINE_SHIFT_CONSTANTS + LITERAL_SHIFT_CONSTANTS:
+        line = "{} v6, {}, v1".format(name, constant)
+        _check(name, mask_id, exec_mask, line=line)
+
+
+@pytest.mark.parametrize("mask_id,exec_mask", EXEC_MASKS,
+                         ids=[m[0] for m in EXEC_MASKS])
+@pytest.mark.parametrize("name", [n for n in SHIFTS if "rev" not in n])
+def test_constant_src1_shift_conformance(name, mask_id, exec_mask):
+    """The VOP3 encoding of a non-``rev`` shift with an inline-constant
+    amount in ``src1`` (VOP3 takes no literal), which is folded too."""
+    for constant in INLINE_SHIFT_CONSTANTS:
+        line = "{} v6, v0, {}".format(name, constant)
+        _check(name, mask_id, exec_mask, line=line)
+
+
+def _check(name, mask_id, exec_mask, sgpr=False, line=None):
     spec = VECTOR_OPS[name]
     for chunk in _operand_chunks(spec, sgpr):
-        golden = _run(name, chunk, exec_mask, "lanewise", sgpr)
+        golden = _run(name, chunk, exec_mask, "lanewise", sgpr, line)
         want = _state(golden)
 
         # Inactive destination lanes keep their sentinel (VOPC writes
-        # a mask, not a VGPR; everything else writes v6).
-        if spec.encoding != "VOPC":
+        # a mask, not a VGPR; the template lines write v6).
+        if spec.encoding != "VOPC" and line is None:
             dst = golden.read_vgpr(6)
             for lane in range(64):
                 if not exec_mask >> lane & 1:
@@ -173,11 +243,11 @@ def _check(name, mask_id, exec_mask, sgpr=False):
                         .format(name, lane))
 
         for mode in ("array", "prepared"):
-            got = _state(_run(name, chunk, exec_mask, mode, sgpr))
+            got = _state(_run(name, chunk, exec_mask, mode, sgpr, line))
             for key in ("vgprs", "vcc", "scc", "exec"):
                 assert got[key] == want[key], (
                     "{} [{}] {}: {} diverges from the golden model"
-                    .format(name, mask_id, mode, key))
+                    .format(line or name, mask_id, mode, key))
 
 
 def test_registry_covers_every_encoding():

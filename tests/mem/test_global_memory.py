@@ -161,6 +161,15 @@ class TestDedupKeepLast:
         got = dict(zip(out_idx.tolist(), out_vals.tolist()))
         assert got == {3: 12, 2: 13, 1: 14}
 
+    def test_sorted_run_with_a_repeat_is_not_strictly_increasing(self):
+        # Non-decreasing is not distinct: the repeated index must still
+        # resolve to its last occurrence.
+        idx = np.array([0, 2, 2, 3], dtype=np.int64)
+        vals = np.array([10, 11, 12, 13], dtype=np.uint32)
+        out_idx, out_vals = dedup_keep_last(idx, vals)
+        assert dict(zip(out_idx.tolist(), out_vals.tolist())) == {
+            0: 10, 2: 12, 3: 13}
+
     def test_single_element(self):
         idx = np.array([5], dtype=np.int64)
         vals = np.array([9], dtype=np.uint32)

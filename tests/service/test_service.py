@@ -313,6 +313,27 @@ class TestStats:
         assert snap["queue_depth_highwater"] >= 1
 
 
+    def test_latency_includes_admission(self, monkeypatch):
+        # A clock that only moves inside admission: the whole latency
+        # is the time ``_resolve`` took.
+        now = [0.0]
+        with KernelService(workers=1, mode="inline",
+                           clock=lambda: now[0]) as svc:
+            resolve = svc._resolve
+
+            def slow_resolve(job):
+                now[0] += 100.0
+                return resolve(job)
+
+            monkeypatch.setattr(svc, "_resolve", slow_resolve)
+            (result,) = svc.run([Job("matrix_add_i32", {"n": 32})],
+                                timeout=300)
+            snapshot = svc.snapshot()
+        assert result.ok
+        assert result.latency_s == 100.0
+        assert snapshot["latency_p50_s"] == 100.0
+
+
 class TestPoolUnit:
     def test_bad_mode_rejected(self):
         with pytest.raises(ServiceError, match="mode"):

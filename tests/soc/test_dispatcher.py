@@ -110,3 +110,85 @@ class TestRegisterInit:
         small = disp.dispatch_cost_mb_cycles(LaunchGeometry.of((64,), (64,)))
         big = disp.dispatch_cost_mb_cycles(LaunchGeometry.of((256,), (256,)))
         assert big > small
+
+
+class TestWorkgroupTemplate:
+    """Per-launch register images: copies of one template per workgroup
+    carry exactly the ABI state a from-scratch build does."""
+
+    #: 160 work-items: two full wavefronts and one of 32 lanes; two
+    #: groups in X and Z, one in Y.
+    GEOMETRY = LaunchGeometry.of((16, 10, 4), (8, 10, 2))
+
+    def test_template_build_matches_standalone_build(self, dispatcher):
+        disp, _ = dispatcher
+        program = assemble(".vgprs 9\n  s_endpgm")
+        template = disp.workgroup_template(program, self.GEOMETRY)
+        for gid in self.GEOMETRY.group_ids():
+            got = disp.build_workgroup(program, self.GEOMETRY, gid, template)
+            want = disp.build_workgroup(program, self.GEOMETRY, gid)
+            assert len(got.wavefronts) == len(want.wavefronts) == 3
+            for a, b in zip(got.wavefronts, want.wavefronts):
+                assert a.exec_mask == b.exec_mask
+                assert np.array_equal(a.sgprs, b.sgprs)
+                assert np.array_equal(a.vgprs, b.vgprs)
+        last = got.wavefronts[-1]
+        assert last.exec_mask == (1 << 32) - 1
+        assert tuple(last.sgprs[GROUP_ID_REG:GROUP_ID_REG + 3]) == (1, 0, 1)
+
+    def test_unused_group_dimensions_stay_zero(self, dispatcher):
+        disp, _ = dispatcher
+        g = LaunchGeometry.of((128, 4), (64, 4))    # one group in Y and Z
+        wg = disp.build_workgroup(assemble("s_endpgm"), g, (1, 0, 0))
+        assert wg.wavefronts[0].sgprs[GROUP_ID_REG] == 1
+        assert not wg.wavefronts[0].sgprs[GROUP_ID_REG + 1:GROUP_ID_REG + 3].any()
+
+    def test_workgroups_own_their_registers(self, dispatcher):
+        disp, _ = dispatcher
+        program = assemble("s_endpgm")
+        template = disp.workgroup_template(program, self.GEOMETRY)
+        assert not template.sgprs.flags.writeable
+        assert not template.vgprs.flags.writeable
+        first = disp.build_workgroup(program, self.GEOMETRY, (0, 0, 0),
+                                     template)
+        first.wavefronts[0].sgprs[UAV_DESCRIPTOR_REG] = 7
+        first.wavefronts[0].vgprs[0] = 7
+        second = disp.build_workgroup(program, self.GEOMETRY, (0, 0, 0),
+                                      template)
+        assert second.wavefronts[0].sgprs[UAV_DESCRIPTOR_REG] == 0x1000
+        assert (second.wavefronts[0].vgprs[0] == np.arange(64) % 8).all()
+
+    def test_register_check_runs_when_the_template_is_built(self, dispatcher):
+        disp, _ = dispatcher
+        hungry = assemble(".vgprs 128\n  s_endpgm")   # 8 wavefronts fit
+        with pytest.raises(LaunchError, match="concurrent wavefronts"):
+            disp.workgroup_template(hungry, LaunchGeometry.of((640,), (640,)))
+
+
+class TestLaunchTemplate:
+    def test_one_template_per_launch_and_none_in_checkpoints(self,
+                                                             monkeypatch):
+        from repro.core.config import ArchConfig
+        from repro.errors import LaunchPreempted
+        from repro.exec.checkpoint import _frame_from_dict, _frame_to_dict
+        from repro.soc.gpu import Gpu
+
+        gpu = Gpu(ArchConfig.baseline())
+        built = []
+        original = gpu.dispatcher.workgroup_template
+        monkeypatch.setattr(
+            gpu.dispatcher, "workgroup_template",
+            lambda *args: built.append(args) or original(*args))
+        program = assemble("  v_mov_b32 v1, v0\n  s_endpgm")
+        with pytest.raises(LaunchPreempted):
+            gpu.launch(program, (256,), (64,), max_slice_instructions=1)
+        frame = gpu.paused
+        assert frame.template is not None and len(built) == 1
+        data = _frame_to_dict(frame)
+        assert "template" not in data
+        restored = _frame_from_dict(data)
+        assert restored.template is None
+        # A resumed launch builds its own template once.
+        gpu.paused = restored
+        result = gpu.resume_launch()
+        assert result.executed_groups == 4 and len(built) == 2
