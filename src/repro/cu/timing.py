@@ -169,10 +169,11 @@ class UnitPool:
         """Schedule on the earliest-free instance; returns completion."""
         if not self.busy_until:
             raise SimulationError("no instance of this functional unit exists")
-        idx = min(range(len(self.busy_until)), key=self.busy_until.__getitem__)
-        start = max(now, self.busy_until[idx])
+        busy = self.busy_until
+        idx = busy.index(min(busy))
+        start = max(now, busy[idx])
         done = start + occupancy
-        self.busy_until[idx] = done
+        busy[idx] = done
         self.busy_cycles += occupancy
         return done
 

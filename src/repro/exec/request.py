@@ -72,11 +72,17 @@ class BenchmarkWorkload:
         return self.name or "?"
 
     def run(self, board, request, resume=None):
+        # One reference per run: verify returns the dict it checked, and
+        # the digests take their output names from it.
         bench = self.resolve()
-        ctx = bench.run_on(board, verify=request.verify, resume=resume)
-        outputs = {}
-        if request.digests:
-            outputs = {name: ctx[name] for name in bench.reference(ctx)}
+        ctx = bench.run_on(board, verify=False, resume=resume)
+        expected = {}
+        if request.verify:
+            expected = bench.verify(board, ctx)
+        elif request.digests:
+            expected = bench.reference(ctx)
+        outputs = ({name: ctx[name] for name in expected}
+                   if request.digests else {})
         return WorkloadRun(ctx=ctx, outputs=outputs)
 
 

@@ -102,6 +102,9 @@ class Benchmark:
     datapath_bits = 32
     #: Default parameters, overridden by constructor kwargs.
     defaults: Dict[str, object] = {}
+    #: ``(rtol, atol)`` for float outputs in :meth:`verify`; integer
+    #: outputs always match exactly.
+    tolerance = (2e-4, 1e-5)
 
     def __init__(self, **params):
         merged = dict(self.defaults)
@@ -153,27 +156,32 @@ class Benchmark:
         return ctx
 
     def verify(self, device, ctx):
-        """Compare device outputs with the NumPy reference."""
-        for name, expected in self.reference(ctx).items():
-            buf = ctx[name]
-            actual = device.read(buf, dtype=expected.dtype,
+        """Compare device outputs with the NumPy reference.
+
+        Computes :meth:`reference` once and returns its dict, so callers
+        that also digest the outputs (``BenchmarkWorkload``) name them
+        from it instead of computing the reference again.  Integer
+        outputs must match exactly; float outputs within
+        :attr:`tolerance`.
+        """
+        rtol, atol = self.tolerance
+        expected_outputs = self.reference(ctx)
+        for name, expected in expected_outputs.items():
+            actual = device.read(ctx[name], dtype=expected.dtype,
                                  count=expected.size)
             actual = actual.reshape(expected.shape)
             if np.issubdtype(expected.dtype, np.floating):
-                ok = np.allclose(actual, expected, rtol=2e-4, atol=1e-5)
-            else:
-                ok = np.array_equal(actual, expected)
-            if not ok:
                 bad = np.flatnonzero(
-                    ~np.isclose(actual, expected, rtol=2e-4, atol=1e-5)
-                    if np.issubdtype(expected.dtype, np.floating)
-                    else actual.ravel() != expected.ravel())
+                    ~np.isclose(actual, expected, rtol=rtol, atol=atol))
+            else:
+                bad = np.flatnonzero(actual.ravel() != expected.ravel())
+            if bad.size:
                 raise SimulationError(
                     "{}: output {!r} mismatches reference at {} positions "
                     "(first: index {}, got {}, want {})".format(
                         self.name, name, bad.size, bad[:1],
                         actual.ravel()[bad[:1]], expected.ravel()[bad[:1]]))
-        return True
+        return expected_outputs
 
     def describe(self):
         return "{}({})".format(

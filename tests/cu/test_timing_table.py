@@ -227,6 +227,19 @@ class TestUnitPool:
         assert pool.acquire(0.0, 4) == 8.0      # both busy: queue
         assert pool.busy_cycles == 12
 
+    def test_tie_goes_to_lowest_index(self):
+        pool = UnitPool(3)
+        pool.busy_until = [7.0, 3.0, 3.0]
+        pool.busy_cycles = 10.0
+        assert pool.acquire(1.0, 4) == 7.0      # starts at 3.0 on index 1
+        assert pool.busy_until == [7.0, 7.0, 3.0]
+        assert pool.busy_cycles == 14.0
+        assert pool.acquire(5.0, 2) == 7.0      # index 2 is free at 3.0
+        assert pool.busy_until == [7.0, 7.0, 7.0]
+        assert pool.acquire(0.0, 1) == 8.0      # three-way tie: index 0
+        assert pool.busy_until == [8.0, 7.0, 7.0]
+        assert pool.busy_cycles == 17.0
+
     def test_reset_clears_busy(self):
         pool = UnitPool(1)
         pool.acquire(0.0, 5)

@@ -8,6 +8,7 @@ from repro.core.config import ArchConfig
 from repro.errors import LaunchError
 from repro.exec import (BenchmarkWorkload, ExecutionRequest, Executor,
                         ProgramWorkload, default_executor, execute)
+from repro.kernels import KERNELS
 
 STORE_LANE = """
 .kernel store_lane
@@ -161,6 +162,45 @@ class TestEnvelope:
             benchmark="matrix_add_i32", params={"n": 16}, arch=arch,
             report=report))
         assert result.metrics.power is report.power
+
+
+class TestOneReferencePerRun:
+    """verify and the digests share one reference; a request that asks
+    for neither computes none."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        cls = KERNELS["matrix_add_i32"]
+        real_reference = cls.reference
+        calls = []
+
+        def counted(self, ctx):
+            calls.append(self.name)
+            return real_reference(self, ctx)
+
+        monkeypatch.setattr(cls, "reference", counted)
+        return calls
+
+    @pytest.mark.parametrize("verify,digests,count", [
+        (True, True, 1), (True, False, 1), (False, True, 1),
+        (False, False, 0)])
+    def test_reference_calls_per_request(self, calls, verify, digests,
+                                         count):
+        result = Executor().execute(ExecutionRequest(
+            benchmark="matrix_add_i32", params={"n": 16}, verify=verify,
+            digests=digests))
+        assert len(calls) == count
+        assert set(result.digests) == ({"out"} if digests else set())
+
+    def test_one_reference_per_service_job(self, calls):
+        from repro.service import Job, KernelService
+
+        with KernelService(workers=1, mode="inline") as svc:
+            result = svc.result(svc.submit(
+                Job("matrix_add_i32", {"n": 16})))
+        assert result.ok
+        assert set(result.digests) == {"out"}
+        assert calls == ["matrix_add_i32"]
 
 
 class TestProgramWorkload:

@@ -1,5 +1,6 @@
 """Benchmark base-class machinery and the suite configuration."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import ArchConfig
@@ -37,8 +38,6 @@ class TestParams:
             KERNELS[name](**params)
 
     def test_param_types_accepted(self):
-        import numpy as np
-
         assert KERNELS["black_scholes"](r=1).r == 1   # int for a float
         assert KERNELS["matrix_add_i32"](seed=np.int64(5)).seed == 5
         assert KERNELS["cnn_i32"](channels=[1, 4]).channels == [1, 4]
@@ -74,6 +73,35 @@ class TestVerification:
         device.gpu.memory.global_mem.write_u32(
             0x1000 + ctx["out"].offset, 0xBAD)
         with pytest.raises(SimulationError, match="mismatches reference"):
+            bench.verify(device, ctx)
+
+    def test_verify_returns_the_reference(self):
+        bench = KERNELS["matrix_add_i32"](n=16)
+        device = SoftGpu(ArchConfig.baseline())
+        ctx = bench.run_on(device, verify=False)
+        expected = bench.verify(device, ctx)
+        assert list(expected) == ["out"]
+        assert np.array_equal(expected["out"], bench.reference(ctx)["out"])
+
+    def test_float_outputs_checked_within_class_tolerance(self):
+        """A former ``verify`` override is now just a ``tolerance``: the
+        shared check accepts an output inside it and names the output
+        outside it."""
+        bench = KERNELS["black_scholes"](n=64)
+        assert bench.tolerance == (2e-3, 2e-3) != Benchmark.tolerance
+        rtol, atol = bench.tolerance
+        device = SoftGpu(ArchConfig.baseline())
+        ctx = bench.prepare(device)
+        want = bench.reference(ctx)["call"]
+        slack = (atol + rtol * np.abs(want)).astype(np.float32)
+        device.write(ctx["call"], want + np.float32(0.9) * slack)
+        bench.verify(device, ctx)
+        beyond = want.copy()
+        beyond[5] += 2 * slack[5]
+        device.write(ctx["call"], beyond)
+        with pytest.raises(SimulationError,
+                           match="output 'call' mismatches reference at 1 "
+                                 r"positions \(first: index \[5\]"):
             bench.verify(device, ctx)
 
     def test_run_on_returns_context(self):
