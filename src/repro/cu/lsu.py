@@ -168,7 +168,7 @@ _ZERO_ROW.setflags(write=False)
 
 #: Names the generated executors see (read-only; no state between calls).
 RUNTIME = {
-    "_FE": FULL_EXEC, "_ALL": slice(None), "_u32": np.uint32,
+    "_FE": FULL_EXEC, "_u32": np.uint32,
     "_int8": np.int8, "_int64": np.int64, "_fill": np.full, "_ZROW": _ZERO_ROW,
     "_mn": np.minimum.reduce, "_mx": np.maximum.reduce,
     "_bor": np.bitwise_or.reduce, "_dkl": dedup_keep_last,
@@ -179,8 +179,28 @@ RUNTIME = {
     "_ldsw2": _lds_write2,
 }
 
-#: ``_a``: the active lanes -- every lane (a slice) under full EXEC.
-_ACTIVE = "_a = _ALL if wf.exec_mask == _FE else wf.active_lanes()"
+def _active_rows(full, partial):
+    """Lines binding ``_a``, the active lanes (None under full EXEC),
+    and ``_r``, the address rows: ``full`` reads every lane straight
+    from the register row, ``partial`` indexes the rows with ``_a``."""
+    return ["if wf.exec_mask == _FE:",
+            "    _a = None",
+            "    _r = " + full,
+            "else:",
+            "    _a = wf.active_lanes()",
+            "    _r = " + partial]
+
+
+def _lanes(row):
+    """Expression for the active lanes of VGPR row ``row``."""
+    return "(v[%d] if _a is None else v[%d][_a])" % (row, row)
+
+
+def _store_lanes(row, value, indent=""):
+    """Lines storing ``value`` into the active lanes of VGPR row ``row``:
+    the whole row under full EXEC, ``_a``'s lanes otherwise."""
+    return [indent + "if _a is None: v[%d] = %s" % (row, value),
+            indent + "else: v[%d][_a] = %s" % (row, value)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +239,12 @@ def _emit_smrd(inst):
     lines = ["s = wf.sgprs", "_p = " + addr]
     if sdst + count <= regs.NUM_SGPRS:
         # The whole window in range (addresses are never negative): one
-        # slice into the SGPR file.
+        # dword, or one slice into the SGPR file.
+        load = ("s[%d] = gm.dwords[_p]" % sdst if count == 1
+                else "s[%d:%d] = gm._bytes[_p:_p + %d].view(_u32)"
+                % (sdst, sdst + count, nbytes))
         lines += ["if _p + %d <= gm.size:" % nbytes,
-                  "    s[%d:%d] = gm._bytes[_p:_p + %d].view(_u32)"
-                  % (sdst, sdst + count, nbytes),
+                  "    " + load,
                   "else:",
                   "    _smrd(wf, gm, _p, %d, %d)" % (sdst, count)]
     else:
@@ -254,22 +276,24 @@ def _emit_buffer(inst):
              "_o = _b + %s + %d" % (_scalar_expr(f["soffset"]), f["offset"])]
     if f["offen"] and f["idxen"]:
         return lines + ["_noaddr()"], MEM_VECTOR, dwords, False
-    # The active lanes' address rows before ``_o`` (``_r``), and the 64
-    # lane addresses the dword-by-dword path takes (``lanes``).
+    # The active lanes' address rows before ``_o`` (``_r``; under full
+    # EXEC the register row itself), and the 64 lane addresses the
+    # dword-by-dword path takes (``lanes``).
     if f["offen"]:
-        rows = "v[%d][_a]" % vaddr
+        full, partial = "v[%d]" % vaddr, "v[%d][_a]" % vaddr
         if not store and vdata <= vaddr < vdata + dwords:
             # The load overwrites its own address register; the timing
-            # query still needs the addresses.
-            rows += ".copy()"
+            # query still needs the addresses (``_a`` indexing copies).
+            full += ".copy()"
         lanes = "v[%d].astype(_int64) + _o" % vaddr
     elif f["idxen"]:
-        rows = "v[%d][_a].astype(_int64) * 4" % vaddr
-        lanes = "v[%d].astype(_int64) * 4 + _o" % vaddr
+        full = "v[%d].astype(_int64) * 4" % vaddr
+        partial = "v[%d][_a].astype(_int64) * 4" % vaddr
+        lanes = full + " + _o"
     else:
-        rows = "_ZROW[_a]"
+        full, partial = "_ZROW", "_ZROW[_a]"
         lanes = "_fill(64, _o, _int64)"
-    lines += ["v = wf.vgprs", _ACTIVE, "_r = " + rows,
+    lines += ["v = wf.vgprs"] + _active_rows(full, partial) + [
               "_n = len(_r)",
               "if not _n:",
               "    return (0, 0, 0, None, 0)",
@@ -306,12 +330,13 @@ def _emit_buffer(inst):
         if store:
             # Colliding lane addresses resolve last-active-lane-wins;
             # raw fancy assignment leaves that unspecified.
-            lines += ["    if _u: %s[_r] = v[%d][_a]" % (at, vdata + i),
+            lines += ["    _d = " + _lanes(vdata + i),
+                      "    if _u: %s[_r] = _d" % at,
                       "    else:",
-                      "        _i, _d = _dkl(_r, v[%d][_a])" % (vdata + i),
+                      "        _i, _d = _dkl(_r, _d)",
                       "        %s[_i] = _d" % at]
         else:
-            lines.append("    v[%d][_a] = %s[_r]" % (vdata + i, at))
+            lines += _store_lanes(vdata + i, "%s[_r]" % at, "    ")
     lines.append("else:")
     if byte:
         lines.append("    _bbyte(wf, gm, %s, %d, %s, %s)" % (
@@ -326,33 +351,36 @@ def _emit_buffer(inst):
 def _emit_ds(inst):
     f = inst.fields
     name = inst.spec.name
-    lines = ["_L = _lds(wf)", "v = wf.vgprs", _ACTIVE,
-             "_r = v[%d][_a]" % f["addr"]]
+    addr = f["addr"]
+    # ``_r`` is spent on the dword indices before any row is written, so
+    # a read into its own address register needs no copy.
+    lines = (["_L = _lds(wf)", "v = wf.vgprs"]
+             + _active_rows("v[%d]" % addr, "v[%d][_a]" % addr))
     if name in ("ds_read_b32", "ds_write_b32", "ds_add_u32"):
         lines.append("_x = _ldsw(_L, _r, %d, %r)"
                      % (f["offset0"] | (f["offset1"] << 8), name))
         if name == "ds_read_b32":
-            lines.append("v[%d][_a] = _L[_x]" % f["vdst"])
+            lines += _store_lanes(f["vdst"], "_L[_x]")
         elif name == "ds_write_b32":
             # Colliding addresses resolve in lane order, like the banked
             # hardware serialises conflicts: keep each address's last
             # active lane.
-            lines += ["_i, _d = _dkl(_x, v[%d][_a])" % f["data0"],
+            lines += ["_i, _d = _dkl(_x, %s)" % _lanes(f["data0"]),
                       "_L[_i] = _d"]
         else:
             # Atomic add: uint32 wrap is associative, so an unordered
             # scatter-add matches lane-serial order.
-            lines.append("_addat(_L, _x, v[%d][_a])" % f["data0"])
+            lines.append("_addat(_L, _x, %s)" % _lanes(f["data0"]))
         return lines + ["return ()"], MEM_LDS, 1, True
     # read2/write2: offset0/offset1 are independent dword-element offsets.
     lines += ["_x = _ldsw(_L, _r, %d, %r)" % (4 * f["offset0"], name),
               "_y = _ldsw(_L, _r, %d, %r)" % (4 * f["offset1"], name)]
     if name == "ds_read2_b32":
-        lines += ["v[%d][_a] = _L[_x]" % f["vdst"],
-                  "v[%d][_a] = _L[_y]" % (f["vdst"] + 1)]
+        lines += (_store_lanes(f["vdst"], "_L[_x]")
+                  + _store_lanes(f["vdst"] + 1, "_L[_y]"))
     else:  # ds_write2_b32
-        lines.append("_ldsw2(_L, _x, _y, v[%d][_a], v[%d][_a])"
-                     % (f["data0"], f["data1"]))
+        lines.append("_ldsw2(_L, _x, _y, %s, %s)"
+                     % (_lanes(f["data0"]), _lanes(f["data1"])))
     return lines + ["return ()"], MEM_LDS, 2, True
 
 

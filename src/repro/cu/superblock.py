@@ -29,7 +29,7 @@ from ..isa import registers as regs
 from ..isa.formats import Format
 from . import lsu, operations, vector
 from .timing import KIND_ALU, KIND_MEMORY
-from .wavefront import FULL_EXEC, MASK32, MASK64
+from .wavefront import FULL_EXEC, MASK32, MASK64, pack_lanes, unpack_lanes
 
 
 # ---------------------------------------------------------------------------
@@ -38,19 +38,18 @@ from .wavefront import FULL_EXEC, MASK32, MASK64
 
 _RUNTIME = {
     "_full": np.full, "_u32d": np.uint32, "_cp": np.copyto,
-    "_pk": np.packbits, "_ifb": int.from_bytes,
+    "_pack": pack_lanes, "_unpack": unpack_lanes,
     "_s32": operations._s32, "_add32": operations._add_i32,
     "_FE": FULL_EXEC, "_where": np.where, "_g": operations.execute,
     "_fv": vector._fv, "_sv": vector._sv, "_from_f": vector._from_f,
-    "_bfm": vector.bools_from_mask,
     "_awc": vector.add_with_carry, "_swb": vector.sub_with_borrow,
 }
 
 _PRELUDE = (
     ("s", "s = wf.sgprs"),
     ("v", "v = wf.vgprs"),
-    # None means "all lanes" to the row writes and the mask packing;
-    # otherwise EXEC's lane bools, cached on the wavefront.
+    # None means "all lanes" to the row writes and the lane-mask
+    # stores; otherwise EXEC's lane bools, cached on the wavefront.
     ("lm", "lm = None if wf.exec_mask == _FE else wf.active_lane_mask()"),
 )
 
@@ -185,12 +184,26 @@ def _write_row(vdst, value):
             "else: _cp(v[%d], %s, where=lm)" % (vdst, value)]
 
 
-def _packed(bools):
-    """Expression packing per-lane ``bools`` into a 64-bit mask (lane 0
-    = bit 0), inactive lanes zeroed: ``vector.mask_from_bools`` in one
-    expression."""
-    return ('_ifb(_pk((%s) if lm is None else (%s) & lm, bitorder="little")'
-            '.tobytes(), "little")' % (bools, bools))
+def _mask_dst(sdst, bools, uses):
+    """Lines storing the per-lane ``bools`` as a lane mask into
+    ``sdst`` (None in VOP2/VOPC encodings: VCC), inactive lanes false
+    -- ``vector.mask_from_bools`` under EXEC.  VCC keeps the bool row
+    (:meth:`Wavefront.set_vcc_lanes`), packed only if something reads
+    the int; an SGPR pair or EXEC takes the packed mask."""
+    lanes = "(%s) if lm is None else (%s) & lm" % (bools, bools)
+    if sdst is None or sdst == regs.VCC_LO:
+        return ["wf.set_vcc_lanes(%s)" % lanes]
+    dst = _scalar64_dst(sdst, uses)
+    return None if dst is None else ["_m = _pack(%s)" % lanes] + dst
+
+
+def _lanes_src(code, uses):
+    """Expression for the per-lane bools of a 64-bit selector or
+    carry-in operand (None in VOP2 encodings: VCC)."""
+    if code is None or code == regs.VCC_LO:
+        return "wf.vcc_lanes()"
+    mask = _scalar64_src(code, uses)
+    return None if mask is None else "_unpack(%s)" % mask
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +333,7 @@ def _emit_vector(inst, k, ns, uses):
     """Every vectorized class in array form -- plain VBIN/VUN/VTRI
     cores, compares, cndmask, mac and the carry chains
     (:data:`repro.cu.vector.CARRY_OPS`) -- computed in full, then
-    stored by :func:`_write_row`; masks are packed by :func:`_packed`."""
+    stored by :func:`_write_row`; lane masks by :func:`_mask_dst`."""
     sp, f, fmt = inst.spec, inst.fields, inst.fmt
     name = sp.name
     # The one SGPR source of a core that also takes a 64-lane VGPR row
@@ -372,7 +385,7 @@ def _emit_vector(inst, k, ns, uses):
     if name.startswith("v_cmp_"):
         parts = name.split("_")
         cmp_fn = vector.VCMP_IMPL.get(parts[2]) if len(parts) == 4 else None
-        dst = _scalar64_dst(sdst, uses)
+        dst = _mask_dst(sdst, "_c", uses)
         if cmp_fn is None or b is None or dst is None:
             return None
         if parts[3] == "f32":
@@ -380,8 +393,7 @@ def _emit_vector(inst, k, ns, uses):
         elif parts[3] == "i32":
             a, b = "_sv(%s)" % a, "_sv(%s)" % b
         ns["_i%d" % k] = cmp_fn
-        return (["_c = _i%d(%s, %s)" % (k, a, b), "_m = " + _packed("_c")]
-                + dst)
+        return ["_c = _i%d(%s, %s)" % (k, a, b)] + dst
 
     uses.add("v")  # every other class writes ``vdst``
     vdst = f["vdst"]
@@ -395,35 +407,32 @@ def _emit_vector(inst, k, ns, uses):
         return _write_row(vdst, "_i%d(%s)" % (k, a))
 
     if name in ("v_cndmask_b32", "v_addc_u32", "v_subb_u32"):
-        # The VCC-or-SGPR-pair selector / carry-in.
-        sel = ("wf.vcc" if fmt is not Format.VOP3
-               else _scalar64_src(f["src2"], uses))
+        # The VCC-or-SGPR-pair selector / carry-in, as lane bools.
+        sel = _lanes_src(f["src2"] if fmt is Format.VOP3 else None, uses)
         if sel is None:
             return None
 
     if name == "v_cndmask_b32":
-        return _write_row(vdst, "_where(_bfm(%s), %s, %s)" % (sel, b, a))
+        return _write_row(vdst, "_where(%s, %s, %s)" % (sel, b, a))
 
     if name in vector.CARRY_OPS:
-        dst = _scalar64_dst(sdst, uses)
-        if dst is None:
-            return None
         # Each form computes into a fresh ``_r`` and reads its sources
         # for the carry before anything is written: ``vdst`` may alias
         # a source.  ``a + b`` wraps iff the sum is below either addend
         # (the VGPR row when there is one); ``x - y`` borrows iff x < y.
         if name == "v_add_i32":
             row = a if a.startswith("v[") and not b.startswith("v[") else b
-            lines = ["_r = %s + %s" % (a, b),
-                     "_m = " + _packed("_r < %s" % row)]
+            lines, carry = ["_r = %s + %s" % (a, b)], "_r < %s" % row
         elif name in ("v_sub_i32", "v_subrev_i32"):
             x, y = (a, b) if name == "v_sub_i32" else (b, a)
-            lines = ["_r = %s - %s" % (x, y),
-                     "_m = " + _packed("%s < %s" % (x, y))]
+            lines, carry = ["_r = %s - %s" % (x, y)], "%s < %s" % (x, y)
         else:
             core = "_awc" if name == "v_addc_u32" else "_swb"
-            lines = ["_r, _c = %s(%s, %s, _bfm(%s))" % (core, a, b, sel),
-                     "_m = " + _packed("_c")]
+            lines = ["_r, _c = %s(%s, %s, %s)" % (core, a, b, sel)]
+            carry = "_c"
+        dst = _mask_dst(sdst, carry, uses)
+        if dst is None:
+            return None
         return lines + dst + _write_row(vdst, "_r")
 
     if name == "v_mac_f32":

@@ -44,32 +44,26 @@ import numpy as np
 from ..errors import SimulationError
 from ..isa import registers as regs
 from ..isa.formats import Format
-from .wavefront import MASK32, MASK64
+from .wavefront import MASK32, MASK64, pack_lanes, unpack_lanes
 
 # ---------------------------------------------------------------------------
 # Packed-mask helpers (EXEC / VCC <-> per-lane booleans).
 # ---------------------------------------------------------------------------
 
-_LANES = np.arange(64, dtype=np.uint64)
-_POW2 = np.uint64(1) << _LANES
-
-
 def bools_from_mask(mask64):
     """Per-lane booleans from a packed 64-bit mask (lane 0 = bit 0)."""
-    packed = np.frombuffer(int(mask64 & MASK64).to_bytes(8, "little"),
-                           dtype=np.uint8)
-    return np.unpackbits(packed, bitorder="little").view(np.bool_)
+    return unpack_lanes(int(mask64) & MASK64)
 
 
 def mask_from_bools(bools, lane_mask=None):
     """Pack per-lane booleans into a 64-bit int, zeroing inactive lanes.
 
-    ``lane_mask=None`` means all lanes are active (the superblock
-    codegen passes ``None`` when EXEC is known to be full).
+    ``lane_mask=None`` means all lanes are active (the emitted
+    executors pass ``None`` when EXEC is known to be full).
     """
     if lane_mask is not None:
         bools = np.logical_and(bools, lane_mask)
-    return int(np.packbits(bools, bitorder="little").view("<u8")[0])
+    return pack_lanes(bools)
 
 
 # ---------------------------------------------------------------------------

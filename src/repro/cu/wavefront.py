@@ -27,8 +27,29 @@ FULL_EXEC = MASK64
 _INLINE_CONSTANTS = regs.INLINE_CONSTANTS
 
 
+def pack_lanes(lanes):
+    """The 64-bit mask of a ``(64,)`` bool row (lane 0 = bit 0)."""
+    return int.from_bytes(
+        np.packbits(lanes, bitorder="little").tobytes(), "little")
+
+
+def unpack_lanes(mask):
+    """The ``(64,)`` bool row of a 64-bit mask (lane 0 = bit 0); the
+    inverse of :func:`pack_lanes`.  ``mask`` is an int in 64 bits."""
+    return np.unpackbits(np.frombuffer(mask.to_bytes(8, "little"), np.uint8),
+                         bitorder="little").view(np.bool_)
+
+
 class Wavefront:
-    """Architectural + scheduling state of one wavefront."""
+    """Architectural + scheduling state of one wavefront.
+
+    VCC is held in the form its last producer made: a packed 64-bit
+    int (SALU, the reference dispatcher, every ``vcc`` store) or a
+    64-lane bool row (the emitted VALU compares and carries, through
+    :meth:`set_vcc_lanes`).  At least one form is set; :attr:`vcc`
+    packs pending lanes once and :meth:`vcc_lanes` unpacks once, each
+    caching its result until the next write.
+    """
 
     def __init__(self, wf_id, program, workgroup=None, lane_count=64):
         self.wf_id = wf_id
@@ -40,7 +61,8 @@ class Wavefront:
         self._exec_mask = FULL_EXEC if lane_count == 64 else (1 << lane_count) - 1
         self._lane_mask_cache = None
         self._lane_idx_cache = None
-        self.vcc = 0
+        self._vcc = 0
+        self._vcc_lanes = None
         self.scc = 0
         self.m0 = 0
         self.done = False
@@ -73,10 +95,7 @@ class Wavefront:
     def active_lane_mask(self):
         """Boolean (64,) array of lanes enabled by EXEC (cached)."""
         if self._lane_mask_cache is None:
-            packed = np.frombuffer(
-                self._exec_mask.to_bytes(8, "little"), dtype=np.uint8)
-            self._lane_mask_cache = np.unpackbits(
-                packed, bitorder="little").view(np.bool_)
+            self._lane_mask_cache = unpack_lanes(self._exec_mask)
         return self._lane_mask_cache
 
     def active_lanes(self):
@@ -84,6 +103,32 @@ class Wavefront:
         if self._lane_idx_cache is None:
             self._lane_idx_cache = np.flatnonzero(self.active_lane_mask())
         return self._lane_idx_cache
+
+    @property
+    def vcc(self):
+        """VCC as a 64-bit int (lane 0 = bit 0, inactive lanes zero)."""
+        value = self._vcc
+        if value is None:
+            value = self._vcc = pack_lanes(self._vcc_lanes)
+        return value
+
+    @vcc.setter
+    def vcc(self, value):
+        self._vcc = int(value) & MASK64
+        self._vcc_lanes = None
+
+    def vcc_lanes(self):
+        """VCC as a read-only-by-contract ``(64,)`` bool row (cached)."""
+        lanes = self._vcc_lanes
+        if lanes is None:
+            lanes = self._vcc_lanes = unpack_lanes(self._vcc)
+        return lanes
+
+    def set_vcc_lanes(self, lanes):
+        """Store VCC as a bool row, inactive lanes already false; the
+        row is kept, not copied, so no caller may write into it."""
+        self._vcc_lanes = lanes
+        self._vcc = None
 
     @property
     def execz(self):

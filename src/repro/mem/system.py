@@ -82,11 +82,6 @@ class MemorySystem:
         #: Observation slot (see repro.obs): ``None`` or the board's hub.
         self.obs = None
 
-    def _note(self, *keys):
-        stats = self.stats
-        for key in keys:
-            stats[key] += 1
-
     # -- preload (MicroBlaze command, Section 2.1.4) -------------------------
 
     def preload(self, cu_index, start, nbytes):
@@ -116,20 +111,22 @@ class MemorySystem:
         discontiguous residency.
         """
         active, lo, hi, rows, offset = access
-        covered = self.params.prefetch_enabled and (
-            active == 0
-            or self.prefetch[cu_index].covers_range(lo, hi)
-            or self.prefetch[cu_index].covers_all(
-                rows.astype(np.int64) + offset))
-        if covered:
-            self._note("prefetch_hits")
-            done = self._prefetch_ports[cu_index].issue(
-                now, self.params.prefetch_hit_cycles)
-            hit = True
+        params = self.params
+        stats = self.stats
+        if params.prefetch_enabled:
+            buf = self.prefetch[cu_index]
+            hit = (active == 0 or buf.covers_range(lo, hi)
+                   or buf.covers_all(rows.astype(np.int64) + offset))
         else:
-            self._note("prefetch_misses", "relay_accesses")
-            done = self.relay.issue(now, self.params.relay_cycles)
             hit = False
+        if hit:
+            stats["prefetch_hits"] += 1
+            done = self._prefetch_ports[cu_index].issue(
+                now, params.prefetch_hit_cycles)
+        else:
+            stats["prefetch_misses"] += 1
+            stats["relay_accesses"] += 1
+            done = self.relay.issue(now, params.relay_cycles)
         if self.obs is not None:
             self.obs.emit_mem_access(MemAccess(
                 cycle=now, cu_index=cu_index, space="global",
@@ -138,14 +135,17 @@ class MemorySystem:
 
     def scalar_access_time(self, cu_index, now, addr):
         """Completion time of a scalar (SMRD) read starting at ``now``."""
-        if self.params.prefetch_enabled and self.prefetch[cu_index].covers(addr):
-            self._note("prefetch_hits")
+        params = self.params
+        stats = self.stats
+        if params.prefetch_enabled and self.prefetch[cu_index].covers(addr):
+            stats["prefetch_hits"] += 1
             done = self._prefetch_ports[cu_index].issue(
-                now, self.params.prefetch_hit_cycles)
+                now, params.prefetch_hit_cycles)
             hit = True
         else:
-            self._note("prefetch_misses", "relay_accesses")
-            done = self.relay.issue(now, self.params.relay_cycles)
+            stats["prefetch_misses"] += 1
+            stats["relay_accesses"] += 1
+            done = self.relay.issue(now, params.relay_cycles)
             hit = False
         if self.obs is not None:
             self.obs.emit_mem_access(MemAccess(
@@ -155,7 +155,7 @@ class MemorySystem:
 
     def lds_access_time(self, now, cu_index=0):
         """Completion time of an LDS access (always in-CU BRAM)."""
-        self._note("lds_accesses")
+        self.stats["lds_accesses"] += 1
         done = now + self.params.lds_cycles
         if self.obs is not None:
             self.obs.emit_mem_access(MemAccess(

@@ -7,11 +7,12 @@ at a time: lanes in order, each dword range-checked across the active
 lanes before any lane of it moves (all-or-nothing per dword), the last
 active lane winning on colliding stores.  The global forms cross
 offen/idxen/neither addressing with edge footprints -- aligned,
-unaligned, the last valid dword, a dword straddling the end of memory,
-a negative (wrapped) address, an access past ``num_records``, colliding
-lanes.  The DS forms cross their offsets with aligned, unaligned, last
-dword, one dword past the end, out of range, negative (wrapped),
-colliding lanes and a workgroup without LDS.  Every scenario runs
+unaligned, the last valid dword, a dword one or two bytes past the end
+of memory, a negative (wrapped) address, an access past
+``num_records``, colliding lanes (adjacent and 16 lanes apart).  The
+DS forms cross their offsets with aligned, unaligned, last dword, one
+dword past the end, out of range, negative (wrapped), colliding lanes
+and a workgroup without LDS.  Every scenario runs
 under the four EXEC masks of the vector matrix.
 
 Two prepared executors are checked: the one a one-instruction program
@@ -70,8 +71,12 @@ BUFFER_FORMS = [
     "{} v[2:3], v1, s[4:7], s8 {} offset:{}".format(op, mode, INST_OFFSET)
     for op in _BUFFER_XY for mode in ("offen", "idxen", "")
 ] + [
-    # A load that overwrites its own address register.
+    # Loads that overwrite their own address register: under full EXEC
+    # the address rows are the register row itself, so the access tuple
+    # holds the pre-load addresses only if the executor copies them.
     "tbuffer_load_format_xy v[1:2], v1, s[4:7], s8 offen offset:4",
+    "buffer_load_dword v1, v1, s[4:7], s8 offen offset:4",
+    "buffer_load_ubyte v1, v1, s[4:7], s8 offen offset:4",
 ]
 
 SMRD_FORMS = [
@@ -97,11 +102,16 @@ SCENARIOS = [
     ("aligned", 0x1000, 0x1000, 0x1000 + 4 * _LANES, 0x1000 + 4 * 63),
     ("unaligned", 0x1001, 0x1000, 0x1001 + 4 * _LANES, 0x1001 + 4 * 63),
     ("last-dword", 0x1000, 0, MEM - 4 - 4 * (63 - _LANES), MEM - 4),
+    # One byte past the last dword: a one-dword SMRD must take the
+    # dword-by-dword path and raise there, not index past the store.
+    ("last-dword+1", 0x1001, 0, MEM - 3 - 4 * (63 - _LANES), MEM - 3),
     ("straddle-end", 0x1002, 0, MEM - 2 - 4 * (63 - _LANES), MEM - 2),
     ("negative", 0x1000, 0, 0x1000 - 0x1010 + 4 * _LANES, -4),
     ("past-records", 0x1000, 0x80, 0x1000 + 4 * _LANES, 0x1080),
     ("collide", 0x1000, 0x1000, 0x1000 + 4 * (_LANES // 4), 0x1000),
     ("collide-unaligned", 0x1000, 0x1000, 0x1001 + 2 * _LANES, 0x1001),
+    # Lanes 16 apart share a dword: the last active one must win.
+    ("collide-strided", 0x1000, 0x1000, 0x1000 + 4 * (_LANES % 16), 0x1000),
 ]
 
 #: LDS bytes of the DS forms' workgroup.

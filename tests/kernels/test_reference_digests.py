@@ -4,6 +4,9 @@
 references in Python loops over ``np.float32`` scalars.  The digests
 below were recorded from those loops (3 seeds x {default size, one
 small size}); the array forms must reproduce them byte for byte.
+``eigenvalue`` is also compared with a copy of its scalar loop at
+probes straddling each eigenvalue, where its counts turn on float32
+rounding.
 """
 
 import hashlib
@@ -85,3 +88,66 @@ def test_reference_is_byte_identical(name, size, seed, output, digest):
     assert array.dtype == DTYPES[name]
     assert hashlib.sha256(
         np.ascontiguousarray(array).tobytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalue at its sign changes.  The digests above see only the sign
+# counts at probes far from every eigenvalue, so float32 rounding in
+# the Sturm sequence never shows in them; probes a few float32 ulps
+# either side of each eigenvalue make the counts turn on it.
+# ---------------------------------------------------------------------------
+
+#: Float32 steps either side of each eigenvalue.
+ULPS = 4
+
+
+def _scalar_sturm_counts(d, e2, probes, m):
+    """The scalar Sturm loop the array reference replaced: one probe at
+    a time, rounding to float32 after every operation, the reciprocal
+    taken in float64."""
+    counts = []
+    for x in probes:
+        q = np.float32(d[0] - x)
+        count = int(q < 0)
+        for i in range(1, m):
+            rcp = np.float32(1.0 / np.float64(q))
+            q = np.float32(np.float32(d[i] - x) - np.float32(e2[i - 1] * rcp))
+            count += int(q < 0)
+        counts.append(count)
+    return np.asarray(counts, dtype=np.uint32)
+
+
+def _probes_around_eigenvalues(d, e2, m):
+    """Each eigenvalue of the tridiagonal matrix (in float64, rounded to
+    float32) with ``ULPS`` float32 neighbours on either side."""
+    off = np.sqrt(e2[:m - 1].astype(np.float64))
+    matrix = (np.diag(d.astype(np.float64)) + np.diag(off, 1)
+              + np.diag(off, -1))
+    probes = []
+    for value in np.linalg.eigvalsh(matrix).astype(np.float32):
+        below = above = value
+        lower, upper = [], []
+        for _ in range(ULPS):
+            below = np.nextafter(below, np.float32(-np.inf))
+            above = np.nextafter(above, np.float32(np.inf))
+            lower.append(below)
+            upper.append(above)
+        probes += lower[::-1] + [value] + upper
+    return np.asarray(probes, dtype=np.float32)
+
+
+@pytest.mark.parametrize("size", [{}, {"m": 2}], ids=["default", "m2"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_eigenvalue_matches_scalar_loop_at_sign_changes(seed, size):
+    bench = KERNELS["eigenvalue"](seed=seed, **size)
+    ctx = bench.prepare(_HostOnly())
+    d, e2 = ctx["diag_v"], ctx["e2_v"]
+    ctx["probes_v"] = _probes_around_eigenvalues(d, e2, bench.m)
+    counts = bench.reference(ctx)["counts"]
+    want = _scalar_sturm_counts(d, e2, ctx["probes_v"], bench.m)
+    assert counts.dtype == np.uint32
+    assert counts.tobytes() == want.tobytes()
+    # Every eigenvalue's probes straddle a count change, so a rounding
+    # difference anywhere in the sequence moves some count.
+    per_eigenvalue = want.reshape(bench.m, 2 * ULPS + 1)
+    assert all(len(set(row)) > 1 for row in per_eigenvalue)
