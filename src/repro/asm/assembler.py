@@ -79,6 +79,10 @@ class _Literals:
         self.value = None
 
     def encode(self, op, width=9, allow_literal=True):
+        if not isinstance(op, Operand):
+            raise AssemblyError(
+                "{!r} is not a register or constant".format(
+                    getattr(op, "name", op)), self.stmt.line)
         code, literal = regs.encode_source(op, width)
         if literal is not None:
             if not allow_literal:
@@ -378,8 +382,12 @@ class Assembler:
         c0 = lits.encode(src0, width=9, allow_literal=False)
         c1 = lits.encode(src1, width=9, allow_literal=False)
         op3 = self.registry.vop3_opcode(sp)
-        sdst = regs.VCC_LO if (sp.writes_vcc or sp.reads_vcc) else None
-        return formats.pack_vop3(op3, vdst.value, c0, c1, sdst=sdst)
+        # VOP3b carries write VCC through ``sdst``; a VCC selector or
+        # carry-in travels in ``src2``, like an explicit SGPR pair.
+        sdst = regs.VCC_LO if sp.writes_vcc else None
+        src2 = regs.VCC_LO if sp.reads_vcc else 0
+        return formats.pack_vop3(op3, vdst.value, c0, c1, src2=src2,
+                                 sdst=sdst)
 
     def _encode_vop1(self, sp, stmt):
         if len(stmt.operands) != 2 or not _is_reg(stmt.operands[0], Operand.VGPR):

@@ -116,7 +116,8 @@ def disassemble_instruction(inst, label_for=None):
                 return "{} {}, {}, {}".format(name, dst_txt, srcs[0], srcs[1])
             parts = [_vdst(f["vdst"]), dst_txt, srcs[0], srcs[1]]
             if sp.reads_vcc:
-                parts.append("vcc")
+                # The carry-in travels in src2.
+                parts.append(_src(f["src2"], lit, 2))
             return "{} {}".format(name, ", ".join(parts))
         if sp.fmt is Format.VOP2 and sp.reads_vcc:
             # The mask selector travels in src2 (vcc or an SGPR pair).

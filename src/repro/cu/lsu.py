@@ -18,11 +18,22 @@ dword count, offen/idxen/neither addressing, the ``soffset`` source,
 the immediate offset, the SMRD ``sdst`` window, the DS form and
 offsets.  :func:`repro.cu.superblock.build_superblocks` compiles these
 executors into each prepared program's module (``InstPlan.mem_fn``),
-which the issue loop calls (and the verify-only spec loop with it).
+which the issue loop calls.
 Shapes the generated code cannot take on its fast path (unaligned, or
 not provably in range) call the dword-by-dword runtime helpers below,
 which keep the partial effects and raise points of a lane-serial
 access.
+
+One fact about the program around the instruction also shapes its
+executor: an offen buffer load whose address row
+:func:`repro.cu.facts.program_facts` proves lane-uniform gets the
+**one-address form**.  It takes the address from the first active lane,
+makes the same ``num_records`` check and the same ``<= gm.size`` fast
+test as the row form, reads each dword (or byte) once and broadcasts it
+into the active lanes, and falls back to the same helpers.  Its timing
+tuple names the same lane addresses.  Stores keep the row form.  The
+spec loop runs the executors written without facts
+(:func:`repro.verify.spec.fact_free_memory`).
 
 An executor returns a plain tuple for the timing query, whose kind is
 static (:data:`MEM_LDS`, :data:`MEM_VECTOR`, :data:`MEM_SCALAR`):
@@ -162,7 +173,8 @@ def _lds_write2(lds, idx0, idx1, data0, data1):
     lds[uniq] = vals
 
 
-#: The lane-uniform form's address rows: every lane at ``offset``.
+#: Address rows that put every lane at the tuple's ``offset``: the
+#: forms without a VGPR address and the one-address form.
 _ZERO_ROW = np.zeros(64, dtype=np.uint32)
 _ZERO_ROW.setflags(write=False)
 
@@ -218,7 +230,8 @@ def _scalar_expr(code):
     return "wf.read_scalar(%d)" % code
 
 
-_SMRD_DWORDS = {
+#: Dwords each SMRD form reads.
+SMRD_DWORDS = {
     "s_load_dword": 1, "s_load_dwordx2": 2, "s_load_dwordx4": 4,
     "s_buffer_load_dword": 1, "s_buffer_load_dwordx2": 2,
     "s_buffer_load_dwordx4": 4,
@@ -227,7 +240,7 @@ _SMRD_DWORDS = {
 
 def _emit_smrd(inst):
     f = inst.fields
-    count = _SMRD_DWORDS[inst.spec.name]
+    count = SMRD_DWORDS[inst.spec.name]
     # s_buffer_load's base is the descriptor's word0, s_load's the low
     # dword of a 64-bit address: the same register either way.
     base = "int(s[%d])" % (f["sbase"] << 1)
@@ -254,7 +267,8 @@ def _emit_smrd(inst):
     return lines + ["return (_p,)"], MEM_SCALAR, count, True
 
 
-_BUFFER_DWORDS = {
+#: Dwords each MUBUF/MTBUF form moves (one for the byte forms).
+BUFFER_DWORDS = {
     "buffer_load_dword": 1, "buffer_store_dword": 1,
     "tbuffer_load_format_x": 1, "tbuffer_store_format_x": 1,
     "tbuffer_load_format_xy": 2, "tbuffer_store_format_xy": 2,
@@ -264,16 +278,23 @@ _BUFFER_DWORDS = {
 _BYTE_OPS = {"buffer_load_ubyte", "buffer_load_sbyte", "buffer_store_byte"}
 
 
+def _buffer_base(f):
+    """Lines binding the descriptor base ``_b``, its ``num_records``
+    ``_z`` and ``_o``, the base plus ``soffset`` plus the offset."""
+    srsrc = f["srsrc"] << 2
+    return ["s = wf.sgprs",
+            "_b = int(s[%d])" % srsrc,
+            "_z = int(s[%d])" % (srsrc + 2),
+            "_o = _b + %s + %d" % (_scalar_expr(f["soffset"]), f["offset"])]
+
+
 def _emit_buffer(inst):
     f = inst.fields
     name = inst.spec.name
-    dwords = _BUFFER_DWORDS[name]
+    dwords = BUFFER_DWORDS[name]
     store = "store" in name
-    srsrc, vaddr, vdata = f["srsrc"] << 2, f["vaddr"], f["vdata"]
-    lines = ["s = wf.sgprs",
-             "_b = int(s[%d])" % srsrc,
-             "_z = int(s[%d])" % (srsrc + 2),
-             "_o = _b + %s + %d" % (_scalar_expr(f["soffset"]), f["offset"])]
+    vaddr, vdata = f["vaddr"], f["vdata"]
+    lines = _buffer_base(f)
     if f["offen"] and f["idxen"]:
         return lines + ["_noaddr()"], MEM_VECTOR, dwords, False
     # The active lanes' address rows before ``_o`` (``_r``; under full
@@ -348,6 +369,52 @@ def _emit_buffer(inst):
             True)
 
 
+def _emit_uniform_load(inst):
+    """An offen load whose address row is lane-uniform
+    (:data:`repro.cu.facts.ProgramFacts.uniform_loads`): the first
+    active lane's address serves every active lane, so each dword (or
+    byte) is read once and broadcast.  Range checks, the fallback and
+    the timing tuple's lane addresses are the row form's."""
+    f = inst.fields
+    name = inst.spec.name
+    dwords = BUFFER_DWORDS[name]
+    vaddr, vdata = f["vaddr"], f["vdata"]
+    byte = name in _BYTE_OPS
+    view = ("gm._bytes.view(_int8)" if name == "buffer_load_sbyte"
+            else "gm._bytes" if byte else "gm.dwords")
+    lines = _buffer_base(f) + [
+             "v = wf.vgprs",
+             "_e = wf.exec_mask",
+             "if _e == _FE:",
+             "    _a = None",
+             "    _n = 64",
+             "    _lo = int(v[%d, 0]) + _o" % vaddr,
+             "elif _e:",
+             "    _a = wf.active_lanes()",
+             "    _n = len(_a)",
+             "    _lo = int(v[%d, _a[0]]) + _o" % vaddr,
+             "else:",
+             "    return (0, 0, 0, None, 0)",
+             "if _z and _lo >= _b + _z:",
+             "    _recs(%r, _lo, _b, _z)" % name,
+             "if _lo + %d <= gm.size:" % (1 if byte else 4 * dwords)]
+    for i in range(dwords):
+        lines.append("    _x = %s[_lo + %d]" % (view, 4 * i) if i
+                     else "    _x = %s[_lo]" % view)
+        lines += _store_lanes(vdata + i, "_x", "    ")
+    lines.append("else:")
+    lanes = "v[%d].astype(_int64) + _o" % vaddr
+    if byte:
+        lines.append("    _bbyte(wf, gm, %s, %d, False, %s)" % (
+            lanes, vdata, name == "buffer_load_sbyte"))
+    else:
+        lines.append("    _bdw(wf, gm, %s, %d, %d, False)"
+                     % (lanes, vdata, dwords))
+    # Every active lane at ``_lo``: rows of zeros after offset ``_lo``.
+    return (lines + ["return (_n, _lo, _lo, _ZROW[:_n], _lo)"], MEM_VECTOR,
+            dwords, True)
+
+
 def _emit_ds(inst):
     f = inst.fields
     name = inst.spec.name
@@ -392,9 +459,11 @@ _EMITTERS = {
 }
 
 
-def emit_memory(inst, fn_name):
+def emit_memory(inst, fn_name, uniform=False):
     """Source of the executor ``fn_name(wf, gm)`` of one memory
     instruction, with the names of :data:`RUNTIME` in scope.
+    ``uniform`` (an offen buffer load whose address row the program
+    facts prove lane-uniform) selects the one-address form.
 
     Returns ``(source, timing, transactions, emitted)``: the timing
     query (:data:`MEM_LDS`, :data:`MEM_VECTOR` or :data:`MEM_SCALAR`),
@@ -402,7 +471,7 @@ def emit_memory(inst, fn_name):
     whether the executor performs the access -- ``False`` only for an
     encoding every issue of which raises (offen+idxen addressing).
     """
-    emitter = _EMITTERS.get(inst.fmt)
+    emitter = _emit_uniform_load if uniform else _EMITTERS.get(inst.fmt)
     if emitter is None:
         raise SimulationError(
             "{} is not a memory instruction".format(inst.name))

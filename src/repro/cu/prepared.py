@@ -18,9 +18,11 @@ A :class:`PreparedProgram` hoists all of it to once-per-program cost:
   program (kept on :attr:`PreparedProgram.source` for inspection): the
   ALU specializer writes the ALU plans' executors, the LSU's memory
   emitter (:func:`repro.cu.lsu.emit_memory`) the memory plans', which
-  also carry their static timing query and transaction count.  The
-  issue loop and the spec loop both call the memory plans' executors
-  -- the LSU has no other copy of its semantics;
+  also carry their static timing query and transaction count.  Both
+  use the program facts (:mod:`repro.cu.facts`) the module records on
+  :attr:`PreparedProgram.facts`.  The issue loop calls the memory
+  plans' executors; the spec loop calls the same emitter's executors
+  written without facts -- the LSU has no other copy of its semantics;
 * plans are looked up by PC through a plain dict, replacing
   ``index_of_address`` + list indexing;
 * prepared programs are memoized in a content-hash-keyed LRU shared
@@ -105,7 +107,7 @@ class PreparedProgram:
     """
 
     __slots__ = ("program", "timing", "table", "plans", "by_address",
-                 "source", "_restrictions")
+                 "source", "facts", "_restrictions", "__weakref__")
 
     def __init__(self, program, timing):
         self.program = program
@@ -114,7 +116,7 @@ class PreparedProgram:
         self.plans = [InstPlan(inst, i, self.table)
                       for i, inst in enumerate(program.instructions)]
         self.by_address = {plan.address: plan for plan in self.plans}
-        self.source = build_superblocks(self)
+        self.source, self.facts = build_superblocks(self)
         self._restrictions = {}
 
     def restrictions(self, cu):

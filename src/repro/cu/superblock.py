@@ -28,6 +28,7 @@ import numpy as np
 from ..isa import registers as regs
 from ..isa.formats import Format
 from . import lsu, operations, vector
+from .facts import program_facts
 from .timing import KIND_ALU, KIND_MEMORY
 from .wavefront import FULL_EXEC, MASK32, MASK64, pack_lanes, unpack_lanes
 
@@ -329,11 +330,13 @@ _SHIFTS = {
 }
 
 
-def _emit_vector(inst, k, ns, uses):
+def _emit_vector(inst, k, ns, uses, vcc_dead=False):
     """Every vectorized class in array form -- plain VBIN/VUN/VTRI
     cores, compares, cndmask, mac and the carry chains
     (:data:`repro.cu.vector.CARRY_OPS`) -- computed in full, then
-    stored by :func:`_write_row`; lane masks by :func:`_mask_dst`."""
+    stored by :func:`_write_row`; lane masks by :func:`_mask_dst`.
+    With ``vcc_dead`` (a :data:`repro.cu.facts.ProgramFacts.dead_vcc`
+    plan) a compare emits nothing and a carry stores its row alone."""
     sp, f, fmt = inst.spec, inst.fields, inst.fmt
     name = sp.name
     # The one SGPR source of a core that also takes a 64-lane VGPR row
@@ -388,6 +391,8 @@ def _emit_vector(inst, k, ns, uses):
         dst = _mask_dst(sdst, "_c", uses)
         if cmp_fn is None or b is None or dst is None:
             return None
+        if vcc_dead:
+            return []
         if parts[3] == "f32":
             a, b = "_fv(%s)" % a, "_fv(%s)" % b
         elif parts[3] == "i32":
@@ -421,10 +426,14 @@ def _emit_vector(inst, k, ns, uses):
         # a source.  ``a + b`` wraps iff the sum is below either addend
         # (the VGPR row when there is one); ``x - y`` borrows iff x < y.
         if name == "v_add_i32":
+            if vcc_dead:
+                return _write_row(vdst, "%s + %s" % (a, b))
             row = a if a.startswith("v[") and not b.startswith("v[") else b
             lines, carry = ["_r = %s + %s" % (a, b)], "_r < %s" % row
         elif name in ("v_sub_i32", "v_subrev_i32"):
             x, y = (a, b) if name == "v_sub_i32" else (b, a)
+            if vcc_dead:
+                return _write_row(vdst, "%s - %s" % (x, y))
             lines, carry = ["_r = %s - %s" % (x, y)], "%s < %s" % (x, y)
         else:
             core = "_awc" if name == "v_addc_u32" else "_swb"
@@ -497,7 +506,7 @@ def _emit(inst, k, ns):
 # ---------------------------------------------------------------------------
 
 def _function(name, uses, lines):
-    body = [line for key, line in _PRELUDE if key in uses] + lines
+    body = [line for key, line in _PRELUDE if key in uses and lines] + lines
     return "def %s(wf):\n%s" % (
         name, "".join("    %s\n" % line for line in body or ["pass"]))
 
@@ -506,25 +515,37 @@ def _function(name, uses, lines):
 def build_superblocks(prepared):
     """Compile every ALU and memory plan executor of a prepared program.
 
-    Emits each plan once, compiles the executors as one module, binds
-    ``exec_fn`` (ALU) or ``mem_fn``/``mem_timing`` (memory) and
-    ``specialized`` on every plan, scales each memory plan's occupancy
-    by its transaction count, and returns the module ``source``.
-    Called once per program by :class:`PreparedProgram`.
+    Emits each ALU plan once, which decides ``specialized``; runs the
+    program-fact passes (:func:`repro.cu.facts.program_facts`) over the
+    plans; re-emits the ALU plans whose VCC write is dead and emits the
+    memory plans with their facts; compiles the executors as one module
+    and binds ``exec_fn`` (ALU) or ``mem_fn``/``mem_timing`` (memory) on
+    every plan, scales each memory plan's occupancy by its transaction
+    count, and returns ``(source, facts)``.  Called once per program by
+    :class:`PreparedProgram`.
     """
     ns = {**_RUNTIME, **lsu.RUNTIME}
-    chunks = []
+    chunks = {}
     for plan in prepared.plans:
-        fn_name = "_plan%d" % plan.index
         if plan.kind == KIND_ALU:
             lines, uses, plan.specialized = _emit(plan.inst, plan.index, ns)
-            chunks.append(_function(fn_name, uses, lines))
-        elif plan.kind == KIND_MEMORY:
-            source, plan.mem_timing, transactions, plan.specialized = \
-                lsu.emit_memory(plan.inst, fn_name)
+            chunks[plan.index] = _function("_plan%d" % plan.index, uses,
+                                           lines)
+    facts = program_facts(prepared.plans,
+                          max(4, prepared.program.vgpr_count))
+    for index in facts.dead_vcc:
+        uses = set()
+        lines = _emit_vector(prepared.plans[index].inst, index, ns, uses,
+                             vcc_dead=True)
+        chunks[index] = _function("_plan%d" % index, uses, lines)
+    for plan in prepared.plans:
+        if plan.kind == KIND_MEMORY:
+            chunks[plan.index], plan.mem_timing, transactions, \
+                plan.specialized = lsu.emit_memory(
+                    plan.inst, "_plan%d" % plan.index,
+                    uniform=plan.index in facts.uniform_loads)
             plan.occupancy *= transactions
-            chunks.append(source)
-    source = "\n".join(chunks)
+    source = "\n".join(chunks[index] for index in sorted(chunks))
     name = getattr(prepared.program, "name", None) or "program"
     exec(compile(source, "<prepared %s>" % name, "exec"), ns)
     for plan in prepared.plans:
@@ -532,4 +553,4 @@ def build_superblocks(prepared):
             plan.exec_fn = ns["_plan%d" % plan.index]
         elif plan.kind == KIND_MEMORY:
             plan.mem_fn = ns["_plan%d" % plan.index]
-    return source
+    return source, facts

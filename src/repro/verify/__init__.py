@@ -20,7 +20,8 @@ programs:
   the zero-cost-observation claim), plus an
   assemble/disassemble/reassemble round trip.
 * :mod:`repro.verify.spec` -- the spec loop: the CU issue loop as a
-  plain interpreter over ``operations.execute``, reached only through
+  plain interpreter over ``operations.execute`` and memory executors
+  emitted without program facts, reached only through
   :func:`~repro.verify.spec.spec_execution`.
 * :mod:`repro.verify.invariants` -- an architectural-state invariant
   checker (EXEC/VCC confined to ``lane_count`` bits, SCC in {0,1},

@@ -37,7 +37,8 @@ Register convention (on top of the dispatcher ABI, Section 2.2.2):
 ``s22..s27``          scalar scratch pool
 ``s[28:29]``          VOPC mask destination (VOP3b encodings)
 ``s[30:31] [32:33]``  EXEC save/restore slots (divergence depth 0/1)
-``s36``               uniform loop counter
+``s[34:35]``          EXEC save slot of the uniform-load segment
+``s36 / s37``         uniform loop counter / uniform address temp
 ``s[38:39] [40:43]``  ``s_load/s_buffer_load`` x2/x4 destinations
 ``s[44:45]``          64-bit address pair for plain ``s_load_*``
 ``v3 / v4``           flat gid / ``&out[gid]``
@@ -168,6 +169,10 @@ class KernelGenerator:
                            else _pow2_at_least(2 * self.local))
         self.uses_sload = r.random() < 0.4
         self.lines = []
+        # The program-fact segments and VOP3 selector forms draw from a
+        # second stream, so they never shift the draws of ``rng``: each
+        # seed's other segments do not depend on them.
+        self.extra = random.Random("facts/{}".format(seed))
 
     # -- small emission helpers --------------------------------------------
 
@@ -196,6 +201,18 @@ class KernelGenerator:
             return self._s()
         return self._imm(small=not allow_literal)
 
+    def _vcc_reader_src1(self):
+        """``src1`` of a VCC-reading VOP2 op: usually the VGPR drawn
+        from ``rng``; an SGPR or an inline constant instead promotes
+        the op to VOP3, with VCC in ``src2``."""
+        vgpr = self._v()
+        roll = self.extra.random()
+        if roll < 0.2:
+            return "s{}".format(self.extra.choice(S_POOL))
+        if roll < 0.3:
+            return str(self.extra.randint(-16, 64))
+        return vgpr
+
     def _vsrc(self, allow_literal=True):
         """A 9-bit vector source: VGPR, SGPR or immediate."""
         roll = self.rng.random()
@@ -217,8 +234,9 @@ class KernelGenerator:
             self.emit("{} {}, vcc, {}, {}".format(
                 r.choice(_VOP2_CARRY), self._v(), self._vsrc(), self._v()))
             if r.random() < 0.4:  # consume the carry chain
-                self.emit("v_addc_u32 {}, vcc, {}, {}, vcc".format(
-                    self._v(), self._v(), self._v()))
+                self.emit("{} {}, vcc, {}, {}, vcc".format(
+                    self.extra.choice(("v_addc_u32", "v_subb_u32")),
+                    self._v(), self._v(), self._vcc_reader_src1()))
         elif roll < 0.75:
             self.emit("{} {}, {}".format(
                 r.choice(_VOP1_INT), self._v(), self._vsrc()))
@@ -297,7 +315,7 @@ class KernelGenerator:
             self.emit("{} vcc, {}, {}".format(
                 r.choice(_VOPC_FLOAT), self._v(), self._v()))
             self.emit("v_cndmask_b32 {}, {}, {}, vcc".format(
-                self._v(), self._v(), self._v()))
+                self._v(), self._v(), self._vcc_reader_src1()))
 
     def seg_vcmp(self):
         r = self.rng
@@ -305,7 +323,7 @@ class KernelGenerator:
             self.emit("{} vcc, {}, {}".format(
                 r.choice(_VOPC_INT), self._vsrc(), self._v()))
             self.emit("v_cndmask_b32 {}, {}, {}, vcc".format(
-                self._v(), self._v(), self._v()))
+                self._v(), self._v(), self._vcc_reader_src1()))
         else:  # explicit SGPR-pair destination: VOP3b encoding
             self.emit("{} s[28:29], {}, {}".format(
                 r.choice(_VOPC_INT), self._vsrc(allow_literal=False), self._v()))
@@ -378,6 +396,53 @@ class KernelGenerator:
         op = "buffer_store_byte" if r.random() < 0.3 else "buffer_store_dword"
         self.emit("{} v13, v12, s[4:7], 0 offen".format(op))
         self.emit("s_waitcnt vmcnt(0)")
+
+    # -- program-fact shapes (drawn from ``extra``) -------------------------
+
+    def _xv(self):
+        return "v{}".format(self.extra.choice(V_POOL))
+
+    def seg_carry_paths(self):
+        """A carry whose VCC is read on one branch path and overwritten
+        unread on the other: VCC liveness must keep it."""
+        x = self.extra
+        read, join = self._next_label(), self._next_label()
+        self.emit("{} {}, vcc, s{}, {}".format(
+            x.choice(_VOP2_CARRY), self._xv(), x.choice(S_POOL), self._xv()))
+        self.emit("s_cmp_lt_u32 s{}, s{}".format(
+            x.choice(S_POOL), x.choice(S_POOL)))
+        self.emit("s_cbranch_scc1 {}".format(read))
+        self.emit("{} vcc, {}, {}".format(
+            x.choice(_VOPC_INT), self._xv(), self._xv()))
+        self.emit("s_branch {}".format(join))
+        self.lines.append("{}:".format(read))
+        self.emit("v_cndmask_b32 {}, {}, {}, vcc".format(
+            self._xv(), self._xv(), self._xv()))
+        self.lines.append("{}:".format(join))
+
+    def seg_uniform_load(self):
+        """``v_mov_b32 v12, s37`` -- a lane-uniform, in-bounds address
+        -- then a buffer load from it under a divergent EXEC."""
+        x = self.extra
+        op = x.choice(("buffer_load_dword", "tbuffer_load_format_x",
+                       "buffer_load_ubyte", "buffer_load_sbyte",
+                       "tbuffer_load_format_xy"))
+        # An even index leaves room for the second dword of xy.
+        mask = self.inp_dwords - (2 if op.endswith("xy") else 1)
+        self.emit("s_and_b32 s37, s{}, {}".format(
+            x.choice(S_POOL), mask if mask <= 64 else "0x{:08x}".format(mask)))
+        self.emit("s_lshl_b32 s37, s37, 2")
+        self.emit("s_add_u32 s37, s37, s20")
+        self.emit("v_mov_b32 v12, s37")
+        self.emit("s_mov_b64 s[34:35], exec")
+        self.emit("{} vcc, {}, {}".format(
+            x.choice(_VOPC_INT), self._xv(), self._xv()))
+        self.emit("s_and_b64 exec, exec, vcc")
+        self.emit("{} {}, v12, s[4:7], 0 offen".format(
+            op, "v[13:14]" if op.endswith("xy") else "v13"))
+        self.emit("s_waitcnt vmcnt(0)")
+        self.emit("s_mov_b64 exec, s[34:35]")
+        self.emit("v_xor_b32 {}, v13, {}".format(self._xv(), self._xv()))
 
     # -- LDS ----------------------------------------------------------------
 
@@ -483,7 +548,13 @@ class KernelGenerator:
     # -- segment dispatch ----------------------------------------------------
 
     def _plain_segment(self, in_divergence=False, in_loop=False, depth=0):
-        """One body segment, excluding barriers (never legal in blocks)."""
+        """One body segment, excluding barriers (never legal in blocks),
+        sometimes after a program-fact segment."""
+        extra = self.extra.random()
+        if extra < 0.08:
+            self.seg_carry_paths()
+        elif extra < 0.16:
+            self.seg_uniform_load()
         r = self.rng
         choices = [
             (self.seg_valu, 30), (self.seg_salu, 22), (self.seg_float, 8),

@@ -6,8 +6,10 @@ against.  It decodes and classifies every instruction at every issue,
 reads its costs from the program's timing table and runs every ALU
 instruction through :func:`repro.cu.operations.execute`, ALU semantics
 written independently of the emitted plan executors.  Memory
-instructions run the LSU's plan executors, the one copy of the memory
-semantics (pinned by the LSU conformance matrix).  It emits the same
+instructions run executors of the LSU's one emitter (pinned by the LSU
+conformance matrix), but emitted without program facts
+(:mod:`repro.cu.facts`): a wrong uniform-address fact in the issue
+loop's executors shows up as a difference here.  It emits the same
 observation events in the same order: it is the spec of the event
 stream too.  Only :func:`spec_execution` reaches it; no production
 path does.
@@ -16,16 +18,36 @@ path does.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from operator import attrgetter
 
-from ..cu import operations
+from ..cu import lsu, operations
 from ..cu.lsu import MEM_SCALAR, MEM_VECTOR
 from ..cu.pipeline import ComputeUnit, CuRunStats
-from ..cu.prepared import get_prepared
+from ..cu.prepared import KIND_MEMORY, get_prepared
 from ..errors import SimulationError
 from ..obs.events import InstructionIssue, Span, Stall, WavefrontStep
 
 _READY = attrgetter("ready_at")
+
+#: Prepared program -> its memory executors emitted without facts.
+_FACT_FREE = weakref.WeakKeyDictionary()
+
+
+def fact_free_memory(prepared):
+    """Plan index -> executor of every memory plan of ``prepared``, as
+    :func:`repro.cu.lsu.emit_memory` writes it with no program facts;
+    compiled on first use, once per prepared program."""
+    executors = _FACT_FREE.get(prepared)
+    if executors is None:
+        plans = [plan for plan in prepared.plans if plan.kind == KIND_MEMORY]
+        source = "\n".join(lsu.emit_memory(plan.inst, "_mem%d" % plan.index)[0]
+                           for plan in plans)
+        ns = dict(lsu.RUNTIME)
+        exec(compile(source, "<spec memory>", "exec"), ns)
+        executors = _FACT_FREE[prepared] = {
+            plan.index: ns["_mem%d" % plan.index] for plan in plans}
+    return executors
 
 
 def run_spec(cu, workgroup, start_time, wavefronts):
@@ -39,6 +61,7 @@ def run_spec(cu, workgroup, start_time, wavefronts):
     cu_index = cu.cu_index
     prepared = get_prepared(wavefronts[0].program, cu.timing)
     table = prepared.table
+    memory_fns = fact_free_memory(prepared)
     for wf in wavefronts:
         wf.ready_at = start_time
         wf.stall_cause = "operand-dep"
@@ -113,10 +136,10 @@ def run_spec(cu, workgroup, start_time, wavefronts):
             wf.stall_cause = ("memory" if wf.ready_at > fe_done
                               else "operand-dep")
         elif inst.spec.is_memory:
-            # The LSU's executor; its occupancy is the base LSU period
-            # times the static transaction count.
+            # The fact-free executor; the occupancy is the base LSU
+            # period times the static transaction count.
             plan = prepared.plans[index]
-            access = plan.mem_fn(wf, cu.memory.global_mem)
+            access = memory_fns[index](wf, cu.memory.global_mem)
             occupancy = plan.occupancy
             lsu_done = cu.pools[plan.pool].acquire(fe_done, occupancy)
             if plan.mem_timing == MEM_VECTOR:

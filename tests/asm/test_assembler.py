@@ -301,3 +301,88 @@ class TestIndexOfAddressErrors:
         program = assemble("s_endpgm")
         with pytest.raises(AssemblyError):
             program.index_of_address(-4)
+
+
+#: VOP2 ops that read VCC, promoted to VOP3 by a non-VGPR ``src1``.
+VCC_READERS = [
+    "v_cndmask_b32 v7, v1, s5, vcc",
+    "v_addc_u32 v8, vcc, v1, s5, vcc",
+    "v_subb_u32 v8, vcc, v1, s5, vcc",
+]
+
+
+class TestPromotedVccOperands:
+    """A promoted VCC reader carries VCC in ``src2``; only a VCC writer
+    (VOP3b) has an ``sdst``."""
+
+    def test_cndmask_selector_in_src2(self):
+        inst = one(VCC_READERS[0])
+        assert inst.fmt is Format.VOP3
+        assert inst.fields["src2"] == regs.VCC_LO
+        # VOP3a: no sdst, and VCC's code does not land in abs/clamp.
+        assert "sdst" not in inst.fields
+        assert inst.fields["abs"] == 0 and inst.fields["clamp"] == 0
+
+    @pytest.mark.parametrize("line", VCC_READERS[1:])
+    def test_carry_in_in_src2_carry_out_in_sdst(self, line):
+        inst = one(line)
+        assert inst.fmt is Format.VOP3
+        assert inst.fields["src2"] == regs.VCC_LO
+        assert inst.fields["sdst"] == regs.VCC_LO
+
+    def test_writer_only_carry_leaves_src2_clear(self):
+        inst = one("v_add_i32 v8, vcc, v1, s5")
+        assert inst.fields["sdst"] == regs.VCC_LO
+        assert inst.fields["src2"] == 0
+
+    @pytest.mark.parametrize("line", VCC_READERS)
+    def test_promoted_form_matches_vop2_form(self, line):
+        # The same op with ``s5`` first copied into a VGPR stays VOP2;
+        # both must select / carry by VCC, not by s[0:1].
+        import numpy as np
+
+        from repro.cu.pipeline import ComputeUnit
+        from repro.cu.wavefront import Wavefront
+        from repro.cu.workgroup import Workgroup
+        from repro.mem.system import MemorySystem
+        from repro.verify.spec import spec_execution
+
+        vop2 = line.replace("s5", "v9")
+        prologue = "v_cmp_gt_u32 vcc, v1, v2\n  v_mov_b32 v9, s5\n"
+        results = []
+        for text in (line, vop2):
+            program = assemble(prologue + "  " + text + "\n  s_endpgm")
+            for spec in (False, True):
+                wg = Workgroup((0, 0, 0), program, (64, 1, 1))
+                wf = Wavefront(0, program)
+                rng = np.random.default_rng(3)
+                wf.vgprs[1] = rng.integers(0, 1 << 32, 64, dtype=np.uint32)
+                wf.vgprs[2] = rng.integers(0, 1 << 32, 64, dtype=np.uint32)
+                wf.sgprs[0:2] = (0x0F0F0F0F, 0xF0F0F0F0)   # not VCC
+                wf.sgprs[5] = 0x89ABCDEF
+                wg.add_wavefront(wf)
+                cu = ComputeUnit(MemorySystem())
+                if spec:
+                    with spec_execution():
+                        cu.run_workgroup(wg)
+                else:
+                    cu.run_workgroup(wg)
+                results.append((wf.vgprs[7:9].tobytes(), wf.vcc))
+        assert program.instructions[2].fmt is Format.VOP2
+        assert all(result == results[-1] for result in results)
+
+
+class TestSourceOperandErrors:
+    @pytest.mark.parametrize("line", [
+        "s_mov_b32 s0, foo",
+        "v_mov_b32 v0, foo",
+        "v_add_i32 v0, vcc, foo, v1",
+        "v_cmp_eq_u32 vcc, foo, v1",
+        "s_cmp_eq_u32 foo, 0",
+        "buffer_load_dword v1, v2, s[4:7], foo offen",
+    ])
+    def test_bare_name_source_is_an_assembly_error(self, line):
+        with pytest.raises(AssemblyError, match="'foo' is not a register") \
+                as excinfo:
+            assemble("s_nop\n" + line + "\ns_endpgm")
+        assert excinfo.value.line == 2

@@ -67,3 +67,27 @@ class TestRendering:
     def test_promoted_compare_renders_sdst(self):
         text = render("v_cmp_gt_u32 s[40:41], v1, v2")
         assert text == "v_cmp_gt_u32 s[40:41], v1, v2"
+
+    @pytest.mark.parametrize("line", [
+        "v_cndmask_b32 v7, v1, s5, vcc",
+        "v_addc_u32 v8, vcc, v1, s5, vcc",
+        "v_subb_u32 v8, vcc, v1, 3, vcc",
+    ])
+    def test_promoted_vcc_reader_renders_src2(self, line):
+        # The VOP3 forms print the selector / carry-in they decode to,
+        # and reassemble to the same words.
+        assert render(line) == line
+        program = assemble(line + "\ns_endpgm")
+        assert assemble(disassemble(program)).words == program.words
+
+    def test_promoted_carry_renders_a_pair_carry_in(self):
+        # A hand-encoded carry-in pair renders as the pair, not as vcc.
+        from repro.isa.decode import decode_program
+        from repro.isa.formats import pack_vop3
+
+        from repro.isa.tables import ISA
+        op3 = ISA.vop3_opcode(ISA.by_name("v_addc_u32"))
+        words = pack_vop3(op3, 8, 257, 5, src2=40, sdst=106)
+        inst = decode_program(words)[0]
+        assert disassemble_instruction(inst) == \
+            "v_addc_u32 v8, vcc, v1, s5, s[40:41]"

@@ -15,16 +15,23 @@ dword past the end, out of range, negative (wrapped), colliding lanes
 and a workgroup without LDS.  Every scenario runs
 under the four EXEC masks of the vector matrix.
 
-Two prepared executors are checked: the one a one-instruction program
-binds (the instruction prepared alone) and the one the wavefront's own
-program binds (``InstPlan.mem_fn``, which the issue loop calls).  Both
-come from the same emitter; the ``lone`` way pins that the executor it
-writes depends on the instruction alone -- not on a following
-``s_endpgm``, nor on the kernel's ``.lds`` directive -- so the matrix
-holds for that form in every kernel, not only in the one it builds.  Each
-must match the model on every register, every memory byte, ``dirty_hi``,
-every LDS dword, the access tuple handed to the timing query, the
-static timing query and occupancy, and the exception type and message.
+Three prepared executors are checked: the one a one-instruction
+program binds (the instruction prepared alone), the one the wavefront's
+own program binds (``InstPlan.mem_fn``, which the issue loop calls)
+and, for every offen buffer load, the one-address form a program binds
+when a preceding ``v_mov_b32 v<vaddr>, s<k>`` makes the address row
+lane-uniform (the ``uniform`` way; its scenarios put every lane at the
+scenario's one address).  All come from the same emitter, and an
+executor depends on its instruction and on the program facts at its PC
+(:mod:`repro.cu.facts`).  The ``lone`` way pins that nothing else
+matters -- not a following ``s_endpgm``, nor the kernel's ``.lds``
+directive -- so the matrix holds for each form in every kernel, not
+only in the one it builds.  Each must match the model on every
+register, every memory byte, ``dirty_hi``, every LDS dword, the access
+tuple handed to the timing query (by its lane addresses, and by the
+prefetch hit or miss ``MemorySystem.access_time`` gives it under a
+contiguous and a discontiguous residency), the static timing query and
+occupancy, and the exception type and message.
 
 On PRs a deterministic stride sample of the states runs; exporting
 ``REPRO_CONFORMANCE_FULL=1`` (the main-branch CI job) runs them all.
@@ -42,6 +49,7 @@ from repro.cu.timing import DEFAULT_TIMING
 from repro.cu.wavefront import MASK32, Wavefront
 from repro.cu.workgroup import Workgroup
 from repro.errors import SimulationError
+from repro.mem.params import DCD_PM_TIMING
 from repro.mem.system import MemorySystem
 
 from .test_vector_conformance import EXEC_MASKS
@@ -169,12 +177,31 @@ def _is_ds(line):
     return line.startswith("ds_")
 
 
-def _setup(line, state):
-    """Fresh (wavefront, memory system) with the state's footprint."""
+def _uniform_program_for(line):
+    """``line`` after a ``v_mov_b32`` that makes its address row
+    lane-uniform."""
+    vaddr = _program_for(line).instructions[0].fields["vaddr"]
+    return _program_for("v_mov_b32 v{}, s9\n  {}".format(vaddr, line))
+
+
+def _is_uniform_load(line):
+    f = _program_for(line).instructions[0].fields
+    return "load" in line and f.get("offen") == 1 and not f["idxen"]
+
+
+UNIFORM_FORMS = [line for line in BUFFER_FORMS if _is_uniform_load(line)]
+
+
+def _setup(line, state, lane_uniform=False):
+    """Fresh (wavefront, memory system) with the state's footprint;
+    with ``lane_uniform`` every lane of an offen form addresses the
+    scenario's one address."""
     if _is_ds(line):
         return _setup_ds(line, state)
     scenario, exec_mask = state
     _, base, records, want, uniform = SCENARIOS[scenario]
+    if lane_uniform:
+        want = np.full(64, uniform, dtype=np.int64)
     program = _program_for(line)
     inst = program.instructions[0]
     wf = Wavefront(0, program)
@@ -340,8 +367,8 @@ def _model_ds(wf, inst, lds):
 # Runner.
 # ---------------------------------------------------------------------------
 
-def _run(line, state, way):
-    inst, wf, memory = _setup(line, state)
+def _run(line, state, way, lane_uniform=False):
+    inst, wf, memory = _setup(line, state, lane_uniform)
     gm = memory.global_mem
     lds = wf.workgroup.lds if wf.workgroup is not None else None
     error = info = None
@@ -361,12 +388,17 @@ def _run(line, state, way):
                                                      _Accessors(gm))
             occupancy = DEFAULT_TIMING.lsu_cycles * transactions
         else:
-            program = (assemble(line) if way == "lone" else wf.program)
-            plan = get_prepared(program).plans[0]
+            if way == "uniform":
+                prepared = get_prepared(_uniform_program_for(line))
+                plan = prepared.plans[1]
+                assert plan.index in prepared.facts.uniform_loads
+            else:
+                program = (assemble(line) if way == "lone" else wf.program)
+                plan = get_prepared(program).plans[0]
             access = plan.mem_fn(wf, gm)
             timing, occupancy = plan.mem_timing, plan.occupancy
-        info = {"access": _access(access), "timing": timing,
-                "occupancy": occupancy}
+        info = {"access": _access(access), "hits": _hits(access),
+                "timing": timing, "occupancy": occupancy}
     except Exception as exc:  # the type and message are compared
         error = (type(exc), str(exc))
     return {"sgprs": wf.sgprs.tobytes(), "vgprs": wf.vgprs.tobytes(),
@@ -407,6 +439,29 @@ def _access(access):
     return tuple(access)
 
 
+#: Prefetch residencies (start, bytes) the hit outcome is taken under:
+#: one range, and two discontiguous ones that only the per-lane scan
+#: can prove to cover an access.
+RESIDENCIES = (((0x1000, 0x100),), ((0x1000, 0x80), (0x1080, 0x800)))
+
+
+def _hits(access):
+    """Per residency, whether ``MemorySystem.access_time`` counts a
+    vector access as a prefetch hit; None for other accesses."""
+    if len(access) not in (4, 5):
+        return None
+    if len(access) == 4:    # the model's (active, lo, hi, lane addresses)
+        access = tuple(access) + (0,)
+    hits = []
+    for residency in RESIDENCIES:
+        memory = MemorySystem(params=DCD_PM_TIMING, global_size=MEM)
+        for start, nbytes in residency:
+            memory.preload(0, start, nbytes)
+        memory.access_time(0, 0.0, access)
+        hits.append(memory.stats["prefetch_hits"])
+    return hits
+
+
 def _same(got, want):
     if isinstance(want, tuple) and isinstance(got, tuple):
         return len(got) == len(want) and all(
@@ -418,8 +473,9 @@ def _same(got, want):
 
 
 def _check(line, state, way):
-    want, want_info = _run(line, state, "model")
-    got, got_info = _run(line, state, way)
+    lane_uniform = way == "uniform"
+    want, want_info = _run(line, state, "model", lane_uniform)
+    got, got_info = _run(line, state, way, lane_uniform)
     scenarios = DS_SCENARIOS if _is_ds(line) else SCENARIOS
     where = "{} {} {}".format(line, scenarios[state[0]][0], hex(state[1]))
     for key in want:
@@ -441,6 +497,23 @@ WAYS = ("lone", "plan")
 def test_conformance(line, way):
     for state in STATES:
         _check(line, state, way)
+
+
+@pytest.mark.parametrize("line", UNIFORM_FORMS)
+def test_uniform_conformance(line):
+    for state in STATES:
+        _check(line, state, "uniform")
+
+
+def test_uniform_forms_cover_every_buffer_load():
+    names = {_program_for(line).instructions[0].spec.name
+             for line in UNIFORM_FORMS}
+    assert names == {name for name in _BUFFER_OPS + _BUFFER_XY
+                     if "load" in name}
+    # Loads into their own address register are among them.
+    assert sum(_program_for(line).instructions[0].fields["vaddr"] == 1
+               and _program_for(line).instructions[0].fields["vdata"] == 1
+               for line in UNIFORM_FORMS) == 3
 
 
 @pytest.mark.parametrize("way", WAYS)

@@ -2,6 +2,7 @@
 verify spec loop bit for bit -- state, cycles, run stats and the
 recorded event stream."""
 
+import contextlib
 import glob
 import os
 
@@ -9,10 +10,13 @@ import pytest
 
 from repro.cu import prepared, superblock
 from repro.cu.pipeline import ComputeUnit
-from repro.cu.prepared import clear_prepared_cache
+from repro.cu.prepared import KIND_MEMORY, clear_prepared_cache
+from repro.exec import ExecutionRequest, Executor
+from repro.kernels import APPSDK_SUITE, EVALUATION_SUITE
 from repro.verify.fuzz import run_corpus_file
 from repro.verify.generator import generate_case
 from repro.verify.oracles import ORACLE_NAMES, check_case
+from repro.verify.spec import fact_free_memory, spec_execution
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -108,9 +112,9 @@ class TestOracleCatchesDivergence:
                     def wrong(wf, _real=plan.exec_fn):
                         _real(wf)
                         # Corrupt one architectural bit after the real
-                        # op; no later instruction writes SCC, so the
+                        # op; no generated program writes s100, so the
                         # flip survives to the final register snapshot.
-                        wf.scc = (wf.scc or 0) ^ 1
+                        wf.sgprs[100] ^= 1
                     plan.exec_fn = wrong
             return source
 
@@ -166,3 +170,70 @@ class TestOracleCatchesDivergence:
         assert failures
         assert all(f.oracle == "spec" and "event streams differ" in f.detail
                    for f in failures)
+
+    @pytest.mark.parametrize("claim", ["uniform", "dead"])
+    def test_wrong_program_fact_detected(self, monkeypatch, claim):
+        """Claim every offen load lane-uniform, or every VCC write
+        dead: the spec loop runs fact-free executors, so the oracle
+        must see the difference."""
+        real_facts = superblock.program_facts
+
+        def wrong(plans, vgpr_rows):
+            facts = real_facts(plans, vgpr_rows)
+            if claim == "uniform":
+                return facts._replace(uniform_loads=frozenset(
+                    plan.index for plan in plans
+                    if "load" in plan.name and plan.kind == KIND_MEMORY
+                    and plan.inst.fields.get("offen")
+                    and not plan.inst.fields.get("idxen")))
+            return facts._replace(dead_vcc=frozenset(
+                plan.index for plan in plans
+                if plan.name in ("v_add_i32", "v_sub_i32", "v_subrev_i32")
+                and plan.specialized))
+
+        monkeypatch.setattr(superblock, "program_facts", wrong)
+        failures = check_case(generate_case(3), oracles=("spec",))
+        assert failures, "oracle missed a wrong {} fact".format(claim)
+        assert any("register state differs" in f.detail
+                   or "memory" in f.detail for f in failures)
+
+
+class TestSuiteAgainstSpecLoop:
+    """Every benchmark kernel, issue loop against spec loop: registers,
+    memory and cycles.  Together the suites carry every uniform-address
+    load and dead VCC write the program facts find in them."""
+
+    @staticmethod
+    def _run(name, spec):
+        request = ExecutionRequest(benchmark=name, verify=False,
+                                   collect_registers=True,
+                                   capture_memory=True)
+        with spec_execution() if spec else contextlib.nullcontext():
+            result = Executor().execute(request)
+        return {"registers": result.registers,
+                "memory": result.memory_image,
+                "cycles": [launch.cu_cycles for launch in result.launches],
+                "instructions": result.instructions}
+
+    @pytest.mark.parametrize("name", sorted(
+        {cls.name for cls in list(EVALUATION_SUITE) + list(APPSDK_SUITE)}))
+    def test_issue_loop_matches_spec_loop(self, name):
+        want = self._run(name, spec=True)
+        got = self._run(name, spec=False)
+        for key in want:
+            assert got[key] == want[key], "{}: {} differ".format(name, key)
+
+    def test_spec_loop_memory_executors_are_fact_free(self):
+        from repro.kernels import KERNELS
+        program = KERNELS["kmeans_f32"]().programs()[0]
+        ps = prepared.get_prepared(program)
+        assert ps.facts.uniform_loads
+        executors = fact_free_memory(ps)
+        assert fact_free_memory(ps) is executors     # compiled once
+        assert set(executors) == {plan.index for plan in ps.plans
+                                  if plan.kind == KIND_MEMORY}
+        for index in ps.facts.uniform_loads:
+            # The row form tests its lane addresses for order; the
+            # one-address form has no such test.
+            assert "_cnz" in executors[index].__code__.co_names
+            assert "_cnz" not in ps.plans[index].mem_fn.__code__.co_names
