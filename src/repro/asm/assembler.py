@@ -119,7 +119,7 @@ class Assembler:
         items = parse_source(source)
         kernel_name = name or "kernel"
         args, lds_size = [], 0
-        sgpr_hint = vgpr_hint = None
+        sgpr_hint = vgpr_hint = vgpr_hint_line = None
         statements = []
 
         for item in items:
@@ -141,6 +141,7 @@ class Assembler:
                     sgpr_hint = int(item.args[0], 0)
                 elif item.name == "vgprs":
                     vgpr_hint = int(item.args[0], 0)
+                    vgpr_hint_line = item.line
                 else:
                     raise AssemblyError(
                         "unknown directive .{}".format(item.name), item.line
@@ -177,6 +178,12 @@ class Assembler:
             words[word_index] = (words[word_index] & 0xFFFF0000) | (simm & 0xFFFF)
 
         sgprs, vgprs = self._register_usage(statements)
+        if vgpr_hint is not None and vgpr_hint < vgprs:
+            # The VGPR file is sized from the hint, so a register past
+            # it would fail only when the program runs.
+            raise AssemblyError(
+                ".vgprs {} is below the {} VGPRs the program uses".format(
+                    vgpr_hint, vgprs), vgpr_hint_line)
         return Program(
             name=kernel_name,
             words=words,

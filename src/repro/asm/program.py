@@ -48,12 +48,6 @@ def _decode_cached(words):
     return key, decoded
 
 
-def clear_decode_cache():
-    """Drop every memoized decode (test isolation hook)."""
-    with _decode_lock:
-        _decode_cache.clear()
-
-
 @dataclass(frozen=True)
 class KernelArg:
     """One kernel argument slot in constant buffer 1.

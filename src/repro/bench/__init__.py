@@ -1,27 +1,23 @@
-"""``repro bench``: exact simulated tables and service/DSE benchmarks.
+"""``repro bench``: exact simulated tables and service/DSE counts.
 
 The conformance suite (:mod:`repro.verify`) pins down *what* the
 simulator computes, and perfbench measures how fast the host computes
-it.  This package keeps three checked-in payloads at the repo root:
+it.  This package keeps three checked-in payloads at the repo root,
+each of deterministic values only:
 
 * ``BENCH_simulator.json`` -- simulated instructions and seconds per
-  bench kernel, plus the per-class CPI table, all compared exactly;
-* ``BENCH_service.json`` -- service job throughput, latency
-  percentiles, cache and warm-board rates, and the preemption
-  scenario;
-* ``BENCH_dse.json`` -- the DSE smoke sweep, cold and resumed.
+  bench kernel, the per-class CPI table and the plan-coverage table;
+* ``BENCH_service.json`` -- the cache and warm-board rates of a fixed
+  job mix through a one-worker inline service, and the preemption
+  count of a sliced round;
+* ``BENCH_dse.json`` -- the DSE smoke sweep's points, frontier and
+  store hit rate on resume.
 
-See ``docs/benchmarking.md`` for the workflow.
+``repro bench --check`` compares all three with
+:func:`check_exact`.  See ``docs/benchmarking.md`` for the workflow.
 """
 
-from .baselines import (
-    REGRESSION_THRESHOLD,
-    Regression,
-    check_exact,
-    compare_reports,
-    load_baseline,
-    write_baseline,
-)
+from .baselines import check_exact, load_baseline, write_baseline
 from .dse import DSE_BASELINE_FILE, bench_dse
 from .harness import percentile
 from .service import SERVICE_BASELINE_FILE, bench_preemption, bench_service
@@ -33,9 +29,8 @@ from .simulator import (
 )
 
 __all__ = [
-    "BENCH_KERNELS", "DSE_BASELINE_FILE", "REGRESSION_THRESHOLD",
-    "Regression", "SERVICE_BASELINE_FILE", "SIMULATOR_BASELINE_FILE",
-    "bench_dse", "bench_preemption", "bench_service", "bench_simulator",
-    "check_exact", "compare_reports", "cpi_table", "load_baseline",
-    "percentile", "write_baseline",
+    "BENCH_KERNELS", "DSE_BASELINE_FILE", "SERVICE_BASELINE_FILE",
+    "SIMULATOR_BASELINE_FILE", "bench_dse", "bench_preemption",
+    "bench_service", "bench_simulator", "check_exact", "cpi_table",
+    "load_baseline", "percentile", "write_baseline",
 ]

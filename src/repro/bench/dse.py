@@ -1,28 +1,29 @@
-"""Design-space-exploration sweep benchmarks.
+"""The DSE half of ``repro bench``: the smoke sweep, cold and resumed.
 
-Times the ``paper --smoke`` grid twice through one content-addressed
+Runs the ``paper --smoke`` grid twice through one content-addressed
 result store: the first pass pays simulation for every point, the
-second must come entirely out of the store.  Reported metrics follow
-the repo's two-class convention (docs/benchmarking.md):
+second must come entirely out of the store.  Every field is a count or
+a ratio of counts, compared exactly:
 
-* ``store_hit_rate`` -- reused/total points on the resumed pass.  A
-  deterministic property of the store keying, machine-independent,
-  *enforced*: if resumability breaks, this drops to 0 and CI fails.
-* ``points_per_second`` / ``resume_speedup`` -- wall-clock figures,
-  report-only (host-dependent and, for small smoke grids, noisy).
+* ``points``, ``ok_points``, ``pareto_points`` -- the cold sweep's
+  size, its successful points and its Pareto frontier;
+* ``store_hit_rate`` -- reused/total points on the resumed pass; if
+  resumability breaks, it drops below 1.
 """
 
 from __future__ import annotations
 
 import shutil
 import tempfile
-import time
 
 #: Baseline file at the repo root (see docs/benchmarking.md).
 DSE_BASELINE_FILE = "BENCH_dse.json"
 
+#: Executor workers per sweep.
+DSE_WORKERS = 4
 
-def bench_dse(workers=4, log=None):
+
+def bench_dse(log=None):
     """Run the DSE sweep benchmark; returns the ``BENCH_dse`` payload."""
     from ..dse import SweepRunner, SweepSpec, preset
 
@@ -30,37 +31,28 @@ def bench_dse(workers=4, log=None):
     space = preset("paper", smoke=True)
     store_dir = tempfile.mkdtemp(prefix="repro-bench-dse-")
     try:
-        walls = []
         reports = []
         for label in ("cold", "resumed"):
-            spec = SweepSpec(space=space, workers=workers,
+            log("dse bench: {} sweep of {} points".format(label, len(space)))
+            spec = SweepSpec(space=space, workers=DSE_WORKERS,
                              store_dir=store_dir)
-            started = time.perf_counter()
             reports.append(SweepRunner(spec).sweep())
-            walls.append(time.perf_counter() - started)
-            log("dse bench: {} sweep of {} points in {:.2f}s".format(
-                label, len(space), walls[-1]))
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
 
     cold, resumed = reports
     points = len(space)
     return {
-        "schema": 1,
+        "schema": 2,
         "space": space.name,
         "points": points,
-        "workers": workers,
         "ok_points": len(cold.ok_results),
         "pareto_points": len(cold.frontier_results()),
         "store_hit_rate": resumed.reused / points if points else 0.0,
-        "points_per_second": points / walls[0] if walls[0] else 0.0,
-        "resume_speedup": walls[0] / walls[1] if walls[1] else 0.0,
     }
 
 
 def render_dse(payload):
     """Human-readable summary of one ``bench_dse`` payload."""
     return ("dse: {points} points ({ok_points} ok, {pareto_points} "
-            "pareto), {points_per_second:.1f} points/s cold, "
-            "store hit rate {store_hit_rate:.0%}, "
-            "resume speedup {resume_speedup:.1f}x".format(**payload))
+            "pareto), store hit rate {store_hit_rate:.0%}".format(**payload))

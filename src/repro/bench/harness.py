@@ -1,4 +1,4 @@
-"""Latency statistics shared by the service benchmark and perfbench."""
+"""The latency percentile perfbench reports (``op_p50_s``, ``op_p90_s``)."""
 
 from __future__ import annotations
 

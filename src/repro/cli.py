@@ -264,14 +264,12 @@ def cmd_bench(args):
 
     from .bench import (
         DSE_BASELINE_FILE,
-        REGRESSION_THRESHOLD,
         SERVICE_BASELINE_FILE,
         SIMULATOR_BASELINE_FILE,
         bench_dse,
         bench_service,
         bench_simulator,
         check_exact,
-        compare_reports,
         load_baseline,
         write_baseline,
     )
@@ -293,35 +291,27 @@ def cmd_bench(args):
     if not args.skip_dse:
         dse = bench_dse(log=log)
 
-    sim_path = os.path.join(args.out, SIMULATOR_BASELINE_FILE)
-    svc_path = os.path.join(args.out, SERVICE_BASELINE_FILE)
-    dse_path = os.path.join(args.out, DSE_BASELINE_FILE)
+    payloads = [(os.path.join(args.out, name), payload)
+                for name, payload in ((SIMULATOR_BASELINE_FILE, simulator),
+                                      (SERVICE_BASELINE_FILE, service),
+                                      (DSE_BASELINE_FILE, dse))
+                if payload is not None]
 
-    regressions = []
-    mismatches = []
+    mismatches = {}
     if args.check:
-        for path, payload in ((sim_path, simulator), (svc_path, service),
-                              (dse_path, dse)):
-            if payload is None:
-                continue
+        for path, payload in payloads:
             baseline = load_baseline(path)
             if baseline is None:
                 log("no baseline at {}; skipping check".format(path))
-            elif payload is simulator:
-                mismatches = check_exact(baseline, simulator)
-            else:
-                regressions.extend(compare_reports(baseline, payload))
+                continue
+            problems = check_exact(baseline, payload)
+            if problems:
+                mismatches[path] = problems
 
-    wrote = []
     if args.json or args.update:
-        write_baseline(sim_path, simulator)
-        wrote.append(sim_path)
-        if service is not None:
-            write_baseline(svc_path, service)
-            wrote.append(svc_path)
-        if dse is not None:
-            write_baseline(dse_path, dse)
-            wrote.append(dse_path)
+        for path, payload in payloads:
+            write_baseline(path, payload)
+            log("baseline written: {}".format(path))
 
     if args.json:
         print(dump_json({"simulator": simulator, "service": service,
@@ -334,26 +324,12 @@ def cmd_bench(args):
         if dse is not None:
             print()
             print(render_dse(dse))
-    for path in wrote:
-        log("baseline written: {}".format(path))
-
-    if mismatches:
-        print("\n{} simulated-table mismatch(es), compared exactly:".format(
-            len(mismatches)))
-        for mismatch in mismatches:
-            print("  {}".format(mismatch))
-    enforced = [r for r in regressions if r.enforced]
-    if regressions:
-        print("\n{} regression(s) beyond {:.0%}:".format(
-            len(regressions), REGRESSION_THRESHOLD))
-        for regression in regressions:
-            print("  {}".format(regression))
-        if not enforced:
-            log("absolute-metric regressions are report-only "
-                "(machine-dependent)")
-    if mismatches or (enforced and not args.report_only):
-        return 1
-    return 0
+    for path, problems in mismatches.items():
+        print("\n{}: {} mismatch(es), compared exactly:".format(
+            path, len(problems)))
+        for problem in problems:
+            print("  {}".format(problem))
+    return 1 if mismatches else 0
 
 
 def cmd_serve(args):
@@ -521,10 +497,10 @@ def build_parser():
 
     p = sub.add_parser("bench",
                        help="exact simulated tables plus service and DSE "
-                            "benchmarks, with baseline checking "
+                            "counts, with baseline checking "
                             "(docs/benchmarking.md)")
     p.add_argument("--skip-service", action="store_true",
-                   help="skip the service throughput benchmark")
+                   help="skip the service benchmark")
     p.add_argument("--skip-dse", action="store_true",
                    help="skip the DSE sweep benchmark")
     p.add_argument("--json", action="store_true",
@@ -533,13 +509,8 @@ def build_parser():
     p.add_argument("--update", action="store_true",
                    help="rewrite the BENCH_*.json baseline files")
     p.add_argument("--check", action="store_true",
-                   help="compare against the checked-in baselines; "
-                        "exit 1 on a simulated-table mismatch or an "
-                        "enforced regression")
-    p.add_argument("--report-only", action="store_true",
-                   help="with --check: print threshold regressions but "
-                        "exit 0 on them (a simulated-table mismatch "
-                        "still exits 1)")
+                   help="compare against the checked-in baselines "
+                        "exactly; exit 1 on any mismatch")
     p.add_argument("--out", default=".", metavar="DIR",
                    help="directory of the baseline files (default: .)")
     p.set_defaults(func=cmd_bench)

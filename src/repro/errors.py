@@ -137,7 +137,3 @@ class JobTimeoutError(ServiceError):
             "job {} exceeded its {:.3g}s timeout".format(job_id, timeout_s))
         self.job_id = job_id
         self.timeout_s = timeout_s
-
-
-class JobFailedError(ServiceError):
-    """A job exhausted its retry budget without completing."""

@@ -44,15 +44,6 @@ def build(source):
     return _assemble_cached(source)
 
 
-def arg_loads(first_sgpr, count):
-    """Emit ``s_buffer_load_dword`` lines for CB1 args 0..count-1."""
-    lines = []
-    for i in range(count):
-        lines.append("  s_buffer_load_dword s{}, s[12:15], {}".format(
-            first_sgpr + i, i))
-    return "\n".join(lines)
-
-
 def _type_error(default, value):
     """Why ``value`` cannot stand in for a parameter whose default is
     ``default``, or None when it can.

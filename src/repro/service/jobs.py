@@ -162,10 +162,11 @@ def load_jobs(source):
         ]}
 
     ``repeat`` expands one entry into N identical jobs (the repeated-
-    submission pattern the artifact cache accelerates).  A bare list is
-    accepted in place of the wrapping object.  An unknown field, or a
-    field of the wrong JSON type, raises :class:`AdmissionError` naming
-    the entry index and the field.
+    submission pattern the artifact cache accelerates), at most
+    :data:`MAX_REPEAT`.  A bare list is accepted in place of the
+    wrapping object.  An unknown field, or a field of the wrong JSON
+    type, raises :class:`AdmissionError` naming the entry index and the
+    field.
     """
     try:
         if isinstance(source, str):
@@ -198,11 +199,18 @@ def load_jobs(source):
         for name, value in entry.items():
             _check_field_type(i, name, value)
         repeat = entry.pop("repeat", 1)
-        if repeat < 1:
-            raise AdmissionError("job entry {}: repeat must be >= 1".format(i))
+        if not 1 <= repeat <= MAX_REPEAT:
+            raise AdmissionError(
+                "job entry {}: repeat must be in 1..{}, got {}".format(
+                    i, MAX_REPEAT, repeat))
         job = Job(**entry)
         jobs.extend([job] * repeat)
     return jobs
+
+
+#: The largest ``repeat`` one job-file entry may ask for: the entry
+#: expands into that many jobs before any is admitted.
+MAX_REPEAT = 10_000
 
 
 #: The fields a job-file entry may carry, each with the JSON types it

@@ -231,6 +231,15 @@ class TestDirectivesAndMetadata:
         program = assemble(".sgprs 48\n.vgprs 20\ns_endpgm")
         assert program.sgpr_count == 48 and program.vgpr_count == 20
 
+    def test_vgpr_hint_below_usage_rejected(self):
+        # The hint sizes the VGPR file: v9 in a 4-register file would
+        # index past it only when the program runs.
+        with pytest.raises(AssemblyError,
+                           match="line 1: .vgprs 4 is below the 10 VGPRs"):
+            assemble(".vgprs 4\nv_mov_b32 v9, v1\ns_endpgm")
+        assert assemble(".vgprs 10\nv_mov_b32 v9, v1\ns_endpgm"
+                        ).vgpr_count == 10
+
     def test_unknown_directive_rejected(self):
         with pytest.raises(AssemblyError):
             assemble(".frobnicate 3\ns_endpgm")

@@ -1,8 +1,7 @@
 """``repro bench`` and ``repro run --repeat`` end to end.
 
-Most invocations skip the service benchmark (~2 s) and the DSE sweep;
-the threshold-check tests keep the DSE sweep, the cheapest payload
-with both an enforced and a report-only metric.
+Most invocations skip the service benchmark and the DSE sweep; a
+check of one of those halves skips the other.
 """
 
 import json
@@ -15,6 +14,8 @@ from repro.bench import (
     DSE_BASELINE_FILE,
     SERVICE_BASELINE_FILE,
     SIMULATOR_BASELINE_FILE,
+    bench_dse,
+    bench_service,
     bench_simulator,
     check_exact,
     load_baseline,
@@ -25,8 +26,35 @@ from repro.kernels.cpi import CPI_SUITE
 
 SIM_ONLY = ["--skip-service", "--skip-dse"]
 
-#: The checked-in simulated tables at the repo root.
-CHECKED_IN = Path(__file__).resolve().parents[2] / SIMULATOR_BASELINE_FILE
+#: The repo root, where the checked-in payloads live.
+ROOT = Path(__file__).resolve().parents[2]
+CHECKED_IN = ROOT / SIMULATOR_BASELINE_FILE
+BASELINE_FILES = (SIMULATOR_BASELINE_FILE, SERVICE_BASELINE_FILE,
+                  DSE_BASELINE_FILE)
+#: The flags that run one payload's half alone (the simulator always runs).
+ONLY = {SIMULATOR_BASELINE_FILE: SIM_ONLY,
+        SERVICE_BASELINE_FILE: ["--skip-dse"],
+        DSE_BASELINE_FILE: ["--skip-service"]}
+
+
+def _numeric_leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, path + (key,))
+        elif isinstance(value, (int, float)):
+            yield path + (key,)
+
+
+def _skewed(name, path, delta):
+    """The checked-in payload ``name`` with the leaf at ``path`` moved
+    by ``delta``; returns (payload, old value)."""
+    payload = load_baseline(str(ROOT / name))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    old = node[path[-1]]
+    node[path[-1]] = old + delta
+    return payload, old
 
 
 @pytest.fixture(scope="module")
@@ -51,25 +79,37 @@ class TestCheckedInTable:
         assert set(BENCH_KERNELS) <= set(KERNELS)
         assert set(fresh["cpi"]) == {cls.name for cls in CPI_SUITE}
 
-    @pytest.mark.parametrize("table, field", [
-        ("cpi", "cu_cycles"),
-        ("cpi", "instructions"),
-        ("kernels", "instructions"),
-        ("coverage", "alu_generic"),
-    ])
-    def test_one_unit_skew_trips(self, fresh, table, field):
-        baseline = load_baseline(str(CHECKED_IN))
-        name = sorted(baseline[table])[0]
-        baseline[table][name][field] += 1
-        problems = check_exact(baseline, fresh)
-        assert len(problems) == 1
-        assert problems[0].startswith("{}.{}.{}: ".format(table, name, field))
-
-
     def test_every_memory_plan_is_emitted(self, fresh):
         for row in fresh["coverage"].values():
             assert row["memory"] and row["memory_emitted"] == row["memory"]
             assert row["alu_emitted"] + row["memory"] <= row["plans"]
+
+
+class TestCheckedInCounts:
+    """The service and DSE payloads reproduce their checked-in files
+    exactly too, and every numeric leaf of all three is checked."""
+
+    @pytest.mark.parametrize("name, bench", [
+        (SERVICE_BASELINE_FILE, bench_service),
+        (DSE_BASELINE_FILE, bench_dse),
+    ])
+    def test_fresh_run_matches(self, name, bench):
+        baseline = load_baseline(str(ROOT / name))
+        fresh = json.loads(json.dumps(bench()))
+        assert check_exact(baseline, fresh) == []
+        assert fresh == baseline
+
+    @pytest.mark.parametrize("name", BASELINE_FILES)
+    def test_every_leaf_skew_trips(self, name):
+        current = load_baseline(str(ROOT / name))
+        leaves = list(_numeric_leaves(current))
+        assert len(leaves) >= 4
+        for path in leaves:
+            for delta in (1, -1):
+                baseline, old = _skewed(name, path, delta)
+                assert check_exact(baseline, current) == [
+                    "{}: {!r} -> {!r}".format(".".join(path), old + delta,
+                                              old)]
 
 
 class TestBenchCommand:
@@ -84,48 +124,33 @@ class TestBenchCommand:
         assert main(["bench", "--skip-dse", "--json",
                      "--out", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        sim = payload["simulator"]
-        assert sim == load_baseline(str(CHECKED_IN))
-        assert payload["service"]["jobs_per_second"] > 0
-        assert 0 <= payload["service"]["cache_hit_rate"] <= 1
-        sim_file = tmp_path / SIMULATOR_BASELINE_FILE
-        svc_file = tmp_path / SERVICE_BASELINE_FILE
-        assert json.loads(sim_file.read_text()) == sim
-        assert json.loads(svc_file.read_text()) == payload["service"]
+        for name, half in ((SIMULATOR_BASELINE_FILE, "simulator"),
+                           (SERVICE_BASELINE_FILE, "service")):
+            assert payload[half] == load_baseline(str(ROOT / name))
+            assert load_baseline(str(tmp_path / name)) == payload[half]
 
-    def test_check_against_checked_in_table_passes(self, capsys):
-        out = str(CHECKED_IN.parent)
-        assert main(["bench", *SIM_ONLY, "--check", "--out", out]) == 0
+    def test_check_against_checked_in_payloads_passes(self, capsys):
+        assert main(["bench", "--check", "--out", str(ROOT)]) == 0
         assert "mismatch" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("report_only", [False, True])
-    def test_table_mismatch_fails_even_report_only(self, tmp_path, capsys,
-                                                   report_only):
-        baseline = load_baseline(str(CHECKED_IN))
-        baseline["cpi"]["cpi_lds"]["cu_cycles"] += 1
-        (tmp_path / SIMULATOR_BASELINE_FILE).write_text(
-            json.dumps(baseline))
-        flags = ["--report-only"] if report_only else []
-        assert main(["bench", *SIM_ONLY, "--check", *flags,
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("name, path", [
+        (SIMULATOR_BASELINE_FILE, "cpi.cpi_lds.cu_cycles"),
+        (SERVICE_BASELINE_FILE, "warm_board_rate"),
+        (SERVICE_BASELINE_FILE, "preemption.preemptions"),
+        (DSE_BASELINE_FILE, "store_hit_rate"),
+    ])
+    def test_one_leaf_skew_fails_check(self, tmp_path, capsys, name, path,
+                                       delta):
+        baseline, old = _skewed(name, tuple(path.split(".")), delta)
+        (tmp_path / name).write_text(json.dumps(baseline))
+        assert main(["bench", *ONLY[name], "--check",
                      "--out", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "1 simulated-table mismatch" in out
-        assert "cpi.cpi_lds.cu_cycles: 2238.0 -> 2237.0" in out
-
-    def test_check_fails_on_enforced_regression(self, tmp_path, capsys):
-        (tmp_path / DSE_BASELINE_FILE).write_text(
-            json.dumps({"store_hit_rate": 1000.0}))
-        assert main(["bench", "--skip-service", "--check",
-                     "--out", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "regression" in out and "ENFORCED" in out
-
-    def test_report_only_exits_zero(self, tmp_path, capsys):
-        (tmp_path / DSE_BASELINE_FILE).write_text(
-            json.dumps({"store_hit_rate": 1000.0}))
-        assert main(["bench", "--skip-service", "--check",
-                     "--report-only", "--out", str(tmp_path)]) == 0
-        assert "regression" in capsys.readouterr().out
+        assert "{}: 1 mismatch(es)".format(tmp_path / name) in out
+        assert [line.strip() for line in out.splitlines()
+                if " -> " in line] == [
+            "{}: {!r} -> {!r}".format(path, old + delta, old)]
 
     def test_missing_out_dir_fails_before_any_benchmark(
             self, tmp_path, capsys, monkeypatch):
@@ -147,16 +172,8 @@ class TestBenchCommand:
                      "--out", str(tmp_path)]) == 0
         assert "skipping check" in capsys.readouterr().err
 
-    def test_wall_regressions_are_report_only(self, tmp_path, capsys):
-        # An absurdly fast wall-clock baseline trips only the
-        # machine-dependent metrics, which never fail the build.
-        (tmp_path / DSE_BASELINE_FILE).write_text(
-            json.dumps({"points_per_second": 1e12}))
-        assert main(["bench", "--skip-service", "--check",
-                     "--out", str(tmp_path)]) == 0
-        assert "report-only" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--kernels", "--smoke", "--repeat"])
+    @pytest.mark.parametrize("flag", ["--kernels", "--smoke", "--repeat",
+                                      "--report-only"])
     def test_wall_timing_flags_are_gone(self, capsys, flag):
         with pytest.raises(SystemExit) as info:
             main(["bench", flag])

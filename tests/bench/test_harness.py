@@ -1,15 +1,8 @@
-"""Percentiles, baseline files and the regression comparisons."""
+"""Percentiles, baseline files and the exact comparison."""
 
 import pytest
 
-from repro.bench import (
-    REGRESSION_THRESHOLD,
-    check_exact,
-    compare_reports,
-    load_baseline,
-    percentile,
-    write_baseline,
-)
+from repro.bench import check_exact, load_baseline, percentile, write_baseline
 
 
 class TestPercentile:
@@ -32,74 +25,6 @@ class TestPercentile:
         values = [5, 1, 9, 3]
         assert percentile(values, 0) == 1
         assert percentile(values, 100) == 9
-
-
-class TestCompareReports:
-    def test_no_regression_within_threshold(self):
-        baseline = {"service": {"cache_hit_rate": 0.9}}
-        current = {"service": {"cache_hit_rate": 0.8}}
-        assert compare_reports(baseline, current) == []
-
-    def test_ratio_regression_is_enforced(self):
-        baseline = {"service": {"cache_hit_rate": 0.8}}
-        current = {"service": {"cache_hit_rate": 0.4}}
-        regressions = compare_reports(baseline, current)
-        assert len(regressions) == 1
-        r = regressions[0]
-        assert r.path == "service.cache_hit_rate"
-        assert r.enforced
-        assert r.change == pytest.approx(0.5)
-        assert "ENFORCED" in str(r)
-
-    def test_wall_regression_is_report_only(self):
-        baseline = {"preemption": {"latency_p95_s": 1.0}}
-        current = {"preemption": {"latency_p95_s": 2.0}}
-        regressions = compare_reports(baseline, current)
-        assert len(regressions) == 1
-        assert not regressions[0].enforced
-        assert "report-only" in str(regressions[0])
-
-    def test_lower_is_better_direction(self):
-        # Latency dropping is an improvement, never a regression.
-        baseline = {"latency_p95_s": 2.0}
-        current = {"latency_p95_s": 0.5}
-        assert compare_reports(baseline, current) == []
-
-    def test_improvement_not_reported(self):
-        baseline = {"service": {"cache_hit_rate": 0.3}}
-        current = {"service": {"cache_hit_rate": 0.9}}
-        assert compare_reports(baseline, current) == []
-
-    def test_missing_keys_tolerated(self):
-        # A section added since the baseline was recorded is skipped.
-        baseline = {"old": {"cache_hit_rate": 0.8},
-                    "gone": {"cache_hit_rate": 0.8}}
-        current = {"old": {"cache_hit_rate": 0.75},
-                   "new": {"cache_hit_rate": 0.01}}
-        assert compare_reports(baseline, current) == []
-
-    def test_custom_threshold(self):
-        baseline = {"cache_hit_rate": 1.0}
-        current = {"cache_hit_rate": 0.9}
-        assert compare_reports(baseline, current) == []
-        assert len(compare_reports(baseline, current, threshold=0.05)) == 1
-
-    def test_worst_first_ordering(self):
-        baseline = {"a": {"cache_hit_rate": 0.8},
-                    "b": {"cache_hit_rate": 0.8}}
-        current = {"a": {"cache_hit_rate": 0.6},
-                   "b": {"cache_hit_rate": 0.2}}
-        regressions = compare_reports(baseline, current)
-        assert [r.path for r in regressions] == \
-            ["b.cache_hit_rate", "a.cache_hit_rate"]
-
-    def test_zero_and_non_numeric_baselines_skipped(self):
-        baseline = {"cache_hit_rate": 0.0, "jobs_per_second": "n/a"}
-        current = {"cache_hit_rate": 0.0, "jobs_per_second": 1.0}
-        assert compare_reports(baseline, current) == []
-
-    def test_default_threshold_is_20_percent(self):
-        assert REGRESSION_THRESHOLD == 0.20
 
 
 class TestCheckExact:
@@ -142,8 +67,18 @@ class TestCheckExact:
         assert len(problems) == 5
 
     def test_table_missing_entirely(self):
-        problems = check_exact({"schema": 5}, self._copy())
+        problems = check_exact({"schema": 6}, self._copy())
         assert len(problems) == 5
+
+    def test_any_payload_compared_leaf_by_leaf(self):
+        baseline = {"store_hit_rate": 1.0, "benchmarks": ["a", "b"],
+                    "preemption": {"preemptions": 12}}
+        current = {"store_hit_rate": 0.875, "benchmarks": ["a"],
+                   "preemption": 12}
+        assert check_exact(baseline, current) == [
+            "benchmarks: ['a', 'b'] -> ['a']",
+            "preemption: {'preemptions': 12} -> 12",
+            "store_hit_rate: 1.0 -> 0.875"]
 
     def test_memory_plan_not_emitted_is_a_mismatch(self):
         row = {"plans": 9, "alu_emitted": 4, "alu_generic": 0,

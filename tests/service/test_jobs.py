@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.config import ArchConfig
 from repro.errors import AdmissionError
-from repro.service.jobs import Job, JobStatus, load_jobs, suite_jobs
+from repro.service.jobs import (MAX_REPEAT, Job, JobStatus, load_jobs,
+                                suite_jobs)
 
 
 class TestJob:
@@ -130,6 +131,21 @@ class TestLoadJobs:
     def test_field_types_accepted(self, field, value):
         jobs = load_jobs([{"benchmark": "matrix_add_i32", field: value}])
         assert len(jobs) == (value if field == "repeat" else 1)
+
+    @pytest.mark.parametrize("repeat", [0, -1, MAX_REPEAT + 1, 2 ** 70])
+    def test_repeat_out_of_range_rejected(self, repeat):
+        # Refused from the entry alone: 2**70 copies of a job would
+        # overflow the list that holds them.
+        entry = {"benchmark": "matrix_add_i32", "repeat": repeat}
+        with pytest.raises(AdmissionError,
+                           match="entry 1: repeat must be in 1..{}".format(
+                               MAX_REPEAT)):
+            load_jobs([{"benchmark": "matrix_add_i32"}, entry])
+
+    def test_repeat_at_the_cap_accepted(self):
+        jobs = load_jobs([{"benchmark": "matrix_add_i32",
+                           "repeat": MAX_REPEAT}])
+        assert len(jobs) == MAX_REPEAT
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "garbled.json"

@@ -475,20 +475,33 @@ class TestPreemption:
 
     def test_short_job_lands_between_slices(self):
         """The point of preemption: with one worker and one in-flight
-        slot, a short urgent job submitted behind a long sliced job
-        completes while the long job is still being time-sliced."""
-        long_job = Job("matrix_add_i32", {"n": 128}, config="baseline",
-                       verify=False, slice_instructions=400, priority=5)
+        slot, a short urgent job submitted while a long sliced job runs
+        completes between its slices, before the long job settles."""
+        import time
+
+        long_job = Job("matrix_add_i32", {"n": 256}, config="baseline",
+                       verify=False, slice_instructions=400, priority=5,
+                       global_mem_size=1 << 20)
         short_job = Job("matrix_add_i32", {"n": 16}, config="baseline",
-                        verify=False, priority=-5)
+                        verify=False, priority=-5,
+                        global_mem_size=1 << 20)
         with KernelService(workers=1, mode="thread",
                            max_inflight=1) as svc:
             long_id = svc.submit(long_job)
+            long_ticket = svc._tickets[long_id]
+            # Submitted together, the priority queue would simply run
+            # the short job first: wait until the long one is running.
+            deadline = time.monotonic() + 60
+            while len(svc.queue) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert not len(svc.queue)
             short_id = svc.submit(short_job)
             short_res = svc.result(short_id, timeout=300)
+            assert not long_ticket.settled
+            assert long_ticket.preemptions >= 1
             long_res = svc.result(long_id, timeout=300)
         assert short_res.ok and long_res.ok
-        assert long_res.preemptions >= 1
+        assert short_res.preemptions == 0
 
     def test_settled_tickets_drop_the_checkpoint(self, monkeypatch):
         """A settled ticket stays until its result is collected, so it
