@@ -18,8 +18,8 @@ plus the immediate SOPP branch targets) once, in
   ``vcc_lo``, ``vcc_hi`` or ``vccz`` (SALU, SMRD and buffer
   ``soffset`` included), a 32-bit write to one VCC half (a read, then
   a write) and every plan run by the generic dispatcher.  The emitter
-  stores a dead ``v_add/sub/subrev_i32`` as its row alone and emits a
-  dead compare as no lines.
+  computes a dead ``v_add/sub/subrev_i32``'s row alone, in place, and
+  emits a dead compare as no lines.
 * **Lane-uniform rows** (forward, meet = intersection).  A VGPR row
   is uniform when every lane active at its write got one value and
   EXEC has only narrowed since (``s_and_b64 exec, exec, x`` and

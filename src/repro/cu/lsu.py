@@ -195,7 +195,7 @@ def _active_rows(full, partial):
     """Lines binding ``_a``, the active lanes (None under full EXEC),
     and ``_r``, the address rows: ``full`` reads every lane straight
     from the register row, ``partial`` indexes the rows with ``_a``."""
-    return ["if wf.exec_mask == _FE:",
+    return ["if wf.lm is None:",
             "    _a = None",
             "    _r = " + full,
             "else:",
@@ -211,7 +211,7 @@ def _lanes(row):
 def _store_lanes(row, value, indent=""):
     """Lines storing ``value`` into the active lanes of VGPR row ``row``:
     the whole row under full EXEC, ``_a``'s lanes otherwise."""
-    return [indent + "if _a is None: v[%d] = %s" % (row, value),
+    return [indent + "if _a is None: v[%d][...] = %s" % (row, value),
             indent + "else: v[%d][_a] = %s" % (row, value)]
 
 
@@ -314,22 +314,26 @@ def _emit_buffer(inst):
     else:
         full, partial = "_ZROW", "_ZROW[_a]"
         lanes = "_fill(64, _o, _int64)"
-    lines += ["v = wf.vgprs"] + _active_rows(full, partial) + [
+    lines += ["v = wf.rows"] + _active_rows(full, partial) + [
               "_n = len(_r)",
               "if not _n:",
-              "    return (0, 0, 0, None, 0)",
-              # Strictly increasing lane addresses (the common
-              # base+stride pattern) put the footprint at the ends and
-              # prove a store's lanes distinct.
-              "_u = _n < 2 or not _cnz(_r[1:] <= _r[:-1])",
-              # Addresses are sums of unsigned words, never negative.
-              "if _u:",
-              "    _lo = int(_r[0]) + _o",
-              "    _hi = int(_r[-1]) + _o",
-              "else:",
-              "    _lo = int(_mn(_r)) + _o",
-              "    _hi = int(_mx(_r)) + _o",
-              "if _z and _hi >= _b + _z:",
+              "    return (0, 0, 0, None, 0)"]
+    # Addresses are sums of unsigned words, never negative.
+    if store:
+        # Strictly increasing lane addresses (the common base+stride
+        # pattern) prove a store's lanes distinct and put the footprint
+        # at the ends.
+        lines += ["_u = _n < 2 or not _cnz(_r[1:] <= _r[:-1])",
+                  "if _u:",
+                  "    _lo = int(_r[0]) + _o",
+                  "    _hi = int(_r[-1]) + _o",
+                  "else:",
+                  "    _lo = int(_mn(_r)) + _o",
+                  "    _hi = int(_mx(_r)) + _o"]
+    else:
+        lines += ["_lo = int(_mn(_r)) + _o",
+                  "_hi = int(_mx(_r)) + _o"]
+    lines += ["if _z and _hi >= _b + _z:",
               "    _recs(%r, _hi, _b, _z)" % name]
     # In range: move the active lanes through a view of the store
     # indexed by byte address -- ``gm.dwords`` (the dword at every byte,
@@ -383,16 +387,16 @@ def _emit_uniform_load(inst):
     view = ("gm._bytes.view(_int8)" if name == "buffer_load_sbyte"
             else "gm._bytes" if byte else "gm.dwords")
     lines = _buffer_base(f) + [
-             "v = wf.vgprs",
-             "_e = wf.exec_mask",
+             "v = wf.rows",
+             "_e = wf._exec_mask",
              "if _e == _FE:",
              "    _a = None",
              "    _n = 64",
-             "    _lo = int(v[%d, 0]) + _o" % vaddr,
+             "    _lo = int(v[%d][0]) + _o" % vaddr,
              "elif _e:",
              "    _a = wf.active_lanes()",
              "    _n = len(_a)",
-             "    _lo = int(v[%d, _a[0]]) + _o" % vaddr,
+             "    _lo = int(v[%d][_a[0]]) + _o" % vaddr,
              "else:",
              "    return (0, 0, 0, None, 0)",
              "if _z and _lo >= _b + _z:",
@@ -421,7 +425,7 @@ def _emit_ds(inst):
     addr = f["addr"]
     # ``_r`` is spent on the dword indices before any row is written, so
     # a read into its own address register needs no copy.
-    lines = (["_L = _lds(wf)", "v = wf.vgprs"]
+    lines = (["_L = _lds(wf)", "v = wf.rows"]
              + _active_rows("v[%d]" % addr, "v[%d][_a]" % addr))
     if name in ("ds_read_b32", "ds_write_b32", "ds_add_u32"):
         lines.append("_x = _ldsw(_L, _r, %d, %r)"

@@ -34,14 +34,6 @@ _WAITCNT_LGKM_SHIFT = 8
 _WAITCNT_LGKM_MASK = 0x1F
 
 
-def _settle(outstanding, allowed):
-    """Time by which at most ``allowed`` of the ``outstanding``
-    completion times remain in flight (0.0 when already so)."""
-    if len(outstanding) <= allowed:
-        return 0.0
-    return sorted(outstanding)[len(outstanding) - allowed - 1]
-
-
 @dataclass
 class CuRunStats:
     """Cycle and instruction accounting for one workgroup execution.
@@ -190,20 +182,44 @@ class ComputeUnit:
     def _waitcnt_target(wf, simm16, now):
         """Earliest time the waitcnt's count conditions are satisfied.
 
-        Drops the operations complete by then from the outstanding
+        A count of ``n`` waits until at most ``n`` of a list's
+        completion times remain in flight: a zero count for its latest
+        time, which empties the list, any other for its ``n+1``-th
+        latest.  Then the operations complete by the target leave the
         lists; an empty list neither delays nor needs filtering.
         """
         vm, lgkm = wf.outstanding_vm, wf.outstanding_lgkm
+        vm_left = simm16 & _WAITCNT_VM_MASK
+        lgkm_left = (simm16 >> _WAITCNT_LGKM_SHIFT) & _WAITCNT_LGKM_MASK
         ready = now
         if vm:
-            ready = max(ready, _settle(vm, simm16 & _WAITCNT_VM_MASK))
+            if not vm_left:
+                done = max(vm)
+            elif len(vm) > vm_left:
+                done = sorted(vm)[-vm_left - 1]
+            else:
+                done = ready
+            if done > ready:
+                ready = done
         if lgkm:
-            ready = max(ready, _settle(
-                lgkm, (simm16 >> _WAITCNT_LGKM_SHIFT) & _WAITCNT_LGKM_MASK))
+            if not lgkm_left:
+                done = max(lgkm)
+            elif len(lgkm) > lgkm_left:
+                done = sorted(lgkm)[-lgkm_left - 1]
+            else:
+                done = ready
+            if done > ready:
+                ready = done
         if vm:
-            wf.outstanding_vm = [t for t in vm if t > ready]
+            if vm_left:
+                wf.outstanding_vm = [t for t in vm if t > ready]
+            else:
+                vm.clear()
         if lgkm:
-            wf.outstanding_lgkm = [t for t in lgkm if t > ready]
+            if lgkm_left:
+                wf.outstanding_lgkm = [t for t in lgkm if t > ready]
+            else:
+                lgkm.clear()
         return ready
 
     # ------------------------------------------------------------------
@@ -368,8 +384,8 @@ class ComputeUnit:
                     wf.outstanding_vm.append(
                         memory.access_time(cu_index, lsu_done, access))
                 elif timing == MEM_SCALAR:
-                    wf.outstanding_lgkm.append(memory.scalar_access_time(
-                        cu_index, lsu_done, access[0]))
+                    wf.outstanding_lgkm.append(memory.access_time(
+                        cu_index, lsu_done, access, True))
                 else:
                     wf.outstanding_lgkm.append(
                         memory.lds_access_time(lsu_done, cu_index=cu_index))

@@ -3,12 +3,18 @@
 The issue loop (:meth:`ComputeUnit._run_compiled`) never
 re-decodes an instruction.  Every ALU instruction of a prepared program
 is emitted as a few lines of Python source with its operands resolved
-at compile time -- SGPRs as ``s[i]``, VGPR rows as ``v[i]``, inline
+at compile time -- SGPRs as ``s[i]``, VGPR rows as ``v[i]`` (an index
+into the wavefront's list of row views, ``wf.rows``), inline
 constants and literals as prebuilt values, scalar ALU as pure Python
 ints, VALU through the same :mod:`repro.cu.vector` cores as the
-reference (or an inline expression where that is cheaper and exact),
-stored straight into the destination row under full EXEC and by a
-masked ``np.copyto`` otherwise.  Every memory instruction
+reference (or an inline expression where that is cheaper and exact).
+A result is stored into the destination row's lanes under full EXEC
+and by a masked ``np.copyto`` otherwise; a core that is one uint32
+ufunc (:data:`repro.cu.vector.UFUNC_IMPL`, a folded logical shift, a
+carry whose VCC write is dead) computes straight into the row
+instead, with ``where=`` EXEC's lanes.  EXEC is read as the
+wavefront's plain state: its lane row ``wf.lm`` (``None`` when full)
+and its int ``wf._exec_mask``.  Every memory instruction
 is emitted by the LSU's own emitter (:func:`repro.cu.lsu.emit_memory`).
 One program's executors go through one ``compile()``/``exec()`` into
 one namespace: ``_plan<i>(wf)`` per ALU instruction, bound to
@@ -30,7 +36,7 @@ from ..isa.formats import Format
 from . import lsu, operations, vector
 from .facts import program_facts
 from .timing import KIND_ALU, KIND_MEMORY
-from .wavefront import FULL_EXEC, MASK32, MASK64, pack_lanes, unpack_lanes
+from .wavefront import MASK32, MASK64, pack_lanes, unpack_lanes
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +47,17 @@ _RUNTIME = {
     "_full": np.full, "_u32d": np.uint32, "_cp": np.copyto,
     "_pack": pack_lanes, "_unpack": unpack_lanes,
     "_s32": operations._s32, "_add32": operations._add_i32,
-    "_FE": FULL_EXEC, "_where": np.where, "_g": operations.execute,
+    "_where": np.where, "_g": operations.execute,
     "_fv": vector._fv, "_sv": vector._sv, "_from_f": vector._from_f,
     "_awc": vector.add_with_carry, "_swb": vector.sub_with_borrow,
 }
 
 _PRELUDE = (
     ("s", "s = wf.sgprs"),
-    ("v", "v = wf.vgprs"),
+    ("v", "v = wf.rows"),
     # None means "all lanes" to the row writes and the lane-mask
-    # stores; otherwise EXEC's lane bools, cached on the wavefront.
-    ("lm", "lm = None if wf.exec_mask == _FE else wf.active_lane_mask()"),
+    # stores; otherwise EXEC's lane bools, kept by the EXEC setter.
+    ("lm", "lm = wf.lm"),
 )
 
 
@@ -81,8 +87,8 @@ _BRANCH_CONDITIONS = {
     "s_cbranch_scc1": "wf.scc == 1",
     "s_cbranch_vccz": "wf.vcc == 0",
     "s_cbranch_vccnz": "wf.vcc != 0",
-    "s_cbranch_execz": "wf.exec_mask == 0",
-    "s_cbranch_execnz": "wf.exec_mask != 0",
+    "s_cbranch_execz": "wf._exec_mask == 0",
+    "s_cbranch_execnz": "wf._exec_mask != 0",
 }
 
 
@@ -119,7 +125,7 @@ def _scalar64_src(code, uses):
     if code == regs.VCC_LO:
         return "wf.vcc"
     if code == regs.EXEC_LO:
-        return "wf.exec_mask"
+        return "wf._exec_mask"
     if regs.SGPR_FIRST <= code <= regs.SGPR_LAST - 1:
         uses.add("s")
         return "(int(s[%d]) | (int(s[%d]) << 32))" % (code, code + 1)
@@ -178,11 +184,22 @@ def _constant(code, literal):
 
 def _write_row(vdst, value):
     """Lines storing ``value`` into VGPR row ``vdst`` under EXEC:
-    straight into the row when every lane is active, a masked copy
-    otherwise.  ``value`` is evaluated in full before the row is
+    into every lane of the row when every lane is active, a masked
+    copy otherwise.  ``value`` is evaluated in full before the row is
     written, so it may read the destination row itself."""
-    return ["if lm is None: v[%d] = %s" % (vdst, value),
+    return ["if lm is None: v[%d][...] = %s" % (vdst, value),
             "else: _cp(v[%d], %s, where=lm)" % (vdst, value)]
+
+
+def _in_place(ns, k, vdst, ufunc, x, y):
+    """Lines computing the uint32 ``ufunc`` (bound as ``_i<k>``) of
+    ``x`` and ``y`` straight into VGPR row ``vdst``: every lane under
+    full EXEC, only EXEC's lanes otherwise, so the others keep their
+    value (the masked store).  Elementwise, so ``vdst`` may alias a
+    source."""
+    ns["_i%d" % k] = ufunc
+    call = "_i%d(%s, %s, out=v[%d]" % (k, x, y, vdst)
+    return ["if lm is None: %s)" % call, "else: %s, where=lm)" % call]
 
 
 def _mask_dst(sdst, bools, uses):
@@ -273,9 +290,9 @@ def _emit_sop1(inst, k, ns, uses):
                     + ["wf.scc = int(_m != 0)"])
         if name in ("s_and_saveexec_b64", "s_or_saveexec_b64"):
             op = "&" if name.startswith("s_and") else "|"
-            return (["_v = %s" % a, "_m = wf.exec_mask"] + dst
+            return (["_v = %s" % a, "_m = wf._exec_mask"] + dst
                     + ["wf.exec_mask = _v %s _m" % op,
-                       "wf.scc = int(wf.exec_mask != 0)"])
+                       "wf.scc = int(wf._exec_mask != 0)"])
         return None
     impl = operations.SOP1_IMPL.get(name)
     a = _scalar_src(f["ssrc0"], inst.literal, uses)
@@ -317,16 +334,17 @@ def _emit_sopp(inst, k, ns, uses):
 
 
 #: Shifts whose amount operand may be folded at emit time: name ->
-#: (amount source, expression of (shifted, amount), amount type).  The
-#: other source is the shifted one; the hardware reads the low five
-#: bits of the amount.
+#: (amount source, ufunc).  The other source is the shifted one; the
+#: hardware reads the low five bits of the amount.  A logical shift is
+#: its uint32 ufunc, computed in place; an arithmetic one (``None``)
+#: shifts the signed view and stores the result.
 _SHIFTS = {
-    "v_lshlrev_b32": ("src0", "%s << %s", np.uint32),
-    "v_lshrrev_b32": ("src0", "%s >> %s", np.uint32),
-    "v_ashrrev_i32": ("src0", "(_sv(%s) >> %s).view(_u32d)", np.int32),
-    "v_lshl_b32": ("src1", "%s << %s", np.uint32),
-    "v_lshr_b32": ("src1", "%s >> %s", np.uint32),
-    "v_ashr_i32": ("src1", "(_sv(%s) >> %s).view(_u32d)", np.int32),
+    "v_lshlrev_b32": ("src0", np.left_shift),
+    "v_lshrrev_b32": ("src0", np.right_shift),
+    "v_ashrrev_i32": ("src0", None),
+    "v_lshl_b32": ("src1", np.left_shift),
+    "v_lshr_b32": ("src1", np.right_shift),
+    "v_ashr_i32": ("src1", None),
 }
 
 
@@ -336,7 +354,8 @@ def _emit_vector(inst, k, ns, uses, vcc_dead=False):
     (:data:`repro.cu.vector.CARRY_OPS`) -- computed in full, then
     stored by :func:`_write_row`; lane masks by :func:`_mask_dst`.
     With ``vcc_dead`` (a :data:`repro.cu.facts.ProgramFacts.dead_vcc`
-    plan) a compare emits nothing and a carry stores its row alone."""
+    plan) a compare emits nothing and a carry computes its row alone,
+    in place (:func:`_in_place`), like every one-ufunc core."""
     sp, f, fmt = inst.spec, inst.fields, inst.fmt
     name = sp.name
     # The one SGPR source of a core that also takes a 64-lane VGPR row
@@ -427,13 +446,13 @@ def _emit_vector(inst, k, ns, uses, vcc_dead=False):
         # (the VGPR row when there is one); ``x - y`` borrows iff x < y.
         if name == "v_add_i32":
             if vcc_dead:
-                return _write_row(vdst, "%s + %s" % (a, b))
+                return _in_place(ns, k, vdst, np.add, a, b)
             row = a if a.startswith("v[") and not b.startswith("v[") else b
             lines, carry = ["_r = %s + %s" % (a, b)], "_r < %s" % row
         elif name in ("v_sub_i32", "v_subrev_i32"):
             x, y = (a, b) if name == "v_sub_i32" else (b, a)
             if vcc_dead:
-                return _write_row(vdst, "%s - %s" % (x, y))
+                return _in_place(ns, k, vdst, np.subtract, x, y)
             lines, carry = ["_r = %s - %s" % (x, y)], "%s < %s" % (x, y)
         else:
             core = "_awc" if name == "v_addc_u32" else "_swb"
@@ -450,13 +469,21 @@ def _emit_vector(inst, k, ns, uses, vcc_dead=False):
 
     shift = _SHIFTS.get(name)
     if shift is not None:
-        amount_src, form, amount_type = shift
+        amount_src, ufunc = shift
         amount = _constant(f[amount_src], inst.literal) \
             if amount_src == "src0" or fmt is Format.VOP3 else None
         if amount is not None:
-            ns["_k%ds" % k] = amount_type(amount & 31)
-            return _write_row(vdst, form % (b if amount_src == "src0" else a,
-                                            "_k%ds" % k))
+            shifted = b if amount_src == "src0" else a
+            if ufunc is None:
+                ns["_k%ds" % k] = np.int32(amount & 31)
+                return _write_row(vdst, "(_sv(%s) >> _k%ds).view(_u32d)"
+                                  % (shifted, k))
+            ns["_k%ds" % k] = np.uint32(amount & 31)
+            return _in_place(ns, k, vdst, ufunc, shifted, "_k%ds" % k)
+
+    ufunc = vector.UFUNC_IMPL.get(name)
+    if ufunc is not None and c is None:
+        return _in_place(ns, k, vdst, ufunc, a, b)
 
     impl = vector.VBIN_IMPL.get(name)
     if impl is not None:

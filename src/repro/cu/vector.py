@@ -7,7 +7,9 @@ reinterpret-cast views (``.view(np.float32)``) so every lane keeps the
 exact IEEE-754 bit pattern the scalar SI datapath would produce — NaN
 payloads, signed zeros and denormals included.  EXEC masking is a
 writeback concern only: cores compute all 64 lanes, the caller masks
-the store (`Wavefront.write_vgpr` / :func:`mask_from_bools`).
+the store (`Wavefront.write_vgpr` / :func:`mask_from_bools`); the
+emitted form of a :data:`UFUNC_IMPL` core computes only the active
+lanes, into the destination row.
 
 Three layers live here:
 
@@ -183,11 +185,6 @@ def _mul_hi_i32(a, b):
     return ((wide >> np.int64(32)) & np.int64(MASK32)).astype(np.uint32)
 
 
-def _mul_lo(a, b):
-    wide = a.astype(np.uint64) * b.astype(np.uint64)
-    return (wide & np.uint64(MASK32)).astype(np.uint32)
-
-
 def _v_bfe_u32(a, b, c):
     offset = (b & np.uint32(31)).astype(np.uint32)
     width = (c & np.uint32(31)).astype(np.uint32)
@@ -217,6 +214,23 @@ def _v_alignbit(a, b, c):
 # Array cores: one masked NumPy op per instruction.
 # ---------------------------------------------------------------------------
 
+#: The cores that are exactly one uint32 ufunc of their two sources:
+#: name -> ufunc.  The core tables below hold these very ufuncs, and the
+#: emitter computes them straight into the destination row
+#: (``uf(a, b, out=row)``, plus ``where=`` under partial EXEC), so the
+#: reference and the emitted form share one definition.  A uint32
+#: multiply wraps to the low word, which is ``v_mul_lo``'s result for
+#: either signedness.
+UFUNC_IMPL = {
+    "v_and_b32": np.bitwise_and,
+    "v_or_b32": np.bitwise_or,
+    "v_xor_b32": np.bitwise_xor,
+    "v_min_u32": np.minimum,
+    "v_max_u32": np.maximum,
+    "v_mul_lo_u32": np.multiply,
+    "v_mul_lo_i32": np.multiply,
+}
+
 #: Two-source vector cores: name -> f(a, b) -> uint32 array.
 VBIN_IMPL = {
     "v_add_f32": lambda a, b: _from_f(_fv(a) + _fv(b)),
@@ -229,8 +243,8 @@ VBIN_IMPL = {
         (_sext24(a) * _sext24(b)) & np.int64(MASK32)).astype(np.uint32),
     "v_min_i32": lambda a, b: np.minimum(_sv(a), _sv(b)).view(np.uint32),
     "v_max_i32": lambda a, b: np.maximum(_sv(a), _sv(b)).view(np.uint32),
-    "v_min_u32": lambda a, b: np.minimum(a, b),
-    "v_max_u32": lambda a, b: np.maximum(a, b),
+    "v_min_u32": UFUNC_IMPL["v_min_u32"],
+    "v_max_u32": UFUNC_IMPL["v_max_u32"],
     "v_lshr_b32": lambda a, b: a >> _shift_amounts(b),
     "v_lshrrev_b32": lambda a, b: b >> _shift_amounts(a),
     "v_ashr_i32": lambda a, b: (_sv(a) >> _shift_amounts(b).astype(np.int32))
@@ -239,9 +253,9 @@ VBIN_IMPL = {
     .view(np.uint32),
     "v_lshl_b32": lambda a, b: a << _shift_amounts(b),
     "v_lshlrev_b32": lambda a, b: b << _shift_amounts(a),
-    "v_and_b32": lambda a, b: a & b,
-    "v_or_b32": lambda a, b: a | b,
-    "v_xor_b32": lambda a, b: a ^ b,
+    "v_and_b32": UFUNC_IMPL["v_and_b32"],
+    "v_or_b32": UFUNC_IMPL["v_or_b32"],
+    "v_xor_b32": UFUNC_IMPL["v_xor_b32"],
 }
 
 #: One-source vector cores: name -> f(a) -> uint32 array.
@@ -280,9 +294,9 @@ VTRI_IMPL = {
     "v_bfe_i32": _v_bfe_i32,
     "v_bfi_b32": lambda a, b, c: (a & b) | (~a & c),
     "v_alignbit_b32": _v_alignbit,
-    "v_mul_lo_u32": _mul_lo,
+    "v_mul_lo_u32": UFUNC_IMPL["v_mul_lo_u32"],
     "v_mul_hi_u32": _mul_hi_u32,
-    "v_mul_lo_i32": _mul_lo,  # low 32 bits are sign-agnostic
+    "v_mul_lo_i32": UFUNC_IMPL["v_mul_lo_i32"],
     "v_mul_hi_i32": _mul_hi_i32,
 }
 

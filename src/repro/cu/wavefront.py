@@ -40,6 +40,11 @@ def unpack_lanes(mask):
                          bitorder="little").view(np.bool_)
 
 
+#: What :meth:`Wavefront.active_lane_mask` returns under full EXEC.
+ALL_LANES = np.ones(64, dtype=np.bool_)
+ALL_LANES.setflags(write=False)
+
+
 class Wavefront:
     """Architectural + scheduling state of one wavefront.
 
@@ -49,26 +54,44 @@ class Wavefront:
     :meth:`set_vcc_lanes`).  At least one form is set; :attr:`vcc`
     packs pending lanes once and :meth:`vcc_lanes` unpacks once, each
     caching its result until the next write.
+
+    EXEC is held twice, both written only by the :attr:`exec_mask`
+    setter: the 64-bit int ``_exec_mask`` and ``lm``, ``None`` when
+    EXEC is full and its ``(64,)`` bool row otherwise.  The VGPR file
+    is one ``(R, 64)`` block, ``vgprs``; ``rows`` lists a view of each
+    of its rows, bound once, so ``rows[i]`` is a list index.  The
+    emitted executors read ``lm``, ``_exec_mask`` and ``rows`` and
+    store into a row's lanes (``rows[i][...] = x``), never rebinding
+    ``vgprs`` or a ``rows`` slot.
+
+    ``sgprs`` and ``vgprs`` may be passed in: a ``(NUM_SGPRS,)`` and a
+    ``(max(4, vgpr_count), 64)`` uint32 slab the wavefront then owns
+    (the dispatcher hands out rows of one block per workgroup).
+    Otherwise both start zeroed.
     """
 
-    def __init__(self, wf_id, program, workgroup=None, lane_count=64):
+    def __init__(self, wf_id, program, workgroup=None, lane_count=64,
+                 sgprs=None, vgprs=None):
         self.wf_id = wf_id
         self.program = program
         self.workgroup = workgroup
         self.lane_count = lane_count
 
         self.pc = 0
-        self._exec_mask = FULL_EXEC if lane_count == 64 else (1 << lane_count) - 1
-        self._lane_mask_cache = None
-        self._lane_idx_cache = None
+        self.exec_mask = FULL_EXEC if lane_count == 64 else (1 << lane_count) - 1
         self._vcc = 0
         self._vcc_lanes = None
         self.scc = 0
         self.m0 = 0
         self.done = False
 
-        self.sgprs = np.zeros(regs.NUM_SGPRS, dtype=np.uint32)
-        self.vgprs = np.zeros((max(4, program.vgpr_count), 64), dtype=np.uint32)
+        if sgprs is None:
+            sgprs = np.zeros(regs.NUM_SGPRS, dtype=np.uint32)
+        if vgprs is None:
+            vgprs = np.zeros((max(4, program.vgpr_count), 64), dtype=np.uint32)
+        self.sgprs = sgprs
+        self.vgprs = vgprs
+        self.rows = list(vgprs)
 
         # -- scheduling state (written by the CU pipeline) ------------------
         self.ready_at = 0.0
@@ -88,18 +111,19 @@ class Wavefront:
 
     @exec_mask.setter
     def exec_mask(self, value):
-        self._exec_mask = int(value) & MASK64
-        self._lane_mask_cache = None
+        value = int(value) & MASK64
+        self._exec_mask = value
+        self.lm = None if value == FULL_EXEC else unpack_lanes(value)
         self._lane_idx_cache = None
 
     def active_lane_mask(self):
-        """Boolean (64,) array of lanes enabled by EXEC (cached)."""
-        if self._lane_mask_cache is None:
-            self._lane_mask_cache = unpack_lanes(self._exec_mask)
-        return self._lane_mask_cache
+        """Boolean (64,) row of the lanes enabled by EXEC: ``lm``, or
+        the shared read-only :data:`ALL_LANES` under full EXEC."""
+        lm = self.lm
+        return ALL_LANES if lm is None else lm
 
     def active_lanes(self):
-        """Indices of EXEC-enabled lanes (cached like the mask)."""
+        """Indices of EXEC-enabled lanes (cached until EXEC changes)."""
         if self._lane_idx_cache is None:
             self._lane_idx_cache = np.flatnonzero(self.active_lane_mask())
         return self._lane_idx_cache
@@ -132,7 +156,7 @@ class Wavefront:
 
     @property
     def execz(self):
-        return int(self.exec_mask == 0)
+        return int(self._exec_mask == 0)
 
     @property
     def vccz(self):
@@ -234,22 +258,21 @@ class Wavefront:
     def read_vector(self, code, literal=None):
         """Read a 9-bit vector source: a VGPR row or broadcast scalar."""
         if code >= regs.VGPR_BASE:
-            return self.vgprs[code - regs.VGPR_BASE]
+            return self.rows[code - regs.VGPR_BASE]
         scalar = self.read_scalar(code, literal)
         return np.full(64, scalar, dtype=np.uint32)
 
     def read_vgpr(self, index):
-        return self.vgprs[index]
+        return self.rows[index]
 
     def write_vgpr(self, index, values, lane_mask=None):
         """Write a VGPR row, honouring EXEC (or an explicit lane mask)."""
-        row = self.vgprs[index]
-        if self._exec_mask == FULL_EXEC and (
-                lane_mask is None or lane_mask is self._lane_mask_cache):
+        row = self.rows[index]
+        if self.lm is None and (lane_mask is None or lane_mask is ALL_LANES):
             row[...] = np.asarray(values, dtype=np.uint32)
             return
         if lane_mask is None:
-            lane_mask = self.active_lane_mask()
+            lane_mask = self.lm
         np.copyto(row, np.asarray(values, dtype=np.uint32), where=lane_mask)
 
     # ------------------------------------------------------------------

@@ -103,10 +103,11 @@ FIGURE4_GROUPS = {
     "G": (OpCategory.MEMORY,),
 }
 
-#: Categories whose hardware is comparatively expensive; used by the
-#: area model to weight per-instruction trimming savings.
-ARITHMETIC_CATEGORIES = frozenset(
-    {OpCategory.ADD, OpCategory.MUL, OpCategory.DIV, OpCategory.TRANS}
+#: Categories whose hardware is comparatively expensive, in Figure 4's
+#: order.  A tuple, not a set: reports iterate it, and a set of enum
+#: members iterates in an order that changes with the hash seed.
+ARITHMETIC_CATEGORIES = (
+    OpCategory.ADD, OpCategory.MUL, OpCategory.DIV, OpCategory.TRANS,
 )
 
 

@@ -33,7 +33,9 @@ class PrefetchBuffer:
     def __init__(self, bram_blocks=928):
         self.bram_blocks = int(bram_blocks)
         self.capacity = self.bram_blocks * BRAM_BYTES
-        self._ranges = []  # list of (start, end) half-open byte ranges
+        #: Resident (start, end) half-open byte ranges, in preload order;
+        #: MemorySystem.access_time scans them on every global access.
+        self.ranges = []
         self._used = 0
 
     @property
@@ -45,7 +47,7 @@ class PrefetchBuffer:
         return self.capacity - self._used
 
     def clear(self):
-        self._ranges = []
+        self.ranges = []
         self._used = 0
 
     def preload(self, start, nbytes):
@@ -61,13 +63,13 @@ class PrefetchBuffer:
             return True
         if nbytes > self.free_bytes:
             return False
-        self._ranges.append((start, start + nbytes))
+        self.ranges.append((start, start + nbytes))
         self._used += nbytes
         return True
 
     def covers(self, addr):
         """Whether a single address hits the buffer."""
-        for start, end in self._ranges:
+        for start, end in self.ranges:
             if start <= addr < end:
                 return True
         return False
@@ -79,7 +81,7 @@ class PrefetchBuffer:
         callers that already know the access footprint; discontiguous
         coverage still needs the per-lane fallback there.
         """
-        for start, end in self._ranges:
+        for start, end in self.ranges:
             if start <= lo and hi < end:
                 return True
         return False

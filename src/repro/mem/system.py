@@ -29,7 +29,12 @@ from .prefetch import PrefetchBuffer
 
 
 class _Channel:
-    """A resource that admits one request per ``interval`` cycles."""
+    """A resource that admits one request per ``interval`` cycles.
+
+    Pipelined channels (``interval`` set) re-admit after the initiation
+    interval; unpipelined ones only after completion.  The admission
+    arithmetic lives in :meth:`MemorySystem.access_time`.
+    """
 
     def __init__(self, interval_pipelined=None):
         self.busy_until = 0.0
@@ -39,18 +44,6 @@ class _Channel:
     def reset(self):
         self.busy_until = 0.0
         self.requests = 0
-
-    def issue(self, now, latency):
-        """Issue a request at >= ``now``; returns its completion time.
-
-        Pipelined channels (``interval`` set) re-admit after the
-        initiation interval; unpipelined ones only after completion.
-        """
-        start = max(now, self.busy_until)
-        done = start + latency
-        self.busy_until = (start + self.interval) if self.interval else done
-        self.requests += 1
-        return done
 
 
 class MemorySystem:
@@ -101,56 +94,60 @@ class MemorySystem:
 
     # -- timing ---------------------------------------------------------------
 
-    def access_time(self, cu_index, now, access):
-        """Completion time of a vector global access starting at ``now``.
+    def access_time(self, cu_index, now, access, scalar=False):
+        """Completion time of a global access starting at ``now``.
 
-        ``access`` is the LSU's ``(active, lo, hi, rows, offset)`` tuple
-        (see :mod:`repro.cu.lsu`): the coverage test reduces to one
-        range check on the ``[lo, hi]`` footprint, and builds the lane
-        addresses ``rows + offset`` only for the per-lane scan over
-        discontiguous residency.
+        ``access`` is the LSU's timing tuple (see :mod:`repro.cu.lsu`):
+        ``(active, lo, hi, rows, offset)`` for a vector access, or
+        ``(addr,)`` for a scalar (SMRD) read with ``scalar``.  The
+        prefetch test is one range check on the ``[lo, hi]`` footprint
+        (``[addr, addr]`` for a scalar read); only a vector access none
+        of whose resident ranges covers it builds its lane addresses
+        ``rows + offset``, for the per-lane scan over discontiguous
+        residency.  The hit then issues on the CU's prefetch port, a
+        miss on the relay.  One call: the coverage loop and the channel
+        arithmetic are inline.
         """
-        active, lo, hi, rows, offset = access
+        if scalar:
+            lo = hi = access[0]
+            active, rows = 1, None
+        else:
+            active, lo, hi, rows, offset = access
         params = self.params
         stats = self.stats
+        hit = False
         if params.prefetch_enabled:
-            buf = self.prefetch[cu_index]
-            hit = (active == 0 or buf.covers_range(lo, hi)
-                   or buf.covers_all(rows.astype(np.int64) + offset))
-        else:
-            hit = False
+            if active:
+                buf = self.prefetch[cu_index]
+                for start, end in buf.ranges:
+                    if start <= lo and hi < end:
+                        hit = True
+                        break
+                else:
+                    if rows is not None:
+                        hit = buf.covers_all(rows.astype(np.int64) + offset)
+            else:
+                hit = True
         if hit:
             stats["prefetch_hits"] += 1
-            done = self._prefetch_ports[cu_index].issue(
-                now, params.prefetch_hit_cycles)
+            channel = self._prefetch_ports[cu_index]
+            latency = params.prefetch_hit_cycles
         else:
             stats["prefetch_misses"] += 1
             stats["relay_accesses"] += 1
-            done = self.relay.issue(now, params.relay_cycles)
+            channel = self.relay
+            latency = params.relay_cycles
+        busy = channel.busy_until
+        start = busy if busy > now else now
+        done = start + latency
+        channel.busy_until = (start + channel.interval if channel.interval
+                              else done)
+        channel.requests += 1
         if self.obs is not None:
             self.obs.emit_mem_access(MemAccess(
                 cycle=now, cu_index=cu_index, space="global",
-                kind="vector", hit=hit, completed=done))
-        return done
-
-    def scalar_access_time(self, cu_index, now, addr):
-        """Completion time of a scalar (SMRD) read starting at ``now``."""
-        params = self.params
-        stats = self.stats
-        if params.prefetch_enabled and self.prefetch[cu_index].covers(addr):
-            stats["prefetch_hits"] += 1
-            done = self._prefetch_ports[cu_index].issue(
-                now, params.prefetch_hit_cycles)
-            hit = True
-        else:
-            stats["prefetch_misses"] += 1
-            stats["relay_accesses"] += 1
-            done = self.relay.issue(now, params.relay_cycles)
-            hit = False
-        if self.obs is not None:
-            self.obs.emit_mem_access(MemAccess(
-                cycle=now, cu_index=cu_index, space="global",
-                kind="scalar", hit=hit, completed=done))
+                kind="scalar" if scalar else "vector", hit=hit,
+                completed=done))
         return done
 
     def lds_access_time(self, now, cu_index=0):

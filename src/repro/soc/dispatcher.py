@@ -28,6 +28,7 @@ dword  value
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,11 @@ CB0_GLOBAL_SIZE = 0
 CB0_LOCAL_SIZE = 3
 CB0_NUM_GROUPS = 6
 CB0_DWORDS = 12
+
+#: Launch templates a dispatcher keeps, least recently used dropped
+#: first.  An ``eval_sim`` round of the 18 evaluation apps uses 18
+#: distinct ones.
+TEMPLATE_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -118,11 +124,12 @@ class DispatchCosts:
 class WorkgroupTemplate:
     """Register images shared by every workgroup of one launch.
 
-    ``sgprs`` holds the descriptor sets (group-ID SGPRs zero),
-    ``vgprs[w]`` wavefront ``w``'s VGPR file with its local IDs in
-    ``v0``-``v2``, ``exec_masks[w]`` its EXEC, and ``group_dims`` the
-    dimensions whose group ID is written.  The arrays are read-only:
-    :meth:`Dispatcher.build_workgroup` copies them.
+    ``sgprs[w]`` holds wavefront ``w``'s SGPR file, the descriptor sets
+    (group-ID SGPRs zero), ``vgprs[w]`` its VGPR file with its local
+    IDs in ``v0``-``v2``, ``exec_masks[w]`` its EXEC, and
+    ``group_dims`` the dimensions whose group ID is written.  The
+    arrays are read-only: :meth:`Dispatcher.build_workgroup` copies
+    them.
     """
 
     sgprs: np.ndarray
@@ -143,6 +150,10 @@ class Dispatcher:
         self.cb0_base = cb0_base
         self.costs = costs or DispatchCosts()
         self.regfile = regfile or RegisterFileModel()
+        #: (sgpr_count, vgpr_count, geometry) -> WorkgroupTemplate, at
+        #: most TEMPLATE_MEMO_SIZE of them (the descriptors and the
+        #: register-file model are fixed per dispatcher).
+        self._templates = OrderedDict()
 
     def write_cb0(self, geometry):
         """Populate constant buffer 0 with the launch geometry."""
@@ -159,15 +170,30 @@ class Dispatcher:
         files (:meth:`RegisterFileModel.check_workgroup`), then lays
         out what does not depend on the group ID: the descriptor SGPRs,
         each wavefront's EXEC and its local-ID rows ``v0``-``v2``.
+        The template depends on the program only through its register
+        counts, so it is kept per ``(sgpr_count, vgpr_count,
+        geometry)`` and a later launch of that shape reuses it.
         """
+        key = (program.sgpr_count, program.vgpr_count, geometry)
+        templates = self._templates
+        template = templates.get(key)
+        if template is not None:
+            templates.move_to_end(key)
+            return template
+        template = templates[key] = self._build_template(program, geometry)
+        if len(templates) > TEMPLATE_MEMO_SIZE:
+            templates.popitem(last=False)
+        return template
+
+    def _build_template(self, program, geometry):
         items = geometry.work_items_per_group
         lx, ly, _lz = geometry.local_size
         n_wavefronts = (items + WAVEFRONT_SIZE - 1) // WAVEFRONT_SIZE
         self.regfile.check_workgroup(program, n_wavefronts)
-        sgprs = np.zeros(NUM_SGPRS, dtype=np.uint32)
-        sgprs[UAV_DESCRIPTOR_REG:UAV_DESCRIPTOR_REG + 4] = self.uav_descriptor
-        sgprs[CB0_DESCRIPTOR_REG:CB0_DESCRIPTOR_REG + 4] = self.cb0_descriptor
-        sgprs[CB1_DESCRIPTOR_REG:CB1_DESCRIPTOR_REG + 4] = self.cb1_descriptor
+        sgprs = np.zeros((n_wavefronts, NUM_SGPRS), dtype=np.uint32)
+        sgprs[:, UAV_DESCRIPTOR_REG:UAV_DESCRIPTOR_REG + 4] = self.uav_descriptor
+        sgprs[:, CB0_DESCRIPTOR_REG:CB0_DESCRIPTOR_REG + 4] = self.cb0_descriptor
+        sgprs[:, CB1_DESCRIPTOR_REG:CB1_DESCRIPTOR_REG + 4] = self.cb1_descriptor
         flat = np.arange(n_wavefronts * WAVEFRONT_SIZE, dtype=np.uint32)
         vgprs = np.zeros((n_wavefronts, max(4, program.vgpr_count),
                           WAVEFRONT_SIZE), dtype=np.uint32)
@@ -189,20 +215,22 @@ class Dispatcher:
     def build_workgroup(self, program, geometry, group_id, template=None):
         """Create one register-initialised workgroup.
 
-        ``template`` is this launch's :meth:`workgroup_template`; each
-        wavefront gets copies of its images plus the group-ID SGPRs.
-        Without one, the template is built for this workgroup alone.
+        ``template`` is this launch's :meth:`workgroup_template`.  The
+        workgroup copies its images into one SGPR block and one VGPR
+        block, writes the group-ID SGPRs, and gives each wavefront its
+        own slab of both.  Without a template, this launch's is looked
+        up (or built).
         """
         if template is None:
             template = self.workgroup_template(program, geometry)
         wg = Workgroup(group_id, program, geometry.local_size)
         sgprs = template.sgprs.copy()
+        vgprs = template.vgprs.copy()
         for dim in template.group_dims:
-            sgprs[GROUP_ID_REG + dim] = group_id[dim]
+            sgprs[:, GROUP_ID_REG + dim] = group_id[dim]
         for w, exec_mask in enumerate(template.exec_masks):
-            wf = Wavefront(wf_id=w, program=program)
-            wf.sgprs[:] = sgprs
-            wf.vgprs[:] = template.vgprs[w]
+            wf = Wavefront(wf_id=w, program=program, sgprs=sgprs[w],
+                           vgprs=vgprs[w])
             wf.exec_mask = exec_mask
             wg.add_wavefront(wf)
         return wg

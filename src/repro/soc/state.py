@@ -63,7 +63,7 @@ def board_state(gpu):
             "phases": list(gpu.microblaze.phases),
         },
         "prefetch": {
-            "ranges": [list(buf._ranges) for buf in mem.prefetch],
+            "ranges": [list(buf.ranges) for buf in mem.prefetch],
         },
     }
 

@@ -146,8 +146,8 @@ def run_spec(cu, workgroup, start_time, wavefronts):
                 wf.outstanding_vm.append(cu.memory.access_time(
                     cu_index, lsu_done, access))
             elif plan.mem_timing == MEM_SCALAR:
-                wf.outstanding_lgkm.append(cu.memory.scalar_access_time(
-                    cu_index, lsu_done, access[0]))
+                wf.outstanding_lgkm.append(cu.memory.access_time(
+                    cu_index, lsu_done, access, scalar=True))
             else:
                 wf.outstanding_lgkm.append(cu.memory.lds_access_time(
                     lsu_done, cu_index=cu_index))

@@ -177,6 +177,42 @@ class TestDeadCarryEmission:
         assert got == want
 
 
+#: Operand shapes of a dead carry: the destination aliasing each
+#: source, an SGPR source and an inline-constant source, in either slot
+#: (the ``src1`` ones assemble to VOP3b).
+DEAD_CARRY_SHAPES = {
+    "vdst=src0": "{} v1, vcc, v1, v2",
+    "vdst=vsrc1": "{} v2, vcc, v1, v2",
+    "sgpr-src0": "{} v3, vcc, s5, v2",
+    "sgpr-src0,vdst=vsrc1": "{} v2, vcc, s5, v2",
+    "sgpr-src1,vdst=src0": "{} v1, vcc, v1, s5",
+    "inline-src0": "{} v3, vcc, -7, v1",
+    "inline-src0,vdst=vsrc1": "{} v1, vcc, 64, v1",
+    "inline-src1,vdst=src0": "{} v2, vcc, v2, 3",
+}
+
+
+class TestDeadCarryInPlace:
+    """A carry followed by a compare that overwrites VCC computes its
+    row in place, exactly as the spec loop's reference does."""
+
+    @pytest.mark.parametrize("mask_id,exec_mask", EXEC_MASKS,
+                             ids=[m[0] for m in EXEC_MASKS])
+    @pytest.mark.parametrize("shape", sorted(DEAD_CARRY_SHAPES))
+    @pytest.mark.parametrize("name", ("v_add_i32", "v_sub_i32",
+                                      "v_subrev_i32"))
+    def test_issue_loop_matches_spec_loop(self, name, shape, mask_id,
+                                          exec_mask):
+        source = (DEAD_CARRY_SHAPES[shape].format(name)
+                  + "\nv_cmp_eq_u32 vcc, v1, v2\ns_endpgm")
+        prepared = get_prepared(assemble(source))
+        assert 0 in prepared.facts.dead_vcc
+        assert "out=v[" in _plan_source(prepared, 0)
+        want = _run(source, exec_mask, spec=True)
+        got = _run(source, exec_mask, spec=False)
+        assert got == want
+
+
 def _run(source, exec_mask, spec, setup=None):
     program = assemble(source)
     memory = MemorySystem(params=DCD_PM_TIMING)

@@ -2,14 +2,19 @@
 the spec loop."""
 
 import contextlib
+import dis
 
 import numpy as np
 import pytest
 
 from repro.asm import assemble
 from repro.core.config import ArchConfig
-from repro.cu.prepared import KIND_ALU, clear_prepared_cache, get_prepared
+from repro.cu import vector
+from repro.cu.prepared import (KIND_ALU, KIND_MEMORY, clear_prepared_cache,
+                               get_prepared)
 from repro.errors import LaunchPreempted, SimulationError
+from repro.isa import registers as regs
+from repro.isa.formats import Format
 from repro.runtime.device import SoftGpu
 from repro.verify.spec import spec_execution
 
@@ -166,3 +171,62 @@ class TestSpecializationCoverage:
                         generic.append((program.name, plan.name))
         assert total > 1000
         assert generic == []
+
+    def test_executors_read_plain_wavefront_state(self):
+        """No emitted executor reads EXEC through the property, the
+        VGPR block or the lane-mask method: they read ``wf.lm``,
+        ``wf._exec_mask`` and ``wf.rows``.  An EXEC writer stores
+        through the ``exec_mask`` setter, the only write path."""
+        executors = 0
+        for program in _suite_programs():
+            for plan in get_prepared(program).plans:
+                fn = (plan.exec_fn if plan.kind == KIND_ALU else
+                      plan.mem_fn if plan.kind == KIND_MEMORY else None)
+                if fn is None:
+                    continue
+                executors += 1
+                names = fn.__code__.co_names
+                where = (program.name, plan.index, plan.name)
+                assert "vgprs" not in names, where
+                assert "active_lane_mask" not in names, where
+                assert all(ins.opname == "STORE_ATTR"
+                           for ins in dis.get_instructions(fn)
+                           if ins.argval == "exec_mask"), where
+        assert executors > 1000
+
+    def test_every_in_place_plan_computes_in_place(self):
+        """Each plan whose core is one uint32 ufunc -- a
+        :data:`vector.UFUNC_IMPL` name, a folded logical shift, a carry
+        whose VCC write is dead -- computes into its row (``out=``)."""
+        counts = dict.fromkeys(("ufunc", "shift", "dead-carry"), 0)
+        for program in _suite_programs():
+            prepared = get_prepared(program)
+            for plan in prepared.plans:
+                if plan.kind != KIND_ALU:
+                    continue
+                kind = _in_place_kind(plan, prepared.facts)
+                if kind is None:
+                    continue
+                counts[kind] += 1
+                text = prepared.source.split(
+                    "def _plan%d(" % plan.index)[1].split("\ndef ")[0]
+                assert "out=v[" in text, (program.name, plan.name)
+        assert all(counts.values()), counts
+
+
+def _in_place_kind(plan, facts):
+    """Which in-place form ``plan`` must take, or None."""
+    name, f = plan.name, plan.inst.fields
+    if name in vector.UFUNC_IMPL:
+        return "ufunc"
+    if name in ("v_add_i32", "v_sub_i32", "v_subrev_i32"):
+        return "dead-carry" if plan.index in facts.dead_vcc else None
+    amount = {"v_lshlrev_b32": "src0", "v_lshrrev_b32": "src0",
+              "v_lshl_b32": "src1", "v_lshr_b32": "src1"}.get(name)
+    if amount is None or (amount == "src1"
+                          and plan.inst.fmt is not Format.VOP3):
+        return None
+    code = f[amount]
+    if code in regs.INLINE_CONSTANTS or code == regs.LITERAL:
+        return "shift"
+    return None

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.asm import assemble
-from repro.cu.wavefront import FULL_EXEC, MASK32, Wavefront
+from repro.cu import operations
+from repro.cu.prepared import get_prepared
+from repro.cu.wavefront import (ALL_LANES, FULL_EXEC, MASK32, Wavefront,
+                                unpack_lanes)
 from repro.errors import DecodingError, SimulationError
 from repro.isa import registers as regs
+from repro.mem.system import MemorySystem
+from repro.soc.dispatcher import Dispatcher, LaunchGeometry
 
 
 @pytest.fixture
@@ -177,3 +182,97 @@ class TestReadScalarAsFloat:
     def test_literal_as_float(self, wf):
         assert wf.read_scalar(regs.LITERAL, literal=0xBF800000,
                               as_float=True) == -1.0
+
+
+#: EXEC values the lane-row checks start from and write: full, empty,
+#: each half, a prefix and a scattered mask.
+LANE_ROW_MASKS = (FULL_EXEC, 0, 0xFFFFFFFF, 0xFFFFFFFF00000000,
+                  (1 << 40) - 1, 0x5555AAAA0F0F3C3C)
+
+
+def _assert_lane_row(wf):
+    """``wf.lm`` is EXEC's lane row, ``None`` exactly when EXEC is
+    full."""
+    if wf.exec_mask == FULL_EXEC:
+        assert wf.lm is None
+        assert wf.active_lane_mask() is ALL_LANES
+    else:
+        assert wf.lm is not None
+        assert np.array_equal(wf.lm, unpack_lanes(wf.exec_mask))
+        assert wf.active_lane_mask() is wf.lm
+    assert np.array_equal(wf.active_lanes(),
+                          np.flatnonzero(unpack_lanes(wf.exec_mask)))
+
+
+#: One instruction per EXEC writer of the ALU, reading s[10:11] / s10 /
+#: s11 and VCC as its sources.
+EXEC_WRITERS = {
+    "s_mov_b64": "s_mov_b64 exec, s[10:11]",
+    "s_and_b64": "s_and_b64 exec, exec, vcc",
+    "s_and_saveexec_b64": "s_and_saveexec_b64 s[12:13], s[10:11]",
+    "s_or_saveexec_b64": "s_or_saveexec_b64 s[12:13], s[10:11]",
+    "exec_lo": "s_mov_b32 exec_lo, s10",
+    "exec_hi": "s_mov_b32 exec_hi, s11",
+}
+
+
+class TestExecLaneRow:
+    """Every EXEC writer leaves ``lm`` equal to EXEC's lane row."""
+
+    @pytest.mark.parametrize("before", LANE_ROW_MASKS)
+    @pytest.mark.parametrize("value", LANE_ROW_MASKS)
+    def test_wavefront_writers(self, wf, before, value):
+        writes = (
+            lambda: setattr(wf, "exec_mask", value),
+            lambda: wf.write_scalar(regs.EXEC_LO, value & MASK32),
+            lambda: wf.write_scalar(regs.EXEC_HI, value >> 32),
+            lambda: wf.write_scalar64(regs.EXEC_LO, value),
+        )
+        for write in writes:
+            wf.exec_mask = before
+            active = wf.active_lanes()      # cached until EXEC changes
+            _assert_lane_row(wf)
+            write()
+            _assert_lane_row(wf)
+            assert wf.active_lanes() is not active
+
+    def test_initial_exec(self):
+        program = assemble("s_endpgm")
+        _assert_lane_row(Wavefront(0, program))
+        narrow = Wavefront(0, program, lane_count=16)
+        assert narrow.exec_mask == 0xFFFF
+        _assert_lane_row(narrow)
+
+    @pytest.mark.parametrize("before", LANE_ROW_MASKS)
+    @pytest.mark.parametrize("name", sorted(EXEC_WRITERS))
+    def test_alu_writers(self, name, before):
+        """The emitted executor and the reference dispatcher write the
+        same EXEC and both keep ``lm`` in step with it."""
+        program = assemble("  {}\n  s_endpgm".format(EXEC_WRITERS[name]))
+        plan = get_prepared(program).plans[0]
+        assert plan.specialized
+        for value in LANE_ROW_MASKS:
+            states = []
+            for run in (plan.exec_fn,
+                        lambda w: operations.execute(
+                            w, program.instructions[0])):
+                w = Wavefront(0, program)
+                w.write_scalar64(10, value)
+                w.vcc = 0x00FF00FF00FF00FF
+                w.exec_mask = before
+                run(w)
+                _assert_lane_row(w)
+                states.append((w.exec_mask, w.scc, w.sgprs.tobytes()))
+            assert states[0] == states[1], (name, before, value)
+
+    def test_dispatcher_prefix_exec(self):
+        memory = MemorySystem(global_size=1 << 16)
+        disp = Dispatcher(memory, uav_base=0x1000, uav_size=0x1000,
+                          cb0_base=0x100, cb1_base=0x200, cb1_size=0x100)
+        # 160 work-items: two full wavefronts and a 32-lane prefix.
+        geometry = LaunchGeometry.of((160,), (160,))
+        wg = disp.build_workgroup(assemble("s_endpgm"), geometry, (0, 0, 0))
+        assert [w.exec_mask for w in wg.wavefronts] == [
+            FULL_EXEC, FULL_EXEC, (1 << 32) - 1]
+        for w in wg.wavefronts:
+            _assert_lane_row(w)

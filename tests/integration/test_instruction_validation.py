@@ -53,15 +53,19 @@ def test_family_representatives(name):
 def test_validator_reports_failures_cleanly(monkeypatch):
     """A broken semantic must surface as FAIL, not crash the sweep.
 
-    The emitter binds the impl when it prepares a program, so the
-    prepared-program cache is cleared around the injected fault: the
-    sweep must run an executor built with it, and later tests must not.
+    ``v_and_b32``'s emitted form computes the ufunc of the shared
+    ``vector.UFUNC_IMPL`` table in place, bound when the program is
+    prepared, so the fault goes into that table and the
+    prepared-program cache is cleared around it: the sweep must run an
+    executor built with it, and later tests must not.
     """
-    from repro.cu import operations
+    import numpy as np
+
+    from repro.cu import vector
     from repro.cu.prepared import clear_prepared_cache
 
-    monkeypatch.setitem(operations.VBIN_IMPL, "v_and_b32",
-                        lambda a, b: a)  # wrong on purpose
+    monkeypatch.setitem(vector.UFUNC_IMPL, "v_and_b32",
+                        np.bitwise_or)  # wrong on purpose
     clear_prepared_cache()
     try:
         record = validate_instruction("v_and_b32")

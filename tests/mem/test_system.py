@@ -62,8 +62,8 @@ class TestPrefetchPath:
         system.preload(0, 0, 256)           # covers ADDRS[:64] exactly
         system.access_time(0, 0.0, access(ADDRS))            # hit
         system.access_time(0, 0.0, access(ADDRS + 4096))     # miss
-        system.scalar_access_time(0, 0.0, 0x80)              # hit
-        system.scalar_access_time(0, 0.0, 0x9000)            # miss
+        system.access_time(0, 0.0, (0x80,), scalar=True)  # hit
+        system.access_time(0, 0.0, (0x9000,), scalar=True)  # miss
         stats = system.stats
         assert stats["prefetch_hits"] == 2
         assert stats["prefetch_misses"] == 2
@@ -74,7 +74,7 @@ class TestPrefetchPath:
         counter is not conditional on the prefetch path existing."""
         system = MemorySystem(params=ORIGINAL_TIMING)
         system.access_time(0, 0.0, access(ADDRS))
-        system.scalar_access_time(0, 0.0, 0x100)
+        system.access_time(0, 0.0, (0x100,), scalar=True)
         assert system.stats["prefetch_hits"] == 0
         assert system.stats["prefetch_misses"] == 2
 
@@ -91,9 +91,9 @@ class TestPrefetchPath:
     def test_scalar_access_paths(self):
         system = MemorySystem(params=DCD_PM_TIMING)
         system.preload(0, 0x100, 16)
-        hit = system.scalar_access_time(0, 0.0, 0x100)
+        hit = system.access_time(0, 0.0, (0x100,), scalar=True)
         assert hit == DCD_PM_TIMING.prefetch_hit_cycles
-        miss = system.scalar_access_time(0, 0.0, 0x9000)
+        miss = system.access_time(0, 0.0, (0x9000,), scalar=True)
         assert miss >= DCD_PM_TIMING.relay_cycles
 
 

@@ -15,6 +15,7 @@ from repro.soc.dispatcher import (
     Dispatcher,
     GROUP_ID_REG,
     LaunchGeometry,
+    TEMPLATE_MEMO_SIZE,
     UAV_DESCRIPTOR_REG,
 )
 
@@ -163,6 +164,79 @@ class TestWorkgroupTemplate:
         hungry = assemble(".vgprs 128\n  s_endpgm")   # 8 wavefronts fit
         with pytest.raises(LaunchError, match="concurrent wavefronts"):
             disp.workgroup_template(hungry, LaunchGeometry.of((640,), (640,)))
+
+
+class TestTemplateMemo:
+    """Templates are kept per (SGPR count, VGPR count, geometry), at
+    most TEMPLATE_MEMO_SIZE of them."""
+
+    GEOMETRY = LaunchGeometry.of((128,), (128,))
+
+    def test_same_shape_reuses_the_template(self, dispatcher):
+        disp, _ = dispatcher
+        first = disp.workgroup_template(assemble(".vgprs 9\n  s_endpgm"),
+                                        self.GEOMETRY)
+        # Another program with the same register counts.
+        other = assemble(".vgprs 9\n  v_mov_b32 v1, v0\n  s_endpgm")
+        assert disp.workgroup_template(other, self.GEOMETRY) is first
+
+    def test_other_geometry_or_register_count_gets_a_fresh_one(
+            self, dispatcher):
+        disp, _ = dispatcher
+        program = assemble(".vgprs 9\n  s_endpgm")
+        first = disp.workgroup_template(program, self.GEOMETRY)
+        wide = LaunchGeometry.of((256,), (256,))
+        by_geometry = disp.workgroup_template(program, wide)
+        assert by_geometry is not first
+        assert by_geometry.vgprs.shape == (4, 9, 64)
+        assert (by_geometry.vgprs[3, 0] == np.arange(192, 256)).all()
+        by_vgprs = disp.workgroup_template(
+            assemble(".vgprs 12\n  s_endpgm"), self.GEOMETRY)
+        assert by_vgprs is not first and by_vgprs.vgprs.shape == (2, 12, 64)
+        by_sgprs = disp.workgroup_template(
+            assemble(".sgprs 40\n  .vgprs 9\n  s_endpgm"), self.GEOMETRY)
+        assert by_sgprs is not first
+        assert disp.workgroup_template(program, self.GEOMETRY) is first
+
+    def test_memo_stays_within_its_bound(self, dispatcher):
+        disp, _ = dispatcher
+        program = assemble("s_endpgm")
+        geometries = [LaunchGeometry.of((64 * n,), (64,))
+                      for n in range(1, 3 * TEMPLATE_MEMO_SIZE + 1)]
+        built = [disp.workgroup_template(program, g) for g in geometries]
+        assert len(disp._templates) == TEMPLATE_MEMO_SIZE
+        # The most recent ones are kept, the oldest was dropped.
+        assert disp.workgroup_template(program, geometries[-1]) is built[-1]
+        assert disp.workgroup_template(program, geometries[0]) \
+            is not built[0]
+        assert len(disp._templates) == TEMPLATE_MEMO_SIZE
+
+    def test_workgroups_never_share_registers(self, dispatcher):
+        """Writes into one workgroup's wavefronts (through ``vgprs``,
+        ``rows`` and ``sgprs``) show neither in the template, nor in
+        another wavefront of the workgroup, nor in the next
+        workgroup built from the memo."""
+        disp, _ = dispatcher
+        program = assemble(".vgprs 6\n  s_endpgm")
+        geometry = LaunchGeometry.of((256,), (128,))
+        first = disp.build_workgroup(program, geometry, (0, 0, 0))
+        fresh = [(w.sgprs.copy(), w.vgprs.copy()) for w in first.wavefronts]
+        for w in first.wavefronts:
+            assert all(np.shares_memory(row, w.vgprs) for row in w.rows)
+        wf = first.wavefronts[0]
+        wf.vgprs[0] = 7
+        wf.rows[5][...] = 9
+        wf.sgprs[UAV_DESCRIPTOR_REG] = 7
+        assert (wf.rows[0] == 7).all() and (wf.vgprs[5] == 9).all()
+        twin = first.wavefronts[1]
+        assert np.array_equal(twin.sgprs, fresh[1][0])
+        assert np.array_equal(twin.vgprs, fresh[1][1])
+        second = disp.build_workgroup(program, geometry, (1, 0, 0))
+        assert second.wavefronts[0].sgprs[GROUP_ID_REG] == 1
+        for w, (sgprs, vgprs) in zip(second.wavefronts, fresh):
+            sgprs[GROUP_ID_REG] = 1
+            assert np.array_equal(w.sgprs, sgprs)
+            assert np.array_equal(w.vgprs, vgprs)
 
 
 class TestLaunchTemplate:

@@ -233,7 +233,7 @@ class TestSuiteAgainstSpecLoop:
         assert set(executors) == {plan.index for plan in ps.plans
                                   if plan.kind == KIND_MEMORY}
         for index in ps.facts.uniform_loads:
-            # The row form tests its lane addresses for order; the
-            # one-address form has no such test.
-            assert "_cnz" in executors[index].__code__.co_names
-            assert "_cnz" not in ps.plans[index].mem_fn.__code__.co_names
+            # The row form reduces its lane addresses to a footprint;
+            # the one-address form has no reductions.
+            assert "_mn" in executors[index].__code__.co_names
+            assert "_mn" not in ps.plans[index].mem_fn.__code__.co_names
