@@ -106,9 +106,6 @@ class _Literals:
 class Assembler:
     """Assembles source text into :class:`Program` objects."""
 
-    def __init__(self, registry=ISA):
-        self.registry = registry
-
     # -- public API --------------------------------------------------------
 
     def assemble(self, source, name=None):
@@ -215,7 +212,7 @@ class Assembler:
     def _encode_statement(self, stmt):
         """Encode one statement; returns ``(words, branch_label_or_None)``."""
         try:
-            sp = self.registry.by_name(stmt.mnemonic)
+            sp = ISA.by_name(stmt.mnemonic)
         except Exception:
             raise AssemblyError(
                 "unknown mnemonic {!r}".format(stmt.mnemonic), stmt.line
@@ -368,7 +365,7 @@ class Assembler:
                 lits = _Literals(stmt)
                 c0 = lits.encode(src0, width=9, allow_literal=False)
                 c1 = lits.encode(src1, width=9, allow_literal=False)
-                op3 = self.registry.vop3_opcode(sp)
+                op3 = ISA.vop3_opcode(sp)
                 if sp.writes_vcc:
                     raise AssemblyError(
                         "carry ops with explicit mask pairs are not "
@@ -388,7 +385,7 @@ class Assembler:
         lits = _Literals(stmt)
         c0 = lits.encode(src0, width=9, allow_literal=False)
         c1 = lits.encode(src1, width=9, allow_literal=False)
-        op3 = self.registry.vop3_opcode(sp)
+        op3 = ISA.vop3_opcode(sp)
         # VOP3b carries write VCC through ``sdst``; a VCC selector or
         # carry-in travels in ``src2``, like an explicit SGPR pair.
         sdst = regs.VCC_LO if sp.writes_vcc else None
@@ -424,7 +421,7 @@ class Assembler:
         lits = _Literals(stmt)
         c0 = lits.encode(src0, width=9, allow_literal=False)
         c1 = lits.encode(src1, width=9, allow_literal=False)
-        op3 = self.registry.vop3_opcode(sp)
+        op3 = ISA.vop3_opcode(sp)
         return formats.pack_vop3(op3, 0, c0, c1, sdst=sdst)
 
     def _encode_vop3_native(self, sp, stmt):

@@ -60,21 +60,21 @@ class KernelRequirements:
         self.kernels.extend(k for k in other.kernels if k not in self.kernels)
         return self
 
-    def usage_fraction(self, unit, registry=ISA):
+    def usage_fraction(self, unit):
         """Fraction of the unit's supported instructions the app uses.
 
         This is the "Instruction Usage (percentage over supported
         instructions)" panel of Figure 6.
         """
-        supported = registry.for_unit(unit)
+        supported = ISA.for_unit(unit)
         if not supported:
             return 0.0
         used = self.per_unit.get(unit, set())
         return len(used & {s.name for s in supported}) / len(supported)
 
-    def usage_by_unit(self, registry=ISA):
+    def usage_by_unit(self):
         return {
-            unit: self.usage_fraction(unit, registry)
+            unit: self.usage_fraction(unit)
             for unit in (FunctionalUnit.SALU, FunctionalUnit.SIMD,
                          FunctionalUnit.SIMF, FunctionalUnit.LSU)
         }
@@ -98,7 +98,7 @@ class KernelRequirements:
         )
 
 
-def analyze_program(program, registry=ISA):
+def analyze_program(program):
     """Algorithm 1, step one, over a single assembled kernel.
 
     Every decoded instruction contributes ``(opcode, type)`` to its
@@ -112,18 +112,18 @@ def analyze_program(program, registry=ISA):
     return req
 
 
-def analyze_application(programs, registry=ISA):
+def analyze_application(programs):
     """Union of requirements over an application's kernels."""
     merged = KernelRequirements()
     for program in programs:
-        merged |= analyze_program(program, registry)
+        merged |= analyze_program(program)
     return merged
 
 
-def dynamic_counts(per_name_counts, registry=ISA):
+def dynamic_counts(per_name_counts):
     """Aggregate executed-instruction counts per functional unit."""
     per_unit = {}
     for name, count in per_name_counts.items():
-        unit = registry.by_name(name).unit
+        unit = ISA.by_name(name).unit
         per_unit[unit] = per_unit.get(unit, 0) + count
     return per_unit

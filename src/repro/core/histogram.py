@@ -66,11 +66,11 @@ class InstructionMix:
     total: int = 0
 
     @staticmethod
-    def from_counts(benchmark, per_name_counts, registry=ISA):
+    def from_counts(benchmark, per_name_counts):
         """Build a mix from ``{mnemonic: count}`` statistics."""
         mix = InstructionMix(benchmark=benchmark)
         for name, count in per_name_counts.items():
-            spec = registry.by_name(name)
+            spec = ISA.by_name(name)
             is_vector = spec.unit.is_vector or (
                 spec.unit is FunctionalUnit.LSU and spec.fmt.value in
                 ("mubuf", "mtbuf", "ds"))
@@ -80,12 +80,12 @@ class InstructionMix:
         return mix
 
     @staticmethod
-    def from_program(program, registry=ISA):
+    def from_program(program):
         """Static mix: one count per instruction occurrence in a binary."""
         per_name = {}
         for name in program.instruction_names():
             per_name[name] = per_name.get(name, 0) + 1
-        return InstructionMix.from_counts(program.name, per_name, registry)
+        return InstructionMix.from_counts(program.name, per_name)
 
     # ------------------------------------------------------------------
 

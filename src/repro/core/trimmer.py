@@ -142,8 +142,7 @@ class TrimResult(SerializableMixin):
 class TrimmingTool:
     """The compile-time architecture specialisation tool (Figure 3)."""
 
-    def __init__(self, registry=ISA, synthesizer=None):
-        self.registry = registry
+    def __init__(self, synthesizer=None):
         self.synthesizer = synthesizer or Synthesizer()
 
     # -- Algorithm 1 -------------------------------------------------------
@@ -151,8 +150,8 @@ class TrimmingTool:
     def analyze(self, programs):
         """Step one: required instructions per functional unit."""
         if hasattr(programs, "instructions"):  # a single Program
-            return analyze_program(programs, self.registry)
-        return analyze_application(programs, self.registry)
+            return analyze_program(programs)
+        return analyze_application(programs)
 
     def trim(self, programs, baseline=None, datapath_bits=32):
         """Run both steps and synthesise the trimmed architecture.
@@ -190,5 +189,5 @@ class TrimmingTool:
             config=config,
             baseline_report=baseline_report,
             report=report,
-            usage=requirements.usage_by_unit(self.registry),
+            usage=requirements.usage_by_unit(),
         )

@@ -2,13 +2,12 @@
 
 from .lsu import make_buffer_descriptor
 from .pipeline import ComputeUnit, CuRunStats
-from .timing import DEFAULT_TIMING, CuTimingParams
 from .vector import VECTOR_OPS, VectorOpSpec, execute_lanewise, lanewise_execution
 from .wavefront import Wavefront
 from .workgroup import Workgroup
 
 __all__ = [
     "ComputeUnit", "CuRunStats", "Wavefront", "Workgroup",
-    "CuTimingParams", "DEFAULT_TIMING", "make_buffer_descriptor",
+    "make_buffer_descriptor",
     "VECTOR_OPS", "VectorOpSpec", "execute_lanewise", "lanewise_execution",
 ]

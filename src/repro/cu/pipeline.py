@@ -26,8 +26,8 @@ from ..obs.events import (STALL_CAUSES, InstructionIssue, Span, Stall,
                           WavefrontStep)
 from .lsu import MEM_SCALAR, MEM_VECTOR
 from .prepared import get_prepared
-from .timing import (KIND_ALU, KIND_ENDPGM, KIND_MEMORY, KIND_WAITCNT,
-                     DEFAULT_TIMING, POOL_INDEX, POOL_UNITS, UnitPool)
+from .timing import (ENDPGM_CYCLES, KIND_ALU, KIND_ENDPGM, KIND_MEMORY,
+                     KIND_WAITCNT, POOL_INDEX, POOL_UNITS, UnitPool)
 
 _WAITCNT_VM_MASK = 0xF
 _WAITCNT_LGKM_SHIFT = 8
@@ -128,12 +128,11 @@ class ComputeUnit:
     """
 
     def __init__(self, memory, cu_index=0, num_simd=1, num_simf=1,
-                 supported=None, timing=DEFAULT_TIMING,
-                 max_wavefronts=MAX_WAVEFRONTS, max_instructions=200_000_000):
+                 supported=None, max_wavefronts=MAX_WAVEFRONTS,
+                 max_instructions=200_000_000):
         self.memory = memory
         self.cu_index = cu_index
         self.supported = frozenset(supported) if supported is not None else None
-        self.timing = timing
         self.max_wavefronts = max_wavefronts
         self.max_instructions = max_instructions
         #: One :class:`UnitPool` per :data:`POOL_UNITS` entry, in that
@@ -266,7 +265,7 @@ class ComputeUnit:
         ``operations.execute`` as the ALU semantics (the ``spec``
         oracle compares them).
         """
-        prepared = get_prepared(wavefronts[0].program, self.timing)
+        prepared = get_prepared(wavefronts[0].program)
         bad = prepared.restrictions(self)
         by_address = prepared.by_address
         stats = CuRunStats()
@@ -287,7 +286,7 @@ class ComputeUnit:
         cu_index = self.cu_index
         pools = self.pools
         lsu_pool = self.pool(FunctionalUnit.LSU)
-        endpgm_cycles = self.timing.endpgm_cycles
+        endpgm_cycles = ENDPGM_CYCLES
         obs = self.obs
 
         live = list(wavefronts)

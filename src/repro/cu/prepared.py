@@ -25,10 +25,11 @@ A :class:`PreparedProgram` hoists all of it to once-per-program cost:
   written without facts -- the LSU has no other copy of its semantics;
 * plans are looked up by PC through a plain dict, replacing
   ``index_of_address`` + list indexing;
-* prepared programs are memoized in a content-hash-keyed LRU shared
-  with the service's artifact cache, so repeat launches of the same
-  binary (service jobs, fuzz replays, benchmark repeats) skip the
-  whole preparation.
+* prepared programs are memoized in an LRU keyed on
+  :meth:`~repro.asm.program.Program.content_key` alone (the costs are
+  the constants of :mod:`repro.cu.timing`, so nothing else selects a
+  plan), so repeat launches of the same binary (service jobs, fuzz
+  replays, benchmark repeats) skip the whole preparation.
 
 Exactness contract: an ALU plan's executor must be *observationally
 identical* to ``operations.execute`` on the same instruction -- same
@@ -49,8 +50,7 @@ from collections import OrderedDict
 from ..errors import TrimmedInstructionError
 from .superblock import build_superblocks
 from .timing import (KIND_ALU, KIND_BARRIER, KIND_ENDPGM,  # noqa: F401
-                     KIND_MEMORY, KIND_WAITCNT, DEFAULT_TIMING, POOL_INDEX,
-                     get_timing_table)
+                     KIND_MEMORY, KIND_WAITCNT, POOL_INDEX, get_timing_table)
 
 
 class InstPlan:
@@ -98,7 +98,7 @@ class InstPlan:
 # ---------------------------------------------------------------------------
 
 class PreparedProgram:
-    """Execution plans for one (program, timing) pair.
+    """Execution plans for one program.
 
     Carries the program's :class:`~repro.cu.timing.TimingTable` (the
     static cost columns, shared through its own content-keyed LRU) next
@@ -106,13 +106,12 @@ class PreparedProgram:
     module's ``source``.
     """
 
-    __slots__ = ("program", "timing", "table", "plans", "by_address",
-                 "source", "facts", "_restrictions", "__weakref__")
+    __slots__ = ("program", "table", "plans", "by_address", "source",
+                 "facts", "_restrictions", "__weakref__")
 
-    def __init__(self, program, timing):
+    def __init__(self, program):
         self.program = program
-        self.timing = timing
-        self.table = get_timing_table(program, timing)
+        self.table = get_timing_table(program)
         self.plans = [InstPlan(inst, i, self.table)
                       for i, inst in enumerate(program.instructions)]
         self.by_address = {plan.address: plan for plan in self.plans}
@@ -149,8 +148,9 @@ _cache_hits = 0
 _cache_misses = 0
 
 
-def lookup_prepared(program, timing=DEFAULT_TIMING):
-    """Return ``(PreparedProgram, hit)`` for a program/timing pair.
+def lookup_prepared(program):
+    """Return ``(PreparedProgram, hit)`` for a program, keyed on
+    ``program.content_key()``.
 
     Programs without a :meth:`content_key` (ad-hoc stand-ins in tests)
     are prepared uncached.
@@ -158,8 +158,8 @@ def lookup_prepared(program, timing=DEFAULT_TIMING):
     global _cache_hits, _cache_misses
     key_fn = getattr(program, "content_key", None)
     if key_fn is None:
-        return PreparedProgram(program, timing), False
-    key = (key_fn(), timing)
+        return PreparedProgram(program), False
+    key = key_fn()
     with _cache_lock:
         prepared = _cache.get(key)
         if prepared is not None:
@@ -167,7 +167,7 @@ def lookup_prepared(program, timing=DEFAULT_TIMING):
             _cache_hits += 1
             return prepared, True
         _cache_misses += 1
-    prepared = PreparedProgram(program, timing)
+    prepared = PreparedProgram(program)
     with _cache_lock:
         existing = _cache.get(key)
         if existing is not None:
@@ -179,9 +179,9 @@ def lookup_prepared(program, timing=DEFAULT_TIMING):
     return prepared, False
 
 
-def get_prepared(program, timing=DEFAULT_TIMING):
-    """The cached :class:`PreparedProgram` for a program/timing pair."""
-    return lookup_prepared(program, timing)[0]
+def get_prepared(program):
+    """The cached :class:`PreparedProgram` for a program."""
+    return lookup_prepared(program)[0]
 
 
 def prepared_cache_stats():
@@ -191,9 +191,9 @@ def prepared_cache_stats():
 
 
 def prepared_cache_keys():
-    """Content-key halves of the cached entries, LRU-first (tests)."""
+    """Content keys of the cached entries, LRU-first (tests)."""
     with _cache_lock:
-        return [key[0] for key in _cache]
+        return list(_cache)
 
 
 def clear_prepared_cache():

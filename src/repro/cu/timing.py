@@ -29,9 +29,9 @@ Beyond the per-instruction pricing functions, this module is the
 spec loop:
 
 * :class:`TimingTable` -- per-program rows of front-end cost, unit
-  occupancy and kind, computed once per ``(content_key,
-  CuTimingParams)`` pair and cached in an LRU, so no loop
-  re-derives costs per dynamic instruction;
+  occupancy and kind, computed once per program content key and
+  cached in an LRU, so no loop re-derives costs per dynamic
+  instruction;
 * :class:`UnitPool` -- the one occupancy-pool scheduler primitive.
 """
 
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from ..errors import SimulationError
 from ..isa.categories import FunctionalUnit, OpCategory
@@ -48,77 +47,68 @@ from ..isa.categories import FunctionalUnit, OpCategory
 VECTOR_PASSES = 64 // 16
 
 
-@dataclass(frozen=True)
-class CuTimingParams:
-    """Cycle costs of the compute-unit stages (50 MHz domain)."""
+# The cost laws of the MIAOW2.0 compute-unit stages (50 MHz domain).
+# Trimming changes which units exist and how many, never what a stage
+# costs, so these are constants.
 
-    #: Front-end (fetch+decode+issue) occupancy of a one-word encoding.
-    frontend_cycles: int = 1
-    #: Extra front-end cycles for a two-fetch (64-bit/literal) encoding.
-    second_fetch_cycles: int = 1
-    #: SALU occupancy per scalar op.
-    salu_cycles: int = 1
-    #: Branch unit occupancy.
-    branch_cycles: int = 1
-    #: VALU passes for a full-rate vector op (64 lanes / 16-wide block).
-    valu_passes: int = VECTOR_PASSES
-    #: Cycles per pass of a simple integer vector op.
-    int_pass_cycles: int = 1
-    #: Cycles per pass of an integer multiply (soft DSP cascade).
-    int_mul_pass_cycles: int = 3
-    #: Cycles per pass of a floating-point add/compare/convert (the
-    #: soft FPU's normalise/round pipeline is several cycles deep and
-    #: not fully pipelined in the FPGA mapping).
-    fp_pass_cycles: int = 2
-    #: Cycles per pass of a floating-point multiply/MAC.
-    fp_mul_pass_cycles: int = 3
-    #: Rate penalty of quarter-rate (trans/div) vector ops.
-    trans_multiplier: int = 4
-    #: LSU address-calculation occupancy per memory op.
-    lsu_cycles: int = 1
-    #: Cycles to drain the pipeline when a wavefront ends (epilogue).
-    endpgm_cycles: int = 4
+#: Front-end (fetch+decode+issue) occupancy of a one-word encoding.
+FRONTEND_CYCLES = 1
+#: Extra front-end cycles for a two-fetch (64-bit/literal) encoding.
+SECOND_FETCH_CYCLES = 1
+#: SALU occupancy per scalar op.
+SALU_CYCLES = 1
+#: Branch unit occupancy.
+BRANCH_CYCLES = 1
+#: Cycles per pass of a simple integer vector op.
+INT_PASS_CYCLES = 1
+#: Cycles per pass of an integer multiply (soft DSP cascade).
+INT_MUL_PASS_CYCLES = 3
+#: Cycles per pass of a floating-point add/compare/convert (the soft
+#: FPU's normalise/round pipeline is several cycles deep and not fully
+#: pipelined in the FPGA mapping).
+FP_PASS_CYCLES = 2
+#: Cycles per pass of a floating-point multiply/MAC.
+FP_MUL_PASS_CYCLES = 3
+#: Rate penalty of quarter-rate (trans/div) vector ops.
+TRANS_MULTIPLIER = 4
+#: LSU address-calculation occupancy per memory transaction.
+LSU_CYCLES = 1
+#: Cycles to drain the pipeline when a wavefront ends (epilogue).
+ENDPGM_CYCLES = 4
 
 
-DEFAULT_TIMING = CuTimingParams()
-
-
-def frontend_cost(inst, params=DEFAULT_TIMING):
+def frontend_cost(inst):
     """Front-end cycles for an instruction (1 or 2 fetches)."""
-    cost = params.frontend_cycles
     if inst.words > 1:
-        cost += params.second_fetch_cycles
-    return cost
+        return FRONTEND_CYCLES + SECOND_FETCH_CYCLES
+    return FRONTEND_CYCLES
 
 
-def unit_occupancy(inst, params=DEFAULT_TIMING, transactions=1):
+def unit_occupancy(inst):
     """Occupancy, in cycles, of the instruction's execution unit.
 
-    ``transactions`` is the access's dynamic memory-transaction count
-    (SMRD dwordx2/x4, multi-dword MUBUF): the LSU stays occupied one
-    base period per transaction.  It is an explicit argument -- the
-    static :class:`TimingTable` stores the base occupancy and every
-    issue path applies the multiplier per step.
+    For a memory instruction this is the base (one-transaction) LSU
+    period; :func:`repro.cu.superblock.build_superblocks` multiplies a
+    memory plan's occupancy by its static transaction count (SMRD
+    dwordx2/x4, multi-dword MUBUF) once, at emit time.
     """
     unit = inst.spec.unit
     if unit is FunctionalUnit.SALU:
-        return params.salu_cycles
+        return SALU_CYCLES
     if unit is FunctionalUnit.BRANCH:
-        return params.branch_cycles
+        return BRANCH_CYCLES
     if unit is FunctionalUnit.LSU:
-        return params.lsu_cycles * max(1, transactions)
+        return LSU_CYCLES
     spec = inst.spec
     if spec.dtype.is_float:
-        per_pass = (params.fp_mul_pass_cycles
-                    if spec.category is OpCategory.MUL
-                    else params.fp_pass_cycles)
+        per_pass = (FP_MUL_PASS_CYCLES if spec.category is OpCategory.MUL
+                    else FP_PASS_CYCLES)
     else:
-        per_pass = (params.int_mul_pass_cycles
-                    if spec.category is OpCategory.MUL
-                    else params.int_pass_cycles)
-    cycles = params.valu_passes * per_pass
+        per_pass = (INT_MUL_PASS_CYCLES if spec.category is OpCategory.MUL
+                    else INT_PASS_CYCLES)
+    cycles = VECTOR_PASSES * per_pass
     if spec.trans_rate:
-        cycles *= params.trans_multiplier
+        cycles *= TRANS_MULTIPLIER
     return cycles
 
 
@@ -191,16 +181,15 @@ class TimingTable:
 
     ``occupancies`` holds the *static* occupancy: the full unit
     occupancy for ALU/branch rows and the base (single-transaction) LSU
-    period for memory rows -- the dynamic transaction count multiplies
-    it at issue time, explicitly.  Rows for ``s_endpgm`` /
+    period for memory rows -- each memory plan multiplies it by its
+    static transaction count when it is emitted.  Rows for ``s_endpgm`` /
     ``s_barrier`` / ``s_waitcnt`` carry occupancy 0: they never touch a
     unit pool.
     """
 
-    __slots__ = ("params", "fe_costs", "occupancies", "kinds")
+    __slots__ = ("fe_costs", "occupancies", "kinds")
 
-    def __init__(self, program, params):
-        self.params = params
+    def __init__(self, program):
         fe_costs, occupancies, kinds = [], [], []
         for inst in program.instructions:
             sp = inst.spec
@@ -214,11 +203,11 @@ class TimingTable:
                 kind = KIND_WAITCNT
             elif sp.is_memory:
                 kind = KIND_MEMORY
-                occupancy = params.lsu_cycles
+                occupancy = LSU_CYCLES
             else:
                 kind = KIND_ALU
-                occupancy = unit_occupancy(inst, params)
-            fe_costs.append(frontend_cost(inst, params))
+                occupancy = unit_occupancy(inst)
+            fe_costs.append(frontend_cost(inst))
             occupancies.append(occupancy)
             kinds.append(kind)
         self.fe_costs = tuple(fe_costs)
@@ -237,10 +226,10 @@ _table_hits = 0
 _table_misses = 0
 
 
-def lookup_timing_table(program, params=DEFAULT_TIMING):
-    """Return ``(TimingTable, hit)`` for a program/params pair.
+def lookup_timing_table(program):
+    """Return ``(TimingTable, hit)`` for a program.
 
-    Keyed ``(content_key, CuTimingParams)`` exactly like the prepared-
+    Keyed on ``program.content_key()`` exactly like the prepared-
     program LRU it sits alongside (``PreparedProgram`` construction
     pulls its plan costs from here, so a service-warmed program shares
     one table across every worker).  Programs without a
@@ -249,8 +238,8 @@ def lookup_timing_table(program, params=DEFAULT_TIMING):
     global _table_hits, _table_misses
     key_fn = getattr(program, "content_key", None)
     if key_fn is None:
-        return TimingTable(program, params), False
-    key = (key_fn(), params)
+        return TimingTable(program), False
+    key = key_fn()
     with _table_lock:
         table = _tables.get(key)
         if table is not None:
@@ -258,7 +247,7 @@ def lookup_timing_table(program, params=DEFAULT_TIMING):
             _table_hits += 1
             return table, True
         _table_misses += 1
-    table = TimingTable(program, params)
+    table = TimingTable(program)
     with _table_lock:
         existing = _tables.get(key)
         if existing is not None:
@@ -270,9 +259,9 @@ def lookup_timing_table(program, params=DEFAULT_TIMING):
     return table, False
 
 
-def get_timing_table(program, params=DEFAULT_TIMING):
-    """The cached :class:`TimingTable` for a program/params pair."""
-    return lookup_timing_table(program, params)[0]
+def get_timing_table(program):
+    """The cached :class:`TimingTable` for a program."""
+    return lookup_timing_table(program)[0]
 
 
 def timing_table_cache_stats():

@@ -47,14 +47,13 @@ class CuAreaBreakdown:
 class AreaModel:
     """Prices compute units and full systems in FPGA resources."""
 
-    def __init__(self, registry=ISA):
-        self.registry = registry
+    def __init__(self):
         self._unit_weight_totals = {}
         for unit in _TRIMMABLE:
-            specs = registry.for_unit(unit)
+            specs = ISA.for_unit(unit)
             self._unit_weight_totals[unit] = sum(_weight(s) for s in specs)
         self._decode_weight_total = sum(
-            _weight(s) for s in registry.implemented())
+            _weight(s) for s in ISA.implemented())
 
     # ------------------------------------------------------------------
 
@@ -69,7 +68,7 @@ class AreaModel:
         if total == 0:
             return 0.0
         kept = sum(
-            _weight(s) for s in self.registry.for_unit(unit)
+            _weight(s) for s in ISA.for_unit(unit)
             if s.name in supported
         )
         return kept / total
@@ -78,7 +77,7 @@ class AreaModel:
         if supported is None:
             return 1.0
         kept = sum(
-            _weight(s) for s in self.registry.implemented()
+            _weight(s) for s in ISA.implemented()
             if s.name in supported
         )
         return kept / self._decode_weight_total

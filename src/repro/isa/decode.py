@@ -96,7 +96,7 @@ def _uses_literal(fmt, fields):
     return False
 
 
-def decode_one(words, offset, registry=ISA):
+def decode_one(words, offset):
     """Decode the instruction starting at ``words[offset]``.
 
     Returns a :class:`DecodedInstruction` whose ``address`` is the byte
@@ -123,7 +123,7 @@ def decode_one(words, offset, registry=ISA):
         fields = _UNPACKERS_2W[fmt](word0, words[offset + 1])
 
     try:
-        sp = registry.by_encoding(fmt, fields["op"])
+        sp = ISA.by_encoding(fmt, fields["op"])
     except Exception as exc:
         raise DecodingError(
             "word 0x{:08x} at offset {}: {}".format(word0, offset, exc)
@@ -148,7 +148,7 @@ def decode_one(words, offset, registry=ISA):
     )
 
 
-def decode_program(words, registry=ISA):
+def decode_program(words):
     """Decode a whole binary into a list of :class:`DecodedInstruction`.
 
     The list is in program order; jump targets are byte addresses, so
@@ -158,7 +158,7 @@ def decode_program(words, registry=ISA):
     decoded = []
     offset = 0
     while offset < len(words):
-        inst = decode_one(words, offset, registry)
+        inst = decode_one(words, offset)
         decoded.append(inst)
         offset += inst.words
     return decoded

@@ -51,7 +51,9 @@ def _type_error(default, value):
     The default's type is the parameter's type: an ``int`` takes any
     integral number but never a ``bool``, a ``float`` any real number
     (bools excluded), a tuple a list or tuple whose items take the
-    default's first item's type, and a ``None`` default anything.
+    default's first item's type, and a ``None`` default anything.  A
+    parameter (or tuple item) of integer type is never negative: every
+    one is a size, a count or a seed.
     """
     if default is None:
         return None
@@ -60,6 +62,8 @@ def _type_error(default, value):
     elif isinstance(default, numbers.Integral):
         ok = (isinstance(value, numbers.Integral)
               and not isinstance(value, bool))
+        if ok and value < 0:
+            return "must be non-negative, got {!r}".format(value)
     elif isinstance(default, numbers.Real):
         ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
     elif isinstance(default, (tuple, list)):

@@ -26,7 +26,6 @@ from .cache import (
     ArtifactCache,
     CacheStats,
     application_key,
-    binary_key,
     config_key,
 )
 from .jobs import (
@@ -42,7 +41,7 @@ from .scheduler import KernelService
 from .stats import ServiceStats, percentile
 
 __all__ = [
-    "ArtifactCache", "CacheStats", "application_key", "binary_key",
+    "ArtifactCache", "CacheStats", "application_key",
     "config_key",
     "Job", "JobResult", "JobStatus", "load_jobs",
     "suite_jobs",

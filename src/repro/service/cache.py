@@ -11,12 +11,13 @@ synthesize pipeline.
 
 Two key spaces:
 
-* **binary key** -- SHA-256 of the *assembled* kernel (dwords +
-  dispatch metadata).  Whitespace or comment edits re-assemble to the
-  same dwords and therefore land on the same binary key, so trim plans
-  survive cosmetic source changes -- content addressing at the level
-  the trimming tool actually consumes.  An application's binary keys,
-  with its baseline and datapath width, key its trim plan.
+* **content key** -- :meth:`Program.content_key`, SHA-256 of the
+  *assembled* kernel (dwords + dispatch metadata).  Whitespace or
+  comment edits re-assemble to the same dwords and therefore land on
+  the same key, so trim plans survive cosmetic source changes --
+  content addressing at the level the trimming tool actually consumes.
+  An application's content keys, with its baseline and datapath width,
+  key its trim plan (:func:`application_key`).
 * **config key** -- SHA-256 of an :class:`ArchConfig`'s semantic
   fields; memoizes synthesis reports and, with the mode, parallelism
   plans, and is part of every board lease's content key.
@@ -39,32 +40,20 @@ from ..core.parallelize import plan as plan_parallelism
 from ..exec.lease import _sha, config_key  # noqa: F401
 
 
-def binary_key(program):
-    """Content hash of an assembled kernel.
-
-    Covers everything execution depends on: the instruction dwords,
-    the kernel name, the CB1 argument layout, register counts and LDS
-    size.  Deliberately excludes the source text, labels and any
-    formatting, so whitespace-only edits map to the same key.
-
-    Delegates to :meth:`Program.content_key` -- the same key space the
-    simulator's prepared-program cache is indexed by, so a service
-    cache hit and a decode/prepare cache hit are one and the same
-    event.
-    """
-    return program.content_key()
-
-
 def application_key(programs, baseline, datapath_bits):
     """Content hash of a whole application's static-flow input.
 
+    Built from each kernel's :meth:`Program.content_key` (instruction
+    dwords, kernel name, CB1 argument layout, register counts and LDS
+    size; not the source text, so whitespace-only edits re-hit) -- the
+    key the simulator's prepared-program cache is indexed by.
     Order-independent over kernels (Algorithm 1 unions requirements),
     and parameterised by the baseline architecture and datapath width
     the trim is derived against.
     """
     return _sha(
         "app",
-        ",".join(sorted(binary_key(p) for p in programs)),
+        ",".join(sorted(p.content_key() for p in programs)),
         config_key(baseline),
         str(datapath_bits),
     )

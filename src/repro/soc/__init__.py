@@ -5,17 +5,16 @@ from .dispatcher import (
     CB0_GLOBAL_SIZE,
     CB0_LOCAL_SIZE,
     CB0_NUM_GROUPS,
-    DispatchCosts,
     Dispatcher,
     LaunchGeometry,
 )
 from .gpu import CB0_BASE, CB1_BASE, CB1_SIZE, HEAP_BASE, Gpu, LaunchResult
-from .microblaze import HostCostModel, MicroBlaze
+from .microblaze import MicroBlaze
 
 __all__ = [
     "ClockDomains", "SINGLE_DOMAIN", "DUAL_DOMAIN",
-    "Dispatcher", "DispatchCosts", "LaunchGeometry",
+    "Dispatcher", "LaunchGeometry",
     "CB0_GLOBAL_SIZE", "CB0_LOCAL_SIZE", "CB0_NUM_GROUPS",
     "Gpu", "LaunchResult", "CB0_BASE", "CB1_BASE", "CB1_SIZE", "HEAP_BASE",
-    "MicroBlaze", "HostCostModel",
+    "MicroBlaze",
 ]

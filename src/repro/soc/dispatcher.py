@@ -24,6 +24,13 @@ dword  value
 3..5   local size X, Y, Z
 6..8   number of groups X, Y, Z
 ====== =========================
+
+Work-items fill lanes in order, so each wavefront is dispatched with
+its lane count (``Wavefront.lane_count``): the last wavefront of a
+workgroup whose size is not a multiple of 64 starts with EXEC set to
+its low lanes only.  Launching a workgroup costs the MicroBlaze
+``DISPATCH_WORKGROUP_MB_CYCLES`` plus ``DISPATCH_WAVEFRONT_MB_CYCLES``
+per wavefront.
 """
 
 from __future__ import annotations
@@ -51,6 +58,17 @@ CB0_GLOBAL_SIZE = 0
 CB0_LOCAL_SIZE = 3
 CB0_NUM_GROUPS = 6
 CB0_DWORDS = 12
+
+#: MicroBlaze cycles spent launching one workgroup: a fixed part plus
+#: one part per wavefront.  The dispatcher writes the descriptor SGPRs,
+#: the group-ID SGPRs and the three ID VGPRs through AXI (the VGPR
+#: interface moves a 2048-bit vector as 64 AXI words plus
+#: mask/address/commit registers -- Section 2.1.2), then sends the
+#: start command and later collects completion.  Costs are in
+#: MicroBlaze-domain cycles, so the dual clock domain speeds dispatch
+#: up by the clock ratio.
+DISPATCH_WORKGROUP_MB_CYCLES = 150
+DISPATCH_WAVEFRONT_MB_CYCLES = 50   # burst VGPR writes, HW-assisted IDs
 
 #: Launch templates a dispatcher keeps, least recently used dropped
 #: first.  An ``eval_sim`` round of the 18 evaluation apps uses 18
@@ -102,31 +120,13 @@ class LaunchGeometry:
 
 
 @dataclass(frozen=True)
-class DispatchCosts:
-    """MicroBlaze cycles spent launching one workgroup.
-
-    The dispatcher writes the descriptor SGPRs, the group-ID SGPRs and
-    the three ID VGPRs through AXI (the VGPR interface moves a 2048-bit
-    vector as 64 AXI words plus mask/address/commit registers --
-    Section 2.1.2), then sends the start command and later collects
-    completion.  Costs are in MicroBlaze-domain cycles so the dual
-    clock domain speeds dispatch up by the clock ratio.
-    """
-
-    per_workgroup_mb_cycles: int = 150
-    per_wavefront_mb_cycles: int = 50  # burst VGPR writes, HW-assisted IDs
-
-    def workgroup_cycles(self, wavefronts):
-        return self.per_workgroup_mb_cycles + self.per_wavefront_mb_cycles * wavefronts
-
-
-@dataclass(frozen=True)
 class WorkgroupTemplate:
     """Register images shared by every workgroup of one launch.
 
     ``sgprs[w]`` holds wavefront ``w``'s SGPR file, the descriptor sets
     (group-ID SGPRs zero), ``vgprs[w]`` its VGPR file with its local
-    IDs in ``v0``-``v2``, ``exec_masks[w]`` its EXEC, and
+    IDs in ``v0``-``v2``, ``lane_counts[w]`` its work-item count (its
+    EXEC is that many low lanes), and
     ``group_dims`` the dimensions whose group ID is written.  The
     arrays are read-only: :meth:`Dispatcher.build_workgroup` copies
     them.
@@ -134,7 +134,7 @@ class WorkgroupTemplate:
 
     sgprs: np.ndarray
     vgprs: np.ndarray
-    exec_masks: tuple
+    lane_counts: tuple
     group_dims: tuple
 
 
@@ -142,14 +142,13 @@ class Dispatcher:
     """Builds register-initialised workgroups for the compute units."""
 
     def __init__(self, memory, uav_base, uav_size, cb0_base, cb1_base,
-                 cb1_size, costs=None, regfile=None):
+                 cb1_size):
         self.memory = memory
         self.uav_descriptor = make_buffer_descriptor(uav_base, uav_size)
         self.cb0_descriptor = make_buffer_descriptor(cb0_base, 4 * CB0_DWORDS)
         self.cb1_descriptor = make_buffer_descriptor(cb1_base, cb1_size)
         self.cb0_base = cb0_base
-        self.costs = costs or DispatchCosts()
-        self.regfile = regfile or RegisterFileModel()
+        self.regfile = RegisterFileModel()
         #: (sgpr_count, vgpr_count, geometry) -> WorkgroupTemplate, at
         #: most TEMPLATE_MEMO_SIZE of them (the descriptors and the
         #: register-file model are fixed per dispatcher).
@@ -169,7 +168,8 @@ class Dispatcher:
         Validates that the workgroup's wavefronts fit the register
         files (:meth:`RegisterFileModel.check_workgroup`), then lays
         out what does not depend on the group ID: the descriptor SGPRs,
-        each wavefront's EXEC and its local-ID rows ``v0``-``v2``.
+        each wavefront's lane count and its local-ID rows
+        ``v0``-``v2``.
         The template depends on the program only through its register
         counts, so it is kept per ``(sgpr_count, vgpr_count,
         geometry)`` and a later launch of that shape reuses it.
@@ -202,15 +202,14 @@ class Dispatcher:
         vgprs[:, 2] = (flat // (lx * ly)).reshape(n_wavefronts, WAVEFRONT_SIZE)
         # Work-items fill lanes in order, so each wavefront's active
         # lanes are a prefix.
-        exec_masks = tuple(
-            (1 << min(WAVEFRONT_SIZE, items - w * WAVEFRONT_SIZE)) - 1
-            for w in range(n_wavefronts))
+        lane_counts = tuple(min(WAVEFRONT_SIZE, items - w * WAVEFRONT_SIZE)
+                            for w in range(n_wavefronts))
         num_groups = geometry.num_groups
         group_dims = tuple(dim for dim in range(3)
                            if num_groups[dim] > 1 or dim == 0)
         sgprs.setflags(write=False)
         vgprs.setflags(write=False)
-        return WorkgroupTemplate(sgprs, vgprs, exec_masks, group_dims)
+        return WorkgroupTemplate(sgprs, vgprs, lane_counts, group_dims)
 
     def build_workgroup(self, program, geometry, group_id, template=None):
         """Create one register-initialised workgroup.
@@ -228,15 +227,15 @@ class Dispatcher:
         vgprs = template.vgprs.copy()
         for dim in template.group_dims:
             sgprs[:, GROUP_ID_REG + dim] = group_id[dim]
-        for w, exec_mask in enumerate(template.exec_masks):
-            wf = Wavefront(wf_id=w, program=program, sgprs=sgprs[w],
-                           vgprs=vgprs[w])
-            wf.exec_mask = exec_mask
-            wg.add_wavefront(wf)
+        for w, lane_count in enumerate(template.lane_counts):
+            wg.add_wavefront(Wavefront(wf_id=w, program=program,
+                                       lane_count=lane_count,
+                                       sgprs=sgprs[w], vgprs=vgprs[w]))
         return wg
 
     def dispatch_cost_mb_cycles(self, geometry):
         """MicroBlaze cycles to launch one workgroup of this geometry."""
         items = geometry.work_items_per_group
         wavefronts = (items + WAVEFRONT_SIZE - 1) // WAVEFRONT_SIZE
-        return self.costs.workgroup_cycles(wavefronts)
+        return (DISPATCH_WORKGROUP_MB_CYCLES
+                + DISPATCH_WAVEFRONT_MB_CYCLES * wavefronts)

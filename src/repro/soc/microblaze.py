@@ -19,24 +19,17 @@ Original" bars combine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class HostCostModel:
-    """Per-operation MicroBlaze cycle prices."""
-
-    alu_op_cycles: float = 1.0
-    fp_op_cycles: float = 6.0      # soft FPU, multi-cycle
-    mem_touch_cycles: float = 8.0  # cached DDR access, amortised
-    call_overhead_cycles: float = 50.0
+#: Per-operation MicroBlaze cycle prices.
+ALU_OP_CYCLES = 1.0
+FP_OP_CYCLES = 6.0          # soft FPU, multi-cycle
+MEM_TOUCH_CYCLES = 8.0      # cached DDR access, amortised
+CALL_OVERHEAD_CYCLES = 50.0
 
 
 class MicroBlaze:
     """Accumulates host-phase cycles in the MicroBlaze clock domain."""
 
-    def __init__(self, cost_model=None):
-        self.costs = cost_model or HostCostModel()
+    def __init__(self):
         self.cycles = 0.0
         self.phases = []
 
@@ -46,10 +39,10 @@ class MicroBlaze:
 
     def run_phase(self, name, alu_ops=0, fp_ops=0, mem_touches=0):
         """Charge one host-code phase and record it by name."""
-        spent = (self.costs.call_overhead_cycles
-                 + alu_ops * self.costs.alu_op_cycles
-                 + fp_ops * self.costs.fp_op_cycles
-                 + mem_touches * self.costs.mem_touch_cycles)
+        spent = (CALL_OVERHEAD_CYCLES
+                 + alu_ops * ALU_OP_CYCLES
+                 + fp_ops * FP_OP_CYCLES
+                 + mem_touches * MEM_TOUCH_CYCLES)
         self.cycles += spent
         self.phases.append((name, spent))
         return spent

@@ -25,6 +25,7 @@ from ..cu import lsu, operations
 from ..cu.lsu import MEM_SCALAR, MEM_VECTOR
 from ..cu.pipeline import ComputeUnit, CuRunStats
 from ..cu.prepared import KIND_MEMORY, get_prepared
+from ..cu.timing import ENDPGM_CYCLES
 from ..errors import SimulationError
 from ..obs.events import InstructionIssue, Span, Stall, WavefrontStep
 
@@ -59,7 +60,7 @@ def run_spec(cu, workgroup, start_time, wavefronts):
     active = 0
     obs = cu.obs
     cu_index = cu.cu_index
-    prepared = get_prepared(wavefronts[0].program, cu.timing)
+    prepared = get_prepared(wavefronts[0].program)
     table = prepared.table
     memory_fns = fact_free_memory(prepared)
     for wf in wavefronts:
@@ -117,7 +118,7 @@ def run_spec(cu, workgroup, start_time, wavefronts):
         if name == "s_endpgm":
             wf.done = True
             finish_time = max(finish_time,
-                              fe_done + cu.timing.endpgm_cycles,
+                              fe_done + ENDPGM_CYCLES,
                               *(wf.outstanding_vm or [0.0]),
                               *(wf.outstanding_lgkm or [0.0]))
             live.remove(wf)

@@ -7,7 +7,7 @@ from repro.asm import assemble
 from repro.cu import lsu
 from repro.cu.lsu import make_buffer_descriptor
 from repro.cu.prepared import get_prepared
-from repro.cu.timing import DEFAULT_TIMING
+from repro.cu.timing import LSU_CYCLES
 from repro.cu.wavefront import Wavefront
 from repro.cu.workgroup import Workgroup
 from repro.errors import SimulationError
@@ -37,7 +37,7 @@ def exec_mem(program, wf, memory, index=0):
 
 def transactions(plan):
     """The plan's static LSU transaction count."""
-    return plan.occupancy / DEFAULT_TIMING.lsu_cycles
+    return plan.occupancy / LSU_CYCLES
 
 
 class TestSmrd:

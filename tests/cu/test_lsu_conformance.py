@@ -45,7 +45,7 @@ import pytest
 from repro.asm import assemble
 from repro.cu import lsu
 from repro.cu.prepared import get_prepared
-from repro.cu.timing import DEFAULT_TIMING
+from repro.cu.timing import LSU_CYCLES
 from repro.cu.wavefront import MASK32, Wavefront
 from repro.cu.workgroup import Workgroup
 from repro.errors import SimulationError
@@ -386,7 +386,7 @@ def _run(line, state, way, lane_uniform=False):
                          else _model_buffer)
                 access, timing, transactions = model(wf, inst,
                                                      _Accessors(gm))
-            occupancy = DEFAULT_TIMING.lsu_cycles * transactions
+            occupancy = LSU_CYCLES * transactions
         else:
             if way == "uniform":
                 prepared = get_prepared(_uniform_program_for(line))

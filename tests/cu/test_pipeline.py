@@ -7,7 +7,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.cu.pipeline import ComputeUnit
-from repro.cu.timing import DEFAULT_TIMING, frontend_cost, unit_occupancy
+from repro.cu.timing import TRANS_MULTIPLIER, frontend_cost, unit_occupancy
 from repro.cu.wavefront import Wavefront
 from repro.cu.workgroup import Workgroup
 from repro.errors import SimulationError, TrimmedInstructionError
@@ -213,7 +213,7 @@ class TestTiming:
         sin = assemble("v_sin_f32 v1, v2\ns_endpgm").instructions[0]
         fadd = assemble("v_add_f32 v1, v2, v3\ns_endpgm").instructions[0]
         assert unit_occupancy(sin) == \
-            unit_occupancy(fadd) * DEFAULT_TIMING.trans_multiplier
+            unit_occupancy(fadd) * TRANS_MULTIPLIER
 
     def test_extra_valus_speed_up_vector_streams(self):
         source = "\n".join(["v_mul_lo_i32 v1, v2, v3"] * 40) + "\ns_endpgm"

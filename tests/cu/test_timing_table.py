@@ -12,12 +12,17 @@ import pytest
 from repro.asm import assemble
 from repro.cu.lsu import make_buffer_descriptor
 from repro.cu.pipeline import ComputeUnit
+from repro.cu.prepared import get_prepared
 from repro.cu.timing import (
-    DEFAULT_TIMING,
+    BRANCH_CYCLES,
+    INT_PASS_CYCLES,
     KIND_ALU,
     KIND_ENDPGM,
     KIND_MEMORY,
     KIND_WAITCNT,
+    LSU_CYCLES,
+    SALU_CYCLES,
+    VECTOR_PASSES,
     TimingTable,
     UnitPool,
     clear_timing_table_cache,
@@ -58,65 +63,70 @@ def _inst(source, index=0):
     return assemble(source + "\n  s_endpgm").instructions[index]
 
 
-class TestTransactionsArgument:
-    """The explicit ``transactions`` argument replaced the
-    ``getattr(inst, "transactions", 1)`` duck-type."""
+def _plan(source, index=0):
+    return get_prepared(assemble(source + "\n  s_endpgm")).plans[index]
+
+
+class TestTransactions:
+    """``unit_occupancy`` prices one LSU transaction; a memory plan's
+    occupancy is that period times its static transaction count,
+    applied once when the plan is emitted."""
 
     def test_lsu_occupancy_scales_with_transactions(self):
-        inst = _inst("s_load_dword s20, s[2:3], 0")
-        base = DEFAULT_TIMING.lsu_cycles
-        assert unit_occupancy(inst) == base
-        assert unit_occupancy(inst, DEFAULT_TIMING, transactions=2) == 2 * base
-        assert unit_occupancy(inst, DEFAULT_TIMING, transactions=4) == 4 * base
+        assert unit_occupancy(_inst("s_load_dword s20, s[2:3], 0")) == \
+            LSU_CYCLES
+        for line, transactions in (
+                ("s_load_dword s20, s[2:3], 0", 1),
+                ("s_load_dwordx2 s[20:21], s[2:3], 0", 2),
+                ("s_load_dwordx4 s[20:23], s[2:3], 0", 4)):
+            assert _plan(line).occupancy == transactions * LSU_CYCLES, line
 
-    def test_transaction_count_clamps_to_one(self):
-        inst = _inst("s_load_dword s20, s[2:3], 0")
-        assert unit_occupancy(inst, DEFAULT_TIMING, transactions=0) == \
-            DEFAULT_TIMING.lsu_cycles
+    def test_every_memory_plan_pays_at_least_one_transaction(self):
+        for line in ("s_load_dword s20, s[2:3], 0",
+                     "tbuffer_store_format_x v1, v2, s[4:7], 0 offen",
+                     "ds_read_b32 v1, v2"):
+            assert _plan(line).occupancy >= LSU_CYCLES, line
 
-    def test_non_lsu_units_ignore_transactions(self):
-        inst = _inst("s_mov_b32 s0, 1")
-        assert unit_occupancy(inst, DEFAULT_TIMING, transactions=7) == \
-            DEFAULT_TIMING.salu_cycles
+    def test_non_lsu_plans_are_not_scaled(self):
+        plan = _plan("s_mov_b32 s0, 1")
+        assert plan.occupancy == unit_occupancy(plan.inst) == SALU_CYCLES
 
     def test_instruction_attribute_no_longer_consulted(self):
         inst = _inst("s_load_dword s20, s[2:3], 0")
         inst.transactions = 99  # a stale duck-typed attribute
-        assert unit_occupancy(inst) == DEFAULT_TIMING.lsu_cycles
+        assert unit_occupancy(inst) == LSU_CYCLES
 
 
 class TestTableRows:
     def test_rows_match_per_instruction_functions(self):
         program = assemble(MIXED)
-        table = TimingTable(program, DEFAULT_TIMING)
+        table = TimingTable(program)
         assert len(table) == len(program.instructions)
         for i, inst in enumerate(program.instructions):
-            assert table.fe_costs[i] == frontend_cost(inst, DEFAULT_TIMING)
+            assert table.fe_costs[i] == frontend_cost(inst)
             if table.kinds[i] == KIND_ALU:
-                assert table.occupancies[i] == \
-                    unit_occupancy(inst, DEFAULT_TIMING)
+                assert table.occupancies[i] == unit_occupancy(inst)
             elif table.kinds[i] == KIND_MEMORY:
-                assert table.occupancies[i] == DEFAULT_TIMING.lsu_cycles
+                assert table.occupancies[i] == LSU_CYCLES
             else:
                 assert table.occupancies[i] == 0
 
     def test_classification_and_flags(self):
         program = assemble(MIXED)
-        table = TimingTable(program, DEFAULT_TIMING)
+        table = TimingTable(program)
         kinds, occupancies = table.kinds, table.occupancies
-        timing = DEFAULT_TIMING
-        assert kinds[0] == KIND_ALU and occupancies[0] == timing.salu_cycles
+        assert kinds[0] == KIND_ALU and occupancies[0] == SALU_CYCLES
         assert kinds[1] == KIND_ALU and occupancies[1] == \
-            timing.valu_passes * timing.int_pass_cycles
-        assert kinds[3] == KIND_MEMORY and occupancies[3] == timing.lsu_cycles
+            VECTOR_PASSES * INT_PASS_CYCLES
+        assert kinds[3] == KIND_MEMORY and occupancies[3] == LSU_CYCLES
         assert kinds[4] == KIND_WAITCNT and occupancies[4] == 0
-        assert kinds[5] == KIND_ALU and occupancies[5] == timing.branch_cycles
+        assert kinds[5] == KIND_ALU and occupancies[5] == BRANCH_CYCLES
         assert kinds[-1] == KIND_ENDPGM and occupancies[-1] == 0
 
     def test_arrays_are_read_only(self):
         # Immutable rows of plain ints: no NumPy scalar reaches the
         # loops' cycle arithmetic.
-        table = TimingTable(assemble(MIXED), DEFAULT_TIMING)
+        table = TimingTable(assemble(MIXED))
         for column in (table.fe_costs, table.occupancies, table.kinds):
             assert all(type(value) is int for value in column)
             with pytest.raises(TypeError):
@@ -132,15 +142,6 @@ class TestTableCache:
         stats = timing_table_cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["size"] == 1
-
-    def test_distinct_params_get_distinct_tables(self):
-        from repro.cu.timing import CuTimingParams
-
-        program = assemble(MIXED)
-        a = get_timing_table(program)
-        b = get_timing_table(program, CuTimingParams(lsu_cycles=3))
-        assert a is not b
-        assert b.occupancies[3] == 3
 
     def test_clear_resets_stats_and_entries(self):
         get_timing_table(assemble(MIXED))
@@ -191,7 +192,6 @@ class TestLsuDynamicPricing:
 
     @LOOPS
     def test_smrd_width_prices_lsu_occupancy(self, spec):
-        base = DEFAULT_TIMING.lsu_cycles
         cases = (
             ("s_load_dword s20, s[2:3], 0", 1),
             ("s_load_dwordx2 s[20:21], s[2:3], 0", 2),
@@ -199,19 +199,17 @@ class TestLsuDynamicPricing:
         )
         for line, transactions in cases:
             _, _, lsu = _run_lsu(line + "\n  s_endpgm", spec)
-            assert lsu.busy_cycles == base * transactions, line
+            assert lsu.busy_cycles == LSU_CYCLES * transactions, line
 
     @LOOPS
     def test_mubuf_multi_dword_prices_lsu_occupancy(self, spec):
-        base = DEFAULT_TIMING.lsu_cycles
-
         def init(wf):
             wf.write_vgpr(1, np.zeros(64, dtype=np.uint32))
 
         for fmt, transactions in (("x", 1), ("xy", 2)):
             line = "tbuffer_load_format_{} v2, v1, s[4:7], 0 offen".format(fmt)
             _, _, lsu = _run_lsu(line + "\n  s_endpgm", spec, init=init)
-            assert lsu.busy_cycles == base * transactions, fmt
+            assert lsu.busy_cycles == LSU_CYCLES * transactions, fmt
 
     def test_loops_agree_on_end_time(self):
         source = "s_load_dwordx4 s[20:23], s[2:3], 0\n  s_endpgm"
@@ -269,14 +267,13 @@ class TestTableRowsMatchCorpus:
         table = get_timing_table(program)
         assert len(table) == len(program.instructions)
         for i, inst in enumerate(program.instructions):
-            assert table.fe_costs[i] == frontend_cost(inst, DEFAULT_TIMING)
+            assert table.fe_costs[i] == frontend_cost(inst)
             kind = table.kinds[i]
             if kind == KIND_ALU:
-                assert table.occupancies[i] == \
-                    unit_occupancy(inst, DEFAULT_TIMING)
+                assert table.occupancies[i] == unit_occupancy(inst)
             elif kind == KIND_MEMORY:
                 assert inst.spec.is_memory
-                assert table.occupancies[i] == DEFAULT_TIMING.lsu_cycles
+                assert table.occupancies[i] == LSU_CYCLES
             else:
                 assert inst.spec.name in ("s_endpgm", "s_barrier",
                                           "s_waitcnt")

@@ -32,6 +32,10 @@ class TestParams:
         ("black_scholes", {"sigma": False}, "'sigma' must be float"),
         ("cnn_i32", {"channels": 4}, "'channels' must be tuple"),
         ("cnn_i32", {"channels": [1, "4"]}, "'channels' items must be int"),
+        ("matrix_add_i32", {"n": -4}, "'n' must be non-negative, got -4"),
+        ("matrix_mul_i32", {"seed": -1}, "'seed' must be non-negative"),
+        ("cnn_i32", {"channels": (1, -4)},
+         "'channels' items must be non-negative"),
     ])
     def test_wrong_param_type_rejected(self, name, params, message):
         with pytest.raises(SimulationError, match=message):

@@ -9,7 +9,6 @@ from repro.fpga.synthesis import Synthesizer
 from repro.service.cache import (
     ArtifactCache,
     application_key,
-    binary_key,
     config_key,
 )
 
@@ -41,16 +40,16 @@ KERNEL_DIFFERENT = KERNEL.replace("v_lshlrev_b32 v3, 2, v3",
 
 
 class TestKeys:
-    def test_whitespace_edit_same_binary_key(self):
+    def test_whitespace_edit_same_content_key(self):
         """Cosmetic edits assemble to the same dwords -> same key."""
         a = assemble(KERNEL)
         b = assemble(KERNEL_REFORMATTED)
         assert a.words == b.words
-        assert binary_key(a) == binary_key(b)
+        assert a.content_key() == b.content_key()
 
-    def test_semantic_edit_changes_binary_key(self):
-        assert binary_key(assemble(KERNEL)) != \
-            binary_key(assemble(KERNEL_DIFFERENT))
+    def test_semantic_edit_changes_content_key(self):
+        assert assemble(KERNEL).content_key() != \
+            assemble(KERNEL_DIFFERENT).content_key()
 
     def test_application_key_order_independent(self):
         a, b = assemble(KERNEL), assemble(KERNEL_DIFFERENT)

@@ -1,7 +1,11 @@
-"""The service's binary key is the prepared-program cache's key."""
+"""The service's application key and the prepared-program cache share
+one key space: ``Program.content_key()``."""
 
 from repro.asm import assemble
-from repro.service.cache import binary_key
+from repro.core.config import ArchConfig
+from repro.cu.prepared import (clear_prepared_cache, lookup_prepared,
+                               prepared_cache_keys)
+from repro.service.cache import application_key
 
 KERNEL = """
 .kernel warmup
@@ -15,10 +19,19 @@ KERNEL = """
 
 
 class TestSharedKeySpace:
-    def test_binary_key_is_the_content_key(self):
-        program = assemble(KERNEL)
-        assert binary_key(program) == program.content_key()
+    def test_prepared_cache_keys_on_the_content_key(self):
+        clear_prepared_cache()
+        try:
+            program = assemble(KERNEL)
+            lookup_prepared(program)
+            assert prepared_cache_keys() == [program.content_key()]
+        finally:
+            clear_prepared_cache()
 
     def test_cosmetic_edit_shares_key(self):
-        assert binary_key(assemble(KERNEL)) == \
-            binary_key(assemble(KERNEL + "\n; cosmetic\n"))
+        a = assemble(KERNEL)
+        b = assemble(KERNEL + "\n; cosmetic\n")
+        assert a.content_key() == b.content_key()
+        base = ArchConfig.baseline()
+        assert application_key([a], base, 32) == \
+            application_key([b], base, 32)

@@ -15,7 +15,7 @@ from repro.errors import AdmissionError, ServiceError, SimulationError
 from repro.kernels import KERNELS
 from repro.kernels.base import Benchmark
 from repro.runtime.device import SoftGpu
-from repro.service import Job, JobStatus, KernelService, WorkerPool
+from repro.service import Job, JobStatus, KernelService, WorkerPool, load_jobs
 from repro.service.pool import JobPayload
 
 SMALL_JOBS = [
@@ -171,6 +171,23 @@ class TestAdmission:
             with pytest.raises(AdmissionError, match=message):
                 svc.submit(Job("matrix_add_i32", params))
             assert svc.snapshot()["rejected"] == 1
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("matrix_add_i32", {"n": -4}, "'n' must be non-negative, got -4"),
+        ("matrix_mul_i32", {"seed": -1},
+         "'seed' must be non-negative, got -1"),
+        ("cnn_i32", {"channels": [1, -4]},
+         "'channels' items must be non-negative, got -4"),
+    ])
+    def test_negative_integer_params_rejected(self, name, params, message):
+        """Refused at admission with a typed error, not failed in the
+        worker with a raw ``ValueError``; a job file entry likewise."""
+        (loaded,) = load_jobs([{"benchmark": name, "params": params}])
+        with KernelService(workers=1, mode="inline") as svc:
+            for job in (Job(name, params), loaded):
+                with pytest.raises(AdmissionError, match=message):
+                    svc.submit(job)
+            assert svc.snapshot()["rejected"] == 2
 
     def test_submit_after_close_rejected(self):
         svc = KernelService(workers=1, mode="inline")

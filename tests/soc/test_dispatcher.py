@@ -90,12 +90,34 @@ class TestRegisterInit:
         assert wf.vgprs[0][0] == 0 and wf.vgprs[1][0] == 4
         assert wf.vgprs[0][17] == 17 % 16 and wf.vgprs[1][17] == 4 + 17 // 16
 
-    def test_partial_wavefront_exec_mask(self, dispatcher):
+    @pytest.mark.parametrize("items,lanes", [(96, [64, 32]), (16, [16])])
+    def test_partial_wavefront_exec_mask(self, dispatcher, items, lanes):
+        """Each wavefront is dispatched with its lane count, and its
+        EXEC is that many low lanes."""
         disp, _ = dispatcher
-        g = LaunchGeometry.of((96,), (96,))
+        g = LaunchGeometry.of((items,), (items,))
         wg = disp.build_workgroup(assemble("s_endpgm"), g, (0, 0, 0))
-        assert wg.wavefronts[0].exec_mask == (1 << 64) - 1
-        assert wg.wavefronts[1].exec_mask == (1 << 32) - 1
+        assert [wf.lane_count for wf in wg.wavefronts] == lanes
+        assert [wf.exec_mask for wf in wg.wavefronts] == \
+            [(1 << n) - 1 for n in lanes]
+
+    def test_resurrected_lanes_break_exec_confinement(self, dispatcher):
+        """EXEC written past a dispatched partial wavefront's lanes is
+        what the invariant checker's EXEC confinement catches."""
+        from repro.cu.pipeline import ComputeUnit
+        from repro.obs.observer import ObserverHub
+        from repro.verify import InvariantChecker, InvariantViolation
+
+        disp, memory = dispatcher
+        program = assemble("s_mov_b64 exec, -1\n  v_mov_b32 v1, 0\n"
+                           "  s_endpgm")
+        wg = disp.build_workgroup(program, LaunchGeometry.of((16,), (16,)),
+                                  (0, 0, 0))
+        cu = ComputeUnit(memory)
+        cu.obs = ObserverHub()
+        cu.obs.attach(InvariantChecker())
+        with pytest.raises(InvariantViolation, match="EXEC confinement"):
+            cu.run_workgroup(wg)
 
     def test_cb0_contents(self, dispatcher):
         disp, memory = dispatcher

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.soc.clocks import DUAL_DOMAIN, SINGLE_DOMAIN, ClockDomains
-from repro.soc.microblaze import HostCostModel, MicroBlaze
+from repro.soc.microblaze import (ALU_OP_CYCLES, CALL_OVERHEAD_CYCLES,
+                                  FP_OP_CYCLES, MEM_TOUCH_CYCLES, MicroBlaze)
 
 
 class TestMicroBlaze:
@@ -11,16 +12,14 @@ class TestMicroBlaze:
         mb = MicroBlaze()
         spent = mb.run_phase("recentre", alu_ops=100, fp_ops=10,
                              mem_touches=20)
-        costs = mb.costs
         assert spent == pytest.approx(
-            costs.call_overhead_cycles + 100 * costs.alu_op_cycles
-            + 10 * costs.fp_op_cycles + 20 * costs.mem_touch_cycles)
+            CALL_OVERHEAD_CYCLES + 100 * ALU_OP_CYCLES
+            + 10 * FP_OP_CYCLES + 20 * MEM_TOUCH_CYCLES)
         assert mb.cycles == spent
         assert mb.phases == [("recentre", spent)]
 
     def test_fp_costs_more_than_alu(self):
-        costs = HostCostModel()
-        assert costs.fp_op_cycles > costs.alu_op_cycles
+        assert FP_OP_CYCLES > ALU_OP_CYCLES
 
     def test_charge_raw_cycles(self):
         mb = MicroBlaze()

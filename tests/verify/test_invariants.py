@@ -98,3 +98,22 @@ class TestAttachedToDevice:
         monkeypatch.setattr(Wavefront, "write_vgpr", unmasked)
         with pytest.raises(InvariantViolation), spec_execution():
             run_case(case, ArchConfig.baseline(), check_invariants=True)
+
+    @staticmethod
+    def _launch16(body):
+        """One 16-item workgroup under the checker: a partial
+        wavefront, dispatched with ``lane_count`` 16."""
+        from repro.runtime.device import SoftGpu
+
+        device = SoftGpu(ArchConfig.baseline())
+        checker = device.attach(InvariantChecker())
+        device.run(assemble(".vgprs 4\n" + body + "\n  s_endpgm"),
+                   (16,), (16,))
+        return checker
+
+    def test_dispatched_partial_wavefront_runs_clean(self):
+        assert self._launch16("  v_mov_b32 v1, 0").steps == 2
+
+    def test_resurrected_lanes_caught_end_to_end(self):
+        with pytest.raises(InvariantViolation, match="EXEC confinement"):
+            self._launch16("  s_mov_b64 exec, -1\n  v_mov_b32 v1, 0")
